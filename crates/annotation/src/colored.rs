@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use cdb_model::Atom;
-use cdb_relalg::exec::{extract_keys, join_matches, recognize_equi_join, ExecConfig};
+use cdb_relalg::exec::{join_on, recognize_equi_join, ExecConfig};
 use cdb_relalg::expr::{ProjSource, RaExpr};
 use cdb_relalg::{Operand, RelalgError, Relation, Schema, Tuple};
 
@@ -289,12 +289,19 @@ pub fn eval_colored(
     eval_colored_cfg(db, expr, scheme, None)
 }
 
-/// Evaluates under the given propagation scheme with the physical
-/// engine of [`cdb_relalg::exec`]: natural joins and recognized
-/// equi-joins run as (optionally parallel) hash joins. Color
-/// propagation — including the DEFAULT-ALL merging across join columns
-/// and equated cells — is applied per matched pair exactly as in the
-/// naive interpreter, so the two produce identical colored relations.
+/// Evaluates under the given propagation scheme with the hash-join
+/// kernel of [`cdb_relalg::exec`]: natural joins and recognized
+/// equi-joins enumerate their pairs by (optionally parallel) hashing.
+/// Color propagation — including the DEFAULT-ALL merging across join
+/// columns and equated cells — is applied per matched pair exactly as in
+/// the naive interpreter, so the two produce identical colored
+/// relations.
+///
+/// Unlike sets and K-relations, colors are *not* routed through
+/// physical plans: evaluation stays directed by the query's syntax,
+/// because DEFAULT propagation distinguishes classically equivalent
+/// queries (§2.1's Q1 and Q2) — a cost-based rewrite would change the
+/// answer.
 pub fn eval_colored_with(
     db: &ColoredDatabase,
     expr: &RaExpr,
@@ -334,7 +341,6 @@ fn eval_inner(
     outermost: bool,
     cfg: Option<&ExecConfig>,
 ) -> Result<(ColoredRelation, GuaranteedConsts), RelalgError> {
-    let hash = cfg.filter(|c| c.hash_join);
     match expr {
         RaExpr::Scan(name) => Ok((db.get(name)?.clone(), GuaranteedConsts::new())),
         RaExpr::ScanAs(name, alias) => {
@@ -347,7 +353,7 @@ fn eval_inner(
             // The guaranteed-constant and equality-class bookkeeping is
             // identical to the product-then-select path; only the pair
             // enumeration changes.
-            if let (Some(cfg), RaExpr::Product(a, b)) = (hash, e.as_ref()) {
+            if let (Some(cfg), RaExpr::Product(a, b)) = (cfg, e.as_ref()) {
                 let (left, gcl) = eval_inner(db, a, scheme, false, Some(cfg))?;
                 let (right, gcr) = eval_inner(db, b, scheme, false, Some(cfg))?;
                 let offset = left.schema.arity();
@@ -363,48 +369,22 @@ fn eval_inner(
                     gc.insert(i + offset, a);
                 }
                 let classes = equality_classes(&schema, pred, &mut gc)?;
-                if let Some(ej) = recognize_equi_join(&schema, offset, pred) {
-                    let lcols: Vec<usize> = ej.keys.iter().map(|&(l, _)| l).collect();
-                    let rcols: Vec<usize> = ej.keys.iter().map(|&(_, r)| r).collect();
-                    let build = extract_keys(right.tuples.iter().map(|t| &t.values), &rcols);
-                    let probe = extract_keys(left.tuples.iter().map(|t| &t.values), &lcols);
-                    let m = join_matches(&build, &probe, cfg);
-                    let mut out = ColoredRelation::empty(schema);
-                    for &(li, ri) in &m.pairs {
-                        let (lt, rt) = (&left.tuples[li], &right.tuples[ri]);
-                        let mut values = lt.values.clone();
-                        values.extend(rt.values.iter().cloned());
-                        if !pred.eval(&out.schema, &values)? {
-                            continue;
-                        }
-                        let mut colors = lt.colors.clone();
-                        colors.extend(rt.colors.iter().cloned());
-                        let mut t = ColoredTuple { values, colors };
-                        if matches!(scheme, Scheme::DefaultAll) {
-                            merge_classes(&classes, &mut t);
-                        }
-                        out.insert(t)?;
-                    }
-                    return Ok((out, gc));
-                }
-                // Not an equi-join: nested-loop over the evaluated
-                // sides, then filter.
+                let keys = recognize_equi_join(&schema, offset, pred).unwrap_or_default();
                 let mut out = ColoredRelation::empty(schema);
-                for lt in &left.tuples {
-                    for rt in &right.tuples {
-                        let mut values = lt.values.clone();
-                        values.extend(rt.values.iter().cloned());
-                        if !pred.eval(&out.schema, &values)? {
-                            continue;
-                        }
-                        let mut colors = lt.colors.clone();
-                        colors.extend(rt.colors.iter().cloned());
-                        let mut t = ColoredTuple { values, colors };
-                        if matches!(scheme, Scheme::DefaultAll) {
-                            merge_classes(&classes, &mut t);
-                        }
-                        out.insert(t)?;
+                for (li, ri) in key_pairs(&left, &right, &keys, Some(cfg)) {
+                    let (lt, rt) = (&left.tuples[li], &right.tuples[ri]);
+                    let mut values = lt.values.clone();
+                    values.extend(rt.values.iter().cloned());
+                    if !pred.eval(&out.schema, &values)? {
+                        continue;
                     }
+                    let mut colors = lt.colors.clone();
+                    colors.extend(rt.colors.iter().cloned());
+                    let mut t = ColoredTuple { values, colors };
+                    if matches!(scheme, Scheme::DefaultAll) {
+                        merge_classes(&classes, &mut t);
+                    }
+                    out.insert(t)?;
                 }
                 return Ok((out, gc));
             }
@@ -557,23 +537,8 @@ fn eval_inner(
                 colors.extend(right_kept.iter().map(|&j| rt.colors[j].clone()));
                 ColoredTuple { values, colors }
             };
-            if let (Some(cfg), false) = (hash, shared.is_empty()) {
-                let lcols: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-                let rcols: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-                let build = extract_keys(right.tuples.iter().map(|t| &t.values), &rcols);
-                let probe = extract_keys(left.tuples.iter().map(|t| &t.values), &lcols);
-                let m = join_matches(&build, &probe, cfg);
-                for &(li, ri) in &m.pairs {
-                    out.insert(emit(&left.tuples[li], &right.tuples[ri]))?;
-                }
-                return Ok((out, gc));
-            }
-            for lt in &left.tuples {
-                for rt in &right.tuples {
-                    if shared.iter().all(|&(i, j)| lt.values[i] == rt.values[j]) {
-                        out.insert(emit(lt, rt))?;
-                    }
-                }
+            for (li, ri) in key_pairs(&left, &right, &shared, cfg) {
+                out.insert(emit(&left.tuples[li], &right.tuples[ri]))?;
             }
             Ok((out, gc))
         }
@@ -608,6 +573,31 @@ fn eval_inner(
             Ok((input.with_schema(schema), gc))
         }
         RaExpr::Diff(_, _) => unreachable!("rejected by positivity check"),
+    }
+}
+
+/// The `(left, right)` tuple-index pairs that agree on every
+/// `(left column, right column)` key, left-major: by nested loop for the
+/// reference interpreter (`cfg` absent) and when there is no key to hash
+/// on (then every pair), by the shared hash kernel otherwise. The two
+/// enumerate the same pairs in the same order.
+fn key_pairs<'a>(
+    left: &'a ColoredRelation,
+    right: &'a ColoredRelation,
+    keys: &'a [(usize, usize)],
+    cfg: Option<&ExecConfig>,
+) -> Box<dyn Iterator<Item = (usize, usize)> + 'a> {
+    let lvals = left.tuples.iter().map(|t| &t.values);
+    let rvals = right.tuples.iter().map(|t| &t.values);
+    match cfg {
+        Some(cfg) if !keys.is_empty() => {
+            Box::new(join_on(lvals, rvals, keys, cfg).pairs.into_iter())
+        }
+        _ => Box::new(lvals.enumerate().flat_map(move |(li, l)| {
+            let agree = move |r: &Tuple| keys.iter().all(|&(i, j)| l[i] == r[j]);
+            let hits = rvals.clone().enumerate().filter(move |(_, r)| agree(r));
+            hits.map(move |(ri, _)| (li, ri))
+        })),
     }
 }
 

@@ -38,6 +38,9 @@ pub enum DbError {
     DuplicateEntry(String),
     /// A durability-layer failure (WAL, checkpoint, or recovery).
     Storage(String),
+    /// A relational view or query over the entries failed (unknown
+    /// attribute, schema mismatch, …).
+    Relational(cdb_relalg::RelalgError),
 }
 
 impl fmt::Display for DbError {
@@ -50,6 +53,7 @@ impl fmt::Display for DbError {
             DbError::NoSuchField(k, fld) => write!(f, "entry {k:?} has no field {fld:?}"),
             DbError::DuplicateEntry(k) => write!(f, "entry {k:?} already exists"),
             DbError::Storage(m) => write!(f, "storage: {m}"),
+            DbError::Relational(e) => write!(f, "{e}"),
         }
     }
 }
@@ -65,6 +69,12 @@ impl From<TreeError> for DbError {
 impl From<ArchiveError> for DbError {
     fn from(e: ArchiveError) -> Self {
         DbError::Archive(e)
+    }
+}
+
+impl From<cdb_relalg::RelalgError> for DbError {
+    fn from(e: cdb_relalg::RelalgError) -> Self {
+        DbError::Relational(e)
     }
 }
 

@@ -11,7 +11,7 @@
 use cdb_annotation::colored::{ColoredRelation, ColoredTuple, Scheme};
 use cdb_annotation::reverse::{find_placements, Target};
 use cdb_model::Atom;
-use cdb_relalg::{Database, RaExpr, RelalgError, Relation, Schema, Tuple};
+use cdb_relalg::{Database, RaExpr, Relation, Schema, Tuple};
 
 use crate::db::{CuratedDatabase, DbError};
 
@@ -20,14 +20,14 @@ use crate::db::{CuratedDatabase, DbError};
 pub fn entry_relation(db: &CuratedDatabase, fields: &[&str]) -> Result<Relation, DbError> {
     let mut attrs = vec![db.key_field().to_owned()];
     attrs.extend(fields.iter().map(|f| (*f).to_owned()));
-    let schema = Schema::new(attrs).map_err(relalg_to_db)?;
+    let schema = Schema::new(attrs)?;
     let mut rel = Relation::empty(schema);
     for key in db.entry_keys()? {
         let mut row: Tuple = vec![Atom::Str(key.clone())];
         for f in fields {
             row.push(db.field(&key, f).unwrap_or(Atom::Unit));
         }
-        rel.insert(row).map_err(relalg_to_db)?;
+        rel.insert(row)?;
     }
     Ok(rel)
 }
@@ -56,8 +56,7 @@ pub fn query_entries_planned(
     let indexes = db.relalg_index_set(fields)?;
     let plan = cdb_relalg::plan::plan(&rdb, &stats, &indexes, q);
     let (out, runs) =
-        cdb_relalg::plan::eval_plan(&rdb, &plan, &indexes, &cdb_relalg::ExecConfig::default())
-            .map_err(relalg_to_db)?;
+        cdb_relalg::plan::eval_plan(&rdb, &plan, &indexes, &cdb_relalg::ExecConfig::default())?;
     Ok((out, plan, runs))
 }
 
@@ -78,8 +77,7 @@ pub fn colored_entry_relation(
         let colors: Vec<String> = std::iter::once(format!("{key}/{key_field}"))
             .chain(fields.iter().map(|f| format!("{key}/{f}")))
             .collect();
-        out.insert(ColoredTuple::with_colors(row.clone(), colors))
-            .map_err(relalg_to_db)?;
+        out.insert(ColoredTuple::with_colors(row.clone(), colors))?;
     }
     Ok(out)
 }
@@ -118,7 +116,7 @@ pub fn annotate_through_view(
 ) -> Result<ViewAnnotation, DbError> {
     let rel = entry_relation(db, fields)?;
     let rdb = Database::new().with("entries", rel.clone());
-    let (placements, _stats) = find_placements(&rdb, q, target).map_err(relalg_to_db)?;
+    let (placements, _stats) = find_placements(&rdb, q, target)?;
     if placements.is_empty() {
         return Ok(ViewAnnotation::NoCleanPlacement);
     }
@@ -158,11 +156,7 @@ pub fn colored_view(
     let colored = colored_entry_relation(db, fields)?;
     let mut cdb = cdb_annotation::colored::ColoredDatabase::new();
     cdb.insert("entries", colored);
-    cdb_annotation::colored::eval_colored(&cdb, q, scheme).map_err(relalg_to_db)
-}
-
-fn relalg_to_db(e: RelalgError) -> DbError {
-    DbError::NoSuchEntry(format!("relational view error: {e}"))
+    Ok(cdb_annotation::colored::eval_colored(&cdb, q, scheme)?)
 }
 
 #[cfg(test)]
@@ -198,6 +192,22 @@ mod tests {
         // Missing fields come out as Unit.
         let rel2 = entry_relation(&db, &["nope"]).unwrap();
         assert!(rel2.tuples().iter().all(|t| t[1] == Atom::Unit));
+    }
+
+    #[test]
+    fn unknown_attribute_is_a_relational_error_not_a_missing_entry() {
+        let db = sample();
+        let q = RaExpr::scan("entries").select(Pred::col_eq_const("nope", 1));
+        let err = query_entries_planned(&db, &["kind", "tm"], &q).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                DbError::Relational(cdb_relalg::RelalgError::NoSuchAttribute { attr, .. })
+                    if attr == "nope"
+            ),
+            "{err:?}"
+        );
+        assert!(!err.to_string().contains("no entry with key"), "{err}");
     }
 
     #[test]

@@ -1,33 +1,34 @@
-//! The physical execution layer: hash joins, parallel partitioned
-//! probing, and per-operator execution statistics.
+//! The physical execution layer: the row-container trait ([`Rows`]) the
+//! one executor is written over, the hash-join kernel with parallel
+//! partitioned probing, and per-operator execution statistics.
 //!
-//! The interpreter in [`crate::eval`] is deliberately naive — nested-loop
-//! joins keep the annotation semantics auditable. This module adds a
-//! second engine over the *same* AST with three physical improvements,
-//! all verified equivalent to the naive engine by differential tests:
+//! Only [`PhysPlan`] trees run ([`crate::plan::execute`]). The entry
+//! points here, [`eval_hash`] and [`eval_with_stats`], compile with the
+//! shape-preserving [`crate::plan::lower`], which keeps their output
+//! byte- and order-identical to the reference interpreter in
+//! [`crate::eval`]:
 //!
-//! * **Hash joins.** [`RaExpr::NaturalJoin`] builds a hash table over the
-//!   smaller-side key columns and probes with the other side. A
-//!   recognizer ([`recognize_equi_join`]) additionally rewrites
+//! * **Hash joins.** Natural joins hash on their shared columns, and the
+//!   recognizer ([`recognize_equi_join`]) turns
 //!   `σ[a.x = b.y ∧ rest](A × B)` — the shape every `SELECT … FROM A, B
 //!   WHERE a.x = b.y` compiles to — into a hash join on the equated
-//!   column pairs with the full predicate re-checked on matches, so
-//!   residual (non-equality) conjuncts still apply.
+//!   column pairs under a filter of the full predicate, so residual
+//!   (non-equality) conjuncts still apply.
 //! * **Parallel partitioned probing.** When the probe side is at least
 //!   [`ExecConfig::parallel_threshold`] tuples, it is split into
 //!   [`ExecConfig::partitions`] chunks probed concurrently under
 //!   [`std::thread::scope`]. Chunk results are concatenated in chunk
 //!   order, so the output is byte-identical to a sequential probe
 //!   regardless of the partition count.
-//! * **Statistics.** [`eval_with_stats`] returns an [`ExecStats`]
-//!   operator tree recording rows in/out, build/probe sizes, partition
-//!   counts and wall time per operator; its `Display` impl renders the
-//!   table printed by `cdbsh` and the join benchmarks.
+//! * **Statistics.** The executor records one [`PlanRun`] per plan node;
+//!   [`eval_with_stats`] assembles them into an [`ExecStats`] operator
+//!   tree whose `Display` impl renders the table the join benchmarks
+//!   print.
 //!
-//! The kernel at the bottom of the stack, [`join_matches`], works on
-//! borrowed key columns and returns `(probe, build)` index pairs. The
-//! K-relation and colored evaluators (`cdb-semiring`, `cdb-annotation`)
-//! reuse it and combine the matched rows under their own semantics.
+//! The kernel, [`join_matches`], works on borrowed key columns and
+//! returns `(probe, build)` index pairs; [`join_on`] puts key extraction
+//! in front of it. The colored evaluator of `cdb-annotation` calls it
+//! too, but stays syntax-directed (see `eval_colored_with`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -39,17 +40,15 @@ use cdb_model::Atom;
 
 use crate::database::Database;
 use crate::error::RelalgError;
-use crate::expr::{ProjSource, RaExpr};
+use crate::expr::RaExpr;
+use crate::index::{ColumnIndex, IndexSet};
+use crate::plan::{execute, lower, PhysPlan, PlanRun};
 use crate::pred::{CmpOp, Operand, Pred};
 use crate::relation::{Relation, Schema, Tuple};
 
 /// Tuning knobs for the physical engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Use hash joins for natural joins and recognized equi-joins.
-    /// When `false` the engine mirrors the naive interpreter (useful as
-    /// a differential baseline that still collects statistics).
-    pub hash_join: bool,
     /// Number of probe partitions; `0` means one per available core.
     /// `1` forces a sequential probe.
     pub partitions: usize,
@@ -62,7 +61,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            hash_join: true,
             partitions: 0,
             parallel_threshold: 4096,
         }
@@ -101,6 +99,105 @@ impl ExecConfig {
     }
 }
 
+/// The row container the executor ([`crate::plan::execute`]) is generic
+/// over: a relation whose rows carry an annotation from a commutative
+/// semiring. [`Relation`] implements it with annotation `()` (sets),
+/// `cdb-semiring`'s `KRelation<K>` with `K` (ℕ for bags, `ℕ[X]` for
+/// provenance polynomials).
+///
+/// The contract: [`Rows::insert`] is the semiring `+`, [`Rows::times`]
+/// is `·`, both associative and commutative — which is what lets one
+/// plan, with its reordered joins and pushed filters, be valid for
+/// every instance.
+pub trait Rows: Clone + Sized {
+    /// The per-row annotation.
+    type Ann: Clone;
+    /// The database the plan's scans read.
+    type Db;
+
+    /// The stored relation `name`.
+    fn base<'a>(db: &'a Self::Db, name: &str) -> Result<&'a Self, RelalgError>;
+
+    /// The reference evaluator, which runs [`crate::PlanOp::Naive`]
+    /// nodes.
+    fn reference(db: &Self::Db, expr: &RaExpr) -> Result<Self, RelalgError>;
+
+    /// An empty container.
+    fn empty(schema: Schema) -> Self;
+
+    /// The schema.
+    fn schema(&self) -> &Schema;
+
+    /// The rows with their annotations, in the container's order.
+    fn rows(&self) -> impl ExactSizeIterator<Item = (&Tuple, &Self::Ann)>;
+
+    /// Adds a row; a tuple already present absorbs `ann` with `+`
+    /// (sets just keep the duplicate until the caller's final dedup).
+    fn insert(&mut self, tuple: Tuple, ann: Self::Ann) -> Result<(), RelalgError>;
+
+    /// The annotation of a row joined from two: `l · r`.
+    fn times(l: &Self::Ann, r: &Self::Ann) -> Self::Ann;
+
+    /// Set difference. Only sets have one — semirings have no
+    /// subtraction — so annotated containers return an error.
+    fn diff(&self, other: &Self) -> Result<Self, RelalgError>;
+
+    /// The rows a secondary index posts under `key`, for containers
+    /// whose rows have the stable offsets the index stores. The default
+    /// `None` makes the executor filter the base rows instead.
+    fn index_rows(&self, _index: &ColumnIndex, _key: &Atom) -> Option<Vec<(&Tuple, &Self::Ann)>> {
+        None
+    }
+}
+
+impl Rows for Relation {
+    type Ann = ();
+    type Db = Database;
+
+    fn base<'a>(db: &'a Database, name: &str) -> Result<&'a Relation, RelalgError> {
+        db.get(name)
+    }
+
+    fn reference(db: &Database, expr: &RaExpr) -> Result<Relation, RelalgError> {
+        crate::eval::eval(db, expr)
+    }
+
+    fn empty(schema: Schema) -> Relation {
+        Relation::empty(schema)
+    }
+
+    fn schema(&self) -> &Schema {
+        self.schema()
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = (&Tuple, &())> {
+        self.tuples().iter().map(|t| (t, &()))
+    }
+
+    fn insert(&mut self, tuple: Tuple, _ann: ()) -> Result<(), RelalgError> {
+        self.insert(tuple)
+    }
+
+    fn times(_l: &(), _r: &()) {}
+
+    fn diff(&self, other: &Relation) -> Result<Relation, RelalgError> {
+        let gone = other.tuple_set();
+        let kept = self.tuples().iter().filter(|t| !gone.contains(*t));
+        Relation::from_rows(self.schema().clone(), kept.cloned())
+    }
+
+    fn index_rows(&self, index: &ColumnIndex, key: &Atom) -> Option<Vec<(&Tuple, &())>> {
+        let tuples = self.tuples();
+        Some(
+            index
+                .lookup(key)
+                .iter()
+                .map(|&i| (&tuples[i], &()))
+                .collect(),
+        )
+    }
+}
+
 /// The result of a [`join_matches`] kernel invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinMatches {
@@ -118,9 +215,9 @@ pub struct JoinMatches {
 /// and probes it with `probe` keys, in parallel when `cfg` allows.
 ///
 /// Each key is the projection of one tuple onto the join columns; rows
-/// with equal keys match. All three evaluators (plain, K-relation,
-/// colored) call this and then combine the matched rows under their own
-/// semantics (concatenation, semiring multiplication, color merging).
+/// with equal keys match. Callers go through [`join_on`] and combine
+/// the matched rows under their own semantics (the executor's
+/// [`Rows::times`], the colored evaluator's color merging).
 pub fn join_matches(build: &[Vec<&Atom>], probe: &[Vec<&Atom>], cfg: &ExecConfig) -> JoinMatches {
     let mut table: HashMap<&[&Atom], Vec<usize>> = HashMap::with_capacity(build.len());
     for (i, key) in build.iter().enumerate() {
@@ -175,25 +272,27 @@ fn probe_chunk(
 
 /// Projects each tuple onto the given columns, borrowing the atoms —
 /// the key extraction step in front of [`join_matches`].
-pub fn extract_keys<'a>(
+fn extract_keys<'a>(
     rows: impl IntoIterator<Item = &'a Tuple>,
-    cols: &[usize],
+    cols: impl Iterator<Item = usize> + Clone,
 ) -> Vec<Vec<&'a Atom>> {
     rows.into_iter()
-        .map(|t| cols.iter().map(|&c| &t[c]).collect())
+        .map(|t| cols.clone().map(|c| &t[c]).collect())
         .collect()
 }
 
-/// A recognized equi-join within `σ_pred(A × B)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EquiJoin {
-    /// `(left column, right column)` pairs the predicate equates across
-    /// the two sides — the hash keys.
-    pub keys: Vec<(usize, usize)>,
-    /// How many predicate conjuncts are *not* pure cross-side column
-    /// equalities. The full predicate is re-applied to matched rows, so
-    /// these still filter; this count exists for statistics.
-    pub residual_conjuncts: usize,
+/// Hash-joins `probe` rows against `build` rows on the given
+/// `(probe column, build column)` pairs: key extraction plus
+/// [`join_matches`].
+pub fn join_on<'a>(
+    probe: impl IntoIterator<Item = &'a Tuple>,
+    build: impl IntoIterator<Item = &'a Tuple>,
+    keys: &[(usize, usize)],
+    cfg: &ExecConfig,
+) -> JoinMatches {
+    let build = extract_keys(build, keys.iter().map(|&(_, b)| b));
+    let probe = extract_keys(probe, keys.iter().map(|&(p, _)| p));
+    join_matches(&build, &probe, cfg)
 }
 
 /// Whether every column reference inside a predicate resolves against
@@ -214,8 +313,12 @@ pub(crate) fn pred_resolves(schema: &Schema, p: &Pred) -> bool {
 
 /// Recognizes `σ_pred(A × B)` as an equi-join: scans the predicate's
 /// top-level conjuncts for `col = col` comparisons whose operands
-/// resolve to opposite sides of the product. Returns `None` when no
-/// conjunct qualifies (the caller falls back to product-then-filter).
+/// resolve to opposite sides of the product, and returns the
+/// `(left column, right column)` pairs they equate — the hash keys.
+/// Returns `None` when no conjunct qualifies (the caller falls back to
+/// product-then-filter). The caller re-applies the *full* predicate to
+/// matched rows, so the other conjuncts (and same-side equalities)
+/// still filter.
 ///
 /// Two correctness rules shape what becomes a hash key:
 ///
@@ -224,21 +327,22 @@ pub(crate) fn pred_resolves(schema: &Schema, p: &Pred) -> bool {
 ///   the duplicate would widen every extracted key and double the
 ///   comparison work without changing the match set.
 /// * **An unresolvable conjunct poisons everything after it.** The
-///   naive engine evaluates conjuncts left to right with short-circuit,
-///   so a resolution error in conjunct *i* surfaces exactly when some
-///   row passes conjuncts `1..i`. A key extracted from a conjunct
-///   *after* i could filter out precisely that row and hide the error.
-///   Keys gathered *before* i stay valid — a row they reject would have
-///   short-circuited at that earlier conjunct anyway — and the full
-///   predicate re-check on matched rows surfaces the error in the same
-///   left-to-right order the naive engine uses.
-pub fn recognize_equi_join(combined: &Schema, left_arity: usize, pred: &Pred) -> Option<EquiJoin> {
+///   reference engine evaluates conjuncts left to right with
+///   short-circuit, so a resolution error in conjunct *i* surfaces
+///   exactly when some row passes conjuncts `1..i`. A key extracted
+///   from a conjunct *after* i could filter out precisely that row and
+///   hide the error. Keys gathered *before* i stay valid — a row they
+///   reject would have short-circuited at that earlier conjunct anyway
+///   — and the full predicate re-check on matched rows surfaces the
+///   error in the same left-to-right order the reference engine uses.
+pub fn recognize_equi_join(
+    combined: &Schema,
+    left_arity: usize,
+    pred: &Pred,
+) -> Option<Vec<(usize, usize)>> {
     let mut keys: Vec<(usize, usize)> = Vec::new();
-    let mut residual_conjuncts = 0;
-    let conjuncts = pred.conjuncts();
-    for (ci, conjunct) in conjuncts.iter().enumerate() {
+    for conjunct in pred.conjuncts() {
         if !pred_resolves(combined, conjunct) {
-            residual_conjuncts += conjuncts.len() - ci;
             break;
         }
         if let Pred::Cmp {
@@ -250,27 +354,16 @@ pub fn recognize_equi_join(combined: &Schema, left_arity: usize, pred: &Pred) ->
             let li = combined.resolve(l).expect("checked by pred_resolves");
             let ri = combined.resolve(r).expect("checked by pred_resolves");
             let pair = match (li < left_arity, ri < left_arity) {
-                (true, false) => Some((li, ri - left_arity)),
-                (false, true) => Some((ri, li - left_arity)),
-                _ => None, // same-side equality: plain filter
+                (true, false) => (li, ri - left_arity),
+                (false, true) => (ri, li - left_arity),
+                _ => continue, // same-side equality: plain filter
             };
-            if let Some(pair) = pair {
-                if !keys.contains(&pair) {
-                    keys.push(pair);
-                }
-                continue;
+            if !keys.contains(&pair) {
+                keys.push(pair);
             }
         }
-        residual_conjuncts += 1;
     }
-    if keys.is_empty() {
-        None
-    } else {
-        Some(EquiJoin {
-            keys,
-            residual_conjuncts,
-        })
-    }
+    (!keys.is_empty()).then_some(keys)
 }
 
 /// Per-operator execution statistics, forming a tree that mirrors the
@@ -299,40 +392,30 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    fn leaf(op: impl Into<String>, rows_out: usize, span: &mut SpanGuard) -> Self {
-        span.set_attr(rows_out as u64);
-        let elapsed = span.elapsed();
-        OpStats {
-            op: op.into(),
-            rows_out,
-            build_rows: None,
-            probe_rows: None,
-            partitions: None,
-            elapsed,
-            self_elapsed: elapsed,
-            children: Vec::new(),
-        }
-    }
-
-    fn with_children(mut self, children: Vec<OpStats>) -> Self {
+    /// Assembles the subtree for `plan` from the executor's per-node
+    /// actuals, consuming one [`PlanRun`] per node in plan preorder.
+    fn assemble(plan: &PhysPlan, runs: &mut std::slice::Iter<'_, PlanRun>) -> OpStats {
+        let run = runs
+            .next()
+            .expect("the executor records one run per plan node");
+        let children: Vec<OpStats> = plan
+            .children
+            .iter()
+            .map(|c| OpStats::assemble(c, runs))
+            .collect();
         let nested: Duration = children.iter().map(|c| c.elapsed).sum();
-        self.self_elapsed = self.elapsed.saturating_sub(nested);
-        self.children = children;
-        self
-    }
-
-    fn unary(op: impl Into<String>, rows_out: usize, span: &mut SpanGuard, child: OpStats) -> Self {
-        OpStats::leaf(op, rows_out, span).with_children(vec![child])
-    }
-
-    fn binary(
-        op: impl Into<String>,
-        rows_out: usize,
-        span: &mut SpanGuard,
-        l: OpStats,
-        r: OpStats,
-    ) -> Self {
-        OpStats::leaf(op, rows_out, span).with_children(vec![l, r])
+        // Only hash joins probe, so only they report partitions.
+        let join = run.partitions > 0;
+        OpStats {
+            op: plan.label(),
+            rows_out: run.rows,
+            build_rows: join.then(|| children[1].rows_out),
+            probe_rows: join.then(|| children[0].rows_out),
+            partitions: join.then_some(run.partitions),
+            elapsed: run.elapsed,
+            self_elapsed: run.elapsed.saturating_sub(nested),
+            children,
+        }
     }
 
     /// Total number of operators in this subtree.
@@ -407,19 +490,23 @@ impl fmt::Display for ExecStats {
 }
 
 /// Evaluates under set semantics with the physical engine, returning the
-/// result and the operator statistics tree.
+/// result and the operator statistics tree: the expression is lowered
+/// shape-for-shape ([`lower`]) and run by the one executor, so the
+/// result is byte-identical to [`crate::eval::eval`].
 pub fn eval_with_stats(
     db: &Database,
     expr: &RaExpr,
     cfg: &ExecConfig,
 ) -> Result<(Relation, ExecStats), RelalgError> {
     let mut span = SpanGuard::enter("relalg.eval");
-    let (mut rel, root) = eval_node(db, expr, cfg)?;
+    let plan = lower::<Relation>(db, expr);
+    let (mut rel, runs) = execute::<Relation>(db, &plan, &IndexSet::new(), cfg)?;
     rel.dedup();
     span.set_attr(rel.len() as u64);
     let m = cdb_obs::global();
     m.counter("relalg.eval.count").inc();
     m.histogram("relalg.eval.ns").observe(span.elapsed());
+    let root = OpStats::assemble(&plan, &mut runs.iter());
     Ok((rel, ExecStats { root }))
 }
 
@@ -430,10 +517,9 @@ pub fn eval_hash(db: &Database, expr: &RaExpr, cfg: &ExecConfig) -> Result<Relat
     eval_with_stats(db, expr, cfg).map(|(rel, _)| rel)
 }
 
-/// The span name for a node — span names are interned `&'static str`
-/// literals, so the dynamic operator label lives only in [`OpStats`].
-/// Shared with the set-semantics interpreter in `eval.rs` so both
-/// engines profile under the same taxonomy.
+/// The span name for an expression node — the `relalg.op.*` taxonomy
+/// the reference interpreter in `eval.rs` shares with the executor
+/// ([`crate::plan::plan_span_name`]).
 pub(crate) fn span_name(expr: &RaExpr) -> &'static str {
     match expr {
         RaExpr::Scan(_) => "relalg.op.scan",
@@ -446,314 +532,6 @@ pub(crate) fn span_name(expr: &RaExpr) -> &'static str {
         RaExpr::Diff(..) => "relalg.op.diff",
         RaExpr::Rename(..) => "relalg.op.rename",
     }
-}
-
-fn eval_node(
-    db: &Database,
-    expr: &RaExpr,
-    cfg: &ExecConfig,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let mut span = SpanGuard::enter(span_name(expr));
-    match expr {
-        RaExpr::Scan(name) => {
-            let rel = db.get(name)?.clone();
-            let stats = OpStats::leaf(format!("Scan {name}"), rel.len(), &mut span);
-            Ok((rel, stats))
-        }
-        RaExpr::ScanAs(name, alias) => {
-            let base = db.get(name)?;
-            let schema = base.schema().qualified(alias);
-            let rel = Relation::from_rows(schema, base.tuples().iter().cloned())?;
-            let stats = OpStats::leaf(format!("Scan {name} AS {alias}"), rel.len(), &mut span);
-            Ok((rel, stats))
-        }
-        RaExpr::Select(e, pred) => {
-            // The equi-join rewrite: σ over a product whose predicate
-            // equates columns across the two sides becomes a hash join.
-            if cfg.hash_join {
-                if let RaExpr::Product(a, b) = e.as_ref() {
-                    let (left, lstats) = eval_node(db, a, cfg)?;
-                    let (right, rstats) = eval_node(db, b, cfg)?;
-                    let combined = Schema::new(
-                        left.schema()
-                            .attrs()
-                            .iter()
-                            .chain(right.schema().attrs())
-                            .cloned(),
-                    )?;
-                    if let Some(ej) = recognize_equi_join(&combined, left.schema().arity(), pred) {
-                        return hash_equi_join(
-                            &left, &right, combined, pred, &ej, cfg, &mut span, lstats, rstats,
-                        );
-                    }
-                    // No cross-side equality: plain product, then filter.
-                    let (prod, pstats) =
-                        product_of(&left, &right, combined, &mut span, lstats, rstats)?;
-                    return filter_of(prod, pred, &mut span, pstats);
-                }
-            }
-            let (input, istats) = eval_node(db, e, cfg)?;
-            filter_of(input, pred, &mut span, istats)
-        }
-        RaExpr::Project(e, items) => {
-            let (input, istats) = eval_node(db, e, cfg)?;
-            let schema = Schema::new(items.iter().map(|i| i.name.clone()))?;
-            let mut out = Relation::empty(schema);
-            for t in input.tuples() {
-                let mut row: Tuple = Vec::with_capacity(items.len());
-                for item in items {
-                    match &item.source {
-                        ProjSource::Col(c) => row.push(t[input.schema().resolve(c)?].clone()),
-                        ProjSource::Const(a) => row.push(a.clone()),
-                    }
-                }
-                out.insert(row)?;
-            }
-            let stats = OpStats::unary("Project π", out.len(), &mut span, istats);
-            Ok((out, stats))
-        }
-        RaExpr::Product(a, b) => {
-            let (left, lstats) = eval_node(db, a, cfg)?;
-            let (right, rstats) = eval_node(db, b, cfg)?;
-            let combined = Schema::new(
-                left.schema()
-                    .attrs()
-                    .iter()
-                    .chain(right.schema().attrs())
-                    .cloned(),
-            )?;
-            product_of(&left, &right, combined, &mut span, lstats, rstats)
-        }
-        RaExpr::NaturalJoin(a, b) => {
-            let (left, lstats) = eval_node(db, a, cfg)?;
-            let (right, rstats) = eval_node(db, b, cfg)?;
-            let shared = crate::eval::shared_attrs(left.schema(), right.schema());
-            if cfg.hash_join && !shared.is_empty() {
-                hash_natural_join(&left, &right, &shared, cfg, &mut span, lstats, rstats)
-            } else {
-                loop_natural_join(&left, &right, &shared, &mut span, lstats, rstats)
-            }
-        }
-        RaExpr::Union(a, b) => {
-            let (left, lstats) = eval_node(db, a, cfg)?;
-            let (right, rstats) = eval_node(db, b, cfg)?;
-            if !left.schema().union_compatible(right.schema()) {
-                return Err(RelalgError::SchemaMismatch {
-                    left: left.schema().attrs().to_vec(),
-                    right: right.schema().attrs().to_vec(),
-                });
-            }
-            let mut out = left;
-            for t in right.tuples() {
-                out.insert(t.clone())?;
-            }
-            let stats = OpStats::binary("Union ∪", out.len(), &mut span, lstats, rstats);
-            Ok((out, stats))
-        }
-        RaExpr::Diff(a, b) => {
-            let (left, lstats) = eval_node(db, a, cfg)?;
-            let (right, rstats) = eval_node(db, b, cfg)?;
-            if !left.schema().union_compatible(right.schema()) {
-                return Err(RelalgError::SchemaMismatch {
-                    left: left.schema().attrs().to_vec(),
-                    right: right.schema().attrs().to_vec(),
-                });
-            }
-            let rset = right.tuple_set();
-            let mut out = Relation::empty(left.schema().clone());
-            for t in left.tuples() {
-                if !rset.contains(t) {
-                    out.insert(t.clone())?;
-                }
-            }
-            let stats = OpStats::binary("Diff −", out.len(), &mut span, lstats, rstats);
-            Ok((out, stats))
-        }
-        RaExpr::Rename(e, pairs) => {
-            let (input, istats) = eval_node(db, e, cfg)?;
-            let mut attrs: Vec<String> = input.schema().attrs().to_vec();
-            for (old, new) in pairs {
-                let i = input.schema().resolve(old)?;
-                attrs[i] = new.clone();
-            }
-            let rel = Relation::from_rows(Schema::new(attrs)?, input.tuples().iter().cloned())?;
-            let stats = OpStats::unary("Rename ρ", rel.len(), &mut span, istats);
-            Ok((rel, stats))
-        }
-    }
-}
-
-fn filter_of(
-    input: Relation,
-    pred: &Pred,
-    span: &mut SpanGuard,
-    istats: OpStats,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let mut out = Relation::empty(input.schema().clone());
-    for t in input.tuples() {
-        if pred.eval(input.schema(), t)? {
-            out.insert(t.clone())?;
-        }
-    }
-    let stats = OpStats::unary(format!("Select σ[{pred}]"), out.len(), span, istats);
-    Ok((out, stats))
-}
-
-fn product_of(
-    left: &Relation,
-    right: &Relation,
-    combined: Schema,
-    span: &mut SpanGuard,
-    lstats: OpStats,
-    rstats: OpStats,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let mut out = Relation::empty(combined);
-    for lt in left.tuples() {
-        for rt in right.tuples() {
-            let mut row = lt.clone();
-            row.extend(rt.iter().cloned());
-            out.insert(row)?;
-        }
-    }
-    let stats = OpStats::binary("Product ×", out.len(), span, lstats, rstats);
-    Ok((out, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_equi_join(
-    left: &Relation,
-    right: &Relation,
-    combined: Schema,
-    pred: &Pred,
-    ej: &EquiJoin,
-    cfg: &ExecConfig,
-    span: &mut SpanGuard,
-    lstats: OpStats,
-    rstats: OpStats,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let lcols: Vec<usize> = ej.keys.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = ej.keys.iter().map(|&(_, r)| r).collect();
-    let build = extract_keys(right.tuples(), &rcols);
-    let probe = extract_keys(left.tuples(), &lcols);
-    let matches = join_matches(&build, &probe, cfg);
-    let mut out = Relation::empty(combined);
-    for &(li, ri) in &matches.pairs {
-        let mut row = left.tuples()[li].clone();
-        row.extend(right.tuples()[ri].iter().cloned());
-        // Re-check the whole predicate: residual conjuncts (and
-        // same-side equalities) still filter the matched pairs.
-        if pred.eval(out.schema(), &row)? {
-            out.insert(row)?;
-        }
-    }
-    let label = format!(
-        "HashJoin[{}]{}",
-        ej.keys
-            .iter()
-            .map(|&(l, r)| {
-                format!("{}={}", left.schema().attrs()[l], right.schema().attrs()[r])
-            })
-            .collect::<Vec<_>>()
-            .join(","),
-        if ej.residual_conjuncts > 0 {
-            format!(" +{} residual", ej.residual_conjuncts)
-        } else {
-            String::new()
-        }
-    );
-    let stats = OpStats {
-        build_rows: Some(right.len()),
-        probe_rows: Some(left.len()),
-        partitions: Some(matches.partitions),
-        ..OpStats::binary(label, out.len(), span, lstats, rstats)
-    };
-    Ok((out, stats))
-}
-
-fn natural_join_layout(
-    left: &Relation,
-    right: &Relation,
-    shared: &[(usize, usize)],
-) -> Result<(Schema, Vec<usize>), RelalgError> {
-    let right_kept: Vec<usize> = (0..right.schema().arity())
-        .filter(|j| !shared.iter().any(|(_, sj)| sj == j))
-        .collect();
-    let attrs: Vec<String> = left
-        .schema()
-        .attrs()
-        .iter()
-        .cloned()
-        .chain(
-            right_kept
-                .iter()
-                .map(|&j| right.schema().attrs()[j].clone()),
-        )
-        .collect();
-    Ok((Schema::new(attrs)?, right_kept))
-}
-
-fn hash_natural_join(
-    left: &Relation,
-    right: &Relation,
-    shared: &[(usize, usize)],
-    cfg: &ExecConfig,
-    span: &mut SpanGuard,
-    lstats: OpStats,
-    rstats: OpStats,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let (schema, right_kept) = natural_join_layout(left, right, shared)?;
-    let lcols: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-    let rcols: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-    let build = extract_keys(right.tuples(), &rcols);
-    let probe = extract_keys(left.tuples(), &lcols);
-    let matches = join_matches(&build, &probe, cfg);
-    let mut out = Relation::empty(schema);
-    for &(li, ri) in &matches.pairs {
-        let rt = &right.tuples()[ri];
-        let mut row = left.tuples()[li].clone();
-        row.extend(right_kept.iter().map(|&j| rt[j].clone()));
-        out.insert(row)?;
-    }
-    let keys: Vec<&str> = shared
-        .iter()
-        .map(|&(i, _)| left.schema().attrs()[i].as_str())
-        .collect();
-    let stats = OpStats {
-        build_rows: Some(right.len()),
-        probe_rows: Some(left.len()),
-        partitions: Some(matches.partitions),
-        ..OpStats::binary(
-            format!("HashNaturalJoin[{}]", keys.join(",")),
-            out.len(),
-            span,
-            lstats,
-            rstats,
-        )
-    };
-    Ok((out, stats))
-}
-
-fn loop_natural_join(
-    left: &Relation,
-    right: &Relation,
-    shared: &[(usize, usize)],
-    span: &mut SpanGuard,
-    lstats: OpStats,
-    rstats: OpStats,
-) -> Result<(Relation, OpStats), RelalgError> {
-    let (schema, right_kept) = natural_join_layout(left, right, shared)?;
-    let mut out = Relation::empty(schema);
-    for lt in left.tuples() {
-        for rt in right.tuples() {
-            if shared.iter().all(|&(i, j)| lt[i] == rt[j]) {
-                let mut row = lt.clone();
-                row.extend(right_kept.iter().map(|&j| rt[j].clone()));
-                out.insert(row)?;
-            }
-        }
-    }
-    let stats = OpStats::binary("NaturalJoin ⋈ (loop)", out.len(), span, lstats, rstats);
-    Ok((out, stats))
 }
 
 #[cfg(test)]
@@ -820,30 +598,11 @@ mod tests {
         let naive = eval(&db, &q).unwrap();
         let (hashed, stats) = eval_with_stats(&db, &q, &ExecConfig::default()).unwrap();
         assert_eq!(naive, hashed);
-        let join = stats
-            .find("HashJoin[r.B=s.B]")
-            .expect("equi-join recognized");
         assert!(
-            join.op.contains("+1 residual"),
-            "constant filter is residual"
+            stats.root.op.starts_with("Filter σ["),
+            "the full predicate is re-checked above the join"
         );
-    }
-
-    #[test]
-    fn non_equi_select_falls_back_to_product() {
-        let db = join_db(10);
-        let q = RaExpr::ScanAs("R".into(), "r".into())
-            .product(RaExpr::ScanAs("S".into(), "s".into()))
-            .select(Pred::cmp(
-                Operand::col("r.B"),
-                CmpOp::Lt,
-                Operand::col("s.B"),
-            ));
-        let naive = eval(&db, &q).unwrap();
-        let (hashed, stats) = eval_with_stats(&db, &q, &ExecConfig::default()).unwrap();
-        assert_eq!(naive, hashed);
-        assert!(stats.find("HashJoin").is_none());
-        assert!(stats.find("Product ×").is_some());
+        assert_eq!(stats.root.children[0].op, "HashJoin[r.B=s.B]");
     }
 
     #[test]
@@ -902,87 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_equality_conjuncts_dedup_to_one_key() {
-        let db = join_db(30);
-        let schema = Schema::new(["r.A", "r.B", "s.B", "s.C"].map(String::from)).unwrap();
-        // r.B = s.B stated three times, once flipped: still one key pair.
-        let pred = Pred::col_eq_col("r.B", "s.B")
-            .and(Pred::col_eq_col("r.B", "s.B"))
-            .and(Pred::col_eq_col("s.B", "r.B"));
-        let ej = recognize_equi_join(&schema, 2, &pred).expect("equi-join");
-        assert_eq!(ej.keys, vec![(1, 0)], "duplicates collapsed");
-        assert_eq!(ej.residual_conjuncts, 0);
-        // End to end the duplicated predicate still matches the naive
-        // engine byte for byte.
-        let q = RaExpr::ScanAs("R".into(), "r".into())
-            .product(RaExpr::ScanAs("S".into(), "s".into()))
-            .select(pred);
-        let naive = eval(&db, &q).unwrap();
-        let (hashed, stats) = eval_with_stats(&db, &q, &ExecConfig::default()).unwrap();
-        assert_eq!(naive, hashed);
-        assert!(
-            stats.find("HashJoin[r.B=s.B]").is_some(),
-            "single-key join label"
-        );
-    }
-
-    #[test]
-    fn unresolvable_residual_keeps_valid_keys() {
-        let db = join_db(30);
-        // A valid equi-join key followed by a conjunct over a missing
-        // column: the join must still hash on r.B = s.B, and the error
-        // must surface exactly as the naive engine surfaces it.
-        let q = RaExpr::ScanAs("R".into(), "r".into())
-            .product(RaExpr::ScanAs("S".into(), "s".into()))
-            .select(Pred::col_eq_col("r.B", "s.B").and(Pred::col_eq_const("r.nope", 1)));
-        let naive = eval(&db, &q);
-        let hashed = eval_hash(&db, &q, &ExecConfig::default());
-        assert!(naive.is_err());
-        assert_eq!(naive.unwrap_err(), hashed.unwrap_err());
-        // The recognizer itself keeps the resolvable key.
-        let schema = Schema::new(["r.A", "r.B", "s.B", "s.C"].map(String::from)).unwrap();
-        let pred = Pred::col_eq_col("r.B", "s.B").and(Pred::col_eq_const("r.nope", 1));
-        let ej = recognize_equi_join(&schema, 2, &pred).expect("valid key survives");
-        assert_eq!(ej.keys, vec![(1, 0)]);
-        assert_eq!(ej.residual_conjuncts, 1);
-    }
-
-    #[test]
-    fn unresolvable_conjunct_poisons_later_keys() {
-        // The error conjunct comes FIRST: a key taken from the later
-        // r.B = s.B equality could filter away the row on which the
-        // naive engine errors, so no keys may be extracted at all.
-        let schema = Schema::new(["r.A", "r.B", "s.B", "s.C"].map(String::from)).unwrap();
-        let pred = Pred::col_eq_const("r.nope", 1).and(Pred::col_eq_col("r.B", "s.B"));
-        assert!(recognize_equi_join(&schema, 2, &pred).is_none());
-        // End to end: both engines surface the same resolution error.
-        let db = join_db(10);
-        let q = RaExpr::ScanAs("R".into(), "r".into())
-            .product(RaExpr::ScanAs("S".into(), "s".into()))
-            .select(pred);
-        let naive = eval(&db, &q);
-        let hashed = eval_hash(&db, &q, &ExecConfig::default());
-        assert!(naive.is_err());
-        assert_eq!(naive.unwrap_err(), hashed.unwrap_err());
-    }
-
-    #[test]
-    fn empty_side_suppresses_residual_errors_in_both_engines() {
-        // With an empty S, no row ever reaches the bad conjunct: both
-        // engines return an empty relation rather than an error.
-        let r = Relation::table(["A", "B"], (0..5).map(|i| vec![int(i), int(i)])).unwrap();
-        let s = Relation::empty(Schema::new(["B", "C"].map(String::from)).unwrap());
-        let db = Database::new().with("R", r).with("S", s);
-        let q = RaExpr::ScanAs("R".into(), "r".into())
-            .product(RaExpr::ScanAs("S".into(), "s".into()))
-            .select(Pred::col_eq_col("r.B", "s.B").and(Pred::col_eq_const("r.nope", 1)));
-        let naive = eval(&db, &q).unwrap();
-        let hashed = eval_hash(&db, &q, &ExecConfig::default()).unwrap();
-        assert_eq!(naive, hashed);
-        assert!(naive.is_empty());
-    }
-
-    #[test]
     fn self_elapsed_excludes_children() {
         let db = join_db(200);
         let q = RaExpr::scan("R")
@@ -1024,18 +702,5 @@ mod tests {
             "self times sum to at most the root total: {total:?} vs {:?}",
             stats.root.elapsed
         );
-    }
-
-    #[test]
-    fn disabling_hash_join_still_collects_stats() {
-        let db = join_db(25);
-        let q = RaExpr::scan("R").natural_join(RaExpr::scan("S"));
-        let cfg = ExecConfig {
-            hash_join: false,
-            ..ExecConfig::default()
-        };
-        let (rel, stats) = eval_with_stats(&db, &q, &cfg).unwrap();
-        assert_eq!(rel, eval(&db, &q).unwrap());
-        assert!(stats.find("NaturalJoin ⋈ (loop)").is_some());
     }
 }

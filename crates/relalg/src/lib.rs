@@ -23,18 +23,18 @@
 //! faithful to §2.1's point that annotation propagation breaks classical
 //! rewriting: `cdb-annotation` evaluates these ASTs exactly as written.
 //!
-//! For large curated instances there is a second, physical engine
-//! ([`exec`]): hash joins with an equi-join recognizer, parallel
-//! partitioned probing, and per-operator statistics ([`ExecStats`]).
-//! It is differentially tested to produce exactly the interpreter's
-//! results, so either engine can serve either role.
-//!
-//! On top of the physical engine sits a cost-based planner ([`plan`]):
-//! predicate pushdown, per-relation statistics ([`stats`]), greedy join
-//! ordering and secondary-index access paths ([`index`]). Plans are
-//! provenance-preserving — differentially tested byte-identical to the
-//! interpreter across semirings — and anything the planner cannot prove
-//! safe falls back to the reference engines wholesale.
+//! For large curated instances there is one physical executor
+//! ([`plan::execute`]) over physical plans, generic over the row
+//! annotation ([`exec::Rows`]): hash joins with parallel partitioned
+//! probing, index lookups, and per-operator statistics. Two compilers
+//! feed it. The shape-preserving [`plan::lower`] behind [`eval_hash`]
+//! is differentially tested byte-identical to the interpreter. The
+//! cost-based planner ([`plan()`]) adds predicate pushdown,
+//! per-relation statistics ([`stats`]), greedy join ordering and
+//! secondary-index access paths ([`index`]); its plans are
+//! provenance-preserving — differentially tested identical to the
+//! interpreter across semirings — and anything a compiler cannot
+//! resolve falls back to the reference interpreter wholesale.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

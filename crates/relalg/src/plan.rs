@@ -1,7 +1,12 @@
-//! The cost-based planner: normalization, cardinality estimation, greedy
-//! join ordering, and physical operator selection.
+//! Physical plans: the two compilers that produce them and the one
+//! executor that runs them.
 //!
-//! [`plan`] compiles an [`RaExpr`] into a [`PhysPlan`] tree:
+//! [`PhysPlan`] is the only tree that executes. [`execute`] walks it
+//! once, generic over the row annotation ([`Rows`]: sets, ℕ, `ℕ[X]`);
+//! [`eval_plan`] is its set instantiation. Two compilers feed it:
+//! [`lower`] keeps the expression's shape (its output is byte-identical
+//! to the reference interpreter — see its docs), and the cost-based
+//! planner [`plan`] compiles an [`RaExpr`] in four steps:
 //!
 //! 1. **Normalize.** Maximal σ/× subtrees are flattened into *join
 //!    blocks* — a set of leaf inputs plus the split conjuncts of every
@@ -17,7 +22,7 @@
 //!    products. The smaller side of each join becomes the hash build
 //!    side.
 //! 4. **Choose physical operators.** Equi-join edges execute as hash
-//!    joins ([`crate::exec::join_matches`]); a pushed `col = const` on a
+//!    joins ([`crate::exec::join_on`]); a pushed `col = const` on a
 //!    base-table leaf with a registered [`IndexSet`] entry becomes an
 //!    [`PlanOp::IndexLookup`]; an [`PlanOp::Arrange`] restores the
 //!    query's original column order after reordering.
@@ -45,8 +50,8 @@
 //!   conjuncts are restricted to `=`/`<>`, which never raise the
 //!   row-dependent mixed-type ordering error — so early filtering can
 //!   only *mask* such an error from a residual (by removing a row the
-//!   reference engine would have errored on), never introduce one. This
-//!   matches the contract the PR-1 hash path already established.
+//!   reference engine would have errored on), never introduce one —
+//!   the same contract [`lower`]'s hash joins keep.
 
 use std::fmt;
 use std::time::Duration;
@@ -56,7 +61,7 @@ use cdb_obs::SpanGuard;
 
 use crate::database::Database;
 use crate::error::RelalgError;
-use crate::exec::{eval_hash, extract_keys, join_matches, pred_resolves, ExecConfig};
+use crate::exec::{join_on, pred_resolves, recognize_equi_join, ExecConfig, Rows};
 use crate::expr::{ProjItem, ProjSource, RaExpr};
 use crate::index::IndexSet;
 use crate::pred::{CmpOp, Operand, Pred};
@@ -132,10 +137,11 @@ pub enum PlanOp {
     Diff,
     /// Schema renaming; the new attribute names live in the node schema.
     Rename,
-    /// Whole-query fallback: the expression could not be planned (an
+    /// Whole-query fallback: the expression could not be compiled (an
     /// unresolvable predicate, a missing relation, a schema conflict)
-    /// and is handed verbatim to the PR-1 engine, which surfaces exactly
-    /// the reference evaluator's result or error. Only ever the root.
+    /// and is handed verbatim to the reference evaluator
+    /// ([`Rows::reference`]), which surfaces exactly its result or
+    /// error. Only ever the root.
     Naive {
         /// The original expression.
         expr: RaExpr,
@@ -311,11 +317,14 @@ impl fmt::Display for PhysPlan {
     }
 }
 
-/// Per-operator actuals from one [`eval_plan`] run, in plan preorder.
+/// Per-operator actuals from one [`execute`] run, in plan preorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanRun {
     /// Rows the operator produced.
     pub rows: usize,
+    /// Probe partitions a hash join actually used; `0` for every other
+    /// operator.
+    pub partitions: usize,
     /// Wall time including children.
     pub elapsed: Duration,
 }
@@ -325,16 +334,33 @@ pub struct PlanRun {
 /// becomes a root [`PlanOp::Naive`] node so execution surfaces exactly
 /// the reference evaluator's behaviour.
 pub fn plan(db: &Database, stats: &DbStats, indexes: &IndexSet, expr: &RaExpr) -> PhysPlan {
-    let p = Planner { db, stats, indexes };
-    match p.plan_expr(expr) {
-        Some(plan) => plan,
-        None => PhysPlan::node(
-            PlanOp::Naive { expr: expr.clone() },
-            Schema::new(std::iter::empty::<String>()).expect("empty schema"),
-            0.0,
-            Vec::new(),
-        ),
-    }
+    let p = Planner::<Relation> {
+        db,
+        stats,
+        indexes,
+        reorder: true,
+    };
+    p.compile(expr)
+}
+
+/// Lowers an expression to a plan of the *same shape*: no reordering,
+/// no pushdown, no index choice. Every operator becomes its physical
+/// counterpart where it stands; the one rewrite is the join-block rule
+/// `σ_p(A × B)` → `Filter p (HashJoin(A, B))` when `p` equates columns
+/// across the two sides ([`recognize_equi_join`]). Because the hash
+/// kernel emits probe-major pairs — the order a nested loop discovers
+/// them in — executing the lowered plan is byte- and order-identical to
+/// the reference interpreter, annotations included. Like [`plan`] it
+/// never fails: what it cannot resolve becomes a root
+/// [`PlanOp::Naive`].
+pub fn lower<R: Rows>(db: &R::Db, expr: &RaExpr) -> PhysPlan {
+    let p = Planner::<R> {
+        db,
+        stats: &DbStats::default(),
+        indexes: &IndexSet::new(),
+        reorder: false,
+    };
+    p.compile(expr)
 }
 
 /// Plans and executes in one call, returning the canonical result.
@@ -349,10 +375,15 @@ pub fn eval_planned(
     eval_plan(db, &p, indexes, cfg).map(|(rel, _)| rel)
 }
 
-struct Planner<'a> {
-    db: &'a Database,
+/// The two plan compilers share every structural arm of
+/// [`Planner::plan_expr`]; `reorder` picks the join-block rule —
+/// cost-based blocks for [`plan`], the shape-preserving rule for
+/// [`lower`].
+struct Planner<'a, R: Rows> {
+    db: &'a R::Db,
     stats: &'a DbStats,
     indexes: &'a IndexSet,
+    reorder: bool,
 }
 
 /// One flattened input of a join block.
@@ -363,11 +394,37 @@ struct Leaf {
     col_src: Vec<Option<(String, String)>>,
 }
 
-impl Planner<'_> {
+impl<R: Rows> Planner<'_, R> {
+    fn compile(&self, expr: &RaExpr) -> PhysPlan {
+        self.plan_expr(expr).unwrap_or_else(|| {
+            PhysPlan::node(
+                PlanOp::Naive { expr: expr.clone() },
+                Schema::new(std::iter::empty::<String>()).expect("empty schema"),
+                0.0,
+                Vec::new(),
+            )
+        })
+    }
+
     fn plan_expr(&self, expr: &RaExpr) -> Option<PhysPlan> {
         match expr {
             RaExpr::Scan(_) | RaExpr::ScanAs(_, _) => self.plan_leaf(expr).map(|l| l.plan),
-            RaExpr::Select(_, _) | RaExpr::Product(_, _) => self.plan_block(expr),
+            RaExpr::Select(_, _) | RaExpr::Product(_, _) if self.reorder => self.plan_block(expr),
+            RaExpr::Select(e, pred) => {
+                let child = match e.as_ref() {
+                    RaExpr::Product(a, b) => self.lower_product(a, b, Some(pred))?,
+                    _ => self.plan_expr(e)?,
+                };
+                let (schema, est) = (child.schema.clone(), child.est_rows);
+                let pred = pred.clone();
+                Some(PhysPlan::node(
+                    PlanOp::Filter { pred },
+                    schema,
+                    est,
+                    vec![child],
+                ))
+            }
+            RaExpr::Product(a, b) => self.lower_product(a, b, None),
             RaExpr::Project(e, items) => {
                 let child = self.plan_expr(e)?;
                 let schema = Schema::new(items.iter().map(|i| i.name.clone())).ok()?;
@@ -448,61 +505,56 @@ impl Planner<'_> {
         }
     }
 
+    /// The shape-preserving join-block rule: `a × b` where it stands,
+    /// as a hash join when the selection directly above it equates
+    /// columns across the two sides. The caller keeps the full
+    /// predicate as a filter on top, so residual conjuncts still apply.
+    fn lower_product(&self, a: &RaExpr, b: &RaExpr, pred: Option<&Pred>) -> Option<PhysPlan> {
+        let l = self.plan_expr(a)?;
+        let r = self.plan_expr(b)?;
+        let schema = Schema::new(l.schema.attrs().iter().chain(r.schema.attrs()).cloned()).ok()?;
+        let est = l.est_rows * r.est_rows;
+        let (op, est) = match pred.and_then(|p| recognize_equi_join(&schema, l.schema.arity(), p)) {
+            Some(keys) => {
+                let est = est / DEFAULT_DISTINCT.powi(keys.len() as i32);
+                (PlanOp::HashJoin { keys }, est)
+            }
+            None => (PlanOp::Product, est),
+        };
+        Some(PhysPlan::node(op, schema, est, vec![l, r]))
+    }
+
     fn plan_leaf(&self, expr: &RaExpr) -> Option<Leaf> {
-        match expr {
-            RaExpr::Scan(name) => {
-                let rel = self.db.get(name).ok()?;
-                let est = self
-                    .stats
-                    .rel(name)
-                    .map_or(rel.len() as f64, |r| r.rows as f64);
-                let col_src = rel
-                    .schema()
-                    .attrs()
-                    .iter()
-                    .map(|a| Some((name.clone(), crate::stats::base_name(a).to_owned())))
-                    .collect();
-                Some(Leaf {
-                    plan: PhysPlan::node(
-                        PlanOp::Scan { rel: name.clone() },
-                        rel.schema().clone(),
-                        est,
-                        Vec::new(),
-                    ),
-                    col_src,
-                })
-            }
-            RaExpr::ScanAs(name, alias) => {
-                let rel = self.db.get(name).ok()?;
-                let est = self
-                    .stats
-                    .rel(name)
-                    .map_or(rel.len() as f64, |r| r.rows as f64);
-                let schema = rel.schema().qualified(alias);
-                let col_src = schema
-                    .attrs()
-                    .iter()
-                    .map(|a| Some((name.clone(), crate::stats::base_name(a).to_owned())))
-                    .collect();
-                Some(Leaf {
-                    plan: PhysPlan::node(
-                        PlanOp::ScanAs {
-                            rel: name.clone(),
-                            alias: alias.clone(),
-                        },
-                        schema,
-                        est,
-                        Vec::new(),
-                    ),
-                    col_src,
-                })
-            }
+        let (name, alias) = match expr {
+            RaExpr::Scan(name) => (name, None),
+            RaExpr::ScanAs(name, alias) => (name, Some(alias)),
             other => {
                 let plan = self.plan_expr(other)?;
                 let col_src = vec![None; plan.schema.arity()];
-                Some(Leaf { plan, col_src })
+                return Some(Leaf { plan, col_src });
             }
-        }
+        };
+        let rel = R::base(self.db, name).ok()?;
+        let est = self
+            .stats
+            .rel(name)
+            .map_or(rel.rows().len() as f64, |r| r.rows as f64);
+        let (rel, schema) = (name.clone(), rel.schema());
+        let (op, schema) = match alias {
+            Some(alias) => {
+                let schema = schema.qualified(alias);
+                let alias = alias.clone();
+                (PlanOp::ScanAs { rel, alias }, schema)
+            }
+            None => (PlanOp::Scan { rel }, schema.clone()),
+        };
+        let col_src = schema
+            .attrs()
+            .iter()
+            .map(|a| Some((name.clone(), crate::stats::base_name(a).to_owned())))
+            .collect();
+        let plan = PhysPlan::node(op, schema, est, Vec::new());
+        Some(Leaf { plan, col_src })
     }
 
     /// Plans a maximal σ/× subtree as one join block.
@@ -1043,8 +1095,9 @@ fn connecting(edges: &[(usize, usize)], a: &[usize], b: &[usize]) -> Vec<(usize,
         .collect()
 }
 
-/// Executes a physical plan, returning the canonical result relation and
-/// per-operator actuals (plan preorder) for `explain`-style rendering.
+/// Executes a physical plan under set semantics, returning the canonical
+/// result relation and per-operator actuals (plan preorder) for
+/// `explain`-style rendering.
 ///
 /// The output is [`Relation::canonical`]: join reordering permutes tuple
 /// discovery order, so the planned engine fixes a canonical order instead
@@ -1055,32 +1108,44 @@ pub fn eval_plan(
     indexes: &IndexSet,
     cfg: &ExecConfig,
 ) -> Result<(Relation, Vec<PlanRun>), RelalgError> {
-    let mut runs: Vec<PlanRun> = Vec::new();
-    let rel = exec_node(db, plan, indexes, cfg, &mut runs)?;
-    let mut rel = rel.canonical();
-    rel.dedup();
-    Ok((rel, runs))
+    let (rel, runs) = execute::<Relation>(db, plan, indexes, cfg)?;
+    Ok((rel.canonical(), runs))
 }
 
-fn exec_node(
-    db: &Database,
+/// The one physical executor: runs `plan` over any [`Rows`] container,
+/// returning the root operator's raw output (for sets: discovery order,
+/// duplicates not yet merged) and one [`PlanRun`] per node in plan
+/// preorder.
+pub fn execute<R: Rows>(
+    db: &R::Db,
+    plan: &PhysPlan,
+    indexes: &IndexSet,
+    cfg: &ExecConfig,
+) -> Result<(R, Vec<PlanRun>), RelalgError> {
+    let mut runs: Vec<PlanRun> = Vec::new();
+    let out = run_node(db, plan, indexes, cfg, &mut runs)?;
+    Ok((out, runs))
+}
+
+fn run_node<R: Rows>(
+    db: &R::Db,
     plan: &PhysPlan,
     indexes: &IndexSet,
     cfg: &ExecConfig,
     runs: &mut Vec<PlanRun>,
-) -> Result<Relation, RelalgError> {
+) -> Result<R, RelalgError> {
     let slot = runs.len();
     runs.push(PlanRun {
         rows: 0,
+        partitions: 0,
         elapsed: Duration::ZERO,
     });
     let mut span = SpanGuard::enter(plan_span_name(&plan.op));
-    let rel = match &plan.op {
-        PlanOp::Scan { rel } => db.get(rel)?.clone(),
-        PlanOp::ScanAs { rel, .. } => {
-            let base = db.get(rel)?;
-            Relation::from_rows(plan.schema.clone(), base.tuples().iter().cloned())?
-        }
+    let mut parts = 0; // probe partitions, set by hash joins
+    let mut child = |i: usize| run_node::<R>(db, &plan.children[i], indexes, cfg, runs);
+    let out = match &plan.op {
+        PlanOp::Scan { rel } => R::base(db, rel)?.clone(),
+        PlanOp::ScanAs { rel, .. } => collect(&plan.schema, R::base(db, rel)?.rows())?,
         PlanOp::IndexLookup {
             rel,
             col,
@@ -1088,140 +1153,140 @@ fn exec_node(
             key,
             ..
         } => {
-            let base = db.get(rel)?;
-            let rows: Vec<Tuple> = match indexes.get(rel, col) {
-                Some(idx) => idx
-                    .lookup(key)
-                    .iter()
-                    .map(|&i| base.tuples()[i].clone())
-                    .collect(),
-                // Index dropped since planning: degrade to scan+filter.
-                None => base
-                    .tuples()
-                    .iter()
-                    .filter(|t| t[*col_idx] == *key)
-                    .cloned()
-                    .collect(),
-            };
-            Relation::from_rows(plan.schema.clone(), rows)?
+            let base = R::base(db, rel)?;
+            match indexes
+                .get(rel, col)
+                .and_then(|ix| base.index_rows(ix, key))
+            {
+                Some(hits) => collect(&plan.schema, hits.into_iter())?,
+                // No index (dropped since planning), or rows without
+                // stable offsets: the lookup is exactly σ[col = key].
+                None => collect(
+                    &plan.schema,
+                    base.rows().filter(|(t, _)| t[*col_idx] == *key),
+                )?,
+            }
         }
         PlanOp::Filter { pred } => {
-            let input = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let mut out = Relation::empty(input.schema().clone());
-            for t in input.tuples() {
+            let input = child(0)?;
+            let mut out = R::empty(input.schema().clone());
+            for (t, a) in input.rows() {
                 if pred.eval(input.schema(), t)? {
-                    out.insert(t.clone())?;
+                    out.insert(t.clone(), a.clone())?;
                 }
             }
             out
         }
-        PlanOp::HashJoin { keys } => {
-            let left = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let right = exec_node(db, &plan.children[1], indexes, cfg, runs)?;
-            let lcols: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-            let rcols: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-            let build = extract_keys(right.tuples(), &rcols);
-            let probe = extract_keys(left.tuples(), &lcols);
-            let matches = join_matches(&build, &probe, cfg);
-            let mut out = Relation::empty(plan.schema.clone());
-            for &(li, ri) in &matches.pairs {
-                let mut row = left.tuples()[li].clone();
-                row.extend(right.tuples()[ri].iter().cloned());
-                out.insert(row)?;
-            }
-            out
-        }
+        PlanOp::HashJoin { keys } => join(plan, child(0)?, child(1)?, keys, None, cfg, &mut parts)?,
         PlanOp::HashNaturalJoin { shared, right_kept } => {
-            let left = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let right = exec_node(db, &plan.children[1], indexes, cfg, runs)?;
-            let lcols: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-            let rcols: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-            let build = extract_keys(right.tuples(), &rcols);
-            let probe = extract_keys(left.tuples(), &lcols);
-            let matches = join_matches(&build, &probe, cfg);
-            let mut out = Relation::empty(plan.schema.clone());
-            for &(li, ri) in &matches.pairs {
-                let rt = &right.tuples()[ri];
-                let mut row = left.tuples()[li].clone();
-                row.extend(right_kept.iter().map(|&j| rt[j].clone()));
-                out.insert(row)?;
-            }
-            out
+            let kept = Some(right_kept);
+            join(plan, child(0)?, child(1)?, shared, kept, cfg, &mut parts)?
         }
-        PlanOp::Product => {
-            let left = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let right = exec_node(db, &plan.children[1], indexes, cfg, runs)?;
-            let mut out = Relation::empty(plan.schema.clone());
-            for lt in left.tuples() {
-                for rt in right.tuples() {
-                    let mut row = lt.clone();
-                    row.extend(rt.iter().cloned());
-                    out.insert(row)?;
-                }
-            }
-            out
-        }
+        PlanOp::Product => join(plan, child(0)?, child(1)?, &[], None, cfg, &mut parts)?,
         PlanOp::Arrange { perm } => {
-            let input = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let rows = input
-                .tuples()
-                .iter()
-                .map(|t| perm.iter().map(|&p| t[p].clone()).collect::<Tuple>());
-            Relation::from_rows(plan.schema.clone(), rows)?
+            // A bijective column permutation: no two rows can merge.
+            let input = child(0)?;
+            let mut out = R::empty(plan.schema.clone());
+            for (t, a) in input.rows() {
+                out.insert(perm.iter().map(|&p| t[p].clone()).collect(), a.clone())?;
+            }
+            out
         }
         PlanOp::Project { items } => {
-            let input = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let mut out = Relation::empty(plan.schema.clone());
-            for t in input.tuples() {
+            let input = child(0)?;
+            let mut out = R::empty(plan.schema.clone());
+            for (t, a) in input.rows() {
                 let mut row: Tuple = Vec::with_capacity(items.len());
                 for item in items {
                     match &item.source {
                         ProjSource::Col(c) => row.push(t[input.schema().resolve(c)?].clone()),
-                        ProjSource::Const(a) => row.push(a.clone()),
+                        ProjSource::Const(k) => row.push(k.clone()),
                     }
                 }
-                out.insert(row)?;
+                out.insert(row, a.clone())?; // merged tuples sum
             }
             out
         }
         PlanOp::Union => {
-            let mut out = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let right = exec_node(db, &plan.children[1], indexes, cfg, runs)?;
-            for t in right.tuples() {
-                out.insert(t.clone())?;
+            let mut out = child(0)?;
+            for (t, a) in child(1)?.rows() {
+                out.insert(t.clone(), a.clone())?;
             }
             out
         }
         PlanOp::Diff => {
-            let left = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            let right = exec_node(db, &plan.children[1], indexes, cfg, runs)?;
-            let rset = right.tuple_set();
-            let mut out = Relation::empty(left.schema().clone());
-            for t in left.tuples() {
-                if !rset.contains(t) {
-                    out.insert(t.clone())?;
-                }
-            }
-            out
+            let (left, right) = (child(0)?, child(1)?);
+            left.diff(&right)?
         }
-        PlanOp::Rename => {
-            let input = exec_node(db, &plan.children[0], indexes, cfg, runs)?;
-            Relation::from_rows(plan.schema.clone(), input.tuples().iter().cloned())?
-        }
-        PlanOp::Naive { expr } => eval_hash(db, expr, cfg)?,
+        PlanOp::Rename => collect(&plan.schema, child(0)?.rows())?,
+        PlanOp::Naive { expr } => R::reference(db, expr)?,
     };
-    span.set_attr(rel.len() as u64);
+    let rows = out.rows().len();
+    span.set_attr(rows as u64);
     runs[slot] = PlanRun {
-        rows: rel.len(),
+        rows,
+        partitions: parts,
         elapsed: span.elapsed(),
     };
-    Ok(rel)
+    Ok(out)
+}
+
+/// Copies rows into a fresh container under `schema`.
+fn collect<'a, R: Rows + 'a>(
+    schema: &Schema,
+    rows: impl Iterator<Item = (&'a Tuple, &'a R::Ann)>,
+) -> Result<R, RelalgError> {
+    let mut out = R::empty(schema.clone());
+    for (t, a) in rows {
+        out.insert(t.clone(), a.clone())?;
+    }
+    Ok(out)
+}
+
+/// The one join loop: every `(left, right)` pair agreeing on `keys` —
+/// all pairs when `keys` is empty — becomes the row
+/// `left ++ right[kept]` (all of `right` when `kept` is `None`)
+/// annotated `left · right`. Pairs come out probe-major (left-major),
+/// the order a nested loop would discover them in.
+fn join<R: Rows>(
+    plan: &PhysPlan,
+    left: R,
+    right: R,
+    keys: &[(usize, usize)],
+    kept: Option<&Vec<usize>>,
+    cfg: &ExecConfig,
+    partitions: &mut usize,
+) -> Result<R, RelalgError> {
+    let lrows: Vec<(&Tuple, &R::Ann)> = left.rows().collect();
+    let rrows: Vec<(&Tuple, &R::Ann)> = right.rows().collect();
+    let pairs: Box<dyn Iterator<Item = (usize, usize)>> = if keys.is_empty() {
+        let n = rrows.len();
+        Box::new((0..lrows.len()).flat_map(move |li| (0..n).map(move |ri| (li, ri))))
+    } else {
+        let probe = lrows.iter().map(|&(t, _)| t);
+        let build = rrows.iter().map(|&(t, _)| t);
+        let m = join_on(probe, build, keys, cfg);
+        *partitions = m.partitions;
+        Box::new(m.pairs.into_iter())
+    };
+    let mut out = R::empty(plan.schema.clone());
+    for (li, ri) in pairs {
+        let ((lt, la), (rt, ra)) = (lrows[li], rrows[ri]);
+        let mut row = lt.clone();
+        match kept {
+            Some(kept) => row.extend(kept.iter().map(|&j| rt[j].clone())),
+            None => row.extend(rt.iter().cloned()),
+        }
+        out.insert(row, R::times(la, ra))?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::eval;
+    use crate::exec::eval_hash;
 
     fn int(i: i64) -> Atom {
         Atom::Int(i)
@@ -1440,6 +1505,99 @@ mod tests {
         assert!(bare.contains("HashJoin"), "{bare}");
         let with = p.render(Some(&runs));
         assert!(!with.contains(" -\n"), "actuals fill every row:\n{with}");
+    }
+
+    // --- `lower`: the shape-preserving compiler and its join-block rule ---
+
+    fn rs_select(pred: Pred) -> RaExpr {
+        RaExpr::ScanAs("R".into(), "r".into())
+            .product(RaExpr::ScanAs("S".into(), "s".into()))
+            .select(pred)
+    }
+
+    /// Lowers σ(R × S) and returns the hash keys of the join under the
+    /// filter — `None` when the product stayed a product.
+    fn lowered_keys(db: &Database, q: &RaExpr) -> Option<Vec<(usize, usize)>> {
+        let p = lower::<Relation>(db, q);
+        assert!(
+            matches!(p.op, PlanOp::Filter { .. }),
+            "the full predicate stays on top:\n{p}"
+        );
+        match &p.children[0].op {
+            PlanOp::HashJoin { keys } => Some(keys.clone()),
+            PlanOp::Product => None,
+            other => panic!("σ(A × B) lowers to a join or a product, not {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_equality_conjuncts_dedup_to_one_key() {
+        let db = chain_db(30);
+        // r.K = s.K stated three times, once flipped: still one key pair.
+        let q = rs_select(
+            Pred::col_eq_col("r.K", "s.K")
+                .and(Pred::col_eq_col("r.K", "s.K"))
+                .and(Pred::col_eq_col("s.K", "r.K")),
+        );
+        assert_eq!(lowered_keys(&db, &q), Some(vec![(0, 0)]));
+        // End to end the duplicated predicate still matches the
+        // reference engine byte for byte.
+        let hashed = eval_hash(&db, &q, &ExecConfig::default()).unwrap();
+        assert_eq!(eval(&db, &q).unwrap(), hashed);
+    }
+
+    #[test]
+    fn unresolvable_residual_keeps_valid_keys() {
+        let db = chain_db(30);
+        // A valid equi-join key followed by a conjunct over a missing
+        // column: the join must still hash on r.K = s.K, and the error
+        // must surface exactly as the reference engine surfaces it.
+        let q = rs_select(Pred::col_eq_col("r.K", "s.K").and(Pred::col_eq_const("r.nope", 1)));
+        assert_eq!(lowered_keys(&db, &q), Some(vec![(0, 0)]));
+        let naive = eval(&db, &q);
+        let hashed = eval_hash(&db, &q, &ExecConfig::default());
+        assert!(naive.is_err());
+        assert_eq!(naive.unwrap_err(), hashed.unwrap_err());
+    }
+
+    #[test]
+    fn unresolvable_conjunct_poisons_later_keys() {
+        // The error conjunct comes FIRST: a key taken from the later
+        // r.K = s.K equality could filter away the row on which the
+        // reference engine errors, so no keys may be extracted at all.
+        let db = chain_db(10);
+        let q = rs_select(Pred::col_eq_const("r.nope", 1).and(Pred::col_eq_col("r.K", "s.K")));
+        assert_eq!(lowered_keys(&db, &q), None);
+        let naive = eval(&db, &q);
+        let hashed = eval_hash(&db, &q, &ExecConfig::default());
+        assert!(naive.is_err());
+        assert_eq!(naive.unwrap_err(), hashed.unwrap_err());
+    }
+
+    #[test]
+    fn empty_side_suppresses_residual_errors_in_both_engines() {
+        // With an empty S, no row ever reaches the bad conjunct: both
+        // engines return an empty relation rather than an error.
+        let s = Relation::empty(Schema::new(["K", "B"].map(String::from)).unwrap());
+        let db = chain_db(5).with("S", s);
+        let q = rs_select(Pred::col_eq_col("r.K", "s.K").and(Pred::col_eq_const("r.nope", 1)));
+        let naive = eval(&db, &q).unwrap();
+        let hashed = eval_hash(&db, &q, &ExecConfig::default()).unwrap();
+        assert_eq!(naive, hashed);
+        assert!(naive.is_empty());
+    }
+
+    #[test]
+    fn non_equi_select_falls_back_to_product() {
+        let db = chain_db(10);
+        let q = rs_select(Pred::cmp(
+            Operand::col("r.K"),
+            CmpOp::Lt,
+            Operand::col("s.K"),
+        ));
+        assert_eq!(lowered_keys(&db, &q), None);
+        let hashed = eval_hash(&db, &q, &ExecConfig::default()).unwrap();
+        assert_eq!(eval(&db, &q).unwrap(), hashed);
     }
 
     #[test]

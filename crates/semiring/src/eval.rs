@@ -7,8 +7,9 @@
 //! algebra (the paper notes that update/difference provenance "would need
 //! some weaker structure than a semiring").
 
-use cdb_relalg::exec::{extract_keys, join_matches, recognize_equi_join, ExecConfig};
+use cdb_relalg::exec::ExecConfig;
 use cdb_relalg::expr::{ProjSource, RaExpr};
+use cdb_relalg::plan::lower;
 use cdb_relalg::{RelalgError, Schema, Tuple};
 
 use crate::krel::{KDatabase, KRelation};
@@ -18,12 +19,13 @@ use crate::semiring::Semiring;
 /// nested-loop interpreter (the reference semantics).
 pub fn eval_k<K: Semiring>(db: &KDatabase<K>, expr: &RaExpr) -> Result<KRelation<K>, RelalgError> {
     check_positive(expr)?;
-    eval_inner(db, expr, None)
+    eval_inner(db, expr)
 }
 
 /// Evaluates a positive RA expression over a K-database with the
-/// physical engine of [`cdb_relalg::exec`]: natural joins and
-/// recognized equi-joins run as (optionally parallel) hash joins.
+/// physical engine: the expression is lowered shape-for-shape
+/// ([`cdb_relalg::plan::lower`]) and run by the one executor, so natural
+/// joins and recognized equi-joins are (optionally parallel) hash joins.
 ///
 /// The kernel's probe partitions concatenate in probe order and the
 /// matched rows are inserted into the output K-relation, where
@@ -36,7 +38,7 @@ pub fn eval_k_with<K: Semiring>(
     cfg: &ExecConfig,
 ) -> Result<KRelation<K>, RelalgError> {
     check_positive(expr)?;
-    eval_inner(db, expr, Some(cfg))
+    crate::planned::eval_k_planned(db, &lower::<KRelation<K>>(db, expr), cfg)
 }
 
 fn check_positive(expr: &RaExpr) -> Result<(), RelalgError> {
@@ -47,8 +49,9 @@ fn check_positive(expr: &RaExpr) -> Result<(), RelalgError> {
     }
 }
 
-/// The error every K-evaluator raises on difference (shared with
-/// [`crate::planned`] so planned and naive engines fail identically).
+/// The error every K-evaluator raises on difference (shared with the
+/// executor's [`cdb_relalg::exec::Rows::diff`] hook so planned and
+/// naive engines fail identically).
 pub(crate) fn positivity_error() -> RelalgError {
     RelalgError::UpdateError(
         "K-relation semantics is defined for positive relational algebra only \
@@ -57,12 +60,7 @@ pub(crate) fn positivity_error() -> RelalgError {
     )
 }
 
-fn eval_inner<K: Semiring>(
-    db: &KDatabase<K>,
-    expr: &RaExpr,
-    cfg: Option<&ExecConfig>,
-) -> Result<KRelation<K>, RelalgError> {
-    let hash = cfg.filter(|c| c.hash_join);
+fn eval_inner<K: Semiring>(db: &KDatabase<K>, expr: &RaExpr) -> Result<KRelation<K>, RelalgError> {
     match expr {
         RaExpr::Scan(name) => Ok(db.get(name)?.clone()),
         RaExpr::ScanAs(name, alias) => {
@@ -71,57 +69,7 @@ fn eval_inner<K: Semiring>(
             Ok(base.clone().with_schema(schema))
         }
         RaExpr::Select(e, pred) => {
-            // Physical path: recognize σ[a.x = b.y ∧ …](A × B) and run
-            // it as a hash join, multiplying matched annotations.
-            if let (Some(cfg), RaExpr::Product(a, b)) = (hash, e.as_ref()) {
-                let left = eval_inner(db, a, Some(cfg))?;
-                let right = eval_inner(db, b, Some(cfg))?;
-                let schema = Schema::new(
-                    left.schema()
-                        .attrs()
-                        .iter()
-                        .chain(right.schema().attrs())
-                        .cloned(),
-                )?;
-                if let Some(ej) = recognize_equi_join(&schema, left.schema().arity(), pred) {
-                    let lrows: Vec<(&Tuple, &K)> = left.iter().collect();
-                    let rrows: Vec<(&Tuple, &K)> = right.iter().collect();
-                    let rcols: Vec<usize> = ej.keys.iter().map(|&(_, r)| r).collect();
-                    let lcols: Vec<usize> = ej.keys.iter().map(|&(l, _)| l).collect();
-                    let build = extract_keys(rrows.iter().map(|&(t, _)| t), &rcols);
-                    let probe = extract_keys(lrows.iter().map(|&(t, _)| t), &lcols);
-                    let m = join_matches(&build, &probe, cfg);
-                    let mut out = KRelation::empty(schema);
-                    for &(li, ri) in &m.pairs {
-                        let (lt, lk) = lrows[li];
-                        let (rt, rk) = rrows[ri];
-                        let mut row = lt.clone();
-                        row.extend(rt.iter().cloned());
-                        if pred.eval(out.schema(), &row)? {
-                            out.insert(row, lk.mul(rk))?;
-                        }
-                    }
-                    return Ok(out);
-                }
-                // Not an equi-join: product the already-evaluated sides,
-                // then filter.
-                let mut prod = KRelation::empty(schema);
-                for (lt, lk) in left.iter() {
-                    for (rt, rk) in right.iter() {
-                        let mut row = lt.clone();
-                        row.extend(rt.iter().cloned());
-                        prod.insert(row, lk.mul(rk))?;
-                    }
-                }
-                let mut out = KRelation::empty(prod.schema().clone());
-                for (t, k) in prod.iter() {
-                    if pred.eval(prod.schema(), t)? {
-                        out.insert(t.clone(), k.clone())?;
-                    }
-                }
-                return Ok(out);
-            }
-            let input = eval_inner(db, e, cfg)?;
+            let input = eval_inner(db, e)?;
             let mut out = KRelation::empty(input.schema().clone());
             for (t, k) in input.iter() {
                 if pred.eval(input.schema(), t)? {
@@ -131,7 +79,7 @@ fn eval_inner<K: Semiring>(
             Ok(out)
         }
         RaExpr::Project(e, items) => {
-            let input = eval_inner(db, e, cfg)?;
+            let input = eval_inner(db, e)?;
             let schema = Schema::new(items.iter().map(|i| i.name.clone()))?;
             let mut out = KRelation::empty(schema);
             for (t, k) in input.iter() {
@@ -147,8 +95,8 @@ fn eval_inner<K: Semiring>(
             Ok(out)
         }
         RaExpr::Product(a, b) => {
-            let left = eval_inner(db, a, cfg)?;
-            let right = eval_inner(db, b, cfg)?;
+            let left = eval_inner(db, a)?;
+            let right = eval_inner(db, b)?;
             let schema = Schema::new(
                 left.schema()
                     .attrs()
@@ -167,8 +115,8 @@ fn eval_inner<K: Semiring>(
             Ok(out)
         }
         RaExpr::NaturalJoin(a, b) => {
-            let left = eval_inner(db, a, cfg)?;
-            let right = eval_inner(db, b, cfg)?;
+            let left = eval_inner(db, a)?;
+            let right = eval_inner(db, b)?;
             let shared = cdb_relalg::eval::shared_attrs(left.schema(), right.schema());
             let right_kept: Vec<usize> = (0..right.schema().arity())
                 .filter(|j| !shared.iter().any(|(_, sj)| sj == j))
@@ -185,23 +133,6 @@ fn eval_inner<K: Semiring>(
                 )
                 .collect();
             let mut out = KRelation::empty(Schema::new(attrs)?);
-            if let (Some(cfg), false) = (hash, shared.is_empty()) {
-                let lrows: Vec<(&Tuple, &K)> = left.iter().collect();
-                let rrows: Vec<(&Tuple, &K)> = right.iter().collect();
-                let lcols: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-                let rcols: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-                let build = extract_keys(rrows.iter().map(|&(t, _)| t), &rcols);
-                let probe = extract_keys(lrows.iter().map(|&(t, _)| t), &lcols);
-                let m = join_matches(&build, &probe, cfg);
-                for &(li, ri) in &m.pairs {
-                    let (lt, lk) = lrows[li];
-                    let (rt, rk) = rrows[ri];
-                    let mut row = lt.clone();
-                    row.extend(right_kept.iter().map(|&j| rt[j].clone()));
-                    out.insert(row, lk.mul(rk))?;
-                }
-                return Ok(out);
-            }
             for (lt, lk) in left.iter() {
                 for (rt, rk) in right.iter() {
                     if shared.iter().all(|&(i, j)| lt[i] == rt[j]) {
@@ -214,8 +145,8 @@ fn eval_inner<K: Semiring>(
             Ok(out)
         }
         RaExpr::Union(a, b) => {
-            let left = eval_inner(db, a, cfg)?;
-            let right = eval_inner(db, b, cfg)?;
+            let left = eval_inner(db, a)?;
+            let right = eval_inner(db, b)?;
             if !left.schema().union_compatible(right.schema()) {
                 return Err(RelalgError::SchemaMismatch {
                     left: left.schema().attrs().to_vec(),
@@ -229,7 +160,7 @@ fn eval_inner<K: Semiring>(
             Ok(out)
         }
         RaExpr::Rename(e, pairs) => {
-            let input = eval_inner(db, e, cfg)?;
+            let input = eval_inner(db, e)?;
             let mut attrs: Vec<String> = input.schema().attrs().to_vec();
             for (old, new) in pairs {
                 let i = input.schema().resolve(old)?;

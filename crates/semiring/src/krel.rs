@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cdb_relalg::{RelalgError, Relation, Schema, Tuple};
+use cdb_relalg::exec::Rows;
+use cdb_relalg::{RaExpr, RelalgError, Relation, Schema, Tuple};
 
 use crate::semiring::Semiring;
 
@@ -131,6 +132,48 @@ impl<K: Semiring> KRelation<K> {
             rel.insert(t.clone()).expect("arity checked at insert");
         }
         rel
+    }
+}
+
+/// K-relations under the one physical executor
+/// ([`cdb_relalg::plan::execute`]): inserting is the semiring `+`,
+/// joining is `·`, and — semirings having no subtraction — difference is
+/// the positivity error. Rows have no stable offsets (the support is a
+/// sorted map), so index lookups keep the default filter.
+impl<K: Semiring> Rows for KRelation<K> {
+    type Ann = K;
+    type Db = KDatabase<K>;
+
+    fn base<'a>(db: &'a KDatabase<K>, name: &str) -> Result<&'a Self, RelalgError> {
+        db.get(name)
+    }
+
+    fn reference(db: &KDatabase<K>, expr: &RaExpr) -> Result<Self, RelalgError> {
+        crate::eval::eval_k(db, expr)
+    }
+
+    fn empty(schema: Schema) -> Self {
+        KRelation::empty(schema)
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = (&Tuple, &K)> {
+        self.support.iter()
+    }
+
+    fn insert(&mut self, tuple: Tuple, ann: K) -> Result<(), RelalgError> {
+        self.insert(tuple, ann)
+    }
+
+    fn times(l: &K, r: &K) -> K {
+        l.mul(r)
+    }
+
+    fn diff(&self, _other: &Self) -> Result<Self, RelalgError> {
+        Err(crate::eval::positivity_error())
     }
 }
 

@@ -1,8 +1,11 @@
 //! Executing cost-based physical plans over K-relations.
 //!
 //! [`eval_k_planned`] runs a [`PhysPlan`] from `cdb_relalg::plan` against
-//! a [`KDatabase`], propagating annotations exactly as the naive
-//! evaluator of [`crate::eval`] does. This is what makes the planner
+//! a [`KDatabase`]. There is no K-specific operator code: it is the one
+//! physical executor ([`cdb_relalg::plan::execute`]) instantiated at
+//! [`KRelation`], whose [`cdb_relalg::exec::Rows`] impl says what the
+//! annotation does — `insert` is `+`, joined rows multiply with `·`,
+//! difference is the positivity error. This is what makes the planner
 //! *provenance-preserving* rather than merely set-preserving: the
 //! differential suites check byte-identical results — tuples **and**
 //! annotations — against [`crate::eval::eval_k`] for ℕ, 𝔹 and the
@@ -18,20 +21,19 @@
 //!   a join; since dropped tuples would only have contributed `0 · k`
 //!   terms, the annotation sums are unchanged (σ commutes with ⋈ over
 //!   any semiring — Green et al., Lemma 3.4's spirit).
-//! * An index lookup here degrades to a support filter: K-relations have
-//!   no stable row offsets, and the lookup's semantics is exactly
-//!   `σ[col = key]`.
+//! * An index lookup here degrades to a support filter over the base
+//!   relation, by reference: K-relations have no stable row offsets, and
+//!   the lookup's semantics is exactly `σ[col = key]`.
 //!
 //! Difference stays rejected with the same error as the naive engine;
-//! [`PlanOp::Naive`] fallback nodes run through [`eval_k_with`], so
-//! planned evaluation fails exactly when and how naive evaluation fails.
+//! [`PlanOp::Naive`](cdb_relalg::PlanOp::Naive) fallback nodes run
+//! [`crate::eval::eval_k`], so planned evaluation fails exactly when and
+//! how naive evaluation fails.
 
-use cdb_relalg::exec::{extract_keys, join_matches, ExecConfig};
-use cdb_relalg::expr::ProjSource;
-use cdb_relalg::plan::{PhysPlan, PlanOp};
-use cdb_relalg::{Database, RelalgError, Relation, Tuple};
+use cdb_relalg::exec::ExecConfig;
+use cdb_relalg::plan::{execute, PhysPlan};
+use cdb_relalg::{Database, IndexSet, RelalgError};
 
-use crate::eval::{eval_k_with, positivity_error};
 use crate::krel::{KDatabase, KRelation};
 use crate::semiring::Semiring;
 
@@ -55,127 +57,9 @@ pub fn eval_k_planned<K: Semiring>(
     plan: &PhysPlan,
     cfg: &ExecConfig,
 ) -> Result<KRelation<K>, RelalgError> {
-    match &plan.op {
-        PlanOp::Scan { rel } => Ok(db.get(rel)?.clone()),
-        PlanOp::ScanAs { rel, .. } => Ok(db.get(rel)?.clone().with_schema(plan.schema.clone())),
-        PlanOp::IndexLookup {
-            rel, col_idx, key, ..
-        } => {
-            // K-relations have no row offsets; the lookup is exactly
-            // σ[col = key] over the support.
-            let base = db.get(rel)?.clone().with_schema(plan.schema.clone());
-            let mut out = KRelation::empty(plan.schema.clone());
-            for (t, k) in base.iter() {
-                if t[*col_idx] == *key {
-                    out.insert(t.clone(), k.clone())?;
-                }
-            }
-            Ok(out)
-        }
-        PlanOp::Filter { pred } => {
-            let input = eval_k_planned(db, &plan.children[0], cfg)?;
-            let mut out = KRelation::empty(input.schema().clone());
-            for (t, k) in input.iter() {
-                if pred.eval(input.schema(), t)? {
-                    out.insert(t.clone(), k.clone())?;
-                }
-            }
-            Ok(out)
-        }
-        PlanOp::HashJoin { keys } => {
-            let left = eval_k_planned(db, &plan.children[0], cfg)?;
-            let right = eval_k_planned(db, &plan.children[1], cfg)?;
-            let lrows: Vec<(&Tuple, &K)> = left.iter().collect();
-            let rrows: Vec<(&Tuple, &K)> = right.iter().collect();
-            let lcols: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-            let rcols: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-            let build = extract_keys(rrows.iter().map(|&(t, _)| t), &rcols);
-            let probe = extract_keys(lrows.iter().map(|&(t, _)| t), &lcols);
-            let m = join_matches(&build, &probe, cfg);
-            let mut out = KRelation::empty(plan.schema.clone());
-            for &(li, ri) in &m.pairs {
-                let (lt, lk) = lrows[li];
-                let (rt, rk) = rrows[ri];
-                let mut row = lt.clone();
-                row.extend(rt.iter().cloned());
-                out.insert(row, lk.mul(rk))?;
-            }
-            Ok(out)
-        }
-        PlanOp::HashNaturalJoin { shared, right_kept } => {
-            let left = eval_k_planned(db, &plan.children[0], cfg)?;
-            let right = eval_k_planned(db, &plan.children[1], cfg)?;
-            let lrows: Vec<(&Tuple, &K)> = left.iter().collect();
-            let rrows: Vec<(&Tuple, &K)> = right.iter().collect();
-            let lcols: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-            let rcols: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-            let build = extract_keys(rrows.iter().map(|&(t, _)| t), &rcols);
-            let probe = extract_keys(lrows.iter().map(|&(t, _)| t), &lcols);
-            let m = join_matches(&build, &probe, cfg);
-            let mut out = KRelation::empty(plan.schema.clone());
-            for &(li, ri) in &m.pairs {
-                let (lt, lk) = lrows[li];
-                let (rt, rk) = rrows[ri];
-                let mut row = lt.clone();
-                row.extend(right_kept.iter().map(|&j| rt[j].clone()));
-                out.insert(row, lk.mul(rk))?;
-            }
-            Ok(out)
-        }
-        PlanOp::Product => {
-            let left = eval_k_planned(db, &plan.children[0], cfg)?;
-            let right = eval_k_planned(db, &plan.children[1], cfg)?;
-            let mut out = KRelation::empty(plan.schema.clone());
-            for (lt, lk) in left.iter() {
-                for (rt, rk) in right.iter() {
-                    let mut row = lt.clone();
-                    row.extend(rt.iter().cloned());
-                    out.insert(row, lk.mul(rk))?;
-                }
-            }
-            Ok(out)
-        }
-        PlanOp::Arrange { perm } => {
-            // A bijective column permutation: annotations ride along
-            // unchanged (no two tuples can merge).
-            let input = eval_k_planned(db, &plan.children[0], cfg)?;
-            let mut out = KRelation::empty(plan.schema.clone());
-            for (t, k) in input.iter() {
-                let row: Tuple = perm.iter().map(|&p| t[p].clone()).collect();
-                out.insert(row, k.clone())?;
-            }
-            Ok(out)
-        }
-        PlanOp::Project { items } => {
-            let input = eval_k_planned(db, &plan.children[0], cfg)?;
-            let mut out = KRelation::empty(plan.schema.clone());
-            for (t, k) in input.iter() {
-                let mut row: Tuple = Vec::with_capacity(items.len());
-                for item in items {
-                    match &item.source {
-                        ProjSource::Col(c) => row.push(t[input.schema().resolve(c)?].clone()),
-                        ProjSource::Const(a) => row.push(a.clone()),
-                    }
-                }
-                out.insert(row, k.clone())?; // merged tuples sum
-            }
-            Ok(out)
-        }
-        PlanOp::Union => {
-            let mut out = eval_k_planned(db, &plan.children[0], cfg)?;
-            let right = eval_k_planned(db, &plan.children[1], cfg)?;
-            for (t, k) in right.iter() {
-                out.insert(t.clone(), k.clone())?;
-            }
-            Ok(out)
-        }
-        PlanOp::Diff => Err(positivity_error()),
-        PlanOp::Rename => {
-            let input = eval_k_planned(db, &plan.children[0], cfg)?;
-            Ok(input.with_schema(plan.schema.clone()))
-        }
-        PlanOp::Naive { expr } => eval_k_with(db, expr, cfg),
-    }
+    // Index postings are row offsets into set relations; a K-relation
+    // has none, so every lookup takes the executor's filter path.
+    execute(db, plan, &IndexSet::new(), cfg).map(|(rel, _)| rel)
 }
 
 /// Plans `expr` against the database's set-semantics shadow and executes
@@ -191,12 +75,6 @@ pub fn eval_k_via_planner<K: Semiring>(
     let stats = cdb_relalg::DbStats::analyze(&shadow);
     let plan = cdb_relalg::plan::plan(&shadow, &stats, indexes, expr);
     eval_k_planned(db, &plan, cfg)
-}
-
-/// The support of a K-relation as a canonical set-semantics relation —
-/// convenience for comparing planned K-results to set-engine results.
-pub fn support<K: Semiring>(rel: &KRelation<K>) -> Relation {
-    rel.to_relation()
 }
 
 #[cfg(test)]

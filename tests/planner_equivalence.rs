@@ -42,6 +42,11 @@ use curated_db::workload::relational::{
 use curated_db::{Atom, CuratedDatabase};
 use proptest::prelude::*;
 
+// For the one-executor property.
+use curated_db::relalg::plan::execute;
+use curated_db::relalg::Tuple;
+use curated_db::semiring::Bool;
+
 /// Number of distinct query shapes produced by [`query`].
 const PLANNER_SHAPES: usize = 16;
 
@@ -233,6 +238,51 @@ proptest! {
             (Ok(n), Ok(p)) => prop_assert_eq!(n, p, "shape {}", qi % PLANNER_SHAPES),
             (Err(n), Err(p)) => prop_assert_eq!(n.to_string(), p.to_string()),
             _ => prop_assert!(false, "Polynomial engines disagree on failure (shape {})", qi % PLANNER_SHAPES),
+        }
+    }
+
+    /// One executor, three annotations: the *same* plan run over sets,
+    /// over 𝔹 and over ℕ differs only in what the annotation does. The
+    /// 𝔹-relation's support is exactly the set result, and with every
+    /// base tuple tagged 1 the ℕ annotations are the bag multiplicities
+    /// — the number of times the set instantiation emits each tuple
+    /// before its final dedup.
+    #[test]
+    fn one_executor_agrees_across_annotations(
+        seed in any::<u64>(),
+        cfg in cfg_strategy(),
+        qi in 0usize..PLANNER_SHAPES,
+        c in 0i64..8,
+    ) {
+        let q = query(qi, c);
+        if !q.is_positive() {
+            return Ok(()); // difference exists for sets only
+        }
+        let db = chain_tables(seed, &cfg);
+        let indexes = workload_indexes(&db);
+        let p = plan(&db, &DbStats::analyze(&db), &indexes, &q);
+        let exec = ExecConfig::default();
+        let bools = tagged_db(&db, &["R", "S", "T"], |_| Bool(true));
+        let nats = tagged_db(&db, &["R", "S", "T"], |_| Nat(1));
+        let set = execute::<Relation>(&db, &p, &indexes, &exec);
+        let bools = execute::<KRelation<Bool>>(&bools, &p, &indexes, &exec);
+        let nats = execute::<KRelation<Nat>>(&nats, &p, &indexes, &exec);
+        match (set, bools, nats) {
+            (Ok((set, _)), Ok((bools, _)), Ok((nats, _))) => {
+                prop_assert_eq!(bools.to_relation(), set.canonical(), "shape {}", qi % PLANNER_SHAPES);
+                let mut bag: BTreeMap<Tuple, u64> = BTreeMap::new();
+                for t in set.tuples() {
+                    *bag.entry(t.clone()).or_default() += 1;
+                }
+                let counts: BTreeMap<Tuple, u64> =
+                    nats.iter().map(|(t, n)| (t.clone(), n.0)).collect();
+                prop_assert_eq!(counts, bag, "shape {}", qi % PLANNER_SHAPES);
+            }
+            (Err(s), Err(b), Err(n)) => {
+                prop_assert_eq!(s.to_string(), b.to_string());
+                prop_assert_eq!(s.to_string(), n.to_string());
+            }
+            _ => prop_assert!(false, "instantiations disagree on failure (shape {})", qi % PLANNER_SHAPES),
         }
     }
 }
