@@ -7,19 +7,28 @@
 //! is periodically **published** — each publication merged into the
 //! fat-node archive so that any version can be retrieved, cited, and
 //! queried longitudinally (§5).
+//!
+//! [`DbState`] is the value — tree, provenance, log, lifecycle
+//! registry, archive, notes, publish points, 2PC decisions, index
+//! postings — and this is the only module that opens a curation
+//! transaction. A [`CuratedDatabase`] is a `DbState` plus an optional
+//! `Durable` ([`crate::durable`]); a [`crate::Snapshot`] is an
+//! `Arc<DbState>`; a cross-shard commit calls the same `DbState`
+//! halves on each participant.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 
 use cdb_archive::{Archive, ArchiveError, Citation, VersionId};
-use cdb_curation::ops::{Clipboard, CuratedTree};
+use cdb_curation::ops::{Clipboard, CuratedTree, Txn};
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::tree::TreeError;
 use cdb_curation::{queries, NodeId};
 use cdb_model::keys::KeyStep;
 use cdb_model::{Atom, KeyPath, KeySpec, Value};
 
-use crate::lifecycle::{EntryRegistry, LifecycleError};
+use crate::lifecycle::{EntryEvent, EntryRegistry, LifecycleError};
 
 /// Errors from the integrated engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +50,9 @@ pub enum DbError {
     /// A relational view or query over the entries failed (unknown
     /// attribute, schema mismatch, …).
     Relational(cdb_relalg::RelalgError),
+    /// A field write named the entry key field. The key is set when an
+    /// entry is created and changes only through fusion and fission.
+    KeyFieldWrite(String),
 }
 
 impl fmt::Display for DbError {
@@ -54,6 +66,10 @@ impl fmt::Display for DbError {
             DbError::DuplicateEntry(k) => write!(f, "entry {k:?} already exists"),
             DbError::Storage(m) => write!(f, "storage: {m}"),
             DbError::Relational(e) => write!(f, "{e}"),
+            DbError::KeyFieldWrite(fld) => write!(
+                f,
+                "field {fld:?} is the entry key: it is set at creation and changes only by merge or split"
+            ),
         }
     }
 }
@@ -102,9 +118,21 @@ pub struct Note {
     pub time: u64,
 }
 
-/// The integrated curated database.
-#[derive(Debug)]
-pub struct CuratedDatabase {
+/// One field of an entry as a fusion carries it: label and payload.
+pub(crate) type Carried = (String, Option<Atom>);
+
+/// The parts of a fission: each new key with its fields.
+pub(crate) type Parts<'a> = [(&'a str, Vec<(&'a str, Atom)>)];
+
+/// The curated state as a value: everything a commit changes, a
+/// snapshot freezes, a 2PC abort rolls back and an open rebuilds.
+/// `Clone` *is* the snapshot and the rollback point — a field added
+/// here is covered by both without further code. It owns every read
+/// and the in-memory half of every curation operation (validate → one
+/// curation transaction → lifecycle → reindex), and knows nothing of
+/// WALs, checkpoints or locks.
+#[derive(Debug, Clone)]
+pub struct DbState {
     /// The working tree with its provenance store and transaction log.
     pub curated: CuratedTree,
     /// The identifier lifecycle registry.
@@ -115,182 +143,55 @@ pub struct CuratedDatabase {
     /// For each published version: the last committed transaction at
     /// publish time (None = published before any transaction) and the
     /// logical time of that transaction — enough to rebuild the archive
-    /// from the log alone (see [`CuratedDatabase::archive_from_log`]).
+    /// from the log alone (see [`DbState::archive_from_log`]).
     pub(crate) publish_points: Vec<(Option<cdb_curation::TxnId>, u64, String)>,
-    /// The write-ahead log, when this instance is durable (see
-    /// [`CuratedDatabase::open`]); `None` = in-memory only. Either
-    /// owned outright or a shared group-commit handle (see
-    /// [`crate::shared::SharedDb`]).
-    pub(crate) wal: Option<crate::durable::WalRef>,
-    /// The crash-atomic checkpoint store, when durable.
-    pub(crate) ckpt: Option<cdb_storage::CheckpointStore>,
-    /// What happens to fully-checkpointed WAL segments (see
-    /// [`cdb_storage::Retention`]): archived (default, paper semantics)
-    /// or deleted to reclaim disk.
-    pub(crate) retention: cdb_storage::Retention,
     /// Logical clock floor carried over from a checkpoint whose covered
-    /// log was truncated: [`CuratedDatabase::publish`] falls back to it
-    /// when the in-memory log is empty, keeping publish times monotone.
+    /// log was truncated: [`DbState::publish`] falls back to it when
+    /// the in-memory log is empty, keeping publish times monotone.
     pub(crate) last_time: u64,
-    /// When to force appended frames to disk.
-    pub(crate) durability: crate::durable::Durability,
-    /// Curation transactions already encoded into WAL frames (a prefix
-    /// length of `curated.log`). Persistence is driven by this
-    /// position, not by "the last transaction", so a commit whose
-    /// persist step failed or was skipped is picked up by the next one
-    /// instead of being skipped in the WAL forever.
-    pub(crate) persisted_txns: usize,
-    /// Lifecycle events already encoded into WAL frames.
-    pub(crate) persisted_events: usize,
-    /// Frames encoded but not yet appended to the WAL (a previous
-    /// append failed); drained, in order, before anything new is
-    /// appended. A deque: draining pops the front, so a long backlog
-    /// (a device down for thousands of commits) drains in one pass
-    /// instead of the O(n²) `remove(0)` shuffle a `Vec` would cost.
-    pub(crate) pending_frames: VecDeque<(u8, Vec<u8>)>,
-    /// What the last recovery saw, when this instance was opened from
-    /// a WAL.
-    pub(crate) recovery: Option<cdb_storage::RecoveryStats>,
-    /// The per-database metric registry (`Arc`-backed; snapshots made
-    /// by [`CuratedDatabase::clone_state`] share it, so counters keep
-    /// aggregating in one place while reads are served from copies).
-    pub(crate) metrics: cdb_obs::Metrics,
     /// 2PC decision records this shard knows (gid → commit): populated
     /// by cross-shard commits and by recovery, re-encoded into every
     /// checkpoint so decisions outlive WAL truncation.
     pub(crate) decisions: BTreeMap<u64, bool>,
-    /// When set, [`CuratedDatabase::persist_commit`] queues nothing:
-    /// the sharded 2PC path runs curation ops under this flag and then
-    /// seals the frames from
-    /// [`CuratedDatabase::encode_unpersisted`] inside a PREPARE frame
-    /// instead. Never set outside a held cross-shard commit.
-    pub(crate) defer_persist: bool,
-    /// The paged backing store, when this instance checkpoints
-    /// page-granularly (see [`CuratedDatabase::open_paged`]): the page
-    /// heap behind a buffer pool, plus dirty-object tracking so a
-    /// checkpoint captures only what changed since the last anchor.
-    /// `None` = classic full-state checkpoints.
-    pub(crate) paged: Option<crate::paged::PagedBacking>,
     /// Registered secondary indexes over entry fields. Registrations
     /// are WAL-durable (tag [`crate::durable::AUX_INDEX`]) and carried
-    /// by checkpoints; postings are derived state, reconciled on every
-    /// commit and rebuilt from the tree on recovery.
+    /// by checkpoints; postings are derived state, reconciled inside
+    /// every operation below and rebuilt from the tree on recovery.
     pub(crate) indexes: crate::indexes::FieldIndexes,
 }
 
-/// A deep copy of every field a curation operation can mutate, taken
-/// before a cross-shard transaction touches a shard so an abort (a
-/// failed PREPARE sync, a validation error on another shard) can
-/// restore the state exactly. The persistence cursors ride along:
-/// rollback after `encode_unpersisted` must also un-advance them.
-#[derive(Debug)]
-pub(crate) struct TxnBackup {
-    curated: CuratedTree,
-    lifecycle: EntryRegistry,
-    notes: BTreeMap<(String, Option<String>), Vec<Note>>,
-    archive: Archive,
-    publish_points: Vec<(Option<cdb_curation::TxnId>, u64, String)>,
-    last_time: u64,
-    persisted_txns: usize,
-    persisted_events: usize,
-    indexes: crate::indexes::FieldIndexes,
+/// Inserts a fresh entry node under the root: the key field first,
+/// then `fields` in order.
+fn insert_entry(
+    t: &mut Txn<'_>,
+    key_field: &str,
+    key: &str,
+    fields: &[(&str, Atom)],
+) -> Result<NodeId, TreeError> {
+    let root = t.tree().root();
+    let entry = t.insert(root, "entry", None)?;
+    t.insert(entry, key_field, Some(Atom::Str(key.to_owned())))?;
+    for (label, value) in fields {
+        t.insert(entry, *label, Some(value.clone()))?;
+    }
+    Ok(entry)
 }
 
-impl CuratedDatabase {
-    /// Creates an empty database whose entries are keyed by `key_field`
-    /// (e.g. `"ac"` for a UniProt-like database, `"name"` for a
-    /// Factbook-like one).
-    pub fn new(name: impl Into<String>, key_field: impl Into<String>) -> Self {
-        let name = name.into();
-        let key_field = key_field.into();
-        let spec = KeySpec::new().rule(Vec::<String>::new(), [key_field.clone()]);
-        CuratedDatabase {
-            curated: CuratedTree::new(name.clone(), StoreMode::Hereditary),
+impl DbState {
+    /// An empty state whose entries are keyed by `key_field`.
+    pub(crate) fn new(name: impl Into<String>, key_field: impl Into<String>) -> Self {
+        let (name, key_field) = (name.into(), key_field.into());
+        DbState {
+            archive: empty_archive(&name, &key_field),
+            curated: CuratedTree::new(name, StoreMode::Hereditary),
             lifecycle: EntryRegistry::new(),
             key_field,
-            archive: Archive::new(name, spec),
             notes: BTreeMap::new(),
             publish_points: Vec::new(),
-            wal: None,
-            ckpt: None,
-            retention: cdb_storage::Retention::default(),
             last_time: 0,
-            durability: crate::durable::Durability::Always,
-            persisted_txns: 0,
-            persisted_events: 0,
-            pending_frames: VecDeque::new(),
-            recovery: None,
-            metrics: cdb_obs::Metrics::new(),
             decisions: BTreeMap::new(),
-            defer_persist: false,
-            paged: None,
             indexes: crate::indexes::FieldIndexes::default(),
         }
-    }
-
-    /// Photographs the mutable curation state for 2PC rollback.
-    pub(crate) fn backup_for_txn(&self) -> TxnBackup {
-        TxnBackup {
-            curated: self.curated.clone(),
-            lifecycle: self.lifecycle.clone(),
-            notes: self.notes.clone(),
-            archive: self.archive.clone(),
-            publish_points: self.publish_points.clone(),
-            last_time: self.last_time,
-            persisted_txns: self.persisted_txns,
-            persisted_events: self.persisted_events,
-            indexes: self.indexes.clone(),
-        }
-    }
-
-    /// Restores the state photographed by
-    /// [`CuratedDatabase::backup_for_txn`] — the abort path of a
-    /// cross-shard transaction. WAL plumbing (pending frames, decision
-    /// records) is deliberately untouched: an aborted 2PC txn never
-    /// queued ordinary frames (they were deferred), and its decision
-    /// record must survive the rollback.
-    pub(crate) fn restore_from_backup(&mut self, backup: TxnBackup) {
-        self.curated = backup.curated;
-        self.lifecycle = backup.lifecycle;
-        self.notes = backup.notes;
-        self.archive = backup.archive;
-        self.publish_points = backup.publish_points;
-        self.last_time = backup.last_time;
-        self.persisted_txns = backup.persisted_txns;
-        self.persisted_events = backup.persisted_events;
-        self.indexes = backup.indexes;
-    }
-
-    /// The segment-retention policy applied when a checkpoint retires
-    /// fully-covered WAL history.
-    pub fn retention(&self) -> cdb_storage::Retention {
-        self.retention
-    }
-
-    /// Sets the segment-retention policy for future checkpoints.
-    /// [`cdb_storage::Retention::KeepAll`] (the default) archives
-    /// retired segments, preserving the paper's full-history semantics;
-    /// [`cdb_storage::Retention::Reclaim`] deletes them, trading
-    /// history reconstruction from the raw log for bounded disk (the
-    /// checkpoint then carries the archive snapshots instead).
-    pub fn set_retention(&mut self, retention: cdb_storage::Retention) {
-        self.retention = retention;
-    }
-
-    /// The per-database metric registry. Storage handles created for
-    /// this database (the group-commit WAL, recovery) record here.
-    pub fn metrics(&self) -> &cdb_obs::Metrics {
-        &self.metrics
-    }
-
-    /// A point-in-time view of every metric this database can see: its
-    /// own registry merged with the process-global one (relational
-    /// engine timings, storage error counters). Counters add, gauges
-    /// take the maximum, histograms fold bucket-wise.
-    pub fn metrics_snapshot(&self) -> cdb_obs::MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.merge(&cdb_obs::global().snapshot());
-        snap
     }
 
     /// The database name.
@@ -335,45 +236,78 @@ impl CuratedDatabase {
         Ok(out)
     }
 
-    /// Adds a freshly-authored entry.
-    pub fn add_entry(
+    fn field_node(&self, key: &str, field: &str) -> Result<NodeId, DbError> {
+        let entry = self.entry_node(key)?;
+        self.curated
+            .tree
+            .child_by_label(entry, field)?
+            .ok_or_else(|| DbError::NoSuchField(key.to_owned(), field.to_owned()))
+    }
+
+    /// Reads a field of an entry.
+    pub fn field(&self, key: &str, field: &str) -> Result<Atom, DbError> {
+        let node = self.field_node(key, field)?;
+        Ok(self
+            .curated
+            .tree
+            .value(node)?
+            .cloned()
+            .unwrap_or(Atom::Unit))
+    }
+
+    /// Resolves any identifier — active or retired — to the current
+    /// entries holding its data (following merges and splits).
+    pub fn resolve_id(&self, id: &str) -> Result<Vec<String>, DbError> {
+        let (current, _) = self.lifecycle.what_happened_to(id)?;
+        Ok(current)
+    }
+
+    // -------------------------------------------------- curation ops
+    // The in-memory half of each operation (documented on the public
+    // `CuratedDatabase` methods of the same names). Every check runs
+    // before the curation transaction opens: a transaction in the log
+    // behind a failed lifecycle update would corrupt WAL recovery, and
+    // the registry remembers retired ids forever, so a key absent from
+    // the live tree can still be refused.
+
+    /// A plain write to the key field would rename the entry in the
+    /// tree alone, leaving the registry and the indexes on the old key.
+    fn check_writable<'a>(&self, fields: impl IntoIterator<Item = &'a str>) -> Result<(), DbError> {
+        match fields.into_iter().find(|f| *f == self.key_field) {
+            Some(f) => Err(DbError::KeyFieldWrite(f.to_owned())),
+            None => Ok(()),
+        }
+    }
+
+    /// The node of `key`, which must be a live entry with an active
+    /// identifier.
+    fn live_entry(&self, key: &str) -> Result<NodeId, DbError> {
+        let node = self.entry_node(key)?;
+        self.lifecycle.require_active(key)?;
+        Ok(node)
+    }
+
+    pub(crate) fn add_entry(
         &mut self,
         curator: &str,
         time: u64,
         key: &str,
         fields: &[(&str, Atom)],
     ) -> Result<NodeId, DbError> {
+        self.check_writable(fields.iter().map(|(label, _)| *label))?;
         if self.entry_node(key).is_ok() {
             return Err(DbError::DuplicateEntry(key.to_owned()));
         }
-        // Lifecycle preconditions are checked *before* the transaction
-        // commits: the registry remembers retired ids forever, so a key
-        // absent from the live tree can still be rejected — and a txn
-        // committed to the in-memory log but never WAL-persisted would
-        // corrupt recovery.
         self.lifecycle.check_create(key)?;
-        let root = self.curated.tree.root();
         let mut t = self.curated.begin(curator, time);
-        let entry = t.insert(root, "entry", None)?;
-        t.insert(
-            entry,
-            self.key_field.clone(),
-            Some(Atom::Str(key.to_owned())),
-        )?;
-        for (label, value) in fields {
-            t.insert(entry, (*label).to_owned(), Some(value.clone()))?;
-        }
+        let entry = insert_entry(&mut t, &self.key_field, key, fields)?;
         t.commit();
         self.lifecycle.create(key, time)?;
         self.reindex_touched(&[key]);
-        self.persist_commit()?;
         Ok(entry)
     }
 
-    /// Imports an entry copied from another curated database (the §3
-    /// copy-paste loop), registering it under `key`. The pasted
-    /// subtree's provenance chain is preserved by the curation layer.
-    pub fn import_entry(
+    pub(crate) fn import_entry(
         &mut self,
         curator: &str,
         time: u64,
@@ -405,20 +339,10 @@ impl CuratedDatabase {
         t.commit();
         self.lifecycle.create(key, time)?;
         self.reindex_touched(&[key]);
-        self.persist_commit()?;
         Ok(entry)
     }
 
-    fn field_node(&self, key: &str, field: &str) -> Result<NodeId, DbError> {
-        let entry = self.entry_node(key)?;
-        self.curated
-            .tree
-            .child_by_label(entry, field)?
-            .ok_or_else(|| DbError::NoSuchField(key.to_owned(), field.to_owned()))
-    }
-
-    /// Edits (or adds) a field of an entry.
-    pub fn edit_field(
+    pub(crate) fn edit_field(
         &mut self,
         curator: &str,
         time: u64,
@@ -426,6 +350,7 @@ impl CuratedDatabase {
         field: &str,
         value: Atom,
     ) -> Result<(), DbError> {
+        self.check_writable([field])?;
         let entry = self.entry_node(key)?;
         let existing = self.curated.tree.child_by_label(entry, field)?;
         let mut t = self.curated.begin(curator, time);
@@ -437,23 +362,15 @@ impl CuratedDatabase {
         }
         t.commit();
         self.reindex_touched(&[key]);
-        self.persist_commit()?;
         Ok(())
     }
 
-    /// Reads a field of an entry.
-    pub fn field(&self, key: &str, field: &str) -> Result<Atom, DbError> {
-        let node = self.field_node(key, field)?;
-        Ok(self
-            .curated
-            .tree
-            .value(node)?
-            .cloned()
-            .unwrap_or(Atom::Unit))
-    }
-
-    /// Deletes an entry outright.
-    pub fn delete_entry(&mut self, curator: &str, time: u64, key: &str) -> Result<(), DbError> {
+    pub(crate) fn delete_entry(
+        &mut self,
+        curator: &str,
+        time: u64,
+        key: &str,
+    ) -> Result<(), DbError> {
         let entry = self.entry_node(key)?;
         self.lifecycle.check_delete(key)?;
         let mut t = self.curated.begin(curator, time);
@@ -461,120 +378,172 @@ impl CuratedDatabase {
         t.commit();
         self.lifecycle.delete(key, time)?;
         self.reindex_touched(&[key]);
-        self.persist_commit()?;
         Ok(())
     }
 
-    /// Fusion (§6.2): `absorbed` is discovered to be the same object as
-    /// `kept`; its fields that `kept` lacks are carried over, its node
-    /// deleted, and its identifier retired (resolvable forever through
-    /// the lifecycle registry).
-    pub fn merge_entries(
+    /// Both halves of a fusion on one state.
+    pub(crate) fn merge_entries(
         &mut self,
         curator: &str,
         time: u64,
         kept: &str,
         absorbed: &str,
     ) -> Result<(), DbError> {
-        let kept_node = self.entry_node(kept)?;
-        let absorbed_node = self.entry_node(absorbed)?;
+        self.entry_node(kept)?;
+        let offered = self.fusion_offer(absorbed)?;
         self.lifecycle.check_merge(kept, absorbed)?;
-        // Carry over missing fields before deleting.
-        let mut carry: Vec<(String, Option<Atom>)> = Vec::new();
-        for &c in self.curated.tree.children(absorbed_node)? {
-            let label = self.curated.tree.label(c)?.to_owned();
-            if label != self.key_field
-                && self
-                    .curated
-                    .tree
-                    .child_by_label(kept_node, &label)?
-                    .is_none()
-            {
-                carry.push((label, self.curated.tree.value(c)?.cloned()));
+        self.fuse(curator, time, kept, absorbed, Some(&offered), true)
+    }
+
+    /// What `absorbed`, live and active here, offers a fusion: its
+    /// non-key fields. Read-only — a cross-shard fusion takes the offer
+    /// on one shard and keeps it on another.
+    pub(crate) fn fusion_offer(&self, absorbed: &str) -> Result<Vec<Carried>, DbError> {
+        let node = self.live_entry(absorbed)?;
+        let tree = &self.curated.tree;
+        let mut offered = Vec::new();
+        for &c in tree.children(node)? {
+            let label = tree.label(c)?;
+            if label != self.key_field {
+                offered.push((label.to_owned(), tree.value(c)?.cloned()));
             }
         }
-        let mut t = self.curated.begin(curator, time);
-        for (label, value) in carry {
-            t.insert(kept_node, label, value)?;
+        Ok(offered)
+    }
+
+    /// This state's side of a fusion, in one transaction. The keep
+    /// half (`offered` given): `kept` lives here and takes the offered
+    /// fields it lacks. The drop half (`drop_absorbed`): `absorbed`
+    /// lives here and is retired. Checks that its entries are live
+    /// before it changes anything; records the event either way.
+    pub(crate) fn fuse(
+        &mut self,
+        curator: &str,
+        time: u64,
+        kept: &str,
+        absorbed: &str,
+        offered: Option<&[Carried]>,
+        drop_absorbed: bool,
+    ) -> Result<(), DbError> {
+        let mut carry = Vec::new();
+        if let Some(offered) = offered {
+            let node = self.live_entry(kept)?;
+            for (label, value) in offered {
+                if self.curated.tree.child_by_label(node, label)?.is_none() {
+                    carry.push((node, label.clone(), value.clone()));
+                }
+            }
         }
-        t.delete(absorbed_node)?;
+        let dropped = if drop_absorbed {
+            Some(self.live_entry(absorbed)?)
+        } else {
+            None
+        };
+        let mut t = self.curated.begin(curator, time);
+        for (node, label, value) in carry {
+            t.insert(node, label, value)?;
+        }
+        if let Some(node) = dropped {
+            t.delete(node)?;
+        }
         t.commit();
-        self.lifecycle.merge(kept, absorbed, time)?;
+        self.lifecycle.replay_event(&EntryEvent::Merged {
+            kept: kept.to_owned(),
+            absorbed: absorbed.to_owned(),
+            time,
+        });
         self.reindex_touched(&[kept, absorbed]);
-        self.persist_commit()?;
         Ok(())
     }
 
-    /// Fission (§6.2): `original` splits into `parts`, each given its
-    /// own fields. The original's identifier is retired.
-    pub fn split_entry(
+    /// Both halves of a fission on one state.
+    pub(crate) fn split_entry(
         &mut self,
         curator: &str,
         time: u64,
         original: &str,
-        parts: &[(&str, Vec<(&str, Atom)>)],
+        parts: &Parts<'_>,
     ) -> Result<(), DbError> {
-        let original_node = self.entry_node(original)?;
-        let part_keys: Vec<String> = parts.iter().map(|(k, _)| (*k).to_string()).collect();
-        self.lifecycle.check_split(original, &part_keys)?;
-        let root = self.curated.tree.root();
-        let mut t = self.curated.begin(curator, time);
-        for (key, fields) in parts {
-            let entry = t.insert(root, "entry", None)?;
-            t.insert(
-                entry,
-                self.key_field.clone(),
-                Some(Atom::Str((*key).to_owned())),
-            )?;
-            for (label, value) in fields {
-                t.insert(entry, (*label).to_owned(), Some(value.clone()))?;
-            }
+        self.check_fission(original, parts, |_| true)?;
+        self.fission(curator, time, original, parts, |_| true)
+    }
+
+    /// Whether this state accepts its side of a fission. `here` says
+    /// which keys live on this state: the one holding `original` checks
+    /// the whole request (the original is live, every part is a fresh
+    /// identifier named once), the others that their own parts are
+    /// fresh. Every participant of a cross-shard fission must accept
+    /// before any applies [`DbState::fission`].
+    pub(crate) fn check_fission(
+        &self,
+        original: &str,
+        parts: &Parts<'_>,
+        here: impl Fn(&str) -> bool,
+    ) -> Result<(), DbError> {
+        let labels = parts.iter().flat_map(|(_, fields)| fields);
+        self.check_writable(labels.map(|(label, _)| *label))?;
+        if here(original) {
+            self.entry_node(original)?;
+            let keys: Vec<String> = parts.iter().map(|(k, _)| (*k).to_owned()).collect();
+            return Ok(self.lifecycle.check_split(original, &keys)?);
         }
-        t.delete(original_node)?;
-        t.commit();
-        self.lifecycle.split(original, &part_keys, time)?;
-        let mut touched: Vec<&str> = vec![original];
-        touched.extend(parts.iter().map(|(k, _)| *k));
-        self.reindex_touched(&touched);
-        self.persist_commit()?;
+        for (key, _) in parts.iter().filter(|(k, _)| here(k)) {
+            self.lifecycle.check_create(key)?;
+        }
         Ok(())
     }
 
-    /// Resolves any identifier — active or retired — to the current
-    /// entries holding its data (following merges and splits).
-    pub fn resolve_id(&self, id: &str) -> Result<Vec<String>, DbError> {
-        let (current, _) = self.lifecycle.what_happened_to(id)?;
-        Ok(current)
+    /// This state's side of a fission, in one transaction: the create
+    /// half for the parts that live `here`, the retire half when
+    /// `original` does.
+    pub(crate) fn fission(
+        &mut self,
+        curator: &str,
+        time: u64,
+        original: &str,
+        parts: &Parts<'_>,
+        here: impl Fn(&str) -> bool,
+    ) -> Result<(), DbError> {
+        let retired = if here(original) {
+            Some(self.entry_node(original)?)
+        } else {
+            None
+        };
+        let mut t = self.curated.begin(curator, time);
+        for (key, fields) in parts.iter().filter(|(k, _)| here(k)) {
+            insert_entry(&mut t, &self.key_field, key, fields)?;
+        }
+        if let Some(node) = retired {
+            t.delete(node)?;
+        }
+        t.commit();
+        for (key, _) in parts.iter().filter(|(k, _)| here(k)) {
+            self.lifecycle.replay_event(&EntryEvent::Created {
+                id: (*key).to_owned(),
+                from_split: Some(original.to_owned()),
+                time,
+            });
+        }
+        if retired.is_some() {
+            self.lifecycle.replay_event(&EntryEvent::Split {
+                original: original.to_owned(),
+                parts: parts.iter().map(|(k, _)| (*k).to_owned()).collect(),
+                time,
+            });
+        }
+        let mut touched = vec![original];
+        touched.extend(parts.iter().map(|(k, _)| *k));
+        self.reindex_touched(&touched);
+        Ok(())
     }
 
     // ------------------------------------------------------- indexes
 
-    /// Registers a durable secondary index over an entry field and
-    /// builds its postings from the current entries. The registration
-    /// is WAL-logged and checkpoint-carried; recovery re-registers it
-    /// and rebuilds the postings from the recovered tree. Returns
-    /// `false` (and does nothing) when the field is already indexed.
-    ///
-    /// Entries missing the field index as [`Atom::Unit`] — the same
-    /// convention [`crate::views::entry_relation`] uses — so the index
-    /// answers exactly the questions the relational view would.
-    pub fn create_index(&mut self, field: &str) -> Result<bool, DbError> {
+    pub(crate) fn create_index(&mut self, field: &str) -> Result<bool, DbError> {
         if !self.indexes.register(field) {
             return Ok(false);
         }
         self.rebuild_index(field)?;
-        self.persist_index(field, true)?;
-        Ok(true)
-    }
-
-    /// Drops a secondary index. Returns `false` when none existed. The
-    /// drop is WAL-logged like the creation, so recovery converges on
-    /// the surviving registrations.
-    pub fn drop_index(&mut self, field: &str) -> Result<bool, DbError> {
-        if !self.indexes.unregister(field) {
-            return Ok(false);
-        }
-        self.persist_index(field, false)?;
         Ok(true)
     }
 
@@ -623,13 +592,13 @@ impl CuratedDatabase {
         Ok(())
     }
 
-    /// Reconciles every registered index for the entries a committed
-    /// curation operation touched: existing entries re-point at their
-    /// current field values, vanished entries (deleted, absorbed,
-    /// split away) are unlinked. Runs inside the commit path, before
-    /// persistence — 2PC rollback restores postings via
-    /// [`CuratedDatabase::backup_for_txn`] along with the tree.
-    pub(crate) fn reindex_touched(&mut self, keys: &[&str]) {
+    /// Reconciles every registered index for the entries an operation
+    /// touched: existing entries re-point at their current field
+    /// values, vanished entries (deleted, absorbed, split away — or
+    /// living on another shard) are unlinked. The last step of every
+    /// operation above, so postings can never lag the tree they
+    /// describe.
+    fn reindex_touched(&mut self, keys: &[&str]) {
         if self.indexes.is_empty() {
             return;
         }
@@ -679,7 +648,7 @@ impl CuratedDatabase {
     /// The registered indexes as a relational [`cdb_relalg::IndexSet`]
     /// over the entries relation of `[key_field, fields…]` — postings
     /// converted from entry keys to row offsets (entries appear in
-    /// [`CuratedDatabase::entry_keys`] order, the order
+    /// [`DbState::entry_keys`] order, the order
     /// [`crate::views::entry_relation`] emits rows in). Indexed fields
     /// not in the view are skipped.
     pub fn relalg_index_set(&self, fields: &[&str]) -> Result<cdb_relalg::IndexSet, DbError> {
@@ -720,9 +689,7 @@ impl CuratedDatabase {
 
     // ---------------------------------------------------- annotations
 
-    /// Attaches a superimposed annotation to an entry (`field = None`)
-    /// or to one of its fields.
-    pub fn annotate(
+    pub(crate) fn annotate(
         &mut self,
         key: &str,
         field: Option<&str>,
@@ -746,7 +713,6 @@ impl CuratedDatabase {
                 text: text.to_owned(),
                 time,
             });
-        self.persist_note(key, field)?;
         Ok(())
     }
 
@@ -772,27 +738,25 @@ impl CuratedDatabase {
         )
     }
 
-    /// Publishes the current state as a new archived version — "a common
-    /// practice is to maintain a working database … and periodically to
-    /// 'publish' versions of the database" (§1).
-    pub fn publish(&mut self, label: impl Into<String>) -> Result<VersionId, DbError> {
-        let label = label.into();
+    pub(crate) fn publish(&mut self, label: String) -> Result<VersionId, DbError> {
         let snapshot = self.export()?;
         let v = self.archive.add_version(&snapshot, label.clone())?;
         let txn = self.curated.last_txn_id();
-        // `last_time` floors the clock when the log was truncated by a
-        // reclaiming checkpoint: the covered transactions are gone, but
-        // publish times must stay monotone across the cut.
-        let time = self
-            .curated
+        self.publish_points.push((txn, self.clock(), label));
+        Ok(v)
+    }
+
+    /// The logical time of the newest transaction, floored by
+    /// `last_time` when the log was truncated by a reclaiming
+    /// checkpoint: the covered transactions are gone, but publish
+    /// times must stay monotone across the cut.
+    pub(crate) fn clock(&self) -> u64 {
+        self.curated
             .log
             .last()
             .map(|t| t.time)
             .unwrap_or(0)
-            .max(self.last_time);
-        self.publish_points.push((txn, time, label));
-        self.persist_publish()?;
-        Ok(v)
+            .max(self.last_time)
     }
 
     /// Rebuilds the entire archive **from the transaction log alone** —
@@ -802,15 +766,40 @@ impl CuratedDatabase {
     /// and merged into a fresh archive. The result retrieves the same
     /// versions as the incrementally-built archive (asserted in tests).
     pub fn archive_from_log(&self) -> Result<Archive, DbError> {
-        let spec = KeySpec::new().rule(Vec::<String>::new(), [self.key_field.clone()]);
-        let mut rebuilt = Archive::new(self.name(), spec);
-        for (txn, time, label) in &self.publish_points {
-            let tree = match txn {
-                Some(t) => cdb_curation::replay::replay(self.name(), &self.curated.log, Some(*t))
-                    .map_err(|e| DbError::NoSuchEntry(format!("replay failed: {e}")))?,
-                None => cdb_curation::tree::TreeDb::new(self.name()),
+        self.rebuild_archive(None, &[])
+    }
+
+    /// Rebuilds the archive from the publish points. The first
+    /// `carried.len()` versions take their exported values from a
+    /// checkpoint's carried snapshots (their log prefix was reclaimed);
+    /// the rest are reconstructed by replaying the log onto `base` —
+    /// the checkpoint's tree after such a cut, empty when the log is
+    /// the full history.
+    pub(crate) fn rebuild_archive(
+        &self,
+        base: Option<&cdb_curation::tree::TreeDb>,
+        carried: &[Vec<u8>],
+    ) -> Result<Archive, DbError> {
+        let start = || match base {
+            Some(tree) => tree.clone(),
+            None => cdb_curation::tree::TreeDb::new(self.name()),
+        };
+        let mut rebuilt = empty_archive(self.name(), &self.key_field);
+        for (i, (txn, time, label)) in self.publish_points.iter().enumerate() {
+            let snapshot = match carried.get(i) {
+                Some(bytes) => cdb_archive::codec::decode_value(bytes)
+                    .map_err(|e| DbError::Storage(format!("carried snapshot {i}: {e}")))?,
+                None => {
+                    let tree = match txn {
+                        Some(t) => {
+                            cdb_curation::replay::replay_onto(start(), &self.curated.log, Some(*t))
+                                .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))?
+                        }
+                        None => start(),
+                    };
+                    export_tree(&tree, &self.key_field, &self.lifecycle, *time)?
+                }
             };
-            let snapshot = export_tree(&tree, &self.key_field, &self.lifecycle, *time)?;
             rebuilt.add_version(&snapshot, label.clone())?;
         }
         Ok(rebuilt)
@@ -849,37 +838,195 @@ impl CuratedDatabase {
             .child(KeyStep::Field(field.to_owned()));
         Ok(cdb_archive::temporal::series(&self.archive, &path)?)
     }
+}
 
-    /// A deep, in-memory copy of the full curated state — tree,
-    /// provenance, log, lifecycle, archive, notes, publish points —
-    /// with no durability attached. This is what a
-    /// [`crate::shared::Snapshot`] wraps: every read method works on
-    /// the copy, and nothing the live database does afterwards can
-    /// reach it.
-    pub(crate) fn clone_state(&self) -> CuratedDatabase {
+/// The integrated curated database: a [`DbState`] (which it
+/// dereferences to, so every read works on it directly), the plumbing
+/// that makes its commits durable when it was opened over devices, and
+/// a metric registry. Each curation method below is the state's
+/// in-memory operation followed by one persist step.
+#[derive(Debug)]
+pub struct CuratedDatabase {
+    pub(crate) state: DbState,
+    /// WAL, checkpoints and persist cursors; `None` = in-memory only.
+    pub(crate) durable: Option<crate::durable::Durable>,
+    /// The per-database metric registry (`Arc`-backed: storage handles
+    /// created for this database and the serving layer record here).
+    pub(crate) metrics: cdb_obs::Metrics,
+}
+
+impl Deref for CuratedDatabase {
+    type Target = DbState;
+    fn deref(&self) -> &DbState {
+        &self.state
+    }
+}
+
+impl CuratedDatabase {
+    /// Creates an empty database whose entries are keyed by `key_field`
+    /// (e.g. `"ac"` for a UniProt-like database, `"name"` for a
+    /// Factbook-like one).
+    pub fn new(name: impl Into<String>, key_field: impl Into<String>) -> Self {
         CuratedDatabase {
-            curated: self.curated.clone(),
-            lifecycle: self.lifecycle.clone(),
-            key_field: self.key_field.clone(),
-            archive: self.archive.clone(),
-            notes: self.notes.clone(),
-            publish_points: self.publish_points.clone(),
-            wal: None,
-            ckpt: None,
-            retention: self.retention,
-            last_time: self.last_time,
-            durability: crate::durable::Durability::Always,
-            persisted_txns: 0,
-            persisted_events: 0,
-            pending_frames: VecDeque::new(),
-            recovery: None,
-            metrics: self.metrics.clone(),
-            decisions: self.decisions.clone(),
-            defer_persist: false,
-            paged: None,
-            indexes: self.indexes.clone(),
+            state: DbState::new(name, key_field),
+            durable: None,
+            metrics: cdb_obs::Metrics::new(),
         }
     }
+
+    /// The per-database metric registry. Storage handles created for
+    /// this database (the group-commit WAL, recovery) record here.
+    pub fn metrics(&self) -> &cdb_obs::Metrics {
+        &self.metrics
+    }
+
+    /// A point-in-time view of every metric this database can see: its
+    /// own registry merged with the process-global one (relational
+    /// engine timings, storage error counters). Counters add, gauges
+    /// take the maximum, histograms fold bucket-wise.
+    pub fn metrics_snapshot(&self) -> cdb_obs::MetricsSnapshot {
+        let mut snap = self.metrics.snapshot();
+        snap.merge(&cdb_obs::global().snapshot());
+        snap
+    }
+
+    /// Runs a state operation and persists what it committed (nothing,
+    /// when the state refuses it).
+    fn commit<R>(
+        &mut self,
+        op: impl FnOnce(&mut DbState) -> Result<R, DbError>,
+    ) -> Result<R, DbError> {
+        let out = op(&mut self.state)?;
+        self.persist_commit()?;
+        Ok(out)
+    }
+
+    /// Adds a freshly-authored entry. `fields` may not name the key
+    /// field ([`DbError::KeyFieldWrite`]).
+    pub fn add_entry(
+        &mut self,
+        curator: &str,
+        time: u64,
+        key: &str,
+        fields: &[(&str, Atom)],
+    ) -> Result<NodeId, DbError> {
+        self.commit(|s| s.add_entry(curator, time, key, fields))
+    }
+
+    /// Imports an entry copied from another curated database (the §3
+    /// copy-paste loop), registering it under `key`. The pasted
+    /// subtree's provenance chain is preserved by the curation layer.
+    pub fn import_entry(
+        &mut self,
+        curator: &str,
+        time: u64,
+        key: &str,
+        clip: &Clipboard,
+    ) -> Result<NodeId, DbError> {
+        self.commit(|s| s.import_entry(curator, time, key, clip))
+    }
+
+    /// Edits (or adds) a field of an entry. The key field is not
+    /// editable ([`DbError::KeyFieldWrite`]): entries are renamed by
+    /// fusion and fission, which retire the old identifier.
+    pub fn edit_field(
+        &mut self,
+        curator: &str,
+        time: u64,
+        key: &str,
+        field: &str,
+        value: Atom,
+    ) -> Result<(), DbError> {
+        self.commit(|s| s.edit_field(curator, time, key, field, value))
+    }
+
+    /// Deletes an entry outright.
+    pub fn delete_entry(&mut self, curator: &str, time: u64, key: &str) -> Result<(), DbError> {
+        self.commit(|s| s.delete_entry(curator, time, key))
+    }
+
+    /// Fusion (§6.2): `absorbed` is discovered to be the same object as
+    /// `kept`; its fields that `kept` lacks are carried over, its node
+    /// deleted, and its identifier retired (resolvable forever through
+    /// the lifecycle registry).
+    pub fn merge_entries(
+        &mut self,
+        curator: &str,
+        time: u64,
+        kept: &str,
+        absorbed: &str,
+    ) -> Result<(), DbError> {
+        self.commit(|s| s.merge_entries(curator, time, kept, absorbed))
+    }
+
+    /// Fission (§6.2): `original` splits into `parts`, each given its
+    /// own fields. The original's identifier is retired.
+    pub fn split_entry(
+        &mut self,
+        curator: &str,
+        time: u64,
+        original: &str,
+        parts: &[(&str, Vec<(&str, Atom)>)],
+    ) -> Result<(), DbError> {
+        self.commit(|s| s.split_entry(curator, time, original, parts))
+    }
+
+    /// Registers a durable secondary index over an entry field and
+    /// builds its postings from the current entries. The registration
+    /// is WAL-logged and checkpoint-carried; recovery re-registers it
+    /// and rebuilds the postings from the recovered tree. Returns
+    /// `false` (and does nothing) when the field is already indexed.
+    ///
+    /// Entries missing the field index as [`Atom::Unit`] — the same
+    /// convention [`crate::views::entry_relation`] uses — so the index
+    /// answers exactly the questions the relational view would.
+    pub fn create_index(&mut self, field: &str) -> Result<bool, DbError> {
+        if !self.state.create_index(field)? {
+            return Ok(false);
+        }
+        self.persist_index(field, true)?;
+        Ok(true)
+    }
+
+    /// Drops a secondary index. Returns `false` when none existed. The
+    /// drop is WAL-logged like the creation, so recovery converges on
+    /// the surviving registrations.
+    pub fn drop_index(&mut self, field: &str) -> Result<bool, DbError> {
+        if !self.state.indexes.unregister(field) {
+            return Ok(false);
+        }
+        self.persist_index(field, false)?;
+        Ok(true)
+    }
+
+    /// Attaches a superimposed annotation to an entry (`field = None`)
+    /// or to one of its fields.
+    pub fn annotate(
+        &mut self,
+        key: &str,
+        field: Option<&str>,
+        author: &str,
+        text: &str,
+        time: u64,
+    ) -> Result<(), DbError> {
+        self.state.annotate(key, field, author, text, time)?;
+        self.persist_note(key, field)
+    }
+
+    /// Publishes the current state as a new archived version — "a common
+    /// practice is to maintain a working database … and periodically to
+    /// 'publish' versions of the database" (§1).
+    pub fn publish(&mut self, label: impl Into<String>) -> Result<VersionId, DbError> {
+        let v = self.state.publish(label.into())?;
+        self.persist_publish()?;
+        Ok(v)
+    }
+}
+
+/// An archive with no versions, its entries keyed by `key_field`.
+fn empty_archive(name: &str, key_field: &str) -> Archive {
+    let spec = KeySpec::new().rule(Vec::<String>::new(), [key_field.to_owned()]);
+    Archive::new(name, spec)
 }
 
 /// Exports a (possibly replayed) tree as a keyed set of entry records,
@@ -1053,6 +1200,86 @@ mod tests {
         // The database keeps working after the rejections.
         db.add_entry("x", 6, "5-HT4", &[]).unwrap();
         assert_eq!(db.curated.log.len(), log_len + 1);
+    }
+
+    /// Merging an entry into itself once deleted it and retired its id
+    /// into itself — the data was gone and `resolve_id` found nothing.
+    #[test]
+    fn self_merge_is_rejected_and_loses_nothing() {
+        let mut db = sample();
+        let log_len = db.curated.log.len();
+        assert_eq!(
+            db.merge_entries("alice", 3, "GABA-A", "GABA-A"),
+            Err(DbError::Lifecycle(LifecycleError::SelfMerge(
+                "GABA-A".into()
+            )))
+        );
+        assert_eq!(db.curated.log.len(), log_len, "no phantom transaction");
+        assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
+        assert_eq!(db.resolve_id("GABA-A").unwrap(), ["GABA-A"]);
+        assert_eq!(db.field("GABA-A", "tm").unwrap(), Atom::Int(4));
+    }
+
+    /// A fission naming one part twice once created two live entries
+    /// with the same key.
+    #[test]
+    fn split_with_a_repeated_part_key_is_rejected() {
+        let mut db = sample();
+        let log_len = db.curated.log.len();
+        assert_eq!(
+            db.split_entry("alice", 3, "GABA-A", &[("A", vec![]), ("A", vec![])]),
+            Err(DbError::Lifecycle(LifecycleError::Duplicate("A".into())))
+        );
+        assert_eq!(db.curated.log.len(), log_len);
+        assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
+        assert!(db.resolve_id("A").is_err(), "no phantom identifier");
+    }
+
+    /// The key field is written at creation and by fusion/fission
+    /// only: a plain write to it once renamed the entry in the tree
+    /// while the registry and the indexes kept the old key, and a
+    /// `fields` list naming it added a second key child.
+    #[test]
+    fn writes_naming_the_key_field_are_rejected() {
+        let mut db = sample();
+        db.create_index("kind").unwrap();
+        let log_len = db.curated.log.len();
+        let refused = Err(DbError::KeyFieldWrite("name".into()));
+        assert_eq!(
+            db.edit_field("x", 3, "GABA-A", "name", Atom::Str("Q".into())),
+            refused
+        );
+        assert_eq!(
+            db.add_entry("x", 4, "NMDA", &[("name", Atom::Str("other".into()))])
+                .map(|_| ()),
+            refused
+        );
+        assert_eq!(
+            db.split_entry(
+                "x",
+                5,
+                "GABA-A",
+                &[
+                    ("A1", vec![]),
+                    ("A2", vec![("name", Atom::Str("A1".into()))])
+                ],
+            ),
+            refused
+        );
+        assert_eq!(db.curated.log.len(), log_len, "no phantom transaction");
+        assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
+        assert_eq!(db.resolve_id("GABA-A").unwrap(), ["GABA-A"]);
+        assert_eq!(
+            db.index_lookup("kind", &Atom::Str("receptor".into()))
+                .unwrap(),
+            ["5-HT3", "GABA-A"]
+        );
+        // An import whose clipboard carries another key is still
+        // re-keyed by the engine itself.
+        let clip = db.curated.copy(db.entry_node("5-HT3").unwrap()).unwrap();
+        let mut dst = CuratedDatabase::new("other", "name");
+        dst.import_entry("me", 1, "renamed", &clip).unwrap();
+        assert_eq!(dst.entry_keys().unwrap(), ["renamed"]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * publish points → `FRAME_PUBLISH` (the archive itself is *not*
 //!   persisted: it is recomputed by
-//!   [`CuratedDatabase::archive_from_log`], the paper's §5.1 answer,
+//!   [`DbState::archive_from_log`], the paper's §5.1 answer,
 //!   which needs only the log and the publish points);
 //! * lifecycle events → `FRAME_AUX` tag [`AUX_EVENT`];
 //! * superimposed notes → `FRAME_AUX` tag [`AUX_NOTE`].
@@ -22,82 +22,26 @@
 //! [`CuratedDatabase::sync`] — the classic group-commit trade
 //! (unsynced transactions can be lost on crash, torn tails are
 //! truncated on recovery, committed-and-synced ones never are).
+//!
+//! Everything durable about an instance is one `Durable` value
+//! beside its [`DbState`]: the WAL (always a [`GroupWal`]), the
+//! checkpoint store, the policies, the persist cursors and the paged
+//! backing. Every public `open*` constructor of the three façades is a
+//! wrapper over `open_all`, the only caller of recovery.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Duration;
 
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::wire::{put_str, put_u64, Checkpoint, Reader, WireError};
 use cdb_storage::{
-    recover, CheckpointStore, DurableLog, GroupWal, Io, PublishRecord, ReclaimStats, Recovered,
+    recover_shards, recover_with, CheckpointStore, GroupWal, Io, PublishRecord, Recovered,
     RecoveryStats, Retention, StorageError, FRAME_AUX, FRAME_COMMIT, FRAME_PUBLISH,
 };
 
-use crate::db::{CuratedDatabase, DbError, Note};
+use crate::db::{CuratedDatabase, DbError, DbState, Note};
 use crate::lifecycle::EntryEvent;
-
-/// How a durable database reaches its WAL: exclusively, or through the
-/// shared group-commit handle that [`crate::shared::SharedDb`] hands
-/// every writer. The database's persist path is identical either way —
-/// only the sync discipline differs (an owned log syncs inline; a
-/// shared one batches syncs across writers, and `SharedDb` waits for
-/// the batch *outside* the database lock).
-#[derive(Debug)]
-pub(crate) enum WalRef {
-    /// This database owns the log outright (single-threaded use).
-    Owned(DurableLog<Box<dyn Io>>),
-    /// The log is shared with other writers via group commit.
-    Shared(GroupWal),
-}
-
-impl WalRef {
-    pub(crate) fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StorageError> {
-        match self {
-            WalRef::Owned(log) => log.append(kind, payload),
-            WalRef::Shared(group) => group.append(kind, payload).map(|_| ()),
-        }
-    }
-
-    /// Forces everything appended so far to durable storage. For a
-    /// shared log this is a full barrier across *all* writers, not
-    /// just this database's frames.
-    pub(crate) fn sync(&mut self) -> Result<(), StorageError> {
-        match self {
-            WalRef::Owned(log) => log.sync(),
-            WalRef::Shared(group) => group.sync_all(),
-        }
-    }
-
-    /// The log's logical length in bytes. With everything synced this
-    /// is the coverage watermark a checkpoint claims.
-    pub(crate) fn len(&self) -> Result<u64, StorageError> {
-        match self {
-            WalRef::Owned(log) => log.len(),
-            WalRef::Shared(group) => group.log_len(),
-        }
-    }
-
-    /// Frames appended but not yet covered by a successful sync.
-    pub(crate) fn unsynced(&self) -> u64 {
-        match self {
-            WalRef::Owned(log) => log.unsynced_frames(),
-            WalRef::Shared(group) => group.unsynced(),
-        }
-    }
-
-    /// Retires log history covered by a durably installed checkpoint.
-    pub(crate) fn reclaim(&mut self, covered: u64) -> Result<Option<ReclaimStats>, StorageError> {
-        match self {
-            WalRef::Owned(log) => log.reclaim(covered),
-            WalRef::Shared(group) => group.reclaim(covered),
-        }
-    }
-
-    /// Live segments backing the log (1 for unsegmented devices).
-    pub(crate) fn live_segments(&self) -> u64 {
-        match self {
-            WalRef::Owned(log) => log.live_segments(),
-            WalRef::Shared(group) => group.live_segments(),
-        }
-    }
-}
+use crate::paged::{prepare_paged_open, PagedBacking};
 
 /// What one [`CuratedDatabase::checkpoint`] covered and reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -334,6 +278,443 @@ pub fn decode_aux(bytes: &[u8]) -> Result<AuxRecord, WireError> {
     Ok(rec)
 }
 
+/// The plumbing that persists the [`DbState`] beside it. A snapshot or
+/// a 2PC rollback copies the state and never this.
+#[derive(Debug)]
+pub(crate) struct Durable {
+    /// The write-ahead log, always behind a group-commit handle.
+    /// Single-threaded use is the degenerate group — a zero batch
+    /// window and an inline sync per commit; [`crate::SharedDb`] widens
+    /// the window and waits for the batch outside the database lock.
+    pub(crate) wal: GroupWal,
+    /// The crash-atomic checkpoint store.
+    ckpt: CheckpointStore,
+    /// What happens to fully-checkpointed WAL segments: archived
+    /// (default, paper semantics) or deleted to reclaim disk.
+    retention: Retention,
+    /// When to force appended frames to disk.
+    durability: Durability,
+    /// Curation transactions already encoded into WAL frames (a prefix
+    /// length of `curated.log`). Persistence is driven by this
+    /// position, not by "the last transaction", so a commit whose
+    /// persist step failed or was skipped is picked up by the next one
+    /// instead of being skipped in the WAL forever.
+    persisted_txns: usize,
+    /// Lifecycle events already encoded into WAL frames.
+    persisted_events: usize,
+    /// Frames encoded but not yet appended to the WAL (a previous
+    /// append failed); drained, in order, before anything new is
+    /// appended. A deque: draining pops the front, so a long backlog
+    /// (a device down for thousands of commits) drains in one pass
+    /// instead of the O(n²) `remove(0)` shuffle a `Vec` would cost.
+    pending_frames: VecDeque<(u8, Vec<u8>)>,
+    /// What the recovery that opened this instance saw.
+    recovery: RecoveryStats,
+    /// The page heap and its dirty tracking, when checkpoints are
+    /// page-granular; `None` = full-state checkpoints.
+    pub(crate) paged: Option<PagedBacking>,
+}
+
+/// A 2PC rollback point (see [`CuratedDatabase::savepoint`]).
+pub(crate) type Savepoint = (DbState, (usize, usize));
+
+/// One database's (or one shard's) devices: the WAL, the checkpoint
+/// store, and the page heap when checkpoints are page-granular.
+pub(crate) type Devices = (Box<dyn Io>, CheckpointStore, Option<Box<dyn Io>>);
+
+/// The one open routine behind every public `open*` constructor: per
+/// device set, load the checkpoint → materialise a paged anchor →
+/// recover the WAL → assemble the state → attach the page heap.
+/// Returns the databases in device order and the largest 2PC gid any
+/// log or checkpoint knows.
+///
+/// 2PC decisions are harvested from every checkpoint first (it may
+/// have truncated the segments that held the DECIDE frames); several
+/// logs then recover in parallel under that shared context
+/// ([`recover_shards`], which also scans every log for decisions). A
+/// lone log has no other log to consult and is read once.
+pub(crate) fn open_all(
+    name: &str,
+    key_field: &str,
+    devices: Vec<Devices>,
+    pool_pages: usize,
+    (window, durability): (Duration, Durability),
+) -> Result<(Vec<CuratedDatabase>, u64), DbError> {
+    let mut decided = BTreeMap::new();
+    let mut rest = Vec::with_capacity(devices.len());
+    let mut to_recover = Vec::with_capacity(devices.len());
+    for (wal_io, mut store, page_io) in devices {
+        let mut ck = store.load()?;
+        for bytes in ck.iter().flat_map(|ck| &ck.aux) {
+            if bytes.first() == Some(&AUX_DECIDE) {
+                if let AuxRecord::Decision { gid, commit } =
+                    decode_aux(bytes).map_err(StorageError::Wire)?
+                {
+                    decided.insert(gid, commit);
+                }
+            }
+        }
+        let metrics = cdb_obs::Metrics::new();
+        let mut paged = None;
+        if let Some(page_io) = page_io {
+            let (heap, ck_eff, seed) = prepare_paged_open(ck, page_io, pool_pages, &metrics)?;
+            ck = ck_eff;
+            paged = Some((heap, seed));
+        }
+        to_recover.push((wal_io, ck));
+        rest.push((store, metrics, paged));
+    }
+    let recovered = match to_recover.len() {
+        1 => {
+            let (wal_io, ck) = to_recover.pop().expect("one device set");
+            vec![recover_with(
+                name,
+                StoreMode::Hereditary,
+                wal_io,
+                ck,
+                &decided,
+            )?]
+        }
+        _ => recover_shards(name, StoreMode::Hereditary, to_recover, &decided)?,
+    };
+    let mut max_gid = decided.keys().next_back().copied().unwrap_or(0);
+    let mut dbs = Vec::with_capacity(recovered.len());
+    for ((log, rec), (ckpt, metrics, paged)) in recovered.into_iter().zip(rest) {
+        max_gid = max_gid.max(rec.max_gid);
+        let (state, recovery) = DbState::from_recovered(name, key_field, rec)?;
+        recovery.record_to(&metrics);
+        metrics
+            .gauge("storage.segment.count")
+            .set(recovery.live_segments);
+        dbs.push(CuratedDatabase {
+            durable: Some(Durable {
+                wal: GroupWal::with_metrics(log, window, &metrics),
+                ckpt,
+                retention: Retention::default(),
+                durability,
+                persisted_txns: state.curated.log.len(),
+                persisted_events: state.lifecycle.events().len(),
+                pending_frames: VecDeque::new(),
+                recovery,
+                paged: paged.map(|(heap, seed)| PagedBacking::attach(heap, seed, &state)),
+            }),
+            state,
+            metrics,
+        });
+    }
+    Ok((dbs, max_gid))
+}
+
+impl DbState {
+    /// Rebuilds the state from a finished recovery: the recovered tree
+    /// and log as they are, the lifecycle registry, notes, decisions
+    /// and index registrations from the aux records, index postings
+    /// from the tree, the archive from the log (or from the
+    /// checkpoint's carried snapshots where the log was cut).
+    fn from_recovered(
+        name: &str,
+        key_field: &str,
+        rec: Recovered,
+    ) -> Result<(DbState, RecoveryStats), DbError> {
+        let mut state = DbState::new(name, key_field);
+        state.curated = rec.db;
+        state.last_time = rec.base_time;
+        for aux in &rec.aux {
+            match decode_aux(aux).map_err(StorageError::Wire)? {
+                AuxRecord::Event(e) => state.lifecycle.replay_event(&e),
+                AuxRecord::Note { key, field, note } => {
+                    state.notes.entry((key, field)).or_default().push(note);
+                }
+                AuxRecord::Decision { gid, commit } => {
+                    state.decisions.insert(gid, commit);
+                }
+                // Registrations replay in log order, so a drop cancels
+                // an earlier create; postings rebuild below, after the
+                // recovered tree is in place.
+                AuxRecord::Index { field, create } => {
+                    if create {
+                        state.indexes.register(&field);
+                    } else {
+                        state.indexes.unregister(&field);
+                    }
+                }
+            }
+        }
+        for field in state.index_fields() {
+            state.rebuild_index(&field)?;
+        }
+        // The WAL's own DECIDE frames join the checkpoint-carried
+        // records (later frames win — they are never contradictory, but
+        // a self-healed abort may postdate a carried record).
+        state.decisions.extend(rec.decisions.iter());
+        state.publish_points = rec
+            .publishes
+            .iter()
+            .map(|p| (p.txn, p.time, p.label.clone()))
+            .collect();
+        state.archive = if rec.truncated {
+            // The covered log is gone: versions published before the
+            // checkpoint cut cannot be replayed from the log. The
+            // checkpoint carried their exported snapshots instead;
+            // versions published after the cut replay onto the
+            // checkpoint's base tree.
+            let base = rec
+                .base_tree
+                .as_ref()
+                .expect("a truncated recovery always carries its base tree");
+            state.rebuild_archive(Some(base), &rec.carried_snapshots)?
+        } else {
+            state.archive_from_log()?
+        };
+        Ok((state, rec.stats))
+    }
+}
+
+impl Durable {
+    /// Appends every encoded-but-unwritten frame to the WAL, in order.
+    /// On failure the unwritten frames stay queued, so a transient
+    /// append error delays persistence instead of losing frames (or
+    /// reordering them: nothing new is appended past a queued frame).
+    /// Pops from the front of a deque, so a backlog of any size drains
+    /// in one linear pass.
+    fn drain_pending(&mut self) -> Result<(), DbError> {
+        while let Some((kind, payload)) = self.pending_frames.front() {
+            self.wal.append(*kind, payload)?;
+            self.pending_frames.pop_front();
+        }
+        Ok(())
+    }
+
+    /// Queues `frames` behind whatever is still pending, appends the
+    /// queue, and syncs when `force_sync` or the policy says so.
+    fn log(
+        &mut self,
+        frames: impl IntoIterator<Item = (u8, Vec<u8>)>,
+        force_sync: bool,
+    ) -> Result<(), DbError> {
+        self.pending_frames.extend(frames);
+        self.drain_pending()?;
+        if force_sync || self.durability == Durability::Always {
+            self.wal.sync_all()?;
+        }
+        Ok(())
+    }
+
+    /// Drains the queue and forces everything appended to the device.
+    fn sync(&mut self) -> Result<(), DbError> {
+        self.log([], true)
+    }
+
+    /// Encodes every not-yet-persisted committed transaction (plus its
+    /// lifecycle events) into WAL frames and advances the persistence
+    /// cursors — without touching the WAL. Each transaction and its
+    /// events share one atomic commit frame — a torn write can drop the
+    /// whole operation but never split the transaction from its side
+    /// effects. [`CuratedDatabase::persist_commit`] feeds the frames
+    /// straight into the append queue; the sharded 2PC path
+    /// ([`CuratedDatabase::seal_unpersisted`]) instead seals them
+    /// inside a PREPARE frame, so the transaction's whole cross-shard
+    /// effect commits or aborts atomically.
+    fn encode_unpersisted(
+        &mut self,
+        state: &DbState,
+        metrics: &cdb_obs::Metrics,
+    ) -> Vec<(u8, Vec<u8>)> {
+        let events = state.lifecycle.events();
+        let log = &state.curated.log;
+        let mut frames = Vec::new();
+        let mut fresh: Vec<Vec<u8>> = events[self.persisted_events.min(events.len())..]
+            .iter()
+            .map(encode_event)
+            .collect();
+        let start = self.persisted_txns.min(log.len());
+        let txns = &log[start..];
+        if txns.is_empty() {
+            for payload in fresh.drain(..) {
+                frames.push((FRAME_AUX, payload));
+            }
+        } else {
+            // Normally exactly one transaction is unpersisted and the
+            // fresh events are its own. More than one means an earlier
+            // persist was interrupted; the stragglers' events then ride
+            // with the newest frame — relative aux order (all recovery
+            // depends on) is preserved.
+            for (i, txn) in txns.iter().enumerate() {
+                let aux = if i + 1 == txns.len() {
+                    std::mem::take(&mut fresh)
+                } else {
+                    Vec::new()
+                };
+                frames.push((FRAME_COMMIT, cdb_storage::encode_commit(txn, &aux)));
+            }
+        }
+        metrics.counter("core.commits").add(txns.len() as u64);
+        self.persisted_txns = log.len();
+        self.persisted_events = events.len();
+        frames
+    }
+
+    /// The checkpoint protocol; see [`CuratedDatabase::checkpoint`].
+    fn checkpoint(
+        &mut self,
+        state: &DbState,
+        metrics: &cdb_obs::Metrics,
+    ) -> Result<CheckpointStats, DbError> {
+        let _span = cdb_obs::SpanGuard::enter("core.checkpoint");
+        metrics.counter("core.checkpoints").inc();
+        self.sync()?;
+        // Everything up to here is durable; nothing can be appended
+        // between the sync and this read (the caller holds the
+        // database exclusively — by `&mut`, or through the serving
+        // layer's lock), so the watermark is exactly the durable log
+        // length.
+        let covered = self.wal.log_len()?;
+
+        // Paged databases capture dirty objects into the page heap and
+        // flush it *before* the anchor below installs: a durable anchor
+        // must always reference a durable heap prefix.
+        let paged_ref = match self.paged.as_mut() {
+            Some(backing) => Some(backing.capture(state, metrics)?),
+            None => None,
+        };
+
+        let curated = &state.curated;
+        let mut ck = if paged_ref.is_some() {
+            // A paged anchor carries metadata only — tree, provenance,
+            // and snapshot bodies live as pages behind the PagedRef
+            // watermark. The placeholder tree exists solely to carry
+            // the database name and store mode across the wire.
+            Checkpoint::basic(
+                curated.last_txn_id(),
+                cdb_curation::TreeDb::new(curated.tree.name()),
+                cdb_curation::ProvStore::new(curated.prov.mode()),
+            )
+        } else {
+            Checkpoint::basic(
+                curated.last_txn_id(),
+                curated.tree.clone(),
+                curated.prov.clone(),
+            )
+        };
+        ck.paged = paged_ref;
+        ck.covered_len = Some(covered);
+        ck.last_time = state.clock();
+        // The in-memory log is already partial when this instance was
+        // itself recovered from a reclaiming checkpoint — carrying it
+        // as "the full history" would corrupt the next recovery, so a
+        // cut instance always checkpoints in truncated form.
+        let truncated_form =
+            self.retention == Retention::Reclaim || curated.base_txn_id().is_some();
+        ck.log = if truncated_form {
+            Vec::new()
+        } else {
+            curated.log.clone()
+        };
+        if truncated_form && ck.paged.is_none() {
+            ck.snapshots = (0..state.archive.version_count())
+                .map(|v| {
+                    state
+                        .archive
+                        .retrieve(v)
+                        .map(|val| cdb_archive::codec::encode_value(&val))
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        // Publishes and aux records below the watermark disappear with
+        // their frames, so the checkpoint re-encodes the complete
+        // current sets (events first, then notes — recovery only
+        // depends on relative order within each kind).
+        ck.publishes = state
+            .publish_points
+            .iter()
+            .map(encode_publish_point)
+            .collect();
+        let mut aux: Vec<Vec<u8>> = state.lifecycle.events().iter().map(encode_event).collect();
+        for ((key, field), notes) in &state.notes {
+            for note in notes {
+                aux.push(encode_note(key, field.as_deref(), note));
+            }
+        }
+        // 2PC decision records ride every checkpoint so they outlive
+        // the DECIDE frames the watermark is about to retire.
+        for (&gid, &commit) in &state.decisions {
+            aux.push(encode_decision(gid, commit));
+        }
+        // Index registrations likewise: only the surviving creates —
+        // a drop below the watermark has already erased its create
+        // from this set, so no drop records are needed.
+        for field in state.indexes.fields() {
+            aux.push(encode_index(&field, true));
+        }
+        ck.aux = aux;
+
+        self.ckpt.install(&ck)?;
+
+        // The checkpoint is durably installed: history it covers can be
+        // retired. Best-effort — a failed retire is retried by the next
+        // checkpoint, never blocks this one.
+        let reclaimed = self.wal.reclaim(covered)?;
+        let mut stats = CheckpointStats {
+            covered_bytes: covered,
+            live_segments: self.wal.live_segments(),
+            ..CheckpointStats::default()
+        };
+        if let Some(r) = reclaimed {
+            stats.retired_segments = r.retired;
+            stats.reclaimed_bytes = r.reclaimed_bytes;
+            stats.live_segments = r.live;
+            metrics.counter("storage.segment.retired").add(r.retired);
+            metrics
+                .counter("storage.segment.reclaimed_bytes")
+                .add(r.reclaimed_bytes);
+            if r.failed {
+                metrics.counter("storage.error.retire_failed").inc();
+            }
+        }
+        metrics
+            .gauge("storage.segment.count")
+            .set(stats.live_segments);
+        Ok(stats)
+    }
+}
+
+/// Encodes one of [`DbState`]'s publish points as a `FRAME_PUBLISH`
+/// payload.
+fn encode_publish_point(
+    (txn, time, label): &(Option<cdb_curation::TxnId>, u64, String),
+) -> Vec<u8> {
+    cdb_storage::recovery::encode_publish(&PublishRecord {
+        txn: *txn,
+        time: *time,
+        label: label.clone(),
+    })
+}
+
+/// Single-threaded use: a zero batch window, every commit synced inline.
+const OWNED: (Duration, Durability) = (Duration::ZERO, Durability::Always);
+
+/// The single database as the one-shard case of [`open_all`].
+pub(crate) fn open_one(
+    name: &str,
+    key_field: &str,
+    devices: Devices,
+    pool_pages: usize,
+    sync: (Duration, Durability),
+) -> Result<CuratedDatabase, DbError> {
+    let (mut dbs, _) = open_all(name, key_field, vec![devices], pool_pages, sync)?;
+    Ok(dbs.pop().expect("one device set opens one database"))
+}
+
+/// The devices of `open_dir`: `<dir>/<part>.wal.<seq>` and `<dir>/<part>.ckpt`.
+pub(crate) fn dir_devices(
+    dir: &std::path::Path,
+    part: &str,
+    cfg: cdb_storage::SegmentConfig,
+) -> Result<Devices, DbError> {
+    let wal = cdb_storage::SegmentedIo::open_dir(dir, part, cfg)?;
+    Ok((Box::new(wal), CheckpointStore::dir(dir, part), None))
+}
+
 impl CuratedDatabase {
     /// Opens a durable database over a WAL device and a checkpoint
     /// device, recovering whatever committed state they hold. Empty
@@ -345,134 +726,35 @@ impl CuratedDatabase {
         name: impl Into<String>,
         key_field: impl Into<String>,
         wal_io: Box<dyn Io>,
-        mut ckpt: CheckpointStore,
-    ) -> Result<Self, DbError> {
-        let name = name.into();
-        let ck = ckpt.load()?;
-        let (log, rec) = recover(&name, StoreMode::Hereditary, wal_io, ck)?;
-        Self::from_recovered(name, key_field, rec, WalRef::Owned(log), ckpt)
-    }
-
-    /// Assembles a database from a finished recovery. Shared by
-    /// [`CuratedDatabase::open`] (owned WAL) and
-    /// [`crate::shared::SharedDb::open`] (group-commit WAL).
-    pub(crate) fn from_recovered(
-        name: String,
-        key_field: impl Into<String>,
-        rec: Recovered,
-        wal: WalRef,
         ckpt: CheckpointStore,
     ) -> Result<Self, DbError> {
-        Self::from_recovered_with_metrics(name, key_field, rec, wal, ckpt, cdb_obs::Metrics::new())
+        let devices = (wal_io, ckpt, None);
+        open_one(&name.into(), &key_field.into(), devices, 0, OWNED)
     }
 
-    /// [`CuratedDatabase::from_recovered`] with an externally-created
-    /// metric registry — [`crate::shared::SharedDb::open`] builds the
-    /// registry first so the group-commit WAL can record into it.
-    pub(crate) fn from_recovered_with_metrics(
-        name: String,
+    /// Opens a durable database whose checkpoints are page-granular:
+    /// `wal_io` and `ckpt` work exactly as in
+    /// [`CuratedDatabase::open`], and `page_io` holds the page heap
+    /// served through a pool of `pool_pages` frames (see
+    /// [`crate::paged`]).
+    ///
+    /// Recovery first tries the newest checkpoint anchor: if it
+    /// carries a paged reference whose heap prefix survived, the tree /
+    /// provenance / snapshots are materialized from pages and handed
+    /// to the ordinary recovery path (the `replay_and_verify` oracle
+    /// runs unchanged against the materialized state). If the heap
+    /// cannot serve the anchor, recovery falls back to full WAL
+    /// replay — the WAL stays authoritative.
+    pub fn open_paged(
+        name: impl Into<String>,
         key_field: impl Into<String>,
-        rec: Recovered,
-        wal: WalRef,
+        wal_io: Box<dyn Io>,
         ckpt: CheckpointStore,
-        metrics: cdb_obs::Metrics,
+        page_io: Box<dyn Io>,
+        pool_pages: usize,
     ) -> Result<Self, DbError> {
-        let mut db = CuratedDatabase::new(name, key_field);
-        db.metrics = metrics;
-        db.curated = rec.db;
-        db.last_time = rec.base_time;
-        for aux in &rec.aux {
-            match decode_aux(aux).map_err(StorageError::Wire)? {
-                AuxRecord::Event(e) => db.lifecycle.replay_event(&e),
-                AuxRecord::Note { key, field, note } => {
-                    db.notes.entry((key, field)).or_default().push(note);
-                }
-                AuxRecord::Decision { gid, commit } => {
-                    db.decisions.insert(gid, commit);
-                }
-                // Registrations replay in log order, so a drop cancels
-                // an earlier create; postings rebuild below, after the
-                // recovered tree is in place.
-                AuxRecord::Index { field, create } => {
-                    if create {
-                        db.indexes.register(&field);
-                    } else {
-                        db.indexes.unregister(&field);
-                    }
-                }
-            }
-        }
-        for field in db.index_fields() {
-            db.rebuild_index(&field)?;
-        }
-        // The WAL's own DECIDE frames join the checkpoint-carried
-        // records (later frames win — they are never contradictory, but
-        // a self-healed abort may postdate a carried record).
-        db.decisions.extend(rec.decisions.iter());
-        db.publish_points = rec
-            .publishes
-            .iter()
-            .map(|p| (p.txn, p.time, p.label.clone()))
-            .collect();
-        db.archive = if rec.truncated {
-            // The covered log is gone: versions published before the
-            // checkpoint cut cannot be replayed from the log. The
-            // checkpoint carried their exported snapshots instead;
-            // versions published after the cut replay onto the
-            // checkpoint's base tree.
-            db.rebuild_archive_truncated(
-                rec.base_tree
-                    .as_ref()
-                    .expect("a truncated recovery always carries its base tree"),
-                &rec.carried_snapshots,
-            )?
-        } else {
-            db.archive_from_log()?
-        };
-        db.persisted_txns = db.curated.log.len();
-        db.persisted_events = db.lifecycle.events().len();
-        db.wal = Some(wal);
-        db.ckpt = Some(ckpt);
-        rec.stats.record_to(&db.metrics);
-        db.metrics
-            .gauge("storage.segment.count")
-            .set(rec.stats.live_segments);
-        db.recovery = Some(rec.stats);
-        Ok(db)
-    }
-
-    /// Rebuilds the archive after a truncated recovery: the first
-    /// `snapshots.len()` publish points take their exported values from
-    /// the checkpoint's carried snapshots (their log prefix is gone);
-    /// the rest — publishes in the replayed tail — are reconstructed by
-    /// replaying the tail onto the checkpoint's base tree.
-    fn rebuild_archive_truncated(
-        &self,
-        base_tree: &cdb_curation::tree::TreeDb,
-        snapshots: &[Vec<u8>],
-    ) -> Result<cdb_archive::Archive, DbError> {
-        let spec =
-            cdb_model::KeySpec::new().rule(Vec::<String>::new(), [self.key_field().to_owned()]);
-        let mut rebuilt = cdb_archive::Archive::new(self.name(), spec);
-        for (i, (txn, time, label)) in self.publish_points.iter().enumerate() {
-            let snapshot = if let Some(bytes) = snapshots.get(i) {
-                cdb_archive::codec::decode_value(bytes)
-                    .map_err(|e| DbError::Storage(format!("carried snapshot {i}: {e}")))?
-            } else {
-                let tree = match txn {
-                    Some(t) => cdb_curation::replay::replay_onto(
-                        base_tree.clone(),
-                        &self.curated.log,
-                        Some(*t),
-                    )
-                    .map_err(|e| DbError::Storage(format!("tail replay for publish: {e}")))?,
-                    None => base_tree.clone(),
-                };
-                crate::db::export_tree(&tree, self.key_field(), &self.lifecycle, *time)?
-            };
-            rebuilt.add_version(&snapshot, label.clone())?;
-        }
-        Ok(rebuilt)
+        let devices = (wal_io, ckpt, Some(page_io));
+        open_one(&name.into(), &key_field.into(), devices, pool_pages, OWNED)
     }
 
     /// Opens a durable database backed by segmented WAL files
@@ -501,63 +783,63 @@ impl CuratedDatabase {
         cfg: cdb_storage::SegmentConfig,
     ) -> Result<Self, DbError> {
         let name = name.into();
-        let dir = dir.as_ref();
-        let wal = cdb_storage::SegmentedIo::open_dir(dir, &name, cfg)?;
-        let ckpt = CheckpointStore::dir(dir, &name);
-        let mut db = CuratedDatabase::open(name, key_field, Box::new(wal), ckpt)?;
+        let devices = dir_devices(dir.as_ref(), &name, cfg)?;
+        let mut db = open_one(&name, &key_field.into(), devices, 0, OWNED)?;
         db.set_retention(cfg.retention);
         Ok(db)
     }
 
     /// Whether this instance persists commits.
     pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
+        self.durable.is_some()
     }
 
-    /// The durability policy (meaningful only for durable instances).
+    /// The durability policy ([`Durability::Always`] for an in-memory
+    /// database, where it means nothing).
     pub fn durability(&self) -> Durability {
-        self.durability
+        self.durable
+            .as_ref()
+            .map_or(Durability::Always, |d| d.durability)
     }
 
     /// Sets the durability policy. Switching to [`Durability::Always`]
     /// does not retroactively sync — call [`CuratedDatabase::sync`].
     pub fn set_durability(&mut self, durability: Durability) {
-        self.durability = durability;
+        if let Some(d) = self.durable.as_mut() {
+            d.durability = durability;
+        }
+    }
+
+    /// The segment-retention policy applied when a checkpoint retires
+    /// fully-covered WAL history.
+    pub fn retention(&self) -> Retention {
+        self.durable
+            .as_ref()
+            .map_or(Retention::default(), |d| d.retention)
+    }
+
+    /// Sets the segment-retention policy for future checkpoints.
+    /// [`Retention::KeepAll`] (the default) archives retired segments,
+    /// preserving the paper's full-history semantics;
+    /// [`Retention::Reclaim`] deletes them, trading history
+    /// reconstruction from the raw log for bounded disk (the
+    /// checkpoint then carries the archive snapshots instead).
+    pub fn set_retention(&mut self, retention: Retention) {
+        if let Some(d) = self.durable.as_mut() {
+            d.retention = retention;
+        }
     }
 
     /// What recovery saw when this instance was opened from a WAL
     /// (`None` for in-memory databases).
     pub fn recovery_stats(&self) -> Option<&RecoveryStats> {
-        self.recovery.as_ref()
+        self.durable.as_ref().map(|d| &d.recovery)
     }
 
     /// Forces all buffered WAL frames to durable storage (a no-op for
     /// in-memory databases and under [`Durability::Always`]).
     pub fn sync(&mut self) -> Result<(), DbError> {
-        if self.wal.is_some() {
-            self.drain_pending()?;
-            if let Some(log) = self.wal.as_mut() {
-                log.sync()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends every encoded-but-unwritten frame to the WAL, in order.
-    /// On failure the unwritten frames stay queued, so a transient
-    /// append error delays persistence instead of losing frames (or
-    /// reordering them: nothing new is appended past a queued frame).
-    /// Pops from the front of a deque, so a backlog of any size drains
-    /// in one linear pass.
-    fn drain_pending(&mut self) -> Result<(), DbError> {
-        while let Some((kind, payload)) = self.pending_frames.front() {
-            self.wal
-                .as_mut()
-                .expect("drain_pending is only called on durable databases")
-                .append(*kind, payload)?;
-            self.pending_frames.pop_front();
-        }
-        Ok(())
+        self.durable.as_mut().map_or(Ok(()), Durable::sync)
     }
 
     /// Writes a checkpoint: the WAL is synced, the current state is
@@ -572,272 +854,98 @@ impl CuratedDatabase {
     /// transaction log rides along, under [`Retention::Reclaim`] the
     /// exported snapshots of the published versions do.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, DbError> {
-        if self.wal.is_none() {
-            return Err(DbError::Storage(
+        match self.durable.as_mut() {
+            Some(d) => d.checkpoint(&self.state, &self.metrics),
+            None => Err(DbError::Storage(
                 "checkpoint on an in-memory database".into(),
-            ));
+            )),
         }
-        let _span = cdb_obs::SpanGuard::enter("core.checkpoint");
-        self.metrics.counter("core.checkpoints").inc();
-        self.drain_pending()?;
-        let wal = self.wal.as_mut().expect("checked durable above");
-        wal.sync()?;
-        // Everything up to here is durable; nothing can be appended
-        // between the sync and this read (`&mut self` serializes the
-        // owned path, the database lock serializes the shared one), so
-        // the watermark is exactly the durable log length.
-        let covered = wal.len()?;
-
-        // Paged databases capture dirty objects into the page heap and
-        // flush it *before* the anchor below installs: a durable anchor
-        // must always reference a durable heap prefix.
-        let paged_ref = if self.paged.is_some() {
-            Some(self.capture_paged()?)
-        } else {
-            None
-        };
-
-        let mut ck = if paged_ref.is_some() {
-            // A paged anchor carries metadata only — tree, provenance,
-            // and snapshot bodies live as pages behind the PagedRef
-            // watermark. The placeholder tree exists solely to carry
-            // the database name and store mode across the wire.
-            Checkpoint::basic(
-                self.curated.last_txn_id(),
-                cdb_curation::TreeDb::new(self.curated.tree.name()),
-                cdb_curation::ProvStore::new(self.curated.prov.mode()),
-            )
-        } else {
-            Checkpoint::basic(
-                self.curated.last_txn_id(),
-                self.curated.tree.clone(),
-                self.curated.prov.clone(),
-            )
-        };
-        ck.paged = paged_ref;
-        ck.covered_len = Some(covered);
-        ck.last_time = self
-            .curated
-            .log
-            .last()
-            .map(|t| t.time)
-            .unwrap_or(0)
-            .max(self.last_time);
-        // The in-memory log is already partial when this instance was
-        // itself recovered from a reclaiming checkpoint — carrying it
-        // as "the full history" would corrupt the next recovery, so a
-        // cut instance always checkpoints in truncated form.
-        let truncated_form =
-            self.retention == Retention::Reclaim || self.curated.base_txn_id().is_some();
-        ck.log = if truncated_form {
-            Vec::new()
-        } else {
-            self.curated.log.clone()
-        };
-        if truncated_form && ck.paged.is_none() {
-            ck.snapshots = (0..self.archive.version_count())
-                .map(|v| {
-                    self.archive
-                        .retrieve(v)
-                        .map(|val| cdb_archive::codec::encode_value(&val))
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        // Publishes and aux records below the watermark disappear with
-        // their frames, so the checkpoint re-encodes the complete
-        // current sets (events first, then notes — recovery only
-        // depends on relative order within each kind).
-        ck.publishes = self
-            .publish_points
-            .iter()
-            .map(|(txn, time, label)| {
-                cdb_storage::recovery::encode_publish(&PublishRecord {
-                    txn: *txn,
-                    time: *time,
-                    label: label.clone(),
-                })
-            })
-            .collect();
-        let mut aux: Vec<Vec<u8>> = self.lifecycle.events().iter().map(encode_event).collect();
-        for ((key, field), notes) in &self.notes {
-            for note in notes {
-                aux.push(encode_note(key, field.as_deref(), note));
-            }
-        }
-        // 2PC decision records ride every checkpoint so they outlive
-        // the DECIDE frames the watermark is about to retire.
-        for (&gid, &commit) in &self.decisions {
-            aux.push(encode_decision(gid, commit));
-        }
-        // Index registrations likewise: only the surviving creates —
-        // a drop below the watermark has already erased its create
-        // from this set, so no drop records are needed.
-        for field in self.indexes.fields() {
-            aux.push(encode_index(&field, true));
-        }
-        ck.aux = aux;
-
-        self.ckpt
-            .as_mut()
-            .expect("durable database always has a checkpoint store")
-            .install(&ck)?;
-
-        // The checkpoint is durably installed: history it covers can be
-        // retired. Best-effort — a failed retire is retried by the next
-        // checkpoint, never blocks this one.
-        let wal = self.wal.as_mut().expect("checked durable above");
-        let reclaimed = wal.reclaim(covered)?;
-        let mut stats = CheckpointStats {
-            covered_bytes: covered,
-            live_segments: wal.live_segments(),
-            ..CheckpointStats::default()
-        };
-        if let Some(r) = reclaimed {
-            stats.retired_segments = r.retired;
-            stats.reclaimed_bytes = r.reclaimed_bytes;
-            stats.live_segments = r.live;
-            self.metrics
-                .counter("storage.segment.retired")
-                .add(r.retired);
-            self.metrics
-                .counter("storage.segment.reclaimed_bytes")
-                .add(r.reclaimed_bytes);
-            if r.failed {
-                self.metrics.counter("storage.error.retire_failed").inc();
-            }
-        }
-        self.metrics
-            .gauge("storage.segment.count")
-            .set(stats.live_segments);
-        Ok(stats)
     }
 
-    /// Encodes every not-yet-persisted committed transaction *and* the
-    /// lifecycle events produced alongside, then appends the frames to
-    /// the WAL. Each transaction and its events share one atomic commit
-    /// frame — a torn write can drop the whole operation but never
-    /// split the transaction from its side effects. Persistence is
-    /// position-based (`persisted_txns`/`persisted_events` prefixes of
-    /// the in-memory logs), so a commit whose persist step previously
-    /// errored is encoded or drained now, never skipped: the WAL always
-    /// holds a gap-free prefix of the in-memory log. Called after every
-    /// commit; in-memory instances skip straight out.
+    /// Appends every not-yet-persisted transaction and its lifecycle
+    /// events to the WAL. Persistence is position-based, so a commit
+    /// whose persist step previously errored is encoded or drained now,
+    /// never skipped: the WAL always holds a gap-free prefix of the
+    /// in-memory log. In-memory instances skip straight out.
     pub(crate) fn persist_commit(&mut self) -> Result<(), DbError> {
-        if self.wal.is_none() || self.defer_persist {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         let _span = cdb_obs::SpanGuard::enter("core.persist_commit");
-        for frame in self.encode_unpersisted() {
-            self.pending_frames.push_back(frame);
-        }
-        self.drain_pending()?;
-        if self.durability == Durability::Always {
-            self.wal.as_mut().expect("checked durable above").sync()?;
-        }
-        Ok(())
+        let frames = d.encode_unpersisted(&self.state, &self.metrics);
+        d.log(frames, false)
     }
 
-    /// Encodes every not-yet-persisted committed transaction (plus its
-    /// lifecycle events) into WAL frames and advances the persistence
-    /// cursors — without touching the WAL. [`persist_commit`] feeds the
-    /// frames straight into the append queue; the sharded 2PC path
-    /// instead seals them inside a PREPARE frame, so the transaction's
-    /// whole cross-shard effect commits or aborts atomically.
-    ///
-    /// [`persist_commit`]: CuratedDatabase::persist_commit
-    pub(crate) fn encode_unpersisted(&mut self) -> Vec<(u8, Vec<u8>)> {
-        let mut frames = Vec::new();
-        let mut fresh: Vec<Vec<u8>> = self.lifecycle.events()
-            [self.persisted_events.min(self.lifecycle.events().len())..]
-            .iter()
-            .map(encode_event)
-            .collect();
-        let start = self.persisted_txns.min(self.curated.log.len());
-        let txns = &self.curated.log[start..];
-        if txns.is_empty() {
-            for payload in fresh.drain(..) {
-                frames.push((FRAME_AUX, payload));
-            }
-        } else {
-            // Normally exactly one transaction is unpersisted and the
-            // fresh events are its own. More than one means an earlier
-            // persist was interrupted; the stragglers' events then ride
-            // with the newest frame — relative aux order (all recovery
-            // depends on) is preserved.
-            for (i, txn) in txns.iter().enumerate() {
-                let aux = if i + 1 == txns.len() {
-                    std::mem::take(&mut fresh)
-                } else {
-                    Vec::new()
-                };
-                frames.push((FRAME_COMMIT, cdb_storage::encode_commit(txn, &aux)));
-            }
-        }
-        self.metrics
-            .counter("core.commits")
-            .add((self.curated.log.len() - start) as u64);
-        self.persisted_txns = self.curated.log.len();
-        self.persisted_events = self.lifecycle.events().len();
-        frames
+    /// What a cross-shard transaction may have to undo on this shard:
+    /// a [`DbState`] clone, and the persist cursors that index into it.
+    /// Nothing else — it runs on the state alone and queues no frames.
+    pub(crate) fn savepoint(&self) -> Savepoint {
+        let cursors = self
+            .durable
+            .as_ref()
+            .map_or((0, 0), |d| (d.persisted_txns, d.persisted_events));
+        (self.state.clone(), cursors)
     }
 
-    /// Appends a publish point to the WAL. Publishes are synced
-    /// immediately regardless of policy — losing one silently desyncs
-    /// the archive from what users were told was published.
+    /// Restores a [`CuratedDatabase::savepoint`] — the abort path of a
+    /// cross-shard transaction.
+    pub(crate) fn rollback(&mut self, (state, (txns, events)): Savepoint) {
+        self.state = state;
+        if let Some(d) = self.durable.as_mut() {
+            d.persisted_txns = txns;
+            d.persisted_events = events;
+        }
+    }
+
+    /// The frames of everything committed but not yet persisted, for
+    /// the 2PC path to seal inside a PREPARE. Advances the cursors.
+    pub(crate) fn seal_unpersisted(&mut self) -> Vec<(u8, Vec<u8>)> {
+        match self.durable.as_mut() {
+            Some(d) => d.encode_unpersisted(&self.state, &self.metrics),
+            None => Vec::new(),
+        }
+    }
+
+    /// Appends the newest publish point to the WAL. Publishes are
+    /// synced immediately regardless of policy — losing one silently
+    /// desyncs the archive from what users were told was published.
     pub(crate) fn persist_publish(&mut self) -> Result<(), DbError> {
-        if self.wal.is_none() {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         let _span = cdb_obs::SpanGuard::enter("core.persist_publish");
         self.metrics.counter("core.publishes").inc();
-        let (txn, time, label) = self
+        let point = self
+            .state
             .publish_points
             .last()
-            .expect("persist_publish follows a publish")
-            .clone();
-        self.pending_frames.push_back((
-            FRAME_PUBLISH,
-            cdb_storage::recovery::encode_publish(&PublishRecord { txn, time, label }),
-        ));
-        self.drain_pending()?;
-        self.wal.as_mut().expect("checked durable above").sync()?;
-        Ok(())
+            .expect("persist_publish follows a publish");
+        d.log([(FRAME_PUBLISH, encode_publish_point(point))], true)
     }
 
-    /// Appends a note to the WAL.
+    /// Appends the newest note on `(key, field)` to the WAL.
     pub(crate) fn persist_note(&mut self, key: &str, field: Option<&str>) -> Result<(), DbError> {
-        if self.wal.is_none() || self.defer_persist {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         self.metrics.counter("core.notes").inc();
         let note = self
-            .notes
-            .get(&(key.to_owned(), field.map(str::to_owned)))
-            .and_then(|v| v.last())
-            .expect("persist_note follows an annotate")
-            .clone();
-        self.pending_frames
-            .push_back((FRAME_AUX, encode_note(key, field, &note)));
-        self.drain_pending()?;
-        if self.durability == Durability::Always {
-            self.wal.as_mut().expect("checked durable above").sync()?;
-        }
-        Ok(())
+            .state
+            .notes_on(key, field)
+            .last()
+            .expect("persist_note follows an annotate");
+        d.log([(FRAME_AUX, encode_note(key, field, note))], false)
     }
 
     /// Appends a secondary-index registration or drop to the WAL.
     /// Synced immediately like a publish: index DDL is rare and losing
     /// one silently changes which plans recovery can produce.
     pub(crate) fn persist_index(&mut self, field: &str, create: bool) -> Result<(), DbError> {
-        if self.wal.is_none() || self.defer_persist {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
+        };
         self.metrics.counter("core.index_ddl").inc();
-        self.pending_frames
-            .push_back((FRAME_AUX, encode_index(field, create)));
-        self.drain_pending()?;
-        self.wal.as_mut().expect("checked durable above").sync()?;
-        Ok(())
+        d.log([(FRAME_AUX, encode_index(field, create))], true)
     }
 }
 
@@ -855,19 +963,11 @@ impl Drop for CuratedDatabase {
         if std::thread::panicking() {
             return;
         }
-        let dirty = match self.wal.as_ref() {
-            None => return,
-            Some(wal) => !self.pending_frames.is_empty() || wal.unsynced() > 0,
-        };
-        if !dirty {
+        let Some(d) = self.durable.as_mut() else {
             return;
-        }
-        let mut flush = || -> Result<(), DbError> {
-            self.drain_pending()?;
-            self.wal.as_mut().expect("checked durable above").sync()?;
-            Ok(())
         };
-        if flush().is_err() {
+        let dirty = !d.pending_frames.is_empty() || d.wal.unsynced() > 0;
+        if dirty && d.sync().is_err() {
             cdb_obs::global()
                 .counter("storage.error.dropped_unsynced")
                 .inc();

@@ -9,19 +9,21 @@
 //! [`crate::durable::AUX_INDEX`]), carried by every checkpoint, and
 //! replayed on recovery, where the postings are rebuilt from the
 //! recovered tree — postings themselves are derived state and are never
-//! serialized. Every committing curation operation reconciles the
-//! touched keys, so postings are transactionally consistent with the
-//! tree (2PC rollback restores them via the transaction backup).
+//! serialized. Every curation operation on [`DbState`] ends by
+//! reconciling the keys it touched, on every shard it runs on, so
+//! postings are transactionally consistent with the tree; they are
+//! part of the state, so a 2PC rollback restores them with it.
 //!
-//! The planner-facing view: [`CuratedDatabase::relalg_index_set`]
-//! converts postings to row offsets of the entries relation, and
-//! [`CuratedDatabase::planner_stats`] derives row counts and per-field
-//! distinct counts without scanning — the durable engine's answer to
+//! The planner-facing view: [`DbState::relalg_index_set`] converts
+//! postings to row offsets of the entries relation, and
+//! [`DbState::planner_stats`] derives row counts and per-field distinct
+//! counts without scanning — the durable engine's answer to
 //! `DbStats::analyze`.
 //!
 //! [`CuratedDatabase::create_index`]: crate::db::CuratedDatabase::create_index
-//! [`CuratedDatabase::relalg_index_set`]: crate::db::CuratedDatabase::relalg_index_set
-//! [`CuratedDatabase::planner_stats`]: crate::db::CuratedDatabase::planner_stats
+//! [`DbState`]: crate::db::DbState
+//! [`DbState::relalg_index_set`]: crate::db::DbState::relalg_index_set
+//! [`DbState::planner_stats`]: crate::db::DbState::planner_stats
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -5,7 +5,15 @@
 //! between annotation, provenance, updates, archiving, and evolution"*
 //! actually connect.
 //!
-//! A [`CuratedDatabase`] is:
+//! The engine is one value and some plumbing. The value is a
+//! [`DbState`]: everything a commit changes, a snapshot freezes, a 2PC
+//! abort restores and an open rebuilds, with every read and the
+//! in-memory half of every curation operation. A [`CuratedDatabase`]
+//! is a `DbState` plus optional [`durable`] plumbing; a [`Snapshot`]
+//! is an `Arc<DbState>`; [`SharedDb`] and [`ShardedDb`] add locking,
+//! snapshot publication, routing and 2PC around the same calls.
+//!
+//! A [`DbState`] is:
 //!
 //! * a semistructured working tree curated through transactions with
 //!   automatic provenance recording (`cdb-curation`),
@@ -32,7 +40,7 @@ pub mod sharded;
 pub mod shared;
 pub mod views;
 
-pub use db::{CuratedDatabase, DbError, Note};
+pub use db::{CuratedDatabase, DbError, DbState, Note};
 pub use durable::{CheckpointStats, Durability};
 pub use indexes::{FieldIndex, FieldIndexes};
 pub use lifecycle::{EntryEvent, EntryRegistry, Fate};

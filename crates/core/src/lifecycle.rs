@@ -76,6 +76,9 @@ pub enum LifecycleError {
     NotActive(String),
     /// The identifier already exists.
     Duplicate(String),
+    /// A fusion named the same identifier as survivor and absorbed:
+    /// merging an entry into itself would retire the only copy.
+    SelfMerge(String),
 }
 
 impl fmt::Display for LifecycleError {
@@ -84,6 +87,9 @@ impl fmt::Display for LifecycleError {
             LifecycleError::Unknown(id) => write!(f, "unknown entry id {id:?}"),
             LifecycleError::NotActive(id) => write!(f, "entry id {id:?} is not active"),
             LifecycleError::Duplicate(id) => write!(f, "entry id {id:?} already exists"),
+            LifecycleError::SelfMerge(id) => {
+                write!(f, "entry id {id:?} cannot be merged into itself")
+            }
         }
     }
 }
@@ -122,7 +128,7 @@ impl EntryRegistry {
     }
 
     /// Requires `id` to be active, reporting why when it is not.
-    fn require_active(&self, id: &str) -> Result<(), LifecycleError> {
+    pub fn require_active(&self, id: &str) -> Result<(), LifecycleError> {
         if self.is_active(id) {
             Ok(())
         } else if self.fates.contains_key(id) {
@@ -147,15 +153,20 @@ impl EntryRegistry {
 
     /// Whether [`EntryRegistry::merge`] would accept this fusion.
     pub fn check_merge(&self, kept: &str, absorbed: &str) -> Result<(), LifecycleError> {
+        if kept == absorbed {
+            return Err(LifecycleError::SelfMerge(kept.to_owned()));
+        }
         self.require_active(kept)?;
         self.require_active(absorbed)
     }
 
-    /// Whether [`EntryRegistry::split`] would accept this fission.
+    /// Whether [`EntryRegistry::split`] would accept this fission: the
+    /// original is active and every part is a fresh identifier, named
+    /// once.
     pub fn check_split(&self, original: &str, parts: &[String]) -> Result<(), LifecycleError> {
         self.require_active(original)?;
-        for p in parts {
-            if self.fates.contains_key(p) {
+        for (i, p) in parts.iter().enumerate() {
+            if self.fates.contains_key(p) || parts[..i].contains(p) {
                 return Err(LifecycleError::Duplicate(p.clone()));
             }
         }
@@ -435,6 +446,22 @@ mod tests {
             r.split("A", &["B".into()], 5),
             Err(LifecycleError::NotActive(_))
         ));
+    }
+
+    #[test]
+    fn self_merge_and_repeated_parts_are_rejected_without_effect() {
+        let mut r = EntryRegistry::new();
+        r.create("A", 1).unwrap();
+        let before = r.clone();
+        assert_eq!(
+            r.merge("A", "A", 2),
+            Err(LifecycleError::SelfMerge("A".into()))
+        );
+        assert_eq!(
+            r.split("A", &["B".into(), "B".into()], 3),
+            Err(LifecycleError::Duplicate("B".into()))
+        );
+        assert_eq!(r, before);
     }
 
     #[test]

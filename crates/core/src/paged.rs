@@ -41,13 +41,11 @@
 
 use std::collections::BTreeSet;
 
-use cdb_curation::provstore::StoreMode;
 use cdb_curation::wire::{self, Checkpoint, PagedRef};
 use cdb_curation::CurationOp;
-use cdb_storage::{recover, BufferStats, CheckpointStore, Io, PagedState, StorageError};
+use cdb_storage::{BufferStats, Io, PagedState, StorageError};
 
-use crate::db::{CuratedDatabase, DbError};
-use crate::durable::WalRef;
+use crate::db::{CuratedDatabase, DbError, DbState};
 
 /// The paged backing store plus its dirty-tracking cursors.
 #[derive(Debug)]
@@ -85,113 +83,78 @@ pub(crate) struct AnchorSeed {
     versions: usize,
 }
 
-impl CuratedDatabase {
-    /// Opens a durable database whose checkpoints are page-granular:
-    /// `wal_io` and `ckpt` work exactly as in
-    /// [`CuratedDatabase::open`], and `page_io` holds the page heap
-    /// served through a pool of `pool_pages` frames.
-    ///
-    /// Recovery first tries the newest checkpoint anchor: if it
-    /// carries a [`PagedRef`] whose heap prefix survived, the tree /
-    /// provenance / snapshots are materialized from pages and handed
-    /// to the ordinary recovery path (the `replay_and_verify` oracle
-    /// runs unchanged against the materialized state). If the heap
-    /// cannot serve the anchor, recovery falls back to full WAL
-    /// replay — the WAL stays authoritative.
-    pub fn open_paged(
-        name: impl Into<String>,
-        key_field: impl Into<String>,
-        wal_io: Box<dyn Io>,
-        mut ckpt: CheckpointStore,
-        page_io: Box<dyn Io>,
-        pool_pages: usize,
-    ) -> Result<Self, DbError> {
-        let name = name.into();
-        let metrics = cdb_obs::Metrics::new();
-        let anchor = ckpt.load()?;
-        let (state, ck_eff, seed) = prepare_paged_open(anchor, page_io, pool_pages, &metrics)?;
-        let (log, rec) = recover(&name, StoreMode::Hereditary, wal_io, ck_eff)?;
-        let mut db = Self::from_recovered_with_metrics(
-            name,
-            key_field,
-            rec,
-            WalRef::Owned(log),
-            ckpt,
-            metrics,
-        )?;
-        db.attach_paged(state, seed);
-        Ok(db)
-    }
-
-    /// Wires a paged backing onto a just-recovered database, seeding
-    /// dirty tracking. With an anchor seed, only objects the tail
-    /// replay actually changed are marked; without one (fresh heap,
-    /// fallback recovery, migration) everything is dirty and the first
-    /// capture writes the full state.
-    pub(crate) fn attach_paged(
-        &mut self,
+impl PagedBacking {
+    /// Wires a page heap onto a just-recovered state, seeding dirty
+    /// tracking. With an anchor seed, only objects the tail replay
+    /// actually changed are marked; without one (fresh heap, fallback
+    /// recovery, migration) everything is dirty and the first capture
+    /// writes the full state.
+    pub(crate) fn attach(
         state: PagedState<Box<dyn Io>>,
         seed: Option<AnchorSeed>,
-    ) {
+        db: &DbState,
+    ) -> Self {
         let mut backing = PagedBacking {
             state,
-            clean_txns: self.curated.log.len(),
+            clean_txns: db.curated.log.len(),
             clean_arena: 0,
             clean_versions: 0,
             dirty: BTreeSet::new(),
         };
         if let Some(seed) = seed {
             let anchor_arena = wire::arena_len(&seed.tree);
-            let now_arena = wire::arena_len(&self.curated.tree);
+            let now_arena = wire::arena_len(&db.curated.tree);
             backing.clean_arena = anchor_arena.min(now_arena);
             for i in 0..backing.clean_arena {
                 let node_changed = wire::encode_tree_node(&seed.tree, i)
-                    != wire::encode_tree_node(&self.curated.tree, i);
+                    != wire::encode_tree_node(&db.curated.tree, i);
                 let prov_changed = wire::direct_prov_records(&seed.prov, i)
-                    != wire::direct_prov_records(&self.curated.prov, i);
+                    != wire::direct_prov_records(&db.curated.prov, i);
                 if node_changed || prov_changed {
                     backing.dirty.insert(i);
                 }
             }
-            backing.clean_versions = seed.versions.min(self.archive.version_count() as usize);
+            backing.clean_versions = seed.versions.min(db.archive.version_count() as usize);
         }
-        self.paged = Some(backing);
-    }
-
-    /// Whether this instance checkpoints through a paged backing.
-    pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
-    }
-
-    /// Buffer-pool statistics of the paged backing, when present.
-    pub fn paged_stats(&self) -> Option<BufferStats> {
-        self.paged.as_ref().map(|b| b.state.stats())
+        backing
     }
 
     /// Captures every dirty object into the page heap and flushes it,
     /// returning the anchor reference for the checkpoint about to
     /// install. Cursors advance only on full success: a failed capture
     /// leaves every object marked dirty for the next attempt.
-    pub(crate) fn capture_paged(&mut self) -> Result<PagedRef, DbError> {
-        let mut backing = self
-            .paged
-            .take()
-            .expect("capture_paged is only called on paged databases");
-        let result = capture_into(&mut backing, self);
-        let pages = backing.dirty.len() as u64;
-        self.paged = Some(backing);
-        let pref = result?;
-        // Success: advance the cursors and clear the dirty set.
-        let backing = self.paged.as_mut().expect("reinstalled above");
-        backing.clean_txns = self.curated.log.len();
-        backing.clean_arena = wire::arena_len(&self.curated.tree);
-        backing.clean_versions = self.archive.version_count() as usize;
-        backing.dirty.clear();
-        self.metrics.counter("storage.page.captured").add(pages);
-        self.metrics
+    pub(crate) fn capture(
+        &mut self,
+        db: &DbState,
+        metrics: &cdb_obs::Metrics,
+    ) -> Result<PagedRef, DbError> {
+        let pref = capture_into(self, db)?;
+        let pages = self.dirty.len() as u64;
+        self.clean_txns = db.curated.log.len();
+        self.clean_arena = wire::arena_len(&db.curated.tree);
+        self.clean_versions = db.archive.version_count() as usize;
+        self.dirty.clear();
+        metrics.counter("storage.page.captured").add(pages);
+        metrics
             .gauge("storage.page.heap_bytes")
-            .set(backing.state.heap_len());
+            .set(self.state.heap_len());
         Ok(pref)
+    }
+}
+
+impl CuratedDatabase {
+    fn paged(&self) -> Option<&PagedBacking> {
+        self.durable.as_ref()?.paged.as_ref()
+    }
+
+    /// Whether this instance checkpoints through a paged backing.
+    pub fn is_paged(&self) -> bool {
+        self.paged().is_some()
+    }
+
+    /// Buffer-pool statistics of the paged backing, when present.
+    pub fn paged_stats(&self) -> Option<BufferStats> {
+        self.paged().map(|b| b.state.stats())
     }
 }
 
@@ -199,7 +162,7 @@ impl CuratedDatabase {
 /// new snapshots, and flushes the heap. On entry `backing.dirty` may
 /// already hold seeds; on exit it holds the full set that was (or
 /// failed to be) captured.
-fn capture_into(backing: &mut PagedBacking, db: &CuratedDatabase) -> Result<PagedRef, DbError> {
+fn capture_into(backing: &mut PagedBacking, db: &DbState) -> Result<PagedRef, DbError> {
     let tree = &db.curated.tree;
     let arena = wire::arena_len(tree);
     let clean_txns = backing.clean_txns.min(db.curated.log.len());
@@ -262,56 +225,39 @@ fn capture_into(backing: &mut PagedBacking, db: &CuratedDatabase) -> Result<Page
 
 /// Opens the page heap and, when the newest anchor is paged and its
 /// heap prefix survived, rebuilds the full checkpoint it stands for —
-/// the front half of every paged open ([`CuratedDatabase::open_paged`]
-/// and `SharedDb::open_paged` share it). Returns the opened state, the
-/// checkpoint to hand to `recover` (`None` forces full WAL replay),
-/// and the anchor seed for dirty-diff tracking.
+/// the paged step of [`crate::durable::open_all`]. Returns the opened
+/// state, the checkpoint to hand to recovery (`None` forces full WAL
+/// replay), and the anchor seed for dirty-diff tracking.
 pub(crate) fn prepare_paged_open(
     anchor: Option<Checkpoint>,
     page_io: Box<dyn Io>,
     pool_pages: usize,
     metrics: &cdb_obs::Metrics,
 ) -> Result<PreparedOpen, DbError> {
-    let mut seed: Option<AnchorSeed> = None;
-    let (state, ck_eff) = match anchor {
-        Some(ck) => match ck.paged {
-            Some(pref) => {
-                let mut state =
-                    PagedState::open(page_io, pool_pages, Some(pref.heap_len), metrics)?;
-                if state.heap_len() >= pref.heap_len {
-                    match materialize_anchor(&mut state, &ck, pref) {
-                        Ok(full) => {
-                            seed = Some(AnchorSeed {
-                                tree: full.tree.clone(),
-                                prov: full.prov.clone(),
-                                versions: full.snapshots.len(),
-                            });
-                            (state, Some(full))
-                        }
-                        Err(_) => {
-                            metrics.counter("storage.page.anchor_unusable").inc();
-                            (state, None)
-                        }
-                    }
-                } else {
-                    // The heap lost bytes the anchor claims (torn
-                    // below the watermark): the anchor is unusable;
-                    // replay the whole WAL.
-                    metrics.counter("storage.page.anchor_unusable").inc();
-                    (state, None)
-                }
-            }
-            // A non-paged checkpoint (migration from a classic
-            // database): use it as-is; the heap starts cold and the
-            // first capture writes everything.
-            None => (
-                PagedState::open(page_io, pool_pages, None, metrics)?,
-                Some(ck),
-            ),
-        },
-        None => (PagedState::open(page_io, pool_pages, None, metrics)?, None),
+    let pref = anchor.as_ref().and_then(|ck| ck.paged);
+    let mut state = PagedState::open(page_io, pool_pages, pref.map(|p| p.heap_len), metrics)?;
+    // No checkpoint, or a non-paged one (migration from a classic
+    // database): use it as-is; the heap starts cold and the first
+    // capture writes everything.
+    let (Some(ck), Some(pref)) = (&anchor, pref) else {
+        return Ok((state, anchor, None));
     };
-    Ok((state, ck_eff, seed))
+    // An anchor is usable when the heap still holds every byte it
+    // claims (not torn below the watermark) and they materialize.
+    let full = (state.heap_len() >= pref.heap_len)
+        .then(|| materialize_anchor(&mut state, ck, pref).ok())
+        .flatten();
+    let Some(full) = full else {
+        // Unusable: replay the whole WAL.
+        metrics.counter("storage.page.anchor_unusable").inc();
+        return Ok((state, None, None));
+    };
+    let seed = AnchorSeed {
+        tree: full.tree.clone(),
+        prov: full.prov.clone(),
+        versions: full.snapshots.len(),
+    };
+    Ok((state, Some(full), Some(seed)))
 }
 
 /// Rebuilds the full checkpoint an anchor stands for by materializing

@@ -16,9 +16,10 @@
 //!   commit journaled in *both* participants' WALs as
 //!   `FRAME_PREPARE`/`FRAME_DECIDE` records (see [`cdb_storage::twopc`]):
 //!
-//!   1. apply the op in memory on every participant (under all
-//!      participant locks, acquired in shard-index order), with
-//!      persistence deferred;
+//!   1. apply the op on every participant's [`DbState`] (under all
+//!      participant locks, acquired in shard-index order) — the same
+//!      fusion/fission halves a single database composes, and nothing
+//!      yet persisted;
 //!   2. seal each shard's WAL frames inside a PREPARE frame, append and
 //!      **sync** it on every participant;
 //!   3. append and **sync** DECIDE(commit) on the coordinator (the
@@ -29,10 +30,10 @@
 //!      window [`cdb_storage::recover_shards`] resolves from the
 //!      coordinator's decision record).
 //!
-//!   Any failure before step 3 completes rolls the in-memory state back
-//!   from a pre-taken [`crate::db`] backup and journals DECIDE(abort)
-//!   best-effort; recovery presumes abort for undecided PREPAREs, so a
-//!   torn abort record is harmless.
+//!   Any failure before step 3 completes rolls every participant back
+//!   to its savepoint (a [`DbState`] clone plus the persist cursors)
+//!   and journals DECIDE(abort) best-effort; recovery presumes abort
+//!   for undecided PREPAREs, so a torn abort record is harmless.
 //! * **Atomic visibility**: participant snapshots are published while
 //!   all participant locks are held, bracketed by a seqlock
 //!   ([`ShardedDb::snapshot`] retries while a cross-shard publication
@@ -50,23 +51,22 @@
 //! the destination ([`ShardedDb::copy_paste`]). [`ShardedDb::publish`]
 //! fans out per shard and is documented non-atomic across shards.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 use std::time::Duration;
 
 use cdb_archive::VersionId;
-use cdb_curation::provstore::StoreMode;
 use cdb_curation::NodeId;
 use cdb_model::Atom;
 use cdb_storage::{
-    encode_decide, encode_prepare, recover_shards, CheckpointStore, DecideRecord, Io,
-    PrepareRecord, StorageError, FRAME_DECIDE, FRAME_PREPARE,
+    encode_decide, encode_prepare, CheckpointStore, DecideRecord, Io, PrepareRecord, StorageError,
+    FRAME_DECIDE, FRAME_PREPARE,
 };
 
-use crate::db::{CuratedDatabase, DbError};
-use crate::durable::{decode_aux, AuxRecord};
-use crate::lifecycle::{EntryEvent, EntryRegistry, Fate, LifecycleError};
+use crate::db::{CuratedDatabase, DbError, DbState};
+use crate::durable::{dir_devices, open_all, Devices, Durability};
+use crate::lifecycle::{Fate, LifecycleError};
 use crate::shared::{SharedDb, Snapshot};
 
 /// One shard's durable devices for a paged open: `(WAL device,
@@ -246,7 +246,6 @@ impl ShardedSnapshot {
     /// participants, so any one shard may know only its side of a
     /// lineage; the federated walk reassembles it).
     pub fn resolve_id(&self, id: &str) -> Result<Vec<String>, DbError> {
-        use std::collections::BTreeSet;
         if !self.shards.iter().any(|s| s.lifecycle.fate(id).is_ok()) {
             return Err(LifecycleError::Unknown(id.to_owned()).into());
         }
@@ -269,16 +268,6 @@ impl ShardedSnapshot {
             }
         }
         Ok(current.into_iter().collect())
-    }
-}
-
-/// `require_active` over a shard-local registry, with the same error
-/// taxonomy as the registry's own checks.
-fn require_active(reg: &EntryRegistry, id: &str) -> Result<(), DbError> {
-    match reg.fate(id) {
-        Ok(Fate::Active) => Ok(()),
-        Ok(_) => Err(LifecycleError::NotActive(id.to_owned()).into()),
-        Err(e) => Err(e.into()),
     }
 }
 
@@ -307,49 +296,28 @@ impl ShardedDb {
         devices: Vec<(Box<dyn Io>, CheckpointStore)>,
         window: Duration,
     ) -> Result<Self, DbError> {
-        assert_eq!(
-            devices.len(),
-            map.shards(),
-            "one (WAL, checkpoint) pair per shard"
-        );
-        let name = name.into();
-        let key_field = key_field.into();
-        // Phase 0: load checkpoints and harvest the decision records
-        // they carry — a checkpoint may have truncated the WAL segments
-        // that held the original DECIDE frames.
-        let mut extra = BTreeMap::new();
-        let mut stores = Vec::with_capacity(devices.len());
-        let mut to_recover = Vec::with_capacity(devices.len());
-        for (io, mut store) in devices {
-            let ck = store.load()?;
-            if let Some(ck) = &ck {
-                for bytes in &ck.aux {
-                    if let AuxRecord::Decision { gid, commit } =
-                        decode_aux(bytes).map_err(StorageError::Wire)?
-                    {
-                        extra.insert(gid, commit);
-                    }
-                }
-            }
-            stores.push(store);
-            to_recover.push((io, ck));
-        }
-        // Phases 1–2: parallel decision scan, then parallel recovery
-        // under the fixed decision context.
-        let recovered = recover_shards(&name, StoreMode::Hereditary, to_recover, &extra)?;
-        let mut max_gid = extra.keys().next_back().copied().unwrap_or(0);
-        let mut shards = Vec::with_capacity(recovered.len());
-        for ((log, rec), store) in recovered.into_iter().zip(stores) {
-            max_gid = max_gid.max(rec.max_gid);
-            shards.push(SharedDb::from_parts(
-                name.clone(),
-                key_field.clone(),
-                log,
-                rec,
-                store,
-                window,
-            )?);
-        }
+        let devices = devices
+            .into_iter()
+            .map(|(wal_io, ckpt)| (wal_io, ckpt, None))
+            .collect();
+        Self::open_devices(name.into(), key_field.into(), map, devices, 0, window)
+    }
+
+    /// Every shard through the one open routine
+    /// ([`crate::durable::open_all`]: parallel, decision-context-aware
+    /// recovery), then the standard serving assembly per shard.
+    fn open_devices(
+        name: String,
+        key_field: String,
+        map: ShardMap,
+        devices: Vec<Devices>,
+        pool_pages: usize,
+        window: Duration,
+    ) -> Result<Self, DbError> {
+        assert_eq!(devices.len(), map.shards(), "one device set per shard");
+        let sync = (window, Durability::Batched);
+        let (dbs, max_gid) = open_all(&name, &key_field, devices, pool_pages, sync)?;
+        let shards = dbs.into_iter().map(SharedDb::serve).collect();
         Ok(Self::assemble(map, shards, max_gid + 1))
     }
 
@@ -364,18 +332,11 @@ impl ShardedDb {
         window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
-        let dir = dir.as_ref();
-        let mut devices: Vec<(Box<dyn Io>, CheckpointStore)> = Vec::new();
-        for i in 0..map.shards() {
-            let part = format!("{name}.s{i}");
-            let wal = cdb_storage::SegmentedIo::open_dir(
-                dir,
-                &part,
-                cdb_storage::SegmentConfig::default(),
-            )?;
-            devices.push((Box::new(wal), CheckpointStore::dir(dir, &part)));
-        }
-        ShardedDb::open(name, key_field, map, devices, window)
+        let cfg = cdb_storage::SegmentConfig::default();
+        let devices = (0..map.shards())
+            .map(|i| dir_devices(dir.as_ref(), &format!("{name}.s{i}"), cfg))
+            .collect::<Result<_, _>>()?;
+        Self::open_devices(name, key_field.into(), map, devices, 0, window)
     }
 
     /// Opens a durable sharded database whose checkpoints are
@@ -383,11 +344,7 @@ impl ShardedDb {
     /// (see [`SharedDb::open_paged`]): each shard gets a `(WAL device,
     /// checkpoint store, page heap)` triple and a buffer pool of
     /// `pool_pages` frames, so the working set of every shard is
-    /// bounded independently. Recovery keeps the 2PC decision-context
-    /// protocol of [`ShardedDb::open`]: decisions are harvested from
-    /// every checkpoint first, paged anchors are materialized into
-    /// full checkpoints (or discarded, forcing WAL replay) per shard,
-    /// then all shards recover in parallel under the shared context.
+    /// bounded independently. Recovery is that of [`ShardedDb::open`].
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
@@ -396,61 +353,18 @@ impl ShardedDb {
         pool_pages: usize,
         window: Duration,
     ) -> Result<Self, DbError> {
-        assert_eq!(
-            devices.len(),
-            map.shards(),
-            "one (WAL, checkpoint, page heap) triple per shard"
-        );
-        let name = name.into();
-        let key_field = key_field.into();
-        // Phase 0: load checkpoints, harvest their decision records,
-        // and open each shard's page heap — materializing the paged
-        // anchor into the effective checkpoint recovery will replay
-        // from (`None` when the heap can't back it).
-        let mut extra = BTreeMap::new();
-        let mut stores = Vec::with_capacity(devices.len());
-        let mut paged = Vec::with_capacity(devices.len());
-        let mut to_recover = Vec::with_capacity(devices.len());
-        for (io, mut store, page_io) in devices {
-            let ck = store.load()?;
-            if let Some(ck) = &ck {
-                for bytes in &ck.aux {
-                    if let AuxRecord::Decision { gid, commit } =
-                        decode_aux(bytes).map_err(StorageError::Wire)?
-                    {
-                        extra.insert(gid, commit);
-                    }
-                }
-            }
-            let metrics = cdb_obs::Metrics::new();
-            let (state, ck_eff, seed) =
-                crate::paged::prepare_paged_open(ck, page_io, pool_pages, &metrics)?;
-            stores.push(store);
-            paged.push((metrics, state, seed));
-            to_recover.push((io, ck_eff));
-        }
-        // Phases 1–2: parallel decision scan, then parallel recovery
-        // under the fixed decision context.
-        let recovered = recover_shards(&name, StoreMode::Hereditary, to_recover, &extra)?;
-        let mut max_gid = extra.keys().next_back().copied().unwrap_or(0);
-        let mut shards = Vec::with_capacity(recovered.len());
-        for (((log, rec), store), (metrics, state, seed)) in
-            recovered.into_iter().zip(stores).zip(paged)
-        {
-            max_gid = max_gid.max(rec.max_gid);
-            let shared = SharedDb::from_parts_with_metrics(
-                name.clone(),
-                key_field.clone(),
-                log,
-                rec,
-                store,
-                window,
-                metrics,
-            )?;
-            shared.lock_db().attach_paged(state, seed);
-            shards.push(shared);
-        }
-        Ok(Self::assemble(map, shards, max_gid + 1))
+        let devices = devices
+            .into_iter()
+            .map(|(wal_io, ckpt, page_io)| (wal_io, ckpt, Some(page_io)))
+            .collect();
+        Self::open_devices(
+            name.into(),
+            key_field.into(),
+            map,
+            devices,
+            pool_pages,
+            window,
+        )
     }
 
     fn assemble(map: ShardMap, shards: Vec<SharedDb>, next_gid: u64) -> Self {
@@ -656,38 +570,15 @@ impl ShardedDb {
         if ks == os {
             return self.routed(kept, |s| s.merge_entries(curator, time, kept, absorbed));
         }
-        self.cross_commit(&[ks, os], |guards| {
-            let (g0, g1) = guards.split_at_mut(1);
-            let (k, a) = (&mut g0[0], &mut g1[0]);
-            let kept_node = k.entry_node(kept)?;
-            let absorbed_node = a.entry_node(absorbed)?;
-            require_active(&k.lifecycle, kept)?;
-            require_active(&a.lifecycle, absorbed)?;
-            let mut carry: Vec<(String, Option<Atom>)> = Vec::new();
-            for &c in a.curated.tree.children(absorbed_node)? {
-                let label = a.curated.tree.label(c)?.to_owned();
-                if label != a.key_field
-                    && k.curated.tree.child_by_label(kept_node, &label)?.is_none()
-                {
-                    carry.push((label, a.curated.tree.value(c)?.cloned()));
-                }
-            }
-            let event = EntryEvent::Merged {
-                kept: kept.to_owned(),
-                absorbed: absorbed.to_owned(),
-                time,
+        self.cross_commit(&[ks, os], |states| {
+            let [k, a] = states else {
+                unreachable!("two participants, two states");
             };
-            let mut t = k.curated.begin(curator, time);
-            for (label, value) in carry {
-                t.insert(kept_node, label, value)?;
-            }
-            t.commit();
-            k.lifecycle.replay_event(&event);
-            let mut t = a.curated.begin(curator, time);
-            t.delete(absorbed_node)?;
-            t.commit();
-            a.lifecycle.replay_event(&event);
-            Ok(())
+            // The keep half on `kept`'s shard, the drop half on
+            // `absorbed`'s.
+            let offered = a.fusion_offer(absorbed)?;
+            k.fuse(curator, time, kept, absorbed, Some(&offered), false)?;
+            a.fuse(curator, time, kept, absorbed, None, true)
         })
     }
 
@@ -704,64 +595,33 @@ impl ShardedDb {
         parts: &[(&str, Vec<(&str, Atom)>)],
     ) -> Result<(), DbError> {
         let os = self.route(original);
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, (key, _)) in parts.iter().enumerate() {
-            by_shard.entry(self.route(key)).or_default().push(i);
-        }
-        if by_shard.keys().all(|&s| s == os) {
+        let part_shards: BTreeSet<usize> = parts.iter().map(|(key, _)| self.route(key)).collect();
+        if part_shards.iter().all(|&s| s == os) {
             return self.routed(original, |s| s.split_entry(curator, time, original, parts));
         }
-        let mut participants: Vec<usize> = by_shard.keys().copied().collect();
+        let mut participants: Vec<usize> = part_shards.into_iter().collect();
         if !participants.contains(&os) {
             participants.push(os);
         }
-        let part_keys: Vec<String> = parts.iter().map(|(k, _)| (*k).to_string()).collect();
-        self.cross_commit(&participants.clone(), |guards| {
-            // Validate everywhere before mutating anywhere.
-            let opos = participants.iter().position(|&s| s == os).unwrap();
-            guards[opos].entry_node(original)?;
-            require_active(&guards[opos].lifecycle, original)?;
-            for (pos, &s) in participants.iter().enumerate() {
-                for &pi in by_shard.get(&s).map(Vec::as_slice).unwrap_or(&[]) {
-                    guards[pos].lifecycle.check_create(parts[pi].0)?;
-                }
+        // Which keys live on the participant at `pos`.
+        let here = |pos: usize| {
+            let shard = participants[pos];
+            move |key: &str| self.route(key) == shard
+        };
+        let opos = participants
+            .iter()
+            .position(|&s| s == os)
+            .expect("the original's shard participates");
+        self.cross_commit(&participants, |states| {
+            // Every participant accepts before any applies; the
+            // original's shard is asked first, so a request a single
+            // database would refuse is refused for the same reason.
+            let others = (0..states.len()).filter(|&pos| pos != opos);
+            for pos in std::iter::once(opos).chain(others) {
+                states[pos].check_fission(original, parts, here(pos))?;
             }
-            for (pos, &s) in participants.iter().enumerate() {
-                let g = &mut guards[pos];
-                let local: &[usize] = by_shard.get(&s).map(Vec::as_slice).unwrap_or(&[]);
-                let original_node = (s == os).then(|| g.entry_node(original)).transpose()?;
-                if local.is_empty() && original_node.is_none() {
-                    continue;
-                }
-                let root = g.curated.tree.root();
-                let key_field = g.key_field.clone();
-                let mut t = g.curated.begin(curator, time);
-                for &pi in local {
-                    let (key, fields) = &parts[pi];
-                    let entry = t.insert(root, "entry", None)?;
-                    t.insert(entry, key_field.clone(), Some(Atom::Str((*key).to_owned())))?;
-                    for (label, value) in fields {
-                        t.insert(entry, (*label).to_owned(), Some(value.clone()))?;
-                    }
-                }
-                if let Some(node) = original_node {
-                    t.delete(node)?;
-                }
-                t.commit();
-                for &pi in local {
-                    g.lifecycle.replay_event(&EntryEvent::Created {
-                        id: parts[pi].0.to_owned(),
-                        from_split: Some(original.to_owned()),
-                        time,
-                    });
-                }
-                if s == os {
-                    g.lifecycle.replay_event(&EntryEvent::Split {
-                        original: original.to_owned(),
-                        parts: part_keys.clone(),
-                        time,
-                    });
-                }
+            for (pos, state) in states.iter_mut().enumerate() {
+                state.fission(curator, time, original, parts, here(pos))?;
             }
             Ok(())
         })
@@ -769,14 +629,14 @@ impl ShardedDb {
 
     /// The 2PC engine (see the module docs for the protocol and the
     /// crash-safety argument). `participants` are distinct shard
-    /// indices; `apply` receives the participant databases, locked, in
+    /// indices; `apply` receives the participants' states, locked, in
     /// the same order, and must either fully apply the transaction or
     /// return `Err` without caring about partial mutations — the engine
-    /// rolls back from backups.
+    /// rolls every participant back to its savepoint.
     fn cross_commit(
         &self,
         participants: &[usize],
-        apply: impl FnOnce(&mut [MutexGuard<'_, CuratedDatabase>]) -> Result<(), DbError>,
+        apply: impl FnOnce(&mut [&mut DbState]) -> Result<(), DbError>,
     ) -> Result<(), DbError> {
         let _trace = cdb_obs::trace_root();
         let _span = cdb_obs::SpanGuard::enter("core.sharded.cross_commit");
@@ -793,7 +653,7 @@ impl ShardedDb {
     fn cross_commit_inner(
         &self,
         participants: &[usize],
-        apply: impl FnOnce(&mut [MutexGuard<'_, CuratedDatabase>]) -> Result<(), DbError>,
+        apply: impl FnOnce(&mut [&mut DbState]) -> Result<(), DbError>,
     ) -> Result<(), DbError> {
         debug_assert!(participants.len() >= 2);
         // Acquire participant locks in shard-index order (deadlock
@@ -811,22 +671,18 @@ impl ShardedDb {
         let mut guards: Vec<MutexGuard<'_, CuratedDatabase>> =
             acquired.into_iter().map(|(_, g)| g).collect();
 
-        let backups: Vec<_> = guards.iter().map(|g| g.backup_for_txn()).collect();
-        for g in guards.iter_mut() {
-            g.defer_persist = true;
-        }
-        let applied = apply(&mut guards);
-        for g in guards.iter_mut() {
-            g.defer_persist = false;
-        }
-        if let Err(e) = applied {
-            for (g, b) in guards.iter_mut().zip(backups) {
-                g.restore_from_backup(b);
+        let savepoints: Vec<_> = guards.iter().map(|g| g.savepoint()).collect();
+        // The transaction runs on the states alone: nothing reaches a
+        // WAL until its frames are sealed inside the PREPAREs below.
+        let mut states: Vec<&mut DbState> = guards.iter_mut().map(|g| &mut g.state).collect();
+        if let Err(e) = apply(&mut states) {
+            for (g, sp) in guards.iter_mut().zip(savepoints) {
+                g.rollback(sp);
             }
             return Err(e);
         }
         let frames: Vec<Vec<(u8, Vec<u8>)>> =
-            guards.iter_mut().map(|g| g.encode_unpersisted()).collect();
+            guards.iter_mut().map(|g| g.seal_unpersisted()).collect();
 
         let gid = self.inner.gid.fetch_add(1, Ordering::Relaxed);
         // The coordinator is the lowest participant index: recovery
@@ -844,20 +700,20 @@ impl ShardedDb {
             // decision sync is one of the black-box triggers: snapshot
             // the flight recorder (no-op unless installed).
             let _ = cdb_obs::flight::snap("core.twopc.decision_failed");
-            for (g, b) in guards.iter_mut().zip(backups) {
-                g.restore_from_backup(b);
+            for (g, sp) in guards.iter_mut().zip(savepoints) {
+                g.rollback(sp);
             }
             let abort = encode_decide(&DecideRecord { gid, commit: false });
             for (pos, &s) in participants.iter().enumerate() {
                 if let Some(group) = self.inner.shards[s].group() {
                     let _ = group.append(FRAME_DECIDE, &abort);
                 }
-                guards[pos].decisions.insert(gid, false);
+                guards[pos].state.decisions.insert(gid, false);
             }
             return Err(e.into());
         }
         for g in guards.iter_mut() {
-            g.decisions.insert(gid, true);
+            g.state.decisions.insert(gid, true);
         }
         // Publish all participants inside the seqlock's odd window:
         // readers retry rather than observe half a transaction.

@@ -6,8 +6,9 @@
 //! so the serving layer is built around that asymmetry:
 //!
 //! * **Readers** call [`SharedDb::snapshot`] and get an immutable
-//!   [`Snapshot`] — a frozen copy of the entire curated state (tree,
-//!   provenance, transaction log, lifecycle registry, archive, notes).
+//!   [`Snapshot`] — an `Arc` of a frozen [`DbState`], the entire
+//!   curated value (tree, provenance, transaction log, lifecycle
+//!   registry, archive, notes, index postings).
 //!   Every read — queries, provenance lookups, archive citations,
 //!   version retrieval, annotation reads — runs against the snapshot
 //!   with **no locks at all**; taking the snapshot itself is one
@@ -22,9 +23,9 @@
 //!
 //! A write does, in order:
 //!
-//! 1. lock the database, run the curation op (which appends its WAL
-//!    frames, unsynced — the inner database runs at
-//!    [`Durability::Batched`]);
+//! 1. lock the database, run the curation op (the [`DbState`]
+//!    operation, then its WAL frames appended unsynced — the inner
+//!    database runs at [`Durability::Batched`]);
 //! 2. still under the lock, record the WAL sequence number of its
 //!    frames and **publish a fresh snapshot** (epoch `e+1`);
 //! 3. unlock, then [`GroupWal::commit`] the recorded sequence number —
@@ -65,13 +66,12 @@ use std::time::Duration;
 
 use cdb_archive::VersionId;
 use cdb_curation::ops::Clipboard;
-use cdb_curation::provstore::StoreMode;
 use cdb_curation::NodeId;
 use cdb_model::Atom;
-use cdb_storage::{recover, CheckpointStore, GroupCommitStats, GroupWal, Io};
+use cdb_storage::{CheckpointStore, GroupCommitStats, GroupWal, Io};
 
-use crate::db::{CuratedDatabase, DbError};
-use crate::durable::{CheckpointStats, Durability, WalRef};
+use crate::db::{CuratedDatabase, DbError, DbState};
+use crate::durable::{dir_devices, open_one, CheckpointStats, Devices, Durability};
 
 /// Default group-commit batch window for shared databases: long enough
 /// for concurrent writers to pile into one sync, short enough to be
@@ -116,8 +116,9 @@ struct SharedInner {
     db: Mutex<CuratedDatabase>,
     /// The newest snapshot and its epoch, replaced on every commit.
     /// Readers clone the `Arc` out; old epochs die by refcount.
-    cache: Mutex<(u64, Arc<CuratedDatabase>)>,
-    /// The group-commit handle, when the database is durable.
+    cache: Mutex<(u64, Arc<DbState>)>,
+    /// The database's group-commit handle, when it is durable — kept
+    /// here so the durability wait never takes the database lock.
     group: Option<GroupWal>,
     /// The database's metric registry (shared with the inner
     /// [`CuratedDatabase`]), kept here so [`SharedDb::metrics_snapshot`]
@@ -135,21 +136,22 @@ pub struct SharedDb {
 }
 
 /// An immutable, lock-free view of the database as of one commit
-/// epoch. Dereferences to [`CuratedDatabase`], so every read method —
-/// and the relational [`crate::views`] — works unchanged. The
-/// snapshot owns its state outright (including the notes map, so
-/// [`CuratedDatabase::notes_on`] borrows from the snapshot, not the
-/// live database — a concurrent `annotate` cannot be observed
+/// epoch: the [`DbState`] itself, frozen behind an `Arc`. A snapshot
+/// is a state and not a database — it has every read method and the
+/// relational [`crate::views`], and no WAL, checkpoint or durability
+/// policy to misreport. It owns its state outright (including the
+/// notes map, so [`DbState::notes_on`] borrows from the snapshot, not
+/// the live database — a concurrent `annotate` cannot be observed
 /// half-applied).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    state: Arc<CuratedDatabase>,
+    state: Arc<DbState>,
     epoch: u64,
 }
 
 impl Deref for Snapshot {
-    type Target = CuratedDatabase;
-    fn deref(&self) -> &CuratedDatabase {
+    type Target = DbState;
+    fn deref(&self) -> &DbState {
         &self.state
     }
 }
@@ -167,31 +169,26 @@ impl SharedDb {
         Self::from_db(CuratedDatabase::new(name, key_field))
     }
 
-    /// Wraps an existing database. A durable database's WAL is
-    /// converted to group commit (with [`DEFAULT_BATCH_WINDOW`]) and
-    /// its durability set to [`Durability::Batched`] — the write path
-    /// here acknowledges durability through the group, per-commit
-    /// inline syncs would defeat it.
+    /// Wraps an existing database. A durable database's group-commit
+    /// window is widened to [`DEFAULT_BATCH_WINDOW`] and its durability
+    /// set to [`Durability::Batched`] — the write path here
+    /// acknowledges durability through the group, per-commit inline
+    /// syncs would defeat it.
     pub fn from_db(mut db: CuratedDatabase) -> Self {
-        let group = match db.wal.take() {
-            Some(WalRef::Owned(log)) => {
-                let group = GroupWal::with_metrics(log, DEFAULT_BATCH_WINDOW, db.metrics());
-                db.wal = Some(WalRef::Shared(group.clone()));
-                Some(group)
-            }
-            Some(WalRef::Shared(group)) => {
-                let handle = group.clone();
-                db.wal = Some(WalRef::Shared(group));
-                Some(handle)
-            }
-            None => None,
-        };
-        if group.is_some() {
+        if let Some(d) = db.durable.as_ref() {
+            d.wal.set_window(DEFAULT_BATCH_WINDOW);
             db.set_durability(Durability::Batched);
         }
+        Self::serve(db)
+    }
+
+    /// The serving assembly around a database whose window and
+    /// durability policy are already the serving ones.
+    pub(crate) fn serve(db: CuratedDatabase) -> Self {
+        let group = db.durable.as_ref().map(|d| d.wal.clone());
         let metrics = db.metrics().clone();
         let instr = ServeInstruments::resolve(&metrics);
-        let snapshot = Arc::new(db.clone_state());
+        let snapshot = Arc::new(db.state.clone());
         SharedDb {
             inner: Arc::new(SharedInner {
                 db: Mutex::new(db),
@@ -204,6 +201,17 @@ impl SharedDb {
         }
     }
 
+    fn open_devices(
+        name: String,
+        key_field: String,
+        devices: Devices,
+        pool_pages: usize,
+        window: Duration,
+    ) -> Result<Self, DbError> {
+        let sync = (window, Durability::Batched);
+        open_one(&name, &key_field, devices, pool_pages, sync).map(Self::serve)
+    }
+
     /// Opens a durable shared database over a WAL device and a
     /// checkpoint device (see [`CuratedDatabase::open`] for recovery
     /// semantics), with group commit at the given batch window.
@@ -211,72 +219,11 @@ impl SharedDb {
         name: impl Into<String>,
         key_field: impl Into<String>,
         wal_io: Box<dyn Io>,
-        mut ckpt: CheckpointStore,
-        window: Duration,
-    ) -> Result<Self, DbError> {
-        let name = name.into();
-        let ck = ckpt.load()?;
-        let (log, rec) = recover(&name, StoreMode::Hereditary, wal_io, ck)?;
-        Self::from_parts(name, key_field, log, rec, ckpt, window)
-    }
-
-    /// Assembles a shared database from an already-recovered log — the
-    /// tail of [`SharedDb::open`], split out so the sharded layer can
-    /// run its own (parallel, decision-context-aware) recovery first
-    /// and still get the standard serving assembly per shard.
-    pub(crate) fn from_parts(
-        name: String,
-        key_field: impl Into<String>,
-        log: cdb_storage::DurableLog<Box<dyn Io>>,
-        rec: cdb_storage::Recovered,
         ckpt: CheckpointStore,
         window: Duration,
     ) -> Result<Self, DbError> {
-        Self::from_parts_with_metrics(
-            name,
-            key_field,
-            log,
-            rec,
-            ckpt,
-            window,
-            cdb_obs::Metrics::new(),
-        )
-    }
-
-    /// [`SharedDb::from_parts`] with an explicit metrics registry, so
-    /// a paged open can resolve its buffer-pool counters against the
-    /// same registry the serving layer reports from.
-    pub(crate) fn from_parts_with_metrics(
-        name: String,
-        key_field: impl Into<String>,
-        log: cdb_storage::DurableLog<Box<dyn Io>>,
-        rec: cdb_storage::Recovered,
-        ckpt: CheckpointStore,
-        window: Duration,
-        metrics: cdb_obs::Metrics,
-    ) -> Result<Self, DbError> {
-        let group = GroupWal::with_metrics(log, window, &metrics);
-        let mut db = CuratedDatabase::from_recovered_with_metrics(
-            name,
-            key_field,
-            rec,
-            WalRef::Shared(group.clone()),
-            ckpt,
-            metrics.clone(),
-        )?;
-        db.set_durability(Durability::Batched);
-        let instr = ServeInstruments::resolve(&metrics);
-        let snapshot = Arc::new(db.clone_state());
-        Ok(SharedDb {
-            inner: Arc::new(SharedInner {
-                db: Mutex::new(db),
-                cache: Mutex::new((0, snapshot)),
-                group: Some(group),
-                metrics,
-                instr,
-                flush: Mutex::new(None),
-            }),
-        })
+        let devices = (wal_io, ckpt, None);
+        Self::open_devices(name.into(), key_field.into(), devices, 0, window)
     }
 
     /// Opens a durable shared database whose checkpoints are
@@ -287,21 +234,13 @@ impl SharedDb {
         name: impl Into<String>,
         key_field: impl Into<String>,
         wal_io: Box<dyn Io>,
-        mut ckpt: CheckpointStore,
+        ckpt: CheckpointStore,
         page_io: Box<dyn Io>,
         pool_pages: usize,
         window: Duration,
     ) -> Result<Self, DbError> {
-        let name = name.into();
-        let metrics = cdb_obs::Metrics::new();
-        let anchor = ckpt.load()?;
-        let (state, ck_eff, seed) =
-            crate::paged::prepare_paged_open(anchor, page_io, pool_pages, &metrics)?;
-        let (log, rec) = recover(&name, StoreMode::Hereditary, wal_io, ck_eff)?;
-        let shared =
-            Self::from_parts_with_metrics(name, key_field, log, rec, ckpt, window, metrics)?;
-        shared.lock_db().attach_paged(state, seed);
-        Ok(shared)
+        let devices = (wal_io, ckpt, Some(page_io));
+        Self::open_devices(name.into(), key_field.into(), devices, pool_pages, window)
     }
 
     /// Opens a durable shared database backed by segmented WAL files
@@ -314,11 +253,8 @@ impl SharedDb {
         window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
-        let dir = dir.as_ref();
-        let wal =
-            cdb_storage::SegmentedIo::open_dir(dir, &name, cdb_storage::SegmentConfig::default())?;
-        let ckpt = CheckpointStore::dir(dir, &name);
-        SharedDb::open(name, key_field, Box::new(wal), ckpt, window)
+        let devices = dir_devices(dir.as_ref(), &name, cdb_storage::SegmentConfig::default())?;
+        Self::open_devices(name, key_field.into(), devices, 0, window)
     }
 
     pub(crate) fn lock_db(&self) -> MutexGuard<'_, CuratedDatabase> {
@@ -330,8 +266,8 @@ impl SharedDb {
 
     /// Publishes the current state as the next snapshot epoch. Called
     /// under the database lock, so epochs are assigned in commit order.
-    pub(crate) fn publish_snapshot(&self, db: &CuratedDatabase) {
-        let fresh = Arc::new(db.clone_state());
+    pub(crate) fn publish_snapshot(&self, state: &DbState) {
+        let fresh = Arc::new(state.clone());
         let mut cache = self
             .inner
             .cache
@@ -616,26 +552,18 @@ impl SharedDb {
     /// Unwraps the database, restoring single-threaded use. Fails
     /// (returning `self`) while other handles to the database exist;
     /// outstanding [`Snapshot`]s don't count — they own copies. A
-    /// durable database comes back with an owned WAL at
+    /// durable database comes back with a zero batch window at
     /// [`Durability::Always`], everything already synced.
     pub fn into_inner(self) -> Result<CuratedDatabase, SharedDb> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => {
-                drop(inner.cache);
                 let mut db = inner
                     .db
                     .into_inner()
                     .expect("a writer panicked while holding the database lock");
-                // Two group handles remain: `inner.group` and the
-                // database's own WalRef. Drop the former, unwrap the
-                // latter back into the owned log.
-                drop(inner.group);
-                if let Some(WalRef::Shared(group)) = db.wal.take() {
+                if let Some(group) = inner.group {
                     group.sync_all().ok();
-                    let log = group
-                        .try_into_log()
-                        .expect("into_inner holds the only remaining group handle");
-                    db.wal = Some(WalRef::Owned(log));
+                    group.set_window(Duration::ZERO);
                     db.set_durability(Durability::Always);
                 }
                 Ok(db)
@@ -648,7 +576,7 @@ impl SharedDb {
 /// Stress-mode invariant: each published snapshot's transaction log
 /// extends the previous one — commit order and snapshot order agree.
 #[cfg(feature = "stress")]
-fn assert_snapshot_extends(prev: &CuratedDatabase, next: &CuratedDatabase) {
+fn assert_snapshot_extends(prev: &DbState, next: &DbState) {
     let p = &prev.curated.log;
     let n = &next.curated.log;
     assert!(

@@ -7,17 +7,20 @@
 //! views. [`annotate_through_view`] implements the full loop: find a
 //! side-effect-free placement for the view annotation (via
 //! `cdb-annotation`), and attach the note to the placed source field.
+//!
+//! The read-only views take a [`DbState`], so a live
+//! [`CuratedDatabase`] and a [`crate::Snapshot`] both pass by deref.
 
 use cdb_annotation::colored::{ColoredRelation, ColoredTuple, Scheme};
 use cdb_annotation::reverse::{find_placements, Target};
 use cdb_model::Atom;
 use cdb_relalg::{Database, RaExpr, Relation, Schema, Tuple};
 
-use crate::db::{CuratedDatabase, DbError};
+use crate::db::{CuratedDatabase, DbError, DbState};
 
 /// The flat relation of all entries over the given fields: schema is
 /// `[key_field, fields…]`; entries missing a field get `Unit`.
-pub fn entry_relation(db: &CuratedDatabase, fields: &[&str]) -> Result<Relation, DbError> {
+pub fn entry_relation(db: &DbState, fields: &[&str]) -> Result<Relation, DbError> {
     let mut attrs = vec![db.key_field().to_owned()];
     attrs.extend(fields.iter().map(|f| (*f).to_owned()));
     let schema = Schema::new(attrs)?;
@@ -33,20 +36,17 @@ pub fn entry_relation(db: &CuratedDatabase, fields: &[&str]) -> Result<Relation,
 }
 
 /// Plans and runs a query over the entries relation with the cost-based
-/// planner: statistics come from [`CuratedDatabase::planner_stats`]
+/// planner: statistics come from [`DbState::planner_stats`]
 /// (entry counts, per-indexed-field distincts — no scan), access paths
 /// from the registered durable indexes via
-/// [`CuratedDatabase::relalg_index_set`]. Returns the canonical result
+/// [`DbState::relalg_index_set`]. Returns the canonical result
 /// plus the physical plan and its per-operator actuals, so callers
 /// (cdbsh `explain`) can show estimates against reality.
 ///
 /// The query sees one relation named `entries` with schema
 /// `[key_field, fields…]`, exactly as [`entry_relation`] builds it.
-///
-/// [`CuratedDatabase::planner_stats`]: crate::db::CuratedDatabase::planner_stats
-/// [`CuratedDatabase::relalg_index_set`]: crate::db::CuratedDatabase::relalg_index_set
 pub fn query_entries_planned(
-    db: &CuratedDatabase,
+    db: &DbState,
     fields: &[&str],
     q: &RaExpr,
 ) -> Result<(Relation, cdb_relalg::PhysPlan, Vec<cdb_relalg::PlanRun>), DbError> {
@@ -62,10 +62,7 @@ pub fn query_entries_planned(
 
 /// The same relation with every cell distinctly colored `key/field`, so
 /// view outputs carry readable where-provenance.
-pub fn colored_entry_relation(
-    db: &CuratedDatabase,
-    fields: &[&str],
-) -> Result<ColoredRelation, DbError> {
+pub fn colored_entry_relation(db: &DbState, fields: &[&str]) -> Result<ColoredRelation, DbError> {
     let plain = entry_relation(db, fields)?;
     let key_field = db.key_field().to_owned();
     let mut out = ColoredRelation::empty(plain.schema().clone());
@@ -148,7 +145,7 @@ pub fn annotate_through_view(
 /// Evaluates a view over the colored entry relation so the output cells
 /// carry `key/field` where-provenance.
 pub fn colored_view(
-    db: &CuratedDatabase,
+    db: &DbState,
     fields: &[&str],
     q: &RaExpr,
     scheme: &Scheme,

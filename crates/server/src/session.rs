@@ -398,7 +398,10 @@ fn db_err(e: DbError) -> Response {
         DbError::DuplicateEntry(_) => ErrCode::Duplicate,
         DbError::Lifecycle(_) => ErrCode::Lifecycle,
         DbError::Storage(_) => ErrCode::Storage,
-        DbError::Tree(_) | DbError::Archive(_) | DbError::Relational(_) => ErrCode::BadRequest,
+        DbError::Tree(_)
+        | DbError::Archive(_)
+        | DbError::Relational(_)
+        | DbError::KeyFieldWrite(_) => ErrCode::BadRequest,
     };
     Response::Err {
         code,

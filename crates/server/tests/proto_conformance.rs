@@ -431,6 +431,82 @@ fn clean_conversation_over_the_wire() {
 }
 
 #[test]
+fn refused_curation_requests_get_typed_errors_and_append_nothing() {
+    // Requests the engine refuses outright — a fusion of an entry with
+    // itself (once: `Ok`, and the entry was gone), a write naming the
+    // key field (once: the tree renamed, the registry not) — answer
+    // with their error class, and the WAL never hears of them.
+    let db = SharedDb::open(
+        "conformance",
+        "name",
+        Box::new(cdb_storage::MemIo::new()),
+        cdb_storage::CheckpointStore::mem(),
+        std::time::Duration::ZERO,
+    )
+    .unwrap();
+    db.add_entry("seed", 1, "K", &[("f", Atom::Int(7))])
+        .unwrap();
+    let admission = Admission::new(4, 1, db.metrics());
+    let (mut client, server_end) = mem_pair();
+    let mut session = Session::new(server_end, db.clone(), admission);
+    let mut exchange = |req: &Request| -> Response {
+        write_frame(&mut client, &req.encode()).unwrap();
+        session.serve_one();
+        let payload = read_frame(&mut client).unwrap().expect("response frame");
+        Response::decode(&payload).unwrap()
+    };
+    let hello = exchange(&Request::Hello {
+        version: PROTOCOL_VERSION,
+        client: "t".to_string(),
+    });
+    assert!(matches!(hello, Response::Hello { .. }));
+    let wal_before = db.wal_len().expect("durable db has a WAL");
+
+    let refused = [
+        (
+            Request::Merge {
+                curator: "mallory".to_string(),
+                time: 2,
+                kept: "K".to_string(),
+                absorbed: "K".to_string(),
+            },
+            ErrCode::Lifecycle,
+        ),
+        (
+            Request::Edit {
+                curator: "mallory".to_string(),
+                time: 3,
+                key: "K".to_string(),
+                field: "name".to_string(),
+                value: Atom::Str("Q".into()),
+            },
+            ErrCode::BadRequest,
+        ),
+        (
+            Request::Add {
+                curator: "mallory".to_string(),
+                time: 4,
+                key: "L".to_string(),
+                fields: vec![("name".to_string(), Atom::Str("K".into()))],
+            },
+            ErrCode::BadRequest,
+        ),
+    ];
+    for (req, want) in refused {
+        let resp = exchange(&req);
+        let Response::Err { code, .. } = resp else {
+            panic!("{req:?} was not refused: {resp:?}")
+        };
+        assert_eq!(code, want, "{req:?}");
+    }
+    assert_eq!(db.wal_len().unwrap(), wal_before, "nothing was appended");
+    let snap = db.snapshot();
+    assert_eq!(snap.entry_keys().unwrap(), ["K"]);
+    assert_eq!(snap.resolve_id("K").unwrap(), ["K"]);
+    assert_eq!(snap.field("K", "f").unwrap(), Atom::Int(7));
+}
+
+#[test]
 fn write_frame_helper_matches_manual_framing() {
     // Guard the manual framing used above against the library helper.
     let (mut a, mut b) = mem_pair();

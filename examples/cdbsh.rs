@@ -37,7 +37,7 @@ use curated_db::obs;
 use curated_db::relalg::sql;
 use curated_db::server::{Client, Server, ServerConfig, TcpTransport};
 use curated_db::{
-    Atom, CuratedDatabase, ShardMap, ShardedDb, SharedDb, Snapshot, DEFAULT_BATCH_WINDOW,
+    Atom, CuratedDatabase, DbState, ShardMap, ShardedDb, SharedDb, Snapshot, DEFAULT_BATCH_WINDOW,
 };
 
 fn main() {
@@ -112,7 +112,7 @@ enum ReadView<'a> {
 }
 
 impl ReadView<'_> {
-    fn db(&self) -> &CuratedDatabase {
+    fn db(&self) -> &DbState {
         match self {
             ReadView::Mem(db) => db,
             ReadView::Snap(s) => s,
@@ -1102,7 +1102,7 @@ fn parse_atom(s: &str) -> Atom {
     }
 }
 
-fn entries_view(db: &CuratedDatabase) -> Result<curated_db::relalg::Database, String> {
+fn entries_view(db: &DbState) -> Result<curated_db::relalg::Database, String> {
     // Build a view over every field any entry has.
     let fields = all_fields(db)?;
     let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
@@ -1112,7 +1112,7 @@ fn entries_view(db: &CuratedDatabase) -> Result<curated_db::relalg::Database, St
     Ok(rdb)
 }
 
-fn all_fields(db: &CuratedDatabase) -> Result<Vec<String>, String> {
+fn all_fields(db: &DbState) -> Result<Vec<String>, String> {
     let mut out: Vec<String> = Vec::new();
     for key in db.entry_keys().map_err(fmt_err)? {
         let node = db.entry_node(&key).map_err(fmt_err)?;

@@ -21,6 +21,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== end-to-end benchmark: builds against the public API, answers correctly (--quick) =="
+# benchmark/ is its own package (empty [workspace], path dependencies),
+# so the workspace build above never compiles it: an API break against
+# the constructors and views it pins would go unseen. Build it, then
+# run all four workloads once at smoke size — the schedule's oracle and
+# the crash-and-reopen checks are on, and the exit code is non-zero on
+# any failed, refused or wrongly answered request. Numbers from a
+# --quick run are not comparable and are not read here.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
+
 echo "== concurrency suite under a thread matrix (fails on any checker violation) =="
 # The concurrent-serving harness sizes its real-thread history from
 # CDB_TEST_THREADS; sweep writer counts so both the uncontended and the

@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub use cdb_core::{
-    CuratedDatabase, DbError, Durability, EntryEvent, EntryRegistry, Fate, Note, ShardMap,
+    CuratedDatabase, DbError, DbState, Durability, EntryEvent, EntryRegistry, Fate, Note, ShardMap,
     ShardedDb, ShardedSnapshot, SharedDb, Snapshot, DEFAULT_BATCH_WINDOW,
 };
 

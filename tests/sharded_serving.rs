@@ -34,12 +34,12 @@
 //!   shard's half. Same for splits: the original is retired iff every
 //!   part (each on its own shard) exists.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use cdb_core::{Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot};
+use cdb_core::{CuratedDatabase, DbState, Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot};
 use cdb_curation::ops::Transaction;
 use cdb_curation::replay::replay_and_verify;
 use cdb_model::Atom;
@@ -129,41 +129,50 @@ fn shard_script(w: usize, round: usize) -> (Vec<SOp>, MergeMark, SplitMark) {
     )
 }
 
+/// One scripted step against `$db` — a [`ShardedDb`] or the sequential
+/// [`CuratedDatabase`] oracle, which spell every curation method alike.
+macro_rules! apply_sop_to {
+    ($db:expr, $w:expr, $time:expr, $op:expr) => {{
+        let (db, w, time, op) = ($db, $w, $time, $op);
+        let curator = format!("c{w}");
+        match op {
+            SOp::Add(key, fields) => {
+                let fields: Vec<(&str, Atom)> = fields
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.clone()))
+                    .collect();
+                db.add_entry(&curator, time, key, &fields).unwrap();
+            }
+            SOp::Edit(key, v) => db
+                .edit_field(&curator, time, key, "v", Atom::Int(*v))
+                .unwrap(),
+            SOp::Annotate(key) => db
+                .annotate(key, Some("v"), &curator, "checked", time)
+                .unwrap(),
+            SOp::Merge(kept, absorbed) => db.merge_entries(&curator, time, kept, absorbed).unwrap(),
+            SOp::Split(orig, a, b) => db
+                .split_entry(
+                    &curator,
+                    time,
+                    orig,
+                    &[
+                        (a, vec![("v", Atom::Int(1))]),
+                        (b, vec![("v", Atom::Int(2))]),
+                    ],
+                )
+                .unwrap(),
+            SOp::Delete(key) => db.delete_entry(&curator, time, key).unwrap(),
+            SOp::Publish(label) => {
+                db.publish(label.clone()).unwrap();
+            }
+        }
+    }};
+}
+
 /// Applies one scripted step; logical times are unique across the
 /// whole history.
 fn apply_sop(db: &ShardedDb, w: u64, time: u64, op: &SOp) {
-    let curator = format!("c{w}");
-    match op {
-        SOp::Add(key, fields) => {
-            let fields: Vec<(&str, Atom)> = fields
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            db.add_entry(&curator, time, key, &fields).unwrap();
-        }
-        SOp::Edit(key, v) => db
-            .edit_field(&curator, time, key, "v", Atom::Int(*v))
-            .unwrap(),
-        SOp::Annotate(key) => db
-            .annotate(key, Some("v"), &curator, "checked", time)
-            .unwrap(),
-        SOp::Merge(kept, absorbed) => db.merge_entries(&curator, time, kept, absorbed).unwrap(),
-        SOp::Split(orig, a, b) => db
-            .split_entry(
-                &curator,
-                time,
-                orig,
-                &[
-                    (a, vec![("v", Atom::Int(1))]),
-                    (b, vec![("v", Atom::Int(2))]),
-                ],
-            )
-            .unwrap(),
-        SOp::Delete(key) => db.delete_entry(&curator, time, key).unwrap(),
-        SOp::Publish(label) => {
-            db.publish(label.clone()).unwrap();
-        }
-    }
+    apply_sop_to!(db, w, time, op)
 }
 
 // ------------------------------------------------------------ oracles
@@ -685,4 +694,201 @@ proptest! {
             }
         }
     }
+}
+
+// ------------------------------------------ secondary-index coherence
+
+type Postings = BTreeMap<Atom, BTreeSet<String>>;
+
+/// The postings of `field` rebuilt from scratch off the entries of
+/// `s`, under the index's own conventions: the key field indexes the
+/// key, a missing field indexes as `Unit`.
+fn rebuilt_postings(s: &DbState, field: &str) -> Postings {
+    let mut out = Postings::new();
+    for key in s.entry_keys().unwrap() {
+        let value = if field == s.key_field() {
+            Atom::Str(key.clone())
+        } else {
+            s.field(&key, field).unwrap_or(Atom::Unit)
+        };
+        out.entry(value).or_default().insert(key);
+    }
+    out
+}
+
+fn maintained_postings(s: &DbState, field: &str) -> Result<Postings, String> {
+    let idx = s
+        .field_index(field)
+        .ok_or_else(|| format!("no index on {field}"))?;
+    Ok(idx
+        .postings()
+        .map(|(v, k)| (v.clone(), k.clone()))
+        .collect())
+}
+
+/// Every shard's maintained postings equal a from-scratch rebuild, and
+/// their union answers every lookup as `oracle` (a sequential replay of
+/// the same career on one unsharded database) does.
+fn check_indexes(
+    snap: &ShardedSnapshot,
+    oracle: Option<&CuratedDatabase>,
+    fields: &[String],
+) -> Result<(), String> {
+    for field in fields {
+        let mut union = Postings::new();
+        for (i, shard) in snap.shards().iter().enumerate() {
+            let have = maintained_postings(shard, field)?;
+            let want = rebuilt_postings(shard, field);
+            if have != want {
+                return Err(format!(
+                    "shard {i} index on {field} drifted from its entries:\n  have {have:?}\n  want {want:?}"
+                ));
+            }
+            for (value, keys) in have {
+                union.entry(value).or_default().extend(keys);
+            }
+        }
+        let Some(oracle) = oracle else { continue };
+        let want = maintained_postings(oracle, field)?;
+        if union != want {
+            return Err(format!(
+                "sharded lookups on {field} differ from the sequential replay:\n  have {union:?}\n  want {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// [`apply_sop`] against the sequential oracle.
+fn apply_sop_seq(db: &mut CuratedDatabase, w: u64, time: u64, op: &SOp) {
+    apply_sop_to!(db, w, time, op)
+}
+
+/// Seeded careers of four writers over four shards — every script has
+/// a cross-shard fusion and a cross-shard fission — with indexes on
+/// the edited field and on the fields the fusions carry across. After
+/// every step, each shard's index equals a rebuild from its entries
+/// and the shards together answer as one sequential database would.
+/// (The cross-shard paths once skipped reconciliation: an absorbed
+/// entry stayed in its shard's postings and carried fields never
+/// reached the survivor's.)
+#[test]
+fn cross_shard_fusion_and_fission_keep_indexes_reconciled() {
+    const WRITERS: usize = 4;
+    const ROUNDS: usize = 2;
+    let mut fields = vec!["v".to_string(), "id".to_string()];
+    fields.extend((0..WRITERS).map(|w| format!("m{w}r0")));
+    for seed in 0..32u64 {
+        let map = ShardMap::with_bounds(vec!["h".into(), "p".into(), "x".into()]);
+        let db = ShardedDb::new("shard-idx", "id", map);
+        let mut oracle = CuratedDatabase::new("shard-idx", "id");
+        // Half the indexes exist before the data, half are built
+        // mid-career from whatever the shards hold by then.
+        for f in &fields[..3] {
+            db.create_index(f).unwrap();
+            oracle.create_index(f).unwrap();
+        }
+        let mut scripts: Vec<Vec<SOp>> = (0..WRITERS)
+            .map(|w| {
+                let mut ops: Vec<SOp> = (0..ROUNDS).flat_map(|r| shard_script(w, r).0).collect();
+                ops.reverse();
+                ops
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut time = 0u64;
+        while scripts.iter().any(|s| !s.is_empty()) {
+            let w = rng.gen_range(0..WRITERS);
+            let Some(op) = scripts[w].pop() else { continue };
+            time += 1;
+            apply_sop(&db, w as u64, time, &op);
+            apply_sop_seq(&mut oracle, w as u64, time, &op);
+            if time == 20 {
+                for f in &fields[3..] {
+                    db.create_index(f).unwrap();
+                    oracle.create_index(f).unwrap();
+                }
+            }
+            let live = if time < 20 { &fields[..3] } else { &fields[..] };
+            if let Err(msg) = check_indexes(&db.snapshot(), Some(&oracle), live) {
+                panic!("seed {seed}, after step {time} ({op:?}): {msg}");
+            }
+        }
+    }
+}
+
+/// A cross-shard fusion that aborts *after* both shards applied it in
+/// memory (a participant's PREPARE sync fails) rolls the postings back
+/// with the rest of the state; one that commits moves them. Either
+/// way each shard's index equals a rebuild from its entries.
+#[test]
+fn cross_shard_abort_restores_index_postings() {
+    let fields = ["v".to_string(), "carried".to_string()];
+    let mut aborted = 0;
+    for fail_at in 2..12u32 {
+        let devs: Vec<SharedFaulty> = (0..2)
+            .map(|i| {
+                let plan = if i == 1 {
+                    FaultPlan {
+                        fail_flush: Some(fail_at),
+                        ..Default::default()
+                    }
+                } else {
+                    FaultPlan::default()
+                };
+                SharedFaulty(Arc::new(Mutex::new(FaultyIo::new(plan))))
+            })
+            .collect();
+        let db = ShardedDb::open(
+            "shard-idx-abort",
+            "id",
+            ShardMap::uniform(2),
+            devs.iter()
+                .map(|d| (Box::new(d.clone()) as Box<dyn Io>, CheckpointStore::mem()))
+                .collect(),
+            Duration::ZERO,
+        )
+        .unwrap();
+        // Writes on the faulty shard may fail (and are retried by the
+        // next persist); the invariant must hold regardless.
+        let _ = db.add_entry("c", 1, "A0", &[("v", Atom::Int(1))]);
+        let _ = db.add_entry(
+            "c",
+            2,
+            "z0",
+            &[("v", Atom::Int(2)), ("carried", Atom::Int(7))],
+        );
+        for f in &fields {
+            let _ = db.create_index(f);
+        }
+        let before = db.snapshot();
+        if before.entry_keys().unwrap().len() < 2 || before.shard(0).index_fields().len() < 2 {
+            continue;
+        }
+        let merged = db.merge_entries("c", 3, "A0", "z0");
+        let after = db.snapshot();
+        check_indexes(&after, None, &fields)
+            .unwrap_or_else(|msg| panic!("fail_flush {fail_at}, merge {merged:?}: {msg}"));
+        let carried = after
+            .shard(0)
+            .index_lookup("carried", &Atom::Int(7))
+            .unwrap();
+        if merged.is_ok() {
+            assert_eq!(
+                carried,
+                ["A0"],
+                "the carried field is indexed on the survivor"
+            );
+        } else {
+            aborted += 1;
+            assert!(carried.is_empty(), "an aborted fusion carried nothing");
+            assert_eq!(after.epoch(), before.epoch(), "no publication on abort");
+            assert_eq!(
+                after.shard(1).index_lookup("v", &Atom::Int(2)).unwrap(),
+                ["z0"],
+                "the absorbed entry is back in its shard's postings"
+            );
+        }
+    }
+    assert!(aborted > 0, "no schedule aborted the fusion mid-journal");
 }
