@@ -10,13 +10,13 @@
 //!
 //! [`DbState`] is the value — tree, provenance, log, lifecycle
 //! registry, archive, notes, publish points, 2PC decisions, index
-//! postings — and this is the only module that opens a curation
-//! transaction. A [`CuratedDatabase`] is a `DbState` plus an optional
-//! `Durable` ([`crate::durable`]); a [`crate::Snapshot`] is an
-//! `Arc<DbState>`; a cross-shard commit calls the same `DbState`
-//! halves on each participant.
+//! postings, the primary index — and this is the only module that
+//! opens a curation transaction. A [`CuratedDatabase`] is a `DbState`
+//! plus an optional `Durable` ([`crate::durable`]); a
+//! [`crate::Snapshot`] is an `Arc<DbState>`; a cross-shard commit calls
+//! the same `DbState` halves on each participant.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Deref;
 
@@ -118,6 +118,46 @@ pub struct Note {
     pub time: u64,
 }
 
+/// The notes superimposed on one entry: on the entry itself and on its
+/// fields. Keyed so that a probe borrows its key and field.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EntryNotes {
+    entry: Vec<Note>,
+    fields: BTreeMap<String, Vec<Note>>,
+}
+
+impl EntryNotes {
+    fn on(&self, field: Option<&str>) -> &[Note] {
+        match field {
+            None => &self.entry,
+            Some(f) => self.fields.get(f).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    pub(crate) fn push(&mut self, field: Option<&str>, note: Note) {
+        match field {
+            None => self.entry.push(note),
+            Some(f) => match self.fields.get_mut(f) {
+                Some(notes) => notes.push(note),
+                None => {
+                    self.fields.insert(f.to_owned(), vec![note]);
+                }
+            },
+        }
+    }
+
+    /// Every note with its attachment point: the entry's own first,
+    /// then field by field — the order checkpoints carry them in.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Option<&str>, &Note)> {
+        let own = self.entry.iter().map(|n| (None, n));
+        let on_fields = self
+            .fields
+            .iter()
+            .flat_map(|(f, notes)| notes.iter().map(move |n| (Some(f.as_str()), n)));
+        own.chain(on_fields)
+    }
+}
+
 /// One field of an entry as a fusion carries it: label and payload.
 pub(crate) type Carried = (String, Option<Atom>);
 
@@ -139,7 +179,7 @@ pub struct DbState {
     pub lifecycle: EntryRegistry,
     pub(crate) key_field: String,
     pub(crate) archive: Archive,
-    pub(crate) notes: BTreeMap<(String, Option<String>), Vec<Note>>,
+    pub(crate) notes: BTreeMap<String, EntryNotes>,
     /// For each published version: the last committed transaction at
     /// publish time (None = published before any transaction) and the
     /// logical time of that transaction — enough to rebuild the archive
@@ -158,6 +198,14 @@ pub struct DbState {
     /// by checkpoints; postings are derived state, reconciled inside
     /// every operation below and rebuilt from the tree on recovery.
     pub(crate) indexes: crate::indexes::FieldIndexes,
+    /// The primary index, entry key → entry node: the access path
+    /// behind [`DbState::entry_node`]. Derived state like the postings:
+    /// never written to a WAL, a checkpoint or the page heap, rebuilt
+    /// from the tree on open ([`DbState::rebuild_primary`]), and kept by
+    /// delta in the operations below that change the key set — from the
+    /// node ids they already hold. A snapshot or a savepoint shares it
+    /// (see [`crate::indexes::PrimaryIndex`]).
+    pub(crate) primary: crate::indexes::PrimaryIndex,
 }
 
 /// Inserts a fresh entry node under the root: the key field first,
@@ -191,6 +239,7 @@ impl DbState {
             last_time: 0,
             decisions: BTreeMap::new(),
             indexes: crate::indexes::FieldIndexes::default(),
+            primary: crate::indexes::PrimaryIndex::default(),
         }
     }
 
@@ -209,31 +258,51 @@ impl DbState {
         &self.archive
     }
 
-    /// The node of the entry with the given key.
+    /// The node of the entry with the given key: one lookup in the
+    /// primary index, whatever the number of entries.
     pub fn entry_node(&self, key: &str) -> Result<NodeId, DbError> {
-        let root = self.curated.tree.root();
-        for &child in self.curated.tree.children(root)? {
-            if let Some(kf) = self.curated.tree.child_by_label(child, &self.key_field)? {
-                if self.curated.tree.value(kf)? == Some(&Atom::Str(key.to_owned())) {
-                    return Ok(child);
-                }
-            }
-        }
-        Err(DbError::NoSuchEntry(key.to_owned()))
+        self.primary
+            .get(key)
+            .ok_or_else(|| DbError::NoSuchEntry(key.to_owned()))
     }
 
-    /// The keys of all current entries.
-    pub fn entry_keys(&self) -> Result<Vec<String>, DbError> {
-        let root = self.curated.tree.root();
+    /// The live entries in tree order — every child of the root that
+    /// carries a string under the key field, as `(key, node)`: the one
+    /// walk over the root's children that every whole-database read
+    /// shares.
+    pub(crate) fn entries(&self) -> Result<Vec<(&str, NodeId)>, DbError> {
+        let tree = &self.curated.tree;
         let mut out = Vec::new();
-        for &child in self.curated.tree.children(root)? {
-            if let Some(kf) = self.curated.tree.child_by_label(child, &self.key_field)? {
-                if let Some(Atom::Str(s)) = self.curated.tree.value(kf)? {
-                    out.push(s.clone());
+        for &entry in tree.children(tree.root())? {
+            if let Some(kf) = tree.child_by_label(entry, &self.key_field)? {
+                if let Some(Atom::Str(key)) = tree.value(kf)? {
+                    out.push((key.as_str(), entry));
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The keys of all current entries, in tree order (the order they
+    /// were created in) — the order published versions and relational
+    /// views list them in, which the key-ordered primary index does not
+    /// keep.
+    pub fn entry_keys(&self) -> Result<Vec<String>, DbError> {
+        let entries = self.entries()?;
+        Ok(entries.into_iter().map(|(key, _)| key.to_owned()).collect())
+    }
+
+    /// Rebuilds the primary index from the tree (the first entry wins a
+    /// repeated key, as a scan would find it).
+    pub(crate) fn rebuild_primary(&mut self) -> Result<(), DbError> {
+        let mut primary = crate::indexes::PrimaryIndex::default();
+        for (key, node) in self.entries()? {
+            if primary.get(key).is_none() {
+                primary.insert(key, node);
+            }
+        }
+        self.primary = primary;
+        Ok(())
     }
 
     fn field_node(&self, key: &str, field: &str) -> Result<NodeId, DbError> {
@@ -303,7 +372,8 @@ impl DbState {
         let entry = insert_entry(&mut t, &self.key_field, key, fields)?;
         t.commit();
         self.lifecycle.create(key, time)?;
-        self.reindex_touched(&[key]);
+        self.primary.insert(key, entry);
+        self.reindex_touched(&[(key, Some(entry))]);
         Ok(entry)
     }
 
@@ -338,7 +408,8 @@ impl DbState {
         }
         t.commit();
         self.lifecycle.create(key, time)?;
-        self.reindex_touched(&[key]);
+        self.primary.insert(key, entry);
+        self.reindex_touched(&[(key, Some(entry))]);
         Ok(entry)
     }
 
@@ -361,7 +432,7 @@ impl DbState {
             }
         }
         t.commit();
-        self.reindex_touched(&[key]);
+        self.reindex_touched(&[(key, Some(entry))]);
         Ok(())
     }
 
@@ -377,7 +448,8 @@ impl DbState {
         t.delete(entry)?;
         t.commit();
         self.lifecycle.delete(key, time)?;
-        self.reindex_touched(&[key]);
+        self.primary.remove(key);
+        self.reindex_touched(&[(key, None)]);
         Ok(())
     }
 
@@ -426,6 +498,7 @@ impl DbState {
         drop_absorbed: bool,
     ) -> Result<(), DbError> {
         let mut carry = Vec::new();
+        let mut survivor = None;
         if let Some(offered) = offered {
             let node = self.live_entry(kept)?;
             for (label, value) in offered {
@@ -433,6 +506,7 @@ impl DbState {
                     carry.push((node, label.clone(), value.clone()));
                 }
             }
+            survivor = Some(node);
         }
         let dropped = if drop_absorbed {
             Some(self.live_entry(absorbed)?)
@@ -452,7 +526,12 @@ impl DbState {
             absorbed: absorbed.to_owned(),
             time,
         });
-        self.reindex_touched(&[kept, absorbed]);
+        if dropped.is_some() {
+            self.primary.remove(absorbed);
+        }
+        // Whichever of the two is not live here — absorbed and dropped,
+        // or on another shard — leaves this state's postings.
+        self.reindex_touched(&[(kept, survivor), (absorbed, None)]);
         Ok(())
     }
 
@@ -510,8 +589,14 @@ impl DbState {
             None
         };
         let mut t = self.curated.begin(curator, time);
-        for (key, fields) in parts.iter().filter(|(k, _)| here(k)) {
-            insert_entry(&mut t, &self.key_field, key, fields)?;
+        let mut touched = vec![(original, None)];
+        for (key, fields) in parts.iter() {
+            let created = if here(key) {
+                Some(insert_entry(&mut t, &self.key_field, key, fields)?)
+            } else {
+                None
+            };
+            touched.push((*key, created));
         }
         if let Some(node) = retired {
             t.delete(node)?;
@@ -531,8 +616,14 @@ impl DbState {
                 time,
             });
         }
-        let mut touched = vec![original];
-        touched.extend(parts.iter().map(|(k, _)| *k));
+        if retired.is_some() {
+            self.primary.remove(original);
+        }
+        for (key, created) in &touched {
+            if let Some(node) = created {
+                self.primary.insert(key, *node);
+            }
+        }
         self.reindex_touched(&touched);
         Ok(())
     }
@@ -564,67 +655,69 @@ impl DbState {
         self.indexes.get(field).map(|i| i.lookup(value))
     }
 
-    /// The value an entry indexes under for `field`: the key itself for
-    /// the key field, `Unit` when the field is absent.
-    fn index_value(&self, key: &str, field: &str) -> Atom {
+    /// The value the entry at `node` shows a relational view — and
+    /// indexes under — for `field`: the key itself for the key field,
+    /// `Unit` when the field is absent or carries no payload.
+    pub(crate) fn view_value(&self, key: &str, node: NodeId, field: &str) -> Atom {
         if field == self.key_field {
-            Atom::Str(key.to_owned())
-        } else {
-            self.field(key, field).unwrap_or(Atom::Unit)
+            return Atom::Str(key.to_owned());
         }
+        let tree = &self.curated.tree;
+        match tree.child_by_label(node, field) {
+            Ok(Some(n)) => tree.value(n).ok().flatten().cloned(),
+            _ => None,
+        }
+        .unwrap_or(Atom::Unit)
     }
 
-    /// Rebuilds one registered index's postings from the tree.
+    /// Rebuilds one registered index's postings from the tree, in one
+    /// walk over the entries.
     pub(crate) fn rebuild_index(&mut self, field: &str) -> Result<(), DbError> {
-        let rows: Vec<(String, Atom)> = self
-            .entry_keys()?
-            .into_iter()
-            .map(|k| {
-                let v = self.index_value(&k, field);
-                (k, v)
-            })
-            .collect();
-        if let Some(idx) = self.indexes.get_mut(field) {
-            for (key, value) in rows {
-                idx.set(&key, value);
+        // Out of `self` while the tree is read, so keys stay borrowed.
+        let mut indexes = std::mem::take(&mut self.indexes);
+        let walked = self.entries().map(|entries| {
+            if let Some(idx) = indexes.get_mut(field) {
+                for (key, node) in entries {
+                    idx.set(key, self.view_value(key, node, field));
+                }
             }
-        }
-        Ok(())
+        });
+        self.indexes = indexes;
+        walked
     }
 
     /// Reconciles every registered index for the entries an operation
-    /// touched: existing entries re-point at their current field
-    /// values, vanished entries (deleted, absorbed, split away — or
-    /// living on another shard) are unlinked. The last step of every
-    /// operation above, so postings can never lag the tree they
+    /// touched: an entry live here (its node given) re-points at its
+    /// current field values, a vanished one (deleted, absorbed, split
+    /// away — or living on another shard) is unlinked. The last step of
+    /// every operation above, so postings can never lag the tree they
     /// describe.
-    fn reindex_touched(&mut self, keys: &[&str]) {
+    fn reindex_touched(&mut self, touched: &[(&str, Option<NodeId>)]) {
         if self.indexes.is_empty() {
             return;
         }
-        let fields = self.indexes.fields();
-        for &key in keys {
-            if self.entry_node(key).is_ok() {
-                for field in &fields {
-                    let value = self.index_value(key, field);
-                    if let Some(idx) = self.indexes.get_mut(field) {
-                        idx.set(key, value);
-                    }
-                }
-            } else {
-                self.indexes.remove_key(key);
+        let mut indexes = std::mem::take(&mut self.indexes);
+        for &(key, node) in touched {
+            let Some(node) = node else {
+                indexes.remove_key(key);
+                continue;
+            };
+            for idx in indexes.iter_mut() {
+                let value = self.view_value(key, node, idx.field());
+                idx.set(key, value);
             }
         }
+        self.indexes = indexes;
     }
 
     /// Planner statistics for the entries relation over the given
-    /// fields, derived without scanning: row count from the lifecycle
-    /// view, per-field distinct counts from the registered indexes
+    /// fields, derived without scanning: row count from the primary
+    /// index, per-field distinct counts from the registered indexes
     /// (unindexed fields keep the planner's default heuristics). The
     /// relation is named `entries`, matching
     /// [`crate::views::query_entries_planned`].
     pub fn planner_stats(&self, fields: &[&str]) -> cdb_relalg::DbStats {
-        let rows = self.entry_keys().map(|k| k.len() as u64).unwrap_or(0);
+        let rows = self.primary.len() as u64;
         let mut cols = std::collections::BTreeMap::new();
         cols.insert(
             self.key_field.clone(),
@@ -656,11 +749,11 @@ impl DbState {
         if self.indexes.is_empty() {
             return Ok(set);
         }
-        let offsets: std::collections::BTreeMap<String, usize> = self
-            .entry_keys()?
+        let offsets: HashMap<&str, usize> = self
+            .entries()?
             .into_iter()
             .enumerate()
-            .map(|(i, k)| (k, i))
+            .map(|(row, (key, _))| (key, row))
             .collect();
         let schema: Vec<&str> = std::iter::once(self.key_field.as_str())
             .chain(fields.iter().copied())
@@ -672,7 +765,7 @@ impl DbState {
             let postings = idx.postings().map(|(value, keys)| {
                 let mut rows: Vec<usize> = keys
                     .iter()
-                    .filter_map(|k| offsets.get(k).copied())
+                    .filter_map(|k| offsets.get(k.as_str()).copied())
                     .collect();
                 rows.sort_unstable();
                 (value.clone(), rows)
@@ -705,23 +798,34 @@ impl DbState {
                 self.entry_node(key)?;
             }
         }
-        self.notes
-            .entry((key.to_owned(), field.map(str::to_owned)))
-            .or_default()
-            .push(Note {
+        self.attach_note(
+            key,
+            field,
+            Note {
                 author: author.to_owned(),
                 text: text.to_owned(),
                 time,
-            });
+            },
+        );
         Ok(())
+    }
+
+    /// Files `note` under `(key, field)`; an entry already annotated is
+    /// found without building an owned key.
+    pub(crate) fn attach_note(&mut self, key: &str, field: Option<&str>, note: Note) {
+        match self.notes.get_mut(key) {
+            Some(on_entry) => on_entry.push(field, note),
+            None => self
+                .notes
+                .entry(key.to_owned())
+                .or_default()
+                .push(field, note),
+        }
     }
 
     /// The annotations on an entry or field.
     pub fn notes_on(&self, key: &str, field: Option<&str>) -> &[Note] {
-        self.notes
-            .get(&(key.to_owned(), field.map(str::to_owned)))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.notes.get(key).map_or(&[], |n| n.on(field))
     }
 
     // ----------------------------------------------------- publishing
@@ -1102,6 +1206,22 @@ mod tests {
         assert!(matches!(
             db.add_entry("x", 4, "GABA-A", &[]),
             Err(DbError::DuplicateEntry(_))
+        ));
+    }
+
+    /// Finding an entry reads no tree node, wherever the entry sits
+    /// among the root's children: with the tree taken away the index
+    /// still answers, for the first key and the last alike.
+    #[test]
+    fn entry_node_answers_from_the_index_alone() {
+        let mut db = sample();
+        let found = [db.entry_node("GABA-A"), db.entry_node("5-HT3")];
+        assert!(found.iter().all(Result::is_ok));
+        db.state.curated.tree = cdb_curation::TreeDb::new("gone");
+        assert_eq!([db.entry_node("GABA-A"), db.entry_node("5-HT3")], found);
+        assert!(matches!(
+            db.entry_node("nope"),
+            Err(DbError::NoSuchEntry(_))
         ));
     }
 

@@ -408,9 +408,10 @@ pub(crate) fn open_all(
 impl DbState {
     /// Rebuilds the state from a finished recovery: the recovered tree
     /// and log as they are, the lifecycle registry, notes, decisions
-    /// and index registrations from the aux records, index postings
-    /// from the tree, the archive from the log (or from the
-    /// checkpoint's carried snapshots where the log was cut).
+    /// and index registrations from the aux records, the primary index
+    /// and the index postings from the tree, the archive from the log
+    /// (or from the checkpoint's carried snapshots where the log was
+    /// cut).
     fn from_recovered(
         name: &str,
         key_field: &str,
@@ -423,7 +424,7 @@ impl DbState {
             match decode_aux(aux).map_err(StorageError::Wire)? {
                 AuxRecord::Event(e) => state.lifecycle.replay_event(&e),
                 AuxRecord::Note { key, field, note } => {
-                    state.notes.entry((key, field)).or_default().push(note);
+                    state.attach_note(&key, field.as_deref(), note);
                 }
                 AuxRecord::Decision { gid, commit } => {
                     state.decisions.insert(gid, commit);
@@ -440,6 +441,7 @@ impl DbState {
                 }
             }
         }
+        state.rebuild_primary()?;
         for field in state.index_fields() {
             state.rebuild_index(&field)?;
         }
@@ -630,9 +632,9 @@ impl Durable {
             .map(encode_publish_point)
             .collect();
         let mut aux: Vec<Vec<u8>> = state.lifecycle.events().iter().map(encode_event).collect();
-        for ((key, field), notes) in &state.notes {
-            for note in notes {
-                aux.push(encode_note(key, field.as_deref(), note));
+        for (key, notes) in &state.notes {
+            for (field, note) in notes.iter() {
+                aux.push(encode_note(key, field, note));
             }
         }
         // 2PC decision records ride every checkpoint so they outlive

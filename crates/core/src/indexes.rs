@@ -14,11 +14,20 @@
 //! postings are transactionally consistent with the tree; they are
 //! part of the state, so a 2PC rollback restores them with it.
 //!
-//! The planner-facing view: [`DbState::relalg_index_set`] converts
-//! postings to row offsets of the entries relation, and
-//! [`DbState::planner_stats`] derives row counts and per-field distinct
-//! counts without scanning — the durable engine's answer to
-//! `DbStats::analyze`.
+//! The planner-facing view: [`DbState::planner_stats`] derives row
+//! counts and per-field distinct counts without scanning — the durable
+//! engine's answer to `DbStats::analyze` — and a planned read
+//! ([`crate::views::query_entries_planned`]) asks only which view
+//! columns are indexed, then reads the postings its plan looks up;
+//! [`DbState::relalg_index_set`] converts postings to row offsets of
+//! the full entries relation for callers that hold one.
+//!
+//! Beside them sits the *primary* index, entry key → entry node
+//! (`DbState::primary`): the same kind of derived state — never
+//! serialized, rebuilt from the recovered tree, changed inside the
+//! operations that create or retire an entry and restored by a 2PC
+//! rollback — and the reason a posting's key costs one lookup to turn
+//! into its entry.
 //!
 //! [`CuratedDatabase::create_index`]: crate::db::CuratedDatabase::create_index
 //! [`DbState`]: crate::db::DbState
@@ -26,7 +35,9 @@
 //! [`DbState::planner_stats`]: crate::db::DbState::planner_stats
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use cdb_curation::NodeId;
 use cdb_model::Atom;
 
 /// A secondary index over one entry field.
@@ -55,10 +66,16 @@ impl FieldIndex {
 
     /// Keys of the entries whose field equals `value`, in key order.
     pub fn lookup(&self, value: &Atom) -> Vec<String> {
+        self.posting(value).map(str::to_owned).collect()
+    }
+
+    /// [`FieldIndex::lookup`], borrowed.
+    pub fn posting(&self, value: &Atom) -> impl Iterator<Item = &str> {
         self.by_value
             .get(value)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .map(String::as_str)
     }
 
     /// Number of distinct indexed values.
@@ -101,6 +118,40 @@ impl FieldIndex {
                 }
             }
         }
+    }
+}
+
+/// The primary index: entry key → entry node.
+///
+/// Every commit clones the state for its snapshot, so the map sits
+/// behind one `Arc` and only an operation that changes the key set
+/// (`Arc::make_mut`) copies it while a snapshot still shares it. Keys
+/// are `Arc<str>`: that copy bumps a reference count per key and
+/// allocates no strings.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrimaryIndex {
+    map: Arc<BTreeMap<Arc<str>, NodeId>>,
+}
+
+impl PrimaryIndex {
+    /// The node of the entry with this key.
+    pub(crate) fn get(&self, key: &str) -> Option<NodeId> {
+        self.map.get(key).copied()
+    }
+
+    /// Number of entries indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Addresses `key` to `node`, replacing any previous address.
+    pub(crate) fn insert(&mut self, key: &str, node: NodeId) {
+        Arc::make_mut(&mut self.map).insert(key.into(), node);
+    }
+
+    /// Forgets `key`.
+    pub(crate) fn remove(&mut self, key: &str) {
+        Arc::make_mut(&mut self.map).remove(key);
     }
 }
 
@@ -150,9 +201,14 @@ impl FieldIndexes {
         self.map.remove(field).is_some()
     }
 
-    /// Mutable access for reconciliation.
+    /// Mutable access for a rebuild.
     pub(crate) fn get_mut(&mut self, field: &str) -> Option<&mut FieldIndex> {
         self.map.get_mut(field)
+    }
+
+    /// Every index, mutably, for reconciliation.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut FieldIndex> {
+        self.map.values_mut()
     }
 
     /// Unlinks a key from every index.

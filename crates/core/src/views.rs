@@ -11,37 +11,92 @@
 //! The read-only views take a [`DbState`], so a live
 //! [`CuratedDatabase`] and a [`crate::Snapshot`] both pass by deref.
 
+use std::collections::BTreeMap;
+
 use cdb_annotation::colored::{ColoredRelation, ColoredTuple, Scheme};
 use cdb_annotation::reverse::{find_placements, Target};
+use cdb_curation::NodeId;
 use cdb_model::Atom;
-use cdb_relalg::{Database, RaExpr, Relation, Schema, Tuple};
+use cdb_obs::SpanGuard;
+use cdb_relalg::{ColumnIndex, Database, IndexSet, PhysPlan, PlanOp, RaExpr, Relation, Schema};
 
 use crate::db::{CuratedDatabase, DbError, DbState};
 
-/// The flat relation of all entries over the given fields: schema is
-/// `[key_field, fields…]`; entries missing a field get `Unit`.
-pub fn entry_relation(db: &DbState, fields: &[&str]) -> Result<Relation, DbError> {
-    let mut attrs = vec![db.key_field().to_owned()];
-    attrs.extend(fields.iter().map(|f| (*f).to_owned()));
-    let schema = Schema::new(attrs)?;
-    let mut rel = Relation::empty(schema);
-    for key in db.entry_keys()? {
-        let mut row: Tuple = vec![Atom::Str(key.clone())];
-        for f in fields {
-            row.push(db.field(&key, f).unwrap_or(Atom::Unit));
-        }
-        rel.insert(row)?;
+/// The schema of the entries relation: `[key_field, fields…]`.
+fn entries_schema(db: &DbState, fields: &[&str]) -> Result<Schema, DbError> {
+    let attrs = std::iter::once(db.key_field()).chain(fields.iter().copied());
+    Ok(Schema::new(attrs.map(str::to_owned))?)
+}
+
+/// One row per given entry, in the order given: the key, then `fields`
+/// read off the entry's node. Every row a relational view holds is
+/// built here and counted in `core.view.rows_materialised`, so a test
+/// can bound a read by the rows it built.
+fn materialise<'a>(
+    db: &'a DbState,
+    fields: &[&str],
+    entries: impl Iterator<Item = (&'a str, NodeId)>,
+) -> Result<Relation, DbError> {
+    let mut span = SpanGuard::enter("core.view.entry_relation");
+    let mut rel = Relation::empty(entries_schema(db, fields)?);
+    for (key, node) in entries {
+        let cells = fields.iter().map(|f| db.view_value(key, node, f));
+        rel.insert(
+            std::iter::once(Atom::Str(key.to_owned()))
+                .chain(cells)
+                .collect(),
+        )?;
     }
+    span.set_attr(rel.len() as u64);
+    cdb_obs::global()
+        .counter("core.view.rows_materialised")
+        .add(rel.len() as u64);
     Ok(rel)
 }
 
+/// The flat relation of all entries over the given fields: schema is
+/// `[key_field, fields…]`; entries missing a field get `Unit`. One walk
+/// over the entries, each row read off its own node.
+pub fn entry_relation(db: &DbState, fields: &[&str]) -> Result<Relation, DbError> {
+    materialise(db, fields, db.entries()?.into_iter())
+}
+
+/// The entries an index-only `plan` can reach: when every leaf is an
+/// [`PlanOp::IndexLookup`], the union of the postings it names, in tree
+/// order. `None` when any leaf scans (or the plan fell back to the
+/// reference evaluator), which needs every entry.
+fn lookup_slice<'a>(db: &'a DbState, plan: &PhysPlan) -> Option<BTreeMap<NodeId, &'a str>> {
+    let mut slice = BTreeMap::new();
+    for op in plan.ops() {
+        match op {
+            PlanOp::Scan { .. } | PlanOp::ScanAs { .. } | PlanOp::Naive { .. } => return None,
+            PlanOp::IndexLookup { col, key, .. } => {
+                for k in db.field_index(col)?.posting(key) {
+                    slice.insert(db.entry_node(k).ok()?, k);
+                }
+            }
+            _ => {}
+        }
+    }
+    Some(slice)
+}
+
 /// Plans and runs a query over the entries relation with the cost-based
-/// planner: statistics come from [`DbState::planner_stats`]
-/// (entry counts, per-indexed-field distincts — no scan), access paths
-/// from the registered durable indexes via
-/// [`DbState::relalg_index_set`]. Returns the canonical result
-/// plus the physical plan and its per-operator actuals, so callers
-/// (cdbsh `explain`) can show estimates against reality.
+/// planner, reading no more entries than the plan needs.
+///
+/// The plan comes first and touches no entry: the schema is
+/// `[key_field, fields…]`, statistics come from
+/// [`DbState::planner_stats`] (entry count from the primary index,
+/// per-indexed-field distincts from the postings) and the access paths
+/// are the registered indexes on view columns. If every leaf of the
+/// chosen plan is an index lookup, only the entries in those postings
+/// are materialised, each found through the primary index; any other
+/// plan gets the full [`entry_relation`]. Either way the plan then runs
+/// over the rows it was given with each lookup as the selection
+/// `σ[col = key]` it stands for, so the result is the one the reference
+/// evaluator computes over the full relation. Returns the canonical
+/// result plus the physical plan and its per-operator actuals, so
+/// callers (cdbsh `explain`) can show estimates against reality.
 ///
 /// The query sees one relation named `entries` with schema
 /// `[key_field, fields…]`, exactly as [`entry_relation`] builds it.
@@ -49,14 +104,41 @@ pub fn query_entries_planned(
     db: &DbState,
     fields: &[&str],
     q: &RaExpr,
-) -> Result<(Relation, cdb_relalg::PhysPlan, Vec<cdb_relalg::PlanRun>), DbError> {
-    let rel = entry_relation(db, fields)?;
+) -> Result<(Relation, PhysPlan, Vec<cdb_relalg::PlanRun>), DbError> {
+    let _trace = cdb_obs::trace_root();
+    let _query = SpanGuard::enter("core.view.query");
+    let (catalog, stats, indexed) = {
+        let _s = SpanGuard::enter("core.view.plan_inputs");
+        let schema = entries_schema(db, fields)?;
+        // Which view columns are indexed is all the planner asks of an
+        // index; the postings stay in `db`.
+        let mut indexed = IndexSet::new();
+        for idx in db.indexes.iter() {
+            if let Some(col) = schema.attrs().iter().position(|a| a == idx.field()) {
+                indexed.add(ColumnIndex::from_postings("entries", idx.field(), col, []));
+            }
+        }
+        let catalog = Database::new().with("entries", Relation::empty(schema));
+        (catalog, db.planner_stats(fields), indexed)
+    };
+    let plan = {
+        let _s = SpanGuard::enter("core.view.plan");
+        cdb_relalg::plan::plan(&catalog, &stats, &indexed, q)
+    };
+    let rel = match lookup_slice(db, &plan) {
+        Some(slice) => materialise(db, fields, slice.into_iter().map(|(node, key)| (key, node)))?,
+        None => entry_relation(db, fields)?,
+    };
+    let _s = SpanGuard::enter("core.view.exec");
     let rdb = Database::new().with("entries", rel);
-    let stats = db.planner_stats(fields);
-    let indexes = db.relalg_index_set(fields)?;
-    let plan = cdb_relalg::plan::plan(&rdb, &stats, &indexes, q);
-    let (out, runs) =
-        cdb_relalg::plan::eval_plan(&rdb, &plan, &indexes, &cdb_relalg::ExecConfig::default())?;
+    // No index set: the rows are already the lookups' postings (or the
+    // whole relation), and a lookup without an index is its selection.
+    let (out, runs) = cdb_relalg::plan::eval_plan(
+        &rdb,
+        &plan,
+        &IndexSet::new(),
+        &cdb_relalg::ExecConfig::default(),
+    )?;
     Ok((out, plan, runs))
 }
 

@@ -55,13 +55,16 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
+/// One arena slot, tombstones included. The wire codec (`crate::wire`)
+/// reads and builds slots directly; the arena index of a node is its
+/// position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Node {
-    label: String,
-    value: Option<Atom>,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    alive: bool,
+pub(crate) struct RawNode {
+    pub(crate) label: String,
+    pub(crate) value: Option<Atom>,
+    pub(crate) parent: Option<NodeId>,
+    pub(crate) children: Vec<NodeId>,
+    pub(crate) alive: bool,
 }
 
 /// A curated database as a semistructured tree.
@@ -73,26 +76,15 @@ struct Node {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeDb {
     name: String,
-    nodes: Vec<Node>,
+    nodes: Vec<RawNode>,
     root: NodeId,
-}
-
-/// A raw arena node, as exposed to the wire codec (`crate::wire`). The
-/// arena index of the node is implicit in its position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RawNode {
-    pub(crate) label: String,
-    pub(crate) value: Option<Atom>,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
-    pub(crate) alive: bool,
 }
 
 impl TreeDb {
     /// Creates a database whose root carries the database name as label.
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
-        let root = Node {
+        let root = RawNode {
             label: name.clone(),
             value: None,
             parent: None,
@@ -116,14 +108,14 @@ impl TreeDb {
         self.root
     }
 
-    fn node(&self, id: NodeId) -> Result<&Node, TreeError> {
+    fn node(&self, id: NodeId) -> Result<&RawNode, TreeError> {
         self.nodes
             .get(id.0)
             .filter(|n| n.alive)
             .ok_or(TreeError::NoSuchNode(id))
     }
 
-    fn node_mut(&mut self, id: NodeId) -> Result<&mut Node, TreeError> {
+    fn node_mut(&mut self, id: NodeId) -> Result<&mut RawNode, TreeError> {
         self.nodes
             .get_mut(id.0)
             .filter(|n| n.alive)
@@ -240,32 +232,16 @@ impl TreeDb {
     // because node ids are arena indices and log replay re-allocates
     // them in order.
 
-    pub(crate) fn raw_nodes(&self) -> Vec<RawNode> {
-        self.nodes
-            .iter()
-            .map(|n| RawNode {
-                label: n.label.clone(),
-                value: n.value.clone(),
-                parent: n.parent,
-                children: n.children.clone(),
-                alive: n.alive,
-            })
-            .collect()
+    /// The arena, borrowed: its length, one slot or all of them cost
+    /// what they read, never a copy of the tree.
+    pub(crate) fn raw_slots(&self) -> &[RawNode] {
+        &self.nodes
     }
 
     pub(crate) fn from_raw(name: String, root: NodeId, raw: Vec<RawNode>) -> Self {
         TreeDb {
             name,
-            nodes: raw
-                .into_iter()
-                .map(|n| Node {
-                    label: n.label,
-                    value: n.value,
-                    parent: n.parent,
-                    children: n.children,
-                    alive: n.alive,
-                })
-                .collect(),
+            nodes: raw,
             root,
         }
     }
@@ -283,7 +259,7 @@ impl TreeDb {
     ) -> Result<NodeId, TreeError> {
         self.node(parent)?; // validate
         let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
+        self.nodes.push(RawNode {
             label: label.into(),
             value,
             parent: Some(parent),

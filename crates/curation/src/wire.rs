@@ -346,9 +346,9 @@ fn put_raw_node(out: &mut Vec<u8>, n: &RawNode) {
 fn put_tree(out: &mut Vec<u8>, tree: &TreeDb) {
     put_str(out, tree.name());
     put_u64(out, tree.root().0 as u64);
-    let raw = tree.raw_nodes();
+    let raw = tree.raw_slots();
     put_u32(out, raw.len() as u32);
-    for n in &raw {
+    for n in raw {
         put_raw_node(out, n);
     }
 }
@@ -446,7 +446,7 @@ pub struct PagedNode {
 /// The number of arena slots in a tree, tombstones included — the
 /// range of valid node-page object ids.
 pub fn arena_len(tree: &TreeDb) -> usize {
-    tree.raw_nodes().len()
+    tree.raw_slots().len()
 }
 
 /// The raw structural links of an arena slot, tombstones included:
@@ -455,8 +455,7 @@ pub fn arena_len(tree: &TreeDb) -> usize {
 /// nodes the public (live-only) API can no longer reach, yet their
 /// pages must be recaptured.
 pub fn node_links(tree: &TreeDb, index: usize) -> Option<(Option<usize>, Vec<usize>, bool)> {
-    let raw = tree.raw_nodes();
-    let n = raw.get(index)?;
+    let n = tree.raw_slots().get(index)?;
     Some((
         n.parent.map(|p| p.0),
         n.children.iter().map(|c| c.0).collect(),
@@ -467,8 +466,7 @@ pub fn node_links(tree: &TreeDb, index: usize) -> Option<(Option<usize>, Vec<usi
 /// Encodes one arena slot as a node-page payload. `None` when `index`
 /// is out of range.
 pub fn encode_tree_node(tree: &TreeDb, index: usize) -> Option<Vec<u8>> {
-    let raw = tree.raw_nodes();
-    let n = raw.get(index)?;
+    let n = tree.raw_slots().get(index)?;
     let mut out = Vec::with_capacity(32);
     put_raw_node(&mut out, n);
     Some(out)

@@ -220,6 +220,17 @@ if [[ -n "$violations" ]]; then
     exit 1
 fi
 
+echo "== arena gate: the wire codec borrows arena slots =="
+# The codec reads the tree arena through the borrowed `TreeDb::raw_slots`;
+# the arena-copying `raw_nodes()` is gone, and a per-slot accessor on top
+# of a copy is O(arena) per slot (paged attach/capture were O(arena²)).
+# That entries are addressed rather than scanned is held by counts in
+# the tests (`check_primary`, `tests/addressed_reads.rs`), not by a grep.
+if grep -rn 'raw_nodes' crates/*/src; then
+    echo "raw_nodes() copied the whole arena per call — borrow it with TreeDb::raw_slots()"
+    exit 1
+fi
+
 echo "== example smoke (every binary in examples/) =="
 cargo build --examples -q
 for src in examples/*.rs; do

@@ -8,14 +8,17 @@
 //! writes naming the key field, retired or unknown identifiers) —
 //! must leave them indistinguishable: step by step the same `Ok` or
 //! the same class of error, the same `export()`, the same answer to
-//! "what happened to X?" for every identifier, the same notes, and
-//! index postings that equal a rebuild from the entries on every
-//! underlying state and agree across façades. On the three-shard
+//! "what happened to X?" for every identifier, the same notes, index
+//! postings that equal a rebuild from the entries on every underlying
+//! state and agree across façades, and a primary index that addresses
+//! exactly the entries a scan of the tree finds. On the three-shard
 //! database a good share of the fusions and fissions cross a shard
 //! boundary and run as 2PC transactions.
 //!
 //! 256 seeded careers (`PROPTEST_CASES` overrides); a failing seed
 //! replays exactly.
+
+mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::{discriminant, Discriminant};
@@ -337,6 +340,14 @@ fn checked_postings(f: &dyn Facade) -> Result<BTreeMap<String, Postings>, String
     Ok(union)
 }
 
+/// [`common::check_primary`] on every underlying state.
+fn check_primary(f: &dyn Facade, pool: &[String]) -> Result<(), String> {
+    for (i, s) in f.states().iter().enumerate() {
+        common::check_primary(s, pool).map_err(|m| format!("state {i}: {m}"))?;
+    }
+    Ok(())
+}
+
 fn notes_all(f: &dyn Facade, pool: &[String]) -> Vec<(String, Option<&'static str>, usize)> {
     let mut out = Vec::new();
     for s in f.states() {
@@ -420,7 +431,11 @@ proptest! {
 
             let want_export = export_all(&reference);
             let want_postings = checked_postings(&reference).map_err(TestCaseError::fail)?;
+            check_primary(&reference, &pool)
+                .map_err(|m| TestCaseError::fail(format!("step {step} {op:?}: {m}")))?;
             for (name, db) in &others {
+                check_primary(db.as_ref(), &pool)
+                    .map_err(|m| TestCaseError::fail(format!("step {step} {op:?} on {name}: {m}")))?;
                 prop_assert_eq!(
                     &export_all(db.as_ref()), &want_export,
                     "export after step {} {:?} on {}", step, op, name

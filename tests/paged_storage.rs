@@ -25,6 +25,8 @@
 //! The pool size respects `CDB_TEST_POOL_PAGES` so the check.sh
 //! small-pool matrix leg squeezes every test through a 4-frame pool.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
 use cdb_core::CuratedDatabase;
@@ -405,4 +407,67 @@ fn shared_db_opens_and_recovers_paged() {
     )
     .unwrap();
     assert_eq!(re.snapshot().export().unwrap(), before);
+}
+
+/// A database of a size people curate: 2 000 entries (some 14 000
+/// arena slots) through checkpoint → reopen → edit → checkpoint →
+/// reopen, equal to the resident database driven alike at both
+/// reopens. Capture and attach read the arena slot by slot; when each
+/// of those reads copied the arena this took minutes, not seconds.
+#[test]
+fn large_paged_round_trip_matches_resident() {
+    const ENTRIES: usize = 2_000;
+    let key = |i: usize| format!("k{i:04}");
+    let wal = SharedDev::new();
+    let heap = SharedDev::new();
+    let (s1, s2) = (SharedDev::new(), SharedDev::new());
+    // Every life of the database opens the same four devices.
+    let open = || {
+        let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
+        let slots = CheckpointStore::slots(dev(&s1), dev(&s2));
+        let pool = pool_pages_from_env(64);
+        CuratedDatabase::open_paged("big", "id", dev(&wal), slots, dev(&heap), pool).unwrap()
+    };
+    let same = |paged: &CuratedDatabase, resident: &CuratedDatabase| {
+        assert_eq!(paged.curated, resident.curated);
+        assert_eq!(paged.export().unwrap(), resident.export().unwrap());
+        assert_eq!(paged.entry_keys().unwrap(), resident.entry_keys().unwrap());
+        common::check_primary(paged, &[key(0), key(7), "never".to_owned()]).unwrap();
+    };
+
+    let mut resident = CuratedDatabase::new("big", "id");
+    let mut paged = open();
+    for i in 0..ENTRIES {
+        let fields = [
+            ("gn", Atom::Int((i % 97) as i64)),
+            ("os", Atom::Int((i % 7) as i64)),
+            ("de", Atom::Str(format!("protein {i}"))),
+            ("sq", Atom::Str("MKVLAAGIVGLCAQ".repeat(1 + i % 3))),
+            ("kw", Atom::Str(format!("kw{}", i % 13))),
+        ];
+        for db in [&mut resident, &mut paged] {
+            db.add_entry("c", i as u64 + 1, &key(i), &fields).unwrap();
+        }
+    }
+    paged.checkpoint().unwrap();
+    drop(paged);
+
+    // The second life replays nothing and marks nothing dirty.
+    let mut paged = open();
+    same(&paged, &resident);
+    let mut time = ENTRIES as u64;
+    for i in (0..ENTRIES).step_by(10) {
+        time += 1;
+        for db in [&mut resident, &mut paged] {
+            db.edit_field("c", time, &key(i), "de", Atom::Str(format!("revised {i}")))
+                .unwrap();
+        }
+    }
+    for db in [&mut resident, &mut paged] {
+        db.delete_entry("c", time + 1, &key(7)).unwrap();
+    }
+    paged.checkpoint().unwrap();
+    drop(paged);
+
+    same(&open(), &resident);
 }

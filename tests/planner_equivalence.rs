@@ -18,7 +18,14 @@
 //!    argument meets the implementation (a duplicated hash-key pair
 //!    would square an annotation; a reordered join must not reassociate
 //!    a polynomial observably).
-//! 3. **Index durability** — a database that registered secondary
+//! 3. **Planned reads over entries** — after a random commit career
+//!    with random index DDL, `query_entries_planned` (which plans
+//!    before it reads and may materialise only the postings it looks
+//!    up) equals the reference interpreter over a full entries relation
+//!    built entry by entry, for point, join-of-two-lookups, union and
+//!    unindexed shapes; the one-pass `entry_relation` is that relation,
+//!    and one plan over it agrees across sets, ℕ and ℕ[X].
+//! 4. **Index durability** — a database that registered secondary
 //!    indexes and then crashed mid-WAL must recover, at *every* byte
 //!    offset, to indexes identical to a from-scratch rebuild of the
 //!    recovered tree. Each property runs 256 generated cases by default
@@ -28,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use curated_db::core::storage::{CheckpointStore, Io, MemIo, StorageError};
+use curated_db::core::views::{entry_relation, query_entries_planned};
 use curated_db::relalg::eval::eval;
 use curated_db::relalg::pred::{CmpOp, Operand};
 use curated_db::relalg::{
@@ -39,7 +47,7 @@ use curated_db::semiring::{KDatabase, KRelation, Nat, Polynomial, Semiring};
 use curated_db::workload::relational::{
     chain_query, chain_tables, point_lookup_query, select_product_query, JoinConfig,
 };
-use curated_db::{Atom, CuratedDatabase};
+use curated_db::{Atom, CuratedDatabase, DbError};
 use proptest::prelude::*;
 
 // For the one-executor property.
@@ -637,7 +645,131 @@ fn random_career(db: &mut CuratedDatabase, seed: u64, ops: usize) {
     }
 }
 
+/// The fields the planned-read property views beside the key `name`.
+const VIEW: [&str; 2] = ["tm", "kind"];
+
+/// Read shapes over the `entries` view of a [`random_career`] database,
+/// whose `tm` and `kind` are small integers and whose indexes come and
+/// go: which leaves become index lookups varies with the career.
+fn view_queries(c: i64) -> Vec<(&'static str, RaExpr)> {
+    let by = |alias: &str, col: &str, v: i64| {
+        RaExpr::ScanAs("entries".into(), alias.into())
+            .select(Pred::col_eq_const(format!("{alias}.{col}"), v))
+    };
+    let names = |col: &str, v: i64| {
+        RaExpr::scan("entries")
+            .select(Pred::col_eq_const(col, v))
+            .project_cols(["name"])
+    };
+    vec![
+        (
+            "point",
+            RaExpr::scan("entries").select(Pred::col_eq_const("tm", c)),
+        ),
+        (
+            "point on the key",
+            RaExpr::scan("entries").select(Pred::col_eq_const("name", "E1")),
+        ),
+        (
+            "join of two lookups",
+            by("a", "tm", c)
+                .product(by("b", "kind", (c + 1) % 4))
+                .select(Pred::col_eq_col("a.kind", "b.kind")),
+        ),
+        ("union", names("tm", c).union(names("kind", c))),
+        (
+            "unindexed",
+            RaExpr::scan("entries").select(Pred::cmp(
+                Operand::col("tm"),
+                CmpOp::Lt,
+                Operand::constant(c),
+            )),
+        ),
+        (
+            "lookup beside a scan",
+            by("a", "tm", c)
+                .product(RaExpr::ScanAs("entries".into(), "b".into()))
+                .select(Pred::col_eq_col("a.kind", "b.kind")),
+        ),
+        (
+            "unknown attribute",
+            RaExpr::scan("entries").select(Pred::col_eq_const("nope", c)),
+        ),
+    ]
+}
+
+/// Obligation 3 of the module docs, on `db` as it stands.
+fn check_planned_entry_reads(db: &CuratedDatabase, c: i64) -> Result<(), TestCaseError> {
+    // The reference relation: entry by entry through the point reads.
+    let full = Relation::table(
+        ["name", "tm", "kind"],
+        db.entry_keys().unwrap().into_iter().map(|k| {
+            let cell = |f| db.field(&k, f).unwrap_or(Atom::Unit);
+            vec![Atom::Str(k.clone()), cell("tm"), cell("kind")]
+        }),
+    )
+    .unwrap();
+    let one_pass = entry_relation(db, &VIEW).unwrap();
+    prop_assert_eq!(&one_pass, &full);
+    let reference = Database::new().with("entries", full);
+
+    let stats = db.planner_stats(&VIEW);
+    let indexes = db.relalg_index_set(&VIEW).unwrap();
+    let exec = ExecConfig::default();
+    for (shape, q) in view_queries(c) {
+        match (query_entries_planned(db, &VIEW, &q), eval(&reference, &q)) {
+            (Ok((got, _, _)), Ok(want)) => prop_assert_eq!(got, want.canonical(), "{}", shape),
+            (Err(DbError::Relational(got)), Err(want)) => {
+                prop_assert_eq!(got.to_string(), want.to_string(), "{}", shape);
+                continue;
+            }
+            (got, want) => prop_assert!(
+                false,
+                "{}: {:?} against {:?}",
+                shape,
+                got.map(|r| r.0),
+                want
+            ),
+        }
+
+        // One plan over the one-pass relation, three annotations.
+        let p = plan(&reference, &stats, &indexes, &q);
+        let nats = tagged_db(&reference, &["entries"], |_| Nat(1));
+        let polys = tagged_db(&reference, &["entries"], |v| Polynomial::var(&v));
+        let (set, _) = execute::<Relation>(&reference, &p, &indexes, &exec).unwrap();
+        let (nats, _) = execute::<KRelation<Nat>>(&nats, &p, &indexes, &exec).unwrap();
+        let (poly_rel, _) = execute::<KRelation<Polynomial>>(&polys, &p, &indexes, &exec).unwrap();
+        let mut bag: BTreeMap<Tuple, u64> = BTreeMap::new();
+        for t in set.tuples() {
+            *bag.entry(t.clone()).or_default() += 1;
+        }
+        let counts: BTreeMap<Tuple, u64> = nats.iter().map(|(t, n)| (t.clone(), n.0)).collect();
+        prop_assert_eq!(counts, bag, "{}", shape);
+        prop_assert_eq!(&poly_rel, &eval_k(&polys, &q).unwrap(), "{}", shape);
+        prop_assert_eq!(poly_rel.to_relation(), set.canonical(), "{}", shape);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Planned reads neither lose nor invent rows, whatever the plan
+    /// read: under the indexes the career happened to leave, and again
+    /// with every view column indexed, so that the point, join and
+    /// union shapes read only their postings.
+    #[test]
+    fn planned_entry_reads_match_the_reference_over_the_full_relation(
+        seed in any::<u64>(),
+        c in 0i64..4,
+    ) {
+        let mut db = CuratedDatabase::new("iuphar", "name");
+        random_career(&mut db, seed, 40);
+        check_planned_entry_reads(&db, c)?;
+        for field in ["name", "tm", "kind"] {
+            db.create_index(field).unwrap();
+        }
+        check_planned_entry_reads(&db, c)?;
+    }
+
     /// Random careers, random crash points: the recovered indexes are
     /// always a from-scratch rebuild of the recovered tree.
     #[test]

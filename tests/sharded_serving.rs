@@ -34,12 +34,16 @@
 //!   shard's half. Same for splits: the original is retired iff every
 //!   part (each on its own shard) exists.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use cdb_core::{CuratedDatabase, DbState, Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot};
+use cdb_core::{
+    CuratedDatabase, DbState, EntryEvent, Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot,
+};
 use cdb_curation::ops::Transaction;
 use cdb_curation::replay::replay_and_verify;
 use cdb_model::Atom;
@@ -661,6 +665,9 @@ proptest! {
             replay_and_verify(&shard.curated)
                 .map_err(|e| TestCaseError::fail(format!("shard {i} replay: {e}")))?;
         }
+        // Whatever prefix each shard recovered, it is addressed.
+        check_primary(&fin).map_err(TestCaseError::fail)?;
+        check_primary(&rsnap).map_err(|m| TestCaseError::fail(format!("reopened: {m}")))?;
 
         if honest {
             // Never half-applied, and both registries agree, for every
@@ -726,14 +733,43 @@ fn maintained_postings(s: &DbState, field: &str) -> Result<Postings, String> {
         .collect())
 }
 
+/// Every shard's primary index equals a rebuild from its tree and
+/// refuses every identifier any shard's registry has heard of that is
+/// not live on it — retired, absorbed, or live on another shard.
+fn check_primary(snap: &ShardedSnapshot) -> Result<(), String> {
+    let mut ids = BTreeSet::new();
+    for e in snap.shards().iter().flat_map(|s| s.lifecycle.events()) {
+        match e {
+            EntryEvent::Created { id, .. } | EntryEvent::Deleted { id, .. } => {
+                ids.insert(id.clone());
+            }
+            EntryEvent::Merged { kept, absorbed, .. } => {
+                ids.extend([kept.clone(), absorbed.clone()]);
+            }
+            EntryEvent::Split {
+                original, parts, ..
+            } => {
+                ids.insert(original.clone());
+                ids.extend(parts.iter().cloned());
+            }
+        }
+    }
+    for (i, shard) in snap.shards().iter().enumerate() {
+        common::check_primary(shard, &ids).map_err(|m| format!("shard {i}: {m}"))?;
+    }
+    Ok(())
+}
+
 /// Every shard's maintained postings equal a from-scratch rebuild, and
 /// their union answers every lookup as `oracle` (a sequential replay of
-/// the same career on one unsharded database) does.
+/// the same career on one unsharded database) does; every shard's
+/// primary index equals a rebuild too.
 fn check_indexes(
     snap: &ShardedSnapshot,
     oracle: Option<&CuratedDatabase>,
     fields: &[String],
 ) -> Result<(), String> {
+    check_primary(snap)?;
     for field in fields {
         let mut union = Postings::new();
         for (i, shard) in snap.shards().iter().enumerate() {
