@@ -67,7 +67,7 @@ fn wal_image(db: &CuratedTree) -> Vec<u8> {
 fn checkpoint_every(db: &CuratedTree, interval: usize) -> Checkpoint {
     let k = (db.log.len() - 1) / interval * interval;
     let mut snap = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in &db.log[..k] {
+    for txn in db.log.iter().take(k) {
         apply_committed(&mut snap, txn).unwrap();
     }
     Checkpoint::basic(snap.last_txn_id(), snap.tree, snap.prov)
@@ -137,7 +137,7 @@ fn bench_recovery(c: &mut Criterion) {
         );
     }
     // Raw log-append throughput: encode + append + one sync per txn.
-    let frames: Vec<Vec<u8>> = db.transactions().iter().map(encode_transaction).collect();
+    let frames: Vec<Vec<u8>> = db.log.iter().map(encode_transaction).collect();
     g.bench_with_input(BenchmarkId::new("append_sync", txns), &txns, |b, _| {
         b.iter_with_setup(
             || DurableLog::create(MemIo::new()).unwrap(),

@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Deref;
+use std::sync::Arc;
 
 use cdb_archive::{Archive, ArchiveError, Citation, VersionId};
 use cdb_curation::ops::{Clipboard, CuratedTree, Txn};
@@ -171,6 +172,17 @@ pub(crate) type Parts<'a> = [(&'a str, Vec<(&'a str, Atom)>)];
 /// and the in-memory half of every curation operation (validate → one
 /// curation transaction → lifecycle → reindex), and knows nothing of
 /// WALs, checkpoints or locks.
+///
+/// Every field that grows with the database shares structure, so the
+/// derived `Clone` bumps reference counts and copies no element: the
+/// tree arena, the provenance records, the transaction log and the
+/// lifecycle event log are [`cdb_model::ChunkVec`]s; the lifecycle fates,
+/// the index postings and the primary index are
+/// [`cdb_model::BucketMap`]s; the archive, the notes and the 2PC
+/// decisions sit behind one `Arc` each, copied by the operations that
+/// change them (publish, annotate, a cross-shard decision). An operation
+/// copies only the chunks and buckets it writes while a clone shares
+/// them (`DESIGN.md`, S23).
 #[derive(Debug, Clone)]
 pub struct DbState {
     /// The working tree with its provenance store and transaction log.
@@ -178,8 +190,8 @@ pub struct DbState {
     /// The identifier lifecycle registry.
     pub lifecycle: EntryRegistry,
     pub(crate) key_field: String,
-    pub(crate) archive: Archive,
-    pub(crate) notes: BTreeMap<String, EntryNotes>,
+    pub(crate) archive: Arc<Archive>,
+    pub(crate) notes: Arc<BTreeMap<String, EntryNotes>>,
     /// For each published version: the last committed transaction at
     /// publish time (None = published before any transaction) and the
     /// logical time of that transaction — enough to rebuild the archive
@@ -192,7 +204,7 @@ pub struct DbState {
     /// 2PC decision records this shard knows (gid → commit): populated
     /// by cross-shard commits and by recovery, re-encoded into every
     /// checkpoint so decisions outlive WAL truncation.
-    pub(crate) decisions: BTreeMap<u64, bool>,
+    pub(crate) decisions: Arc<BTreeMap<u64, bool>>,
     /// Registered secondary indexes over entry fields. Registrations
     /// are WAL-durable (tag [`crate::durable::AUX_INDEX`]) and carried
     /// by checkpoints; postings are derived state, reconciled inside
@@ -230,14 +242,14 @@ impl DbState {
     pub(crate) fn new(name: impl Into<String>, key_field: impl Into<String>) -> Self {
         let (name, key_field) = (name.into(), key_field.into());
         DbState {
-            archive: empty_archive(&name, &key_field),
+            archive: Arc::new(empty_archive(&name, &key_field)),
             curated: CuratedTree::new(name, StoreMode::Hereditary),
             lifecycle: EntryRegistry::new(),
             key_field,
-            notes: BTreeMap::new(),
+            notes: Arc::default(),
             publish_points: Vec::new(),
             last_time: 0,
-            decisions: BTreeMap::new(),
+            decisions: Arc::default(),
             indexes: crate::indexes::FieldIndexes::default(),
             primary: crate::indexes::PrimaryIndex::default(),
         }
@@ -813,13 +825,10 @@ impl DbState {
     /// Files `note` under `(key, field)`; an entry already annotated is
     /// found without building an owned key.
     pub(crate) fn attach_note(&mut self, key: &str, field: Option<&str>, note: Note) {
-        match self.notes.get_mut(key) {
+        let notes = Arc::make_mut(&mut self.notes);
+        match notes.get_mut(key) {
             Some(on_entry) => on_entry.push(field, note),
-            None => self
-                .notes
-                .entry(key.to_owned())
-                .or_default()
-                .push(field, note),
+            None => notes.entry(key.to_owned()).or_default().push(field, note),
         }
     }
 
@@ -844,7 +853,7 @@ impl DbState {
 
     pub(crate) fn publish(&mut self, label: String) -> Result<VersionId, DbError> {
         let snapshot = self.export()?;
-        let v = self.archive.add_version(&snapshot, label.clone())?;
+        let v = Arc::make_mut(&mut self.archive).add_version(&snapshot, label.clone())?;
         let txn = self.curated.last_txn_id();
         self.publish_points.push((txn, self.clock(), label));
         Ok(v)
@@ -957,6 +966,10 @@ pub struct CuratedDatabase {
     /// The per-database metric registry (`Arc`-backed: storage handles
     /// created for this database and the serving layer record here).
     pub(crate) metrics: cdb_obs::Metrics,
+    /// How many operations have changed the state: bumped once the
+    /// state half of an operation succeeds, before its persist step.
+    /// The serving layer publishes a new snapshot only when it moved.
+    pub(crate) applied: u64,
 }
 
 impl Deref for CuratedDatabase {
@@ -975,6 +988,7 @@ impl CuratedDatabase {
             state: DbState::new(name, key_field),
             durable: None,
             metrics: cdb_obs::Metrics::new(),
+            applied: 0,
         }
     }
 
@@ -1001,6 +1015,7 @@ impl CuratedDatabase {
         op: impl FnOnce(&mut DbState) -> Result<R, DbError>,
     ) -> Result<R, DbError> {
         let out = op(&mut self.state)?;
+        self.applied += 1;
         self.persist_commit()?;
         Ok(out)
     }
@@ -1088,6 +1103,7 @@ impl CuratedDatabase {
         if !self.state.create_index(field)? {
             return Ok(false);
         }
+        self.applied += 1;
         self.persist_index(field, true)?;
         Ok(true)
     }
@@ -1099,6 +1115,7 @@ impl CuratedDatabase {
         if !self.state.indexes.unregister(field) {
             return Ok(false);
         }
+        self.applied += 1;
         self.persist_index(field, false)?;
         Ok(true)
     }
@@ -1114,6 +1131,7 @@ impl CuratedDatabase {
         time: u64,
     ) -> Result<(), DbError> {
         self.state.annotate(key, field, author, text, time)?;
+        self.applied += 1;
         self.persist_note(key, field)
     }
 
@@ -1122,6 +1140,7 @@ impl CuratedDatabase {
     /// 'publish' versions of the database" (§1).
     pub fn publish(&mut self, label: impl Into<String>) -> Result<VersionId, DbError> {
         let v = self.state.publish(label.into())?;
+        self.applied += 1;
         self.persist_publish()?;
         Ok(v)
     }

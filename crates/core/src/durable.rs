@@ -30,10 +30,12 @@
 //! wrapper over `open_all`, the only caller of recovery.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::wire::{put_str, put_u64, Checkpoint, Reader, WireError};
+use cdb_model::ChunkVec;
 use cdb_storage::{
     recover_shards, recover_with, CheckpointStore, GroupWal, Io, PublishRecord, Recovered,
     RecoveryStats, Retention, StorageError, FRAME_AUX, FRAME_COMMIT, FRAME_PUBLISH,
@@ -400,6 +402,7 @@ pub(crate) fn open_all(
             }),
             state,
             metrics,
+            applied: 0,
         });
     }
     Ok((dbs, max_gid))
@@ -427,7 +430,7 @@ impl DbState {
                     state.attach_note(&key, field.as_deref(), note);
                 }
                 AuxRecord::Decision { gid, commit } => {
-                    state.decisions.insert(gid, commit);
+                    Arc::make_mut(&mut state.decisions).insert(gid, commit);
                 }
                 // Registrations replay in log order, so a drop cancels
                 // an earlier create; postings rebuild below, after the
@@ -448,13 +451,13 @@ impl DbState {
         // The WAL's own DECIDE frames join the checkpoint-carried
         // records (later frames win — they are never contradictory, but
         // a self-healed abort may postdate a carried record).
-        state.decisions.extend(rec.decisions.iter());
+        Arc::make_mut(&mut state.decisions).extend(rec.decisions.iter());
         state.publish_points = rec
             .publishes
             .iter()
             .map(|p| (p.txn, p.time, p.label.clone()))
             .collect();
-        state.archive = if rec.truncated {
+        state.archive = Arc::new(if rec.truncated {
             // The covered log is gone: versions published before the
             // checkpoint cut cannot be replayed from the log. The
             // checkpoint carried their exported snapshots instead;
@@ -467,7 +470,7 @@ impl DbState {
             state.rebuild_archive(Some(base), &rec.carried_snapshots)?
         } else {
             state.archive_from_log()?
-        };
+        });
         Ok((state, rec.stats))
     }
 }
@@ -525,13 +528,13 @@ impl Durable {
         let events = state.lifecycle.events();
         let log = &state.curated.log;
         let mut frames = Vec::new();
-        let mut fresh: Vec<Vec<u8>> = events[self.persisted_events.min(events.len())..]
-            .iter()
+        let mut fresh: Vec<Vec<u8>> = events
+            .iter_from(self.persisted_events)
             .map(encode_event)
             .collect();
-        let start = self.persisted_txns.min(log.len());
-        let txns = &log[start..];
-        if txns.is_empty() {
+        let txns = log.iter_from(self.persisted_txns);
+        let unpersisted = txns.len();
+        if unpersisted == 0 {
             for payload in fresh.drain(..) {
                 frames.push((FRAME_AUX, payload));
             }
@@ -541,8 +544,8 @@ impl Durable {
             // persist was interrupted; the stragglers' events then ride
             // with the newest frame — relative aux order (all recovery
             // depends on) is preserved.
-            for (i, txn) in txns.iter().enumerate() {
-                let aux = if i + 1 == txns.len() {
+            for (i, txn) in txns.enumerate() {
+                let aux = if i + 1 == unpersisted {
                     std::mem::take(&mut fresh)
                 } else {
                     Vec::new()
@@ -550,7 +553,7 @@ impl Durable {
                 frames.push((FRAME_COMMIT, cdb_storage::encode_commit(txn, &aux)));
             }
         }
-        metrics.counter("core.commits").add(txns.len() as u64);
+        metrics.counter("core.commits").add(unpersisted as u64);
         self.persisted_txns = log.len();
         self.persisted_events = events.len();
         frames
@@ -608,7 +611,7 @@ impl Durable {
         let truncated_form =
             self.retention == Retention::Reclaim || curated.base_txn_id().is_some();
         ck.log = if truncated_form {
-            Vec::new()
+            ChunkVec::new()
         } else {
             curated.log.clone()
         };
@@ -632,14 +635,14 @@ impl Durable {
             .map(encode_publish_point)
             .collect();
         let mut aux: Vec<Vec<u8>> = state.lifecycle.events().iter().map(encode_event).collect();
-        for (key, notes) in &state.notes {
+        for (key, notes) in state.notes.iter() {
             for (field, note) in notes.iter() {
                 aux.push(encode_note(key, field, note));
             }
         }
         // 2PC decision records ride every checkpoint so they outlive
         // the DECIDE frames the watermark is about to retire.
-        for (&gid, &commit) in &state.decisions {
+        for (&gid, &commit) in state.decisions.iter() {
             aux.push(encode_decision(gid, commit));
         }
         // Index registrations likewise: only the surviving creates —

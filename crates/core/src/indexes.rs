@@ -29,6 +29,12 @@
 //! rollback — and the reason a posting's key costs one lookup to turn
 //! into its entry.
 //!
+//! Every map here is a [`BucketMap`], so the snapshot a commit publishes
+//! and the savepoint a 2PC transaction takes share each bucket until a
+//! write lands in it. A posting set sits behind its own `Arc`: copying a
+//! bucket bumps a count per value, and only the set a write changes is
+//! copied.
+//!
 //! [`CuratedDatabase::create_index`]: crate::db::CuratedDatabase::create_index
 //! [`DbState`]: crate::db::DbState
 //! [`DbState::relalg_index_set`]: crate::db::DbState::relalg_index_set
@@ -38,17 +44,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cdb_curation::NodeId;
-use cdb_model::Atom;
+use cdb_model::{Atom, BucketMap};
 
 /// A secondary index over one entry field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FieldIndex {
     field: String,
     /// Value → keys of the entries holding it.
-    by_value: BTreeMap<Atom, BTreeSet<String>>,
+    by_value: BucketMap<Atom, Arc<BTreeSet<String>>>,
     /// Key → the value currently indexed for it (the reverse map that
     /// makes reconciliation O(log n) instead of a full-index sweep).
-    by_key: BTreeMap<String, Atom>,
+    by_key: BucketMap<Arc<str>, Atom>,
 }
 
 impl FieldIndex {
@@ -74,7 +80,7 @@ impl FieldIndex {
         self.by_value
             .get(value)
             .into_iter()
-            .flatten()
+            .flat_map(|keys| keys.iter())
             .map(String::as_str)
     }
 
@@ -93,29 +99,41 @@ impl FieldIndex {
         self.by_key.is_empty()
     }
 
-    /// Iterates `(value, keys)` postings in value order.
+    /// Iterates the `(value, keys)` postings — bucket by bucket, not in
+    /// value order.
     pub fn postings(&self) -> impl Iterator<Item = (&Atom, &BTreeSet<String>)> {
-        self.by_value.iter()
+        self.by_value.iter().map(|(value, keys)| (value, &**keys))
     }
 
-    /// Points `key` at `value`, unlinking any previous value.
+    /// Points `key` at `value`, unlinking any previous value. A key
+    /// already at `value` changes nothing and copies nothing.
     pub(crate) fn set(&mut self, key: &str, value: Atom) {
+        if self.by_key.get(key) == Some(&value) {
+            return;
+        }
         self.remove(key);
-        self.by_value
-            .entry(value.clone())
-            .or_default()
-            .insert(key.to_owned());
-        self.by_key.insert(key.to_owned(), value);
+        match self.by_value.get_mut(&value) {
+            Some(keys) => {
+                Arc::make_mut(keys).insert(key.to_owned());
+            }
+            None => {
+                let keys = BTreeSet::from([key.to_owned()]);
+                self.by_value.insert(value.clone(), Arc::new(keys));
+            }
+        }
+        self.by_key.insert(key.into(), value);
     }
 
     /// Unlinks `key` entirely (entry deleted or absorbed).
     pub(crate) fn remove(&mut self, key: &str) {
-        if let Some(old) = self.by_key.remove(key) {
-            if let Some(set) = self.by_value.get_mut(&old) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_value.remove(&old);
-                }
+        let Some(old) = self.by_key.remove(key) else {
+            return;
+        };
+        if let Some(keys) = self.by_value.get_mut(&old) {
+            if keys.len() == 1 {
+                self.by_value.remove(&old);
+            } else {
+                Arc::make_mut(keys).remove(key);
             }
         }
     }
@@ -123,14 +141,13 @@ impl FieldIndex {
 
 /// The primary index: entry key → entry node.
 ///
-/// Every commit clones the state for its snapshot, so the map sits
-/// behind one `Arc` and only an operation that changes the key set
-/// (`Arc::make_mut`) copies it while a snapshot still shares it. Keys
-/// are `Arc<str>`: that copy bumps a reference count per key and
-/// allocates no strings.
+/// Every commit's snapshot shares the map; an operation that changes
+/// the key set copies only the bucket the key hashes to. Keys are
+/// `Arc<str>`: that copy bumps a reference count per key and allocates
+/// no strings.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PrimaryIndex {
-    map: Arc<BTreeMap<Arc<str>, NodeId>>,
+    map: BucketMap<Arc<str>, NodeId>,
 }
 
 impl PrimaryIndex {
@@ -146,12 +163,12 @@ impl PrimaryIndex {
 
     /// Addresses `key` to `node`, replacing any previous address.
     pub(crate) fn insert(&mut self, key: &str, node: NodeId) {
-        Arc::make_mut(&mut self.map).insert(key.into(), node);
+        self.map.insert(key.into(), node);
     }
 
     /// Forgets `key`.
     pub(crate) fn remove(&mut self, key: &str) {
-        Arc::make_mut(&mut self.map).remove(key);
+        self.map.remove(key);
     }
 }
 

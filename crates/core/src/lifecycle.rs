@@ -9,10 +9,14 @@
 //! > 'How did Y come about?'"
 //!
 //! The [`EntryRegistry`] is that better treatment: a complete event
-//! graph over entry identifiers, answering both questions exactly.
+//! graph over entry identifiers, answering both questions exactly. Its
+//! fate map is a [`BucketMap`] and its event log a [`ChunkVec`], so a
+//! snapshot shares the registry and an operation copies only the bucket
+//! and the log chunk it writes.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+use cdb_model::{BucketMap, ChunkVec};
 
 /// What ultimately became of an identifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,8 +104,8 @@ impl std::error::Error for LifecycleError {}
 /// event log.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntryRegistry {
-    fates: BTreeMap<String, Fate>,
-    events: Vec<EntryEvent>,
+    fates: BucketMap<String, Fate>,
+    events: ChunkVec<EntryEvent>,
 }
 
 impl EntryRegistry {
@@ -123,7 +127,7 @@ impl EntryRegistry {
     }
 
     /// All events, in order.
-    pub fn events(&self) -> &[EntryEvent] {
+    pub fn events(&self) -> &ChunkVec<EntryEvent> {
         &self.events
     }
 

@@ -167,7 +167,7 @@ fn capture_into(backing: &mut PagedBacking, db: &DbState) -> Result<PagedRef, Db
     let arena = wire::arena_len(tree);
     let clean_txns = backing.clean_txns.min(db.curated.log.len());
     let clean_arena = backing.clean_arena.min(arena);
-    for txn in &db.curated.log[clean_txns..] {
+    for txn in db.curated.log.iter_from(clean_txns) {
         for op in &txn.ops {
             match op {
                 CurationOp::Insert { node, parent, .. }

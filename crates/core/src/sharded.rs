@@ -708,20 +708,27 @@ impl ShardedDb {
                 if let Some(group) = self.inner.shards[s].group() {
                     let _ = group.append(FRAME_DECIDE, &abort);
                 }
-                guards[pos].state.decisions.insert(gid, false);
+                Arc::make_mut(&mut guards[pos].state.decisions).insert(gid, false);
             }
             return Err(e.into());
         }
         for g in guards.iter_mut() {
-            g.state.decisions.insert(gid, true);
+            Arc::make_mut(&mut g.state.decisions).insert(gid, true);
         }
         // Publish all participants inside the seqlock's odd window:
-        // readers retry rather than observe half a transaction.
+        // readers retry rather than observe half a transaction. The
+        // displaced epochs are freed only after the window closes and
+        // the participant locks are released, so neither spinning
+        // readers nor waiting writers pay for the deallocation.
         self.inner.xver.fetch_add(1, Ordering::AcqRel);
-        for (pos, &s) in participants.iter().enumerate() {
-            self.inner.shards[s].publish_snapshot(&guards[pos]);
-        }
+        let displaced: Vec<_> = participants
+            .iter()
+            .enumerate()
+            .map(|(pos, &s)| self.inner.shards[s].publish_snapshot(&guards[pos]))
+            .collect();
         self.inner.xver.fetch_add(1, Ordering::AcqRel);
+        drop(guards);
+        drop(displaced);
         Ok(())
     }
 

@@ -27,9 +27,11 @@
 //!    operation, then its WAL frames appended unsynced — the inner
 //!    database runs at [`Durability::Batched`]);
 //! 2. still under the lock, record the WAL sequence number of its
-//!    frames and **publish a fresh snapshot** (epoch `e+1`);
-//! 3. unlock, then [`GroupWal::commit`] the recorded sequence number —
-//!    block until a batch leader's single sync covers it.
+//!    frames and, if the op changed the state, **publish a fresh
+//!    snapshot** (epoch `e+1`) — a refused op publishes nothing;
+//! 3. unlock, drop the displaced epoch, then [`GroupWal::commit`] the
+//!    recorded sequence number — block until a batch leader's single
+//!    sync covers it.
 //!
 //! Publishing under the lock means snapshots are created in commit
 //! order: epoch `e`'s transaction log is always a prefix of epoch
@@ -53,11 +55,13 @@
 //!
 //! Snapshots are reference-counted, nothing more: the cache holds the
 //! newest epoch, each reader holds the epochs it is still using, and
-//! an old epoch's memory is freed the moment its last `Arc` drops. No
-//! global epoch tracking, no grace periods — the cost is that each
-//! commit clones the curated state for its snapshot, which the
-//! read-mostly workload amortizes (and the writer is paying a device
-//! sync anyway).
+//! an old epoch's memory is freed the moment its last `Arc` drops — by
+//! the writer that displaced it, after it released the database lock.
+//! No global epoch tracking, no grace periods. A snapshot is the
+//! state's derived `Clone`, and every part of the state that grows with
+//! the database is chunked and shared (`cdb_model::cow`), so a commit
+//! pays reference counts for its snapshot, and an epoch kept alive
+//! retains only the chunks written since it was taken.
 
 use std::fmt;
 use std::ops::Deref;
@@ -264,9 +268,17 @@ impl SharedDb {
             .expect("a writer panicked while holding the database lock")
     }
 
-    /// Publishes the current state as the next snapshot epoch. Called
-    /// under the database lock, so epochs are assigned in commit order.
-    pub(crate) fn publish_snapshot(&self, state: &DbState) {
+    /// Publishes the current state as the next snapshot epoch and
+    /// returns the epoch it displaced. Called under the database lock,
+    /// so epochs are assigned in commit order. The clone shares every
+    /// chunk with the state (O(chunks) reference counts, no element
+    /// copied). The caller drops the displaced epoch once it has
+    /// released its locks: if it held the last reference, freeing the
+    /// chunks only the old epoch still owned then delays no writer and
+    /// no reader.
+    #[must_use = "drop the displaced epoch after releasing the database lock"]
+    pub(crate) fn publish_snapshot(&self, state: &DbState) -> Arc<DbState> {
+        let _span = cdb_obs::SpanGuard::enter("core.shared.publish");
         let fresh = Arc::new(state.clone());
         let mut cache = self
             .inner
@@ -276,16 +288,14 @@ impl SharedDb {
         #[cfg(feature = "stress")]
         assert_snapshot_extends(&cache.1, &fresh);
         cache.0 += 1;
-        let displaced = std::mem::replace(&mut cache.1, fresh);
-        drop(cache);
-        // If this writer held the last reference to the displaced
-        // epoch, its deallocation happens here — after the cache lock
-        // is released — so readers taking snapshots never wait on it.
-        drop(displaced);
+        std::mem::replace(&mut cache.1, fresh)
     }
 
     /// The write path: in-memory commit and snapshot publication under
-    /// the lock, durability wait outside it (see module docs).
+    /// the lock, durability wait outside it (see module docs). An op the
+    /// state refused changed nothing and publishes nothing: the epoch
+    /// stays. An op whose state change landed publishes it even when
+    /// its WAL append then failed — the change is in memory either way.
     fn write<R>(
         &self,
         op: impl FnOnce(&mut CuratedDatabase) -> Result<R, DbError>,
@@ -296,11 +306,17 @@ impl SharedDb {
         // ring buffers.
         let _trace = cdb_obs::trace_root();
         let span = cdb_obs::SpanGuard::enter("core.shared.write");
+        let lock_wait = cdb_obs::SpanGuard::enter("core.shared.lock_wait");
         let mut db = self.lock_db();
+        drop(lock_wait);
+        let applied = db.applied;
+        let op_span = cdb_obs::SpanGuard::enter("core.shared.op");
         let out = op(&mut db);
+        drop(op_span);
         let seq = self.inner.group.as_ref().map(|g| g.appended_seq());
-        self.publish_snapshot(&db);
+        let displaced = (db.applied != applied).then(|| self.publish_snapshot(&db));
         drop(db);
+        drop(displaced);
         if out.is_ok() {
             if let (Some(group), Some(seq)) = (self.inner.group.as_ref(), seq) {
                 group.commit(seq)?;
@@ -551,7 +567,8 @@ impl SharedDb {
 
     /// Unwraps the database, restoring single-threaded use. Fails
     /// (returning `self`) while other handles to the database exist;
-    /// outstanding [`Snapshot`]s don't count — they own copies. A
+    /// outstanding [`Snapshot`]s don't count — they hold their own
+    /// references to the chunks they share. A
     /// durable database comes back with a zero batch window at
     /// [`Durability::Always`], everything already synced.
     pub fn into_inner(self) -> Result<CuratedDatabase, SharedDb> {

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use cdb_model::Atom;
+use cdb_model::{Atom, ChunkVec};
 
 use crate::provstore::{Origin, ProvStore};
 use crate::tree::{NodeId, TreeDb, TreeError};
@@ -143,8 +143,10 @@ pub struct CuratedTree {
     /// The committed transaction log. May be a *tail* of the full
     /// history when the database was recovered from a checkpoint whose
     /// covered log was truncated (`Retention::Reclaim`); `base_txn`
-    /// then records where the tail begins.
-    pub log: Vec<Transaction>,
+    /// then records where the tail begins. Full chunks are sealed and
+    /// shared by every clone; a commit appends to the open last chunk
+    /// and copies only that one while a clone shares it.
+    pub log: ChunkVec<Transaction>,
     /// The provenance store.
     pub prov: ProvStore,
     next_txn: u64,
@@ -159,7 +161,7 @@ impl CuratedTree {
     pub fn new(name: impl Into<String>, mode: crate::provstore::StoreMode) -> Self {
         CuratedTree {
             tree: TreeDb::new(name),
-            log: Vec::new(),
+            log: ChunkVec::new(),
             prov: ProvStore::new(mode),
             next_txn: 0,
             base_txn: None,
@@ -210,7 +212,12 @@ impl CuratedTree {
     /// Reassembles a curated database from recovered parts (the durable
     /// WAL's checkpoint + tail-replay path in `cdb-storage`). The next
     /// transaction id continues after the last logged transaction.
-    pub fn from_parts(tree: TreeDb, log: Vec<Transaction>, prov: ProvStore) -> Self {
+    pub fn from_parts(
+        tree: TreeDb,
+        log: impl Into<ChunkVec<Transaction>>,
+        prov: ProvStore,
+    ) -> Self {
+        let log = log.into();
         let next_txn = log.last().map(|t| t.id.0 + 1).unwrap_or(0);
         CuratedTree {
             tree,
@@ -229,10 +236,11 @@ impl CuratedTree {
     /// when the tail is empty.
     pub fn from_parts_at(
         tree: TreeDb,
-        log: Vec<Transaction>,
+        log: impl Into<ChunkVec<Transaction>>,
         prov: ProvStore,
         base_txn: Option<TxnId>,
     ) -> Self {
+        let log = log.into();
         let next_txn = log
             .last()
             .map(|t| t.id.0 + 1)
@@ -255,9 +263,11 @@ impl CuratedTree {
         self.log.push(txn);
     }
 
-    /// The committed transactions.
-    pub fn transactions(&self) -> &[Transaction] {
-        &self.log
+    /// The committed transactions as a list of borrows (one pointer
+    /// per transaction), for callers that slice or index it. A walk
+    /// over the log reads [`CuratedTree::log`] in place instead.
+    pub fn transactions(&self) -> Vec<&Transaction> {
+        self.log.iter().collect()
     }
 
     /// The id of the most recently committed transaction, if any —

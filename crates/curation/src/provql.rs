@@ -217,7 +217,7 @@ pub fn eval(db: &CuratedTree, q: &ProvQuery) -> Result<Answer, EvalError> {
             let txn = queries::when_created(db, node)
                 .ok_or_else(|| EvalError::NoProvenance(path.clone()))?;
             let t = db
-                .transactions()
+                .log
                 .iter()
                 .find(|t| t.id == txn)
                 .ok_or_else(|| EvalError::NoProvenance(path.clone()))?;
@@ -254,7 +254,7 @@ pub fn eval(db: &CuratedTree, q: &ProvQuery) -> Result<Answer, EvalError> {
             let state = replay::replay(db.tree.name(), &db.log, Some(*to))
                 .map_err(|e| EvalError::Replay(e.to_string()))?;
             let mut out = Vec::new();
-            for txn in db.transactions() {
+            for txn in &db.log {
                 if txn.id < *from || txn.id > *to {
                     continue;
                 }

@@ -14,9 +14,15 @@
 //! baseline); [`StoreMode::Hereditary`] records only at the roots of
 //! change, and lookups walk up the tree. [`squash`] implements the
 //! transaction-level compression.
+//!
+//! Records are kept per node id in a [`ChunkVec`] (node ids are dense
+//! arena indices): a clone of the store shares every chunk, and a new
+//! record copies only the chunk of the node it lands on.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use cdb_model::ChunkVec;
 
 use crate::ops::{CurationOp, TxnId};
 use crate::tree::{NodeId, TreeDb};
@@ -84,10 +90,17 @@ pub enum StoreMode {
 ///
 /// Equality compares mode and every stored record — the crash-recovery
 /// tests assert a recovered store equals the uncrashed one exactly.
+/// Records are never removed, so the slot vector always ends at the
+/// highest node holding one and equal record sets are equal slot
+/// vectors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvStore {
     mode: StoreMode,
-    records: BTreeMap<NodeId, Vec<ProvRecord>>,
+    /// Slot `i`: the records stored directly on node `i` (empty for a
+    /// node without any).
+    records: ChunkVec<Vec<ProvRecord>>,
+    /// How many slots hold at least one record.
+    keyed: usize,
 }
 
 impl ProvStore {
@@ -95,7 +108,8 @@ impl ProvStore {
     pub fn new(mode: StoreMode) -> Self {
         ProvStore {
             mode,
-            records: BTreeMap::new(),
+            records: ChunkVec::new(),
+            keyed: 0,
         }
     }
 
@@ -105,7 +119,14 @@ impl ProvStore {
     }
 
     fn push(&mut self, node: NodeId, rec: ProvRecord) {
-        self.records.entry(node).or_default().push(rec);
+        while self.records.len() <= node.0 {
+            self.records.push(Vec::new());
+        }
+        let slot = self.records.get_mut(node.0).expect("slot just ensured");
+        if slot.is_empty() {
+            self.keyed += 1;
+        }
+        slot.push(rec);
     }
 
     /// Records a fresh insert.
@@ -166,7 +187,7 @@ impl ProvStore {
 
     /// The records stored *directly* on a node.
     pub fn direct(&self, node: NodeId) -> &[ProvRecord] {
-        self.records.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.records.get(node.0).map_or(&[], Vec::as_slice)
     }
 
     /// The effective provenance records of a node: its own, or —
@@ -201,19 +222,54 @@ impl ProvStore {
         out
     }
 
-    /// Raw record map access for the wire codec (`crate::wire`).
-    pub(crate) fn raw_records(&self) -> &BTreeMap<NodeId, Vec<ProvRecord>> {
-        &self.records
+    /// The nodes holding records, in id order, with their records — the
+    /// wire codec's view (`crate::wire`), read in place.
+    pub(crate) fn raw_records(&self) -> impl Iterator<Item = (NodeId, &[ProvRecord])> {
+        self.records
+            .iter()
+            .enumerate()
+            .filter(|(_, recs)| !recs.is_empty())
+            .map(|(i, recs)| (NodeId(i), recs.as_slice()))
     }
 
-    /// Rebuilds a store from decoded parts (`crate::wire`).
-    pub(crate) fn from_raw(mode: StoreMode, records: BTreeMap<NodeId, Vec<ProvRecord>>) -> Self {
-        ProvStore { mode, records }
+    /// How many nodes hold records (the length [`ProvStore::raw_records`]
+    /// yields).
+    pub(crate) fn keyed_nodes(&self) -> usize {
+        self.keyed
+    }
+
+    /// Rebuilds a store from decoded `(node, records)` parts
+    /// (`crate::wire`): the slots are laid out in one vector and moved
+    /// into chunks, not pushed one by one. Empty record lists are
+    /// skipped.
+    pub(crate) fn from_raw(
+        mode: StoreMode,
+        records: impl IntoIterator<Item = (NodeId, Vec<ProvRecord>)>,
+    ) -> Self {
+        let mut slots: Vec<Vec<ProvRecord>> = Vec::new();
+        let mut keyed = 0;
+        for (node, recs) in records {
+            if recs.is_empty() {
+                continue;
+            }
+            if slots.len() <= node.0 {
+                slots.resize_with(node.0 + 1, Vec::new);
+            }
+            if slots[node.0].is_empty() {
+                keyed += 1;
+            }
+            slots[node.0].extend(recs);
+        }
+        ProvStore {
+            mode,
+            records: ChunkVec::from(slots),
+            keyed,
+        }
     }
 
     /// Number of records stored (the E6 space metric).
     pub fn record_count(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
+        self.records.iter().map(Vec::len).sum()
     }
 
     /// Approximate encoded size in bytes: a fixed overhead per record
@@ -230,7 +286,7 @@ impl ProvStore {
             }
         }
         self.records
-            .values()
+            .iter()
             .flatten()
             .map(|r| {
                 16 + match &r.event {

@@ -37,35 +37,44 @@ pub fn how_arrived(db: &CuratedTree, node: NodeId) -> Vec<Origin> {
     db.prov.chain(&db.tree, node)
 }
 
+/// `node` and every live node below it, sorted: the operation targets
+/// that touch the subtree rooted at `node`. The ancestors of a live node
+/// are live, so walking up from a live target reaches `node` exactly
+/// when the target is in this set — one walk down instead of a walk up
+/// per logged operation.
+fn subtree_of(db: &CuratedTree, node: NodeId) -> Vec<NodeId> {
+    let mut inside = vec![node];
+    let mut stack = vec![node];
+    while let Some(n) = stack.pop() {
+        if let Ok(children) = db.tree.children(n) {
+            inside.extend_from_slice(children);
+            stack.extend_from_slice(children);
+        }
+    }
+    inside.sort_unstable();
+    inside
+}
+
 /// The transaction that last modified the subtree rooted at `node`
 /// (any modification, insertion or paste below it counts; deletions
 /// count against the parent subtree that contained them).
 pub fn last_modified(db: &CuratedTree, node: NodeId) -> Result<Option<TxnId>, TreeError> {
+    let inside = subtree_of(db, node);
+    let node_alive = db.tree.is_alive(node);
     let mut last = None;
-    for txn in db.transactions() {
+    for txn in &db.log {
         for op in &txn.ops {
             let target = op.node();
-            let affected = if db.tree.is_alive(target) {
-                target == node || {
-                    let mut cur = target;
-                    let mut hit = false;
-                    while let Some(p) = db.tree.parent(cur)? {
-                        if p == node || cur == node {
-                            hit = true;
-                            break;
-                        }
-                        cur = p;
-                    }
-                    hit || cur == node
-                }
-            } else {
-                // Deleted nodes: we cannot walk ancestors anymore; a
-                // delete op affects the subtree it was in if the deleted
-                // node's id was ever under `node` — approximate by
-                // attributing deletes to every ancestor query (safe
-                // over-approximation used only for last-modified).
-                matches!(op, CurationOp::Delete { .. })
-            };
+            // Every member of `inside` but `node` itself is live.
+            let live_inside =
+                inside.binary_search(&target).is_ok() && (target != node || node_alive);
+            // Deleted nodes: we cannot walk ancestors anymore; a delete
+            // op affects the subtree it was in if the deleted node's id
+            // was ever under `node` — approximate by attributing deletes
+            // to every ancestor query (safe over-approximation used only
+            // for last-modified).
+            let affected = live_inside
+                || (matches!(op, CurationOp::Delete { .. }) && !db.tree.is_alive(target));
             if affected {
                 last = Some(txn.id);
             }
@@ -78,7 +87,7 @@ pub fn last_modified(db: &CuratedTree, node: NodeId) -> Result<Option<TxnId>, Tr
 /// with the touching operations.
 pub fn history(db: &CuratedTree, node: NodeId) -> Vec<(&Transaction, Vec<&CurationOp>)> {
     let mut out = Vec::new();
-    for txn in db.transactions() {
+    for txn in &db.log {
         let ops: Vec<&CurationOp> = txn.ops.iter().filter(|op| op.node() == node).collect();
         if !ops.is_empty() {
             out.push((txn, ops));
@@ -92,24 +101,12 @@ pub fn history(db: &CuratedTree, node: NodeId) -> Vec<(&Transaction, Vec<&Curati
 /// (§5.2: "It is appropriate to cite the authorship of an entry…").
 pub fn curators_of(db: &CuratedTree, node: NodeId) -> Result<Vec<String>, TreeError> {
     let mut out: Vec<String> = Vec::new();
-    for txn in db.transactions() {
-        let touches = txn.ops.iter().any(|op| {
-            let t = op.node();
-            if t == node {
-                return true;
-            }
-            if !db.tree.is_alive(t) {
-                return false;
-            }
-            let mut cur = t;
-            while let Ok(Some(p)) = db.tree.parent(cur) {
-                if p == node {
-                    return true;
-                }
-                cur = p;
-            }
-            false
-        });
+    let inside = subtree_of(db, node);
+    for txn in &db.log {
+        let touches = txn
+            .ops
+            .iter()
+            .any(|op| inside.binary_search(&op.node()).is_ok());
         if touches && !out.contains(&txn.curator) {
             out.push(txn.curator.clone());
         }

@@ -46,19 +46,12 @@ impl From<TreeError> for ReplayError {
 /// Replays a transaction log (in order) up to and **including** `upto`
 /// (or the whole log when `None`), returning the reconstructed tree.
 /// Node ids in the replayed tree equal the original ids.
-pub fn replay(name: &str, log: &[Transaction], upto: Option<TxnId>) -> Result<TreeDb, ReplayError> {
-    let mut tree = TreeDb::new(name);
-    for txn in log {
-        if let Some(limit) = upto {
-            if txn.id > limit {
-                break;
-            }
-        }
-        for op in &txn.ops {
-            apply(&mut tree, op)?;
-        }
-    }
-    Ok(tree)
+pub fn replay<'a>(
+    name: &str,
+    log: impl IntoIterator<Item = &'a Transaction>,
+    upto: Option<TxnId>,
+) -> Result<TreeDb, ReplayError> {
+    replay_onto(TreeDb::new(name), log, upto)
 }
 
 /// Replays a transaction tail onto an existing base tree (a checkpoint
@@ -66,9 +59,9 @@ pub fn replay(name: &str, log: &[Transaction], upto: Option<TxnId>) -> Result<Tr
 /// `None`). This is the truncated-history counterpart of [`replay`]:
 /// when the covered log is gone, reconstruction starts from the
 /// checkpoint tree instead of empty.
-pub fn replay_onto(
+pub fn replay_onto<'a>(
     base: TreeDb,
-    log: &[Transaction],
+    log: impl IntoIterator<Item = &'a Transaction>,
     upto: Option<TxnId>,
 ) -> Result<TreeDb, ReplayError> {
     let mut tree = base;
@@ -317,7 +310,7 @@ mod tests {
     fn truncated_or_corrupt_logs_are_detected() {
         let db = build();
         // Drop the middle transaction: ids no longer line up.
-        let mut broken = db.log.clone();
+        let mut broken: Vec<Transaction> = db.log.iter().cloned().collect();
         broken.remove(1);
         // Either replay errors (id mismatch / missing node)…
         match replay("d", &broken, None) {

@@ -4,11 +4,13 @@
 //! paper): every node has a label, an optional atomic payload, and an
 //! ordered list of children. Nodes live in an arena and keep their
 //! [`NodeId`] for life, which is what provenance records point at;
-//! deleted nodes are tombstoned, never reused.
+//! deleted nodes are tombstoned, never reused. The arena is a
+//! [`ChunkVec`]: a clone of the tree shares every chunk of nodes, and
+//! an edit copies only the chunk holding the node it changes.
 
 use std::fmt;
 
-use cdb_model::{Atom, Value};
+use cdb_model::{Atom, ChunkVec, Value};
 
 /// A node identifier: stable for the lifetime of the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,7 +78,7 @@ pub(crate) struct RawNode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeDb {
     name: String,
-    nodes: Vec<RawNode>,
+    nodes: ChunkVec<RawNode>,
     root: NodeId,
 }
 
@@ -93,7 +95,7 @@ impl TreeDb {
         };
         TreeDb {
             name,
-            nodes: vec![root],
+            nodes: ChunkVec::from(vec![root]),
             root: NodeId(0),
         }
     }
@@ -115,11 +117,14 @@ impl TreeDb {
             .ok_or(TreeError::NoSuchNode(id))
     }
 
+    /// A live node, mutably. Checked through the shared read first, so
+    /// a refused edit copies no chunk.
     fn node_mut(&mut self, id: NodeId) -> Result<&mut RawNode, TreeError> {
-        self.nodes
+        self.node(id)?;
+        Ok(self
+            .nodes
             .get_mut(id.0)
-            .filter(|n| n.alive)
-            .ok_or(TreeError::NoSuchNode(id))
+            .expect("a live node is in the arena"))
     }
 
     /// Whether a node id is live.
@@ -199,9 +204,11 @@ impl TreeDb {
 
     /// All live node ids, in creation order.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].alive && self.reachable(NodeId(i)))
-            .map(NodeId)
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| n.alive && self.reachable(NodeId(i)))
+            .map(|(i, _)| NodeId(i))
             .collect()
     }
 
@@ -233,12 +240,12 @@ impl TreeDb {
     // them in order.
 
     /// The arena, borrowed: its length, one slot or all of them cost
-    /// what they read, never a copy of the tree.
-    pub(crate) fn raw_slots(&self) -> &[RawNode] {
+    /// what they read, in place, never a copy of the tree.
+    pub(crate) fn raw_slots(&self) -> &ChunkVec<RawNode> {
         &self.nodes
     }
 
-    pub(crate) fn from_raw(name: String, root: NodeId, raw: Vec<RawNode>) -> Self {
+    pub(crate) fn from_raw(name: String, root: NodeId, raw: ChunkVec<RawNode>) -> Self {
         TreeDb {
             name,
             nodes: raw,

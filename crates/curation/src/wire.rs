@@ -16,10 +16,8 @@
 //! decode error therefore means a frame that passed its checksum is
 //! structurally invalid — corruption the CRC missed, or a foreign file.
 
-use std::collections::BTreeMap;
-
 use cdb_model::atom::Decimal;
-use cdb_model::Atom;
+use cdb_model::{Atom, ChunkVec};
 
 use crate::ops::{ClipNode, CurationOp, Transaction, TxnId};
 use crate::provstore::{Origin, ProvEvent, ProvRecord, ProvStore, StoreMode};
@@ -114,8 +112,9 @@ pub struct Checkpoint {
     /// The covered transaction log. Full under `Retention::KeepAll`
     /// (paper semantics: the curation log is forever); empty under
     /// `Retention::Reclaim`, where the tree + provenance snapshot is
-    /// the only record of covered history.
-    pub log: Vec<Transaction>,
+    /// the only record of covered history. The database's own chunked
+    /// log, so carrying it shares the chunks instead of copying them.
+    pub log: ChunkVec<Transaction>,
     /// Encoded publish records (`cdb-storage` `PublishRecord` wire
     /// form) for every publish point in the covered prefix.
     pub publishes: Vec<Vec<u8>>,
@@ -163,7 +162,7 @@ impl Checkpoint {
             prov,
             covered_len: None,
             last_time: 0,
-            log: Vec::new(),
+            log: ChunkVec::new(),
             publishes: Vec::new(),
             aux: Vec::new(),
             snapshots: Vec::new(),
@@ -372,9 +371,8 @@ fn put_prov(out: &mut Vec<u8>, prov: &ProvStore) {
         StoreMode::Naive => 0,
         StoreMode::Hereditary => 1,
     });
-    let records = prov.raw_records();
-    put_u32(out, records.len() as u32);
-    for (node, recs) in records {
+    put_u32(out, prov.keyed_nodes() as u32);
+    for (node, recs) in prov.raw_records() {
         put_u64(out, node.0 as u64);
         put_prov_records(out, recs);
     }
@@ -489,28 +487,34 @@ pub fn tree_from_paged_nodes(
     nodes: Vec<PagedNode>,
 ) -> Result<TreeDb, WireError> {
     let root = NodeId(usize::try_from(root).map_err(|_| WireError::Overflow("root id"))?);
-    let mut raw = Vec::with_capacity(nodes.len());
-    for n in nodes {
-        let parent = match n.parent {
-            None => None,
-            Some(p) => Some(NodeId(
-                usize::try_from(p).map_err(|_| WireError::Overflow("parent id"))?,
-            )),
-        };
-        let mut children = Vec::with_capacity(n.children.len());
-        for c in n.children {
-            children.push(NodeId(
-                usize::try_from(c).map_err(|_| WireError::Overflow("child id"))?,
-            ));
-        }
-        raw.push(RawNode {
-            label: n.label,
-            value: n.value,
-            parent,
-            children,
-            alive: n.alive,
-        });
-    }
+    // The decoded nodes move into the arena's chunks as they convert.
+    let raw = nodes
+        .into_iter()
+        .map(|n| {
+            let parent = match n.parent {
+                None => None,
+                Some(p) => Some(NodeId(
+                    usize::try_from(p).map_err(|_| WireError::Overflow("parent id"))?,
+                )),
+            };
+            let children = n
+                .children
+                .into_iter()
+                .map(|c| {
+                    usize::try_from(c)
+                        .map(NodeId)
+                        .map_err(|_| WireError::Overflow("child id"))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(RawNode {
+                label: n.label,
+                value: n.value,
+                parent,
+                children,
+                alive: n.alive,
+            })
+        })
+        .collect::<Result<ChunkVec<RawNode>, WireError>>()?;
     Ok(TreeDb::from_raw(name.into(), root, raw))
 }
 
@@ -543,13 +547,13 @@ pub fn prov_from_paged(
     mode: StoreMode,
     entries: Vec<(u64, Vec<ProvRecord>)>,
 ) -> Result<ProvStore, WireError> {
-    let mut records = BTreeMap::new();
-    for (node, recs) in entries {
-        let node = NodeId(usize::try_from(node).map_err(|_| WireError::Overflow("node id"))?);
-        if !recs.is_empty() {
-            records.insert(node, recs);
-        }
-    }
+    let records = entries
+        .into_iter()
+        .map(|(node, recs)| {
+            let node = usize::try_from(node).map_err(|_| WireError::Overflow("node id"))?;
+            Ok((NodeId(node), recs))
+        })
+        .collect::<Result<Vec<_>, WireError>>()?;
     Ok(ProvStore::from_raw(mode, records))
 }
 
@@ -813,10 +817,10 @@ impl<'a> Reader<'a> {
         // A record-list entry is at least 12 bytes: node id (8) +
         // record count (4).
         let n = self.seq_len(12)?;
-        let mut records = BTreeMap::new();
+        let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             let node = self.node_id()?;
-            records.insert(node, self.prov_records()?);
+            records.push((node, self.prov_records()?));
         }
         Ok(ProvStore::from_raw(mode, records))
     }
@@ -888,10 +892,12 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
         ck.last_time = r.u64()?;
         // A carried transaction is at least its 4-byte length prefix.
         let n = r.seq_len(4)?;
+        let mut log = Vec::with_capacity(n);
         for _ in 0..n {
             let len = r.u32()? as usize;
-            ck.log.push(decode_transaction(r.bytes(len)?)?);
+            log.push(decode_transaction(r.bytes(len)?)?);
         }
+        ck.log = log.into();
         ck.publishes = read_chunks(&mut r)?;
         ck.aux = read_chunks(&mut r)?;
         ck.snapshots = read_chunks(&mut r)?;
@@ -977,7 +983,7 @@ mod tests {
     #[test]
     fn truncated_payloads_error_instead_of_panicking() {
         let db = busy_tree();
-        let bytes = encode_transaction(&db.transactions()[0]);
+        let bytes = encode_transaction(db.transactions()[0]);
         for cut in 0..bytes.len() {
             assert!(decode_transaction(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -1084,7 +1090,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let db = busy_tree();
-        let mut bytes = encode_transaction(&db.transactions()[0]);
+        let mut bytes = encode_transaction(db.transactions()[0]);
         bytes.push(0);
         assert_eq!(decode_transaction(&bytes), Err(WireError::TrailingBytes(1)));
     }

@@ -16,7 +16,10 @@
 //! * [`Path`] / [`Step`] — canonical addresses of parts of a value,
 //! * [`Type`] and type checking with *record subtyping* (§6.1 of the paper),
 //! * hierarchical [`keys`] ("Keys for XML", used by the archiver and the
-//!   provenance store to identify nodes invariantly under updates).
+//!   provenance store to identify nodes invariantly under updates),
+//! * the copy-on-write containers of [`cow`] ([`ChunkVec`], [`BucketMap`])
+//!   that let a snapshot of the engine's state share every part a later
+//!   write does not touch.
 //!
 //! Everything here is deliberately free of I/O and of any persistence
 //! concern: the substrate crates (`cdb-archive`, `cdb-curation`, …) build
@@ -26,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod atom;
+pub mod cow;
 pub mod error;
 pub mod keys;
 pub mod path;
@@ -34,6 +38,7 @@ pub mod types;
 pub mod value;
 
 pub use atom::Atom;
+pub use cow::{BucketMap, ChunkVec};
 pub use error::ModelError;
 pub use keys::{KeyPath, KeySpec};
 pub use path::{Path, Step};

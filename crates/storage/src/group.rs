@@ -178,6 +178,7 @@ impl GroupWal {
                 return Ok(());
             }
             if st.leader_active {
+                let _wait = SpanGuard::enter("storage.group.queue_wait");
                 st = self
                     .inner
                     .cv
@@ -189,6 +190,7 @@ impl GroupWal {
             // concurrent appends join it, then sync once for everyone.
             st.leader_active = true;
             if !st.window.is_zero() {
+                let _wait = SpanGuard::enter("storage.group.queue_wait");
                 let deadline = Instant::now() + st.window;
                 loop {
                     let now = Instant::now();
@@ -205,7 +207,7 @@ impl GroupWal {
             }
             let target = st.appended;
             let batch = target - st.synced;
-            let sync_span = SpanGuard::with_attr("storage.wal.sync", batch);
+            let sync_span = SpanGuard::with_attr("storage.group.sync", batch);
             let res = st.log.sync();
             self.inner.instr.sync_ns.observe(sync_span.elapsed());
             drop(sync_span);

@@ -800,11 +800,11 @@ mod tests {
         let (db, image) = seeded();
         // Snapshot as of the second transaction.
         let prefix = CuratedTree::from_parts(
-            cdb_curation::replay::replay("r", &db.log[..2], None).unwrap(),
-            db.log[..2].to_vec(),
+            cdb_curation::replay::replay("r", db.log.iter().take(2), None).unwrap(),
+            db.log.iter().take(2).cloned().collect::<Vec<_>>(),
             {
                 let mut p = CuratedTree::new("r", StoreMode::Hereditary);
-                for t in &db.log[..2] {
+                for t in db.log.iter().take(2) {
                     apply_committed(&mut p, t).unwrap();
                 }
                 p.prov
@@ -865,7 +865,7 @@ mod tests {
 
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), None).unwrap();
         let mut reference = CuratedTree::new("r", StoreMode::Hereditary);
-        for t in &db.log[..2] {
+        for t in db.log.iter().take(2) {
             apply_committed(&mut reference, t).unwrap();
         }
         assert_eq!(rec.db, reference);

@@ -185,7 +185,7 @@ fn session() -> CuratedTree {
 /// The reference state after the first `n` transactions.
 fn reference(db: &CuratedTree, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in &db.log[..n] {
+    for txn in db.log.iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r
@@ -223,7 +223,7 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
                         Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
                     c.covered_len = Some(covered);
                     if retention == Retention::KeepAll {
-                        c.log = db.log[..ckpt_at].to_vec();
+                        c.log = db.log.iter().take(ckpt_at).cloned().collect();
                     }
                     // The retire may die partway through; that's the
                     // window under test. A partial retirement surfaces

@@ -51,7 +51,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
 /// the same committed-apply path recovery uses.
 fn reference(db: &CuratedTree, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in &db.log[..n] {
+    for txn in db.log.iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r

@@ -28,7 +28,7 @@
 //!
 //! A database opened with `open <name> <key> <dir>` is served durably
 //! through [`SharedDb`] (WAL + group commit); `profile add …` then
-//! shows the full write path, including the `storage.wal.sync` span.
+//! shows the full write path, including the `storage.group.sync` span.
 
 use std::io::{self, BufRead, Write};
 

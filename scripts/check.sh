@@ -41,6 +41,12 @@ for t in 1 4 "$(nproc)"; do
     echo "-- CDB_TEST_THREADS=$t"
     CDB_TEST_THREADS="$t" cargo test -q --test concurrent_serving
 done
+# The `stress` feature arms the publish-path assertion that every
+# snapshot's transaction log extends its predecessor's
+# (`assert_snapshot_extends` in core::shared) — the epoch-prefix
+# invariant structural sharing must keep.
+echo "-- stress feature: epoch-prefix assertions armed"
+cargo test --release --features stress --test concurrent_serving
 
 echo "== sharded suite under a shard-count matrix (2PC + crash recovery) =="
 # The sharded-serving harness sizes its shard map from CDB_TEST_SHARDS;
@@ -287,8 +293,8 @@ CDBSH2
             echo "$obs_out"
             exit 1
         fi
-        if ! grep -q "storage.wal.sync" <<<"$obs_out"; then
-            echo "cdbsh profile output is missing the storage.wal.sync span:"
+        if ! grep -q "storage.group.sync" <<<"$obs_out"; then
+            echo "cdbsh profile output is missing the storage.group.sync span:"
             echo "$obs_out"
             exit 1
         fi

@@ -122,8 +122,8 @@ fn apply_op(db: &SharedDb, w: u64, step: u64, op: &Op) {
 // ------------------------------------------------------------ checker
 
 /// The identity of a transaction for prefix comparison.
-fn ids(log: &[Transaction]) -> Vec<(u64, String, u64)> {
-    log.iter()
+fn ids<'a>(log: impl IntoIterator<Item = &'a Transaction>) -> Vec<(u64, String, u64)> {
+    log.into_iter()
         .map(|t| (t.id.0, t.curator.clone(), t.time))
         .collect()
 }

@@ -57,7 +57,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
 /// built through the same committed-apply path recovery uses.
 fn reference(db: &CuratedTree, mode: StoreMode, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), mode);
-    for txn in &db.log[..n] {
+    for txn in db.log.iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r
@@ -267,7 +267,7 @@ proptest! {
                     // KeepAll archives the files, so the checkpoint may
                     // carry the full log and recovery reconstructs
                     // complete history.
-                    c.log = db.log[..ckpt_at].to_vec();
+                    c.log = db.log.iter().take(ckpt_at).cloned().collect();
                 }
                 log.reclaim(covered).unwrap();
                 ck = Some(c);
