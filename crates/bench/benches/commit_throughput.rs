@@ -262,10 +262,12 @@ fn bench_read_latency(samples: usize) {
     }
     latency_row("e17_read/under_4_writers/p50", p50w, 4, samples);
     latency_row("e17_read/under_4_writers/p99", p99w, 4, samples);
-    let stats = db.group_stats().unwrap();
+    let m = db.metrics();
     eprintln!(
         "  group stats: {} batches, {} frames, max batch {}",
-        stats.batches, stats.frames_synced, stats.max_batch
+        m.counter("storage.group.batches").get(),
+        m.counter("storage.group.frames_synced").get(),
+        m.gauge("storage.group.max_batch").get()
     );
 }
 

@@ -25,10 +25,11 @@ use std::time::Instant;
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire::{encode_transaction, Checkpoint};
+use cdb_curation::wire::Checkpoint;
 use cdb_model::Atom;
 use cdb_storage::{
-    recover, DurableLog, MemBacking, MemIo, Retention, SegmentConfig, SegmentedIo, FRAME_TXN,
+    encode_commit, recover, DurableLog, MemBacking, MemIo, Retention, SegmentConfig, SegmentedIo,
+    FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Record};
@@ -55,7 +56,7 @@ fn session(txns: usize) -> CuratedTree {
 fn wal_image(db: &CuratedTree) -> Vec<u8> {
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
     }
     log.sync().unwrap();
     log.into_io().bytes().to_vec()
@@ -137,13 +138,13 @@ fn bench_recovery(c: &mut Criterion) {
         );
     }
     // Raw log-append throughput: encode + append + one sync per txn.
-    let frames: Vec<Vec<u8>> = db.log.iter().map(encode_transaction).collect();
+    let frames: Vec<Vec<u8>> = db.log.iter().map(|t| encode_commit(t, &[])).collect();
     g.bench_with_input(BenchmarkId::new("append_sync", txns), &txns, |b, _| {
         b.iter_with_setup(
             || DurableLog::create(MemIo::new()).unwrap(),
             |mut log| {
                 for f in &frames {
-                    log.append(FRAME_TXN, f).unwrap();
+                    log.append(FRAME_COMMIT, f).unwrap();
                     log.sync().unwrap();
                 }
                 black_box(log.len().unwrap())
@@ -201,7 +202,7 @@ fn segmented_history(
     let mut snap = CuratedTree::new(db.tree.name(), StoreMode::Naive);
     let mut ck = None;
     for (i, txn) in db.transactions().iter().enumerate() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         apply_committed(&mut snap, txn).unwrap();
         if reclaim && (i + 1) % 8 == 0 {
             log.sync().unwrap();

@@ -31,11 +31,10 @@ use std::time::{Duration, Instant};
 
 use cdb_core::{ShardMap, ShardedDb};
 use cdb_curation::provstore::StoreMode;
-use cdb_curation::wire::encode_transaction;
 use cdb_model::Atom;
 use cdb_storage::{
-    recover_shards, recover_with, scan_decisions, CheckpointStore, DurableLog, Io, MemIo,
-    ThrottledIo, FRAME_TXN,
+    encode_commit, recover_shards, recover_with, scan_decisions, CheckpointStore, DurableLog, Io,
+    MemIo, ThrottledIo, FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 use criterion::{push_record, smoke_mode, write_json_report, Record};
@@ -207,7 +206,7 @@ fn shard_image(seed: u64, txns: usize) -> Vec<u8> {
     sim.run();
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     for txn in sim.target.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
     }
     log.sync().unwrap();
     log.into_io().bytes().to_vec()

@@ -3,16 +3,17 @@
 //!
 //! The curation layer's transaction log is the durable core — every
 //! committed [`cdb_curation::ops::Transaction`] becomes one
-//! `FRAME_TXN` in the WAL. The integrated engine has three more kinds
-//! of state that the tree replay cannot reconstruct, and each rides
-//! along in its own frame:
+//! `FRAME_COMMIT` in the WAL, together with the auxiliary records it
+//! produced. The integrated engine has three more kinds of state that
+//! the tree replay cannot reconstruct, and each rides along as a frame
+//! or inside a commit:
 //!
 //! * publish points → `FRAME_PUBLISH` (the archive itself is *not*
 //!   persisted: it is recomputed by
 //!   [`DbState::archive_from_log`], the paper's §5.1 answer,
 //!   which needs only the log and the publish points);
-//! * lifecycle events → `FRAME_AUX` tag [`AUX_EVENT`];
-//! * superimposed notes → `FRAME_AUX` tag [`AUX_NOTE`].
+//! * lifecycle events → aux records tagged [`AUX_EVENT`];
+//! * superimposed notes → aux records tagged [`AUX_NOTE`].
 //!
 //! Durability is per-instance: a database created with
 //! [`CuratedDatabase::new`] is purely in-memory; one opened with

@@ -72,7 +72,7 @@ use cdb_archive::VersionId;
 use cdb_curation::ops::Clipboard;
 use cdb_curation::NodeId;
 use cdb_model::Atom;
-use cdb_storage::{CheckpointStore, GroupCommitStats, GroupWal, Io};
+use cdb_storage::{CheckpointStore, GroupWal, Io};
 
 use crate::db::{CuratedDatabase, DbError, DbState};
 use crate::durable::{dir_devices, open_one, CheckpointStats, Devices, Durability};
@@ -492,11 +492,6 @@ impl SharedDb {
     /// [`CuratedDatabase::set_retention`]).
     pub fn set_retention(&self, retention: cdb_storage::Retention) {
         self.lock_db().set_retention(retention);
-    }
-
-    /// Group-commit counters, when durable (`None` for in-memory).
-    pub fn group_stats(&self) -> Option<GroupCommitStats> {
-        self.inner.group.as_ref().map(|g| g.stats())
     }
 
     /// The group-commit handle, when durable. The sharded layer uses

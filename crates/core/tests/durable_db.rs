@@ -521,8 +521,8 @@ fn fail_append_during_group_commit_is_retried_not_skipped() {
     db.add_entry("alice", 1, "A", &[]).unwrap();
     assert!(db.add_entry("bob", 2, "B", &[]).is_err(), "append fails");
     db.add_entry("carol", 3, "C", &[]).unwrap(); // drains B's frame first
-    let stats = db.group_stats().unwrap();
-    assert_eq!(stats.failed_syncs, 0, "the fault was in append, not sync");
+    let failed_syncs = db.metrics().counter("storage.group.failed_syncs").get();
+    assert_eq!(failed_syncs, 0, "the fault was in append, not sync");
     drop(db);
     let recovered = CuratedDatabase::open(
         "iuphar",

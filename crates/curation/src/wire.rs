@@ -85,13 +85,11 @@ impl std::error::Error for WireError {}
 /// A checkpoint snapshot: the materialized state as of `last_txn`, so
 /// recovery can skip re-applying the log prefix it covers.
 ///
-/// The v2 fields make a checkpoint *load-bearing* for segmented logs:
-/// `covered_len` anchors the snapshot to a logical WAL offset so
+/// Beyond the core state, a checkpoint is *load-bearing* for segmented
+/// logs: `covered_len` anchors the snapshot to a logical WAL offset so
 /// recovery can skip (and retention can retire) every frame before it,
 /// and the carried log / publish / aux / snapshot payloads preserve
-/// what those skipped frames would have contributed. A v1 payload
-/// decodes with all of these at their defaults, which reproduces the
-/// old semantics exactly.
+/// what those skipped frames would have contributed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The last transaction whose effects the snapshot includes
@@ -103,8 +101,8 @@ pub struct Checkpoint {
     pub prov: ProvStore,
     /// Logical WAL byte offset this snapshot durably covers: recovery
     /// skips frames ending at or before it, and retention may retire
-    /// segments wholly below it. `None` = a legacy snapshot with no
-    /// coverage claim (recovery matches `last_txn` against the log).
+    /// segments wholly below it. `None` = a snapshot with no coverage
+    /// claim (recovery matches `last_txn` against the log).
     pub covered_len: Option<u64>,
     /// Wall-clock time of the last covered transaction, so time-based
     /// features (publish timestamps) survive history truncation.
@@ -127,10 +125,10 @@ pub struct Checkpoint {
     /// rebuilt without the covered log. Opaque bytes at this layer.
     pub snapshots: Vec<Vec<u8>>,
     /// Present when the snapshot's tree / provenance / archive bodies
-    /// live in a paged heap instead of this payload (the v3 *anchor*
-    /// form): the checkpoint then carries only the small metadata
-    /// above, plus this reference telling recovery how to materialize
-    /// the state from page records. Page-granular checkpointing writes
+    /// live in a paged heap instead of this payload (an *anchor*): the
+    /// checkpoint then carries only the small metadata above, plus
+    /// this reference telling recovery how to materialize the state
+    /// from page records. Page-granular checkpointing writes
     /// only dirty pages to the heap and installs this small anchor,
     /// instead of serializing the whole state on every checkpoint.
     pub paged: Option<PagedRef>,
@@ -153,8 +151,8 @@ pub struct PagedRef {
 }
 
 impl Checkpoint {
-    /// A checkpoint with only the core state (no coverage claim, no
-    /// carried history) — the v1 shape.
+    /// A checkpoint with only the core state: no coverage claim, no
+    /// carried history, no paged anchor.
     pub fn basic(last_txn: Option<TxnId>, tree: TreeDb, prov: ProvStore) -> Self {
         Checkpoint {
             last_txn,
@@ -171,14 +169,10 @@ impl Checkpoint {
     }
 }
 
-/// Version tag opening a v2 checkpoint payload. A v1 payload starts
-/// with an option presence byte (0 or 1), so 2 is unambiguous.
-const CKPT_VERSION_V2: u8 = 2;
-
-/// Version tag opening a v3 checkpoint payload: the v2 fields followed
-/// by a [`PagedRef`]. Only emitted when `paged` is `Some`, so v2
-/// readers keep decoding every checkpoint a non-paged database writes.
-const CKPT_VERSION_V3: u8 = 3;
+/// Tag opening every checkpoint payload: the one payload generation.
+/// Payloads opening with anything else (the retired forms opened with
+/// 0 to 3) are refused, never adopted.
+const CKPT_TAG: u8 = 4;
 
 // ------------------------------------------------------------ writer
 
@@ -390,21 +384,30 @@ fn put_chunks(out: &mut Vec<u8>, chunks: &[Vec<u8>]) {
     }
 }
 
-/// Encodes a checkpoint snapshot as a checkpoint-file frame payload
-/// (the v2 form, or v3 when a [`PagedRef`] anchor is present; v1
-/// payloads remain decodable).
+/// Encodes a checkpoint snapshot as a checkpoint-file frame payload:
+///
+/// ```text
+/// tag:u8=4 last_txn:opt_u64 tree prov covered_len:opt_u64 last_time:u64
+/// paged:(0 | 1 heap_len:u64 arena_len:u64 root:u64)
+/// log:chunks publishes:chunks aux:chunks snapshots:chunks
+/// ```
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    out.push(if ck.paged.is_some() {
-        CKPT_VERSION_V3
-    } else {
-        CKPT_VERSION_V2
-    });
+    out.push(CKPT_TAG);
     put_opt_u64(&mut out, ck.last_txn.map(|t| t.0));
     put_tree(&mut out, &ck.tree);
     put_prov(&mut out, &ck.prov);
     put_opt_u64(&mut out, ck.covered_len);
     put_u64(&mut out, ck.last_time);
+    match &ck.paged {
+        None => out.push(0),
+        Some(p) => {
+            out.push(1);
+            put_u64(&mut out, p.heap_len);
+            put_u64(&mut out, p.arena_len);
+            put_u64(&mut out, p.root);
+        }
+    }
     put_u32(&mut out, ck.log.len() as u32);
     for txn in &ck.log {
         put_chunk(&mut out, &encode_transaction(txn));
@@ -412,11 +415,6 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     put_chunks(&mut out, &ck.publishes);
     put_chunks(&mut out, &ck.aux);
     put_chunks(&mut out, &ck.snapshots);
-    if let Some(p) = &ck.paged {
-        put_u64(&mut out, p.heap_len);
-        put_u64(&mut out, p.arena_len);
-        put_u64(&mut out, p.root);
-    }
     out
 }
 
@@ -869,46 +867,40 @@ fn read_chunks(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, WireError> {
     Ok(out)
 }
 
-/// Decodes a checkpoint frame payload, any version. A v1 payload
-/// (first byte is an option presence tag, 0 or 1) yields a checkpoint
-/// with every v2 field at its default; a v3 payload additionally
-/// carries a [`PagedRef`] anchor.
+/// Decodes a checkpoint frame payload (see [`encode_checkpoint`]).
+/// Any other tag is [`WireError::BadTag`].
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     let mut r = Reader::new(bytes);
-    let version = match bytes.first() {
-        Some(&CKPT_VERSION_V2) => CKPT_VERSION_V2,
-        Some(&CKPT_VERSION_V3) => CKPT_VERSION_V3,
-        _ => 1,
-    };
-    if version >= CKPT_VERSION_V2 {
-        r.u8()?;
+    let tag = r.u8()?;
+    if tag != CKPT_TAG {
+        return Err(WireError::BadTag("checkpoint payload", tag));
     }
     let last_txn = r.opt_u64()?.map(TxnId);
     let tree = r.tree()?;
     let prov = r.prov()?;
     let mut ck = Checkpoint::basic(last_txn, tree, prov);
-    if version >= CKPT_VERSION_V2 {
-        ck.covered_len = r.opt_u64()?;
-        ck.last_time = r.u64()?;
-        // A carried transaction is at least its 4-byte length prefix.
-        let n = r.seq_len(4)?;
-        let mut log = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = r.u32()? as usize;
-            log.push(decode_transaction(r.bytes(len)?)?);
-        }
-        ck.log = log.into();
-        ck.publishes = read_chunks(&mut r)?;
-        ck.aux = read_chunks(&mut r)?;
-        ck.snapshots = read_chunks(&mut r)?;
-    }
-    if version >= CKPT_VERSION_V3 {
-        ck.paged = Some(PagedRef {
+    ck.covered_len = r.opt_u64()?;
+    ck.last_time = r.u64()?;
+    ck.paged = match r.u8()? {
+        0 => None,
+        1 => Some(PagedRef {
             heap_len: r.u64()?,
             arena_len: r.u64()?,
             root: r.u64()?,
-        });
+        }),
+        other => return Err(WireError::BadTag("paged anchor presence", other)),
+    };
+    // A carried transaction is at least its 4-byte length prefix.
+    let n = r.seq_len(4)?;
+    let mut log = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = r.u32()? as usize;
+        log.push(decode_transaction(r.bytes(len)?)?);
     }
+    ck.log = log.into();
+    ck.publishes = read_chunks(&mut r)?;
+    ck.aux = read_chunks(&mut r)?;
+    ck.snapshots = read_chunks(&mut r)?;
     r.finish()?;
     Ok(ck)
 }
@@ -1018,7 +1010,7 @@ mod tests {
             root: 0,
         });
         let bytes = encode_checkpoint(&ck);
-        assert_eq!(bytes[0], 3);
+        assert_eq!(bytes[0], CKPT_TAG);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ck);
         // Truncation discipline holds for the extended form too.
         for cut in (0..bytes.len()).step_by(5) {
@@ -1073,18 +1065,6 @@ mod tests {
         let (parent, _, _) = node_links(&db.tree, dead[0]).unwrap();
         assert!(parent.is_some());
         assert!(node_links(&db.tree, n).is_none());
-    }
-
-    #[test]
-    fn v1_checkpoint_payloads_still_decode() {
-        let db = busy_tree();
-        let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
-        // A v1 payload is the unversioned core-field encoding.
-        let mut v1 = Vec::new();
-        put_opt_u64(&mut v1, ck.last_txn.map(|t| t.0));
-        put_tree(&mut v1, &ck.tree);
-        put_prov(&mut v1, &ck.prov);
-        assert_eq!(decode_checkpoint(&v1).unwrap(), ck);
     }
 
     #[test]

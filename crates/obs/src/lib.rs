@@ -15,9 +15,9 @@
 //!   p50/p95/p99 estimation. Registration (name → instrument) takes a
 //!   lock once; every subsequent record is a relaxed atomic op on a
 //!   cloned handle. The [`MetricSink`] trait is the narrow waist the
-//!   rest of the workspace records through, so the legacy stats
-//!   structs (`ExecStats`, `GroupCommitStats`, `RecoveryStats`) can be
-//!   thin views over the same counters.
+//!   rest of the workspace records through, so the remaining stats
+//!   structs (`ExecStats`, `RecoveryStats`) can be thin views over the
+//!   same counters.
 //! * **[`span`]** — structured spans with RAII timing
 //!   (`span!("wal.group_commit", txn_id)`), trace ids that flow
 //!   through thread-local state from the serving entry points down to

@@ -1,9 +1,11 @@
 //! Crash-atomic checkpoint installation.
 //!
-//! The raw single-device writer ([`crate::write_checkpoint`]) is
-//! `truncate(0)` + append: a crash inside that window destroys the
-//! *previous* checkpoint too, silently degrading every future recovery
-//! to full replay. [`CheckpointStore`] closes the window two ways:
+//! A checkpoint file holds one record: the magic, then a single
+//! [`FRAME_CKPT`] frame whose payload is a generation number followed
+//! by the encoded checkpoint ([`write_checkpoint_slot`]). Writing it is
+//! `truncate(0)` + append, so a crash inside that window would destroy
+//! the *previous* checkpoint too. [`CheckpointStore`] closes the window
+//! two ways:
 //!
 //! - **Directory store** — the snapshot is written to a temp file,
 //!   fsynced, then atomically `rename`d over the live name (and the
@@ -16,11 +18,10 @@
 //!   install can only destroy the older of the two; load picks the
 //!   highest-generation slot that validates.
 
-use cdb_curation::wire::{decode_checkpoint, encode_checkpoint, put_u64, Checkpoint, Reader};
+use cdb_curation::wire::{decode_checkpoint, encode_checkpoint, Checkpoint};
 
-use crate::frame::{encode_frame, scan, Frame, CKPT_MAGIC, FRAME_CKPT};
+use crate::frame::{encode_parts, scan, CKPT_MAGIC, FRAME_CKPT};
 use crate::io::{sync_parent_dir, FileIo, Io, MemIo};
-use crate::wal::{read_checkpoint, write_checkpoint};
 use crate::StorageError;
 
 /// A crash-atomic home for the checkpoint snapshot.
@@ -37,6 +38,10 @@ enum StoreKind {
     Dir {
         dir: std::path::PathBuf,
         name: String,
+        /// Generation of the newest checkpoint this store loaded or
+        /// installed (0 before either). Rename gives the atomicity;
+        /// the generation only numbers the installs.
+        gen: u64,
     },
 }
 
@@ -62,6 +67,7 @@ impl CheckpointStore {
             kind: StoreKind::Dir {
                 dir: dir.into(),
                 name: name.into(),
+                gen: 0,
             },
         }
     }
@@ -81,13 +87,15 @@ impl CheckpointStore {
                 }
                 Ok(best.map(|(_, ck)| ck))
             }
-            StoreKind::Dir { dir, name } => {
+            StoreKind::Dir { dir, name, gen } => {
                 let path = dir.join(format!("{name}.ckpt"));
                 if !path.exists() {
                     return Ok(None);
                 }
                 let mut io = FileIo::open(&path)?;
-                read_checkpoint(&mut io)
+                let found = read_checkpoint_slot(&mut io)?;
+                *gen = found.as_ref().map_or(*gen, |(g, _)| *g);
+                Ok(found.map(|(_, ck)| ck))
             }
         }
     }
@@ -114,15 +122,16 @@ impl CheckpointStore {
                 let gen = gens[0].unwrap_or(0).max(gens[1].unwrap_or(0)) + 1;
                 write_checkpoint_slot(slots[target].as_mut(), gen, ck)
             }
-            StoreKind::Dir { dir, name } => {
+            StoreKind::Dir { dir, name, gen } => {
                 std::fs::create_dir_all(&dir)
                     .map_err(|e| StorageError::Io(format!("mkdir {}: {e}", dir.display())))?;
                 let tmp = dir.join(format!("{name}.ckpt.tmp"));
                 let live = dir.join(format!("{name}.ckpt"));
                 {
                     let mut io = FileIo::open(&tmp)?;
-                    write_checkpoint(&mut io, ck)?;
+                    write_checkpoint_slot(&mut io, *gen + 1, ck)?;
                 }
+                *gen += 1;
                 std::fs::rename(&tmp, &live)
                     .map_err(|e| StorageError::Io(format!("rename {}: {e}", tmp.display())))?;
                 sync_parent_dir(&live)
@@ -132,44 +141,40 @@ impl CheckpointStore {
     }
 }
 
-/// Writes one generation-framed checkpoint slot: magic, then a single
-/// [`FRAME_CKPT`] frame whose payload is `gen:u64le` followed by the
-/// encoded checkpoint. Not atomic on its own — atomicity comes from
-/// the two-slot protocol above.
+/// Writes one checkpoint record: magic, then a single [`FRAME_CKPT`]
+/// frame whose payload is `gen:u64le` followed by the encoded
+/// checkpoint. Not atomic on its own — atomicity comes from the
+/// store's two-slot or rename protocol.
 pub fn write_checkpoint_slot(
     io: &mut dyn Io,
     gen: u64,
     ck: &Checkpoint,
 ) -> Result<(), StorageError> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, gen);
-    payload.extend_from_slice(&encode_checkpoint(ck));
+    let body = encode_checkpoint(ck);
     io.truncate(0)?;
     io.append(CKPT_MAGIC)?;
-    io.append(&encode_frame(FRAME_CKPT, &payload))?;
+    io.append(&encode_parts(FRAME_CKPT, &[&gen.to_le_bytes(), &body]))?;
     io.flush()
 }
 
-/// Reads a generation-framed checkpoint slot, returning `None` for
-/// anything torn, corrupt, or absent.
+/// Reads a checkpoint record, returning `None` for anything torn,
+/// corrupt, absent, or of a retired payload generation: the first bad
+/// record makes the whole checkpoint absent, and recovery replays the
+/// log instead.
 pub fn read_checkpoint_slot(io: &mut dyn Io) -> Result<Option<(u64, Checkpoint)>, StorageError> {
-    let outcome = scan(io, CKPT_MAGIC)?;
-    if !outcome.header_ok || outcome.frames_dropped > 0 {
-        return Ok(None);
-    }
-    let payload = match outcome.frames.as_slice() {
-        [Frame {
-            kind: FRAME_CKPT,
-            payload,
-        }] => payload,
-        _ => return Ok(None),
-    };
-    let mut r = Reader::new(payload);
-    let Ok(gen) = r.u64() else { return Ok(None) };
-    let rest = r
-        .bytes(r.remaining())
-        .expect("remaining bytes are in range");
-    Ok(decode_checkpoint(rest).ok().map(|ck| (gen, ck)))
+    let mut frames = 0;
+    let mut found = None;
+    let outcome = scan(io, CKPT_MAGIC, None, |kind, payload, _| {
+        frames += 1;
+        if let (FRAME_CKPT, Some((gen, body))) = (kind, payload.split_first_chunk::<8>()) {
+            found = decode_checkpoint(body)
+                .ok()
+                .map(|ck| (u64::from_le_bytes(*gen), ck));
+        }
+        Ok(())
+    })?;
+    let whole = outcome.header_ok && outcome.frames_dropped == 0 && frames == 1;
+    Ok(found.filter(|_| whole))
 }
 
 #[cfg(test)]

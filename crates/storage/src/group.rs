@@ -36,24 +36,6 @@ use cdb_obs::{Counter, Gauge, HistogramHandle, Metrics, SpanGuard};
 use crate::wal::DurableLog;
 use crate::{Io, StorageError};
 
-/// A point-in-time view of the group-commit counters. Since PR 4 this
-/// is a *read-out* of `cdb-obs` instruments, not independent state —
-/// [`GroupWal::stats`] materialises it so the serving layer, the
-/// benchmarks, and the pre-existing tests keep their API (see DESIGN.md
-/// S24 on the deprecation path).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitStats {
-    /// Syncs issued by batch leaders.
-    pub batches: u64,
-    /// Frames covered by those syncs.
-    pub frames_synced: u64,
-    /// Largest number of frames a single sync covered.
-    pub max_batch: u64,
-    /// Sync attempts that failed (each failing attempt is retried by
-    /// the next leader).
-    pub failed_syncs: u64,
-}
-
 /// Pre-resolved instrument handles — looked up once at construction so
 /// the commit hot path never touches the registry lock.
 #[derive(Debug, Clone)]
@@ -250,17 +232,6 @@ impl GroupWal {
         self.commit(seq)
     }
 
-    /// Batching counters so far, read out of the `cdb-obs` instruments.
-    pub fn stats(&self) -> GroupCommitStats {
-        let i = &self.inner.instr;
-        GroupCommitStats {
-            batches: i.batches.get(),
-            frames_synced: i.frames_synced.get(),
-            max_batch: i.max_batch.get(),
-            failed_syncs: i.failed_syncs.get(),
-        }
-    }
-
     /// The current batch window.
     pub fn window(&self) -> Duration {
         self.lock().window
@@ -328,10 +299,10 @@ mod tests {
         assert_eq!(g.unsynced(), 2);
         g.commit(s2).unwrap();
         assert_eq!(g.unsynced(), 0);
-        let st = g.stats();
-        assert_eq!(st.batches, 1);
-        assert_eq!(st.frames_synced, 2);
-        assert_eq!(st.max_batch, 2);
+        let st = &g.inner.instr;
+        assert_eq!(st.batches.get(), 1);
+        assert_eq!(st.frames_synced.get(), 2);
+        assert_eq!(st.max_batch.get(), 2);
     }
 
     #[test]
@@ -340,18 +311,18 @@ mod tests {
         let s = g.append(7, b"x").unwrap();
         g.commit(s).unwrap();
         g.commit(s).unwrap(); // no new batch
-        assert_eq!(g.stats().batches, 1);
+        assert_eq!(g.inner.instr.batches.get(), 1);
     }
 
     #[test]
     fn sync_all_on_empty_batch_is_a_no_op() {
         let g = mem_group(Duration::ZERO);
         g.sync_all().unwrap();
-        assert_eq!(g.stats().batches, 0);
+        assert_eq!(g.inner.instr.batches.get(), 0);
         let s = g.append(7, b"x").unwrap();
         g.commit(s).unwrap();
         g.sync_all().unwrap(); // nothing new pending
-        assert_eq!(g.stats().batches, 1);
+        assert_eq!(g.inner.instr.batches.get(), 1);
     }
 
     #[test]
@@ -371,14 +342,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let st = g.stats();
-        assert_eq!(st.frames_synced, 32);
+        let st = &g.inner.instr;
+        assert_eq!(st.frames_synced.get(), 32);
         assert!(
-            st.batches < 32,
+            st.batches.get() < 32,
             "expected batching, got one sync per frame ({} batches)",
-            st.batches
+            st.batches.get()
         );
-        assert!(st.max_batch >= 2);
+        assert!(st.max_batch.get() >= 2);
     }
 
     #[test]
@@ -392,7 +363,7 @@ mod tests {
         let s = g.append(7, b"x").unwrap();
         // First committer leads, hits the injected failure, reports it.
         assert!(g.commit(s).is_err());
-        assert_eq!(g.stats().failed_syncs, 1);
+        assert_eq!(g.inner.instr.failed_syncs.get(), 1);
         assert_eq!(g.unsynced(), 1);
         // A retry (here: the same caller again) succeeds — the frame
         // was never lost, only its sync was delayed.
@@ -429,7 +400,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(g.unsynced(), 0);
-        assert_eq!(g.stats().failed_syncs, 1);
+        assert_eq!(g.inner.instr.failed_syncs.get(), 1);
     }
 
     #[test]

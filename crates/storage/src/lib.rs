@@ -10,7 +10,9 @@
 //! This crate persists the log as a write-ahead log of length-prefixed,
 //! CRC-32-checksummed frames (one per committed transaction, plus
 //! publish points and auxiliary records), written through a narrow
-//! [`io::Io`] device trait with explicit sync points. Periodic
+//! [`io::Io`] device trait with explicit sync points. The frame is the
+//! one record format on disk: checkpoint files and page-heap records
+//! are frames too, validated by the same [`frame::scan`]. Periodic
 //! [`wire::Checkpoint`] snapshots (tree + provenance store) bound
 //! recovery time; recovery is `load(checkpoint) + replay(tail)` on the
 //! machinery `cdb-curation::replay` already provides, and is verified
@@ -41,7 +43,6 @@
 
 pub mod buffer;
 pub mod ckpt;
-pub mod crc;
 pub mod frame;
 pub mod group;
 pub mod io;
@@ -59,12 +60,12 @@ pub use crate::buffer::{
 };
 pub use crate::ckpt::CheckpointStore;
 pub use crate::frame::{
-    Frame, ScanOutcome, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT, FRAME_DECIDE, FRAME_PREPARE,
-    FRAME_PUBLISH, FRAME_TXN,
+    Frame, ScanOutcome, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT, FRAME_DECIDE, FRAME_PAGE,
+    FRAME_PREPARE, FRAME_PUBLISH,
 };
-pub use crate::group::{GroupCommitStats, GroupWal};
+pub use crate::group::GroupWal;
 pub use crate::io::{FaultPlan, FaultyIo, FileIo, Io, MemIo, ReclaimStats, ThrottledIo};
-pub use crate::page::{PageStore, PAGE_MAGIC, PAGE_RECORD_HEADER, PAGE_SIZE};
+pub use crate::page::{PageStore, PAGE_MAGIC, PAGE_SIZE};
 pub use crate::paged::{page_key, split_key, PagedState, KIND_NODE, KIND_PROV, KIND_SNAP};
 pub use crate::recovery::{
     decode_commit, encode_commit, recover, recover_shards, recover_with, PublishRecord, Recovered,
@@ -78,7 +79,7 @@ pub use crate::twopc::{
     decode_decide, decode_prepare, encode_decide, encode_prepare, scan_decisions, DecideRecord,
     PrepareRecord,
 };
-pub use crate::wal::{read_checkpoint, write_checkpoint, DurableLog};
+pub use crate::wal::DurableLog;
 
 /// Errors from the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,20 +1,24 @@
-//! A log-structured page heap over the [`Io`](crate::io::Io) trait.
+//! A log-structured page heap over the [`Io`] trait.
 //!
-//! The paged backing store keeps the curated tree, provenance store,
-//! and archive fat-nodes as fixed-capacity *pages* so working sets can
-//! exceed RAM (ROADMAP item 2; see `crate::buffer` for the pool that
-//! serves reads and `crate::paged` for the object encoding on top).
+//! The heap is what makes checkpoints **page-granular and
+//! incremental**: a paged checkpoint appends only the pages dirtied
+//! since the last one and installs a small anchor naming the heap
+//! watermark, instead of serializing the whole state (see
+//! `crate::paged` for the object encoding on top and `crate::buffer`
+//! for the frame cache in front of it).
 //!
-//! The heap is **append-only**: writing a page appends a new
-//! checksummed record; the in-memory page table maps each page id to
-//! its newest record, and older versions simply stay behind it. That
-//! shape is what makes crash safety compositional with the rest of the
+//! The heap is **append-only**: writing a page appends a new record;
+//! the in-memory page table maps each page id to the offset of its
+//! newest record, and older versions simply stay behind it. That shape
+//! is what makes crash safety compositional with the rest of the
 //! storage layer:
 //!
-//! * torn tails are handled exactly like the WAL — the opening scan
-//!   stops at the first record that fails its CRC or length check and
-//!   truncates the device there, falling back to the previous durable
-//!   version of any page whose newest record was torn;
+//! * a record is one [`FRAME_PAGE`] frame, scanned by [`frame::scan`]
+//!   like every other file: the opening scan stops at the first record
+//!   that fails its CRC or length check and truncates the device
+//!   there, falling back to the previous durable version of any page
+//!   whose newest record was torn. A failed device read is not a torn
+//!   record: it propagates and nothing is truncated;
 //! * a checkpoint anchor (see `cdb_curation::wire::PagedRef`) names a
 //!   byte watermark, and because earlier bytes are never rewritten, a
 //!   durable anchor always references a durable heap prefix (the heap
@@ -24,18 +28,13 @@
 //!   is what `crates/storage/tests/buffer_faults.rs` exercises at
 //!   every byte offset.
 //!
-//! Record layout after the 8-byte magic header:
-//!
-//! ```text
-//! page_id: u64le | version: u64le | len: u32le | crc: u32le | payload
-//! ```
-//!
-//! with the CRC-32 computed over `page_id | version | len | payload`,
-//! mirroring the WAL frame discipline in [`crate::frame`].
+//! Record layout after the 8-byte magic header: a frame whose payload
+//! is `page_id:u64le` followed by the page bytes. Append order is the
+//! version order, so a record needs no version number.
 
 use std::collections::BTreeMap;
 
-use crate::crc;
+use crate::frame::{self, decode_frame, encode_parts, FRAME_HEADER, FRAME_PAGE};
 use crate::io::{read_exact_at, Io};
 use crate::StorageError;
 
@@ -44,19 +43,18 @@ use crate::StorageError;
 pub const PAGE_SIZE: usize = 4096;
 
 /// Magic bytes opening a page-heap device.
-pub const PAGE_MAGIC: &[u8; 8] = b"CDBPGH01";
+pub const PAGE_MAGIC: &[u8; 8] = b"CDBPGH02";
 
-/// Bytes of a page record header: page id (8) + version (8) + len (4)
-/// + crc (4).
-pub const PAGE_RECORD_HEADER: u64 = 24;
+/// Bytes of a page record ahead of the page: the frame header plus the
+/// page id.
+const RECORD_HEADER: u64 = FRAME_HEADER + 8;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Byte offset of the record's payload.
-    payload_at: u64,
+    /// Byte offset of the record's frame.
+    at: u64,
+    /// Page bytes in the record.
     len: u32,
-    version: u64,
-    crc: u32,
 }
 
 /// A page heap: the latest durable-or-pending version of every page,
@@ -69,93 +67,63 @@ pub struct PageStore<I: Io> {
     end: u64,
 }
 
-fn record_crc(page: u64, version: u64, payload: &[u8]) -> u32 {
-    let mut h = crc::Hasher::new();
-    h.update(&page.to_le_bytes());
-    h.update(&version.to_le_bytes());
-    h.update(&(payload.len() as u32).to_le_bytes());
-    h.update(payload);
-    h.finish()
-}
-
 impl<I: Io> PageStore<I> {
     /// Opens a heap, creating it when the device is empty. The opening
     /// scan validates every record and truncates the device at the
     /// first torn or corrupt one — the page table then maps each page
-    /// to its newest *surviving* record.
+    /// to its newest *surviving* record. A device that is not a heap
+    /// of this format is refused as `Corrupt`, never truncated.
     ///
     /// `limit`, when given, is a checkpoint-anchor watermark: records
     /// that end past it are discarded (and truncated away) even if
     /// they are intact, so the materialized table is exactly the state
     /// the anchor covered.
-    pub fn open(io: I, limit: Option<u64>) -> Result<Self, StorageError> {
+    pub fn open(mut io: I, limit: Option<u64>) -> Result<Self, StorageError> {
         if io.base() != 0 {
             return Err(StorageError::Corrupt(
                 "page heap requires an unsegmented device".into(),
             ));
         }
-        let mut store = PageStore {
-            io,
-            table: BTreeMap::new(),
-            end: 0,
-        };
-        if store.io.is_empty()? {
-            store.io.append(PAGE_MAGIC)?;
-            store.end = PAGE_MAGIC.len() as u64;
-            return Ok(store);
+        if io.is_empty()? {
+            io.append(PAGE_MAGIC)?;
+            return Ok(PageStore {
+                io,
+                table: BTreeMap::new(),
+                end: PAGE_MAGIC.len() as u64,
+            });
         }
-        let mut magic = [0u8; 8];
-        if read_exact_at(&mut store.io, 0, &mut magic).is_err() || &magic != PAGE_MAGIC {
+        let mut table = BTreeMap::new();
+        let out = frame::scan(&mut io, PAGE_MAGIC, limit, |kind, payload, end| {
+            match (kind, payload.split_first_chunk::<8>()) {
+                (FRAME_PAGE, Some((page, bytes))) if bytes.len() <= PAGE_SIZE => {
+                    // Scan order is append order, so a later record for
+                    // the same page is always the newer version.
+                    let len = bytes.len() as u32;
+                    let at = end - RECORD_HEADER - u64::from(len);
+                    table.insert(u64::from_le_bytes(*page), Slot { at, len });
+                    Ok(())
+                }
+                _ => Err(StorageError::Corrupt(format!(
+                    "frame of kind {kind} and {} bytes is not a page record",
+                    payload.len()
+                ))),
+            }
+        })?;
+        if !out.header_ok {
             return Err(StorageError::Corrupt("bad page heap magic".into()));
         }
-        let device_len = store.io.len()?;
-        let stop = limit.unwrap_or(u64::MAX).min(device_len);
-        let mut pos = PAGE_MAGIC.len() as u64;
-        while pos + PAGE_RECORD_HEADER <= stop {
-            let mut header = [0u8; PAGE_RECORD_HEADER as usize];
-            if read_exact_at(&mut store.io, pos, &mut header).is_err() {
-                break;
-            }
-            let page = u64::from_le_bytes(header[0..8].try_into().unwrap());
-            let version = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            let len = u32::from_le_bytes(header[16..20].try_into().unwrap());
-            let stored_crc = u32::from_le_bytes(header[20..24].try_into().unwrap());
-            if len as usize > PAGE_SIZE {
-                break;
-            }
-            let rec_end = pos + PAGE_RECORD_HEADER + u64::from(len);
-            if rec_end > stop {
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            if read_exact_at(&mut store.io, pos + PAGE_RECORD_HEADER, &mut payload).is_err() {
-                break;
-            }
-            if record_crc(page, version, &payload) != stored_crc {
-                break;
-            }
-            // Scan order is append order, so a later record for the
-            // same page is always the newer version.
-            store.table.insert(
-                page,
-                Slot {
-                    payload_at: pos + PAGE_RECORD_HEADER,
-                    len,
-                    version,
-                    crc: stored_crc,
-                },
-            );
-            pos = rec_end;
+        if out.bytes_dropped > 0 {
+            io.truncate(out.valid_len)?;
         }
-        store.end = pos;
-        if device_len > pos {
-            store.io.truncate(pos)?;
-        }
-        Ok(store)
+        Ok(PageStore {
+            io,
+            table,
+            end: out.valid_len,
+        })
     }
 
-    /// Appends a new version of `page`. Not durable until [`flush`]
-    /// (`Self::flush`) succeeds.
+    /// Appends a new version of `page`. Not durable until
+    /// [`flush`](Self::flush) succeeds.
     pub fn write_page(&mut self, page: u64, payload: &[u8]) -> Result<(), StorageError> {
         if payload.len() > PAGE_SIZE {
             return Err(StorageError::Io(format!(
@@ -163,24 +131,13 @@ impl<I: Io> PageStore<I> {
                 payload.len()
             )));
         }
-        let version = self.table.get(&page).map(|s| s.version + 1).unwrap_or(1);
-        let crc = record_crc(page, version, payload);
-        let mut rec = Vec::with_capacity(PAGE_RECORD_HEADER as usize + payload.len());
-        rec.extend_from_slice(&page.to_le_bytes());
-        rec.extend_from_slice(&version.to_le_bytes());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc.to_le_bytes());
-        rec.extend_from_slice(payload);
+        let rec = encode_parts(FRAME_PAGE, &[&page.to_le_bytes(), payload]);
         self.io.append(&rec)?;
-        self.table.insert(
-            page,
-            Slot {
-                payload_at: self.end + PAGE_RECORD_HEADER,
-                len: payload.len() as u32,
-                version,
-                crc,
-            },
-        );
+        let slot = Slot {
+            at: self.end,
+            len: payload.len() as u32,
+        };
+        self.table.insert(page, slot);
         self.end += rec.len() as u64;
         Ok(())
     }
@@ -191,14 +148,16 @@ impl<I: Io> PageStore<I> {
         let Some(slot) = self.table.get(&page).copied() else {
             return Ok(None);
         };
-        let mut payload = vec![0u8; slot.len as usize];
-        read_exact_at(&mut self.io, slot.payload_at, &mut payload)?;
-        if record_crc(page, slot.version, &payload) != slot.crc {
-            return Err(StorageError::Corrupt(format!(
+        let mut rec = vec![0u8; (RECORD_HEADER + u64::from(slot.len)) as usize];
+        read_exact_at(&mut self.io, slot.at, &mut rec)?;
+        match decode_frame(&rec) {
+            Some((FRAME_PAGE, payload)) if payload[..8] == page.to_le_bytes() => {
+                Ok(Some(payload[8..].to_vec()))
+            }
+            _ => Err(StorageError::Corrupt(format!(
                 "page {page} failed its checksum on read"
-            )));
+            ))),
         }
-        Ok(Some(payload))
     }
 
     /// Whether the heap has a record for `page`.
@@ -232,16 +191,6 @@ impl<I: Io> PageStore<I> {
         self.table.keys().copied()
     }
 
-    /// Bytes occupied by live (newest-version) records, header
-    /// included — the numerator of the heap's utilization; the
-    /// denominator is [`len`](Self::len).
-    pub fn live_bytes(&self) -> u64 {
-        self.table
-            .values()
-            .map(|s| PAGE_RECORD_HEADER + u64::from(s.len))
-            .sum()
-    }
-
     /// Consumes the store, returning the underlying device (crash
     /// harnesses take the durable image from it).
     pub fn into_io(self) -> I {
@@ -253,6 +202,36 @@ impl<I: Io> PageStore<I> {
 mod tests {
     use super::*;
     use crate::io::{FaultPlan, FaultyIo, MemIo};
+    use std::sync::{Arc, Mutex};
+
+    /// A device whose reads fail once they reach `fail_from`; the
+    /// bytes stay inspectable after the store that owned it is gone.
+    #[derive(Debug)]
+    struct ReadFailsPast {
+        bytes: Arc<Mutex<MemIo>>,
+        fail_from: u64,
+    }
+
+    impl Io for ReadFailsPast {
+        fn len(&self) -> Result<u64, StorageError> {
+            self.bytes.lock().unwrap().len()
+        }
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+            if offset + buf.len() as u64 > self.fail_from {
+                return Err(StorageError::Io(format!("read past {}", self.fail_from)));
+            }
+            self.bytes.lock().unwrap().read_at(offset, buf)
+        }
+        fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+            self.bytes.lock().unwrap().append(bytes)
+        }
+        fn flush(&mut self) -> Result<(), StorageError> {
+            self.bytes.lock().unwrap().flush()
+        }
+        fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+            self.bytes.lock().unwrap().truncate(len)
+        }
+    }
 
     #[test]
     fn create_write_read_round_trip() {
@@ -346,7 +325,7 @@ mod tests {
         // Flip one payload bit: the record fails its CRC and the scan
         // drops it (table has no page 1).
         let plan = FaultPlan {
-            bit_flips: vec![(PAGE_MAGIC.len() as u64 + PAGE_RECORD_HEADER + 2, 0x04)],
+            bit_flips: vec![(PAGE_MAGIC.len() as u64 + RECORD_HEADER + 2, 0x04)],
             ..FaultPlan::default()
         };
         let mut io = FaultyIo::with_contents(image, plan);
@@ -354,5 +333,31 @@ mod tests {
         let rotten = io.crash();
         let mut back = PageStore::open(MemIo::from_bytes(rotten), None).unwrap();
         assert_eq!(back.read_page(1).unwrap(), None);
+    }
+
+    #[test]
+    fn read_error_in_the_opening_scan_propagates_and_truncates_nothing() {
+        let mut s = PageStore::open(MemIo::new(), None).unwrap();
+        s.write_page(1, b"durable-one").unwrap();
+        s.write_page(2, b"durable-two").unwrap();
+        s.flush().unwrap();
+        let image = s.into_io().bytes().to_vec();
+        for fail_from in 0..image.len() as u64 {
+            let bytes = Arc::new(Mutex::new(MemIo::from_bytes(image.clone())));
+            let dev = ReadFailsPast {
+                bytes: bytes.clone(),
+                fail_from,
+            };
+            let res = PageStore::open(dev, None);
+            assert!(
+                matches!(res, Err(StorageError::Io(_))),
+                "fail_from {fail_from}"
+            );
+            assert_eq!(
+                bytes.lock().unwrap().bytes(),
+                image,
+                "fail_from {fail_from}"
+            );
+        }
     }
 }

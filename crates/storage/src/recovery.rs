@@ -35,7 +35,6 @@ use cdb_curation::wire::{
 
 use crate::frame::{
     Frame, ScanOutcome, FRAME_AUX, FRAME_COMMIT, FRAME_DECIDE, FRAME_PREPARE, FRAME_PUBLISH,
-    FRAME_TXN,
 };
 use crate::io::Io;
 use crate::twopc::{decode_decide, decode_prepare, encode_decide, DecideRecord, PrepareRecord};
@@ -241,10 +240,6 @@ fn decode_plain_frame(
     aux: &mut Vec<Vec<u8>>,
 ) -> Result<(), StorageError> {
     match kind {
-        FRAME_TXN => {
-            let txn = decode_transaction(&payload).map_err(StorageError::Wire)?;
-            push_txn(txns, floor, txn)?;
-        }
         FRAME_COMMIT => {
             let (txn, mut extra) = decode_commit(&payload).map_err(StorageError::Wire)?;
             push_txn(txns, floor, txn)?;
@@ -467,10 +462,8 @@ fn recover_with_inner<I: Io>(
 ) -> Result<(DurableLog<I>, Recovered), StorageError> {
     let span = cdb_obs::SpanGuard::enter("storage.recovery.replay");
     let mut twopc = TwoPcPass::new(ctx);
-    let (log, outcome) = DurableLog::open(io)?;
+    let (log, frames, outcome) = DurableLog::open(io)?;
     let ScanOutcome {
-        frames,
-        ends,
         base,
         valid_len,
         frames_dropped,
@@ -552,7 +545,7 @@ fn recover_with_inner<I: Io>(
                 paged: _,
             } = ck;
             stats.used_checkpoint = true;
-            let skip = ends.iter().filter(|&&e| e <= w).count();
+            let skip = frames.iter().filter(|f| f.end <= w).count();
             stats.frames_skipped = skip as u64;
 
             let mut tail: Vec<Transaction> = Vec::new();
@@ -754,10 +747,8 @@ pub fn recover_shards<I: Io + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_TXN;
+    use crate::ckpt::CheckpointStore;
     use crate::io::{FaultPlan, FaultyIo, MemIo};
-    use crate::wal::{read_checkpoint, write_checkpoint};
-    use cdb_curation::wire::encode_transaction;
     use cdb_model::Atom;
 
     /// Builds a reference database and a WAL image holding its log.
@@ -778,7 +769,7 @@ mod tests {
 
         let mut log = DurableLog::create(MemIo::new()).unwrap();
         for txn in db.transactions() {
-            log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+            log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         }
         log.sync().unwrap();
         let image = log.into_io().bytes().to_vec();
@@ -811,9 +802,9 @@ mod tests {
             },
         );
         let ck = Checkpoint::basic(Some(db.log[1].id), prefix.tree.clone(), prefix.prov.clone());
-        let mut ckio = MemIo::new();
-        write_checkpoint(&mut ckio, &ck).unwrap();
-        let ck = read_checkpoint(&mut ckio).unwrap();
+        let mut store = CheckpointStore::mem();
+        store.install(&ck).unwrap();
+        let ck = store.load().unwrap();
 
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), ck).unwrap();
         assert_eq!(rec.db, db);
@@ -829,7 +820,7 @@ mod tests {
         let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
         let first_txn_end = {
             let mut log = DurableLog::create(MemIo::new()).unwrap();
-            log.append(FRAME_TXN, &encode_transaction(&db.log[0]))
+            log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
                 .unwrap();
             log.sync().unwrap();
             log.len().unwrap()
@@ -853,12 +844,12 @@ mod tests {
     fn crash_image_recovers_committed_prefix_exactly() {
         let (db, _) = seeded();
         let mut log = DurableLog::create(FaultyIo::new(FaultPlan::default())).unwrap();
-        log.append(FRAME_TXN, &encode_transaction(&db.log[0]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
             .unwrap();
-        log.append(FRAME_TXN, &encode_transaction(&db.log[1]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
             .unwrap();
         log.sync().unwrap();
-        log.append(FRAME_TXN, &encode_transaction(&db.log[2]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log[2], &[]))
             .unwrap();
         // Crash before the covering sync: txn 2 is uncommitted.
         let image = log.into_io().crash();
@@ -875,9 +866,9 @@ mod tests {
     fn out_of_order_transaction_ids_are_rejected() {
         let (db, _) = seeded();
         let mut log = DurableLog::create(MemIo::new()).unwrap();
-        log.append(FRAME_TXN, &encode_transaction(&db.log[1]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
             .unwrap();
-        log.append(FRAME_TXN, &encode_transaction(&db.log[0]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
             .unwrap();
         log.sync().unwrap();
         let err = recover("r", StoreMode::Hereditary, log.into_io(), None).unwrap_err();

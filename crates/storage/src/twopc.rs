@@ -13,8 +13,8 @@
 //! ```
 //!
 //! The PREPARE carries the transaction's complete effect on that shard
-//! as ordinary WAL frames (`FRAME_TXN`/`FRAME_COMMIT`/`FRAME_PUBLISH`/
-//! `FRAME_AUX`), **not yet applied**: recovery adopts the inner frames
+//! as ordinary WAL frames (`FRAME_COMMIT`/`FRAME_PUBLISH`/`FRAME_AUX`),
+//! **not yet applied**: recovery adopts the inner frames
 //! only when a DECIDE(commit) for the same `gid` follows in the log, or
 //! when the in-doubt resolution pass (consulting every shard's decision
 //! record) finds a commit decision elsewhere. A prepared transaction
@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use cdb_curation::wire::{put_u32, put_u64, Reader, WireError};
 
-use crate::frame::{scan, FRAME_AUX, FRAME_COMMIT, FRAME_DECIDE, FRAME_PUBLISH, FRAME_TXN};
+use crate::frame::{scan, FRAME_AUX, FRAME_COMMIT, FRAME_DECIDE, FRAME_PUBLISH};
 use crate::io::Io;
 use crate::StorageError;
 
@@ -99,7 +99,7 @@ pub fn decode_prepare(bytes: &[u8]) -> Result<PrepareRecord, WireError> {
     let mut frames = Vec::with_capacity(nframes.min(65_536));
     for _ in 0..nframes {
         let kind = r.u8()?;
-        if !matches!(kind, FRAME_TXN | FRAME_COMMIT | FRAME_PUBLISH | FRAME_AUX) {
+        if !matches!(kind, FRAME_COMMIT | FRAME_PUBLISH | FRAME_AUX) {
             return Err(WireError::BadTag("prepare inner frame kind", kind));
         }
         let len = r.u32()? as usize;
@@ -146,14 +146,14 @@ pub fn decode_decide(bytes: &[u8]) -> Result<DecideRecord, WireError> {
 /// tolerated exactly as in recovery — the scan stops at the first bad
 /// frame, and a torn DECIDE is no DECIDE.
 pub fn scan_decisions(io: &mut dyn Io) -> Result<BTreeMap<u64, bool>, StorageError> {
-    let outcome = scan(io, crate::frame::WAL_MAGIC)?;
     let mut decisions = BTreeMap::new();
-    for frame in &outcome.frames {
-        if frame.kind == FRAME_DECIDE {
-            let d = decode_decide(&frame.payload).map_err(StorageError::Wire)?;
+    scan(io, crate::frame::WAL_MAGIC, None, |kind, payload, _| {
+        if kind == FRAME_DECIDE {
+            let d = decode_decide(payload).map_err(StorageError::Wire)?;
             decisions.insert(d.gid, d.commit);
         }
-    }
+        Ok(())
+    })?;
     Ok(decisions)
 }
 
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn scan_decisions_reads_only_decides_and_tolerates_torn_tails() {
         let mut bytes = WAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(FRAME_TXN, b"whatever"));
+        bytes.extend_from_slice(&encode_frame(FRAME_COMMIT, b"whatever"));
         bytes.extend_from_slice(&encode_frame(
             FRAME_DECIDE,
             &encode_decide(&DecideRecord {

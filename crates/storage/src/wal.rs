@@ -1,5 +1,4 @@
-//! The durable log: an append-only sequence of checksummed frames,
-//! plus the checkpoint file.
+//! The durable log: an append-only sequence of checksummed frames.
 //!
 //! [`DurableLog::open`] is self-healing: it scans the device, keeps the
 //! longest valid frame prefix, and **truncates the torn tail** so the
@@ -7,15 +6,12 @@
 //! device until [`DurableLog::sync`]; a transaction is *committed* once
 //! the sync covering its frame returns.
 //!
-//! Checkpoints live in a separate device (file) from the WAL and are
-//! written whole — scan-validated on read, and simply ignored when
-//! invalid, because the WAL retains every transaction frame and can
-//! always rebuild from scratch. The checkpoint is an optimization, the
-//! log is the truth.
+//! Checkpoints live apart from the log ([`crate::ckpt`]) and are
+//! ignored when invalid, because the WAL retains every transaction
+//! frame the checkpoint does not cover. The checkpoint is an
+//! optimization, the log is the truth.
 
-use cdb_curation::wire::{decode_checkpoint, encode_checkpoint, Checkpoint};
-
-use crate::frame::{encode_frame, scan, Frame, ScanOutcome, CKPT_MAGIC, FRAME_CKPT, WAL_MAGIC};
+use crate::frame::{encode_frame, scan, Frame, ScanOutcome, WAL_MAGIC};
 use crate::io::Io;
 use crate::StorageError;
 
@@ -43,8 +39,16 @@ impl<I: Io> DurableLog<I> {
     /// torn tail, and returns the surviving frames. A device with a
     /// missing or torn header (crash before creation finished, or an
     /// empty file) is re-initialized to an empty log.
-    pub fn open(mut io: I) -> Result<(Self, ScanOutcome), StorageError> {
-        let mut outcome = scan(&mut io, WAL_MAGIC)?;
+    pub fn open(mut io: I) -> Result<(Self, Vec<Frame>, ScanOutcome), StorageError> {
+        let mut frames = Vec::new();
+        let mut outcome = scan(&mut io, WAL_MAGIC, None, |kind, payload, end| {
+            frames.push(Frame {
+                kind,
+                payload: payload.to_vec(),
+                end,
+            });
+            Ok(())
+        })?;
         if !outcome.header_ok {
             io.truncate(0)?;
             io.append(WAL_MAGIC)?;
@@ -61,6 +65,7 @@ impl<I: Io> DurableLog<I> {
                 io,
                 appended_since_sync: 0,
             },
+            frames,
             outcome,
         ))
     }
@@ -127,87 +132,56 @@ impl<I: Io> DurableLog<I> {
     }
 }
 
-/// Writes a checkpoint snapshot to `io` (replacing any previous one)
-/// and syncs it.
-///
-/// **Not crash-atomic**: this is `truncate(0)` + append on the live
-/// device, so a crash inside the window destroys the previous snapshot
-/// too. It remains as the raw single-device primitive (and as the slot
-/// writer's building block); durable installs go through
-/// [`crate::ckpt::CheckpointStore`], which guarantees one valid
-/// checkpoint always survives.
-pub fn write_checkpoint(io: &mut dyn Io, ck: &Checkpoint) -> Result<(), StorageError> {
-    io.truncate(0)?;
-    io.append(CKPT_MAGIC)?;
-    io.append(&encode_frame(FRAME_CKPT, &encode_checkpoint(ck)))?;
-    io.flush()
-}
-
-/// Reads a checkpoint back, returning `None` when the device holds no
-/// usable snapshot (missing, torn, corrupt, or the wrong kind of
-/// frame). Recovery treats `None` as "replay the whole log".
-pub fn read_checkpoint(io: &mut dyn Io) -> Result<Option<Checkpoint>, StorageError> {
-    let outcome = scan(io, CKPT_MAGIC)?;
-    if !outcome.header_ok || outcome.frames_dropped > 0 {
-        return Ok(None);
-    }
-    match outcome.frames.as_slice() {
-        [Frame {
-            kind: FRAME_CKPT,
-            payload,
-        }] => Ok(decode_checkpoint(payload).ok()),
-        _ => Ok(None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FRAME_TXN;
+    use crate::ckpt::{read_checkpoint_slot, write_checkpoint_slot};
+    use crate::frame::FRAME_AUX;
     use crate::io::{FaultPlan, FaultyIo, MemIo};
     use cdb_curation::ops::CuratedTree;
     use cdb_curation::provstore::StoreMode;
+    use cdb_curation::wire::Checkpoint;
 
     #[test]
     fn create_append_sync_reopen() {
         let mut log = DurableLog::create(MemIo::new()).unwrap();
-        log.append(FRAME_TXN, b"one").unwrap();
-        log.append(FRAME_TXN, b"two").unwrap();
+        log.append(FRAME_AUX, b"one").unwrap();
+        log.append(FRAME_AUX, b"two").unwrap();
         assert_eq!(log.unsynced_frames(), 2);
         log.sync().unwrap();
         assert_eq!(log.unsynced_frames(), 0);
         let io = log.into_io();
-        let (_, out) = DurableLog::open(io).unwrap();
-        assert_eq!(out.frames.len(), 2);
-        assert_eq!(out.frames[1].payload, b"two");
+        let (_, frames, _) = DurableLog::open(io).unwrap();
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[1].payload, b"two");
     }
 
     #[test]
     fn open_truncates_torn_tail_so_appends_land_clean() {
         let mut log = DurableLog::create(FaultyIo::new(FaultPlan::default())).unwrap();
-        log.append(FRAME_TXN, b"committed").unwrap();
+        log.append(FRAME_AUX, b"committed").unwrap();
         log.sync().unwrap();
-        log.append(FRAME_TXN, b"lost-in-crash").unwrap(); // never synced
+        log.append(FRAME_AUX, b"lost-in-crash").unwrap(); // never synced
         let image = log.into_io().crash();
 
-        let (mut log, out) = DurableLog::open(MemIo::from_bytes(image)).unwrap();
-        assert_eq!(out.frames.len(), 1);
-        log.append(FRAME_TXN, b"after-recovery").unwrap();
+        let (mut log, frames, _) = DurableLog::open(MemIo::from_bytes(image)).unwrap();
+        assert_eq!(frames.len(), 1);
+        log.append(FRAME_AUX, b"after-recovery").unwrap();
         log.sync().unwrap();
-        let (_, out2) = DurableLog::open(log.into_io()).unwrap();
-        assert_eq!(out2.frames.len(), 2);
-        assert_eq!(out2.frames[1].payload, b"after-recovery");
+        let (_, frames2, out2) = DurableLog::open(log.into_io()).unwrap();
+        assert_eq!(frames2.len(), 2);
+        assert_eq!(frames2[1].payload, b"after-recovery");
         assert_eq!(out2.frames_dropped, 0);
     }
 
     #[test]
     fn crash_before_header_reinitializes() {
-        let (log, out) = DurableLog::open(MemIo::from_bytes(b"CDB".to_vec())).unwrap();
+        let (log, _, out) = DurableLog::open(MemIo::from_bytes(b"CDB".to_vec())).unwrap();
         assert!(!out.header_ok);
         assert!(log.is_empty().unwrap());
-        let (_, out2) = DurableLog::open(log.into_io()).unwrap();
+        let (_, frames2, out2) = DurableLog::open(log.into_io()).unwrap();
         assert!(out2.header_ok);
-        assert_eq!(out2.frames.len(), 0);
+        assert_eq!(frames2.len(), 0);
     }
 
     #[test]
@@ -219,8 +193,9 @@ mod tests {
         t.commit();
         let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
         let mut io = MemIo::new();
-        write_checkpoint(&mut io, &ck).unwrap();
-        assert_eq!(read_checkpoint(&mut io).unwrap(), Some(ck.clone()));
+        write_checkpoint_slot(&mut io, 1, &ck).unwrap();
+        let read = |io: &mut MemIo| read_checkpoint_slot(io).unwrap().map(|(_, ck)| ck);
+        assert_eq!(read(&mut io), Some(ck.clone()));
 
         // Flip any byte: the checkpoint must read as absent, never as
         // a different checkpoint.
@@ -229,7 +204,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
             let mut bad = MemIo::from_bytes(corrupt);
-            let got = read_checkpoint(&mut bad).unwrap();
+            let got = read(&mut bad);
             assert!(got.is_none() || got == Some(ck.clone()), "byte {i}");
         }
     }

@@ -15,11 +15,11 @@
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire::{self, encode_transaction};
+use cdb_curation::wire;
 use cdb_obs::Metrics;
 use cdb_storage::{
-    recover, BufferPool, DurableLog, FaultPlan, FaultyIo, Io, MemIo, PageStore, PagedState,
-    StorageError, FRAME_TXN,
+    encode_commit, recover, BufferPool, DurableLog, FaultPlan, FaultyIo, Io, MemIo, PageStore,
+    PagedState, StorageError, FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
@@ -45,7 +45,7 @@ fn session(seed: u64, txns: usize) -> CuratedTree {
 fn wal_image(db: &CuratedTree) -> Vec<u8> {
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
     }
     log.into_io().bytes().to_vec()

@@ -11,11 +11,11 @@
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire::{encode_transaction, Checkpoint};
+use cdb_curation::wire::Checkpoint;
 use cdb_storage::ckpt::write_checkpoint_slot;
 use cdb_storage::{
-    recover, CheckpointStore, DurableLog, FaultPlan, FaultyIo, MemBacking, MemIo, Retention,
-    SegFaultPlan, SegmentConfig, SegmentedIo, FRAME_TXN,
+    encode_commit, recover, CheckpointStore, DurableLog, FaultPlan, FaultyIo, MemBacking, MemIo,
+    Retention, SegFaultPlan, SegmentConfig, SegmentedIo, FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
@@ -214,7 +214,7 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
             let ckpt_at = db.log.len() / 2;
             let mut ck = None;
             for (i, txn) in db.transactions().iter().enumerate() {
-                log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+                log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
                 log.sync().unwrap();
                 if i + 1 == ckpt_at {
                     let covered = log.len().unwrap();
@@ -276,7 +276,7 @@ fn torn_flush_at_every_byte_budget_recovers_a_committed_prefix() {
     let io = SegmentedIo::open(Box::new(backing.clone()), cfg).unwrap();
     let mut log = DurableLog::create(io).unwrap();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
     }
     drop(log);
@@ -292,7 +292,7 @@ fn torn_flush_at_every_byte_budget_recovers_a_committed_prefix() {
         let io = SegmentedIo::open(Box::new(backing.clone()), cfg).unwrap();
         let mut log = DurableLog::create(io).unwrap();
         for txn in db.transactions() {
-            log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+            log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
             log.sync().unwrap();
         }
         drop(log);

@@ -11,8 +11,12 @@
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire::{encode_transaction, Checkpoint};
-use cdb_storage::{recover, write_checkpoint, DurableLog, FaultPlan, FaultyIo, MemIo, FRAME_TXN};
+use cdb_curation::wire::{decode_checkpoint, encode_checkpoint, encode_transaction, Checkpoint};
+use cdb_storage::frame::{encode_frame, CKPT_MAGIC, WAL_MAGIC};
+use cdb_storage::{
+    encode_commit, recover, CheckpointStore, DurableLog, FaultPlan, FaultyIo, MemIo, PageStore,
+    StorageError, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT,
+};
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
 /// A realistic curation session (pastes, edits, inserts, deletes come
@@ -40,7 +44,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     let mut ends = Vec::new();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
         ends.push(log.len().unwrap());
     }
@@ -91,7 +95,7 @@ fn torn_write_loses_only_the_tail() {
             });
             let mut log = DurableLog::create(io).unwrap();
             for txn in db.transactions() {
-                log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+                log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
                 log.sync().unwrap();
             }
             io = log.into_io();
@@ -123,7 +127,7 @@ fn partial_flush_then_crash_keeps_a_clean_prefix() {
         .unwrap();
         let mut flushes = 0;
         for txn in db.transactions() {
-            log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+            log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
             if flushes < flushes_before_crash {
                 log.sync().unwrap();
                 flushes += 1;
@@ -208,9 +212,9 @@ fn checkpoint_shortens_replay_without_changing_the_result() {
     for ckpt_at in 0..=db.log.len() {
         let snap = reference(&db, ckpt_at);
         let ck = Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
-        let mut ckio = MemIo::new();
-        write_checkpoint(&mut ckio, &ck).unwrap();
-        let ck = cdb_storage::read_checkpoint(&mut ckio).unwrap();
+        let mut store = CheckpointStore::mem();
+        store.install(&ck).unwrap();
+        let ck = store.load().unwrap();
         let (_, rec) = recover(
             "curated",
             StoreMode::Hereditary,
@@ -235,7 +239,7 @@ fn failed_flush_means_the_transaction_never_committed() {
     .unwrap();
     let mut committed = 0usize;
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         if log.sync().is_ok() {
             committed += 1;
         } else {
@@ -272,7 +276,7 @@ fn fault_classes_surface_as_distinct_error_counters() {
         ..FaultPlan::default()
     }))
     .unwrap();
-    log.append(FRAME_TXN, b"doomed").unwrap();
+    log.append(FRAME_AUX, b"doomed").unwrap();
     assert!(log.sync().is_err());
     assert!(
         sync_failed.get() > before,
@@ -287,7 +291,7 @@ fn fault_classes_surface_as_distinct_error_counters() {
         ..FaultPlan::default()
     }))
     .unwrap();
-    assert!(log.append(FRAME_TXN, b"doomed").is_err());
+    assert!(log.append(FRAME_AUX, b"doomed").is_err());
     assert!(
         append_failed.get() > before,
         "a failed append must bump storage.error.append_failed"
@@ -317,4 +321,64 @@ fn fault_classes_surface_as_distinct_error_counters() {
         torn_tail.get() > before,
         "dropped frames must bump storage.error.torn_tail"
     );
+}
+
+#[test]
+fn retired_forms_are_refused_never_adopted() {
+    // Each row is a durable form this engine no longer writes. Opening
+    // one must fail, or for a checkpoint read as absent (recovery then
+    // replays the log) — never decode into state.
+    let db = session();
+    let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
+    let current = encode_checkpoint(&ck);
+    // The untagged v1 payload was the core fields alone: today's
+    // payload minus its tag and minus what follows the provenance store
+    // in a basic checkpoint (covered_len 1 + last_time 8 + paged 1 +
+    // four empty chunk lists 16 = 26 bytes).
+    let (core, rest) = current.split_at(current.len() - 26);
+    assert!(
+        rest.iter().all(|&b| b == 0),
+        "a basic checkpoint ends in 26 zero bytes"
+    );
+    let v1 = core[1..].to_vec();
+    let retagged = |tag: u8| [&[tag], &current[1..]].concat();
+    let checkpoints = [("v1", v1), ("v2 tag", retagged(2)), ("v3 tag", retagged(3))];
+    for (form, payload) in checkpoints {
+        assert!(
+            decode_checkpoint(&payload).is_err(),
+            "{form} payload decoded"
+        );
+        let mut slot = CKPT_MAGIC.to_vec();
+        slot.extend_from_slice(&encode_frame(
+            FRAME_CKPT,
+            &[&1u64.to_le_bytes(), payload.as_slice()].concat(),
+        ));
+        let mut store =
+            CheckpointStore::slots(Box::new(MemIo::from_bytes(slot)), Box::new(MemIo::new()));
+        assert_eq!(store.load().unwrap(), None, "{form} checkpoint loaded");
+    }
+
+    // A WAL holding a kind-1 frame: a bare transaction.
+    let mut wal = WAL_MAGIC.to_vec();
+    wal.extend_from_slice(&encode_frame(1, &encode_transaction(&db.log[0])));
+    let err = recover(
+        "curated",
+        StoreMode::Hereditary,
+        MemIo::from_bytes(wal),
+        None,
+    )
+    .expect_err("kind-1 frame adopted");
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+
+    // A heap under the old magic, holding one old-layout record
+    // (page id, version, len, crc, payload).
+    let mut heap = b"CDBPGH01".to_vec();
+    for word in [7u64, 1] {
+        heap.extend_from_slice(&word.to_le_bytes());
+    }
+    heap.extend_from_slice(&4u32.to_le_bytes());
+    heap.extend_from_slice(&0u32.to_le_bytes());
+    heap.extend_from_slice(b"page");
+    let err = PageStore::open(MemIo::from_bytes(heap), None).expect_err("old heap opened");
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
 }

@@ -16,10 +16,9 @@
 //!    detection `Err`. Never a silently wrong `Ok(Some)`.
 
 use cdb_curation::provstore::StoreMode;
-use cdb_curation::wire::encode_transaction;
 use cdb_obs::flight::{self, FlightDump, DUMP_FILE, TMP_FILE};
 use cdb_obs::Metrics;
-use cdb_storage::{recover, DurableLog, MemIo, StorageError, FRAME_TXN};
+use cdb_storage::{encode_commit, recover, DurableLog, MemIo, StorageError, FRAME_COMMIT};
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
 use std::path::PathBuf;
@@ -65,9 +64,9 @@ fn out_of_order_wal() -> MemIo {
     let db = sim.target;
     assert!(db.log.len() >= 2, "simulator must yield two transactions");
     let mut log = DurableLog::create(MemIo::new()).unwrap();
-    log.append(FRAME_TXN, &encode_transaction(&db.log[1]))
+    log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
         .unwrap();
-    log.append(FRAME_TXN, &encode_transaction(&db.log[0]))
+    log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
         .unwrap();
     log.sync().unwrap();
     log.into_io()

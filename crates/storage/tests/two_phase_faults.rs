@@ -26,12 +26,11 @@ use std::collections::BTreeMap;
 
 use cdb_curation::ops::{CuratedTree, TxnId};
 use cdb_curation::provstore::StoreMode;
-use cdb_curation::wire::encode_transaction;
 use cdb_model::Atom;
 use cdb_storage::frame::{encode_frame, WAL_MAGIC};
 use cdb_storage::{
-    encode_decide, encode_prepare, recover, recover_shards, DecideRecord, MemIo, PrepareRecord,
-    Recovered, FRAME_AUX, FRAME_DECIDE, FRAME_PREPARE, FRAME_TXN,
+    encode_commit, encode_decide, encode_prepare, recover, recover_shards, DecideRecord, MemIo,
+    PrepareRecord, Recovered, FRAME_AUX, FRAME_COMMIT, FRAME_DECIDE, FRAME_PREPARE,
 };
 
 const GID: u64 = 1;
@@ -68,14 +67,17 @@ struct Side {
 
 fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
     let mut image = WAL_MAGIC.to_vec();
-    image.extend_from_slice(&encode_frame(FRAME_TXN, &encode_transaction(&tree.log[0])));
+    image.extend_from_slice(&encode_frame(
+        FRAME_COMMIT,
+        &encode_commit(&tree.log[0], &[]),
+    ));
     let p_start = image.len();
     let prepare = PrepareRecord {
         gid: GID,
         coordinator: 0,
         participants: vec![0, 1],
         frames: vec![
-            (FRAME_TXN, encode_transaction(&tree.log[1])),
+            (FRAME_COMMIT, encode_commit(&tree.log[1], &[])),
             (FRAME_AUX, b"cross-evt".to_vec()),
         ],
     };
@@ -260,7 +262,10 @@ fn later_abort_decide_overrides_earlier_commit_decide() {
             commit: false,
         }),
     ));
-    img0.extend_from_slice(&encode_frame(FRAME_TXN, &encode_transaction(&retry.log[1])));
+    img0.extend_from_slice(&encode_frame(
+        FRAME_COMMIT,
+        &encode_commit(&retry.log[1], &[]),
+    ));
     let s1 = build_side(&t1, false);
 
     let out = recover_shards(

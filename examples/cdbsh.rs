@@ -988,13 +988,15 @@ fn parallel_session(
         return Err(failures.join("; "));
     }
 
-    let stats = shared.group_stats();
     let epoch = shared.epoch();
     let reads = samples.load(Ordering::Relaxed);
-    let stats_line = match stats {
-        Some(s) => format!(
+    let m = shared.metrics();
+    let stats_line = match shared.batch_window() {
+        Some(_) => format!(
             "{} commits in {} synced batches (max batch {})",
-            s.frames_synced, s.batches, s.max_batch
+            m.counter("storage.group.frames_synced").get(),
+            m.counter("storage.group.batches").get(),
+            m.gauge("storage.group.max_batch").get()
         ),
         None => "in-memory database: no WAL, group commit idle".into(),
     };

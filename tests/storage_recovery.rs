@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire::{encode_transaction, Checkpoint};
+use cdb_curation::wire::Checkpoint;
 use cdb_storage::{
-    encode_decide, encode_prepare, read_checkpoint, recover, recover_shards, recover_with,
-    scan_decisions, write_checkpoint, DecideRecord, DurableLog, FaultPlan, FaultyIo, MemIo,
-    PrepareRecord, Retention, SegmentConfig, SegmentedIo, FRAME_AUX, FRAME_DECIDE, FRAME_PREPARE,
-    FRAME_TXN,
+    encode_commit, encode_decide, encode_prepare, recover, recover_shards, recover_with,
+    scan_decisions, CheckpointStore, DecideRecord, DurableLog, FaultPlan, FaultyIo, MemIo,
+    PrepareRecord, Retention, SegmentConfig, SegmentedIo, FRAME_AUX, FRAME_COMMIT, FRAME_DECIDE,
+    FRAME_PREPARE,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     let mut ends = Vec::new();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
         ends.push(log.len().unwrap());
     }
@@ -68,9 +68,9 @@ fn reference(db: &CuratedTree, mode: StoreMode, n: usize) -> CuratedTree {
 fn checkpoint_after(db: &CuratedTree, mode: StoreMode, k: usize) -> Option<Checkpoint> {
     let snap = reference(db, mode, k);
     let ck = Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
-    let mut io = MemIo::new();
-    write_checkpoint(&mut io, &ck).unwrap();
-    read_checkpoint(&mut io).unwrap()
+    let mut store = CheckpointStore::mem();
+    store.install(&ck).unwrap();
+    store.load().unwrap()
 }
 
 fn mode_of(naive: bool) -> StoreMode {
@@ -178,7 +178,7 @@ proptest! {
                 }))
                 .unwrap();
                 for txn in db.transactions() {
-                    log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+                    log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
                     log.sync().unwrap();
                 }
                 let crashed = log.into_io().crash();
@@ -207,7 +207,7 @@ proptest! {
                 }))
                 .unwrap();
                 for txn in db.transactions() {
-                    log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+                    log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
                     log.sync().unwrap();
                 }
                 let crashed = log.into_io().crash();
@@ -255,7 +255,7 @@ proptest! {
         let ckpt_at = 1 + ckpt_sel % db.log.len();
         let mut ck = None;
         for (i, txn) in db.transactions().iter().enumerate() {
-            log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+            log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
             log.sync().unwrap();
             if i + 1 == ckpt_at {
                 let covered = log.len().unwrap();
@@ -397,7 +397,7 @@ proptest! {
 fn twopc_image(db: &CuratedTree, shard: usize, nshards: usize) -> Vec<u8> {
     let mut log = DurableLog::create(MemIo::new()).unwrap();
     for txn in db.transactions() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
     }
     let parts: Vec<u32> = (0..nshards as u32).collect();
@@ -570,7 +570,7 @@ fn long_history_recovery_scans_a_bounded_tail() {
     let mut log = DurableLog::create(io).unwrap();
     let mut ck = None;
     for (i, txn) in db.transactions().iter().enumerate() {
-        log.append(FRAME_TXN, &encode_transaction(txn)).unwrap();
+        log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
         log.sync().unwrap();
         if (i + 1) % 8 == 0 {
             let covered = log.len().unwrap();
