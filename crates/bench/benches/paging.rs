@@ -15,16 +15,16 @@
 //!   keeps the hot set resident and the hit rate stays high even at
 //!   8× memory pressure.
 //!
-//! Every row in `BENCH_paging.json` records `pool_pages` and the
-//! observed `hit_rate` alongside the latency, so the report shows the
-//! degradation curve directly (EXPERIMENTS.md E21 reads it back).
+//! Every printed row shows the observed hit rate alongside the
+//! latency, so the table shows the degradation curve directly
+//! (EXPERIMENTS.md E21).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use cdb_obs::Metrics;
 use cdb_storage::{pool_pages_from_env, BufferPool, MemIo, PageStore};
-use criterion::{criterion_group, criterion_main, Criterion, Record};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 fn lcg(r: &mut u64) -> u64 {
     *r = r
@@ -101,16 +101,6 @@ fn bench_paging(_c: &mut Criterion) {
                  hit rate {hit_rate:.3}  ({:.1}x pool)",
                 pages as f64 / pool_pages as f64,
             );
-            criterion::push_record(Record {
-                op: format!("e21_paging/{pattern}/{pages}"),
-                size: Some(pages),
-                ns_per_iter: median.as_nanos(),
-                samples,
-                iters_per_sample: reads as u64,
-                pool_pages: Some(pool_pages as u64),
-                hit_rate: Some(hit_rate),
-                ..Record::default()
-            });
         }
     }
 }

@@ -3,9 +3,8 @@
 //! admission-control knee (see EXPERIMENTS.md).
 //!
 //! Hand-rolled harness (the criterion-shim `Bencher` model is
-//! single-threaded; this experiment is about concurrent connections),
-//! recording rows through [`criterion::push_record`] so results land
-//! in `BENCH_server.json` like every other experiment.
+//! single-threaded; this experiment is about concurrent connections).
+//! It prints one row per sweep point.
 //!
 //! Two sweeps:
 //!
@@ -20,7 +19,7 @@
 //!    load keeps rising past what the server admits. Past the knee
 //!    the shed count climbs while the p99 of *admitted* requests
 //!    stays bounded — that is the point of load-shedding, and the
-//!    `shed` column records it.
+//!    `shed` column shows it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +30,7 @@ use cdb_core::SharedDb;
 use cdb_model::Atom;
 use cdb_server::{Client, ClientError, Request, Response, Server, ServerConfig};
 use cdb_storage::{CheckpointStore, MemIo};
-use criterion::{push_record, smoke_mode, write_json_report, Record};
+use criterion::smoke_mode;
 
 /// Keys pre-seeded before the timed loop; timed requests are edits
 /// over these, so the database size is stationary throughout.
@@ -167,32 +166,6 @@ fn rows(prefix: &str, conns: usize, p: &SweepPoint) {
         Duration::from_nanos(p.p99_ns as u64),
         p.shed,
     );
-    let base = Record {
-        samples: p.done as usize,
-        iters_per_sample: 1,
-        threads: Some(conns as u64),
-        shed: Some(p.shed),
-        ..Record::default()
-    };
-    push_record(Record {
-        op: format!("{prefix}/c{conns}/throughput"),
-        ns_per_iter: if p.ops_per_s > 0.0 {
-            (1e9 / p.ops_per_s) as u128
-        } else {
-            0
-        },
-        ..base.clone()
-    });
-    push_record(Record {
-        op: format!("{prefix}/c{conns}/p50"),
-        ns_per_iter: p.p50_ns,
-        ..base.clone()
-    });
-    push_record(Record {
-        op: format!("{prefix}/c{conns}/p99"),
-        ns_per_iter: p.p99_ns,
-        ..base
-    });
 }
 
 fn main() {
@@ -215,6 +188,4 @@ fn main() {
         let p = sweep(conns, per_conn, OPEN_LOOP_SLOTS, false);
         rows("e20_open", conns, &p);
     }
-
-    write_json_report("server", env!("CARGO_MANIFEST_DIR"));
 }

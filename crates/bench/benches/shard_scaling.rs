@@ -2,9 +2,8 @@
 //! cross-shard 2PC transaction tax, and parallel vs sequential shard
 //! recovery (see EXPERIMENTS.md).
 //!
-//! Hand-rolled harness (multi-threaded, like E17), recording rows
-//! through [`criterion::push_record`] with the `shards` field set so
-//! `BENCH_shard_scaling.json` carries the shard count per row.
+//! Hand-rolled harness (the criterion-shim `Bencher` model is
+//! single-threaded), printing one row per measurement.
 //!
 //! Three measurements:
 //!
@@ -37,7 +36,7 @@ use cdb_storage::{
     MemIo, ThrottledIo, FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
-use criterion::{push_record, smoke_mode, write_json_report, Record};
+use criterion::smoke_mode;
 
 /// Simulated device sync latency for the throttled series (same regime
 /// as E17).
@@ -103,17 +102,8 @@ fn sharded_write_throughput(db: &ShardedDb, per_writer: u64) -> f64 {
     (WRITERS * per_writer) as f64 / start.elapsed().as_secs_f64()
 }
 
-fn ops_row(op: &str, ops_per_s: f64, shards: usize, commits: u64) {
+fn ops_row(op: &str, ops_per_s: f64) {
     eprintln!("  {op:<44} {ops_per_s:>10.0} commits/s");
-    push_record(Record {
-        op: op.to_owned(),
-        ns_per_iter: (1e9 / ops_per_s) as u128,
-        samples: commits as usize,
-        iters_per_sample: 1,
-        threads: Some(WRITERS),
-        shards: Some(shards as u64),
-        ..Record::default()
-    });
 }
 
 fn bench_write_scaling(per_writer: u64) {
@@ -121,23 +111,13 @@ fn bench_write_scaling(per_writer: u64) {
     for &shards in &[1usize, 2, 4] {
         let db = durable_sharded(shards, false, Duration::ZERO);
         let ops = sharded_write_throughput(&db, per_writer);
-        ops_row(
-            &format!("e22_write/mem/shards/{shards}"),
-            ops,
-            shards,
-            WRITERS * per_writer,
-        );
+        ops_row(&format!("e22_write/mem/shards/{shards}"), ops);
     }
     let throttled_per_writer = (per_writer / 4).max(2);
     for &shards in &[1usize, 2, 4] {
         let db = durable_sharded(shards, true, Duration::from_micros(100));
         let ops = sharded_write_throughput(&db, throttled_per_writer);
-        ops_row(
-            &format!("e22_write/throttled/shards/{shards}"),
-            ops,
-            shards,
-            WRITERS * throttled_per_writer,
-        );
+        ops_row(&format!("e22_write/throttled/shards/{shards}"), ops);
     }
 }
 
@@ -176,15 +156,6 @@ fn bench_cross_shard_tax(pairs: u64) {
             "  e22_cross/{label:<34} {:>10.3?}/merge",
             Duration::from_nanos(ns as u64)
         );
-        push_record(Record {
-            op: format!("e22_cross/{label}"),
-            ns_per_iter: ns,
-            samples: pairs as usize,
-            iters_per_sample: 1,
-            threads: Some(1),
-            shards: Some(2),
-            ..Record::default()
-        });
     }
 }
 
@@ -219,18 +190,7 @@ fn bench_parallel_recovery(txns_per_shard: usize) {
         .map(|i| shard_image(7 + i as u64 * 7919, txns_per_shard))
         .collect();
 
-    let row = |op: &str, elapsed: Duration, threads: u64| {
-        eprintln!("  {op:<44} {elapsed:>10.3?}");
-        push_record(Record {
-            op: op.to_owned(),
-            ns_per_iter: elapsed.as_nanos(),
-            samples: 1,
-            iters_per_sample: 1,
-            threads: Some(threads),
-            shards: Some(SHARDS as u64),
-            ..Record::default()
-        });
-    };
+    let row = |op: &str, elapsed: Duration| eprintln!("  {op:<44} {elapsed:>10.3?}");
 
     // Sequential: the same two phases recover_shards runs, one thread.
     let ios: Vec<MemIo> = images
@@ -245,7 +205,7 @@ fn bench_parallel_recovery(txns_per_shard: usize) {
         let (_, rec) = recover_with("bench", StoreMode::Hereditary, io, None, &ctx).unwrap();
         seq_txns += rec.db.log.len() as u64;
     }
-    row("e22_recovery/sequential", start.elapsed(), 1);
+    row("e22_recovery/sequential", start.elapsed());
 
     // Parallel: one OS thread per shard.
     let shards: Vec<(MemIo, _)> = images
@@ -254,7 +214,7 @@ fn bench_parallel_recovery(txns_per_shard: usize) {
         .collect();
     let start = Instant::now();
     let out = recover_shards("bench", StoreMode::Hereditary, shards, &Default::default()).unwrap();
-    row("e22_recovery/parallel", start.elapsed(), SHARDS as u64);
+    row("e22_recovery/parallel", start.elapsed());
     let par_txns: u64 = out.iter().map(|(_, r)| r.db.log.len() as u64).sum();
     assert_eq!(seq_txns, par_txns, "both paths must replay the same log");
     eprintln!("  ({par_txns} transactions replayed per path)");
@@ -269,5 +229,4 @@ fn main() {
     bench_write_scaling(per_writer);
     bench_cross_shard_tax(pairs);
     bench_parallel_recovery(txns);
-    write_json_report("shard_scaling", env!("CARGO_MANIFEST_DIR"));
 }

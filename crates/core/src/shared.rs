@@ -63,7 +63,6 @@
 //! pays reference counts for its snapshot, and an epoch kept alive
 //! retains only the chunks written since it was taken.
 
-use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -101,20 +100,6 @@ impl ServeInstruments {
     }
 }
 
-/// A periodic metrics export hook: invoked with a fresh snapshot every
-/// `every` acknowledged writes. Count-based rather than timer-based so
-/// it needs no background thread and stays deterministic under test.
-struct FlushHook {
-    every: u64,
-    hook: Box<dyn Fn(&cdb_obs::MetricsSnapshot) + Send + Sync>,
-}
-
-impl fmt::Debug for FlushHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FlushHook {{ every: {} }}", self.every)
-    }
-}
-
 #[derive(Debug)]
 struct SharedInner {
     db: Mutex<CuratedDatabase>,
@@ -129,7 +114,6 @@ struct SharedInner {
     /// never has to take the database lock.
     metrics: cdb_obs::Metrics,
     instr: ServeInstruments,
-    flush: Mutex<Option<FlushHook>>,
 }
 
 /// A cloneable, thread-safe handle to a curated database. All clones
@@ -200,7 +184,6 @@ impl SharedDb {
                 group,
                 metrics,
                 instr,
-                flush: Mutex::new(None),
             }),
         }
     }
@@ -323,25 +306,8 @@ impl SharedDb {
             }
             self.inner.instr.writes.inc();
             self.inner.instr.write_ns.observe(span.elapsed());
-            self.maybe_flush();
         }
         out
-    }
-
-    /// Runs the periodic flush hook if one is due (see
-    /// [`SharedDb::set_metrics_flush`]).
-    fn maybe_flush(&self) {
-        let guard = self
-            .inner
-            .flush
-            .lock()
-            .expect("a writer panicked inside a metrics flush hook");
-        if let Some(fh) = guard.as_ref() {
-            let writes = self.inner.instr.writes.get();
-            if fh.every > 0 && writes.is_multiple_of(fh.every) {
-                (fh.hook)(&self.metrics_snapshot());
-            }
-        }
     }
 
     /// An immutable view of the latest committed state. O(1): one
@@ -526,38 +492,9 @@ impl SharedDb {
         snap
     }
 
-    /// Installs (or, with `every == 0`, removes) the periodic metrics
-    /// flush hook: after every `every`-th acknowledged write, `hook` is
-    /// called with a fresh [`cdb_obs::MetricsSnapshot`] — the intended
-    /// place to ship line-JSON (`cdb_obs::export::line_json`) to a
-    /// collector. Runs on the committing writer's thread, outside the
-    /// database lock.
-    pub fn set_metrics_flush(
-        &self,
-        every: u64,
-        hook: impl Fn(&cdb_obs::MetricsSnapshot) + Send + Sync + 'static,
-    ) {
-        let mut guard = self
-            .inner
-            .flush
-            .lock()
-            .expect("a writer panicked inside a metrics flush hook");
-        *guard = (every > 0).then(|| FlushHook {
-            every,
-            hook: Box::new(hook),
-        });
-    }
-
     /// The group-commit batch window, when durable.
     pub fn batch_window(&self) -> Option<Duration> {
         self.inner.group.as_ref().map(|g| g.window())
-    }
-
-    /// Adjusts the group-commit batch window for future batches.
-    pub fn set_batch_window(&self, window: Duration) {
-        if let Some(g) = &self.inner.group {
-            g.set_window(window);
-        }
     }
 
     /// Unwraps the database, restoring single-threaded use. Fails

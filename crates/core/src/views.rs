@@ -144,7 +144,7 @@ pub fn query_entries_planned(
 
 /// The same relation with every cell distinctly colored `key/field`, so
 /// view outputs carry readable where-provenance.
-pub fn colored_entry_relation(db: &DbState, fields: &[&str]) -> Result<ColoredRelation, DbError> {
+fn colored_entry_relation(db: &DbState, fields: &[&str]) -> Result<ColoredRelation, DbError> {
     let plain = entry_relation(db, fields)?;
     let key_field = db.key_field().to_owned();
     let mut out = ColoredRelation::empty(plain.schema().clone());

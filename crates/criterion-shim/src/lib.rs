@@ -18,24 +18,14 @@
 //! `scripts/check.sh`) to catch bench bit-rot without paying measurement
 //! time.
 //!
-//! **Machine-readable output:** every measurement is also recorded and,
-//! when the [`criterion_main!`]-generated `main` exits, written as
-//! `BENCH_<bench-name>.json` at the workspace root — an array of
-//! `{op, size, ns_per_iter, samples, iters_per_sample, threads,
-//! batch_window_us, segments, shed, shards, pool_pages, hit_rate,
-//! plan, index}` rows (everything past `iters_per_sample` is `null`
-//! unless a harness sets it via [`push_record`]). Set `CDB_BENCH_JSON=0` to suppress the file, or
-//! `CDB_BENCH_JSON_DIR` to redirect it. Smoke runs skip the report
-//! (their timings are meaningless and would clobber real
-//! measurements) unless `CDB_BENCH_JSON=1` forces it, which CI uses to
-//! validate the report shape against a scratch directory.
+//! The printed rows are the only output. The engine's own numbers come
+//! from the end-to-end benchmark and its per-layer ladder, not from
+//! these harnesses.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Re-export so `criterion::black_box` keeps working alongside
@@ -47,171 +37,6 @@ pub fn smoke_mode() -> bool {
     std::env::var("CDB_BENCH_SMOKE")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// One recorded measurement, as written to the JSON report.
-#[derive(Debug, Clone, Default)]
-pub struct Record {
-    /// Full benchmark label (`group/function/param`).
-    pub op: String,
-    /// The numeric parameter, when the label's last segment is one.
-    pub size: Option<u64>,
-    /// Median wall-clock nanoseconds per iteration.
-    pub ns_per_iter: u128,
-    /// Samples taken (1 in smoke mode).
-    pub samples: usize,
-    /// Iterations per sample (1 in smoke mode).
-    pub iters_per_sample: u64,
-    /// Concurrent threads driving the measured operation (`null` for
-    /// single-threaded benches), so perf trajectories stay comparable
-    /// across PRs.
-    pub threads: Option<u64>,
-    /// Group-commit batch window in microseconds, when the measurement
-    /// depends on one (`null` otherwise).
-    pub batch_window_us: Option<u64>,
-    /// Live WAL segments scanned by the measured operation, for
-    /// recovery benches over a segmented log (`null` otherwise).
-    pub segments: Option<u64>,
-    /// Requests shed by admission control during the measurement, for
-    /// server overload benches (`null` otherwise).
-    pub shed: Option<u64>,
-    /// Shard count behind the measured operation, for sharded-database
-    /// benches (`null` otherwise).
-    pub shards: Option<u64>,
-    /// Buffer-pool capacity in frames, for paged-storage benches over
-    /// a bounded pool (`null` otherwise).
-    pub pool_pages: Option<u64>,
-    /// Buffer-pool hit fraction in `[0, 1]` observed during the
-    /// measurement, for paged-storage benches (`null` otherwise).
-    pub hit_rate: Option<f64>,
-    /// One-line rendering of the physical plan behind the measured
-    /// query, for planner benches (`null` otherwise).
-    pub plan: Option<String>,
-    /// Distinct values in the secondary index the measured plan
-    /// probes, for indexed-access benches (`null` otherwise).
-    pub index: Option<u64>,
-}
-
-static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
-
-fn record(r: Record) {
-    RECORDS.lock().expect("bench recorder poisoned").push(r);
-}
-
-/// Records a measurement produced outside the [`Bencher`] machinery —
-/// hand-rolled harnesses (multi-threaded throughput drivers, latency
-/// percentile samplers) use this so their rows land in the same
-/// `BENCH_<name>.json` report.
-pub fn push_record(r: Record) {
-    record(r);
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The workspace root: the nearest ancestor of `manifest_dir`
-/// (inclusive) whose `Cargo.toml` declares a `[workspace]` section.
-/// Walking to the *topmost* manifest instead would escape the repo
-/// when it is checked out under an unrelated directory that happens to
-/// hold a `Cargo.toml` (a parent project, a stray `~/Cargo.toml`) and
-/// silently write the report there. With no workspace manifest in
-/// sight, the bench's own `manifest_dir` is the fallback.
-fn workspace_root(manifest_dir: &str) -> PathBuf {
-    let mut cur = Some(Path::new(manifest_dir));
-    while let Some(dir) = cur {
-        if manifest_declares_workspace(&dir.join("Cargo.toml")) {
-            return dir.to_path_buf();
-        }
-        cur = dir.parent();
-    }
-    PathBuf::from(manifest_dir)
-}
-
-/// Whether the manifest at `path` has a `[workspace]` (or
-/// `[workspace.*]`, which implies one) section.
-fn manifest_declares_workspace(path: &Path) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    text.lines().any(|line| {
-        let line = line.trim();
-        line == "[workspace]" || line.starts_with("[workspace.")
-    })
-}
-
-/// Writes every recorded measurement of this process as
-/// `BENCH_<name>.json`. Called automatically by the
-/// [`criterion_main!`]-generated `main`; callable directly from a
-/// hand-rolled harness too.
-pub fn write_json_report(name: &str, manifest_dir: &str) {
-    let json_env = std::env::var("CDB_BENCH_JSON").ok();
-    if json_env.as_deref() == Some("0") {
-        return;
-    }
-    // Smoke runs exist to catch bit-rot; their one-iteration timings
-    // are noise and must not clobber a real report — unless the caller
-    // explicitly asks for the file with `CDB_BENCH_JSON=1` (CI uses
-    // this, with `CDB_BENCH_JSON_DIR` pointed at a scratch dir, to
-    // check the report shape without paying measurement time).
-    if smoke_mode() && json_env.as_deref() != Some("1") {
-        return;
-    }
-    let records = RECORDS.lock().expect("bench recorder poisoned");
-    if records.is_empty() {
-        return;
-    }
-    let dir = std::env::var("CDB_BENCH_JSON_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| workspace_root(manifest_dir));
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let mut out = String::from("[\n");
-    let opt = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |s| s.to_string());
-    // Floats need their own formatting (fixed precision, no
-    // scientific notation) so downstream `jq`-free parsers stay happy.
-    let optf = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), |s| format!("{s:.4}"));
-    let opts = |v: &Option<String>| {
-        v.as_ref()
-            .map_or_else(|| "null".to_owned(), |s| format!("\"{}\"", json_escape(s)))
-    };
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"op\": \"{}\", \"size\": {}, \"ns_per_iter\": {}, \
-             \"samples\": {}, \"iters_per_sample\": {}, \
-             \"threads\": {}, \"batch_window_us\": {}, \"segments\": {}, \
-             \"shed\": {}, \"shards\": {}, \"pool_pages\": {}, \
-             \"hit_rate\": {}, \"plan\": {}, \"index\": {}}}{}\n",
-            json_escape(&r.op),
-            opt(r.size),
-            r.ns_per_iter,
-            r.samples,
-            r.iters_per_sample,
-            opt(r.threads),
-            opt(r.batch_window_us),
-            opt(r.segments),
-            opt(r.shed),
-            opt(r.shards),
-            opt(r.pool_pages),
-            optf(r.hit_rate),
-            opts(&r.plan),
-            opt(r.index),
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    match std::fs::write(&path, out) {
-        Ok(()) => eprintln!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
-    }
 }
 
 /// The top-level harness handle.
@@ -386,11 +211,6 @@ impl Bencher {
     }
 }
 
-/// The numeric parameter at the end of a `group/function/param` label.
-fn label_size(label: &str) -> Option<u64> {
-    label.rsplit('/').next()?.parse().ok()
-}
-
 fn run_bench<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
     if smoke_mode() {
         let mut b = Bencher {
@@ -399,14 +219,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
         };
         f(&mut b);
         eprintln!("  {label:<48} smoke ok ({:>10.3?}/iter)", b.elapsed);
-        record(Record {
-            op: label.to_owned(),
-            size: label_size(label),
-            ns_per_iter: b.elapsed.as_nanos(),
-            samples: 1,
-            iters_per_sample: 1,
-            ..Record::default()
-        });
         return;
     }
     // Calibrate: how long does one iteration take?
@@ -436,14 +248,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
         "  {label:<48} median {median:>10.3?}  mean {mean:>10.3?}  min {min:>10.3?}  \
          ({samples} samples × {iters_per_sample} iters)"
     );
-    record(Record {
-        op: label.to_owned(),
-        size: label_size(label),
-        ns_per_iter: median.as_nanos(),
-        samples,
-        iters_per_sample,
-        ..Record::default()
-    });
 }
 
 /// Declares a benchmark group function, as in criterion.
@@ -457,15 +261,12 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declares the benchmark `main`, as in criterion — plus, on exit, the
-/// machine-readable `BENCH_<bench-name>.json` report at the workspace
-/// root.
+/// Declares the benchmark `main`, as in criterion.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::write_json_report(env!("CARGO_CRATE_NAME"), env!("CARGO_MANIFEST_DIR"));
         }
     };
 }
@@ -473,137 +274,6 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that touch the process-wide `CDB_BENCH_*`
-    /// environment variables.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn labels_expose_their_numeric_parameter() {
-        assert_eq!(
-            label_size("e15_natural_join/hash_sequential/10000"),
-            Some(10_000)
-        );
-        assert_eq!(label_size("group/op"), None);
-        assert_eq!(label_size("plain"), None);
-    }
-
-    #[test]
-    fn json_report_is_written_and_well_formed() {
-        let _env = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cdb_criterion_shim_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::remove_var("CDB_BENCH_SMOKE");
-        std::env::set_var("CDB_BENCH_JSON_DIR", dir.display().to_string());
-        record(Record {
-            op: "g/f/64".into(),
-            size: Some(64),
-            ns_per_iter: 1234,
-            samples: 3,
-            iters_per_sample: 7,
-            ..Record::default()
-        });
-        push_record(Record {
-            op: "commit/group/4".into(),
-            ns_per_iter: 99,
-            samples: 1,
-            iters_per_sample: 1,
-            threads: Some(4),
-            batch_window_us: Some(200),
-            segments: Some(3),
-            shed: Some(12),
-            shards: Some(4),
-            pool_pages: Some(8),
-            hit_rate: Some(0.875),
-            plan: Some("IndexScan R [K = 7]".into()),
-            index: Some(300),
-            ..Record::default()
-        });
-        write_json_report("shimtest", env!("CARGO_MANIFEST_DIR"));
-        std::env::remove_var("CDB_BENCH_JSON_DIR");
-        let text = std::fs::read_to_string(dir.join("BENCH_shimtest.json")).unwrap();
-        assert!(text.contains("\"op\": \"g/f/64\""));
-        assert!(text.contains("\"size\": 64"));
-        assert!(text.contains("\"ns_per_iter\": 1234"));
-        assert!(text.contains("\"threads\": null"));
-        assert!(text.contains("\"threads\": 4"));
-        assert!(text.contains("\"batch_window_us\": 200"));
-        assert!(text.contains("\"segments\": null"));
-        assert!(text.contains("\"segments\": 3"));
-        assert!(text.contains("\"shed\": null"));
-        assert!(text.contains("\"shed\": 12"));
-        assert!(text.contains("\"shards\": null"));
-        assert!(text.contains("\"shards\": 4"));
-        assert!(text.contains("\"pool_pages\": null"));
-        assert!(text.contains("\"pool_pages\": 8"));
-        assert!(text.contains("\"hit_rate\": null"));
-        assert!(text.contains("\"hit_rate\": 0.8750"));
-        assert!(text.contains("\"plan\": null"));
-        assert!(text.contains("\"plan\": \"IndexScan R [K = 7]\""));
-        assert!(text.contains("\"index\": null"));
-        assert!(text.contains("\"index\": 300"));
-        assert!(text.trim_start().starts_with('[') && text.trim_end().ends_with(']'));
-    }
-
-    #[test]
-    fn smoke_mode_writes_the_report_only_when_forced() {
-        let _env = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("cdb_criterion_shim_smoke_json_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("CDB_BENCH_SMOKE", "1");
-        std::env::set_var("CDB_BENCH_JSON_DIR", dir.display().to_string());
-        record(Record {
-            op: "smoke/op".into(),
-            ns_per_iter: 1,
-            samples: 1,
-            iters_per_sample: 1,
-            ..Record::default()
-        });
-        write_json_report("smoketest", env!("CARGO_MANIFEST_DIR"));
-        assert!(!dir.join("BENCH_smoketest.json").exists());
-        std::env::set_var("CDB_BENCH_JSON", "1");
-        write_json_report("smoketest", env!("CARGO_MANIFEST_DIR"));
-        std::env::remove_var("CDB_BENCH_JSON");
-        std::env::remove_var("CDB_BENCH_JSON_DIR");
-        std::env::remove_var("CDB_BENCH_SMOKE");
-        let text = std::fs::read_to_string(dir.join("BENCH_smoketest.json")).unwrap();
-        assert!(text.contains("\"op\": \"smoke/op\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn workspace_root_finds_the_nearest_workspace_manifest() {
-        let root = workspace_root(env!("CARGO_MANIFEST_DIR"));
-        assert!(manifest_declares_workspace(&root.join("Cargo.toml")));
-        // This crate is a workspace member, not the root itself.
-        assert_ne!(root, Path::new(env!("CARGO_MANIFEST_DIR")));
-    }
-
-    #[test]
-    fn workspace_root_ignores_non_workspace_manifests_above() {
-        let base = std::env::temp_dir().join(format!("cdb-shim-wsroot-{}", std::process::id()));
-        let member = base.join("outer").join("ws").join("member");
-        std::fs::create_dir_all(&member).unwrap();
-        // An unrelated manifest *above* the workspace must not win.
-        std::fs::write(base.join("outer").join("Cargo.toml"), "[package]\n").unwrap();
-        std::fs::write(
-            base.join("outer").join("ws").join("Cargo.toml"),
-            "[workspace]\nmembers = [\"member\"]\n",
-        )
-        .unwrap();
-        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"m\"\n").unwrap();
-        assert_eq!(
-            workspace_root(member.to_str().unwrap()),
-            base.join("outer").join("ws")
-        );
-        // No workspace anywhere: fall back to the manifest dir itself.
-        let lone = base.join("lone");
-        std::fs::create_dir_all(&lone).unwrap();
-        std::fs::write(lone.join("Cargo.toml"), "[package]\n").unwrap();
-        assert_eq!(workspace_root(lone.to_str().unwrap()), lone);
-        let _ = std::fs::remove_dir_all(&base);
-    }
 
     #[test]
     fn ids_render_like_criterion() {
@@ -638,7 +308,6 @@ mod tests {
 
     #[test]
     fn groups_and_functions_execute() {
-        let _env = ENV_LOCK.lock().unwrap();
         let mut c = Criterion::default();
         std::env::set_var("CDB_BENCH_SMOKE", "1");
         let mut ran = false;

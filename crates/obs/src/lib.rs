@@ -43,8 +43,9 @@
 //! Metrics default **on**, tracing defaults **off**. A disabled
 //! instrument costs one relaxed atomic load; a disabled span costs one
 //! load plus the `Instant` read its caller needed anyway (operator
-//! timing predates this crate). The `obs_overhead` bench holds the
-//! whole crate to <3% commit-throughput overhead at 4 writers.
+//! timing predates this crate). The end-to-end benchmark's
+//! `obs.trace_overhead_share` rung tracks what turning tracing on
+//! costs a whole workload run.
 //!
 //! This crate is the *only* place in the workspace allowed to read the
 //! clock for metric/trace purposes — `scripts/check.sh` greps for
@@ -83,9 +84,8 @@ pub fn metrics_enabled() -> bool {
     METRICS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Globally enables or disables metric recording. Used by the
-/// `obs_overhead` bench to measure the cost of the instrumentation
-/// itself; production code leaves metrics on.
+/// Globally enables or disables metric recording, to price the
+/// instrumentation itself; production code leaves metrics on.
 pub fn set_metrics_enabled(on: bool) {
     METRICS_ENABLED.store(on, Ordering::Relaxed);
 }

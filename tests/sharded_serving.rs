@@ -42,10 +42,13 @@ use std::thread;
 use std::time::Duration;
 
 use cdb_core::{
-    CuratedDatabase, DbState, EntryEvent, Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot,
+    CuratedDatabase, DbState, EntryEvent, Fate, ShardMap, ShardedDb, ShardedSnapshot, SharedDb,
+    Snapshot,
 };
 use cdb_curation::ops::Transaction;
+use cdb_curation::queries::how_arrived;
 use cdb_curation::replay::replay_and_verify;
+use cdb_curation::Origin;
 use cdb_model::Atom;
 use cdb_storage::{CheckpointStore, FaultPlan, FaultyIo, Io, MemIo, StorageError};
 use proptest::prelude::*;
@@ -927,4 +930,82 @@ fn cross_shard_abort_restores_index_postings() {
         }
     }
     assert!(aborted > 0, "no schedule aborted the fusion mid-journal");
+}
+
+// ---------------------------------------------- cross-shard copy-paste
+
+/// Every field of `key`'s entry, by label, with the origin chain
+/// `how_arrived` gives it.
+fn field_origins(s: &DbState, key: &str) -> BTreeMap<String, Vec<Origin>> {
+    let tree = &s.curated.tree;
+    let entry = s.entry_node(key).unwrap();
+    tree.children(entry)
+        .unwrap()
+        .iter()
+        .map(|&f| {
+            let label = tree.label(f).unwrap().to_owned();
+            (label, how_arrived(&s.curated, f))
+        })
+        .collect()
+}
+
+/// The §3.1 copy-paste loop across shards: [`ShardedDb::copy_paste`]
+/// copies an entry out of one shard's snapshot and imports it on the
+/// destination key's shard. The destination holds the entry, the
+/// source shard is untouched, and every copied field arrived the way
+/// one [`SharedDb`] records the same copy-then-`import_entry`: copied
+/// from the logical database, at the source entry's tree path. That
+/// path is built from node labels (`/entry`), so it does not name the
+/// source key.
+#[test]
+fn copy_paste_across_shards_records_what_one_database_records() {
+    let map = ShardMap::with_bounds(vec!["M".into()]);
+    let (src, dst) = ("GABA-A", "P2X-like");
+    assert_eq!((map.route(src), map.route(dst)), (0, 1));
+    let fields = [("kind", Atom::Str("receptor".into())), ("tm", Atom::Int(4))];
+    let sharded = ShardedDb::new("iuphar", "name", map);
+    let single = SharedDb::new("iuphar", "name");
+    sharded.add_entry("alice", 1, src, &fields).unwrap();
+    single.add_entry("alice", 1, src, &fields).unwrap();
+    let before = sharded.snapshot();
+
+    sharded.copy_paste("bob", 2, src, dst).unwrap();
+    let snap = single.snapshot();
+    let clip = snap.curated.copy(snap.entry_node(src).unwrap()).unwrap();
+    single.import_entry("bob", 2, dst, &clip).unwrap();
+
+    let after = sharded.snapshot();
+    let (source, dest) = (after.shard(0), after.shard(1));
+    assert_eq!(
+        source.epoch(),
+        before.shard(0).epoch(),
+        "source shard wrote"
+    );
+    assert!(
+        source.entry_node(dst).is_err(),
+        "copy landed on the source shard"
+    );
+    for (field, value) in &fields {
+        assert_eq!(source.field(src, field).unwrap(), *value);
+        assert_eq!(dest.field(dst, field).unwrap(), *value);
+    }
+
+    let copied = field_origins(dest, dst);
+    assert_eq!(copied, field_origins(&single.snapshot(), dst));
+    let src_path = source
+        .curated
+        .tree
+        .path_of(source.entry_node(src).unwrap())
+        .unwrap();
+    for (field, _) in &fields {
+        let chain = &copied[*field];
+        assert!(
+            matches!(
+                chain.as_slice(),
+                [Origin::Local, Origin::CopiedFrom { db, path, chain: upstream }]
+                    if db == "iuphar" && *path == src_path && *upstream == [Origin::Local]
+            ),
+            "{field} arrived as {chain:?}"
+        );
+    }
 }
