@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cdb_core::SharedDb;
+use cdb_core::{ShardedDb, SharedDb};
 use cdb_model::Atom;
 use cdb_server::{Client, ClientError, Request, Response, Server, ServerConfig};
 use cdb_storage::{CheckpointStore, MemIo};
@@ -40,15 +40,17 @@ const SEED_KEYS: u64 = 16;
 /// the connection sweep crosses the knee.
 const OPEN_LOOP_SLOTS: usize = 2;
 
-fn serve(conns: usize, slots: usize) -> (SharedDb, Server) {
-    let db = SharedDb::open(
-        "bench",
-        "id",
-        Box::new(MemIo::new()),
-        CheckpointStore::mem(),
-        Duration::from_micros(100),
-    )
-    .unwrap();
+fn serve(conns: usize, slots: usize) -> (ShardedDb, Server) {
+    let db = ShardedDb::from(
+        SharedDb::open(
+            "bench",
+            "id",
+            Box::new(MemIo::new()),
+            CheckpointStore::mem(),
+            Duration::from_micros(100),
+        )
+        .unwrap(),
+    );
     for i in 0..SEED_KEYS {
         db.add_entry("seed", i, &format!("K{i}"), &[("v", Atom::Int(0))])
             .unwrap();

@@ -50,6 +50,10 @@
 //! read on the source shard and the paste a single-shard transaction on
 //! the destination ([`ShardedDb::copy_paste`]). [`ShardedDb::publish`]
 //! fans out per shard and is documented non-atomic across shards.
+//!
+//! A one-shard map ([`ShardMap::single`], or `ShardedDb::from` a
+//! [`SharedDb`]) is the single-node deployment: the same code path,
+//! on which every transaction is single-shard.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,8 +98,17 @@ impl ShardMap {
     /// ASCII range — a reasonable default for human-assigned entry
     /// keys. Skewed key distributions should use
     /// [`ShardMap::with_bounds`].
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 <= n <= 95`: there are 95 printable ASCII characters,
+    /// and past that the bounds repeat, leaving shards no key can reach.
     pub fn uniform(n: usize) -> Self {
         assert!(n >= 1, "a shard map needs at least one shard");
+        assert!(
+            n <= 95,
+            "a uniform map has at most 95 shards, one per printable ASCII character"
+        );
         let (lo, hi) = (0x20u32, 0x7fu32);
         let bounds = (1..n as u32)
             .map(|i| {
@@ -201,6 +214,11 @@ pub struct ShardedSnapshot {
 }
 
 impl ShardedSnapshot {
+    /// The database name (every shard carries it).
+    pub fn name(&self) -> &str {
+        self.shards[0].name()
+    }
+
     /// The sum of the per-shard commit epochs — monotone across
     /// successive snapshots from one handle.
     pub fn epoch(&self) -> u64 {
@@ -268,6 +286,17 @@ impl ShardedSnapshot {
             }
         }
         Ok(current.into_iter().collect())
+    }
+}
+
+/// A single database served as the one shard of a [`ShardMap::single`]
+/// map: the single-node deployment. Every merge and split is then
+/// same-shard, so the 2PC journal and the seqlock are never used, and
+/// the shard keeps its own devices (an `open_dir` database keeps its
+/// `<name>.*` files).
+impl From<SharedDb> for ShardedDb {
+    fn from(db: SharedDb) -> Self {
+        Self::assemble(ShardMap::single(), vec![db], 0)
     }
 }
 
@@ -793,7 +822,8 @@ impl ShardedDb {
     // -------------------------------------------------- observability
 
     /// The sharded layer's own metric registry (cross-shard counters,
-    /// per-shard write counters).
+    /// per-shard write counters). The network server registers its
+    /// `server.*` instruments here.
     pub fn metrics(&self) -> &cdb_obs::Metrics {
         &self.inner.metrics
     }
@@ -963,7 +993,7 @@ mod tests {
     fn shard_map_uniform_bounds_are_monotone_and_total() {
         assert_eq!(ShardMap::single().shards(), 1);
         assert_eq!(ShardMap::single().route("anything"), 0);
-        for n in 1..12 {
+        for n in 1..=95 {
             let m = ShardMap::uniform(n);
             assert_eq!(m.shards(), n);
             assert!(m.bounds().windows(2).all(|w| w[0] < w[1]));
@@ -983,6 +1013,20 @@ mod tests {
                 assert_eq!(m.route(b), i + 1);
             }
         }
+    }
+
+    /// Past 95 shards the printable bounds would repeat (97 and up) or
+    /// start at `' '` (96), leaving a shard no printable key reaches.
+    #[test]
+    #[should_panic(expected = "at most 95 shards")]
+    fn shard_map_uniform_refuses_96_shards() {
+        ShardMap::uniform(96);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 95 shards")]
+    fn shard_map_uniform_refuses_97_shards() {
+        ShardMap::uniform(97);
     }
 
     #[test]

@@ -475,10 +475,9 @@ impl SharedDb {
 
     // -------------------------------------------------- observability
 
-    /// The metric registry shared with the inner database. The network
-    /// serving layer registers its per-endpoint instruments here so
-    /// `metrics_snapshot` (and every exporter downstream of it) sees
-    /// storage, curation, and server counters in one place.
+    /// The metric registry shared with the inner database: storage,
+    /// curation and serving-layer instruments in one place. A
+    /// [`crate::ShardedDb`] shows it under `shard.<i>.`.
     pub fn metrics(&self) -> &cdb_obs::Metrics {
         &self.inner.metrics
     }
@@ -490,35 +489,6 @@ impl SharedDb {
         let mut snap = self.inner.metrics.snapshot();
         snap.merge(&cdb_obs::global().snapshot());
         snap
-    }
-
-    /// The group-commit batch window, when durable.
-    pub fn batch_window(&self) -> Option<Duration> {
-        self.inner.group.as_ref().map(|g| g.window())
-    }
-
-    /// Unwraps the database, restoring single-threaded use. Fails
-    /// (returning `self`) while other handles to the database exist;
-    /// outstanding [`Snapshot`]s don't count — they hold their own
-    /// references to the chunks they share. A
-    /// durable database comes back with a zero batch window at
-    /// [`Durability::Always`], everything already synced.
-    pub fn into_inner(self) -> Result<CuratedDatabase, SharedDb> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => {
-                let mut db = inner
-                    .db
-                    .into_inner()
-                    .expect("a writer panicked while holding the database lock");
-                if let Some(group) = inner.group {
-                    group.sync_all().ok();
-                    group.set_window(Duration::ZERO);
-                    db.set_durability(Durability::Always);
-                }
-                Ok(db)
-            }
-            Err(inner) => Err(SharedDb { inner }),
-        }
     }
 }
 
@@ -577,16 +547,5 @@ mod tests {
         db.annotate("GABA-A", None, "dave", "second", 3).unwrap();
         assert_eq!(snap.notes_on("GABA-A", None).len(), 1);
         assert_eq!(db.snapshot().notes_on("GABA-A", None).len(), 2);
-    }
-
-    #[test]
-    fn into_inner_round_trips() {
-        let db = SharedDb::new("d", "name");
-        db.add_entry("a", 1, "K", &[]).unwrap();
-        let clone = db.clone();
-        let db = db.into_inner().unwrap_err(); // clone alive
-        drop(clone);
-        let inner = db.into_inner().unwrap();
-        assert_eq!(inner.entry_keys().unwrap(), vec!["K".to_string()]);
     }
 }

@@ -3,8 +3,10 @@
 //! The paper's curated-database setting (§1: a handful of curators,
 //! "millions of users" reading the published versions) needs the
 //! database on the other end of a wire. This crate serves a
-//! [`SharedDb`](cdb_core::shared::SharedDb) over a length-prefixed
-//! binary protocol:
+//! [`ShardedDb`] over a length-prefixed binary protocol. A single
+//! database is served as its one-shard case, `ShardedDb::from(shared)`
+//! — the single-node deployment — so there is one serving type and
+//! one session code path:
 //!
 //! * [`proto`] — typed request/response frames on the same
 //!   `cdb-curation::wire` codec the WAL uses, with a protocol version
@@ -33,7 +35,6 @@
 
 pub mod admission;
 pub mod client;
-pub mod handle;
 pub mod proto;
 pub mod server;
 pub mod session;
@@ -41,7 +42,6 @@ pub mod transport;
 
 pub use admission::{Admission, Decision, Permit};
 pub use client::{Client, ClientError};
-pub use handle::{PinnedView, ServeHandle};
 pub use proto::{ErrCode, FrameError, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 pub use server::{DrainReport, Server, ServerConfig};
 pub use session::{Session, Turn};
@@ -49,3 +49,9 @@ pub use transport::{
     mem_pair, mem_pair_with, Closer, MemFaultPlan, MemTransport, TcpTransport, Transport,
     TransportError,
 };
+
+use cdb_core::sharded::ShardedDb;
+
+/// The served database under its former name, kept for `benchmark/`
+/// until ROADMAP 2(a) retires it.
+pub type ServeHandle = ShardedDb;

@@ -163,7 +163,7 @@ pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`] even while
     /// draining.
     Ping,
-    /// Add a freshly-authored entry (`SharedDb::add_entry`).
+    /// Add a freshly-authored entry (`ShardedDb::add_entry`).
     Add {
         /// Acting curator.
         curator: String,
@@ -174,7 +174,7 @@ pub enum Request {
         /// Initial fields.
         fields: Vec<(String, Atom)>,
     },
-    /// Edit (or add) one field (`SharedDb::edit_field`).
+    /// Edit (or add) one field (`ShardedDb::edit_field`).
     Edit {
         /// Acting curator.
         curator: String,
@@ -187,7 +187,7 @@ pub enum Request {
         /// New value.
         value: Atom,
     },
-    /// Delete an entry (`SharedDb::delete_entry`).
+    /// Delete an entry (`ShardedDb::delete_entry`).
     Delete {
         /// Acting curator.
         curator: String,
@@ -196,7 +196,7 @@ pub enum Request {
         /// Entry key.
         key: String,
     },
-    /// Fuse two entries (`SharedDb::merge_entries`).
+    /// Fuse two entries (`ShardedDb::merge_entries`).
     Merge {
         /// Acting curator.
         curator: String,
@@ -207,7 +207,7 @@ pub enum Request {
         /// Key of the entry absorbed into it.
         absorbed: String,
     },
-    /// Attach a superimposed annotation (`SharedDb::annotate`).
+    /// Attach a superimposed annotation (`ShardedDb::annotate`).
     Annotate {
         /// Entry key.
         key: String,
@@ -221,7 +221,7 @@ pub enum Request {
         time: u64,
     },
     /// Publish the current state as an archived version
-    /// (`SharedDb::publish`).
+    /// (`ShardedDb::publish`; the answer carries shard 0's version id).
     Publish {
         /// Version label.
         label: String,
@@ -574,7 +574,7 @@ pub enum Response {
     /// Liveness answer.
     Pong,
     /// The write (or close) succeeded; for writes this means the
-    /// commit is durable per the `SharedDb` ack rule.
+    /// commit is durable per the ack rule of `cdb_core::shared`.
     Ok,
     /// An `add` succeeded; carries the new entry's node id.
     Node {

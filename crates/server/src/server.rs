@@ -32,8 +32,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cdb_core::sharded::ShardedDb;
+
 use crate::admission::{Admission, DEFAULT_RETRY_HINT_MS};
-use crate::handle::ServeHandle;
 use crate::proto::{write_frame, Response};
 use crate::session::Session;
 use crate::transport::{Closer, TcpTransport, Transport};
@@ -88,13 +89,10 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back
-    /// with [`Server::local_addr`]) and starts accepting.
-    pub fn bind(
-        db: impl Into<ServeHandle>,
-        addr: &str,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        let db = db.into();
+    /// with [`Server::local_addr`]) and starts accepting. Every session
+    /// serves a clone of `db`; a single database is served as
+    /// `ShardedDb::from(shared)`.
+    pub fn bind(db: ShardedDb, addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -225,7 +223,7 @@ fn shed_connection(stream: TcpStream, after_hint_ms: u32) {
 
 fn spawn_session(
     stream: TcpStream,
-    db: &ServeHandle,
+    db: &ShardedDb,
     admission: &Admission,
 ) -> std::io::Result<Live> {
     stream.set_nodelay(true).ok();

@@ -2,14 +2,17 @@
 //!
 //! # Epoch pinning
 //!
-//! Each session pins one [`Snapshot`] and serves every read from it —
+//! Each session pins one [`ShardedSnapshot`] (cross-shard coherent,
+//! see [`cdb_core::sharded`]) and serves every read from it —
 //! lock-free, and **stable**: a client sees one consistent epoch
 //! until something moves it forward. The pin advances only on the
 //! session's *own* committed writes (read-your-writes) and on an
 //! explicit `Refresh`; other sessions' commits never shift the view
 //! mid-conversation. Read responses carry the pinned epoch so clients
 //! (and the over-the-wire linearizability harness) can check epoch
-//! coherence end to end.
+//! coherence end to end. The pinned epoch is the sum of the per-shard
+//! epochs, which is monotone under the same commit-order guarantees a
+//! single shard's epoch has; with one shard it is that shard's epoch.
 //!
 //! # Error discipline
 //!
@@ -20,8 +23,7 @@
 //! the byte stream can no longer be trusted.
 
 use cdb_core::db::DbError;
-
-use crate::handle::{PinnedView, ServeHandle};
+use cdb_core::sharded::{ShardedDb, ShardedSnapshot};
 
 use crate::admission::{Admission, Decision};
 use crate::proto::{
@@ -69,18 +71,19 @@ pub enum Turn {
 /// same code.
 pub struct Session<T: Transport> {
     transport: T,
-    db: ServeHandle,
+    db: ShardedDb,
     admission: Admission,
-    pinned: PinnedView,
+    pinned: ShardedSnapshot,
     instr: Instruments,
     greeted: bool,
 }
 
 impl<T: Transport> Session<T> {
     /// Builds a session over a connected transport, pinned to the
-    /// latest committed snapshot.
-    pub fn new(transport: T, db: impl Into<ServeHandle>, admission: Admission) -> Session<T> {
-        let db = db.into();
+    /// latest committed snapshot. Serve a single database as
+    /// `ShardedDb::from(shared)`, once, and hand each session a clone:
+    /// the server's instruments live in the `ShardedDb`'s registry.
+    pub fn new(transport: T, db: ShardedDb, admission: Admission) -> Session<T> {
         let pinned = db.snapshot();
         let instr = Instruments::resolve(db.metrics());
         Session {
@@ -97,7 +100,7 @@ impl<T: Transport> Session<T> {
     /// linearizability harness uses this to run the committed-prefix
     /// and epoch-coherence checkers against exactly what the client
     /// saw.
-    pub fn pinned(&self) -> &PinnedView {
+    pub fn pinned(&self) -> &ShardedSnapshot {
         &self.pinned
     }
 
@@ -315,10 +318,12 @@ impl<T: Transport> Session<T> {
                 }
                 Err(e) => db_err(e),
             },
+            // A sharded publish fans out per shard (not atomically);
+            // the wire answers shard 0's version id.
             Request::Publish { label } => match self.db.publish(label) {
-                Ok(id) => {
+                Ok(ids) => {
                     self.repin();
-                    Response::Version { id }
+                    Response::Version { id: ids[0] }
                 }
                 Err(e) => db_err(e),
             },

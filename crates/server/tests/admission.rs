@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use cdb_core::sharded::ShardedDb;
 use cdb_core::shared::SharedDb;
 use cdb_model::Atom;
 use cdb_server::admission::{Admission, Decision};
@@ -14,17 +15,19 @@ use cdb_server::session::Session;
 use cdb_server::transport::{mem_pair, MemTransport};
 use cdb_storage::{CheckpointStore, MemIo};
 
-/// A durable shared database over in-memory devices, group-commit
-/// window zero (sync immediately — deterministic).
-fn durable_db() -> SharedDb {
-    SharedDb::open(
-        "admit",
-        "name",
-        Box::new(MemIo::new()),
-        CheckpointStore::mem(),
-        Duration::ZERO,
+/// A durable database over in-memory devices, served as one shard,
+/// group-commit window zero (sync immediately — deterministic).
+fn durable_db() -> ShardedDb {
+    ShardedDb::from(
+        SharedDb::open(
+            "admit",
+            "name",
+            Box::new(MemIo::new()),
+            CheckpointStore::mem(),
+            Duration::ZERO,
+        )
+        .unwrap(),
     )
-    .unwrap()
 }
 
 /// One lockstep exchange: write the request, serve it, read the reply.
@@ -76,7 +79,7 @@ fn one_slot_and_a_stalled_worker_sheds_with_retry_and_no_wal_frames() {
     let mut session = Session::new(server_end, db.clone(), admission.clone());
     hello(&mut client, &mut session);
 
-    let wal_before = db.wal_len().expect("durable db has a WAL");
+    let wal_before = db.shard()[0].wal_len().expect("durable db has a WAL");
     let epoch_before = db.epoch();
 
     // Excess requests: each gets Retry with the configured hint —
@@ -98,7 +101,7 @@ fn one_slot_and_a_stalled_worker_sheds_with_retry_and_no_wal_frames() {
     // The load-bearing assertion: shedding happened before the
     // database — no WAL frames, no epoch, no entries.
     assert_eq!(
-        db.wal_len().unwrap(),
+        db.shard()[0].wal_len().unwrap(),
         wal_before,
         "shed request reached the WAL"
     );
@@ -114,7 +117,7 @@ fn one_slot_and_a_stalled_worker_sheds_with_retry_and_no_wal_frames() {
     drop(_stall);
     let resp = exchange(&mut client, &mut session, &add_req("K9"));
     assert!(matches!(resp, Response::Node { .. }), "got {resp:?}");
-    assert!(db.wal_len().unwrap() > wal_before);
+    assert!(db.shard()[0].wal_len().unwrap() > wal_before);
     assert_eq!(db.snapshot().entry_keys().unwrap(), vec!["K9".to_string()]);
 }
 
@@ -151,7 +154,7 @@ fn draining_refuses_writes_but_serves_reads() {
     // Seed one entry before the drain begins.
     let resp = exchange(&mut client, &mut session, &add_req("K0"));
     assert!(matches!(resp, Response::Node { .. }));
-    let wal_at_drain = db.wal_len().unwrap();
+    let wal_at_drain = db.shard()[0].wal_len().unwrap();
 
     admission.begin_drain();
 
@@ -167,7 +170,7 @@ fn draining_refuses_writes_but_serves_reads() {
         ),
         "got {resp:?}"
     );
-    assert_eq!(db.wal_len().unwrap(), wal_at_drain);
+    assert_eq!(db.shard()[0].wal_len().unwrap(), wal_at_drain);
 
     // Reads: still served, still from the pinned snapshot.
     let resp = exchange(&mut client, &mut session, &Request::Entries);

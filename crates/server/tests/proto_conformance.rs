@@ -6,6 +6,7 @@
 //! seeded property tests, corruption offsets are enumerated
 //! exhaustively.
 
+use cdb_core::sharded::ShardedDb;
 use cdb_core::shared::SharedDb;
 use cdb_model::atom::Decimal;
 use cdb_model::Atom;
@@ -218,7 +219,7 @@ proptest! {
 /// writing, so the session always reaches EOF — a hang is impossible
 /// by construction, and a panic propagates out of `run`.
 fn serve_raw(stream: &[u8]) -> Vec<Response> {
-    let db = SharedDb::new("conformance", "name");
+    let db = ShardedDb::from(SharedDb::new("conformance", "name"));
     db.add_entry("seed", 1, "K", &[("f", Atom::Int(7))])
         .unwrap();
     let admission = Admission::new(4, 1, db.metrics());
@@ -373,7 +374,7 @@ fn clean_conversation_over_the_wire() {
     // add, read-back — driven in single-threaded lockstep (write a
     // request, let the session serve it, read the response) over the
     // raw transport.
-    let db = SharedDb::new("conformance", "name");
+    let db = ShardedDb::from(SharedDb::new("conformance", "name"));
     let admission = Admission::new(4, 1, db.metrics());
     let (mut client, server_end) = mem_pair();
     let mut session = Session::new(server_end, db, admission);
@@ -436,14 +437,16 @@ fn refused_curation_requests_get_typed_errors_and_append_nothing() {
     // itself (once: `Ok`, and the entry was gone), a write naming the
     // key field (once: the tree renamed, the registry not) — answer
     // with their error class, and the WAL never hears of them.
-    let db = SharedDb::open(
-        "conformance",
-        "name",
-        Box::new(cdb_storage::MemIo::new()),
-        cdb_storage::CheckpointStore::mem(),
-        std::time::Duration::ZERO,
-    )
-    .unwrap();
+    let db = ShardedDb::from(
+        SharedDb::open(
+            "conformance",
+            "name",
+            Box::new(cdb_storage::MemIo::new()),
+            cdb_storage::CheckpointStore::mem(),
+            std::time::Duration::ZERO,
+        )
+        .unwrap(),
+    );
     db.add_entry("seed", 1, "K", &[("f", Atom::Int(7))])
         .unwrap();
     let admission = Admission::new(4, 1, db.metrics());
@@ -460,7 +463,7 @@ fn refused_curation_requests_get_typed_errors_and_append_nothing() {
         client: "t".to_string(),
     });
     assert!(matches!(hello, Response::Hello { .. }));
-    let wal_before = db.wal_len().expect("durable db has a WAL");
+    let wal_before = db.shard()[0].wal_len().expect("durable db has a WAL");
 
     let refused = [
         (
@@ -499,7 +502,11 @@ fn refused_curation_requests_get_typed_errors_and_append_nothing() {
         };
         assert_eq!(code, want, "{req:?}");
     }
-    assert_eq!(db.wal_len().unwrap(), wal_before, "nothing was appended");
+    assert_eq!(
+        db.shard()[0].wal_len().unwrap(),
+        wal_before,
+        "nothing was appended"
+    );
     let snap = db.snapshot();
     assert_eq!(snap.entry_keys().unwrap(), ["K"]);
     assert_eq!(snap.resolve_id("K").unwrap(), ["K"]);

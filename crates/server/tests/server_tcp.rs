@@ -4,11 +4,14 @@
 
 use std::time::Duration;
 
+use cdb_core::sharded::ShardedDb;
+use cdb_core::shared::SharedDb;
 use cdb_model::Atom;
 use cdb_server::{Client, ClientError, Response, Server, ServerConfig};
 
-fn shared_db() -> cdb_core::shared::SharedDb {
-    cdb_core::shared::SharedDb::new("tcp", "name")
+/// A single in-memory database, served as one shard.
+fn shared_db() -> ShardedDb {
+    ShardedDb::from(SharedDb::new("tcp", "name"))
 }
 
 #[test]

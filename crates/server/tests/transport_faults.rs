@@ -6,6 +6,7 @@
 //! requests whose frames arrived whole — a torn write is never
 //! half-applied — and the session always terminates.
 
+use cdb_core::sharded::ShardedDb;
 use cdb_core::shared::SharedDb;
 use cdb_model::Atom;
 use cdb_server::admission::Admission;
@@ -55,7 +56,7 @@ fn scripted_stream() -> (Vec<u8>, Vec<usize>) {
 fn cut_at_every_offset_applies_exactly_the_whole_frames() {
     let (stream, ends) = scripted_stream();
     for cut in 0..=stream.len() {
-        let db = SharedDb::new("faults", "name");
+        let db = ShardedDb::from(SharedDb::new("faults", "name"));
         let admission = Admission::new(4, 1, db.metrics());
         let (mut client, server_end) = mem_pair_with(MemFaultPlan {
             cut_after: Some(cut),
@@ -96,7 +97,7 @@ fn slow_reader_still_parses_every_frame() {
     // One byte per read: a frame reader that assumes `read` returns
     // whole frames fails here on the first multi-byte header.
     let (stream, _) = scripted_stream();
-    let db = SharedDb::new("faults", "name");
+    let db = ShardedDb::from(SharedDb::new("faults", "name"));
     let admission = Admission::new(4, 1, db.metrics());
     let (mut client, server_end) = mem_pair_with(MemFaultPlan {
         read_chunk: Some(1),
@@ -127,7 +128,7 @@ fn mid_request_disconnect_after_header_is_torn_not_applied() {
     // the add: the classic mid-request disconnect.
     let (stream, ends) = scripted_stream();
     let cut = ends[0] + 4;
-    let db = SharedDb::new("faults", "name");
+    let db = ShardedDb::from(SharedDb::new("faults", "name"));
     let admission = Admission::new(4, 1, db.metrics());
     let (mut client, server_end) = mem_pair_with(MemFaultPlan {
         cut_after: Some(cut),
@@ -145,7 +146,7 @@ fn mid_request_disconnect_after_header_is_torn_not_applied() {
 fn force_close_unblocks_a_parked_session() {
     // A session blocked reading an idle connection must come back
     // when its closer fires — this is what drain leans on.
-    let db = SharedDb::new("faults", "name");
+    let db = ShardedDb::from(SharedDb::new("faults", "name"));
     let admission = Admission::new(4, 1, db.metrics());
     let (client, server_end) = mem_pair();
     let closer = server_end.closer();

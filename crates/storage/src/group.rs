@@ -232,11 +232,6 @@ impl GroupWal {
         self.commit(seq)
     }
 
-    /// The current batch window.
-    pub fn window(&self) -> Duration {
-        self.lock().window
-    }
-
     /// Adjusts the batch window for future batches.
     pub fn set_window(&self, window: Duration) {
         self.lock().window = window;

@@ -26,8 +26,11 @@
 //! EOF
 //! ```
 //!
-//! A database opened with `open <name> <key> <dir>` is served durably
-//! through [`SharedDb`] (WAL + group commit); `profile add …` then
+//! Every database the shell holds is a [`ShardedDb`]: `new` and `open`
+//! make the one-shard case (the single-node deployment), `shard new`
+//! an n-shard one, and each command takes the same path for both. A
+//! database opened with `open <name> <key> <dir>` is durable (WAL +
+//! group commit) and keeps its `<name>.*` files; `profile add …` then
 //! shows the full write path, including the `storage.group.sync` span.
 
 use std::io::{self, BufRead, Write};
@@ -36,16 +39,12 @@ use curated_db::model::PathQuery;
 use curated_db::obs;
 use curated_db::relalg::sql;
 use curated_db::server::{Client, Server, ServerConfig, TcpTransport};
-use curated_db::{
-    Atom, CuratedDatabase, DbState, ShardMap, ShardedDb, SharedDb, Snapshot, DEFAULT_BATCH_WINDOW,
-};
+use curated_db::{Atom, DbState, ShardMap, ShardedDb, SharedDb, DEFAULT_BATCH_WINDOW};
 
 fn main() {
     let stdin = io::stdin();
     let mut shell = Shell {
-        mem: None,
-        shared: None,
-        sharded: None,
+        db: None,
         server: None,
         remote: None,
     };
@@ -89,67 +88,31 @@ enum Output {
     Quit,
 }
 
-const NO_DB: &str = "no database: use `new <name> <key>` or `open <name> <key> <dir>`";
+const NO_DB: &str = "no database: use `new <name> <key>`, `open <name> <key> <dir>` \
+                     or `shard new <name> <key> <n>`";
 
-/// Shell state: at most one database — in-memory (`new`), served
-/// durably through [`SharedDb`] (`open`), or range-sharded through
-/// [`ShardedDb`] (`shard new`) — plus optionally a running TCP server
-/// over it (`serve`) and a protocol client (`connect`) that routes
-/// curation commands over the wire.
+/// Shell state: at most one database — a [`ShardedDb`] over one shard
+/// (`new` in memory, `open` durable) or over n (`shard new`) — plus
+/// optionally a running TCP server over it (`serve`) and a protocol
+/// client (`connect`) that routes curation commands over the wire.
 struct Shell {
-    mem: Option<CuratedDatabase>,
-    shared: Option<SharedDb>,
-    sharded: Option<ShardedDb>,
+    db: Option<ShardedDb>,
     server: Option<Server>,
     remote: Option<Client<TcpTransport>>,
 }
 
-/// A read-only view of the current database. For a durable session
-/// this is a consistent [`Snapshot`]; reads never block writers.
-enum ReadView<'a> {
-    Mem(&'a CuratedDatabase),
-    Snap(Snapshot),
-}
-
-impl ReadView<'_> {
-    fn db(&self) -> &DbState {
-        match self {
-            ReadView::Mem(db) => db,
-            ReadView::Snap(s) => s,
-        }
-    }
-}
-
 impl Shell {
-    fn read_view(&self) -> Result<ReadView<'_>, String> {
-        if let Some(s) = &self.shared {
-            return Ok(ReadView::Snap(s.snapshot()));
-        }
-        if self.sharded.is_some() {
-            return Err(
-                "sharded database: reads route per shard — use `entries`, `show <key>`, \
-                 `notes <key> <field|->`, `what <id>`, or `shard` for the layout"
-                    .to_owned(),
-            );
-        }
-        self.mem
-            .as_ref()
-            .map(ReadView::Mem)
-            .ok_or_else(|| NO_DB.to_owned())
+    fn db(&self) -> Result<&ShardedDb, String> {
+        self.db.as_ref().ok_or_else(|| NO_DB.to_owned())
     }
 
     /// Every metric the current database can see: its own registry
     /// merged with the process-global one (global only when no
     /// database is open).
     fn metrics(&self) -> obs::MetricsSnapshot {
-        if let Some(s) = &self.shared {
-            s.metrics_snapshot()
-        } else if let Some(sh) = &self.sharded {
-            sh.metrics_snapshot()
-        } else if let Some(m) = &self.mem {
-            m.metrics_snapshot()
-        } else {
-            obs::global().snapshot()
+        match &self.db {
+            Some(db) => db.metrics_snapshot(),
+            None => obs::global().snapshot(),
         }
     }
 }
@@ -181,23 +144,12 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
             if shell.server.is_some() {
                 return Err("already serving (one server per shell)".into());
             }
-            // A served database must be shared or sharded; promote an
-            // in-memory one (it keeps no WAL — `open` first for
-            // durability). A sharded database serves through the same
-            // handle: the server routes each request by its key.
+            // The server routes each request by its key; a `new`
+            // database keeps no WAL (`open` first for durability).
             let config = ServerConfig::default();
             let note = format!("{} workers, {} slots", config.workers, config.slots);
-            let server = if let Some(sh) = &shell.sharded {
-                Server::bind(sh.clone(), addr, config)
-            } else {
-                if shell.shared.is_none() {
-                    let owned = shell.mem.take().ok_or(NO_DB)?;
-                    shell.shared = Some(SharedDb::from_db(owned));
-                }
-                let db = shell.shared.as_ref().expect("just installed").clone();
-                Server::bind(db, addr, config)
-            }
-            .map_err(|e| e.to_string())?;
+            let server =
+                Server::bind(shell.db()?.clone(), addr, config).map_err(|e| e.to_string())?;
             let bound = server.local_addr();
             shell.server = Some(server);
             text(format!("serving on {bound} ({note})"))
@@ -230,9 +182,7 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
         }
         "new" => {
             let [name, key] = take::<2>(&rest)?;
-            shell.mem = Some(CuratedDatabase::new(*name, *key));
-            shell.shared = None;
-            shell.sharded = None;
+            shell.db = Some(ShardedDb::new(*name, *key, ShardMap::single()));
             text(format!("created database {name:?} keyed by {key:?}"))
         }
         "open" => {
@@ -240,9 +190,7 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
             let shared =
                 SharedDb::open_dir(*name, *key, dir, DEFAULT_BATCH_WINDOW).map_err(fmt_err)?;
             let recovered = shared.snapshot().curated.log.len();
-            shell.shared = Some(shared);
-            shell.mem = None;
-            shell.sharded = None;
+            shell.db = Some(ShardedDb::from(shared));
             // Arm the black box: from here on, a Corrupt recovery, a
             // failed 2PC decision sync, or a session panic snapshots
             // the rings + metrics into <dir>/flight.dump.
@@ -376,31 +324,17 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
                 .iter()
                 .map(|kv| parse_field(kv))
                 .collect::<Result<_, _>>()?;
-            match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.add_entry(curator, time, key, &fields).map(|_| ()),
-                (None, Some(s), _) => s.add_entry(curator, time, key, &fields).map(|_| ()),
-                (None, None, Some(sh)) => sh.add_entry(curator, time, key, &fields).map(|_| ()),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
-            match &shell.sharded {
-                Some(sh) => text(format!(
-                    "added entry {key:?} (shard {})",
-                    sh.map().route(key)
-                )),
-                None => text(format!("added entry {key:?}")),
-            }
+            let db = shell.db()?;
+            db.add_entry(curator, time, key, &fields).map_err(fmt_err)?;
+            text(format!("added entry {key:?}{}", shard_note(db, key)))
         }
         "edit" => {
             let [curator, key, field, value] = take::<4>(&rest)?;
             let value = parse_atom(value);
-            match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.edit_field(curator, time, key, field, value),
-                (None, Some(s), _) => s.edit_field(curator, time, key, field, value),
-                (None, None, Some(sh)) => sh.edit_field(curator, time, key, field, value),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
+            shell
+                .db()?
+                .edit_field(curator, time, key, field, value)
+                .map_err(fmt_err)?;
             text(format!("edited {key}.{field}"))
         }
         "note" => {
@@ -410,60 +344,43 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
             let (author, key, field) = (rest[0], rest[1], rest[2]);
             let body = rest[3..].join(" ");
             let field = if field == "-" { None } else { Some(field) };
-            match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.annotate(key, field, author, &body, time),
-                (None, Some(s), _) => s.annotate(key, field, author, &body, time),
-                (None, None, Some(sh)) => sh.annotate(key, field, author, &body, time),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
+            shell
+                .db()?
+                .annotate(key, field, author, &body, time)
+                .map_err(fmt_err)?;
             text("noted".into())
         }
         "publish" => {
             let [label] = take::<1>(&rest)?;
-            if let Some(sh) = &shell.sharded {
-                let ids = sh.publish(*label).map_err(fmt_err)?;
-                let ids: Vec<String> = ids.iter().map(|v| v.to_string()).collect();
-                return text(format!(
-                    "published per-shard versions [{}] ({label})",
-                    ids.join(", ")
-                ));
+            let ids = shell.db()?.publish(*label).map_err(fmt_err)?;
+            match ids.as_slice() {
+                [v] => text(format!("published version {v} ({label})")),
+                ids => {
+                    let ids: Vec<String> = ids.iter().map(|v| v.to_string()).collect();
+                    text(format!(
+                        "published per-shard versions [{}] ({label})",
+                        ids.join(", ")
+                    ))
+                }
             }
-            let v = match (&mut shell.mem, &shell.shared) {
-                (Some(db), _) => db.publish(*label),
-                (None, Some(s)) => s.publish(*label),
-                (None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
-            text(format!("published version {v} ({label})"))
         }
         "merge" => {
             let [curator, kept, absorbed] = take::<3>(&rest)?;
-            match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.merge_entries(curator, time, kept, absorbed),
-                (None, Some(s), _) => s.merge_entries(curator, time, kept, absorbed),
-                (None, None, Some(sh)) => sh.merge_entries(curator, time, kept, absorbed),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
-            match &shell.sharded {
-                Some(sh) if sh.map().route(kept) != sh.map().route(absorbed) => text(format!(
-                    "{absorbed} merged into {kept} (cross-shard: {} ← {})",
-                    sh.map().route(kept),
-                    sh.map().route(absorbed)
-                )),
-                _ => text(format!("{absorbed} merged into {kept}")),
+            let db = shell.db()?;
+            db.merge_entries(curator, time, kept, absorbed)
+                .map_err(fmt_err)?;
+            let (k, a) = (db.map().route(kept), db.map().route(absorbed));
+            if k == a {
+                text(format!("{absorbed} merged into {kept}"))
+            } else {
+                text(format!(
+                    "{absorbed} merged into {kept} (cross-shard: {k} ← {a})"
+                ))
             }
         }
         "index" => {
             let [field] = take::<1>(&rest)?;
-            let created = match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.create_index(field),
-                (None, Some(s), _) => s.create_index(field),
-                (None, None, Some(sh)) => sh.create_index(field),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
+            let created = shell.db()?.create_index(field).map_err(fmt_err)?;
             text(if created {
                 format!("index on {field:?} created (durable; maintained per commit)")
             } else {
@@ -472,13 +389,7 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
         }
         "drop-index" => {
             let [field] = take::<1>(&rest)?;
-            let dropped = match (&mut shell.mem, &shell.shared, &shell.sharded) {
-                (Some(db), _, _) => db.drop_index(field),
-                (None, Some(s), _) => s.drop_index(field),
-                (None, None, Some(sh)) => sh.drop_index(field),
-                (None, None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
+            let dropped = shell.db()?.drop_index(field).map_err(fmt_err)?;
             text(if dropped {
                 format!("index on {field:?} dropped")
             } else {
@@ -486,77 +397,48 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
             })
         }
         "checkpoint" => {
-            if let Some(sh) = &shell.sharded {
-                let all = sh.checkpoint().map_err(fmt_err)?;
-                let lines: Vec<String> = all
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        format!(
-                            "shard {i}: {} bytes covered, {} segments live, {} retired",
-                            s.covered_bytes, s.live_segments, s.retired_segments
-                        )
-                    })
-                    .collect();
-                return text(lines.join("\n"));
-            }
-            let stats = match (&mut shell.mem, &shell.shared) {
-                (Some(db), _) => db.checkpoint(),
-                (None, Some(s)) => s.checkpoint(),
-                (None, None) => return Err(NO_DB.into()),
-            }
-            .map_err(fmt_err)?;
-            text(format!(
-                "checkpoint installed: {} bytes covered, {} segments live, \
-                 {} retired ({} bytes reclaimed)",
-                stats.covered_bytes,
-                stats.live_segments,
-                stats.retired_segments,
-                stats.reclaimed_bytes,
-            ))
+            let all = shell.db()?.checkpoint().map_err(fmt_err)?;
+            let lines: Vec<String> = all
+                .iter()
+                .enumerate()
+                .map(|(i, stats)| {
+                    let shard = if all.len() > 1 {
+                        format!("shard {i}: ")
+                    } else {
+                        String::new()
+                    };
+                    format!(
+                        "{shard}checkpoint installed: {} bytes covered, {} segments live, \
+                         {} retired ({} bytes reclaimed)",
+                        stats.covered_bytes,
+                        stats.live_segments,
+                        stats.retired_segments,
+                        stats.reclaimed_bytes,
+                    )
+                })
+                .collect();
+            text(lines.join("\n"))
         }
         "parallel" => {
             let [writers, readers, ops] = take::<3>(&rest)?;
             let writers: usize = writers.parse().map_err(|_| "writers must be a number")?;
             let readers: usize = readers.parse().map_err(|_| "readers must be a number")?;
             let ops: u64 = ops.parse().map_err(|_| "ops must be a number")?;
-            if let Some(shared) = &shell.shared {
-                return text(parallel_session(shared, time, writers, readers, ops)?);
-            }
-            let owned = shell.mem.take().ok_or(NO_DB)?;
-            let mut shared = SharedDb::from_db(owned);
-            let report = parallel_session(&shared, time, writers, readers, ops);
-            let back = loop {
-                match shared.into_inner() {
-                    Ok(db) => break db,
-                    Err(again) => {
-                        shared = again;
-                        std::thread::yield_now();
-                    }
-                }
-            };
-            shell.mem = Some(back);
-            text(report?)
+            text(parallel_session(shell.db()?, time, writers, readers, ops)?)
         }
+        "entries" | "what" | "show" | "notes" => routed_read(shell.db()?, cmd, &rest),
         _ => {
-            if let Some(sh) = &shell.sharded {
-                return sharded_read(sh, cmd, &rest);
+            // Whole-database reads run on one shard's snapshot; they
+            // are not routed across shards.
+            let snap = shell.db()?.snapshot();
+            if snap.shards().len() > 1 {
+                return Err(format!(
+                    "{cmd:?} is not routed on a sharded database \
+                     (entries/show/notes/what work per shard; or `serve` + `connect`)"
+                ));
             }
-            let view = shell.read_view()?;
-            let db = view.db();
+            let db: &DbState = snap.shard(0);
             match cmd {
-                "notes" => {
-                    let [key, field] = take::<2>(&rest)?;
-                    let field = if *field == "-" { None } else { Some(*field) };
-                    let notes = db.notes_on(key, field);
-                    text(
-                        notes
-                            .iter()
-                            .map(|n| format!("[{}] {}: {}", n.time, n.author, n.text))
-                            .collect::<Vec<_>>()
-                            .join("\n"),
-                    )
-                }
                 "versions" => text(
                     db.archive()
                         .versions()
@@ -580,22 +462,6 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
                             .collect::<Vec<_>>()
                             .join("\n"),
                     )
-                }
-                "entries" => text(db.entry_keys().map_err(fmt_err)?.join(", ")),
-                "show" => {
-                    let [key] = take::<1>(&rest)?;
-                    let node = db.entry_node(key).map_err(fmt_err)?;
-                    let v = db
-                        .curated
-                        .tree
-                        .subtree_value(node)
-                        .map_err(|e| e.to_string())?;
-                    text(v.to_string())
-                }
-                "what" => {
-                    let [id] = take::<1>(&rest)?;
-                    let current = db.resolve_id(id).map_err(fmt_err)?;
-                    text(format!("{id} → {current:?}"))
                 }
                 "history" => {
                     let [key] = take::<1>(&rest)?;
@@ -708,25 +574,25 @@ fn shard_command(shell: &mut Shell, rest: &[&str]) -> Result<Output, String> {
     let text = |s: String| Ok(Output::Text(s));
     match rest {
         ["new", name, key, n] => {
-            let n: usize = n.parse().map_err(|_| "shard count must be a number")?;
-            if n == 0 {
-                return Err("shard count must be at least 1".into());
-            }
-            let map = ShardMap::uniform(n);
-            shell.sharded = Some(ShardedDb::new(*name, *key, map));
-            shell.mem = None;
-            shell.shared = None;
+            // `ShardMap::uniform` spaces its bounds over the 95
+            // printable ASCII characters: past that, shards repeat.
+            let n: usize = n
+                .parse()
+                .ok()
+                .filter(|n| (1..=95).contains(n))
+                .ok_or("shard count must be a number from 1 to 95")?;
+            shell.db = Some(ShardedDb::new(*name, *key, ShardMap::uniform(n)));
             text(format!(
                 "created sharded database {name:?} keyed by {key:?} over {n} shard(s); \
                  writes route by key, cross-shard merges run 2PC"
             ))
         }
         ["route", key] => {
-            let sh = shell.sharded.as_ref().ok_or(NO_SHARDED)?;
+            let sh = shell.db()?;
             text(format!("{key:?} → shard {}", sh.map().route(key)))
         }
         [] => {
-            let sh = shell.sharded.as_ref().ok_or(NO_SHARDED)?;
+            let sh = shell.db()?;
             let snap = sh.snapshot();
             let bounds = sh.map().bounds();
             let mut lines = vec![format!(
@@ -758,14 +624,14 @@ fn shard_command(shell: &mut Shell, rest: &[&str]) -> Result<Output, String> {
     }
 }
 
-const NO_SHARDED: &str = "no sharded database: use `shard new <name> <keyfield> <n>`";
-
-/// Key-routed reads over a sharded database: each command pins one
-/// coherent [`ShardedSnapshot`] and serves single-key reads from the
-/// shard the key routes to; `what` resolves lineage across all shards.
-fn sharded_read(sh: &ShardedDb, cmd: &str, rest: &[&str]) -> Result<Output, String> {
+/// Key-routed reads, for any shard count: each command pins one
+/// coherent [`ShardedSnapshot`](curated_db::ShardedSnapshot) and serves
+/// single-key reads from the shard the key routes to; `entries` lists
+/// every shard in key order and `what` resolves lineage across all
+/// shards.
+fn routed_read(db: &ShardedDb, cmd: &str, rest: &[&str]) -> Result<Output, String> {
     let text = |s: String| Ok(Output::Text(s));
-    let snap = sh.snapshot();
+    let snap = db.snapshot();
     match cmd {
         "entries" => text(snap.entry_keys().map_err(fmt_err)?.join(", ")),
         "what" => {
@@ -775,14 +641,14 @@ fn sharded_read(sh: &ShardedDb, cmd: &str, rest: &[&str]) -> Result<Output, Stri
         }
         "show" => {
             let [key] = take::<1>(rest)?;
-            let db = snap.for_key(key);
-            let node = db.entry_node(key).map_err(fmt_err)?;
-            let v = db
+            let shard = snap.for_key(key);
+            let node = shard.entry_node(key).map_err(fmt_err)?;
+            let v = shard
                 .curated
                 .tree
                 .subtree_value(node)
                 .map_err(|e| e.to_string())?;
-            text(format!("{v} (shard {})", sh.map().route(key)))
+            text(format!("{v}{}", shard_note(db, key)))
         }
         "notes" => {
             let [key, field] = take::<2>(rest)?;
@@ -796,10 +662,17 @@ fn sharded_read(sh: &ShardedDb, cmd: &str, rest: &[&str]) -> Result<Output, Stri
                     .join("\n"),
             )
         }
-        other => Err(format!(
-            "{other:?} is not routed on a sharded database \
-             (entries/show/notes/what work per shard; or `serve` + `connect`)"
-        )),
+        other => unreachable!("{other:?} is not a routed read"),
+    }
+}
+
+/// ` (shard i)` for the shard `key` routes to, on a database of more
+/// than one shard; nothing on a single one.
+fn shard_note(db: &ShardedDb, key: &str) -> String {
+    if db.shard_count() > 1 {
+        format!(" (shard {})", db.map().route(key))
+    } else {
+        String::new()
     }
 }
 
@@ -909,12 +782,12 @@ fn eval_registry_summary() -> String {
     }
 }
 
-/// `parallel <writers> <readers> <ops>` — serve the database through
-/// [`SharedDb`]: writer threads add and edit entries through group
-/// commit while reader threads take snapshots and verify epoch and
-/// log-prefix monotonicity.
+/// `parallel <writers> <readers> <ops>` — serve the database
+/// concurrently: writer threads add and edit entries through group
+/// commit while reader threads take snapshots and verify, per shard,
+/// epoch and log-prefix monotonicity.
 fn parallel_session(
-    shared: &SharedDb,
+    db: &ShardedDb,
     time: u64,
     writers: usize,
     readers: usize,
@@ -923,26 +796,34 @@ fn parallel_session(
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let salt = shared.snapshot().curated.log.len();
+    let salt: usize = db
+        .snapshot()
+        .shards()
+        .iter()
+        .map(|s| s.curated.log.len())
+        .sum();
     let done = Arc::new(AtomicBool::new(false));
     let samples = Arc::new(AtomicU64::new(0));
 
     let reader_handles: Vec<_> = (0..readers)
         .map(|_| {
-            let db = shared.clone();
+            let db = db.clone();
             let done = done.clone();
             let samples = samples.clone();
             std::thread::spawn(move || {
-                let mut last: Option<Snapshot> = None;
+                let mut last: Option<curated_db::ShardedSnapshot> = None;
                 while !done.load(Ordering::Acquire) {
                     let snap = db.snapshot();
                     if let Some(prev) = &last {
-                        assert!(snap.epoch() >= prev.epoch(), "epoch went backwards");
-                        let (p, n) = (&prev.curated.log, &snap.curated.log);
-                        assert!(
-                            p.len() <= n.len() && p.iter().zip(n.iter()).all(|(a, b)| a.id == b.id),
-                            "snapshot log is not a prefix of its successor"
-                        );
+                        for (prev, snap) in prev.shards().iter().zip(snap.shards()) {
+                            assert!(snap.epoch() >= prev.epoch(), "epoch went backwards");
+                            let (p, n) = (&prev.curated.log, &snap.curated.log);
+                            assert!(
+                                p.len() <= n.len()
+                                    && p.iter().zip(n.iter()).all(|(a, b)| a.id == b.id),
+                                "snapshot log is not a prefix of its successor"
+                            );
+                        }
                     }
                     samples.fetch_add(1, Ordering::Relaxed);
                     last = Some(snap);
@@ -954,7 +835,7 @@ fn parallel_session(
 
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
-            let db = shared.clone();
+            let db = db.clone();
             std::thread::spawn(move || {
                 let curator = format!("worker{w}");
                 for i in 0..ops {
@@ -988,17 +869,23 @@ fn parallel_session(
         return Err(failures.join("; "));
     }
 
-    let epoch = shared.epoch();
+    let epoch = db.epoch();
     let reads = samples.load(Ordering::Relaxed);
-    let m = shared.metrics();
-    let stats_line = match shared.batch_window() {
-        Some(_) => format!(
-            "{} commits in {} synced batches (max batch {})",
-            m.counter("storage.group.frames_synced").get(),
-            m.counter("storage.group.batches").get(),
-            m.gauge("storage.group.max_batch").get()
-        ),
-        None => "in-memory database: no WAL, group commit idle".into(),
+    let stats_line = if db.shard()[0].wal_len().is_some() {
+        // Each shard's group-commit instruments (`shard.<i>.storage.
+        // group.*` in `stats`).
+        let (mut frames, mut batches, mut max_batch) = (0, 0, 0);
+        for m in db.shard().iter().map(SharedDb::metrics) {
+            frames += m.counter("storage.group.frames_synced").get();
+            batches += m.counter("storage.group.batches").get();
+            max_batch = max_batch.max(m.gauge("storage.group.max_batch").get());
+        }
+        format!(
+            "durable database: {frames} commits in {batches} synced batches \
+             (max batch {max_batch})"
+        )
+    } else {
+        "in-memory database: no WAL, group commit idle".into()
     };
     Ok(format!(
         "parallel session done: {writers} writers × {ops} add+edit ops, \
@@ -1009,9 +896,10 @@ fn parallel_session(
 
 const HELP: &str = r#"
 commands:
-  new <name> <keyfield>              create an in-memory database
-  open <name> <keyfield> <dir>       open a durable database (WAL +
-                                       group commit) in <dir>
+  new <name> <keyfield>              create an in-memory database (one
+                                       shard)
+  open <name> <keyfield> <dir>       open a durable database (one shard,
+                                       WAL + group commit) in <dir>
   add <curator> <key> [f=v …]        add an entry
   edit <curator> <key> <field> <v>   edit a field
   note <author> <key> <field|-> <t…> annotate (- = whole entry)
@@ -1021,6 +909,9 @@ commands:
   cite <version> <key>               cite an entry as of a version
   series <key> <field>               value history across versions
   entries | show <key> | history <key>
+                                     (entries/show/notes/what route by
+                                       key on any shard count; the other
+                                       reads need a one-shard database)
   merge <curator> <kept> <absorbed>  fuse entries (retires the absorbed id)
   what <id>                          what happened to an identifier
   checkpoint                         install a checkpoint atomically and
@@ -1052,16 +943,16 @@ commands:
                                        add+edit over group commit while
                                        readers verify snapshot isolation
   shard new <name> <keyfield> <n>    create an in-memory database range-
-                                       sharded over <n> shards; writes
-                                       route by key, cross-shard merges
-                                       run 2PC
+                                       sharded over <n> shards (1..=95);
+                                       writes route by key, cross-shard
+                                       merges run 2PC
   shard | shard route <key>          print the shard layout (ranges,
                                        entries, cross-shard txn counts)
                                        / where a key routes
   serve <addr>                       serve the db over TCP (use :0 for
                                        an ephemeral port; printed back);
-                                       a sharded db serves through the
-                                       same protocol, routed by key
+                                       requests route by key, whatever
+                                       the shard count
   connect [addr]                     connect a wire client (no addr =
                                        this shell's own server); then
                                        add/edit/note/publish/merge/

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use cdb_core::{CuratedDatabase, SharedDb, Snapshot};
+use cdb_core::{CuratedDatabase, ShardedDb, SharedDb, Snapshot};
 use cdb_curation::ops::Transaction;
 use cdb_curation::replay::replay_and_verify;
 use cdb_model::Atom;
@@ -749,7 +749,8 @@ proptest! {
             Duration::ZERO,
         )
         .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
-        let admission = Admission::new(CLIENTS + 1, 1, db.metrics());
+        let served = ShardedDb::from(db.clone());
+        let admission = Admission::new(CLIENTS + 1, 1, served.metrics());
         let mut rng = StdRng::seed_from_u64(seed);
 
         let mut clients: Vec<WireClient> = (0..CLIENTS)
@@ -757,7 +758,7 @@ proptest! {
                 let (transport, server_end) = mem_pair();
                 let mut wc = WireClient {
                     transport,
-                    session: Session::new(server_end, db.clone(), admission.clone()),
+                    session: Session::new(server_end, served.clone(), admission.clone()),
                     script: wire_script(c),
                     cursor: 0,
                     acked: Vec::new(),
@@ -817,14 +818,7 @@ proptest! {
             } else {
                 wc.step().map_err(TestCaseError::fail)?;
             }
-            observed.push(
-                clients[pick]
-                    .session
-                    .pinned()
-                    .as_single()
-                    .expect("single-db harness")
-                    .clone(),
-            );
+            observed.push(clients[pick].session.pinned().shard(0).clone());
         }
 
         // The torn request never reached the database.

@@ -1009,3 +1009,110 @@ fn copy_paste_across_shards_records_what_one_database_records() {
         );
     }
 }
+
+// ------------------------------------- the one-shard deployment
+
+/// An in-memory device whose bytes stay readable after it is handed to
+/// a database.
+#[derive(Debug, Clone, Default)]
+struct SharedMem(Arc<Mutex<MemIo>>);
+
+impl Io for SharedMem {
+    fn len(&self) -> Result<u64, StorageError> {
+        self.0.lock().unwrap().len()
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        self.0.lock().unwrap().read_at(offset, buf)
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.0.lock().unwrap().append(bytes)
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.0.lock().unwrap().flush()
+    }
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.0.lock().unwrap().truncate(len)
+    }
+}
+
+/// A single database served as `ShardedDb::from(shared)` is the same
+/// database: one scripted career — add, edit, annotate, a merge, a
+/// split, index DDL, publish — writes a byte-identical WAL, moves the
+/// epoch in lockstep after every step (the wire's epoch-coherence
+/// contract reads the summed epoch), and publishes the same version.
+#[test]
+fn wrapping_a_shared_db_adds_no_durable_bytes_and_no_epoch_skew() {
+    let open = |wal: &SharedMem| {
+        SharedDb::open(
+            "iuphar",
+            "name",
+            Box::new(wal.clone()),
+            CheckpointStore::mem(),
+            Duration::ZERO,
+        )
+        .unwrap()
+    };
+    let (single_wal, served_wal) = (SharedMem::default(), SharedMem::default());
+    let single = open(&single_wal);
+    let served = ShardedDb::from(open(&served_wal));
+
+    // Runs one call on both handles, checks the epochs agree after it,
+    // and returns both results.
+    macro_rules! both {
+        ($db:ident => $call:expr) => {{
+            let a = {
+                let $db = &single;
+                $call
+            };
+            let b = {
+                let $db = &served;
+                $call
+            };
+            assert_eq!(
+                single.snapshot().epoch(),
+                served.snapshot().epoch(),
+                "epochs diverged after {}",
+                stringify!($call)
+            );
+            (a.unwrap(), b.unwrap())
+        }};
+    }
+    let str = |s: &str| Atom::Str(s.into());
+    let (a, b) = both!(db => db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))]));
+    assert_eq!(a, b);
+    let (a, b) = both!(db => db.add_entry("bob", 2, "P2X", &[("ligand", str("ATP"))]));
+    assert_eq!(a, b);
+    both!(db => db.add_entry("carol", 3, "ACh", &[("kind", str("both"))]));
+    both!(db => db.edit_field("alice", 4, "GABA-A", "tm", Atom::Int(5)));
+    both!(db => db.annotate("GABA-A", Some("tm"), "dave", "checked", 5));
+    both!(db => db.merge_entries("erin", 6, "GABA-A", "P2X"));
+    both!(db => db.split_entry(
+        "frank",
+        7,
+        "ACh",
+        &[
+            ("AChE", vec![("kind", str("enzyme"))]),
+            ("nAChR", vec![("kind", str("receptor"))]),
+        ],
+    ));
+    assert_eq!(both!(db => db.create_index("kind")), (true, true));
+    let (v, ids) = both!(db => db.publish("2008-06"));
+    assert_eq!(
+        ids,
+        vec![v],
+        "a one-shard publish answers the single version"
+    );
+    assert_eq!(both!(db => db.drop_index("kind")), (true, true));
+
+    single.sync().unwrap();
+    served.sync().unwrap();
+    let single_bytes = single_wal.0.lock().unwrap().bytes().to_vec();
+    let served_bytes = served_wal.0.lock().unwrap().bytes().to_vec();
+    assert!(!single_bytes.is_empty());
+    assert!(
+        single_bytes == served_bytes,
+        "the one-shard wrapper changed the WAL ({} vs {} bytes)",
+        single_bytes.len(),
+        served_bytes.len()
+    );
+}
