@@ -313,7 +313,7 @@ pub(crate) struct Durable {
     pending_frames: VecDeque<(u8, Vec<u8>)>,
     /// What the recovery that opened this instance saw.
     recovery: RecoveryStats,
-    /// The page heap and its dirty tracking, when checkpoints are
+    /// The page heap and what it holds, when checkpoints are
     /// page-granular; `None` = full-state checkpoints.
     pub(crate) paged: Option<PagedBacking>,
 }
@@ -360,9 +360,9 @@ pub(crate) fn open_all(
         let metrics = cdb_obs::Metrics::new();
         let mut paged = None;
         if let Some(page_io) = page_io {
-            let (heap, ck_eff, seed) = prepare_paged_open(ck, page_io, pool_pages, &metrics)?;
+            let (heap, ck_eff, base) = prepare_paged_open(ck, page_io, pool_pages, &metrics)?;
             ck = ck_eff;
-            paged = Some((heap, seed));
+            paged = Some((heap, base));
         }
         to_recover.push((wal_io, ck));
         rest.push((store, metrics, paged));
@@ -399,7 +399,7 @@ pub(crate) fn open_all(
                 persisted_events: state.lifecycle.events().len(),
                 pending_frames: VecDeque::new(),
                 recovery,
-                paged: paged.map(|(heap, seed)| PagedBacking::attach(heap, seed, &state)),
+                paged: paged.map(|(heap, base)| PagedBacking::attach(heap, base, &state)),
             }),
             state,
             metrics,
@@ -576,7 +576,7 @@ impl Durable {
         // length.
         let covered = self.wal.log_len()?;
 
-        // Paged databases capture dirty objects into the page heap and
+        // Paged databases capture changed objects into the page heap and
         // flush it *before* the anchor below installs: a durable anchor
         // must always reference a durable heap prefix.
         let paged_ref = match self.paged.as_mut() {

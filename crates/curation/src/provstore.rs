@@ -190,6 +190,12 @@ impl ProvStore {
         self.records.get(node.0).map_or(&[], Vec::as_slice)
     }
 
+    /// The record slots, borrowed — for the wire codec's comparison of
+    /// two stores by shared chunk.
+    pub(crate) fn raw_slots(&self) -> &ChunkVec<Vec<ProvRecord>> {
+        &self.records
+    }
+
     /// The effective provenance records of a node: its own, or —
     /// hereditarily — the nearest recorded ancestor's.
     pub fn effective<'a>(&'a self, tree: &TreeDb, node: NodeId) -> &'a [ProvRecord] {

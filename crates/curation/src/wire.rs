@@ -445,18 +445,28 @@ pub fn arena_len(tree: &TreeDb) -> usize {
     tree.raw_slots().len()
 }
 
-/// The raw structural links of an arena slot, tombstones included:
-/// `(parent, children, alive)`. `None` when `index` is out of range.
-/// This is the dirty-tracking accessor: a subtree deletion tombstones
-/// nodes the public (live-only) API can no longer reach, yet their
-/// pages must be recaptured.
-pub fn node_links(tree: &TreeDb, index: usize) -> Option<(Option<usize>, Vec<usize>, bool)> {
-    let n = tree.raw_slots().get(index)?;
-    Some((
-        n.parent.map(|p| p.0),
-        n.children.iter().map(|c| c.0).collect(),
-        n.alive,
-    ))
+/// The arena slots, ascending, whose node or direct provenance records
+/// differ between `(tree, prov)` and `(base_tree, base_prov)`,
+/// tombstones included — what a paged capture must rewrite when the
+/// heap holds the base. Only slots in chunks the two no longer share
+/// are compared, so the cost follows what was written since the base
+/// was cloned, not the size of the arena.
+pub fn changed_slots(
+    tree: &TreeDb,
+    prov: &ProvStore,
+    base_tree: &TreeDb,
+    base_prov: &ProvStore,
+) -> Vec<usize> {
+    let (nodes, base_nodes) = (tree.raw_slots(), base_tree.raw_slots());
+    let recs = prov.raw_slots().unshared_with(base_prov.raw_slots());
+    let mut out: Vec<usize> = nodes
+        .unshared_with(base_nodes)
+        .filter(|&i| nodes.get(i) != base_nodes.get(i))
+        .chain(recs.filter(|&i| prov.direct(NodeId(i)) != base_prov.direct(NodeId(i))))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Encodes one arena slot as a node-page payload. `None` when `index`
@@ -1053,18 +1063,21 @@ mod tests {
     }
 
     #[test]
-    fn node_links_reach_tombstoned_slots() {
-        let db = busy_tree();
-        let n = arena_len(&db.tree);
-        let dead: Vec<usize> = (0..n)
-            .filter(|&i| matches!(node_links(&db.tree, i), Some((_, _, false))))
-            .collect();
-        assert!(!dead.is_empty());
-        // A dead node still reports its recorded parent link even
-        // though the live-only API refuses to look at it.
-        let (parent, _, _) = node_links(&db.tree, dead[0]).unwrap();
-        assert!(parent.is_some());
-        assert!(node_links(&db.tree, n).is_none());
+    fn changed_slots_are_exactly_the_rewritten_slots() {
+        let mut db = busy_tree();
+        let base = db.clone();
+        let changed = |db: &CuratedTree| changed_slots(&db.tree, &db.prov, &base.tree, &base.prov);
+        assert!(changed(&db).is_empty());
+        let note = db.tree.resolve_path("/note").unwrap();
+        let mut t = db.begin("carol", 4);
+        t.modify(note, Some(Atom::Int(1))).unwrap();
+        t.commit();
+        assert_eq!(changed(&db), vec![note.index()]);
+        // A deletion rewrites the parent's child list too.
+        let mut t = db.begin("carol", 5);
+        t.delete(note).unwrap();
+        t.commit();
+        assert_eq!(changed(&db), vec![db.tree.root().index(), note.index()]);
     }
 
     #[test]

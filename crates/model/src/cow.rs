@@ -129,6 +129,23 @@ impl<T> ChunkVec<T> {
         }
     }
 
+    /// The positions, ascending, that `base` may hold differently: every
+    /// position in a chunk the two vectors do not share, which includes
+    /// every position past `base`'s end. A chunk both still share is
+    /// skipped with one pointer comparison; an open chunk sealed since
+    /// `base` was cloned counts as unshared. A chunk copied for one write
+    /// yields all its positions, so callers that want only the changed
+    /// ones compare the elements.
+    pub fn unshared_with<'a>(&'a self, base: &'a ChunkVec<T>) -> impl Iterator<Item = usize> + 'a {
+        let shared = |c: usize| match self.sealed.get(c) {
+            Some(chunk) => base.sealed.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk)),
+            None => base.sealed.len() == c && Arc::ptr_eq(&self.tail, &base.tail),
+        };
+        (0..=self.sealed.len())
+            .filter(move |&c| !shared(c))
+            .flat_map(|c| c * CHUNK_LEN..self.len().min((c + 1) * CHUNK_LEN))
+    }
+
     /// The elements in order, read in place chunk by chunk.
     pub fn iter(&self) -> Iter<'_, T> {
         self.iter_from(0)
@@ -506,6 +523,26 @@ mod tests {
         assert!(Arc::ptr_eq(&v.sealed[0], &pinned.sealed[0]));
         assert!(!Arc::ptr_eq(&v.sealed[2], &pinned.sealed[2]));
         assert_ne!(v, pinned);
+    }
+
+    #[test]
+    fn unshared_with_yields_the_chunks_written_since_the_clone() {
+        let mut v: ChunkVec<usize> = (0..2 * CHUNK_LEN + 3).collect();
+        let base = v.clone();
+        assert_eq!(v.unshared_with(&base).count(), 0);
+        *v.get_mut(CHUNK_LEN + 1).unwrap() = 0;
+        // Fill the open chunk so it seals, then open a new one.
+        for i in 0..CHUNK_LEN {
+            v.push(i);
+        }
+        let c = CHUNK_LEN;
+        assert!(v.unshared_with(&base).eq(c..v.len()));
+        // Against an empty base, every position is unshared.
+        assert!(v.unshared_with(&ChunkVec::new()).eq(0..v.len()));
+        // A written open chunk is unshared, an untouched one is not.
+        let base = v.clone();
+        *v.get_mut(v.len() - 1).unwrap() = 7;
+        assert!(v.unshared_with(&base).eq(3 * c..v.len()));
     }
 
     #[test]

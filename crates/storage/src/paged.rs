@@ -25,7 +25,6 @@
 //! reader follows — no tombstone pages needed).
 
 use cdb_curation::wire::{self, PagedNode};
-use cdb_model::Atom;
 use cdb_obs::Metrics;
 
 use crate::buffer::{BufferPool, BufferStats};
@@ -168,8 +167,7 @@ impl<I: Io> PagedState<I> {
         self.put_object(KIND_SNAP, version as u64, bytes)
     }
 
-    /// Reads one tree node without materializing the whole tree — the
-    /// larger-than-memory read path (`None` for an absent slot).
+    /// Reads one tree node (`None` for an absent slot).
     pub fn node(&mut self, index: u64) -> Result<Option<PagedNode>, StorageError> {
         match self.get_object(KIND_NODE, index)? {
             None => Ok(None),
@@ -184,56 +182,6 @@ impl<I: Io> PagedState<I> {
             None => Ok(Vec::new()),
             Some(bytes) => Ok(wire::decode_prov_records(&bytes)?),
         }
-    }
-
-    /// Walks `path` (`/label/label/...`) from `root` through the pool,
-    /// one node page at a time — the paged counterpart of
-    /// `TreeDb::resolve_path`, used by the differential harness.
-    pub fn resolve_path(&mut self, root: u64, path: &str) -> Result<Option<u64>, StorageError> {
-        let mut at = root;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            let Some(node) = self.node(at)? else {
-                return Ok(None);
-            };
-            let mut next = None;
-            for child in node.children {
-                if let Some(c) = self.node(child)? {
-                    if c.alive && c.label == seg {
-                        next = Some(child);
-                        break;
-                    }
-                }
-            }
-            match next {
-                Some(n) => at = n,
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(at))
-    }
-
-    /// Recursively folds the live subtree under `index` into a value
-    /// count + leaf atoms, for differential comparison against the
-    /// resident tree (a cheap structural digest).
-    pub fn subtree_atoms(
-        &mut self,
-        index: u64,
-    ) -> Result<Vec<(String, Option<Atom>)>, StorageError> {
-        let mut out = Vec::new();
-        let mut stack = vec![index];
-        while let Some(i) = stack.pop() {
-            let Some(node) = self.node(i)? else {
-                return Err(StorageError::Corrupt(format!("missing node page {i}")));
-            };
-            if !node.alive {
-                continue;
-            }
-            out.push((node.label.clone(), node.value.clone()));
-            for c in node.children.iter().rev() {
-                stack.push(*c);
-            }
-        }
-        Ok(out)
     }
 
     /// Materializes the whole tree from node pages `0..arena_len` —

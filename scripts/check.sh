@@ -72,6 +72,11 @@ echo "== paged storage under a tiny buffer pool (heavy eviction churn) =="
 CDB_TEST_POOL_PAGES=4 cargo test -q --test paged_storage
 CDB_TEST_POOL_PAGES=4 cargo test -q --test storage_recovery \
     reclaim_with_paged_checkpoints_recovers_from_retired_segments
+# The `stress` feature materialises the heap after every paged capture
+# and asserts it equals the state just captured, slot by slot: a slot
+# the dirty rule missed fails at the capture that missed it.
+echo "-- stress feature: every capture checked against the heap"
+cargo test --release --features stress --test paged_storage
 
 if [[ "$run_bench" == 1 ]]; then
     echo "== bench smoke (CDB_BENCH_SMOKE=1, one tiny iteration of every bench target) =="
