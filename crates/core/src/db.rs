@@ -170,8 +170,8 @@ pub(crate) type Parts<'a> = [(&'a str, Vec<(&'a str, Atom)>)];
 /// `Clone` *is* the snapshot and the rollback point — a field added
 /// here is covered by both without further code. It owns every read
 /// and the in-memory half of every curation operation (validate → one
-/// curation transaction → lifecycle → reindex), and knows nothing of
-/// WALs, checkpoints or locks.
+/// curation transaction → one settle step for the derived state), and
+/// knows nothing of WALs, checkpoints or locks.
 ///
 /// Every field that grows with the database shares structure, so the
 /// derived `Clone` bumps reference counts and copies no element: the
@@ -207,17 +207,26 @@ pub struct DbState {
     pub(crate) decisions: Arc<BTreeMap<u64, bool>>,
     /// Registered secondary indexes over entry fields. Registrations
     /// are WAL-durable (tag [`crate::durable::AUX_INDEX`]) and carried
-    /// by checkpoints; postings are derived state, reconciled inside
-    /// every operation below and rebuilt from the tree on recovery.
+    /// by checkpoints; postings are derived state, reconciled by the
+    /// settle step every operation ends in ([`DbState::settle`]) and
+    /// rebuilt from the tree on open ([`DbState::rebuild_derived`]).
     pub(crate) indexes: crate::indexes::FieldIndexes,
     /// The primary index, entry key → entry node: the access path
     /// behind [`DbState::entry_node`]. Derived state like the postings:
-    /// never written to a WAL, a checkpoint or the page heap, rebuilt
-    /// from the tree on open ([`DbState::rebuild_primary`]), and kept by
-    /// delta in the operations below that change the key set — from the
-    /// node ids they already hold. A snapshot or a savepoint shares it
-    /// (see [`crate::indexes::PrimaryIndex`]).
+    /// never written to a WAL, a checkpoint or the page heap, kept by
+    /// the same settle step from the node ids the operation holds, and
+    /// rebuilt by the same walk on open. A snapshot or a savepoint
+    /// shares it (see [`crate::indexes::PrimaryIndex`]).
     pub(crate) primary: crate::indexes::PrimaryIndex,
+}
+
+/// The lifecycle event of a fresh identifier.
+fn created(id: &str, from_split: Option<&str>, time: u64) -> EntryEvent {
+    EntryEvent::Created {
+        id: id.to_owned(),
+        from_split: from_split.map(str::to_owned),
+        time,
+    }
 }
 
 /// Inserts a fresh entry node under the root: the key field first,
@@ -304,19 +313,6 @@ impl DbState {
         Ok(entries.into_iter().map(|(key, _)| key.to_owned()).collect())
     }
 
-    /// Rebuilds the primary index from the tree (the first entry wins a
-    /// repeated key, as a scan would find it).
-    pub(crate) fn rebuild_primary(&mut self) -> Result<(), DbError> {
-        let mut primary = crate::indexes::PrimaryIndex::default();
-        for (key, node) in self.entries()? {
-            if primary.get(key).is_none() {
-                primary.insert(key, node);
-            }
-        }
-        self.primary = primary;
-        Ok(())
-    }
-
     fn field_node(&self, key: &str, field: &str) -> Result<NodeId, DbError> {
         let entry = self.entry_node(key)?;
         self.curated
@@ -346,10 +342,11 @@ impl DbState {
     // -------------------------------------------------- curation ops
     // The in-memory half of each operation (documented on the public
     // `CuratedDatabase` methods of the same names). Every check runs
-    // before the curation transaction opens: a transaction in the log
-    // behind a failed lifecycle update would corrupt WAL recovery, and
-    // the registry remembers retired ids forever, so a key absent from
-    // the live tree can still be refused.
+    // before the curation transaction opens, and each ends in
+    // `settle`, which cannot fail: a transaction in the log behind a
+    // failed lifecycle update would corrupt WAL recovery. The registry
+    // remembers retired ids forever, so a key absent from the live
+    // tree can still be refused.
 
     /// A plain write to the key field would rename the entry in the
     /// tree alone, leaving the registry and the indexes on the old key.
@@ -383,9 +380,7 @@ impl DbState {
         let mut t = self.curated.begin(curator, time);
         let entry = insert_entry(&mut t, &self.key_field, key, fields)?;
         t.commit();
-        self.lifecycle.create(key, time)?;
-        self.primary.insert(key, entry);
-        self.reindex_touched(&[(key, Some(entry))]);
+        self.settle(&[(key, Some(entry))], [created(key, None, time)]);
         Ok(entry)
     }
 
@@ -419,9 +414,7 @@ impl DbState {
             }
         }
         t.commit();
-        self.lifecycle.create(key, time)?;
-        self.primary.insert(key, entry);
-        self.reindex_touched(&[(key, Some(entry))]);
+        self.settle(&[(key, Some(entry))], [created(key, None, time)]);
         Ok(entry)
     }
 
@@ -444,7 +437,7 @@ impl DbState {
             }
         }
         t.commit();
-        self.reindex_touched(&[(key, Some(entry))]);
+        self.settle(&[(key, Some(entry))], []);
         Ok(())
     }
 
@@ -459,9 +452,11 @@ impl DbState {
         let mut t = self.curated.begin(curator, time);
         t.delete(entry)?;
         t.commit();
-        self.lifecycle.delete(key, time)?;
-        self.primary.remove(key);
-        self.reindex_touched(&[(key, None)]);
+        let deleted = EntryEvent::Deleted {
+            id: key.to_owned(),
+            time,
+        };
+        self.settle(&[(key, None)], [deleted]);
         Ok(())
     }
 
@@ -533,17 +528,14 @@ impl DbState {
             t.delete(node)?;
         }
         t.commit();
-        self.lifecycle.replay_event(&EntryEvent::Merged {
+        let merged = EntryEvent::Merged {
             kept: kept.to_owned(),
             absorbed: absorbed.to_owned(),
             time,
-        });
-        if dropped.is_some() {
-            self.primary.remove(absorbed);
-        }
+        };
         // Whichever of the two is not live here — absorbed and dropped,
-        // or on another shard — leaves this state's postings.
-        self.reindex_touched(&[(kept, survivor), (absorbed, None)]);
+        // or on another shard — is unlinked.
+        self.settle(&[(kept, survivor), (absorbed, None)], [merged]);
         Ok(())
     }
 
@@ -614,40 +606,37 @@ impl DbState {
             t.delete(node)?;
         }
         t.commit();
-        for (key, _) in parts.iter().filter(|(k, _)| here(k)) {
-            self.lifecycle.replay_event(&EntryEvent::Created {
-                id: (*key).to_owned(),
-                from_split: Some(original.to_owned()),
-                time,
-            });
-        }
+        let mut events: Vec<EntryEvent> = parts
+            .iter()
+            .filter(|(k, _)| here(k))
+            .map(|(key, _)| created(key, Some(original), time))
+            .collect();
         if retired.is_some() {
-            self.lifecycle.replay_event(&EntryEvent::Split {
+            events.push(EntryEvent::Split {
                 original: original.to_owned(),
                 parts: parts.iter().map(|(k, _)| (*k).to_owned()).collect(),
                 time,
             });
         }
-        if retired.is_some() {
-            self.primary.remove(original);
-        }
-        for (key, created) in &touched {
-            if let Some(node) = created {
-                self.primary.insert(key, *node);
-            }
-        }
-        self.reindex_touched(&touched);
+        self.settle(&touched, events);
         Ok(())
     }
 
     // ------------------------------------------------------- indexes
 
-    pub(crate) fn create_index(&mut self, field: &str) -> Result<bool, DbError> {
+    /// Registers an index on `field` and posts every entry the primary
+    /// index addresses; the other indexes are left as they are.
+    pub(crate) fn create_index(&mut self, field: &str) -> bool {
         if !self.indexes.register(field) {
-            return Ok(false);
+            return false;
         }
-        self.rebuild_index(field)?;
-        Ok(true)
+        let mut indexes = std::mem::take(&mut self.indexes);
+        let idx = indexes.get_mut(field).expect("registered above");
+        for (key, node) in self.primary.iter() {
+            idx.set(key, self.view_value(key, node, field));
+        }
+        self.indexes = indexes;
+        true
     }
 
     /// The fields currently indexed, in order.
@@ -682,44 +671,67 @@ impl DbState {
         .unwrap_or(Atom::Unit)
     }
 
-    /// Rebuilds one registered index's postings from the tree, in one
-    /// walk over the entries.
-    pub(crate) fn rebuild_index(&mut self, field: &str) -> Result<(), DbError> {
-        // Out of `self` while the tree is read, so keys stay borrowed.
-        let mut indexes = std::mem::take(&mut self.indexes);
-        let walked = self.entries().map(|entries| {
-            if let Some(idx) = indexes.get_mut(field) {
-                for (key, node) in entries {
-                    idx.set(key, self.view_value(key, node, field));
-                }
-            }
-        });
-        self.indexes = indexes;
-        walked
-    }
+    // ------------------------------------------------- derived state
+    // The lifecycle fates, the primary index and the postings change
+    // here and nowhere else: in the settle step every operation above
+    // ends in, and in the rebuild an open runs. (Index DDL only adds
+    // or drops a whole index.)
 
-    /// Reconciles every registered index for the entries an operation
-    /// touched: an entry live here (its node given) re-points at its
-    /// current field values, a vanished one (deleted, absorbed, split
-    /// away — or living on another shard) is unlinked. The last step of
-    /// every operation above, so postings can never lag the tree they
-    /// describe.
-    fn reindex_touched(&mut self, touched: &[(&str, Option<NodeId>)]) {
-        if self.indexes.is_empty() {
-            return;
+    /// The last step of every operation above, after its transaction
+    /// committed; it cannot fail. Records the operation's lifecycle
+    /// `events`, then brings the primary index and every registered
+    /// index up to date for the entries it `touched`: an entry live
+    /// here (its node given) is addressed to its node and re-posted
+    /// under its current field values, a vanished one (deleted,
+    /// absorbed, split away — or living on another shard) is unlinked.
+    fn settle(
+        &mut self,
+        touched: &[(&str, Option<NodeId>)],
+        events: impl IntoIterator<Item = EntryEvent>,
+    ) {
+        for event in events {
+            self.lifecycle.record(event);
         }
+        // Out of `self` while the tree is read, so keys stay borrowed.
         let mut indexes = std::mem::take(&mut self.indexes);
         for &(key, node) in touched {
             let Some(node) = node else {
+                self.primary.remove(key);
                 indexes.remove_key(key);
                 continue;
             };
+            // An edit leaves the address as it was: no bucket copied.
+            if self.primary.get(key) != Some(node) {
+                self.primary.insert(key, node);
+            }
             for idx in indexes.iter_mut() {
-                let value = self.view_value(key, node, idx.field());
-                idx.set(key, value);
+                idx.set(key, self.view_value(key, node, idx.field()));
             }
         }
         self.indexes = indexes;
+    }
+
+    /// Rebuilds the primary index and the postings of every registered
+    /// index from the tree, in one walk over the entries. The first
+    /// entry wins a repeated key, as a scan would find it.
+    pub(crate) fn rebuild_derived(&mut self) -> Result<(), DbError> {
+        let mut primary = crate::indexes::PrimaryIndex::default();
+        let mut indexes = crate::indexes::FieldIndexes::default();
+        for field in self.indexes.fields() {
+            indexes.register(&field);
+        }
+        for (key, node) in self.entries()? {
+            if primary.get(key).is_some() {
+                continue;
+            }
+            primary.insert(key, node);
+            for idx in indexes.iter_mut() {
+                idx.set(key, self.view_value(key, node, idx.field()));
+            }
+        }
+        self.primary = primary;
+        self.indexes = indexes;
+        Ok(())
     }
 
     /// Planner statistics for the entries relation over the given
@@ -1100,7 +1112,7 @@ impl CuratedDatabase {
     /// convention [`crate::views::entry_relation`] uses — so the index
     /// answers exactly the questions the relational view would.
     pub fn create_index(&mut self, field: &str) -> Result<bool, DbError> {
-        if !self.state.create_index(field)? {
+        if !self.state.create_index(field) {
             return Ok(false);
         }
         self.applied += 1;

@@ -426,7 +426,7 @@ impl DbState {
         state.last_time = rec.base_time;
         for aux in &rec.aux {
             match decode_aux(aux).map_err(StorageError::Wire)? {
-                AuxRecord::Event(e) => state.lifecycle.replay_event(&e),
+                AuxRecord::Event(e) => state.lifecycle.record(e),
                 AuxRecord::Note { key, field, note } => {
                     state.attach_note(&key, field.as_deref(), note);
                 }
@@ -445,10 +445,7 @@ impl DbState {
                 }
             }
         }
-        state.rebuild_primary()?;
-        for field in state.index_fields() {
-            state.rebuild_index(&field)?;
-        }
+        state.rebuild_derived()?;
         // The WAL's own DECIDE frames join the checkpoint-carried
         // records (later frames win — they are never contradictory, but
         // a self-healed abort may postdate a carried record).

@@ -9,10 +9,10 @@
 //! [`crate::durable::AUX_INDEX`]), carried by every checkpoint, and
 //! replayed on recovery, where the postings are rebuilt from the
 //! recovered tree — postings themselves are derived state and are never
-//! serialized. Every curation operation on [`DbState`] ends by
-//! reconciling the keys it touched, on every shard it runs on, so
-//! postings are transactionally consistent with the tree; they are
-//! part of the state, so a 2PC rollback restores them with it.
+//! serialized. Every curation operation on [`DbState`] ends in one
+//! settle step that reconciles the keys it touched, on every shard it
+//! runs on, so postings are transactionally consistent with the tree;
+//! they are part of the state, so a 2PC rollback restores them with it.
 //!
 //! The planner-facing view: [`DbState::planner_stats`] derives row
 //! counts and per-field distinct counts without scanning — the durable
@@ -24,10 +24,10 @@
 //!
 //! Beside them sits the *primary* index, entry key → entry node
 //! (`DbState::primary`): the same kind of derived state — never
-//! serialized, rebuilt from the recovered tree, changed inside the
-//! operations that create or retire an entry and restored by a 2PC
-//! rollback — and the reason a posting's key costs one lookup to turn
-//! into its entry.
+//! serialized, kept by the same settle step from the same touched keys,
+//! rebuilt in the same walk over the recovered tree and restored by a
+//! 2PC rollback — and the reason a posting's key costs one lookup to
+//! turn into its entry.
 //!
 //! Every map here is a [`BucketMap`], so the snapshot a commit publishes
 //! and the savepoint a 2PC transaction takes share each bucket until a
@@ -159,6 +159,11 @@ impl PrimaryIndex {
     /// Number of entries indexed.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Every `(key, node)`, bucket by bucket.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, NodeId)> {
+        self.map.iter().map(|(key, &node)| (&**key, node))
     }
 
     /// Addresses `key` to `node`, replacing any previous address.

@@ -142,12 +142,15 @@ impl EntryRegistry {
         }
     }
 
-    /// Whether [`EntryRegistry::create`] would accept `id`. Identifiers
-    /// are never reissued (§6.2: retired ids stay resolvable forever),
-    /// so a previously deleted/merged/split id is a `Duplicate` even
-    /// though no live entry carries it. Callers that pair a registry
-    /// update with another mutation (e.g. a curation transaction) must
-    /// check *before* committing the other mutation.
+    /// Whether a fresh identifier `id` may be created. Identifiers are
+    /// never reissued (§6.2: retired ids stay resolvable forever), so a
+    /// previously deleted/merged/split id is a `Duplicate` even though
+    /// no live entry carries it.
+    ///
+    /// The `check_*` methods are the registry's whole validation: an
+    /// operation runs its check before its curation transaction opens,
+    /// and once the transaction committed hands the event to
+    /// `EntryRegistry::record`, which checks nothing and cannot fail.
     pub fn check_create(&self, id: &str) -> Result<(), LifecycleError> {
         if self.fates.contains_key(id) {
             return Err(LifecycleError::Duplicate(id.to_owned()));
@@ -155,7 +158,8 @@ impl EntryRegistry {
         Ok(())
     }
 
-    /// Whether [`EntryRegistry::merge`] would accept this fusion.
+    /// Whether `absorbed` may be merged into `kept`: two distinct
+    /// active identifiers.
     pub fn check_merge(&self, kept: &str, absorbed: &str) -> Result<(), LifecycleError> {
         if kept == absorbed {
             return Err(LifecycleError::SelfMerge(kept.to_owned()));
@@ -164,9 +168,8 @@ impl EntryRegistry {
         self.require_active(absorbed)
     }
 
-    /// Whether [`EntryRegistry::split`] would accept this fission: the
-    /// original is active and every part is a fresh identifier, named
-    /// once.
+    /// Whether `original` may split into `parts`: the original is
+    /// active and every part is a fresh identifier, named once.
     pub fn check_split(&self, original: &str, parts: &[String]) -> Result<(), LifecycleError> {
         self.require_active(original)?;
         for (i, p) in parts.iter().enumerate() {
@@ -177,100 +180,28 @@ impl EntryRegistry {
         Ok(())
     }
 
-    /// Whether [`EntryRegistry::delete`] would accept this deletion.
+    /// Whether `id` may be deleted: it is active.
     pub fn check_delete(&self, id: &str) -> Result<(), LifecycleError> {
         self.require_active(id)
     }
 
-    /// Registers a fresh identifier.
-    pub fn create(&mut self, id: impl Into<String>, time: u64) -> Result<(), LifecycleError> {
-        let id = id.into();
-        self.check_create(&id)?;
-        self.fates.insert(id.clone(), Fate::Active);
-        self.events.push(EntryEvent::Created {
-            id,
-            from_split: None,
-            time,
-        });
-        Ok(())
-    }
-
-    /// Records a fusion: `absorbed` is retired into `kept`.
-    pub fn merge(&mut self, kept: &str, absorbed: &str, time: u64) -> Result<(), LifecycleError> {
-        self.check_merge(kept, absorbed)?;
-        self.fates
-            .insert(absorbed.to_owned(), Fate::MergedInto(kept.to_owned()));
-        self.events.push(EntryEvent::Merged {
-            kept: kept.to_owned(),
-            absorbed: absorbed.to_owned(),
-            time,
-        });
-        Ok(())
-    }
-
-    /// Records a fission: `original` is retired; `parts` are created.
-    pub fn split(
-        &mut self,
-        original: &str,
-        parts: &[String],
-        time: u64,
-    ) -> Result<(), LifecycleError> {
-        self.check_split(original, parts)?;
-        self.fates
-            .insert(original.to_owned(), Fate::SplitInto(parts.to_vec()));
-        for p in parts {
-            self.fates.insert(p.clone(), Fate::Active);
-            self.events.push(EntryEvent::Created {
-                id: p.clone(),
-                from_split: Some(original.to_owned()),
-                time,
-            });
-        }
-        self.events.push(EntryEvent::Split {
-            original: original.to_owned(),
-            parts: parts.to_vec(),
-            time,
-        });
-        Ok(())
-    }
-
-    /// Records a deletion.
-    pub fn delete(&mut self, id: &str, time: u64) -> Result<(), LifecycleError> {
-        self.check_delete(id)?;
-        self.fates.insert(id.to_owned(), Fate::Deleted);
-        self.events.push(EntryEvent::Deleted {
-            id: id.to_owned(),
-            time,
-        });
-        Ok(())
-    }
-
-    /// Re-applies one recorded event during crash recovery. Events
-    /// must be replayed in their original order; each call updates the
-    /// fate map exactly as the original operation did and re-appends
-    /// the event. (A `Split` relies on its parts' `Created` events —
-    /// which the original operation also emitted — for the parts'
-    /// `Active` fates.)
-    pub fn replay_event(&mut self, event: &EntryEvent) {
-        match event {
-            EntryEvent::Created { id, .. } => {
-                self.fates.insert(id.clone(), Fate::Active);
-            }
-            EntryEvent::Merged { kept, absorbed, .. } => {
-                self.fates
-                    .insert(absorbed.clone(), Fate::MergedInto(kept.clone()));
-            }
+    /// Records one event: the registry's only mutator, called by every
+    /// operation that emits an event and by recovery replaying the
+    /// event log, in the original order. It updates the fate the event
+    /// decides and appends the event. A fission emits a `Created` per
+    /// part before its `Split`, so the parts' `Active` fates come from
+    /// those.
+    pub(crate) fn record(&mut self, event: EntryEvent) {
+        let (id, fate) = match &event {
+            EntryEvent::Created { id, .. } => (id, Fate::Active),
+            EntryEvent::Merged { kept, absorbed, .. } => (absorbed, Fate::MergedInto(kept.clone())),
             EntryEvent::Split {
                 original, parts, ..
-            } => {
-                self.fates
-                    .insert(original.clone(), Fate::SplitInto(parts.clone()));
-            }
-            EntryEvent::Deleted { id, .. } => {
-                self.fates.insert(id.clone(), Fate::Deleted);
-            }
-        }
-        self.events.push(event.clone());
+            } => (original, Fate::SplitInto(parts.clone())),
+            EntryEvent::Deleted { id, .. } => (id, Fate::Deleted),
+        };
+        self.fates.insert(id.clone(), fate);
+        self.events.push(event);
     }
 
     /// "What happened to X?" — follows merges and splits forward to the
@@ -378,29 +309,86 @@ impl EntryRegistry {
 mod tests {
     use super::*;
 
+    /// Runs one operation as the engine does — its check, then its
+    /// events, recorded only if the check passed — from a line such as
+    /// `"merge A B"` (B into A) or `"split A A1 A2"`. The logical time
+    /// is the number of events before it.
+    fn run(r: &mut EntryRegistry, line: &str) -> Result<(), LifecycleError> {
+        let mut words = line.split(' ').map(str::to_owned);
+        let (verb, id) = (words.next().unwrap(), words.next().unwrap());
+        let rest: Vec<String> = words.collect();
+        let time = r.events().len() as u64;
+        let created = |id: &String, from_split| EntryEvent::Created {
+            id: id.clone(),
+            from_split,
+            time,
+        };
+        let events = match verb.as_str() {
+            "create" => r.check_create(&id).map(|()| vec![created(&id, None)]),
+            "merge" => r.check_merge(&id, &rest[0]).map(|()| {
+                let absorbed = rest[0].clone();
+                vec![EntryEvent::Merged {
+                    kept: id,
+                    absorbed,
+                    time,
+                }]
+            }),
+            "split" => r.check_split(&id, &rest).map(|()| {
+                let parts = rest.iter().map(|p| created(p, Some(id.clone())));
+                let split = EntryEvent::Split {
+                    original: id.clone(),
+                    parts: rest.clone(),
+                    time,
+                };
+                parts.chain([split]).collect()
+            }),
+            "delete" => r
+                .check_delete(&id)
+                .map(|()| vec![EntryEvent::Deleted { id, time }]),
+            _ => unreachable!("unknown operation {verb}"),
+        }?;
+        events.into_iter().for_each(|e| r.record(e));
+        Ok(())
+    }
+
+    fn registry(script: &[&str]) -> EntryRegistry {
+        let mut r = EntryRegistry::new();
+        for line in script {
+            run(&mut r, line).unwrap();
+        }
+        r
+    }
+
     #[test]
     fn create_merge_split_delete() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
-        r.create("B", 1).unwrap();
-        r.merge("A", "B", 2).unwrap();
+        let mut r = registry(&["create A", "create B", "merge A B"]);
         assert!(r.is_active("A"));
         assert!(!r.is_active("B"));
         assert_eq!(r.fate("B").unwrap(), &Fate::MergedInto("A".into()));
-        r.split("A", &["A1".into(), "A2".into()], 3).unwrap();
+        run(&mut r, "split A A1 A2").unwrap();
         assert!(r.is_active("A1") && r.is_active("A2"));
-        r.delete("A2", 4).unwrap();
+        let parts = vec!["A1".to_string(), "A2".to_string()];
+        assert_eq!(r.fate("A").unwrap(), &Fate::SplitInto(parts));
+        run(&mut r, "delete A2").unwrap();
         assert_eq!(r.fate("A2").unwrap(), &Fate::Deleted);
+        assert_eq!(
+            r.events().len(),
+            7,
+            "2 creates, a merge, 2 parts, a split, a delete"
+        );
     }
 
     #[test]
     fn what_happened_to_follows_chains() {
-        let mut r = EntryRegistry::new();
-        r.create("X", 1).unwrap();
-        r.create("Y", 1).unwrap();
-        r.merge("Y", "X", 2).unwrap(); // X → Y
-        r.split("Y", &["Y1".into(), "Y2".into()], 3).unwrap();
-        r.delete("Y2", 4).unwrap();
+        // X → Y → {Y1, Y2}, and Y2 is deleted.
+        let script = [
+            "create X",
+            "create Y",
+            "merge Y X",
+            "split Y Y1 Y2",
+            "delete Y2",
+        ];
+        let r = registry(&script);
         let (current, trail) = r.what_happened_to("X").unwrap();
         assert_eq!(current, vec!["Y1".to_string()]);
         assert!(trail.len() >= 3, "merge, split, delete all on the trail");
@@ -408,86 +396,71 @@ mod tests {
 
     #[test]
     fn how_did_come_about_collects_ancestry() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
-        r.create("B", 1).unwrap();
-        r.merge("A", "B", 2).unwrap();
-        r.split("A", &["C".into()], 3).unwrap();
+        let r = registry(&["create A", "create B", "merge A B", "split A C"]);
         let anc = r.how_did_come_about("C").unwrap();
         assert_eq!(anc, vec!["A".to_string(), "B".to_string()]);
     }
 
     #[test]
     fn secondary_ids_list_retired_accessions() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
-        r.create("B", 1).unwrap();
-        r.create("C", 1).unwrap();
-        r.merge("A", "B", 2).unwrap();
-        r.merge("A", "C", 3).unwrap();
+        // The merges happen at times 3 and 4.
+        let r = registry(&["create A", "create B", "create C", "merge A B", "merge A C"]);
         assert_eq!(r.secondary_ids("A"), vec!["B".to_string(), "C".to_string()]);
         assert!(r.secondary_ids("B").is_empty());
+        assert_eq!(r.secondary_ids_at("A", 3), vec!["B".to_string()]);
     }
 
     #[test]
     fn errors_on_bad_operations() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
+        let mut r = registry(&["create A"]);
+        let before = r.clone();
         assert!(matches!(
-            r.create("A", 2),
+            run(&mut r, "create A"),
             Err(LifecycleError::Duplicate(_))
         ));
         assert!(matches!(
-            r.merge("A", "Z", 2),
+            run(&mut r, "merge A Z"),
             Err(LifecycleError::Unknown(_))
         ));
-        r.delete("A", 3).unwrap();
+        assert_eq!(r, before, "a refused op records nothing");
+        run(&mut r, "delete A").unwrap();
+        let before = r.clone();
         assert!(matches!(
-            r.delete("A", 4),
+            run(&mut r, "delete A"),
             Err(LifecycleError::NotActive(_))
         ));
         assert!(matches!(
-            r.split("A", &["B".into()], 5),
+            run(&mut r, "split A B"),
             Err(LifecycleError::NotActive(_))
         ));
+        let reissued = run(&mut r, "create A");
+        assert!(
+            matches!(reissued, Err(LifecycleError::Duplicate(_))),
+            "ids are never reissued"
+        );
+        assert_eq!(r, before, "a refused op records nothing");
     }
 
     #[test]
     fn self_merge_and_repeated_parts_are_rejected_without_effect() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
+        let mut r = registry(&["create A", "create C"]);
         let before = r.clone();
+        let self_merge = Err(LifecycleError::SelfMerge("A".into()));
+        assert_eq!(run(&mut r, "merge A A"), self_merge);
+        let repeated = Err(LifecycleError::Duplicate("B".into()));
+        assert_eq!(run(&mut r, "split A B B"), repeated);
+        let issued = Err(LifecycleError::Duplicate("C".into()));
         assert_eq!(
-            r.merge("A", "A", 2),
-            Err(LifecycleError::SelfMerge("A".into()))
-        );
-        assert_eq!(
-            r.split("A", &["B".into(), "B".into()], 3),
-            Err(LifecycleError::Duplicate("B".into()))
+            run(&mut r, "split A B C"),
+            issued,
+            "a part may not reuse an issued id"
         );
         assert_eq!(r, before);
     }
 
     #[test]
-    fn replaying_the_event_log_reconstructs_the_registry() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
-        r.create("B", 1).unwrap();
-        r.merge("A", "B", 2).unwrap();
-        r.split("A", &["A1".into(), "A2".into()], 3).unwrap();
-        r.delete("A2", 4).unwrap();
-        let mut rebuilt = EntryRegistry::new();
-        for e in r.events() {
-            rebuilt.replay_event(e);
-        }
-        assert_eq!(rebuilt, r);
-    }
-
-    #[test]
     fn dead_lines_report_empty_current() {
-        let mut r = EntryRegistry::new();
-        r.create("A", 1).unwrap();
-        r.delete("A", 2).unwrap();
+        let r = registry(&["create A", "delete A"]);
         let (current, trail) = r.what_happened_to("A").unwrap();
         assert!(current.is_empty());
         assert_eq!(trail.len(), 1);

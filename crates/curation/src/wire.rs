@@ -421,7 +421,7 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
 // ------------------------------------------------- paged node codec
 
 /// One tree arena slot in its paged encoding — the exact per-node
-/// field set [`put_tree`] writes, as a standalone page payload.
+/// field set the whole-tree codec writes, as a standalone page payload.
 /// Tombstones are first-class: a checkpoint must round-trip dead
 /// nodes and arena order exactly for tail replay to re-allocate the
 /// original ids (same argument as the whole-tree codec above).
@@ -1069,6 +1069,11 @@ mod tests {
         let changed = |db: &CuratedTree| changed_slots(&db.tree, &db.prov, &base.tree, &base.prov);
         assert!(changed(&db).is_empty());
         let note = db.tree.resolve_path("/note").unwrap();
+        // A provenance record alone, the node's slot unchanged, is a
+        // change of that slot.
+        let mut recorded = base.clone();
+        recorded.prov.on_modify(note, TxnId(99));
+        assert_eq!(changed(&recorded), vec![note.index()]);
         let mut t = db.begin("carol", 4);
         t.modify(note, Some(Atom::Int(1))).unwrap();
         t.commit();

@@ -18,7 +18,7 @@
 //!   rest of the workspace records through, so the remaining stats
 //!   structs (`ExecStats`, `RecoveryStats`) can be thin views over the
 //!   same counters.
-//! * **[`span`]** — structured spans with RAII timing
+//! * **[`span`](mod@span)** — structured spans with RAII timing
 //!   (`span!("wal.group_commit", txn_id)`), trace ids that flow
 //!   through thread-local state from the serving entry points down to
 //!   the device sync, and a bounded per-thread ring buffer of recent

@@ -1,6 +1,6 @@
 //! Per-relation statistics feeding the cost-based planner.
 //!
-//! The planner in [`crate::plan`] needs three numbers to order joins and
+//! The planner in [`crate::plan`](mod@crate::plan) needs three numbers to order joins and
 //! choose access paths: how many rows a relation has, how many distinct
 //! values each column holds, and — for integer columns — roughly how
 //! those values are distributed. [`DbStats::analyze`] computes all three

@@ -20,7 +20,7 @@
 //!    serving reads but refuse new writes with `Err{Shutdown}`;
 //! 3. wait up to the timeout for sessions to say goodbye on their own;
 //! 4. force-close the stragglers through their transport
-//!    [`Closer`](crate::transport::Closer)s and join every thread.
+//!    [`Closer`]s and join every thread.
 //!
 //! Because writes are refused from step 2 on, and every acknowledged
 //! write already waited for its group commit, a drained server leaves

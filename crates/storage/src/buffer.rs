@@ -248,8 +248,8 @@ impl<I: Io> BufferPool<I> {
     }
 
     /// Writes `page` through the pool: the frame is overwritten and
-    /// marked dirty; the heap sees it on eviction or [`flush_all`]
-    /// (`Self::flush_all`).
+    /// marked dirty; the heap sees it on eviction or
+    /// [`Self::flush_all`].
     pub fn put(&mut self, page: u64, bytes: &[u8]) -> Result<(), StorageError> {
         let i = if self.map.contains_key(&page) || self.store.contains(page) {
             self.fetch(page)?

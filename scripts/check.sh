@@ -18,6 +18,11 @@ cargo fmt --all --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors) =="
+# A deleted or renamed item leaves intra-doc links naming it; without
+# this gate they dangle silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -128,8 +133,9 @@ echo "== arena gate: the wire codec borrows arena slots =="
 # The codec reads the tree arena through the borrowed `TreeDb::raw_slots`;
 # the arena-copying `raw_nodes()` is gone, and a per-slot accessor on top
 # of a copy is O(arena) per slot (paged attach/capture were O(arena²)).
-# That entries are addressed rather than scanned is held by counts in
-# the tests (`check_primary`, `tests/addressed_reads.rs`), not by a grep.
+# That entries are addressed rather than scanned is held by the tests
+# (`tests/common::check_derived` against a scan,
+# `tests/addressed_reads.rs` by counts), not by a grep.
 if grep -rn 'raw_nodes' crates/*/src; then
     echo "raw_nodes() copied the whole arena per call — borrow it with TreeDb::raw_slots()"
     exit 1

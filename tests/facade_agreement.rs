@@ -19,6 +19,7 @@
 //! replays exactly.
 
 mod common;
+use common::Postings;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::{discriminant, Discriminant};
@@ -74,8 +75,6 @@ fn borrowed(fields: &[(String, Atom)]) -> Vec<(&str, Atom)> {
         .map(|(k, v)| (k.as_str(), v.clone()))
         .collect()
 }
-
-type Postings = BTreeMap<Atom, BTreeSet<String>>;
 
 /// The surface the three façades share, as this test needs it.
 trait Facade {
@@ -306,46 +305,20 @@ fn export_all(f: &dyn Facade) -> Value {
     Value::set(entries)
 }
 
-/// Every index on every underlying state equals a rebuild from that
-/// state's entries; returns the union per field.
-fn checked_postings(f: &dyn Facade) -> Result<BTreeMap<String, Postings>, String> {
+/// [`common::check_derived`] on every underlying state; returns the
+/// postings of every index, unioned over the states.
+fn check_derived(f: &dyn Facade, pool: &[String]) -> Result<BTreeMap<String, Postings>, String> {
     let mut union: BTreeMap<String, Postings> = BTreeMap::new();
     for (i, s) in f.states().iter().enumerate() {
+        common::check_derived(s, pool).map_err(|m| format!("state {i}: {m}"))?;
         for field in s.index_fields() {
-            let idx = s.field_index(&field).expect("listed index exists");
-            let have: Postings = idx
-                .postings()
-                .map(|(v, k)| (v.clone(), k.clone()))
-                .collect();
-            let mut want = Postings::new();
-            for key in s.entry_keys().unwrap() {
-                let value = if field == KEY_FIELD {
-                    Atom::Str(key.clone())
-                } else {
-                    s.field(&key, &field).unwrap_or(Atom::Unit)
-                };
-                want.entry(value).or_default().insert(key);
-            }
-            if have != want {
-                return Err(format!(
-                    "state {i}: index on {field} drifted\n  have {have:?}\n  want {want:?}"
-                ));
-            }
-            let all = union.entry(field).or_default();
-            for (value, keys) in have {
+            let all = union.entry(field.clone()).or_default();
+            for (value, keys) in common::postings(s, &field) {
                 all.entry(value).or_default().extend(keys);
             }
         }
     }
     Ok(union)
-}
-
-/// [`common::check_primary`] on every underlying state.
-fn check_primary(f: &dyn Facade, pool: &[String]) -> Result<(), String> {
-    for (i, s) in f.states().iter().enumerate() {
-        common::check_primary(s, pool).map_err(|m| format!("state {i}: {m}"))?;
-    }
-    Ok(())
 }
 
 fn notes_all(f: &dyn Facade, pool: &[String]) -> Vec<(String, Option<&'static str>, usize)> {
@@ -430,18 +403,15 @@ proptest! {
             issued.extend(reference.entry_keys().unwrap());
 
             let want_export = export_all(&reference);
-            let want_postings = checked_postings(&reference).map_err(TestCaseError::fail)?;
-            check_primary(&reference, &pool)
+            let want_postings = check_derived(&reference, &pool)
                 .map_err(|m| TestCaseError::fail(format!("step {step} {op:?}: {m}")))?;
             for (name, db) in &others {
-                check_primary(db.as_ref(), &pool)
+                let postings = check_derived(db.as_ref(), &pool)
                     .map_err(|m| TestCaseError::fail(format!("step {step} {op:?} on {name}: {m}")))?;
                 prop_assert_eq!(
                     &export_all(db.as_ref()), &want_export,
                     "export after step {} {:?} on {}", step, op, name
                 );
-                let postings = checked_postings(db.as_ref())
-                    .map_err(|m| TestCaseError::fail(format!("step {step} {op:?} on {name}: {m}")))?;
                 prop_assert_eq!(
                     &postings, &want_postings,
                     "index lookups after step {} {:?} on {}", step, op, name

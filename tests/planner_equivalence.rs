@@ -31,7 +31,9 @@
 //!    recovered tree. Each property runs 256 generated cases by default
 //!    (`PROPTEST_CASES` overrides); the WAL-cut sweep is exhaustive.
 
-use std::collections::{BTreeMap, BTreeSet};
+mod common;
+
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use curated_db::core::storage::{CheckpointStore, Io, MemIo, StorageError};
@@ -476,31 +478,6 @@ impl Io for SharedIo {
     }
 }
 
-/// Asserts every registered index equals a from-scratch rebuild of the
-/// recovered tree, computed through the public API with the same
-/// indexing rule the database uses: the key field indexes as
-/// `Atom::Str(key)`, missing fields as `Atom::Unit`.
-fn assert_indexes_match_rebuild(db: &CuratedDatabase, key_field: &str) {
-    let keys = db.entry_keys().unwrap();
-    for field in db.index_fields() {
-        let idx = db.field_index(&field).expect("registered index present");
-        let mut expect: BTreeMap<Atom, BTreeSet<String>> = BTreeMap::new();
-        for k in &keys {
-            let v = if field == key_field {
-                Atom::Str(k.clone())
-            } else {
-                db.field(k, &field).unwrap_or(Atom::Unit)
-            };
-            expect.entry(v).or_default().insert(k.clone());
-        }
-        let got: BTreeMap<Atom, BTreeSet<String>> = idx
-            .postings()
-            .map(|(v, ks)| (v.clone(), ks.clone()))
-            .collect();
-        assert_eq!(got, expect, "index on {field:?} diverged from a rebuild");
-    }
-}
-
 /// A career exercising every index-relevant WAL record: registrations,
 /// drops, adds, edits, a merge, a split, a delete, and publishes — no
 /// checkpoint, so every byte of state flows through the WAL tail.
@@ -570,7 +547,7 @@ fn every_wal_byte_cut_recovers_consistent_indexes() {
     assert!(image.len() > 100, "career should produce a non-trivial WAL");
     for cut in 0..=image.len() {
         let db = reopen(image[..cut].to_vec());
-        assert_indexes_match_rebuild(&db, "name");
+        common::check_derived(&db, &[]).unwrap();
     }
 
     // At the full image the surviving registrations and postings are
@@ -791,6 +768,6 @@ proptest! {
         let image = wal.bytes();
         let cut = (cut_sel as usize) % (image.len() + 1);
         let db = reopen(image[..cut].to_vec());
-        assert_indexes_match_rebuild(&db, "name");
+        common::check_derived(&db, &[]).unwrap();
     }
 }

@@ -81,8 +81,7 @@ type Write<'a> = (&'static str, &'a dyn Fn() -> Result<(), DbError>);
 struct Answers {
     export: Value,
     notes: Vec<(String, Option<&'static str>, Vec<Note>)>,
-    postings: BTreeMap<String, BTreeMap<Atom, BTreeSet<String>>>,
-    primary: Result<(), String>,
+    postings: BTreeMap<String, common::Postings>,
     provenance: Vec<(String, Provenance)>,
     transactions: usize,
     versions: u32,
@@ -98,17 +97,10 @@ fn answers(s: &DbState, ids: &BTreeSet<String>, probes: &[String]) -> Answers {
             }
         }
     }
-    let postings = s
-        .index_fields()
-        .into_iter()
-        .map(|f| {
-            let idx = s.field_index(&f).expect("listed index exists");
-            let p = idx
-                .postings()
-                .map(|(v, k)| (v.clone(), k.clone()))
-                .collect();
-            (f, p)
-        })
+    common::check_derived(s, ids).unwrap_or_else(|m| panic!("derived state: {m}"));
+    let fields = s.index_fields().into_iter();
+    let postings = fields
+        .map(|f| (f.clone(), common::postings(s, &f)))
         .collect();
     let provenance = probes
         .iter()
@@ -126,7 +118,6 @@ fn answers(s: &DbState, ids: &BTreeSet<String>, probes: &[String]) -> Answers {
         export: s.export().expect("export"),
         notes,
         postings,
-        primary: common::check_primary(s, ids),
         provenance,
         transactions: s.curated.transactions().len(),
         versions: s.archive().version_count(),
