@@ -8,16 +8,18 @@
 //! versions — the common case in curated databases, which "do not grow
 //! or change rapidly" — costs nothing beyond its single stored copy.
 //!
-//! Space accounting honors the fat-node paper's optimization: a child
+//! The encoding honors the fat-node paper's optimization: a child
 //! whose interval set equals its parent's stores nothing for it (the
-//! hereditary trick; see [`Archive::encoded_size`]).
+//! hereditary trick; see [`Archive::encode`]). It is also the durable
+//! form of the archive: a checkpoint that cut the log carries it, and
+//! [`Archive::decode`] reads it back.
 
 use std::collections::BTreeMap;
 
 use cdb_model::keys::{KeySpec, KeyStep};
 use cdb_model::{Atom, KeyPath, ModelError, Value};
 
-use crate::codec;
+use crate::codec::{self, CodecError};
 
 /// A version number: dense, starting at 0.
 pub type VersionId = u32;
@@ -288,18 +290,18 @@ impl Archive {
         self.root.node_count()
     }
 
-    /// The encoded size of the archive in bytes, using the hereditary
-    /// optimization: a child whose interval set equals its parent's
-    /// writes a one-byte marker instead of its intervals.
+    /// Encodes the archive: the merged tree, then the version labels.
+    /// Intervals are hereditary: a child whose interval set equals its
+    /// parent's writes a one-byte marker instead of its intervals.
+    /// [`Archive::decode`] reads the bytes back.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_with(true)
+    }
+
+    /// The encoded size of the archive in bytes: the length of
+    /// [`Archive::encode`].
     pub fn encoded_size(&self) -> usize {
-        let mut out = Vec::new();
-        encode_node(&self.root, None, true, &mut out);
-        // Version metadata.
-        for v in &self.versions {
-            out.extend_from_slice(v.label.as_bytes());
-            out.extend_from_slice(&v.id.to_le_bytes());
-        }
-        out.len()
+        self.encode().len()
     }
 
     /// The encoded size *without* the hereditary-interval optimization
@@ -307,13 +309,55 @@ impl Archive {
     /// paper's "if it is different from the time interval of its parent
     /// node" rule, measured in the E7 bench.
     pub fn encoded_size_flat(&self) -> usize {
+        self.encode_with(false).len()
+    }
+
+    fn encode_with(&self, hereditary: bool) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_node(&self.root, None, false, &mut out);
+        encode_node(&self.root, None, hereditary, &mut out);
+        codec::put_uvarint(&mut out, self.versions.len() as u64);
         for v in &self.versions {
-            out.extend_from_slice(v.label.as_bytes());
+            codec::put_str(&mut out, &v.label);
             out.extend_from_slice(&v.id.to_le_bytes());
         }
-        out.len()
+        out
+    }
+
+    /// Decodes the bytes of [`Archive::encode`] into the archive they
+    /// encode, named `name` and keyed by `spec`. Bytes that are not
+    /// such an encoding, a truncated one included, are an error.
+    pub fn decode(
+        name: impl Into<String>,
+        spec: KeySpec,
+        bytes: &[u8],
+    ) -> Result<Archive, CodecError> {
+        let mut pos = 0;
+        let root = decode_node(bytes, &mut pos, None, 0)?;
+        let mut versions = Vec::new();
+        for id in 0..codec::get_uvarint(bytes, &mut pos)? {
+            let label = codec::get_str(bytes, &mut pos)?;
+            let raw: [u8; 4] = bytes
+                .get(pos..pos + 4)
+                .and_then(|b| b.try_into().ok())
+                .ok_or(CodecError::UnexpectedEof)?;
+            pos += 4;
+            if u64::from(u32::from_le_bytes(raw)) != id {
+                return Err(CodecError::Malformed("version ids are not dense"));
+            }
+            versions.push(VersionInfo {
+                id: id as VersionId,
+                label,
+            });
+        }
+        if pos != bytes.len() {
+            return Err(CodecError::Malformed("trailing bytes after the archive"));
+        }
+        Ok(Archive {
+            name: name.into(),
+            spec,
+            versions,
+            root,
+        })
     }
 }
 
@@ -469,32 +513,35 @@ fn collect_paths(node: &ANode, here: KeyPath, out: &mut Vec<KeyPath>) {
     }
 }
 
+fn put_interval(out: &mut Vec<u8>, (s, e): &Interval) {
+    codec::put_uvarint(out, u64::from(*s));
+    codec::put_uvarint(out, e.map(|x| u64::from(x) + 1).unwrap_or(0));
+}
+
 fn encode_node(
     node: &ANode,
     parent_intervals: Option<&[Interval]>,
     hereditary: bool,
     out: &mut Vec<u8>,
 ) {
-    // Hereditary intervals: write a marker when equal to the parent's.
+    // The interval count is written plus one; 0 marks intervals equal
+    // to the parent's.
     if hereditary && parent_intervals == Some(node.intervals.as_slice()) {
-        out.push(0xfe);
+        out.push(0);
     } else {
-        codec::put_uvarint(out, node.intervals.len() as u64);
-        for (s, e) in &node.intervals {
-            codec::put_uvarint(out, u64::from(*s));
-            codec::put_uvarint(out, e.map(|x| u64::from(x) + 1).unwrap_or(0));
+        codec::put_uvarint(out, node.intervals.len() as u64 + 1);
+        for iv in &node.intervals {
+            put_interval(out, iv);
         }
     }
     codec::put_uvarint(out, node.shapes.len() as u64);
-    for ((s, e), shape) in &node.shapes {
-        codec::put_uvarint(out, u64::from(*s));
-        codec::put_uvarint(out, e.map(|x| u64::from(x) + 1).unwrap_or(0));
+    for (iv, shape) in &node.shapes {
+        put_interval(out, iv);
         out.push(*shape as u8);
     }
     codec::put_uvarint(out, node.atoms.len() as u64);
-    for ((s, e), a) in &node.atoms {
-        codec::put_uvarint(out, u64::from(*s));
-        codec::put_uvarint(out, e.map(|x| u64::from(x) + 1).unwrap_or(0));
+    for (iv, a) in &node.atoms {
+        put_interval(out, iv);
         codec::put_atom(out, a);
     }
     codec::put_uvarint(out, node.children.len() as u64);
@@ -518,6 +565,85 @@ fn encode_node(
         }
         encode_node(child, Some(&node.intervals), hereditary, out);
     }
+}
+
+/// Archive trees nested deeper than this are refused, not recursed into.
+const MAX_DEPTH: usize = 512;
+
+fn get_byte(input: &[u8], pos: &mut usize) -> Result<u8, CodecError> {
+    let b = *input.get(*pos).ok_or(CodecError::UnexpectedEof)?;
+    *pos += 1;
+    Ok(b)
+}
+
+fn get_interval(input: &[u8], pos: &mut usize) -> Result<Interval, CodecError> {
+    let version = |x: u64| VersionId::try_from(x).map_err(|_| CodecError::BadVarint);
+    let s = version(codec::get_uvarint(input, pos)?)?;
+    let e = match codec::get_uvarint(input, pos)? {
+        0 => None,
+        x => Some(version(x - 1)?),
+    };
+    Ok((s, e))
+}
+
+/// Reads one node written by [`encode_node`] in its hereditary form.
+fn decode_node(
+    input: &[u8],
+    pos: &mut usize,
+    parent_intervals: Option<&[Interval]>,
+    depth: usize,
+) -> Result<ANode, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::Malformed("archive nested too deep"));
+    }
+    let mut node = ANode::default();
+    match codec::get_uvarint(input, pos)? {
+        0 => {
+            node.intervals = parent_intervals
+                .ok_or(CodecError::Malformed("hereditary intervals at the root"))?
+                .to_vec();
+        }
+        n => {
+            for _ in 1..n {
+                node.intervals.push(get_interval(input, pos)?);
+            }
+        }
+    }
+    for _ in 0..codec::get_uvarint(input, pos)? {
+        let iv = get_interval(input, pos)?;
+        let shape = match get_byte(input, pos)? {
+            0 => Shape::Atom,
+            1 => Shape::Record,
+            2 => Shape::Set,
+            3 => Shape::List,
+            t => return Err(CodecError::BadTag(t)),
+        };
+        node.shapes.push((iv, shape));
+    }
+    for _ in 0..codec::get_uvarint(input, pos)? {
+        let iv = get_interval(input, pos)?;
+        node.atoms.push((iv, codec::get_atom(input, pos)?));
+    }
+    for _ in 0..codec::get_uvarint(input, pos)? {
+        let step = match get_byte(input, pos)? {
+            1 => KeyStep::Field(codec::get_str(input, pos)?),
+            2 => KeyStep::Entry(
+                (0..codec::get_uvarint(input, pos)?)
+                    .map(|_| codec::get_atom(input, pos))
+                    .collect::<Result<_, _>>()?,
+            ),
+            3 => KeyStep::Index(
+                usize::try_from(codec::get_uvarint(input, pos)?)
+                    .map_err(|_| CodecError::BadVarint)?,
+            ),
+            t => return Err(CodecError::BadTag(t)),
+        };
+        let child = decode_node(input, pos, Some(&node.intervals), depth + 1)?;
+        if node.children.insert(step, child).is_some() {
+            return Err(CodecError::Malformed("a child step repeats"));
+        }
+    }
+    Ok(node)
 }
 
 /// A difference between two archived versions at one key path.

@@ -17,6 +17,8 @@ pub enum CodecError {
     BadUtf8,
     /// A varint longer than 10 bytes.
     BadVarint,
+    /// Well-formed tokens that break a structural rule.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -26,6 +28,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8"),
             CodecError::BadVarint => write!(f, "overlong varint"),
+            CodecError::Malformed(what) => write!(f, "malformed: {what}"),
         }
     }
 }

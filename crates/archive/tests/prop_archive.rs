@@ -1,10 +1,12 @@
 //! Property-based tests: codec round-trips for arbitrary values, and
 //! store equivalence (archive = snapshots = deltas) over random keyed
-//! version sequences.
+//! version sequences; the archive's own encoding round-trips and
+//! refuses what it did not write.
 
-use cdb_archive::codec::{decode_value, encode_value};
+use cdb_archive::codec::{decode_value, encode_value, CodecError};
 use cdb_archive::{Archive, DeltaStore, SnapshotStore};
-use cdb_model::{Atom, KeySpec, Value};
+use cdb_model::keys::KeyStep;
+use cdb_model::{Atom, KeyPath, KeySpec, Value};
 use proptest::prelude::*;
 
 fn atom() -> impl Strategy<Value = Atom> {
@@ -99,6 +101,27 @@ proptest! {
         }
     }
 
+    /// An archive decodes from its encoding to one that encodes the
+    /// same, retrieves the same versions, and merges the next version
+    /// as the original does.
+    #[test]
+    fn archive_encoding_round_trips(versions in version_sequences()) {
+        let spec = KeySpec::new().rule(Vec::<String>::new(), ["name"]);
+        let (last, head) = versions.split_last().unwrap();
+        let mut archive = Archive::new("p", spec.clone());
+        for (i, v) in head.iter().enumerate() {
+            archive.add_version(v, format!("{i}")).unwrap();
+        }
+        let mut back = Archive::decode("p", spec, &archive.encode()).unwrap();
+        prop_assert_eq!(back.encode(), archive.encode());
+        for (i, expected) in head.iter().enumerate() {
+            prop_assert_eq!(&back.retrieve(i as u32).unwrap(), expected);
+        }
+        archive.add_version(last, "last").unwrap();
+        back.add_version(last, "last").unwrap();
+        prop_assert_eq!(back.encode(), archive.encode());
+    }
+
     /// Archive diffs are sound: applying the reported change set
     /// explains exactly the differing keyed nodes.
     #[test]
@@ -117,4 +140,91 @@ proptest! {
             prop_assert!(!diff.is_empty());
         }
     }
+}
+
+fn factbook_spec() -> KeySpec {
+    KeySpec::new().rule(Vec::<String>::new(), ["name"])
+}
+
+fn country(name: &str, pop: i64) -> Value {
+    Value::record([("name", Value::str(name)), ("population", Value::int(pop))])
+}
+
+fn decoded(arch: &Archive) -> Archive {
+    let back = Archive::decode(arch.name(), arch.spec().clone(), &arch.encode()).unwrap();
+    assert_eq!(back.encode(), arch.encode());
+    assert_eq!(back.versions(), arch.versions());
+    for v in 0..arch.version_count() {
+        assert_eq!(back.retrieve(v).unwrap(), arch.retrieve(v).unwrap());
+    }
+    back
+}
+
+#[test]
+fn a_node_with_254_intervals_round_trips() {
+    // 254 encodes as the varint `fe 01`: the count must not be
+    // mistaken for the hereditary marker.
+    let mut arch = Archive::new("factbook", factbook_spec());
+    let with = Value::set([country("Iceland", 1), country("USSR", 2)]);
+    let without = Value::set([country("Iceland", 1)]);
+    for v in 0..508 {
+        let value = if v % 2 == 0 { &with } else { &without };
+        arch.add_version(value, format!("v{v}")).unwrap();
+    }
+    let kp = KeyPath::root().child(KeyStep::Entry(vec![Atom::Str("USSR".into())]));
+    assert_eq!(arch.lifespan(&kp).unwrap().len(), 254);
+    let back = decoded(&arch);
+    assert_eq!(back.lifespan(&kp).unwrap(), arch.lifespan(&kp).unwrap());
+}
+
+#[test]
+fn a_decoded_archive_merges_on_as_the_original() {
+    let mut arch = Archive::new("factbook", factbook_spec());
+    arch.add_version(&Value::set([country("Iceland", 1)]), "a")
+        .unwrap();
+    let next = Value::set([country("Iceland", 2), country("Latvia", 3)]);
+    let mut back = decoded(&arch);
+    arch.add_version(&next, "b").unwrap();
+    back.add_version(&next, "b").unwrap();
+    assert_eq!(back.encode(), arch.encode());
+    // An empty archive round-trips too.
+    decoded(&Archive::new("empty", factbook_spec()));
+}
+
+#[test]
+fn truncations_and_unknown_tags_are_errors() {
+    let mut arch = Archive::new("factbook", factbook_spec());
+    arch.add_version(&Value::set([country("Iceland", 1)]), "a")
+        .unwrap();
+    arch.add_version(&Value::set([country("Latvia", 3)]), "b")
+        .unwrap();
+    let bytes = arch.encode();
+    for cut in 0..bytes.len() {
+        assert!(
+            Archive::decode("f", factbook_spec(), &bytes[..cut]).is_err(),
+            "cut at {cut}"
+        );
+    }
+    let decode = |bytes: &[u8]| Archive::decode("f", KeySpec::new(), bytes);
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    assert!(decode(&trailing).is_err());
+    // The root of `{a: 1}`: one interval [0, ∞), one shape
+    // interval (Record), no atoms, one child under a Field step.
+    let mut arch = Archive::new("r", KeySpec::new());
+    arch.add_version(&Value::record([("a", Value::int(1))]), "x")
+        .unwrap();
+    let bytes = arch.encode();
+    assert_eq!(bytes[..9], [2, 0, 0, 1, 0, 0, 1, 0, 1]);
+    let (shape_at, step_at) = (6, 9);
+    assert_eq!(bytes[step_at], 1);
+    for (at, tag) in [(shape_at, 4), (step_at, 0), (step_at, 4)] {
+        let mut bad = bytes.clone();
+        bad[at] = tag;
+        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadTag(tag));
+    }
+    // A hereditary marker where there is no parent to inherit from.
+    let mut bad = bytes.clone();
+    bad[0] = 0;
+    assert!(decode(&bad).is_err());
 }

@@ -891,40 +891,35 @@ impl DbState {
     /// and merged into a fresh archive. The result retrieves the same
     /// versions as the incrementally-built archive (asserted in tests).
     pub fn archive_from_log(&self) -> Result<Archive, DbError> {
-        self.rebuild_archive(None, &[])
+        self.rebuild_archive(None)
     }
 
-    /// Rebuilds the archive from the publish points. The first
-    /// `carried.len()` versions take their exported values from a
-    /// checkpoint's carried snapshots (their log prefix was reclaimed);
-    /// the rest are reconstructed by replaying the log onto `base` —
-    /// the checkpoint's tree after such a cut, empty when the log is
-    /// the full history.
+    /// Rebuilds the archive from the publish points. After a cut of the
+    /// log, `cut` holds the checkpoint's tree and the archive it carried
+    /// (the versions of the first publish points); the later publish
+    /// points are reconstructed by replaying the log onto that tree.
+    /// Without a cut every publish point replays onto an empty tree.
     pub(crate) fn rebuild_archive(
         &self,
-        base: Option<&cdb_curation::tree::TreeDb>,
-        carried: &[Vec<u8>],
+        cut: Option<(&cdb_curation::tree::TreeDb, Archive)>,
     ) -> Result<Archive, DbError> {
-        let start = || match base {
-            Some(tree) => tree.clone(),
-            None => cdb_curation::tree::TreeDb::new(self.name()),
+        let (base, mut rebuilt) = match cut {
+            Some((tree, carried)) => (tree.clone(), carried),
+            None => (
+                cdb_curation::tree::TreeDb::new(self.name()),
+                empty_archive(self.name(), &self.key_field),
+            ),
         };
-        let mut rebuilt = empty_archive(self.name(), &self.key_field);
-        for (i, (txn, time, label)) in self.publish_points.iter().enumerate() {
-            let snapshot = match carried.get(i) {
-                Some(bytes) => cdb_archive::codec::decode_value(bytes)
-                    .map_err(|e| DbError::Storage(format!("carried snapshot {i}: {e}")))?,
-                None => {
-                    let tree = match txn {
-                        Some(t) => {
-                            cdb_curation::replay::replay_onto(start(), &self.curated.log, Some(*t))
-                                .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))?
-                        }
-                        None => start(),
-                    };
-                    export_tree(&tree, &self.key_field, &self.lifecycle, *time)?
+        let carried = rebuilt.version_count() as usize;
+        for (txn, time, label) in self.publish_points.iter().skip(carried) {
+            let tree = match txn {
+                Some(t) => {
+                    cdb_curation::replay::replay_onto(base.clone(), &self.curated.log, Some(*t))
+                        .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))?
                 }
+                None => base.clone(),
             };
+            let snapshot = export_tree(&tree, &self.key_field, &self.lifecycle, *time)?;
             rebuilt.add_version(&snapshot, label.clone())?;
         }
         Ok(rebuilt)

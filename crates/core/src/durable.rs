@@ -8,10 +8,12 @@
 //! the tree replay cannot reconstruct, and each rides along as a frame
 //! or inside a commit:
 //!
-//! * publish points → `FRAME_PUBLISH` (the archive itself is *not*
-//!   persisted: it is recomputed by
-//!   [`DbState::archive_from_log`], the paper's §5.1 answer,
-//!   which needs only the log and the publish points);
+//! * publish points → `FRAME_PUBLISH`. The archive itself is rebuilt
+//!   on open by [`DbState::archive_from_log`], the paper's §5.1
+//!   answer, which needs only the log and the publish points. A
+//!   checkpoint that cuts the log (under [`Retention::Reclaim`], or of
+//!   an instance already cut) carries the encoded archive instead, and
+//!   the open replays only the publish points after the cut;
 //! * lifecycle events → aux records tagged [`AUX_EVENT`];
 //! * superimposed notes → aux records tagged [`AUX_NOTE`].
 //!
@@ -34,9 +36,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cdb_archive::Archive;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::wire::{put_str, put_u64, Checkpoint, Reader, WireError};
-use cdb_model::ChunkVec;
 use cdb_storage::{
     recover_shards, recover_with, CheckpointStore, GroupWal, Io, PublishRecord, Recovered,
     RecoveryStats, Retention, StorageError, FRAME_AUX, FRAME_COMMIT, FRAME_PUBLISH,
@@ -399,7 +401,7 @@ pub(crate) fn open_all(
                 persisted_events: state.lifecycle.events().len(),
                 pending_frames: VecDeque::new(),
                 recovery,
-                paged: paged.map(|(heap, base)| PagedBacking::attach(heap, base, &state)),
+                paged: paged.map(|(heap, base)| PagedBacking::attach(heap, base)),
             }),
             state,
             metrics,
@@ -414,8 +416,8 @@ impl DbState {
     /// and log as they are, the lifecycle registry, notes, decisions
     /// and index registrations from the aux records, the primary index
     /// and the index postings from the tree, the archive from the log
-    /// (or from the checkpoint's carried snapshots where the log was
-    /// cut).
+    /// (or, where the log was cut, from the archive the checkpoint
+    /// carried plus the publish points after the cut).
     fn from_recovered(
         name: &str,
         key_field: &str,
@@ -445,7 +447,10 @@ impl DbState {
                 }
             }
         }
-        state.rebuild_derived()?;
+        {
+            let _span = cdb_obs::SpanGuard::enter("core.open.derived");
+            state.rebuild_derived()?;
+        }
         // The WAL's own DECIDE frames join the checkpoint-carried
         // records (later frames win — they are never contradictory, but
         // a self-healed abort may postdate a carried record).
@@ -455,17 +460,27 @@ impl DbState {
             .iter()
             .map(|p| (p.txn, p.time, p.label.clone()))
             .collect();
+        let _span = cdb_obs::SpanGuard::enter("core.open.archive");
         state.archive = Arc::new(if rec.truncated {
             // The covered log is gone: versions published before the
             // checkpoint cut cannot be replayed from the log. The
-            // checkpoint carried their exported snapshots instead;
-            // versions published after the cut replay onto the
-            // checkpoint's base tree.
+            // checkpoint carried their archive instead; versions
+            // published after the cut replay onto its base tree.
             let base = rec
                 .base_tree
                 .as_ref()
                 .expect("a truncated recovery always carries its base tree");
-            state.rebuild_archive(Some(base), &rec.carried_snapshots)?
+            let corrupt = |m: String| DbError::from(StorageError::Corrupt(m));
+            let carried = Archive::decode(name, state.archive.spec().clone(), &rec.carried_archive)
+                .map_err(|e| corrupt(format!("carried archive: {e}")))?;
+            if carried.version_count() as usize != rec.base_publishes {
+                return Err(corrupt(format!(
+                    "the checkpoint carries {} publish points but an archive of {} versions",
+                    rec.base_publishes,
+                    carried.version_count()
+                )));
+            }
+            state.rebuild_archive(Some((base, carried)))?
         } else {
             state.archive_from_log()?
         });
@@ -583,10 +598,10 @@ impl Durable {
 
         let curated = &state.curated;
         let mut ck = if paged_ref.is_some() {
-            // A paged anchor carries metadata only — tree, provenance,
-            // and snapshot bodies live as pages behind the PagedRef
-            // watermark. The placeholder tree exists solely to carry
-            // the database name and store mode across the wire.
+            // A paged anchor carries no tree or provenance — their
+            // bodies live as pages behind the PagedRef watermark. The
+            // placeholder tree exists solely to carry the database
+            // name and store mode across the wire.
             Checkpoint::basic(
                 curated.last_txn_id(),
                 cdb_curation::TreeDb::new(curated.tree.name()),
@@ -608,20 +623,12 @@ impl Durable {
         // cut instance always checkpoints in truncated form.
         let truncated_form =
             self.retention == Retention::Reclaim || curated.base_txn_id().is_some();
-        ck.log = if truncated_form {
-            ChunkVec::new()
+        // Truncated form carries the archive in place of the log that
+        // could rebuild it.
+        if truncated_form {
+            ck.archive = state.archive.encode();
         } else {
-            curated.log.clone()
-        };
-        if truncated_form && ck.paged.is_none() {
-            ck.snapshots = (0..state.archive.version_count())
-                .map(|v| {
-                    state
-                        .archive
-                        .retrieve(v)
-                        .map(|val| cdb_archive::codec::encode_value(&val))
-                })
-                .collect::<Result<_, _>>()?;
+            ck.log = curated.log.clone();
         }
         // Publishes and aux records below the watermark disappear with
         // their frames, so the checkpoint re-encodes the complete
@@ -742,8 +749,8 @@ impl CuratedDatabase {
     /// [`crate::paged`]).
     ///
     /// Recovery first tries the newest checkpoint anchor: if it
-    /// carries a paged reference whose heap prefix survived, the tree /
-    /// provenance / snapshots are materialized from pages and handed
+    /// carries a paged reference whose heap prefix survived, the tree
+    /// and provenance are materialized from pages and handed
     /// to the ordinary recovery path (the `replay_and_verify` oracle
     /// runs unchanged against the materialized state). If the heap
     /// cannot serve the anchor, recovery falls back to full WAL
@@ -826,7 +833,8 @@ impl CuratedDatabase {
     /// preserving the paper's full-history semantics;
     /// [`Retention::Reclaim`] deletes them, trading history
     /// reconstruction from the raw log for bounded disk (the
-    /// checkpoint then carries the archive snapshots instead).
+    /// checkpoint then carries the encoded archive of the published
+    /// versions instead).
     pub fn set_retention(&mut self, retention: Retention) {
         if let Some(d) = self.durable.as_mut() {
             d.retention = retention;
@@ -855,7 +863,7 @@ impl CuratedDatabase {
     /// itself carries whatever the next recovery can no longer read
     /// from the live log — under [`Retention::KeepAll`] the full
     /// transaction log rides along, under [`Retention::Reclaim`] the
-    /// exported snapshots of the published versions do.
+    /// encoded archive of the published versions does.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, DbError> {
         match self.durable.as_mut() {
             Some(d) => d.checkpoint(&self.state, &self.metrics),

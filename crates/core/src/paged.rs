@@ -3,13 +3,15 @@
 //!
 //! A database opened with [`CuratedDatabase::open_paged`] keeps a
 //! third device besides the WAL and the checkpoint store: a page heap
-//! (see `cdb_storage::page`) holding the tree arena, per-node
-//! provenance records, and archive snapshot fat-nodes as chunked
-//! objects behind a buffer pool. Checkpoints then stop serializing
-//! the whole state: they write only the objects that differ from what
-//! the heap already holds, flush the heap, and install a small anchor
-//! checkpoint (the one payload generation, tag 4) carrying a
-//! [`PagedRef`] watermark instead of the tree body.
+//! (see `cdb_storage::page`) holding the tree arena and per-node
+//! provenance records as chunked objects behind a buffer pool.
+//! Checkpoints then stop serializing the whole state: they write only
+//! the objects that differ from what the heap already holds, flush the
+//! heap, and install a small anchor checkpoint (the one payload
+//! generation, tag 5) carrying a [`PagedRef`] watermark instead of the
+//! tree body. The archive of published versions is not paged: an
+//! anchor in truncated form carries it encoded, as an unpaged
+//! checkpoint does.
 //!
 //! The crash argument, in order:
 //!
@@ -74,8 +76,6 @@ pub(crate) struct PagedBacking {
 pub(crate) struct Base {
     tree: TreeDb,
     prov: ProvStore,
-    /// Published versions whose snapshot fat-nodes are captured.
-    versions: usize,
 }
 
 /// What [`prepare_paged_open`] hands back: the opened page state, the
@@ -84,17 +84,8 @@ pub(crate) struct Base {
 pub(crate) type PreparedOpen = (PagedState<Box<dyn Io>>, Option<Checkpoint>, Option<Base>);
 
 impl PagedBacking {
-    /// Wires a page heap onto a just-recovered state. A recovery that
-    /// discarded the anchor may hold fewer published versions than it:
-    /// those past the recovered count are captured again.
-    pub(crate) fn attach(
-        state: PagedState<Box<dyn Io>>,
-        mut base: Option<Base>,
-        db: &DbState,
-    ) -> Self {
-        if let Some(base) = &mut base {
-            base.versions = base.versions.min(db.archive.version_count() as usize);
-        }
+    /// Wires a page heap holding `base` onto a just-recovered state.
+    pub(crate) fn attach(state: PagedState<Box<dyn Io>>, base: Option<Base>) -> Self {
         PagedBacking {
             state,
             base,
@@ -103,7 +94,7 @@ impl PagedBacking {
     }
 
     /// Captures every slot that differs from the base or that a failed
-    /// capture attempted, plus new snapshots, and flushes the heap,
+    /// capture attempted, and flushes the heap,
     /// returning the anchor reference for the checkpoint about to
     /// install. Only full success replaces the base and clears `retry`.
     pub(crate) fn capture(
@@ -125,12 +116,6 @@ impl PagedBacking {
             self.state.capture_node(tree, i)?;
             self.state.capture_prov(prov, i)?;
         }
-        let versions = db.archive.version_count() as usize;
-        for v in self.base.as_ref().map_or(0, |b| b.versions)..versions {
-            let val = db.archive.retrieve(v as u32)?;
-            self.state
-                .capture_snapshot(v, &cdb_archive::codec::encode_value(&val))?;
-        }
         // The heap must be durable before the anchor that references it.
         self.state.flush()?;
         let captured = std::mem::take(&mut self.retry).len();
@@ -142,7 +127,6 @@ impl PagedBacking {
         let base = Base {
             tree: tree.clone(),
             prov: prov.clone(),
-            versions,
         };
         #[cfg(feature = "stress")]
         assert_heap_holds(&mut self.state, &base, pref);
@@ -223,13 +207,12 @@ pub(crate) fn prepare_paged_open(
     let base = Base {
         tree: full.tree.clone(),
         prov: full.prov.clone(),
-        versions: full.snapshots.len(),
     };
     Ok((state, Some(full), Some(base)))
 }
 
 /// Rebuilds the full checkpoint an anchor stands for by materializing
-/// tree, provenance, and snapshots from the page heap.
+/// tree and provenance from the page heap.
 fn materialize_anchor(
     state: &mut PagedState<Box<dyn Io>>,
     anchor: &Checkpoint,
@@ -237,11 +220,9 @@ fn materialize_anchor(
 ) -> Result<Checkpoint, StorageError> {
     let tree = state.materialize_tree(anchor.tree.name(), pref.root, pref.arena_len)?;
     let prov = state.materialize_prov(anchor.prov.mode(), pref.arena_len)?;
-    let snapshots = state.materialize_snapshots(anchor.publishes.len())?;
     let mut full = anchor.clone();
     full.tree = tree;
     full.prov = prov;
-    full.snapshots = snapshots;
     full.paged = None;
     Ok(full)
 }

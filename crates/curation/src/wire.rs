@@ -88,7 +88,7 @@ impl std::error::Error for WireError {}
 /// Beyond the core state, a checkpoint is *load-bearing* for segmented
 /// logs: `covered_len` anchors the snapshot to a logical WAL offset so
 /// recovery can skip (and retention can retire) every frame before it,
-/// and the carried log / publish / aux / snapshot payloads preserve
+/// and the carried log / publish / aux / archive payloads preserve
 /// what those skipped frames would have contributed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
@@ -119,13 +119,14 @@ pub struct Checkpoint {
     /// Raw aux payloads (lifecycle events, notes) from the covered
     /// prefix, in replay order.
     pub aux: Vec<Vec<u8>>,
-    /// One encoded snapshot `Value` per covered publish point
-    /// (`cdb-archive` value codec), populated under
-    /// `Retention::Reclaim` so the published-version archive can be
-    /// rebuilt without the covered log. Opaque bytes at this layer.
-    pub snapshots: Vec<Vec<u8>>,
-    /// Present when the snapshot's tree / provenance / archive bodies
-    /// live in a paged heap instead of this payload (an *anchor*): the
+    /// The encoded archive of the versions published at the covered
+    /// publish points (`cdb-archive`'s `Archive::encode`), carried when
+    /// `log` is not: the covered log cannot rebuild those versions
+    /// once it is gone. Empty when `log` carries the history. Opaque
+    /// bytes at this layer.
+    pub archive: Vec<u8>,
+    /// Present when the snapshot's tree / provenance bodies live in a
+    /// paged heap instead of this payload (an *anchor*): the
     /// checkpoint then carries only the small metadata above, plus
     /// this reference telling recovery how to materialize the state
     /// from page records. Page-granular checkpointing writes
@@ -163,7 +164,7 @@ impl Checkpoint {
             log: ChunkVec::new(),
             publishes: Vec::new(),
             aux: Vec::new(),
-            snapshots: Vec::new(),
+            archive: Vec::new(),
             paged: None,
         }
     }
@@ -171,8 +172,8 @@ impl Checkpoint {
 
 /// Tag opening every checkpoint payload: the one payload generation.
 /// Payloads opening with anything else (the retired forms opened with
-/// 0 to 3) are refused, never adopted.
-const CKPT_TAG: u8 = 4;
+/// 0 to 4) are refused, never adopted.
+const CKPT_TAG: u8 = 5;
 
 // ------------------------------------------------------------ writer
 
@@ -387,9 +388,9 @@ fn put_chunks(out: &mut Vec<u8>, chunks: &[Vec<u8>]) {
 /// Encodes a checkpoint snapshot as a checkpoint-file frame payload:
 ///
 /// ```text
-/// tag:u8=4 last_txn:opt_u64 tree prov covered_len:opt_u64 last_time:u64
+/// tag:u8=5 last_txn:opt_u64 tree prov covered_len:opt_u64 last_time:u64
 /// paged:(0 | 1 heap_len:u64 arena_len:u64 root:u64)
-/// log:chunks publishes:chunks aux:chunks snapshots:chunks
+/// log:chunks publishes:chunks aux:chunks archive:chunk
 /// ```
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
@@ -414,7 +415,7 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     }
     put_chunks(&mut out, &ck.publishes);
     put_chunks(&mut out, &ck.aux);
-    put_chunks(&mut out, &ck.snapshots);
+    put_chunk(&mut out, &ck.archive);
     out
 }
 
@@ -910,7 +911,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     ck.log = log.into();
     ck.publishes = read_chunks(&mut r)?;
     ck.aux = read_chunks(&mut r)?;
-    ck.snapshots = read_chunks(&mut r)?;
+    let len = r.u32()? as usize;
+    ck.archive = r.bytes(len)?.to_vec();
     r.finish()?;
     Ok(ck)
 }
@@ -1004,7 +1006,7 @@ mod tests {
         ck.log = db.log.clone();
         ck.publishes = vec![vec![1, 2, 3], Vec::new()];
         ck.aux = vec![b"event".to_vec()];
-        ck.snapshots = vec![b"value-bytes".to_vec()];
+        ck.archive = b"archive-bytes".to_vec();
         let bytes = encode_checkpoint(&ck);
         assert_eq!(decode_checkpoint(&bytes).unwrap(), ck);
     }
@@ -1119,10 +1121,11 @@ mod tests {
         let db = busy_tree();
         let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
         let mut bytes = encode_checkpoint(&ck);
-        // The final chunk list (snapshots) ends the payload: rewrite
-        // its count (last 4 bytes — the list is empty) to a huge value.
-        let at = bytes.len() - 4;
-        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        // The last chunk list (aux) is followed only by the empty
+        // archive's 4-byte length: rewrite the list's count (the 4
+        // bytes before it — the list is empty) to a huge value.
+        let at = bytes.len() - 8;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_checkpoint(&bytes),
             Err(WireError::BadLength { .. })

@@ -1,7 +1,8 @@
-//! Paged encoding of the curated database state: tree nodes,
-//! per-node provenance records, and archive snapshot fat-nodes as
-//! *objects* chunked across fixed-capacity pages, served through a
-//! [`BufferPool`].
+//! Paged encoding of the curated database state: tree nodes and
+//! per-node provenance records as *objects* chunked across
+//! fixed-capacity pages, served through a [`BufferPool`]. The archive
+//! of published versions is not paged: a checkpoint that needs it
+//! carries it encoded.
 //!
 //! Page ids pack an object address into 64 bits:
 //!
@@ -14,10 +15,7 @@
 //!   tombstones included, because checkpoint materialization must
 //!   round-trip arena order and dead nodes exactly for tail replay to
 //!   re-allocate the original ids;
-//! * `KIND_PROV` objects are one node's direct provenance records;
-//! * `KIND_SNAP` objects are the archive's published-version
-//!   snapshots (opaque `cdb-archive` value bytes) — the fat-node
-//!   payloads, usually the largest objects in the heap.
+//! * `KIND_PROV` objects are one node's direct provenance records.
 //!
 //! Objects larger than a page are chunked: chunk 0 opens with the
 //! object's total length, so a shrinking rewrite simply strands its
@@ -36,8 +34,6 @@ use crate::StorageError;
 pub const KIND_NODE: u8 = 1;
 /// Page kind: one node's direct provenance records.
 pub const KIND_PROV: u8 = 2;
-/// Page kind: one published-version archive snapshot (fat-node).
-pub const KIND_SNAP: u8 = 3;
 
 /// Payload bytes available in chunk 0 after its length prefix.
 const CHUNK0_DATA: usize = PAGE_SIZE - 4;
@@ -161,12 +157,6 @@ impl<I: Io> PagedState<I> {
         self.put_object(KIND_PROV, index as u64, &wire::encode_prov_records(recs))
     }
 
-    /// Captures published-version snapshot `version` (opaque archive
-    /// value bytes — the fat-node payload).
-    pub fn capture_snapshot(&mut self, version: usize, bytes: &[u8]) -> Result<(), StorageError> {
-        self.put_object(KIND_SNAP, version as u64, bytes)
-    }
-
     /// Reads one tree node (`None` for an absent slot).
     pub fn node(&mut self, index: u64) -> Result<Option<PagedNode>, StorageError> {
         match self.get_object(KIND_NODE, index)? {
@@ -225,20 +215,6 @@ impl<I: Io> PagedState<I> {
             entries.push((obj, self.node_prov(obj)?));
         }
         Ok(wire::prov_from_paged(mode, entries)?)
-    }
-
-    /// Materializes the first `count` published-version snapshots.
-    pub fn materialize_snapshots(&mut self, count: usize) -> Result<Vec<Vec<u8>>, StorageError> {
-        let mut out = Vec::with_capacity(count);
-        for v in 0..count {
-            let Some(bytes) = self.get_object(KIND_SNAP, v as u64)? else {
-                return Err(StorageError::Corrupt(format!(
-                    "paged checkpoint missing snapshot {v} of {count}"
-                )));
-            };
-            out.push(bytes);
-        }
-        Ok(out)
     }
 
     /// Flushes every dirty frame and the device — the barrier a

@@ -184,10 +184,13 @@ pub struct Recovered {
     /// The checkpoint's tree snapshot, when one anchored this recovery.
     /// This is the replay base for truncated histories.
     pub base_tree: Option<TreeDb>,
-    /// Encoded archive snapshots carried by the checkpoint (one per
-    /// published version whose log prefix was reclaimed). Opaque here;
-    /// `cdb-core` decodes them to rebuild the archive.
-    pub carried_snapshots: Vec<Vec<u8>>,
+    /// The encoded archive a truncated checkpoint carried: the
+    /// versions published at its `base_publishes` publish points,
+    /// whose log prefix is gone. Opaque here; `cdb-core` decodes it.
+    pub carried_archive: Vec<u8>,
+    /// How many of `publishes` the anchoring checkpoint carried (0
+    /// without one); the rest were published in the replayed tail.
+    pub base_publishes: usize,
     /// The checkpoint's publication clock: the largest publish
     /// timestamp at install time (0 when none). Keeps publish times
     /// monotone even when the covered publish frames are gone.
@@ -530,7 +533,7 @@ fn recover_with_inner<I: Io>(
         }
     };
 
-    let (db, publishes, aux, truncated, base_tree, carried_snapshots, base_time) = match anchored {
+    let (db, publishes, aux, truncated, base_tree, carried, base_time) = match anchored {
         Some((ck, w)) => {
             let Checkpoint {
                 last_txn,
@@ -541,7 +544,7 @@ fn recover_with_inner<I: Io>(
                 log: ck_log,
                 publishes: ck_pubs,
                 aux: ck_aux,
-                snapshots,
+                archive,
                 paged: _,
             } = ck;
             stats.used_checkpoint = true;
@@ -553,6 +556,7 @@ fn recover_with_inner<I: Io>(
                 .iter()
                 .map(|b| decode_publish(b).map_err(StorageError::Wire))
                 .collect::<Result<_, _>>()?;
+            let carried = (archive, publishes.len());
             let mut aux = ck_aux;
             decode_frames(
                 frames.into_iter().skip(skip),
@@ -595,7 +599,7 @@ fn recover_with_inner<I: Io>(
                 aux,
                 truncated,
                 Some(base_tree),
-                snapshots,
+                carried,
                 last_time,
             )
         }
@@ -652,7 +656,7 @@ fn recover_with_inner<I: Io>(
 
             replay_and_verify(&db)
                 .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-            (db, publishes, aux, false, None, Vec::new(), 0)
+            (db, publishes, aux, false, None, (Vec::new(), 0), 0)
         }
     };
 
@@ -684,7 +688,8 @@ fn recover_with_inner<I: Io>(
             aux,
             truncated,
             base_tree,
-            carried_snapshots,
+            carried_archive: carried.0,
+            base_publishes: carried.1,
             base_time,
             stats,
             decisions: twopc.decisions,

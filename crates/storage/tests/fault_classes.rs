@@ -334,7 +334,7 @@ fn retired_forms_are_refused_never_adopted() {
     // The untagged v1 payload was the core fields alone: today's
     // payload minus its tag and minus what follows the provenance store
     // in a basic checkpoint (covered_len 1 + last_time 8 + paged 1 +
-    // four empty chunk lists 16 = 26 bytes).
+    // three empty chunk lists 12 + an empty archive 4 = 26 bytes).
     let (core, rest) = current.split_at(current.len() - 26);
     assert!(
         rest.iter().all(|&b| b == 0),
@@ -342,7 +342,14 @@ fn retired_forms_are_refused_never_adopted() {
     );
     let v1 = core[1..].to_vec();
     let retagged = |tag: u8| [&[tag], &current[1..]].concat();
-    let checkpoints = [("v1", v1), ("v2 tag", retagged(2)), ("v3 tag", retagged(3))];
+    // Tag 4 carried one exported snapshot per release where tag 5
+    // carries the encoded archive.
+    let checkpoints = [
+        ("v1", v1),
+        ("v2 tag", retagged(2)),
+        ("v3 tag", retagged(3)),
+        ("v4 tag", retagged(4)),
+    ];
     for (form, payload) in checkpoints {
         assert!(
             decode_checkpoint(&payload).is_err(),

@@ -73,7 +73,9 @@ echo "== paged storage under a tiny buffer pool (heavy eviction churn) =="
 # The differential and recovery suites size their pools from
 # CDB_TEST_POOL_PAGES; a 4-frame pool forces eviction on nearly every
 # touch, so replacement, write-back, and dirty-page checkpointing all
-# run under maximum pressure.
+# run under maximum pressure. paged_storage includes the archive
+# property (reopened_archives_encode_as_the_live_one): the archive a
+# paged reopen rebuilds must not depend on the pool.
 CDB_TEST_POOL_PAGES=4 cargo test -q --test paged_storage
 CDB_TEST_POOL_PAGES=4 cargo test -q --test storage_recovery \
     reclaim_with_paged_checkpoints_recovers_from_retired_segments

@@ -4,8 +4,8 @@
 //! clock constantly), crash offsets, and recovery — the headline test
 //! of the larger-than-memory milestone.
 //!
-//! Two proptest properties × 256 cases each (PROPTEST_CASES
-//! overrides), plus directed smokes:
+//! Proptest properties × 256 cases each (PROPTEST_CASES overrides),
+//! plus directed smokes:
 //!
 //! * `paged_store_is_byte_equivalent_to_resident` — storage-level:
 //!   random sessions recaptured transaction-by-transaction into a
@@ -28,6 +28,12 @@
 //! number of slots captured is exact. Built with `--features stress`,
 //! every capture also materialises the heap and compares it with the
 //! state it captured.
+//!
+//! The archive a checkpoint in truncated form carries, paged or not:
+//! a third property (`reopened_archives_encode_as_the_live_one`) holds
+//! every reopen to the live archive byte for byte, and directed tests
+//! pin that a release is stored once and that a carried archive of the
+//! wrong length fails the open.
 //!
 //! The pool size respects `CDB_TEST_POOL_PAGES` so the check.sh
 //! small-pool matrix leg squeezes every test through a 4-frame pool.
@@ -285,10 +291,7 @@ proptest! {
         prop_assert_eq!(&classic.curated, &paged.curated);
         prop_assert_eq!(classic.export().unwrap(), paged.export().unwrap());
         prop_assert_eq!(classic.entry_keys().unwrap(), paged.entry_keys().unwrap());
-        prop_assert_eq!(
-            classic.archive().version_count(),
-            paged.archive().version_count()
-        );
+        prop_assert_eq!(classic.archive().encode(), paged.archive().encode());
 
         // The paged pool actually served the checkpoint captures, and
         // its counters surfaced through the metrics registry.
@@ -334,6 +337,7 @@ proptest! {
             re_classic.entry_keys().unwrap(),
             re_paged.entry_keys().unwrap()
         );
+        prop_assert_eq!(re_classic.archive().encode(), re_paged.archive().encode());
     }
 }
 
@@ -455,11 +459,12 @@ fn large_paged_round_trip_matches_resident() {
 }
 
 /// Asserts a paged database answers as its resident twin: the tree and
-/// provenance the page heap holds, the exported value, the entries and
-/// the derived state (the primary index probed with `probes`). The logs
-/// may differ: one recovered under `Retention::Reclaim` holds only a
-/// tail.
+/// provenance the page heap holds, the exported value, the entries, the
+/// archive and the derived state (the primary index probed with
+/// `probes`). The logs may differ: one recovered under
+/// `Retention::Reclaim` holds only a tail.
 fn assert_same(paged: &CuratedDatabase, resident: &CuratedDatabase, probes: &[String]) {
+    assert_eq!(paged.archive().encode(), resident.archive().encode());
     assert_eq!(paged.curated.tree, resident.curated.tree);
     assert_eq!(paged.curated.prov, resident.curated.prov);
     assert_eq!(paged.curated.last_txn_id(), resident.curated.last_txn_id());
@@ -478,40 +483,55 @@ fn captured(db: &CuratedDatabase) -> u64 {
         .unwrap_or(0)
 }
 
-/// The devices of one paged database under `Retention::Reclaim`, opened
-/// life after life: a WAL in 512-byte segments (so checkpoints retire
-/// some), two checkpoint slots and the page heap.
+/// The devices of one database, opened life after life: a WAL in
+/// 512-byte segments (so checkpoints retire some), two checkpoint
+/// slots and, when `paged`, the page heap.
 struct Lives {
     wal: MemBacking,
     s1: SharedDev,
     s2: SharedDev,
     heap: SharedDev,
+    paged: bool,
+    retention: Retention,
 }
 
 impl Lives {
+    /// A paged database under `Retention::Reclaim`.
     fn new() -> Self {
+        Lives::with(true, Retention::Reclaim)
+    }
+
+    fn with(paged: bool, retention: Retention) -> Self {
         Lives {
             wal: MemBacking::new(),
             s1: SharedDev::new(),
             s2: SharedDev::new(),
             heap: SharedDev::new(),
+            paged,
+            retention,
         }
     }
 
-    fn open(&self) -> CuratedDatabase {
+    fn try_open(&self) -> Result<CuratedDatabase, cdb_core::DbError> {
         let cfg = SegmentConfig {
             segment_bytes: 512,
-            retention: Retention::Reclaim,
+            retention: self.retention,
         };
-        let wal = SegmentedIo::open(Box::new(self.wal.clone()), cfg).unwrap();
+        let wal = Box::new(SegmentedIo::open(Box::new(self.wal.clone()), cfg).unwrap());
         let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
         let slots = CheckpointStore::slots(dev(&self.s1), dev(&self.s2));
         let pool = pool_pages_from_env(8);
-        let mut db =
-            CuratedDatabase::open_paged("lives", "id", Box::new(wal), slots, dev(&self.heap), pool)
-                .unwrap();
-        db.set_retention(Retention::Reclaim);
-        db
+        let mut db = if self.paged {
+            CuratedDatabase::open_paged("lives", "id", wal, slots, dev(&self.heap), pool)?
+        } else {
+            CuratedDatabase::open("lives", "id", wal, slots)?
+        };
+        db.set_retention(self.retention);
+        Ok(db)
+    }
+
+    fn open(&self) -> CuratedDatabase {
+        self.try_open().unwrap()
     }
 
     /// The devices a reopen after a crash sees: durable bytes only.
@@ -521,7 +541,14 @@ impl Lives {
             s1: self.s1.crash(),
             s2: self.s2.crash(),
             heap: self.heap.crash(),
+            ..*self
         }
+    }
+
+    /// The size of the larger checkpoint slot: the newest checkpoint
+    /// where each holds at least what the one before it did.
+    fn checkpoint_bytes(&self) -> usize {
+        self.s1.durable().len().max(self.s2.durable().len())
     }
 }
 
@@ -681,4 +708,185 @@ fn the_dirty_set_is_exact() {
     add(&mut db, 4, "c");
     db.delete_entry("c", 5, "c").unwrap();
     assert_eq!(step(&mut db), 4, "the new slots, not the unchanged root");
+}
+
+/// One step of a career in [`reopened_archives_encode_as_the_live_one`].
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Write,
+    Publish,
+    Checkpoint,
+    Reopen,
+}
+
+/// Applies one random write (add, edit, delete or merge) at time `t`.
+fn write(db: &mut CuratedDatabase, r: &mut u64, t: u64, keys: &mut Vec<String>) {
+    let pick = |r: &mut u64, keys: &[String]| lcg(r) as usize % keys.len();
+    match lcg(r) % 6 {
+        0..=1 if keys.len() >= 2 => {
+            let i = pick(r, keys);
+            db.edit_field("c", t, &keys[i], "f", Atom::Int(t as i64))
+                .unwrap();
+        }
+        2 if keys.len() >= 2 => {
+            let k = keys.remove(pick(r, keys));
+            db.delete_entry("c", t, &k).unwrap();
+        }
+        3 if keys.len() >= 2 => {
+            let absorbed = keys.remove(pick(r, keys));
+            let kept = keys[pick(r, keys)].clone();
+            db.merge_entries("c", t, &kept, &absorbed).unwrap();
+        }
+        _ => {
+            let key = format!("k{t:03}");
+            add(db, t, &key);
+            keys.push(key);
+        }
+    }
+}
+
+proptest! {
+    /// A reopen rebuilds the archive byte for byte. Careers under
+    /// `Retention::Reclaim`, paged or not, interleave writes, publishes,
+    /// checkpoints and crash-reopens, with at least two checkpoints and
+    /// a publish on each side of them. After every reopen the archive
+    /// encodes as the live one did before the crash, and as
+    /// `archive_from_log` of a `KeepAll` twin that lived the same career.
+    #[test]
+    fn reopened_archives_encode_as_the_live_one(
+        seed in 0u64..1_000_000,
+        steps in 6usize..20,
+        paged in any::<bool>(),
+    ) {
+        let mut lives = Lives::with(paged, Retention::Reclaim);
+        let mut twin_lives = Lives::with(false, Retention::KeepAll);
+        let (mut db, mut twin) = (lives.open(), twin_lives.open());
+        let (mut r, mut twin_r) = (seed, seed);
+        let (mut keys, mut twin_keys) = (Vec::new(), Vec::new());
+        let mut career = Vec::new();
+        let mut choice = seed;
+        for i in 0..steps {
+            if i == steps / 3 || i == 2 * steps / 3 {
+                career.extend([Step::Publish, Step::Checkpoint, Step::Write, Step::Publish]);
+            } else {
+                career.push(match lcg(&mut choice) % 8 {
+                    0 => Step::Publish,
+                    1 => Step::Checkpoint,
+                    2 => Step::Reopen,
+                    _ => Step::Write,
+                });
+            }
+        }
+        career.insert(0, Step::Write);
+        career.push(Step::Reopen);
+        for (t, step) in (1u64..).zip(career) {
+            match step {
+                Step::Write => {
+                    write(&mut db, &mut r, t, &mut keys);
+                    write(&mut twin, &mut twin_r, t, &mut twin_keys);
+                }
+                Step::Publish => {
+                    db.publish(format!("v{t}")).unwrap();
+                    twin.publish(format!("v{t}")).unwrap();
+                }
+                Step::Checkpoint => {
+                    db.checkpoint().unwrap();
+                    twin.checkpoint().unwrap();
+                }
+                Step::Reopen => {
+                    let live = db.archive().encode();
+                    prop_assert_eq!(&twin.archive().encode(), &live);
+                    drop((db, twin));
+                    (lives, twin_lives) = (lives.crash(), twin_lives.crash());
+                    (db, twin) = (lives.open(), twin_lives.open());
+                    prop_assert_eq!(&db.archive().encode(), &live, "at step {}", t);
+                    prop_assert_eq!(&twin.archive_from_log().unwrap().encode(), &live);
+                }
+            }
+        }
+    }
+}
+
+/// Entries of a constant state for the size tests below.
+fn populate(db: &mut CuratedDatabase, n: usize) {
+    for i in 0..n {
+        add(db, i as u64 + 1, &format!("k{i:03}"));
+    }
+}
+
+/// Under `Retention::Reclaim` an unpaged checkpoint carries the archive,
+/// which stores an unchanged release once: ten releases of one state
+/// cost less than a second full copy of it.
+#[test]
+fn reclaiming_checkpoints_carry_each_release_once() {
+    let lives = Lives::with(false, Retention::Reclaim);
+    let mut db = lives.open();
+    populate(&mut db, 40);
+    let release = cdb_archive::codec::encode_value(&db.export().unwrap()).len();
+    let mut after_one = 0;
+    for cycle in 1..=10 {
+        db.publish(format!("r{cycle}")).unwrap();
+        db.checkpoint().unwrap();
+        if cycle == 1 {
+            after_one = lives.checkpoint_bytes();
+        }
+    }
+    let after_ten = lives.checkpoint_bytes();
+    assert!(
+        after_ten < after_one + release,
+        "ten releases {after_ten} B, one release {after_one} B, a release {release} B"
+    );
+}
+
+/// A paged checkpoint writes the slots that changed, and a release adds
+/// nothing to the heap: one edited field and a publish grow it by less
+/// than one exported release.
+#[test]
+fn a_release_adds_no_copy_to_the_page_heap() {
+    let lives = Lives::new();
+    let mut db = lives.open();
+    populate(&mut db, 40);
+    db.checkpoint().unwrap();
+    let before = lives.heap.durable().len();
+    db.edit_field("c", 100, "k007", "f", Atom::Int(-7)).unwrap();
+    db.publish("r1").unwrap();
+    db.checkpoint().unwrap();
+    let grown = lives.heap.durable().len() - before;
+    let release = cdb_archive::codec::encode_value(&db.export().unwrap()).len();
+    assert!(
+        grown < release,
+        "heap grew {grown} B, a release is {release} B"
+    );
+}
+
+/// A checkpoint in truncated form must carry an archive of exactly its
+/// publish points: one of fewer or more versions fails the open as
+/// corrupt instead of opening with a wrong history.
+#[test]
+fn a_carried_archive_of_the_wrong_length_is_corrupt() {
+    let lives = Lives::with(false, Retention::Reclaim);
+    let mut db = lives.open();
+    populate(&mut db, 4);
+    db.publish("r1").unwrap();
+    db.checkpoint().unwrap();
+    let mut longer = db.archive().clone();
+    longer.add_version(&db.export().unwrap(), "r2").unwrap();
+    let shorter = cdb_archive::Archive::new("lives", db.archive().spec().clone());
+    drop(db);
+    for archive in [shorter, longer] {
+        let lives = lives.crash();
+        let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
+        let mut store = CheckpointStore::slots(dev(&lives.s1), dev(&lives.s2));
+        let mut ck = store.load().unwrap().unwrap();
+        assert!(
+            ck.log.is_empty() && !ck.archive.is_empty(),
+            "truncated form"
+        );
+        ck.archive = archive.encode();
+        store.install(&ck).unwrap();
+        match lives.try_open() {
+            Err(cdb_core::DbError::Storage(m)) => assert!(m.starts_with("corrupt store"), "{m}"),
+            other => panic!("opened with a wrong archive: {:?}", other.map(|_| ())),
+        }
+    }
 }

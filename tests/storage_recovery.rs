@@ -440,8 +440,8 @@ fn twopc_image(db: &CuratedTree, shard: usize, nshards: usize) -> Vec<u8> {
 /// once a paged checkpoint's watermark retires (deletes) the covered
 /// WAL segments, the heap + anchor are the *only* record of the
 /// covered history — recovery must materialize the anchor from pages,
-/// replay the live tail, and reproduce the pre-crash state exactly,
-/// published snapshots included.
+/// decode the archive it carries, replay the live tail, and reproduce
+/// the pre-crash state exactly, published versions included.
 #[test]
 fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
     use std::sync::{Arc, Mutex};
@@ -514,8 +514,10 @@ fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
         "the paged checkpoint must retire covered segments (got {stats:?})"
     );
     // Live history after the reclaim: only the tail below survives in
-    // the WAL; everything above exists solely as pages + anchor.
-    for i in 24..30u64 {
+    // the WAL; everything above exists solely as pages + anchor. A
+    // second checkpoint cuts again between two more releases, so the
+    // archive it carries is one that a reopen decoded and extended.
+    for i in 24..36u64 {
         db.add_entry(
             "curator",
             i + 1,
@@ -523,11 +525,17 @@ fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
             &[("f", Atom::Int(i as i64))],
         )
         .unwrap();
+        if i == 29 {
+            db.publish("v1").unwrap();
+            db.checkpoint().unwrap();
+        }
     }
+    db.publish("v2").unwrap();
     let before_export = db.export().unwrap();
     let before_last = db.curated.last_txn_id();
     let before_keys = db.entry_keys().unwrap();
-    let before_v0 = db.version(0).unwrap();
+    let before_versions: Vec<_> = (0..3).map(|v| db.version(v).unwrap()).collect();
+    let before_archive = db.archive().encode();
     drop(db);
 
     let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
@@ -550,8 +558,11 @@ fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
         re.curated.base_txn_id().is_some(),
         "a reclaiming paged checkpoint recovers in truncated form"
     );
-    assert_eq!(re.archive().version_count(), 1, "published snapshot lost");
-    assert_eq!(re.version(0).unwrap(), before_v0);
+    assert_eq!(re.archive().version_count(), 3, "a published version lost");
+    for (v, before) in (0..).zip(&before_versions) {
+        assert_eq!(&re.version(v).unwrap(), before);
+    }
+    assert_eq!(re.archive().encode(), before_archive);
 }
 
 /// A long history over many segments, checkpointed and truncated along
