@@ -14,10 +14,11 @@
 //! form of the archive: a checkpoint that cut the log carries it, and
 //! [`Archive::decode`] reads it back.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::OnceLock;
 
 use cdb_model::keys::{KeySpec, KeyStep};
-use cdb_model::{Atom, KeyPath, ModelError, Value};
+use cdb_model::{Atom, KeyPath, ModelError, Path, Value};
 
 use crate::codec::{self, CodecError};
 
@@ -219,22 +220,82 @@ impl Archive {
     }
 
     /// Merges a new version of the database into the archive, returning
-    /// its version id. The incoming value must satisfy the key spec.
+    /// its version id. The incoming value must satisfy the key spec; a
+    /// value that does not is refused before anything is merged, so the
+    /// archive is left as it was.
     pub fn add_version(
         &mut self,
         value: &Value,
         label: impl Into<String>,
     ) -> Result<VersionId, ArchiveError> {
         // Validate keys up front (duplicate keys would corrupt merging).
-        self.spec.keyed_nodes(value)?;
+        self.spec.check_keys(value)?;
         let vid = self.versions.len() as VersionId;
-        let spec = self.spec.clone();
-        merge(&mut self.root, value, &mut Vec::new(), vid, &spec)?;
+        if let Value::Set(entries) = value {
+            merged_entries().add(entries.len() as u64);
+        }
+        merge(&mut self.root, value, &mut Vec::new(), vid, &self.spec)?;
+        Ok(self.push_version(vid, label))
+    }
+
+    /// Merges a new version of a keyed root set given only what changed
+    /// since the last version: `changed` holds the new value of every
+    /// entry that is new or differs, `gone` the steps of the entries
+    /// that are no more. Every other entry is the same as in the last
+    /// version, and a full merge of an unchanged entry is a no-op (its
+    /// intervals are open-ended), so the archive this leaves encodes
+    /// byte for byte as [`Archive::add_version`] of the whole set would.
+    /// A step in `gone` the archive holds no open node for is skipped.
+    ///
+    /// Refused before anything is merged, leaving the archive as it
+    /// was, when the last version's root is not a set, when an entry
+    /// breaks the key spec, or when two entries (changed or gone) share
+    /// a step.
+    pub fn add_version_delta(
+        &mut self,
+        changed: &[Value],
+        gone: &[KeyStep],
+        label: impl Into<String>,
+    ) -> Result<VersionId, ArchiveError> {
+        if let Some((_, shape)) = self.root.shapes.last().filter(|(iv, _)| iv.1.is_none()) {
+            if *shape != Shape::Set {
+                return Err(ArchiveError::Model(ModelError::KeyViolation {
+                    detail: format!("a delta merges into a keyed set, not a {shape:?}"),
+                    at: Path::root(),
+                }));
+            }
+        }
+        let mut steps = Vec::with_capacity(changed.len());
+        for entry in changed {
+            self.spec.check_keys(entry)?;
+            steps.push(self.spec.entry_step(&[], entry, &Path::root())?);
+        }
+        let mut named = HashSet::with_capacity(steps.len() + gone.len());
+        if let Some(step) = steps.iter().chain(gone).find(|s| !named.insert(*s)) {
+            return Err(ArchiveError::Model(ModelError::KeyViolation {
+                detail: format!("duplicate key {step} among siblings"),
+                at: Path::root(),
+            }));
+        }
+        let vid = self.versions.len() as VersionId;
+        merged_entries().add((changed.len() + gone.len()) as u64);
+        let (root, context) = (&mut self.root, &mut Vec::new());
+        open_as(root, vid, Shape::Set);
+        for (step, entry) in steps.into_iter().zip(changed) {
+            merge_entry(root, step, Some(entry), context, vid, &self.spec)?;
+        }
+        for step in gone {
+            merge_entry(root, step.clone(), None, context, vid, &self.spec)?;
+        }
+        Ok(self.push_version(vid, label))
+    }
+
+    fn push_version(&mut self, id: VersionId, label: impl Into<String>) -> VersionId {
         self.versions.push(VersionInfo {
-            id: vid,
+            id,
             label: label.into(),
         });
-        Ok(vid)
+        id
     }
 
     /// Reconstructs the database as of version `v`.
@@ -361,6 +422,28 @@ impl Archive {
     }
 }
 
+/// Entries merged into archives, counted by the per-entry step of the
+/// root set: every element of a full version, every changed or gone
+/// entry of a delta.
+fn merged_entries() -> &'static cdb_obs::Counter {
+    static MERGED: OnceLock<cdb_obs::Counter> = OnceLock::new();
+    MERGED.get_or_init(|| cdb_obs::global().counter("archive.merge.entries"))
+}
+
+/// Opens `node` in version `vid` with shape `shape`; a node that is now
+/// structured closes its atom timeline.
+fn open_as(node: &mut ANode, vid: VersionId, shape: Shape) {
+    node.ensure_open(vid);
+    node.set_shape(vid, shape);
+    if shape != Shape::Atom {
+        if let Some((iv, _)) = node.atoms.last_mut() {
+            if iv.1.is_none() {
+                iv.1 = Some(vid);
+            }
+        }
+    }
+}
+
 fn merge(
     node: &mut ANode,
     value: &Value,
@@ -368,8 +451,7 @@ fn merge(
     vid: VersionId,
     spec: &KeySpec,
 ) -> Result<(), ArchiveError> {
-    node.ensure_open(vid);
-    node.set_shape(vid, shape_of(value));
+    open_as(node, vid, shape_of(value));
     match value {
         Value::Atom(a) => {
             node.set_atom(vid, a);
@@ -382,16 +464,8 @@ fn merge(
             }
         }
         Value::Record(m) => {
-            // Close the atom timeline if previously atomic.
-            if let Some((iv, _)) = node.atoms.last_mut() {
-                if iv.1.is_none() {
-                    iv.1 = Some(vid);
-                }
-            }
-            let mut seen: Vec<KeyStep> = Vec::new();
             for (label, child) in m {
                 let step = KeyStep::Field(label.clone());
-                seen.push(step.clone());
                 context.push(label.clone());
                 merge(
                     node.children.entry(step).or_default(),
@@ -402,40 +476,28 @@ fn merge(
                 )?;
                 context.pop();
             }
-            close_absent(node, &seen, vid, |s| matches!(s, KeyStep::Field(_)));
+            close_absent(
+                node,
+                vid,
+                |s| matches!(s, KeyStep::Field(l) if !m.contains_key(l)),
+            );
         }
         Value::Set(s) => {
-            if let Some((iv, _)) = node.atoms.last_mut() {
-                if iv.1.is_none() {
-                    iv.1 = Some(vid);
-                }
-            }
-            let mut seen: Vec<KeyStep> = Vec::new();
+            let mut seen = HashSet::with_capacity(s.len());
             for child in s {
                 let step = spec
-                    .entry_step(context, child, &cdb_model::Path::root())
+                    .entry_step(context, child, &Path::root())
                     .map_err(ArchiveError::Model)?;
-                seen.push(step.clone());
-                merge(
-                    node.children.entry(step).or_default(),
-                    child,
-                    context,
-                    vid,
-                    spec,
-                )?;
+                seen.insert(step.clone());
+                merge_entry(node, step, Some(child), context, vid, spec)?;
             }
-            close_absent(node, &seen, vid, |s| matches!(s, KeyStep::Entry(_)));
+            close_absent(node, vid, |s| {
+                matches!(s, KeyStep::Entry(_)) && !seen.contains(s)
+            });
         }
         Value::List(xs) => {
-            if let Some((iv, _)) = node.atoms.last_mut() {
-                if iv.1.is_none() {
-                    iv.1 = Some(vid);
-                }
-            }
-            let mut seen: Vec<KeyStep> = Vec::new();
             for (i, child) in xs.iter().enumerate() {
                 let step = KeyStep::Index(i);
-                seen.push(step.clone());
                 merge(
                     node.children.entry(step).or_default(),
                     child,
@@ -444,20 +506,49 @@ fn merge(
                     spec,
                 )?;
             }
-            close_absent(node, &seen, vid, |s| matches!(s, KeyStep::Index(_)));
+            close_absent(
+                node,
+                vid,
+                |s| matches!(s, KeyStep::Index(i) if *i >= xs.len()),
+            );
         }
     }
     Ok(())
 }
 
-fn close_absent(
-    node: &mut ANode,
-    seen: &[KeyStep],
+/// The per-entry step of a set merge, shared by the full merge of a set
+/// and by [`Archive::add_version_delta`]: the element now at `step` is
+/// merged into its node, or, when the entry is gone (`None`), its node
+/// is closed if it is open.
+fn merge_entry(
+    set: &mut ANode,
+    step: KeyStep,
+    element: Option<&Value>,
+    context: &mut Vec<String>,
     vid: VersionId,
-    kind: impl Fn(&KeyStep) -> bool,
-) {
+    spec: &KeySpec,
+) -> Result<(), ArchiveError> {
+    match element {
+        Some(value) => merge(
+            set.children.entry(step).or_default(),
+            value,
+            context,
+            vid,
+            spec,
+        ),
+        None => {
+            if let Some(node) = set.children.get_mut(&step).filter(|n| n.open()) {
+                node.close_all(vid);
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Closes the open children of `node` that the merged value lacks.
+fn close_absent(node: &mut ANode, vid: VersionId, absent: impl Fn(&KeyStep) -> bool) {
     for (step, child) in node.children.iter_mut() {
-        if kind(step) && !seen.contains(step) && child.open() {
+        if child.open() && absent(step) {
             child.close_all(vid);
         }
     }
@@ -842,6 +933,91 @@ mod tests {
         let bad = Value::set([Value::record([("nokey", Value::int(1))])]);
         assert!(arch.add_version(&bad, "x").is_err());
         assert_eq!(arch.version_count(), 0);
+    }
+
+    /// A version the spec refuses — a repeated key deep inside, a
+    /// missing one, two delta entries on one step — is refused before
+    /// anything merges: the encoding does not move.
+    #[test]
+    fn a_refused_version_leaves_the_archive_as_it_was() {
+        let spec = factbook_spec().rule(["cities"], ["city"]);
+        let mut arch = Archive::new("factbook", spec);
+        arch.add_version(&Value::set([country("Iceland", 1)]), "a")
+            .unwrap();
+        let before = arch.encode();
+        let city =
+            |name: &str, pop| Value::record([("city", Value::str(name)), ("pop", Value::int(pop))]);
+        let twice = Value::record([
+            ("name", Value::str("Latvia")),
+            ("cities", Value::set([city("Riga", 1), city("Riga", 2)])),
+        ]);
+        // Latvia sorts after Iceland, so a merge that validated as it
+        // went would already have merged Iceland's new population.
+        let refused = [
+            Value::set([country("Iceland", 2), twice.clone()]),
+            Value::set([
+                country("Iceland", 2),
+                Value::record([("nokey", Value::int(1))]),
+            ]),
+        ];
+        for bad in &refused {
+            assert!(arch.add_version(bad, "x").is_err(), "{bad}");
+            assert_eq!(arch.encode(), before);
+        }
+        let iceland = KeyStep::Entry(vec![Atom::Str("Iceland".into())]);
+        let deltas: [(&[Value], &[KeyStep]); 3] = [
+            (&[country("Iceland", 2), twice], &[]),
+            (&[country("Latvia", 2), country("Latvia", 3)], &[]),
+            (&[country("Iceland", 2)], &[iceland]),
+        ];
+        for (changed, gone) in deltas {
+            assert!(arch.add_version_delta(changed, gone, "x").is_err());
+            assert_eq!(arch.encode(), before);
+        }
+        let mut record_root = Archive::new("r", KeySpec::new());
+        record_root
+            .add_version(&Value::record([("a", Value::int(1))]), "a")
+            .unwrap();
+        assert!(record_root.add_version_delta(&[], &[], "b").is_err());
+        assert_eq!(arch.version_count(), 1);
+    }
+
+    /// The delta of each release — changed entries plus the steps of
+    /// the gone ones — merges to the bytes of the full merge.
+    #[test]
+    fn a_delta_merges_as_the_whole_version() {
+        let releases = [
+            vec![country("Iceland", 1), country("USSR", 2)],
+            vec![country("Iceland", 2)],
+            vec![
+                country("Iceland", 2),
+                country("USSR", 3),
+                country("Latvia", 4),
+            ],
+        ];
+        let mut full = Archive::new("factbook", factbook_spec());
+        let mut delta = Archive::new("factbook", factbook_spec());
+        let mut last: Vec<Value> = Vec::new();
+        for (i, release) in releases.iter().enumerate() {
+            full.add_version(&Value::set(release.iter().cloned()), format!("{i}"))
+                .unwrap();
+            let changed: Vec<Value> = release
+                .iter()
+                .filter(|e| !last.contains(e))
+                .cloned()
+                .collect();
+            let name = |e: &Value| e.field("name").cloned();
+            let gone: Vec<KeyStep> = last
+                .iter()
+                .filter(|e| !release.iter().any(|n| name(n) == name(e)))
+                .map(|e| factbook_spec().entry_step(&[], e, &Path::root()).unwrap())
+                .collect();
+            delta
+                .add_version_delta(&changed, &gone, format!("{i}"))
+                .unwrap();
+            assert_eq!(delta.encode(), full.encode(), "release {i}");
+            last = release.clone();
+        }
     }
 
     #[test]

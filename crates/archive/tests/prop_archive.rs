@@ -1,9 +1,12 @@
 //! Property-based tests: codec round-trips for arbitrary values, and
 //! store equivalence (archive = snapshots = deltas) over random keyed
-//! version sequences; the archive's own encoding round-trips and
-//! refuses what it did not write.
+//! version sequences; a delta merge encodes as the full merge; the
+//! archive's own encoding round-trips and refuses what it did not
+//! write.
 
 use cdb_archive::codec::{decode_value, encode_value, CodecError};
+use std::collections::{BTreeMap, BTreeSet};
+
 use cdb_archive::{Archive, DeltaStore, SnapshotStore};
 use cdb_model::keys::KeyStep;
 use cdb_model::{Atom, KeyPath, KeySpec, Value};
@@ -138,6 +141,73 @@ proptest! {
             prop_assert!(diff.is_empty());
         } else {
             prop_assert!(!diff.is_empty());
+        }
+    }
+}
+
+/// One entry of a random history: a value, a field whose shape flips
+/// between absent, atom and record, and secondary identifiers.
+type EntryDraw = (i64, u8, BTreeSet<String>);
+
+fn history_entry(name: &str, (val, shape, secondary): &EntryDraw) -> Value {
+    let mut fields = vec![("name", Value::str(name)), ("val", Value::int(*val))];
+    match shape {
+        0 => {}
+        1 => fields.push(("info", Value::int(val % 2))),
+        _ => fields.push(("info", Value::record([("x", Value::int(val % 2))]))),
+    }
+    if !secondary.is_empty() {
+        let ids = secondary.iter().map(Value::str);
+        fields.push(("secondary_ids", Value::set(ids)));
+    }
+    Value::record(fields)
+}
+
+/// Histories of keyed releases: entries come, go and come back, change
+/// value, flip `info` between atom and record, gain and lose secondary
+/// identifiers; a narrow value range keeps many entries unchanged.
+fn histories() -> impl Strategy<Value = Vec<BTreeMap<String, EntryDraw>>> {
+    let draw = (
+        -2i64..2,
+        0u8..3,
+        proptest::collection::btree_set("[x-z]", 0..3),
+    );
+    proptest::collection::vec(proptest::collection::btree_map("[a-f]", draw, 0..6), 1..10)
+}
+
+proptest! {
+    /// Merging only what changed — each entry new or different since
+    /// the last release, plus the steps of the gone ones — encodes byte
+    /// for byte as merging every release whole. Unchanged entries named
+    /// as changed anyway (value 0) and gone steps for keys never seen
+    /// change nothing.
+    #[test]
+    fn a_delta_merge_encodes_as_the_full_merge(history in histories()) {
+        let spec = KeySpec::new().rule(Vec::<String>::new(), ["name"]);
+        let step = |name: &str| KeyStep::Entry(vec![Atom::Str(name.to_owned())]);
+        let mut full = Archive::new("p", spec.clone());
+        let mut delta = Archive::new("p", spec);
+        let mut last: BTreeMap<String, EntryDraw> = BTreeMap::new();
+        for (i, release) in history.iter().enumerate() {
+            let whole = Value::set(release.iter().map(|(k, e)| history_entry(k, e)));
+            full.add_version(&whole, format!("{i}")).unwrap();
+            let changed: Vec<Value> = release
+                .iter()
+                .filter(|(k, e)| last.get(*k) != Some(*e) || e.0 == 0)
+                .map(|(k, e)| history_entry(k, e))
+                .collect();
+            let mut gone: Vec<KeyStep> = last
+                .keys()
+                .filter(|k| !release.contains_key(*k))
+                .map(|k| step(k))
+                .collect();
+            gone.push(step("never"));
+            delta.add_version_delta(&changed, &gone, format!("{i}")).unwrap();
+            prop_assert_eq!(delta.encode(), full.encode(), "release {}", i);
+            last = release.clone();
+        }
+        for v in 0..full.version_count() {
+            prop_assert_eq!(delta.retrieve(v).unwrap(), full.retrieve(v).unwrap());
         }
     }
 }

@@ -16,18 +16,18 @@
 //! [`crate::Snapshot`] is an `Arc<DbState>`; a cross-shard commit calls
 //! the same `DbState` halves on each participant.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
 use cdb_archive::{Archive, ArchiveError, Citation, VersionId};
-use cdb_curation::ops::{Clipboard, CuratedTree, Txn};
+use cdb_curation::ops::{Clipboard, CuratedTree, CurationOp, Txn};
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::tree::TreeError;
-use cdb_curation::{queries, NodeId};
+use cdb_curation::{queries, replay, NodeId};
 use cdb_model::keys::KeyStep;
-use cdb_model::{Atom, KeyPath, KeySpec, Value};
+use cdb_model::{Atom, BucketMap, KeyPath, KeySpec, Value};
 
 use crate::lifecycle::{EntryEvent, EntryRegistry, LifecycleError};
 
@@ -218,6 +218,12 @@ pub struct DbState {
     /// rebuilt by the same walk on open. A snapshot or a savepoint
     /// shares it (see [`crate::indexes::PrimaryIndex`]).
     pub(crate) primary: crate::indexes::PrimaryIndex,
+    /// The entry keys the settle step touched since the last publish
+    /// point: what the next [`DbState::publish`] merges into the archive
+    /// ([`Archive::add_version_delta`]). `None` on a new or opened state,
+    /// whose next publish merges the full export. A `BucketMap`, so a
+    /// snapshot shares it like the primary index.
+    pub(crate) unpublished: Option<BucketMap<String, ()>>,
 }
 
 /// The lifecycle event of a fresh identifier.
@@ -261,6 +267,7 @@ impl DbState {
             decisions: Arc::default(),
             indexes: crate::indexes::FieldIndexes::default(),
             primary: crate::indexes::PrimaryIndex::default(),
+            unpublished: None,
         }
     }
 
@@ -679,8 +686,9 @@ impl DbState {
 
     /// The last step of every operation above, after its transaction
     /// committed; it cannot fail. Records the operation's lifecycle
-    /// `events`, then brings the primary index and every registered
-    /// index up to date for the entries it `touched`: an entry live
+    /// `events`, notes the keys it `touched` for the next publish, then
+    /// brings the primary index and every registered index up to date
+    /// for those entries: an entry live
     /// here (its node given) is addressed to its node and re-posted
     /// under its current field values, a vanished one (deleted,
     /// absorbed, split away — or living on another shard) is unlinked.
@@ -691,6 +699,13 @@ impl DbState {
     ) {
         for event in events {
             self.lifecycle.record(event);
+        }
+        if let Some(unpublished) = &mut self.unpublished {
+            for &(key, _) in touched {
+                if !unpublished.contains_key(key) {
+                    unpublished.insert(key.to_owned(), ());
+                }
+            }
         }
         // Out of `self` while the tree is read, so keys stay borrowed.
         let mut indexes = std::mem::take(&mut self.indexes);
@@ -863,12 +878,56 @@ impl DbState {
         )
     }
 
+    /// Merges the current state into the archive as a new version: only
+    /// the entries touched since the last publish point
+    /// ([`DbState::unpublished`]), or the full export when that set is
+    /// not known. Under the `stress` feature, asserts that the archive
+    /// encodes as a full merge of the export into a copy would.
     pub(crate) fn publish(&mut self, label: String) -> Result<VersionId, DbError> {
-        let snapshot = self.export()?;
-        let v = Arc::make_mut(&mut self.archive).add_version(&snapshot, label.clone())?;
+        #[cfg(feature = "stress")]
+        let mut full = Archive::clone(&self.archive);
+        let v = match &self.unpublished {
+            None => {
+                let snapshot = self.export()?;
+                Arc::make_mut(&mut self.archive).add_version(&snapshot, label.clone())?
+            }
+            Some(keys) => {
+                let (changed, gone) = self.export_keys(keys)?;
+                Arc::make_mut(&mut self.archive).add_version_delta(
+                    &changed,
+                    &gone,
+                    label.clone(),
+                )?
+            }
+        };
+        #[cfg(feature = "stress")]
+        {
+            full.add_version(&self.export()?, label.clone())?;
+            assert!(
+                full.encode() == self.archive.encode(),
+                "stress: version {v} merged by delta differs from the full merge"
+            );
+        }
+        self.unpublished = Some(BucketMap::default());
         let txn = self.curated.last_txn_id();
         self.publish_points.push((txn, self.clock(), label));
         Ok(v)
+    }
+
+    /// The entries under `keys` as an archive delta: each live one
+    /// exported, each vanished one (deleted, absorbed, split away, or
+    /// living on another shard) the step of a gone entry.
+    fn export_keys(
+        &self,
+        keys: &BucketMap<String, ()>,
+    ) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
+        let keys = keys.iter().map(|(key, ())| key.as_str());
+        archive_delta(keys, |key| {
+            let node = self.primary.get(key);
+            let (tree, lifecycle) = (&self.curated.tree, &self.lifecycle);
+            node.map(|node| export_entry(tree, node, &self.key_field, lifecycle, u64::MAX))
+                .transpose()
+        })
     }
 
     /// The logical time of the newest transaction, floored by
@@ -886,10 +945,12 @@ impl DbState {
 
     /// Rebuilds the entire archive **from the transaction log alone** —
     /// the paper's §5.1 open question ("whether one could create an
-    /// archive directly from the transaction log"), answered: each
-    /// publish point's state is reconstructed by [`cdb_curation::replay`]
-    /// and merged into a fresh archive. The result retrieves the same
-    /// versions as the incrementally-built archive (asserted in tests).
+    /// archive directly from the transaction log"), answered: the log is
+    /// replayed forward once ([`cdb_curation::replay`]), and at each
+    /// publish point the state it reached is merged into a fresh
+    /// archive. The result retrieves the same versions as the
+    /// incrementally-built archive, and encodes the same (asserted in
+    /// tests).
     pub fn archive_from_log(&self) -> Result<Archive, DbError> {
         self.rebuild_archive(None)
     }
@@ -898,29 +959,52 @@ impl DbState {
     /// log, `cut` holds the checkpoint's tree and the archive it carried
     /// (the versions of the first publish points); the later publish
     /// points are reconstructed by replaying the log onto that tree.
-    /// Without a cut every publish point replays onto an empty tree.
+    /// Without a cut the replay starts from an empty tree.
+    ///
+    /// The log is replayed forward once. The first publish point merges
+    /// the full export; each later one merges only the entries the ops
+    /// since the point before landed in, plus the survivors of merges
+    /// timed between the two points (their secondary identifiers moved).
     pub(crate) fn rebuild_archive(
         &self,
         cut: Option<(&cdb_curation::tree::TreeDb, Archive)>,
     ) -> Result<Archive, DbError> {
-        let (base, mut rebuilt) = match cut {
+        let (tree, mut rebuilt) = match cut {
             Some((tree, carried)) => (tree.clone(), carried),
             None => (
                 cdb_curation::tree::TreeDb::new(self.name()),
                 empty_archive(self.name(), &self.key_field),
             ),
         };
+        let mut replay = Replay {
+            tree,
+            key_field: &self.key_field,
+            entries: HashMap::new(),
+            touched: BTreeMap::new(),
+        };
         let carried = rebuilt.version_count() as usize;
+        let mut log = self.curated.log.iter().peekable();
+        let mut last_time = None;
         for (txn, time, label) in self.publish_points.iter().skip(carried) {
-            let tree = match txn {
-                Some(t) => {
-                    cdb_curation::replay::replay_onto(base.clone(), &self.curated.log, Some(*t))
-                        .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))?
+            if let Some(upto) = txn {
+                while let Some(t) = log.next_if(|t| t.id <= *upto) {
+                    for op in &t.ops {
+                        replay.apply(op)?;
+                    }
                 }
-                None => base.clone(),
+            }
+            match last_time {
+                None => {
+                    let snapshot = replay.full(&self.lifecycle, *time)?;
+                    rebuilt.add_version(&snapshot, label.clone())?
+                }
+                Some(last) => {
+                    let moved = self.lifecycle.merged_between(last, *time);
+                    let (changed, gone) = replay.delta(moved, &self.lifecycle, *time)?;
+                    rebuilt.add_version_delta(&changed, &gone, label.clone())?
+                }
             };
-            let snapshot = export_tree(&tree, &self.key_field, &self.lifecycle, *time)?;
-            rebuilt.add_version(&snapshot, label.clone())?;
+            last_time = Some(*time);
         }
         Ok(rebuilt)
     }
@@ -932,7 +1016,7 @@ impl DbState {
 
     /// The key path of an entry in the archive.
     pub fn entry_key_path(&self, key: &str) -> KeyPath {
-        KeyPath::root().child(KeyStep::Entry(vec![Atom::Str(key.to_owned())]))
+        KeyPath::root().child(entry_step(key))
     }
 
     /// Cites an entry as of a published version, crediting the curators
@@ -1159,6 +1243,11 @@ fn empty_archive(name: &str, key_field: &str) -> Archive {
     Archive::new(name, spec)
 }
 
+/// The archive step of the entry keyed `key`.
+fn entry_step(key: &str) -> KeyStep {
+    KeyStep::Entry(vec![Atom::Str(key.to_owned())])
+}
+
 /// Exports a (possibly replayed) tree as a keyed set of entry records,
 /// injecting the secondary identifiers known as of `time`.
 pub(crate) fn export_tree(
@@ -1167,24 +1256,162 @@ pub(crate) fn export_tree(
     lifecycle: &EntryRegistry,
     time: u64,
 ) -> Result<Value, DbError> {
-    let root = tree.root();
-    let mut entries = Vec::new();
-    for &child in tree.children(root)? {
-        let mut v = tree.subtree_value(child)?;
-        if let Value::Record(m) = &mut v {
-            if let Some(Value::Atom(Atom::Str(key))) = m.get(key_field).cloned() {
-                let secondary = lifecycle.secondary_ids_at(&key, time);
-                if !secondary.is_empty() {
-                    m.insert(
-                        "secondary_ids".to_owned(),
-                        Value::set(secondary.into_iter().map(Value::str)),
-                    );
-                }
+    let children = tree.children(tree.root())?;
+    let entries = children
+        .iter()
+        .map(|&child| export_entry(tree, child, key_field, lifecycle, time));
+    Ok(Value::Set(entries.collect::<Result<_, _>>()?))
+}
+
+/// Exports the entry at `node` as a record, carrying its secondary
+/// identifiers known as of `time` — UniProt's convention.
+fn export_entry(
+    tree: &cdb_curation::tree::TreeDb,
+    node: NodeId,
+    key_field: &str,
+    lifecycle: &EntryRegistry,
+    time: u64,
+) -> Result<Value, DbError> {
+    let mut v = tree.subtree_value(node)?;
+    if let Value::Record(m) = &mut v {
+        let secondary = match m.get(key_field) {
+            Some(Value::Atom(Atom::Str(key))) => lifecycle.secondary_ids_at(key, time),
+            _ => Vec::new(),
+        };
+        if !secondary.is_empty() {
+            m.insert(
+                "secondary_ids".to_owned(),
+                Value::set(secondary.into_iter().map(Value::str)),
+            );
+        }
+    }
+    Ok(v)
+}
+
+/// The forward replay behind [`DbState::rebuild_archive`]: the tree as
+/// of the ops applied so far, where its entries were at the last publish
+/// point, and which entries the ops since then landed in.
+struct Replay<'a> {
+    tree: cdb_curation::tree::TreeDb,
+    key_field: &'a str,
+    /// Entry key → entry node, as of the last publish point.
+    entries: HashMap<String, NodeId>,
+    /// Each entry node an op landed in since the last publish point,
+    /// with its key before the first such op (`None` for an entry the
+    /// ops created).
+    touched: BTreeMap<NodeId, Option<String>>,
+}
+
+impl Replay<'_> {
+    /// Applies one logged op, first noting the entry it lands in: the
+    /// root child at or above its node (an insert or paste under the
+    /// root lands in the entry it creates).
+    fn apply(&mut self, op: &CurationOp) -> Result<(), DbError> {
+        let root = self.tree.root();
+        let entry = match op {
+            CurationOp::Insert { node, parent, .. } | CurationOp::Paste { node, parent, .. }
+                if *parent == root =>
+            {
+                Some(*node)
+            }
+            CurationOp::Insert { parent: at, .. }
+            | CurationOp::Paste { parent: at, .. }
+            | CurationOp::Modify { node: at, .. }
+            | CurationOp::Delete { node: at } => self.entry_of(*at)?,
+        };
+        if let Some(entry) = entry {
+            if !self.touched.contains_key(&entry) {
+                let key = self.key_of(entry)?;
+                self.touched.insert(entry, key);
             }
         }
-        entries.push(v);
+        replay::apply(&mut self.tree, op)
+            .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))
     }
-    Ok(Value::set(entries))
+
+    /// The root child at or above `node`; `None` for the root itself.
+    fn entry_of(&self, mut node: NodeId) -> Result<Option<NodeId>, DbError> {
+        let root = self.tree.root();
+        while let Some(parent) = self.tree.parent(node)? {
+            if parent == root {
+                return Ok(Some(node));
+            }
+            node = parent;
+        }
+        Ok(None)
+    }
+
+    /// The key of the live entry at `node`; `None` when there is none.
+    fn key_of(&self, node: NodeId) -> Result<Option<String>, DbError> {
+        let tree = &self.tree;
+        if !tree.is_alive(node) || tree.parent(node)? != Some(tree.root()) {
+            return Ok(None);
+        }
+        let Some(kf) = tree.child_by_label(node, self.key_field)? else {
+            return Ok(None);
+        };
+        Ok(match tree.value(kf)? {
+            Some(Atom::Str(key)) => Some(key.clone()),
+            _ => None,
+        })
+    }
+
+    /// The full export as of `time`; re-addresses every entry.
+    fn full(&mut self, lifecycle: &EntryRegistry, time: u64) -> Result<Value, DbError> {
+        self.touched.clear();
+        self.entries.clear();
+        for &child in self.tree.children(self.tree.root())? {
+            if let Some(key) = self.key_of(child)? {
+                self.entries.entry(key).or_insert(child);
+            }
+        }
+        export_tree(&self.tree, self.key_field, lifecycle, time)
+    }
+
+    /// What changed since the last publish point, as an archive delta as
+    /// of `time`: the entries the ops landed in and the entries keyed in
+    /// `moved`, each exported if live and a gone step if not.
+    fn delta<'k>(
+        &mut self,
+        moved: impl Iterator<Item = &'k str>,
+        lifecycle: &EntryRegistry,
+        time: u64,
+    ) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
+        let mut keys: BTreeSet<String> = moved.map(str::to_owned).collect();
+        for (node, before) in std::mem::take(&mut self.touched) {
+            if let Some(before) = before {
+                if self.entries.get(&before) == Some(&node) {
+                    self.entries.remove(&before);
+                }
+                keys.insert(before);
+            }
+            if let Some(key) = self.key_of(node)? {
+                self.entries.insert(key.clone(), node);
+                keys.insert(key);
+            }
+        }
+        archive_delta(keys.iter().map(String::as_str), |key| {
+            let node = self.entries.get(key);
+            node.map(|&node| export_entry(&self.tree, node, self.key_field, lifecycle, time))
+                .transpose()
+        })
+    }
+}
+
+/// Splits `keys` into an archive delta ([`Archive::add_version_delta`]):
+/// the entry of each key `export` finds live, the step of each other.
+fn archive_delta<'k>(
+    keys: impl IntoIterator<Item = &'k str>,
+    mut export: impl FnMut(&str) -> Result<Option<Value>, DbError>,
+) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
+    let (mut changed, mut gone) = (Vec::new(), Vec::new());
+    for key in keys {
+        match export(key)? {
+            Some(entry) => changed.push(entry),
+            None => gone.push(entry_step(key)),
+        }
+    }
+    Ok((changed, gone))
 }
 
 #[cfg(test)]

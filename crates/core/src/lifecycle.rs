@@ -106,6 +106,11 @@ impl std::error::Error for LifecycleError {}
 pub struct EntryRegistry {
     fates: BucketMap<String, Fate>,
     events: ChunkVec<EntryEvent>,
+    /// Survivor → each identifier merged into it, with the merge's
+    /// time: the access path behind [`EntryRegistry::secondary_ids_at`].
+    /// Derived from the events like the fates — both are a fold of
+    /// `record` over them.
+    absorbed: BucketMap<String, Vec<(u64, String)>>,
 }
 
 impl EntryRegistry {
@@ -194,7 +199,20 @@ impl EntryRegistry {
     pub(crate) fn record(&mut self, event: EntryEvent) {
         let (id, fate) = match &event {
             EntryEvent::Created { id, .. } => (id, Fate::Active),
-            EntryEvent::Merged { kept, absorbed, .. } => (absorbed, Fate::MergedInto(kept.clone())),
+            EntryEvent::Merged {
+                kept,
+                absorbed,
+                time,
+            } => {
+                let merge = (*time, absorbed.clone());
+                match self.absorbed.get_mut(kept) {
+                    Some(merges) => merges.push(merge),
+                    None => {
+                        self.absorbed.insert(kept.clone(), vec![merge]);
+                    }
+                }
+                (absorbed, Fate::MergedInto(kept.clone()))
+            }
             EntryEvent::Split {
                 original, parts, ..
             } => (original, Fate::SplitInto(parts.clone())),
@@ -284,24 +302,37 @@ impl EntryRegistry {
     }
 
     /// The secondary identifiers of `id` *as of* logical time `time`
-    /// (merges recorded later are invisible). Used by log replay to
-    /// reconstruct historical published versions exactly.
+    /// (merges recorded later are invisible), sorted: one probe of the
+    /// survivor's merges, whatever the number of events. Used by log
+    /// replay to reconstruct historical published versions exactly.
     pub fn secondary_ids_at(&self, id: &str, time: u64) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                EntryEvent::Merged {
-                    kept,
-                    absorbed,
-                    time: t,
-                } if kept == id && *t <= time => Some(absorbed.clone()),
-                _ => None,
-            })
+        let merges = self.absorbed.get(id).into_iter().flatten();
+        let mut out: Vec<String> = merges
+            .filter(|(t, _)| *t <= time)
+            .map(|(_, absorbed)| absorbed.clone())
             .collect();
         out.sort();
         out.dedup();
         out
+    }
+
+    /// The survivors whose secondary identifiers differ between times
+    /// `a` and `b`: those with a merge in between.
+    pub(crate) fn merged_between(&self, a: u64, b: u64) -> impl Iterator<Item = &str> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        self.absorbed
+            .iter()
+            .filter(move |(_, merges)| merges.iter().any(|(t, _)| lo < *t && *t <= hi))
+            .map(|(kept, _)| kept.as_str())
+    }
+}
+
+/// The registry an event log folds to: each event recorded in order.
+impl FromIterator<EntryEvent> for EntryRegistry {
+    fn from_iter<I: IntoIterator<Item = EntryEvent>>(events: I) -> Self {
+        let mut registry = EntryRegistry::new();
+        events.into_iter().for_each(|e| registry.record(e));
+        registry
     }
 }
 
@@ -408,6 +439,58 @@ mod tests {
         assert_eq!(r.secondary_ids("A"), vec!["B".to_string(), "C".to_string()]);
         assert!(r.secondary_ids("B").is_empty());
         assert_eq!(r.secondary_ids_at("A", 3), vec!["B".to_string()]);
+    }
+
+    /// Survivor → merges is a fold of `record` over the events: probing
+    /// it answers as the scan of every event it replaced, at every time,
+    /// for every identifier — and a registry rebuilt from its events
+    /// equals it.
+    mod secondary_ids {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn scanned(r: &EntryRegistry, id: &str, time: u64) -> Vec<String> {
+            let mut out: Vec<String> = r
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    EntryEvent::Merged {
+                        kept,
+                        absorbed,
+                        time: t,
+                    } if kept == id && *t <= time => Some(absorbed.clone()),
+                    _ => None,
+                })
+                .collect();
+            out.sort();
+            out.dedup();
+            out
+        }
+
+        proptest! {
+            #[test]
+            fn a_probe_answers_as_the_scan(script in proptest::collection::vec((0u8..4, 0u8..8, 0u8..8), 0..40)) {
+                let ids: Vec<String> = (0..8).map(|i| format!("P{i}")).collect();
+                let mut r = EntryRegistry::new();
+                for (verb, a, b) in script {
+                    let (a, b) = (&ids[a as usize], &ids[b as usize]);
+                    let line = match verb {
+                        0 => format!("create {a}"),
+                        1 => format!("merge {a} {b}"),
+                        2 => format!("split {a} {b}"),
+                        _ => format!("delete {a}"),
+                    };
+                    let _ = run(&mut r, &line);
+                }
+                for id in &ids {
+                    for time in 0..=r.events().len() as u64 {
+                        prop_assert_eq!(r.secondary_ids_at(id, time), scanned(&r, id, time));
+                    }
+                }
+                let folded: EntryRegistry = r.events().iter().cloned().collect();
+                prop_assert_eq!(folded, r);
+            }
+        }
     }
 
     #[test]

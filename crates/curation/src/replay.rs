@@ -158,7 +158,10 @@ pub fn apply_committed(db: &mut CuratedTree, txn: &Transaction) -> Result<(), Re
     Ok(())
 }
 
-fn apply(tree: &mut TreeDb, op: &CurationOp) -> Result<(), ReplayError> {
+/// Applies one logged operation to a tree: the step [`replay_onto`]
+/// takes for each operation of each transaction, for callers that
+/// replay op by op.
+pub fn apply(tree: &mut TreeDb, op: &CurationOp) -> Result<(), ReplayError> {
     match op {
         CurationOp::Insert {
             node,

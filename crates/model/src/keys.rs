@@ -14,7 +14,7 @@
 //! node-by-node along key paths, and the curation provenance store
 //! records provenance against key paths for the same reason.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::atom::Atom;
@@ -286,6 +286,101 @@ impl KeySpec {
                 Ok(())
             }
         }
+    }
+
+    /// Checks what [`KeySpec::keyed_nodes`] checks — every set element
+    /// carries its key, and no two siblings share one — without
+    /// enumerating the nodes: no key path is built, no value is copied
+    /// and no node allocates. The walk reuses two buffers: the context
+    /// (borrowed labels) and one vector of borrowed set elements, which
+    /// each set sorts by key to find a repeated one.
+    pub fn check_keys(&self, value: &Value) -> Result<(), ModelError> {
+        self.check(value, &mut Vec::new(), &mut Vec::new())
+    }
+
+    fn check<'v>(
+        &self,
+        value: &'v Value,
+        context: &mut Vec<&'v str>,
+        siblings: &mut Vec<&'v Value>,
+    ) -> Result<(), ModelError> {
+        match value {
+            Value::Atom(_) => Ok(()),
+            Value::Record(m) => {
+                for (l, v) in m {
+                    context.push(l);
+                    self.check(v, context, siblings)?;
+                    context.pop();
+                }
+                Ok(())
+            }
+            Value::Set(s) => {
+                self.check_siblings(context, s, siblings)?;
+                s.iter().try_for_each(|v| self.check(v, context, siblings))
+            }
+            Value::List(xs) => xs.iter().try_for_each(|v| self.check(v, context, siblings)),
+        }
+    }
+
+    /// The elements of one set at `context` are keyable and their keys
+    /// distinct. Without a rule the elements must be atoms, and the
+    /// distinct atoms of a set never collide; under a rule each element
+    /// is a record with an atom in every key field, compared by those.
+    fn check_siblings<'v>(
+        &self,
+        context: &[&str],
+        set: &'v BTreeSet<Value>,
+        siblings: &mut Vec<&'v Value>,
+    ) -> Result<(), ModelError> {
+        let violation = |detail| ModelError::KeyViolation {
+            detail,
+            at: Path::root(),
+        };
+        let rule = self.rules.iter().find(|(c, _)| {
+            c.len() == context.len() && c.iter().zip(context).all(|(a, b)| a.as_str() == *b)
+        });
+        let Some((_, fields)) = rule else {
+            return match set.iter().find(|v| v.as_atom().is_none()) {
+                None => Ok(()),
+                Some(_) => Err(violation(format!(
+                    "no key rule for set at context {context:?} with non-atomic elements"
+                ))),
+            };
+        };
+        for v in set {
+            let rec = v.as_record().ok_or_else(|| {
+                violation(format!(
+                    "key rule at context {context:?} expects record elements, found {}",
+                    v.kind()
+                ))
+            })?;
+            for fld in fields {
+                let field = rec
+                    .get(fld)
+                    .ok_or_else(|| violation(format!("missing key field {fld:?}")))?;
+                if field.as_atom().is_none() {
+                    return Err(violation(format!("key field {fld:?} is not atomic")));
+                }
+            }
+        }
+        let key = |v: &'v Value| {
+            fields
+                .iter()
+                .map(move |f| v.field(f).and_then(Value::as_atom))
+        };
+        siblings.clear();
+        siblings.extend(set.iter());
+        siblings.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        let repeated = siblings.windows(2).find(|w| key(w[0]).eq(key(w[1])));
+        let out = match repeated {
+            Some(w) => Err(violation(format!(
+                "duplicate key {} among siblings",
+                KeyStep::Entry(key(w[0]).flatten().cloned().collect())
+            ))),
+            None => Ok(()),
+        };
+        siblings.clear();
+        out
     }
 
     /// Resolves a key path to the part of `value` it addresses.

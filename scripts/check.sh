@@ -53,6 +53,14 @@ done
 echo "-- stress feature: epoch-prefix assertions armed"
 cargo test --release --features stress --test concurrent_serving
 
+echo "== archive: every delta publish against a full merge (stress) =="
+# A publish merges only the entries touched since the last one. The
+# `stress` feature makes every publish also merge the full export into
+# a copy of the archive and assert the two encode byte for byte; these
+# two suites publish through every façade, across reopens, under both
+# retentions, paged and not.
+cargo test --release --features stress --test archive_consistency --test facade_agreement
+
 echo "== sharded suite under a shard-count matrix (2PC + crash recovery) =="
 # The sharded-serving harness sizes its shard map from CDB_TEST_SHARDS;
 # sweep the degenerate single-shard map, a 2-shard map (the smallest

@@ -2,8 +2,34 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cdb_core::{DbError, DbState};
+use cdb_archive::Archive;
+use cdb_core::{DbError, DbState, EntryRegistry};
 use cdb_model::Atom;
+
+/// The full-export oracle for the archive: each release exported whole
+/// by `DbState::export` and merged by `Archive::add_version` into an
+/// archive of its own. The engine's archive — merged by delta at
+/// publish, rebuilt on open, carried by a checkpoint — must encode as
+/// this one does. (Not every suite that includes this module
+/// publishes.)
+#[allow(dead_code)]
+pub struct FullMerge(pub Archive);
+
+#[allow(dead_code)]
+impl FullMerge {
+    /// An oracle with no releases, named and keyed as `s`'s archive.
+    pub fn new(s: &DbState) -> Self {
+        FullMerge(Archive::new(s.name(), s.archive().spec().clone()))
+    }
+
+    /// Merges `s` as it is now, whole, as the release `label`.
+    pub fn publish(&mut self, s: &DbState, label: &str) {
+        let release = s.export().expect("exporting a release");
+        self.0
+            .add_version(&release, label)
+            .expect("merging a release");
+    }
+}
 
 /// An index's postings: value → keys of the entries holding it.
 pub type Postings = BTreeMap<Atom, BTreeSet<String>>;
@@ -24,7 +50,10 @@ pub fn postings(s: &DbState, field: &str) -> Postings {
 ///   deleted, absorbed, split away, or live on another shard — is
 ///   `NoSuchEntry`;
 /// - every index posts exactly the scanned entries, the key field as
-///   `Str(key)` and a missing field as `Unit`.
+///   `Str(key)` and a missing field as `Unit`;
+/// - the lifecycle registry — fates and the survivor → merges map
+///   behind `secondary_ids_at` — equals a fold of `record` over its
+///   event log.
 pub fn check_derived<'a>(
     s: &DbState,
     ids: impl IntoIterator<Item = &'a String>,
@@ -62,6 +91,10 @@ pub fn check_derived<'a>(
                 s.entry_node(id)
             ));
         }
+    }
+    let folded: EntryRegistry = s.lifecycle.events().iter().cloned().collect();
+    if folded != s.lifecycle {
+        return Err("the lifecycle registry drifted from a fold of its events".into());
     }
     for field in s.index_fields() {
         let mut want = Postings::new();

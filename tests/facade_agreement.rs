@@ -11,9 +11,12 @@
 //! "what happened to X?" for every identifier, the same notes, index
 //! postings that equal a rebuild from the entries on every underlying
 //! state and agree across façades, and a primary index that addresses
-//! exactly the entries a scan of the tree finds. On the three-shard
-//! database a good share of the fusions and fissions cross a shard
-//! boundary and run as 2PC transactions.
+//! exactly the entries a scan of the tree finds, and the same releases:
+//! `version(v)` of every published version (on three shards, the union
+//! of the shards' versions) and, on one state, the archive's encoding,
+//! which must also be that of a full merge of every release. On the
+//! three-shard database a good share of the fusions and fissions cross
+//! a shard boundary and run as 2PC transactions.
 //!
 //! 256 seeded careers (`PROPTEST_CASES` overrides); a failing seed
 //! replays exactly.
@@ -321,6 +324,21 @@ fn check_derived(f: &dyn Facade, pool: &[String]) -> Result<BTreeMap<String, Pos
     Ok(union)
 }
 
+/// Every release of `f`: each version as the union of its states'
+/// `version(v)`, and the archive's encoding when there is one state.
+fn releases(f: &dyn Facade) -> (Vec<Value>, Option<Vec<u8>>) {
+    let states = f.states();
+    let count = states[0].archive().version_count();
+    let versions = (0..count)
+        .map(|v| {
+            let parts = states.iter().map(|s| s.version(v).unwrap());
+            Value::set(parts.flat_map(|p| p.as_set().unwrap().clone()))
+        })
+        .collect();
+    let encoding = (states.len() == 1).then(|| states[0].archive().encode());
+    (versions, encoding)
+}
+
 fn notes_all(f: &dyn Facade, pool: &[String]) -> Vec<(String, Option<&'static str>, usize)> {
     let mut out = Vec::new();
     for s in f.states() {
@@ -389,6 +407,7 @@ proptest! {
             ),
         ];
 
+        let mut oracle = common::FullMerge::new(&reference);
         let pool = key_pool();
         let mut issued: BTreeSet<String> = BTreeSet::new();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -401,6 +420,18 @@ proptest! {
                 prop_assert_eq!(&got, &want, "step {} {:?} on {}", step, op, name);
             }
             issued.extend(reference.entry_keys().unwrap());
+            if let (Op::Publish(label), Outcome::Version(_)) = (&op, &want) {
+                oracle.publish(&reference, label);
+                let want_releases = releases(&reference);
+                prop_assert_eq!(want_releases.1.as_ref(), Some(&oracle.0.encode()));
+                for (name, db) in &others {
+                    let (versions, encoding) = releases(db.as_ref());
+                    prop_assert_eq!(&versions, &want_releases.0, "releases on {}", name);
+                    if let Some(encoding) = encoding {
+                        prop_assert_eq!(Some(&encoding), want_releases.1.as_ref(), "archive on {}", name);
+                    }
+                }
+            }
 
             let want_export = export_all(&reference);
             let want_postings = check_derived(&reference, &pool)
