@@ -452,17 +452,9 @@ fn merge(
     spec: &KeySpec,
 ) -> Result<(), ArchiveError> {
     open_as(node, vid, shape_of(value));
+    let mut entries = HashSet::new();
     match value {
-        Value::Atom(a) => {
-            node.set_atom(vid, a);
-            // A node that was previously structured and is now atomic:
-            // close its children.
-            for c in node.children.values_mut() {
-                if c.open() {
-                    c.close_all(vid);
-                }
-            }
-        }
+        Value::Atom(a) => node.set_atom(vid, a),
         Value::Record(m) => {
             for (label, child) in m {
                 let step = KeyStep::Field(label.clone());
@@ -476,24 +468,16 @@ fn merge(
                 )?;
                 context.pop();
             }
-            close_absent(
-                node,
-                vid,
-                |s| matches!(s, KeyStep::Field(l) if !m.contains_key(l)),
-            );
         }
         Value::Set(s) => {
-            let mut seen = HashSet::with_capacity(s.len());
+            entries.reserve(s.len());
             for child in s {
                 let step = spec
                     .entry_step(context, child, &Path::root())
                     .map_err(ArchiveError::Model)?;
-                seen.insert(step.clone());
+                entries.insert(step.clone());
                 merge_entry(node, step, Some(child), context, vid, spec)?;
             }
-            close_absent(node, vid, |s| {
-                matches!(s, KeyStep::Entry(_)) && !seen.contains(s)
-            });
         }
         Value::List(xs) => {
             for (i, child) in xs.iter().enumerate() {
@@ -506,14 +490,27 @@ fn merge(
                     spec,
                 )?;
             }
-            close_absent(
-                node,
-                vid,
-                |s| matches!(s, KeyStep::Index(i) if *i >= xs.len()),
-            );
+        }
+    }
+    // One closing rule, whatever shape the node had before: every open
+    // child the merged value does not hold closes.
+    for (step, child) in node.children.iter_mut() {
+        if child.open() && !holds(value, step, &entries) {
+            child.close_all(vid);
         }
     }
     Ok(())
+}
+
+/// Whether `value` holds a child at `step`; `entries` are the steps of
+/// its elements when it is a set.
+fn holds(value: &Value, step: &KeyStep, entries: &HashSet<KeyStep>) -> bool {
+    match (value, step) {
+        (Value::Record(m), KeyStep::Field(l)) => m.contains_key(l),
+        (Value::Set(_), KeyStep::Entry(_)) => entries.contains(step),
+        (Value::List(xs), KeyStep::Index(i)) => *i < xs.len(),
+        _ => false,
+    }
 }
 
 /// The per-entry step of a set merge, shared by the full merge of a set
@@ -541,15 +538,6 @@ fn merge_entry(
                 node.close_all(vid);
             }
             Ok(())
-        }
-    }
-}
-
-/// Closes the open children of `node` that the merged value lacks.
-fn close_absent(node: &mut ANode, vid: VersionId, absent: impl Fn(&KeyStep) -> bool) {
-    for (step, child) in node.children.iter_mut() {
-        if child.open() && absent(step) {
-            child.close_all(vid);
         }
     }
 }
@@ -923,6 +911,30 @@ mod tests {
         let v1 = Value::record([("gov", Value::record([("type", Value::str("republic"))]))]);
         arch.add_version(&v0, "a").unwrap();
         arch.add_version(&v1, "b").unwrap();
+        assert_eq!(arch.retrieve(0).unwrap(), v0);
+        assert_eq!(arch.retrieve(1).unwrap(), v1);
+    }
+
+    /// A node whose shape changes closes the children of its old
+    /// shape: `{a: {1, 2}}` then `{a: {x: 1}}` removes both elements.
+    #[test]
+    fn a_shape_change_closes_the_old_shapes_children() {
+        let mut arch = Archive::new("db", KeySpec::new());
+        let v0 = Value::record([("a", Value::set([Value::int(1), Value::int(2)]))]);
+        let v1 = Value::record([("a", Value::record([("x", Value::int(1))]))]);
+        arch.add_version(&v0, "0").unwrap();
+        arch.add_version(&v1, "1").unwrap();
+        let a = KeyPath::root().child(KeyStep::Field("a".into()));
+        let diff = arch.diff(0, 1).unwrap();
+        for i in [1, 2] {
+            let element = a.child(KeyStep::Entry(vec![Atom::Int(i)]));
+            assert_eq!(arch.lifespan(&element).unwrap(), vec![(0, Some(1))]);
+            assert!(arch.present_at(&element, 0) && !arch.present_at(&element, 1));
+            assert!(diff.contains(&(element, Change::Removed)), "{diff:?}");
+        }
+        let x = a.child(KeyStep::Field("x".into()));
+        assert!(diff.contains(&(x, Change::Added)), "{diff:?}");
+        assert_eq!(diff.len(), 3, "{diff:?}");
         assert_eq!(arch.retrieve(0).unwrap(), v0);
         assert_eq!(arch.retrieve(1).unwrap(), v1);
     }

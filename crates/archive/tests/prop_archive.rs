@@ -298,3 +298,83 @@ fn truncations_and_unknown_tags_are_errors() {
     bad[0] = 0;
     assert!(decode(&bad).is_err());
 }
+
+/// A value whose nodes take any shape: atoms, sets of atoms (the only
+/// sets an empty key spec accepts), lists and records, two levels deep.
+fn shaped(depth: u32) -> BoxedStrategy<Value> {
+    let leaf = (0i64..3).prop_map(Value::int);
+    let set = proptest::collection::btree_set(0i64..3, 0..3)
+        .prop_map(|xs| Value::set(xs.into_iter().map(Value::int)));
+    if depth == 0 {
+        return prop_oneof![leaf, set].boxed();
+    }
+    let inner = shaped(depth - 1);
+    prop_oneof![
+        leaf,
+        set,
+        proptest::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
+        proptest::collection::btree_map("[ab]", inner, 0..3).prop_map(Value::Record),
+    ]
+    .boxed()
+}
+
+/// Every key path `value` holds, below and including `here`.
+fn held_paths(value: &Value, here: KeyPath, out: &mut BTreeSet<KeyPath>) {
+    out.insert(here.clone());
+    match value {
+        Value::Atom(_) => {}
+        Value::Record(m) => {
+            for (label, child) in m {
+                held_paths(child, here.child(KeyStep::Field(label.clone())), out);
+            }
+        }
+        Value::Set(s) => {
+            for child in s {
+                let atom = child.as_atom().expect("sets of atoms").clone();
+                held_paths(child, here.child(KeyStep::Entry(vec![atom])), out);
+            }
+        }
+        Value::List(xs) => {
+            for (i, child) in xs.iter().enumerate() {
+                held_paths(child, here.child(KeyStep::Index(i)), out);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Nodes flip between set, list, record and atom from one version
+    /// to the next: a node is present in exactly the versions that
+    /// hold its path, whatever shape its parent had before, and every
+    /// version retrieves as it was merged.
+    #[test]
+    fn presence_follows_the_value_through_shape_changes(
+        versions in proptest::collection::vec(
+            proptest::collection::btree_map("[ab]", shaped(1), 0..3).prop_map(Value::Record),
+            1..6,
+        ),
+    ) {
+        let mut archive = Archive::new("p", KeySpec::new());
+        let mut held = Vec::new();
+        for (i, v) in versions.iter().enumerate() {
+            archive.add_version(v, format!("{i}")).unwrap();
+            let mut paths = BTreeSet::new();
+            held_paths(v, KeyPath::root(), &mut paths);
+            held.push(paths);
+        }
+        for path in archive.all_key_paths() {
+            for (v, paths) in held.iter().enumerate() {
+                prop_assert_eq!(
+                    archive.present_at(&path, v as u32),
+                    paths.contains(&path),
+                    "{} in version {}", path, v
+                );
+            }
+        }
+        for (v, expected) in versions.iter().enumerate() {
+            prop_assert_eq!(&archive.retrieve(v as u32).unwrap(), expected);
+        }
+        let back = Archive::decode("p", KeySpec::new(), &archive.encode()).unwrap();
+        prop_assert_eq!(back.encode(), archive.encode());
+    }
+}

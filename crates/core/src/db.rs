@@ -951,7 +951,17 @@ impl DbState {
     /// archive. The result retrieves the same versions as the
     /// incrementally-built archive, and encodes the same (asserted in
     /// tests).
+    ///
+    /// An instance opened from a checkpoint that cut the log
+    /// ([`cdb_storage::Retention::Reclaim`]) holds only the tail of its
+    /// log, and is refused with an error naming the cut.
     pub fn archive_from_log(&self) -> Result<Archive, DbError> {
+        if let Some(cut) = self.curated.base_txn_id() {
+            return Err(DbError::Storage(format!(
+                "the log is cut after {cut}: the transactions up to it were folded into a \
+                 checkpoint, so the archive cannot be rebuilt from the log alone"
+            )));
+        }
         self.rebuild_archive(None)
     }
 
@@ -967,10 +977,10 @@ impl DbState {
     /// timed between the two points (their secondary identifiers moved).
     pub(crate) fn rebuild_archive(
         &self,
-        cut: Option<(&cdb_curation::tree::TreeDb, Archive)>,
+        cut: Option<(cdb_curation::tree::TreeDb, Archive)>,
     ) -> Result<Archive, DbError> {
         let (tree, mut rebuilt) = match cut {
-            Some((tree, carried)) => (tree.clone(), carried),
+            Some(cut) => cut,
             None => (
                 cdb_curation::tree::TreeDb::new(self.name()),
                 empty_archive(self.name(), &self.key_field),

@@ -11,9 +11,9 @@
 //! * publish points → `FRAME_PUBLISH`. The archive itself is rebuilt
 //!   on open by [`DbState::archive_from_log`], the paper's §5.1
 //!   answer, which needs only the log and the publish points. A
-//!   checkpoint that cuts the log (under [`Retention::Reclaim`], or of
-//!   an instance already cut) carries the encoded archive instead, and
-//!   the open replays only the publish points after the cut;
+//!   checkpoint that cuts the log (under [`Retention::Reclaim`], or
+//!   once a WAL prefix is retired) carries the encoded archive instead,
+//!   and the open replays only the publish points after the cut;
 //! * lifecycle events → aux records tagged [`AUX_EVENT`];
 //! * superimposed notes → aux records tagged [`AUX_NOTE`].
 //!
@@ -52,11 +52,11 @@ use crate::paged::{prepare_paged_open, PagedBacking};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Log bytes the installed checkpoint durably covers — the next
-    /// recovery skips every frame at or below this watermark.
+    /// recovery applies no frame at or below this watermark.
     pub covered_bytes: u64,
-    /// Fully-covered segments retired by this checkpoint (archived
-    /// under [`Retention::KeepAll`], deleted under
-    /// [`Retention::Reclaim`]); 0 on unsegmented devices.
+    /// Fully-covered segments this checkpoint deleted under
+    /// [`Retention::Reclaim`]; 0 under [`Retention::KeepAll`], which
+    /// keeps every segment, and on unsegmented devices.
     pub retired_segments: u64,
     /// Bytes those retired segments held.
     pub reclaimed_bytes: u64,
@@ -294,7 +294,7 @@ pub(crate) struct Durable {
     pub(crate) wal: GroupWal,
     /// The crash-atomic checkpoint store.
     ckpt: CheckpointStore,
-    /// What happens to fully-checkpointed WAL segments: archived
+    /// What happens to fully-checkpointed WAL segments: kept live
     /// (default, paper semantics) or deleted to reclaim disk.
     retention: Retention,
     /// When to force appended frames to disk.
@@ -425,7 +425,6 @@ impl DbState {
     ) -> Result<(DbState, RecoveryStats), DbError> {
         let mut state = DbState::new(name, key_field);
         state.curated = rec.db;
-        state.last_time = rec.base_time;
         for aux in &rec.aux {
             match decode_aux(aux).map_err(StorageError::Wire)? {
                 AuxRecord::Event(e) => state.lifecycle.record(e),
@@ -461,29 +460,28 @@ impl DbState {
             .map(|p| (p.txn, p.time, p.label.clone()))
             .collect();
         let _span = cdb_obs::SpanGuard::enter("core.open.archive");
-        state.archive = Arc::new(if rec.truncated {
-            // The covered log is gone: versions published before the
-            // checkpoint cut cannot be replayed from the log. The
-            // checkpoint carried their archive instead; versions
-            // published after the cut replay onto its base tree.
-            let base = rec
-                .base_tree
-                .as_ref()
-                .expect("a truncated recovery always carries its base tree");
-            let corrupt = |m: String| DbError::from(StorageError::Corrupt(m));
-            let carried = Archive::decode(name, state.archive.spec().clone(), &rec.carried_archive)
-                .map_err(|e| corrupt(format!("carried archive: {e}")))?;
-            if carried.version_count() as usize != rec.base_publishes {
-                return Err(corrupt(format!(
-                    "the checkpoint carries {} publish points but an archive of {} versions",
-                    rec.base_publishes,
-                    carried.version_count()
-                )));
+        // Where the log was cut, versions published before the cut
+        // cannot be replayed from it: the checkpoint carried their
+        // archive, and the versions published after the cut replay onto
+        // its tree.
+        let cut = match rec.cut {
+            None => None,
+            Some(cut) => {
+                state.last_time = cut.time;
+                let corrupt = |m: String| DbError::from(StorageError::Corrupt(m));
+                let carried = Archive::decode(name, state.archive.spec().clone(), &cut.archive)
+                    .map_err(|e| corrupt(format!("carried archive: {e}")))?;
+                if carried.version_count() as usize != cut.publishes {
+                    return Err(corrupt(format!(
+                        "the checkpoint carries {} publish points but an archive of {} versions",
+                        cut.publishes,
+                        carried.version_count()
+                    )));
+                }
+                Some((cut.tree, carried))
             }
-            state.rebuild_archive(Some((base, carried)))?
-        } else {
-            state.archive_from_log()?
-        });
+        };
+        state.archive = Arc::new(state.rebuild_archive(cut)?);
         Ok((state, rec.stats))
     }
 }
@@ -604,34 +602,32 @@ impl Durable {
             // name and store mode across the wire.
             Checkpoint::basic(
                 curated.last_txn_id(),
+                covered,
                 cdb_curation::TreeDb::new(curated.tree.name()),
                 cdb_curation::ProvStore::new(curated.prov.mode()),
             )
         } else {
             Checkpoint::basic(
                 curated.last_txn_id(),
+                covered,
                 curated.tree.clone(),
                 curated.prov.clone(),
             )
         };
         ck.paged = paged_ref;
-        ck.covered_len = Some(covered);
         ck.last_time = state.clock();
-        // The in-memory log is already partial when this instance was
-        // itself recovered from a reclaiming checkpoint — carrying it
-        // as "the full history" would corrupt the next recovery, so a
-        // cut instance always checkpoints in truncated form.
-        let truncated_form =
-            self.retention == Retention::Reclaim || curated.base_txn_id().is_some();
-        // Truncated form carries the archive in place of the log that
-        // could rebuild it.
-        if truncated_form {
+        // The checkpoint carries state, never the log: the next recovery
+        // reads the covered log from the WAL. It can only while the WAL
+        // is whole — no prefix retired, and none about to be under
+        // `Reclaim` — and otherwise the checkpoint cuts the log
+        // (truncated form), carrying the archive the log could rebuild.
+        let cut = self.retention == Retention::Reclaim || self.wal.base() > 0;
+        if cut {
             ck.archive = state.archive.encode();
-        } else {
-            ck.log = curated.log.clone();
         }
-        // Publishes and aux records below the watermark disappear with
-        // their frames, so the checkpoint re-encodes the complete
+        // Recovery reads publishes and aux records below the watermark
+        // from the checkpoint, not from their frames (which a cut
+        // retires), so the checkpoint re-encodes the complete
         // current sets (events first, then notes — recovery only
         // depends on relative order within each kind).
         ck.publishes = state
@@ -660,10 +656,14 @@ impl Durable {
 
         self.ckpt.install(&ck)?;
 
-        // The checkpoint is durably installed: history it covers can be
+        // The checkpoint is durably installed: history it cut can be
         // retired. Best-effort — a failed retire is retried by the next
         // checkpoint, never blocks this one.
-        let reclaimed = self.wal.reclaim(covered)?;
+        let reclaimed = if cut {
+            self.wal.reclaim(covered)?
+        } else {
+            None
+        };
         let mut stats = CheckpointStats {
             covered_bytes: covered,
             live_segments: self.wal.live_segments(),
@@ -783,9 +783,8 @@ impl CuratedDatabase {
 
     /// [`CuratedDatabase::open_dir`] with an explicit segment
     /// rotation/retention policy. The database's own retention knob is
-    /// aligned with `cfg.retention`, so checkpoints carry (or drop) the
-    /// covered transaction log consistently with what happens to the
-    /// segment files.
+    /// aligned with `cfg.retention`, so checkpoints cut the log exactly
+    /// when the segment files below them are deleted.
     pub fn open_dir_with(
         name: impl Into<String>,
         key_field: impl Into<String>,
@@ -829,12 +828,13 @@ impl CuratedDatabase {
     }
 
     /// Sets the segment-retention policy for future checkpoints.
-    /// [`Retention::KeepAll`] (the default) archives retired segments,
-    /// preserving the paper's full-history semantics;
-    /// [`Retention::Reclaim`] deletes them, trading history
+    /// [`Retention::KeepAll`] (the default) keeps every WAL segment,
+    /// preserving the paper's full-history semantics: the WAL is the
+    /// log, and checkpoints carry only state. [`Retention::Reclaim`]
+    /// deletes the segments a checkpoint covers, trading history
     /// reconstruction from the raw log for bounded disk (the
-    /// checkpoint then carries the encoded archive of the published
-    /// versions instead).
+    /// checkpoint then cuts the log and carries the encoded archive of
+    /// the published versions instead).
     pub fn set_retention(&mut self, retention: Retention) {
         if let Some(d) = self.durable.as_mut() {
             d.retention = retention;
@@ -857,13 +857,13 @@ impl CuratedDatabase {
     /// snapshotted with a coverage watermark (the synced log length),
     /// and the snapshot is installed **crash-atomically** through the
     /// [`CheckpointStore`] — a crash mid-install leaves the previous
-    /// checkpoint loadable, never neither. Once installed, WAL segments
-    /// fully below the watermark are retired per the device's
-    /// [`Retention`] policy (archived or deleted); the checkpoint
-    /// itself carries whatever the next recovery can no longer read
-    /// from the live log — under [`Retention::KeepAll`] the full
-    /// transaction log rides along, under [`Retention::Reclaim`] the
-    /// encoded archive of the published versions does.
+    /// checkpoint loadable, never neither. The checkpoint carries
+    /// state, never the transaction log. Under [`Retention::KeepAll`]
+    /// the WAL keeps every segment, and the next recovery reads the
+    /// covered log from it; under [`Retention::Reclaim`] the checkpoint
+    /// cuts the log — it carries the encoded archive of the published
+    /// versions — and, once installed, WAL segments fully below the
+    /// watermark are deleted.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, DbError> {
         match self.durable.as_mut() {
             Some(d) => d.checkpoint(&self.state, &self.metrics),

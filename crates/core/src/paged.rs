@@ -8,7 +8,7 @@
 //! Checkpoints then stop serializing the whole state: they write only
 //! the objects that differ from what the heap already holds, flush the
 //! heap, and install a small anchor checkpoint (the one payload
-//! generation, tag 5) carrying a [`PagedRef`] watermark instead of the
+//! generation, tag 6) carrying a [`PagedRef`] watermark instead of the
 //! tree body. The archive of published versions is not paged: an
 //! anchor in truncated form carries it encoded, as an unpaged
 //! checkpoint does.

@@ -85,11 +85,12 @@ impl std::error::Error for WireError {}
 /// A checkpoint snapshot: the materialized state as of `last_txn`, so
 /// recovery can skip re-applying the log prefix it covers.
 ///
-/// Beyond the core state, a checkpoint is *load-bearing* for segmented
-/// logs: `covered_len` anchors the snapshot to a logical WAL offset so
-/// recovery can skip (and retention can retire) every frame before it,
-/// and the carried log / publish / aux / archive payloads preserve
-/// what those skipped frames would have contributed.
+/// A checkpoint carries state, never the transaction log: the log
+/// lives only in the WAL. `covered_len` anchors the snapshot to a
+/// logical WAL offset, so recovery adopts the transactions below it
+/// without applying them (or, once the prefix is cut, skips them), and
+/// the publish / aux / archive payloads preserve what frames below the
+/// watermark contributed besides transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The last transaction whose effects the snapshot includes
@@ -99,20 +100,14 @@ pub struct Checkpoint {
     pub tree: TreeDb,
     /// The provenance store.
     pub prov: ProvStore,
-    /// Logical WAL byte offset this snapshot durably covers: recovery
-    /// skips frames ending at or before it, and retention may retire
-    /// segments wholly below it. `None` = a snapshot with no coverage
-    /// claim (recovery matches `last_txn` against the log).
-    pub covered_len: Option<u64>,
+    /// Logical WAL byte offset this snapshot durably covers: the
+    /// transactions in frames ending at or before it are the ones the
+    /// snapshot includes, and retention may retire segments wholly
+    /// below it.
+    pub covered_len: u64,
     /// Wall-clock time of the last covered transaction, so time-based
     /// features (publish timestamps) survive history truncation.
     pub last_time: u64,
-    /// The covered transaction log. Full under `Retention::KeepAll`
-    /// (paper semantics: the curation log is forever); empty under
-    /// `Retention::Reclaim`, where the tree + provenance snapshot is
-    /// the only record of covered history. The database's own chunked
-    /// log, so carrying it shares the chunks instead of copying them.
-    pub log: ChunkVec<Transaction>,
     /// Encoded publish records (`cdb-storage` `PublishRecord` wire
     /// form) for every publish point in the covered prefix.
     pub publishes: Vec<Vec<u8>>,
@@ -121,9 +116,10 @@ pub struct Checkpoint {
     pub aux: Vec<Vec<u8>>,
     /// The encoded archive of the versions published at the covered
     /// publish points (`cdb-archive`'s `Archive::encode`), carried when
-    /// `log` is not: the covered log cannot rebuild those versions
-    /// once it is gone. Empty when `log` carries the history. Opaque
-    /// bytes at this layer.
+    /// the checkpoint cuts the log (its *truncated form*): the covered
+    /// log cannot rebuild those versions once it is gone. Empty in the
+    /// full form, whose covered log stays in the WAL. Opaque bytes at
+    /// this layer.
     pub archive: Vec<u8>,
     /// Present when the snapshot's tree / provenance bodies live in a
     /// paged heap instead of this payload (an *anchor*): the
@@ -152,16 +148,15 @@ pub struct PagedRef {
 }
 
 impl Checkpoint {
-    /// A checkpoint with only the core state: no coverage claim, no
-    /// carried history, no paged anchor.
-    pub fn basic(last_txn: Option<TxnId>, tree: TreeDb, prov: ProvStore) -> Self {
+    /// A checkpoint with only the core state and its watermark: no
+    /// publish points, aux records or archive, no paged anchor.
+    pub fn basic(last_txn: Option<TxnId>, covered_len: u64, tree: TreeDb, prov: ProvStore) -> Self {
         Checkpoint {
             last_txn,
             tree,
             prov,
-            covered_len: None,
+            covered_len,
             last_time: 0,
-            log: ChunkVec::new(),
             publishes: Vec::new(),
             aux: Vec::new(),
             archive: Vec::new(),
@@ -172,8 +167,9 @@ impl Checkpoint {
 
 /// Tag opening every checkpoint payload: the one payload generation.
 /// Payloads opening with anything else (the retired forms opened with
-/// 0 to 4) are refused, never adopted.
-const CKPT_TAG: u8 = 5;
+/// 0 to 5; 5 carried the covered transaction log) are refused, never
+/// adopted.
+const CKPT_TAG: u8 = 6;
 
 // ------------------------------------------------------------ writer
 
@@ -388,9 +384,9 @@ fn put_chunks(out: &mut Vec<u8>, chunks: &[Vec<u8>]) {
 /// Encodes a checkpoint snapshot as a checkpoint-file frame payload:
 ///
 /// ```text
-/// tag:u8=5 last_txn:opt_u64 tree prov covered_len:opt_u64 last_time:u64
+/// tag:u8=6 last_txn:opt_u64 tree prov covered_len:u64 last_time:u64
 /// paged:(0 | 1 heap_len:u64 arena_len:u64 root:u64)
-/// log:chunks publishes:chunks aux:chunks archive:chunk
+/// publishes:chunks aux:chunks archive:chunk
 /// ```
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
@@ -398,7 +394,7 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     put_opt_u64(&mut out, ck.last_txn.map(|t| t.0));
     put_tree(&mut out, &ck.tree);
     put_prov(&mut out, &ck.prov);
-    put_opt_u64(&mut out, ck.covered_len);
+    put_u64(&mut out, ck.covered_len);
     put_u64(&mut out, ck.last_time);
     match &ck.paged {
         None => out.push(0),
@@ -408,10 +404,6 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
             put_u64(&mut out, p.arena_len);
             put_u64(&mut out, p.root);
         }
-    }
-    put_u32(&mut out, ck.log.len() as u32);
-    for txn in &ck.log {
-        put_chunk(&mut out, &encode_transaction(txn));
     }
     put_chunks(&mut out, &ck.publishes);
     put_chunks(&mut out, &ck.aux);
@@ -889,8 +881,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
     let last_txn = r.opt_u64()?.map(TxnId);
     let tree = r.tree()?;
     let prov = r.prov()?;
-    let mut ck = Checkpoint::basic(last_txn, tree, prov);
-    ck.covered_len = r.opt_u64()?;
+    let mut ck = Checkpoint::basic(last_txn, r.u64()?, tree, prov);
     ck.last_time = r.u64()?;
     ck.paged = match r.u8()? {
         0 => None,
@@ -901,14 +892,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WireError> {
         }),
         other => return Err(WireError::BadTag("paged anchor presence", other)),
     };
-    // A carried transaction is at least its 4-byte length prefix.
-    let n = r.seq_len(4)?;
-    let mut log = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        log.push(decode_transaction(r.bytes(len)?)?);
-    }
-    ck.log = log.into();
     ck.publishes = read_chunks(&mut r)?;
     ck.aux = read_chunks(&mut r)?;
     let len = r.u32()? as usize;
@@ -964,7 +947,7 @@ mod tests {
     #[test]
     fn checkpoints_round_trip_tombstones_and_prov() {
         let db = busy_tree();
-        let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
+        let ck = Checkpoint::basic(db.last_txn_id(), 64, db.tree.clone(), db.prov.clone());
         let bytes = encode_checkpoint(&ck);
         let back = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back, ck);
@@ -991,7 +974,12 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_transaction(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        let ck = encode_checkpoint(&Checkpoint::basic(None, db.tree.clone(), db.prov.clone()));
+        let ck = encode_checkpoint(&Checkpoint::basic(
+            None,
+            8,
+            db.tree.clone(),
+            db.prov.clone(),
+        ));
         for cut in (0..ck.len()).step_by(7) {
             assert!(decode_checkpoint(&ck[..cut]).is_err(), "cut at {cut}");
         }
@@ -1000,10 +988,8 @@ mod tests {
     #[test]
     fn v2_checkpoints_round_trip_carried_history() {
         let db = busy_tree();
-        let mut ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
-        ck.covered_len = Some(4096);
+        let mut ck = Checkpoint::basic(db.last_txn_id(), 4096, db.tree.clone(), db.prov.clone());
         ck.last_time = 3;
-        ck.log = db.log.clone();
         ck.publishes = vec![vec![1, 2, 3], Vec::new()];
         ck.aux = vec![b"event".to_vec()];
         ck.archive = b"archive-bytes".to_vec();
@@ -1014,8 +1000,7 @@ mod tests {
     #[test]
     fn v3_checkpoints_round_trip_the_paged_anchor() {
         let db = busy_tree();
-        let mut ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
-        ck.covered_len = Some(512);
+        let mut ck = Checkpoint::basic(db.last_txn_id(), 512, db.tree.clone(), db.prov.clone());
         ck.paged = Some(PagedRef {
             heap_len: 8192,
             arena_len: 9,
@@ -1119,7 +1104,7 @@ mod tests {
     #[test]
     fn inflated_chunk_count_in_checkpoint_is_a_typed_error() {
         let db = busy_tree();
-        let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
+        let ck = Checkpoint::basic(db.last_txn_id(), 64, db.tree.clone(), db.prov.clone());
         let mut bytes = encode_checkpoint(&ck);
         // The last chunk list (aux) is followed only by the empty
         // archive's 4-byte length: rewrite the list's count (the 4

@@ -14,10 +14,8 @@
 //!   counters, gauges, and fixed-bucket latency histograms with
 //!   p50/p95/p99 estimation. Registration (name → instrument) takes a
 //!   lock once; every subsequent record is a relaxed atomic op on a
-//!   cloned handle. The [`MetricSink`] trait is the narrow waist the
-//!   rest of the workspace records through, so the remaining stats
-//!   structs (`ExecStats`, `RecoveryStats`) can be thin views over the
-//!   same counters.
+//!   cloned handle. Stats structs (`ExecStats`, `RecoveryStats`) are
+//!   thin views over the same counters.
 //! * **[`span`](mod@span)** — structured spans with RAII timing
 //!   (`span!("wal.group_commit", txn_id)`), trace ids that flow
 //!   through thread-local state from the serving entry points down to
@@ -62,10 +60,7 @@ pub mod span;
 
 pub use export::WireSpan;
 pub use flight::FlightDump;
-pub use metrics::{
-    Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricSink, Metrics, MetricsSnapshot,
-    NullSink,
-};
+pub use metrics::{Counter, Gauge, HistogramHandle, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use ring::{events_for_trace, recent_events, SpanEvent, RING_CAPACITY};
 pub use span::{
     adopt_trace, current_trace, set_slow_threshold, slow_threshold_ns, trace_root, SpanGuard,

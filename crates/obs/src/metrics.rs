@@ -397,48 +397,6 @@ impl MetricsSnapshot {
     }
 }
 
-// ---------------------------------------------------------------- sink
-
-/// The narrow waist instrumentation records through when it does not
-/// hold concrete handles — legacy stats structs publish themselves via
-/// a sink, tests substitute [`NullSink`].
-pub trait MetricSink: Send + Sync {
-    /// Adds `delta` to the counter named `name`.
-    fn add(&self, name: &str, delta: u64);
-    /// Overwrites the gauge named `name`.
-    fn gauge_set(&self, name: &str, v: u64);
-    /// Raises the gauge named `name` to `v` if larger.
-    fn gauge_max(&self, name: &str, v: u64);
-    /// Records `ns` into the histogram named `name`.
-    fn observe_ns(&self, name: &str, ns: u64);
-}
-
-impl MetricSink for Metrics {
-    fn add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-    fn gauge_set(&self, name: &str, v: u64) {
-        self.gauge(name).set(v);
-    }
-    fn gauge_max(&self, name: &str, v: u64) {
-        self.gauge(name).record_max(v);
-    }
-    fn observe_ns(&self, name: &str, ns: u64) {
-        self.histogram(name).record(ns);
-    }
-}
-
-/// A sink that drops everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {
-    fn add(&self, _: &str, _: u64) {}
-    fn gauge_set(&self, _: &str, _: u64) {}
-    fn gauge_max(&self, _: &str, _: u64) {}
-    fn observe_ns(&self, _: &str, _: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,20 +508,5 @@ mod tests {
         crate::set_metrics_enabled(true);
         assert_eq!(m.counter("off").get(), 0);
         assert_eq!(m.histogram("off.h").count(), 0);
-    }
-
-    #[test]
-    fn sink_routes_to_registry() {
-        let _g = crate::test_flag_lock();
-        let m = Metrics::new();
-        let sink: &dyn MetricSink = &m;
-        sink.add("s.c", 2);
-        sink.gauge_set("s.g", 4);
-        sink.gauge_max("s.g", 6);
-        sink.observe_ns("s.h", 123);
-        assert_eq!(m.counter("s.c").get(), 2);
-        assert_eq!(m.gauge("s.g").get(), 6);
-        assert_eq!(m.histogram("s.h").count(), 1);
-        NullSink.add("nowhere", 1);
     }
 }

@@ -90,12 +90,6 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// Unwraps the transport — the fault harness uses this to write
-    /// partial frames by hand.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     /// One request/response exchange, untyped.
     ///
     /// When tracing is on, the exchange runs under a trace: the

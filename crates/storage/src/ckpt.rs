@@ -189,7 +189,7 @@ mod tests {
         let mut t = db.begin("c", 1);
         t.insert(root, label, None).unwrap();
         t.commit();
-        Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone())
+        Checkpoint::basic(db.last_txn_id(), 64, db.tree.clone(), db.prov.clone())
     }
 
     #[test]

@@ -250,6 +250,13 @@ impl GroupWal {
         self.lock().log.len()
     }
 
+    /// Where the log's readable bytes begin: 0 while the device holds
+    /// its whole history, past the retired prefix once segments are
+    /// deleted.
+    pub fn base(&self) -> u64 {
+        self.lock().log.base()
+    }
+
     /// Retires log history covered by a durably installed checkpoint
     /// (see [`DurableLog::reclaim`]). Takes the group lock: retirement
     /// never races an append or a sync.

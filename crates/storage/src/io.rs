@@ -73,7 +73,7 @@ pub trait Io: std::fmt::Debug + Send + Sync {
 /// What one [`Io::reclaim`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
-    /// Segments retired (archived or deleted) by this pass.
+    /// Segments retired (deleted) by this pass.
     pub retired: u64,
     /// Physical bytes (headers included) released from the live set.
     pub reclaimed_bytes: u64,

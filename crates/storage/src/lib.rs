@@ -23,12 +23,13 @@
 //! fixed-size rotating segments behind the same `Io` trait, and
 //! [`ckpt::CheckpointStore`] installs checkpoints crash-atomically
 //! (temp-file + rename on filesystems, a two-slot generation scheme on
-//! raw devices). Once a checkpoint durably covers a watermark of the
-//! log, fully-covered segments are retired — archived under
-//! [`segment::Retention::KeepAll`] (paper semantics: the full curation
-//! history remains reconstructible) or deleted under
-//! [`segment::Retention::Reclaim`] — and recovery scans only the
-//! checkpoint plus the live tail segments.
+//! raw devices). Under [`segment::Retention::Reclaim`], once a
+//! checkpoint durably covers a watermark of the log, fully-covered
+//! segments are deleted and recovery scans only the checkpoint plus
+//! the live tail segments. Under [`segment::Retention::KeepAll`]
+//! (paper semantics: the full curation history remains
+//! reconstructible) every segment stays live: the WAL is the one home
+//! of the log, and checkpoints carry state, never the log.
 //!
 //! Crash consistency is tested, not assumed: [`io::FaultyIo`] injects
 //! torn writes, partial flushes, short reads, and bit rot at scripted

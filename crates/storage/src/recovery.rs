@@ -9,15 +9,17 @@
 //! 2. Transaction frames are decoded; publish and aux frames are
 //!    collected for the caller (`cdb-core` rebuilds publish points,
 //!    lifecycle events, and notes from them).
-//! 3. If the checkpoint's `last_txn` is consistent with the decoded
-//!    log (the log actually contains that prefix), recovery starts
-//!    from the snapshot and applies only the tail via
+//! 3. A checkpoint anchors recovery only when its coverage watermark
+//!    lies in the surviving log. Its transactions below the watermark
+//!    are adopted without being applied (or, where the checkpoint cut
+//!    the log, skipped), and only the tail is applied via
 //!    [`apply_committed`]. Otherwise — no checkpoint, corrupt
 //!    checkpoint, or a checkpoint *ahead* of a torn log — the log is
 //!    authoritative and the whole of it is replayed from empty.
-//! 4. The result is cross-checked with [`replay_and_verify`]: the
-//!    recovered tree must equal an independent from-scratch replay of
-//!    its own log, ids included.
+//! 4. The result is cross-checked with [`verify_replay`]: the
+//!    recovered tree must equal an independent replay of its own log,
+//!    ids included — from empty, or onto the checkpoint's tree where
+//!    the log is cut.
 //!
 //! The returned [`RecoveryStats`] mirror `cdb-relalg`'s `ExecStats`
 //! in spirit: they make recovery observable (frames scanned/dropped,
@@ -26,8 +28,8 @@
 use std::collections::BTreeMap;
 
 use cdb_curation::ops::{CuratedTree, Transaction, TxnId};
-use cdb_curation::provstore::StoreMode;
-use cdb_curation::replay::{apply_committed, replay_and_verify, replay_onto, verify_replay};
+use cdb_curation::provstore::{ProvStore, StoreMode};
+use cdb_curation::replay::{apply_committed, replay_onto, verify_replay};
 use cdb_curation::tree::TreeDb;
 use cdb_curation::wire::{
     decode_transaction, put_opt_u64, put_str, put_u64, Checkpoint, Reader, WireError,
@@ -128,8 +130,8 @@ pub struct RecoveryStats {
     pub txns_adopted: u64,
     /// Transactions re-applied from the log tail.
     pub txns_replayed: u64,
-    /// Valid frames skipped without decoding because the checkpoint's
-    /// coverage watermark proves the snapshot already contains them.
+    /// Valid frames skipped without decoding because a checkpoint in
+    /// truncated form cut the log at its coverage watermark.
     pub frames_skipped: u64,
     /// Log payload bytes the recovery scan actually read. With a
     /// segmented log and checkpoint-anchored truncation this is bounded
@@ -142,59 +144,45 @@ pub struct RecoveryStats {
 }
 
 impl RecoveryStats {
-    /// Publishes these counters into a metric sink under the
+    /// Publishes these counters into `metrics` under the
     /// `storage.recovery.*` names — `cdb-core` calls this with the
     /// database registry after a durable open, so recovery history
     /// shows up in `metrics_snapshot` alongside the live counters.
-    pub fn record_to(&self, sink: &dyn cdb_obs::MetricSink) {
-        sink.add("storage.recovery.count", 1);
-        sink.add("storage.recovery.frames_scanned", self.frames_scanned);
-        sink.add("storage.recovery.frames_dropped", self.frames_dropped);
-        sink.add("storage.recovery.bytes_dropped", self.bytes_dropped);
-        sink.add("storage.recovery.txns_adopted", self.txns_adopted);
-        sink.add("storage.recovery.txns_replayed", self.txns_replayed);
-        sink.add("storage.recovery.frames_skipped", self.frames_skipped);
-        sink.add("storage.recovery.bytes_scanned", self.bytes_scanned);
-        sink.add("storage.recovery.live_segments", self.live_segments);
+    pub fn record_to(&self, metrics: &cdb_obs::Metrics) {
+        let add = |name: &str, n: u64| metrics.counter(name).add(n);
+        add("storage.recovery.count", 1);
+        add("storage.recovery.frames_scanned", self.frames_scanned);
+        add("storage.recovery.frames_dropped", self.frames_dropped);
+        add("storage.recovery.bytes_dropped", self.bytes_dropped);
+        add("storage.recovery.txns_adopted", self.txns_adopted);
+        add("storage.recovery.txns_replayed", self.txns_replayed);
+        add("storage.recovery.frames_skipped", self.frames_skipped);
+        add("storage.recovery.bytes_scanned", self.bytes_scanned);
+        add("storage.recovery.live_segments", self.live_segments);
         if self.used_checkpoint {
-            sink.add("storage.recovery.checkpoint_used", 1);
+            add("storage.recovery.checkpoint_used", 1);
         }
-        sink.observe_ns(
-            "storage.recovery.replay_ns",
-            (self.replay_micros as u64).saturating_mul(1_000),
-        );
+        metrics
+            .histogram("storage.recovery.replay_ns")
+            .record((self.replay_micros as u64).saturating_mul(1_000));
     }
 }
 
 /// Everything recovery reconstructs from one WAL device.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered database: tree, provenance, and full transaction
-    /// log, verified against a from-scratch replay.
+    /// The recovered database: tree, provenance, and transaction log,
+    /// verified against a replay of that log.
     pub db: CuratedTree,
     /// Publish points, in log order.
     pub publishes: Vec<PublishRecord>,
     /// Auxiliary frame payloads, in log order (opaque here; `cdb-core`
     /// decodes lifecycle events and notes out of them).
     pub aux: Vec<Vec<u8>>,
-    /// True when the covered log prefix is physically gone (the log was
-    /// truncated under `Retention::Reclaim`): `db.log` then holds only
-    /// the tail, with [`CuratedTree::base_txn_id`] marking the cut.
-    pub truncated: bool,
-    /// The checkpoint's tree snapshot, when one anchored this recovery.
-    /// This is the replay base for truncated histories.
-    pub base_tree: Option<TreeDb>,
-    /// The encoded archive a truncated checkpoint carried: the
-    /// versions published at its `base_publishes` publish points,
-    /// whose log prefix is gone. Opaque here; `cdb-core` decodes it.
-    pub carried_archive: Vec<u8>,
-    /// How many of `publishes` the anchoring checkpoint carried (0
-    /// without one); the rest were published in the replayed tail.
-    pub base_publishes: usize,
-    /// The checkpoint's publication clock: the largest publish
-    /// timestamp at install time (0 when none). Keeps publish times
-    /// monotone even when the covered publish frames are gone.
-    pub base_time: u64,
+    /// Where the log was cut, when a checkpoint in truncated form
+    /// anchored this recovery; `None` when `db.log` is the whole
+    /// history.
+    pub cut: Option<Cut>,
     /// What recovery saw and did.
     pub stats: RecoveryStats,
     /// Every 2PC decision this log knows: DECIDE frames found in the
@@ -212,53 +200,80 @@ pub struct Recovered {
     pub max_gid: u64,
 }
 
-/// Appends `txn` to `txns`, enforcing strictly increasing ids. `floor`
-/// seeds the check when the preceding history is not in `txns` itself
-/// (a checkpoint's `last_txn` under the anchored path).
-fn push_txn(
-    txns: &mut Vec<Transaction>,
-    floor: Option<TxnId>,
-    txn: Transaction,
-) -> Result<(), StorageError> {
-    if let Some(prev) = txns.last().map(|t| t.id).or(floor) {
-        if txn.id <= prev {
-            return Err(StorageError::Corrupt(format!(
-                "transaction ids out of order: {:?} after {:?}",
-                txn.id, prev
-            )));
-        }
-    }
-    txns.push(txn);
-    Ok(())
+/// A log cut by the checkpoint in truncated form that anchored a
+/// recovery: the transactions it covers are not in
+/// [`Recovered::db`]'s log, which holds only the tail, with
+/// [`CuratedTree::base_txn_id`] marking the cut.
+#[derive(Debug)]
+pub struct Cut {
+    /// The checkpoint's tree: the replay base of the tail.
+    pub tree: TreeDb,
+    /// The encoded archive the checkpoint carried: the versions
+    /// published at its publish points, whose log prefix is gone.
+    /// Opaque here; `cdb-core` decodes it.
+    pub archive: Vec<u8>,
+    /// How many of [`Recovered::publishes`] the checkpoint carried; the
+    /// rest were published in the replayed tail.
+    pub publishes: usize,
+    /// The checkpoint's clock ([`Checkpoint::last_time`]): keeps publish
+    /// times monotone though the covered transactions are gone.
+    pub time: u64,
 }
 
-/// Decodes one plain (non-2PC) frame into the output streams. Returns
-/// an error for 2PC or unknown kinds — callers handle those first.
-fn decode_plain_frame(
-    kind: u8,
-    payload: Vec<u8>,
+/// What one decode pass over a log yields, in log order.
+#[derive(Debug, Default)]
+struct Decoded {
+    /// The transaction before the first one decoded, when that history
+    /// is not in `txns` (a cut log): seeds the ordering check.
     floor: Option<TxnId>,
-    txns: &mut Vec<Transaction>,
-    publishes: &mut Vec<PublishRecord>,
-    aux: &mut Vec<Vec<u8>>,
-) -> Result<(), StorageError> {
-    match kind {
-        FRAME_COMMIT => {
-            let (txn, mut extra) = decode_commit(&payload).map_err(StorageError::Wire)?;
-            push_txn(txns, floor, txn)?;
-            aux.append(&mut extra);
+    txns: Vec<Transaction>,
+    /// How many of `txns` came from frames at or below the anchoring
+    /// checkpoint's watermark (always a prefix).
+    covered: usize,
+    publishes: Vec<PublishRecord>,
+    aux: Vec<Vec<u8>>,
+}
+
+impl Decoded {
+    /// Decodes one plain (non-2PC) frame. A frame the checkpoint covers
+    /// yields only its transaction: the checkpoint carries the complete
+    /// publish and aux sets. 2PC and unknown kinds are an error —
+    /// callers handle 2PC first.
+    fn plain(&mut self, kind: u8, payload: Vec<u8>, covered: bool) -> Result<(), StorageError> {
+        match kind {
+            FRAME_COMMIT => {
+                let (txn, mut extra) = decode_commit(&payload).map_err(StorageError::Wire)?;
+                if let Some(prev) = self.txns.last().map(|t| t.id).or(self.floor) {
+                    if txn.id <= prev {
+                        return Err(StorageError::Corrupt(format!(
+                            "transaction ids out of order: {:?} after {prev:?}",
+                            txn.id
+                        )));
+                    }
+                }
+                self.txns.push(txn);
+                if covered {
+                    self.covered += 1;
+                } else {
+                    self.aux.append(&mut extra);
+                }
+            }
+            FRAME_PUBLISH => {
+                let p = decode_publish(&payload).map_err(StorageError::Wire)?;
+                if !covered {
+                    self.publishes.push(p);
+                }
+            }
+            FRAME_AUX if covered => {}
+            FRAME_AUX => self.aux.push(payload),
+            other => {
+                return Err(StorageError::Corrupt(format!(
+                    "unknown frame kind {other} in WAL"
+                )))
+            }
         }
-        FRAME_PUBLISH => {
-            publishes.push(decode_publish(&payload).map_err(StorageError::Wire)?);
-        }
-        FRAME_AUX => aux.push(payload),
-        other => {
-            return Err(StorageError::Corrupt(format!(
-                "unknown frame kind {other} in WAL"
-            )))
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Mutable 2PC bookkeeping threaded through one log's decode pass.
@@ -267,15 +282,16 @@ struct TwoPcPass<'a> {
     /// checkpoint-carried decision records). Consulted only for a
     /// PREPARE still pending at log end.
     ctx: &'a BTreeMap<u64, bool>,
-    /// A PREPARE whose decision window is still open, with the latest
-    /// DECIDE seen for it (if any). At most one can be pending: the
-    /// shard's write lock is held from PREPARE through DECIDE, so
-    /// nothing interleaves. The decision is not acted on until the
-    /// window closes (a frame for something else, or log end): a failed
-    /// commit-point sync leaves DECIDE(commit) in the write cache and
-    /// the abort path appends DECIDE(abort) behind it — both become
-    /// durable together, and the last one is the outcome.
-    pending: Option<(PrepareRecord, Option<bool>)>,
+    /// A PREPARE whose decision window is still open, whether the
+    /// checkpoint covers its frame, and the latest DECIDE seen for it
+    /// (if any). At most one can be pending: the shard's write lock is
+    /// held from PREPARE through DECIDE, so nothing interleaves. The
+    /// decision is not acted on until the window closes (a frame for
+    /// something else, or log end): a failed commit-point sync leaves
+    /// DECIDE(commit) in the write cache and the abort path appends
+    /// DECIDE(abort) behind it — both become durable together, and the
+    /// last one is the outcome.
+    pending: Option<(PrepareRecord, bool, Option<bool>)>,
     decisions: BTreeMap<u64, bool>,
     resolved: Vec<(u64, bool)>,
     max_gid: u64,
@@ -294,15 +310,9 @@ impl<'a> TwoPcPass<'a> {
 
     /// Adopts a committed PREPARE's inner frames through the ordinary
     /// decode path (ordering checks included).
-    fn adopt(
-        prepare: PrepareRecord,
-        floor: Option<TxnId>,
-        txns: &mut Vec<Transaction>,
-        publishes: &mut Vec<PublishRecord>,
-        aux: &mut Vec<Vec<u8>>,
-    ) -> Result<(), StorageError> {
+    fn adopt(prepare: PrepareRecord, covered: bool, out: &mut Decoded) -> Result<(), StorageError> {
         for (kind, payload) in prepare.frames {
-            decode_plain_frame(kind, payload, floor, txns, publishes, aux)?;
+            out.plain(kind, payload, covered)?;
         }
         Ok(())
     }
@@ -310,79 +320,73 @@ impl<'a> TwoPcPass<'a> {
     /// Closes a decided PREPARE's decision window: adopts its frames
     /// when the last DECIDE said commit, drops them on abort. A still
     /// undecided PREPARE stays pending (for tail resolution).
-    fn settle_decided(
-        &mut self,
-        floor: Option<TxnId>,
-        txns: &mut Vec<Transaction>,
-        publishes: &mut Vec<PublishRecord>,
-        aux: &mut Vec<Vec<u8>>,
-    ) -> Result<(), StorageError> {
-        if matches!(self.pending, Some((_, Some(_)))) {
-            let (p, decision) = self.pending.take().expect("checked above");
+    fn settle_decided(&mut self, out: &mut Decoded) -> Result<(), StorageError> {
+        if matches!(self.pending, Some((_, _, Some(_)))) {
+            let (p, covered, decision) = self.pending.take().expect("checked above");
             if decision == Some(true) {
-                TwoPcPass::adopt(p, floor, txns, publishes, aux)?;
+                TwoPcPass::adopt(p, covered, out)?;
             }
         }
         Ok(())
     }
 }
 
-/// Decodes a run of valid frames into transactions, publish records,
-/// and aux payloads, in log order. PREPARE frames are held back until
-/// their DECIDE; a PREPARE still pending when the run ends is resolved
-/// by `twopc.ctx` (commit decision found elsewhere) or presumed abort.
+/// Decodes a run of valid frames into `out`, in log order; frames
+/// ending at or below `watermark` count as covered. PREPARE frames are
+/// held back until their DECIDE; a PREPARE still pending when the run
+/// ends is resolved by `twopc.ctx` (commit decision found elsewhere) or
+/// presumed abort.
 fn decode_frames(
     frames: impl Iterator<Item = Frame>,
-    floor: Option<TxnId>,
-    txns: &mut Vec<Transaction>,
-    publishes: &mut Vec<PublishRecord>,
-    aux: &mut Vec<Vec<u8>>,
+    watermark: u64,
+    out: &mut Decoded,
     twopc: &mut TwoPcPass<'_>,
 ) -> Result<(), StorageError> {
     for frame in frames {
+        let covered = frame.end <= watermark;
         match frame.kind {
             FRAME_PREPARE => {
-                twopc.settle_decided(floor, txns, publishes, aux)?;
+                twopc.settle_decided(out)?;
                 let p = decode_prepare(&frame.payload).map_err(StorageError::Wire)?;
-                if let Some((prev, _)) = &twopc.pending {
+                if let Some((prev, _, _)) = &twopc.pending {
                     return Err(StorageError::Corrupt(format!(
                         "prepare gid {} while gid {} is still undecided",
                         p.gid, prev.gid
                     )));
                 }
                 twopc.max_gid = twopc.max_gid.max(p.gid);
-                twopc.pending = Some((p, None));
+                twopc.pending = Some((p, covered, None));
             }
             FRAME_DECIDE => {
                 let d = decode_decide(&frame.payload).map_err(StorageError::Wire)?;
                 twopc.max_gid = twopc.max_gid.max(d.gid);
                 twopc.decisions.insert(d.gid, d.commit);
-                if twopc.pending.as_ref().is_some_and(|(p, _)| p.gid == d.gid) {
+                if twopc.pending.as_ref().is_some_and(|(p, ..)| p.gid == d.gid) {
                     // Record but don't act: a later DECIDE for the same
                     // gid (commit-point sync failure followed by the
                     // abort path) overrides this one. The window closes
                     // at the next foreign frame or at log end.
-                    twopc.pending.as_mut().expect("checked above").1 = Some(d.commit);
+                    twopc.pending.as_mut().expect("checked above").2 = Some(d.commit);
                 } else {
-                    twopc.settle_decided(floor, txns, publishes, aux)?;
+                    twopc.settle_decided(out)?;
                 }
                 // A DECIDE with no matching pending PREPARE is a
                 // decision record for a txn resolved earlier (or one
                 // this shard never prepared); keep it, apply nothing.
             }
             _ => {
-                twopc.settle_decided(floor, txns, publishes, aux)?;
-                decode_plain_frame(frame.kind, frame.payload, floor, txns, publishes, aux)?;
+                twopc.settle_decided(out)?;
+                out.plain(frame.kind, frame.payload, covered)?;
             }
         }
     }
-    twopc.settle_decided(floor, txns, publishes, aux)?;
+    twopc.settle_decided(out)?;
     // In-doubt resolution: a PREPARE at the tail with no DECIDE. Commit
     // iff some decision record anywhere says commit; otherwise presumed
     // abort — sound because the coordinator's DECIDE(commit) is only
     // ever written after every participant's PREPARE is durable, and
     // acks wait for that DECIDE to be durable.
-    if let Some((p, _)) = twopc.pending.take() {
+    if let Some((p, covered, _)) = twopc.pending.take() {
         let gid = p.gid;
         let commit = twopc
             .decisions
@@ -391,7 +395,7 @@ fn decode_frames(
             .copied()
             .unwrap_or(false);
         if commit {
-            TwoPcPass::adopt(p, floor, txns, publishes, aux)?;
+            TwoPcPass::adopt(p, covered, out)?;
         }
         twopc.decisions.insert(gid, commit);
         twopc.resolved.push((gid, commit));
@@ -399,29 +403,34 @@ fn decode_frames(
     Ok(())
 }
 
-/// Recovers a curated database from a WAL device, using `checkpoint`
-/// when it is consistent with the log. `name` and `mode` seed the
-/// empty database for full replay (a used checkpoint supersedes both).
-/// The returned log handle is positioned after the last valid frame,
-/// torn tail already truncated.
+/// Recovers a curated database from a WAL device, anchored at
+/// `checkpoint` when its watermark allows. `name` and `mode` seed the
+/// empty database when no checkpoint anchors. The returned log handle
+/// is positioned after the last valid frame, torn tail already
+/// truncated.
 ///
-/// Two recovery modes exist, selected by the checkpoint's coverage
-/// watermark ([`Checkpoint::covered_len`]) and the device's logical
-/// base offset ([`Io::base`]):
+/// One anchor rule: a checkpoint anchors only when its watermark
+/// ([`Checkpoint::covered_len`]) lies in the surviving log, `base ≤
+/// covered_len ≤ valid_len` (with `base` the device's logical base,
+/// [`Io::base`]). Otherwise a device holding its whole history
+/// (`base == 0`) replays from empty — the log is authoritative, so a
+/// checkpoint ahead of a torn log is discarded — and one with a
+/// retired prefix is corrupt: a retired prefix nothing covers is not
+/// data loss to be papered over.
 ///
-/// - **Legacy / whole-log** — no checkpoint, or a checkpoint without a
-///   watermark, over a device whose full history is present
-///   (`base == 0`). Every frame is decoded; the checkpoint is used
-///   only if the decoded log contains its `last_txn` (a checkpoint
-///   ahead of a torn log is discarded — the log is authoritative).
-/// - **Anchored** — a watermarked checkpoint proving coverage of the
-///   log prefix up to `covered_len`. Frames ending at or below the
-///   watermark are skipped without decoding; the snapshot supplies
-///   that history (fully, under `Retention::KeepAll`, or as a
-///   `base_txn` cut under `Retention::Reclaim`). This is the only
-///   legal mode once segments are retired (`base > 0`): a retired
-///   prefix with no covering checkpoint is corruption, not data loss
-///   to be papered over.
+/// What the anchor supplies depends on its form:
+///
+/// - **Full form** (no carried archive) — the covered log is in the
+///   WAL, so the device must hold its whole history. Every frame is
+///   decoded: transactions at or below the watermark are adopted into
+///   the log without being applied (the last of them must be the
+///   checkpoint's `last_txn`), later ones replay; publish points and
+///   aux records come from the checkpoint's complete sets plus the
+///   frames above the watermark.
+/// - **Truncated form** (an archive carried) — the log is cut after
+///   the watermark: frames at or below it are skipped without
+///   decoding, the checkpoint's state is the base the tail replays
+///   onto, and [`Recovered::cut`] says so.
 pub fn recover<I: Io>(
     name: &str,
     mode: StoreMode,
@@ -488,177 +497,81 @@ fn recover_with_inner<I: Io>(
         ..RecoveryStats::default()
     };
 
-    // Mode selection. `legacy_ck` feeds the whole-log path's usability
-    // filter; `anchored` carries a (checkpoint, watermark) pair whose
-    // coverage was validated against the device.
-    let watermark = checkpoint.as_ref().and_then(|ck| ck.covered_len);
-    let (legacy_ck, anchored) = match (checkpoint, watermark) {
-        (None, _) => {
-            if base > 0 {
-                return Err(StorageError::Corrupt(
-                    "log prefix retired but no checkpoint to anchor recovery".into(),
-                ));
-            }
-            (None, None)
-        }
-        (Some(ck), None) => {
-            if base > 0 {
-                return Err(StorageError::Corrupt(
-                    "log prefix retired but checkpoint carries no coverage watermark".into(),
-                ));
-            }
-            (Some(ck), None)
-        }
-        (Some(ck), Some(w)) => {
-            if w < base {
-                return Err(StorageError::Corrupt(format!(
-                    "checkpoint covers the log to byte {w}, but bytes below {base} are retired"
-                )));
-            }
-            if w > valid_len {
-                if base > 0 {
-                    return Err(StorageError::Corrupt(format!(
-                        "checkpoint covers {w} bytes but only {valid_len} survived, \
-                         and the covered prefix is partly retired"
-                    )));
-                }
-                // Full history present but shorter than the watermark:
-                // the log is torn below coverage. The log stays
-                // authoritative — fall back to the legacy filter, which
-                // discards the snapshot unless its last_txn survived.
-                (Some(ck), None)
-            } else {
-                (None, Some((ck, w)))
-            }
-        }
+    // The anchor rule; without an anchor, recovery starts from the
+    // empty database, a full-form checkpoint of nothing.
+    let anchor = checkpoint.filter(|ck| (base..=valid_len).contains(&ck.covered_len));
+    stats.used_checkpoint = anchor.is_some();
+    let Checkpoint {
+        last_txn,
+        tree,
+        prov,
+        covered_len,
+        last_time,
+        publishes: ck_pubs,
+        aux,
+        archive,
+        paged: _,
+    } = anchor
+        .unwrap_or_else(|| Checkpoint::basic(None, 0, TreeDb::new(name), ProvStore::new(mode)));
+    let cut = !archive.is_empty();
+    if base > 0 && !cut {
+        return Err(StorageError::Corrupt(format!(
+            "bytes below {base} are retired, but no checkpoint in truncated form covers them"
+        )));
+    }
+
+    let skip = if cut {
+        frames.iter().take_while(|f| f.end <= covered_len).count()
+    } else {
+        0
     };
-
-    let (db, publishes, aux, truncated, base_tree, carried, base_time) = match anchored {
-        Some((ck, w)) => {
-            let Checkpoint {
-                last_txn,
-                tree,
-                prov,
-                covered_len: _,
-                last_time,
-                log: ck_log,
-                publishes: ck_pubs,
-                aux: ck_aux,
-                archive,
-                paged: _,
-            } = ck;
-            stats.used_checkpoint = true;
-            let skip = frames.iter().filter(|f| f.end <= w).count();
-            stats.frames_skipped = skip as u64;
-
-            let mut tail: Vec<Transaction> = Vec::new();
-            let mut publishes: Vec<PublishRecord> = ck_pubs
-                .iter()
-                .map(|b| decode_publish(b).map_err(StorageError::Wire))
-                .collect::<Result<_, _>>()?;
-            let carried = (archive, publishes.len());
-            let mut aux = ck_aux;
-            decode_frames(
-                frames.into_iter().skip(skip),
-                last_txn,
-                &mut tail,
-                &mut publishes,
-                &mut aux,
-                &mut twopc,
-            )?;
-
-            let truncated = ck_log.is_empty() && last_txn.is_some();
-            let base_tree = tree.clone();
-            let mut db = if truncated {
-                CuratedTree::from_parts_at(tree, Vec::new(), prov, last_txn)
-            } else {
-                CuratedTree::from_parts(tree, ck_log, prov)
-            };
-            stats.txns_adopted = db.log.len() as u64;
-            stats.txns_replayed = tail.len() as u64;
-            for txn in &tail {
-                apply_committed(&mut db, txn)
-                    .map_err(|e| StorageError::Corrupt(format!("tail replay: {e}")))?;
-            }
-
-            if truncated {
-                // The covered log is gone, so a from-empty replay is
-                // impossible: verify the tail against the checkpoint
-                // tree instead.
-                let replayed = replay_onto(base_tree.clone(), &tail, None)
-                    .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-                verify_replay(&db, &replayed)
-                    .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-            } else {
-                replay_and_verify(&db)
-                    .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-            }
-            (
-                db,
-                publishes,
-                aux,
-                truncated,
-                Some(base_tree),
-                carried,
-                last_time,
-            )
-        }
-        None => {
-            let mut txns: Vec<Transaction> = Vec::new();
-            let mut publishes = Vec::new();
-            let mut aux = Vec::new();
-            decode_frames(
-                frames.into_iter(),
-                None,
-                &mut txns,
-                &mut publishes,
-                &mut aux,
-                &mut twopc,
-            )?;
-
-            // A checkpoint is usable only when the log contains the
-            // exact prefix it claims to snapshot. A checkpoint ahead of
-            // a torn log would smuggle back transactions the log lost —
-            // the log is the source of truth, so such a snapshot is
-            // discarded.
-            let usable = legacy_ck.filter(|ck| match ck.last_txn {
-                None => true,
-                Some(last) => txns.iter().any(|t| t.id == last),
-            });
-
-            let db = match usable {
-                Some(ck) => {
-                    stats.used_checkpoint = true;
-                    let covered = match ck.last_txn {
-                        None => 0,
-                        Some(last) => txns.iter().take_while(|t| t.id <= last).count(),
-                    };
-                    let (head, tail) = txns.split_at(covered);
-                    stats.txns_adopted = head.len() as u64;
-                    stats.txns_replayed = tail.len() as u64;
-                    let mut db = CuratedTree::from_parts(ck.tree, head.to_vec(), ck.prov);
-                    for txn in tail {
-                        apply_committed(&mut db, txn)
-                            .map_err(|e| StorageError::Corrupt(format!("tail replay: {e}")))?;
-                    }
-                    db
-                }
-                None => {
-                    stats.txns_replayed = txns.len() as u64;
-                    let mut db = CuratedTree::new(name, mode);
-                    for txn in &txns {
-                        apply_committed(&mut db, txn)
-                            .map_err(|e| StorageError::Corrupt(format!("log replay: {e}")))?;
-                    }
-                    db
-                }
-            };
-
-            replay_and_verify(&db)
-                .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-            (db, publishes, aux, false, None, (Vec::new(), 0), 0)
-        }
+    stats.frames_skipped = skip as u64;
+    let mut out = Decoded {
+        floor: if cut { last_txn } else { None },
+        publishes: ck_pubs
+            .iter()
+            .map(|b| decode_publish(b).map_err(StorageError::Wire))
+            .collect::<Result<_, _>>()?,
+        aux,
+        ..Decoded::default()
     };
+    let carried = out.publishes.len();
+    decode_frames(
+        frames.into_iter().skip(skip),
+        covered_len,
+        &mut out,
+        &mut twopc,
+    )?;
+
+    let tail = out.txns.split_off(out.covered);
+    let head = out.txns;
+    // A full-form checkpoint holds the state after the last transaction
+    // its watermark covers (a cut log covers none: those were skipped).
+    if !cut && head.last().map(|t| t.id) != last_txn {
+        return Err(StorageError::Corrupt(format!(
+            "the checkpoint holds the state after {last_txn:?}, but the log it covers ends at {:?}",
+            head.last().map(|t| t.id)
+        )));
+    }
+    stats.txns_adopted = head.len() as u64;
+    stats.txns_replayed = tail.len() as u64;
+    let (base_tree, mut db) = if cut {
+        let db = CuratedTree::from_parts_at(tree.clone(), Vec::new(), prov, last_txn);
+        (tree, db)
+    } else {
+        let empty = TreeDb::new(tree.name());
+        (empty, CuratedTree::from_parts(tree, head, prov))
+    };
+    for txn in &tail {
+        apply_committed(&mut db, txn)
+            .map_err(|e| StorageError::Corrupt(format!("log replay: {e}")))?;
+    }
+    // The recovered tree must equal a replay of its own log: from
+    // empty, or onto the checkpoint's tree where the log is cut.
+    let replayed = replay_onto(base_tree.clone(), &db.log, None)
+        .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
+    verify_replay(&db, &replayed)
+        .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
 
     stats.replay_micros = span.elapsed().as_micros();
     if stats.frames_dropped > 0 {
@@ -684,13 +597,14 @@ fn recover_with_inner<I: Io>(
         log,
         Recovered {
             db,
-            publishes,
-            aux,
-            truncated,
-            base_tree,
-            carried_archive: carried.0,
-            base_publishes: carried.1,
-            base_time,
+            publishes: out.publishes,
+            aux: out.aux,
+            cut: cut.then_some(Cut {
+                tree: base_tree,
+                archive,
+                publishes: carried,
+                time: last_time,
+            }),
             stats,
             decisions: twopc.decisions,
             resolved: twopc.resolved,
@@ -756,8 +670,9 @@ mod tests {
     use crate::io::{FaultPlan, FaultyIo, MemIo};
     use cdb_model::Atom;
 
-    /// Builds a reference database and a WAL image holding its log.
-    fn seeded() -> (CuratedTree, Vec<u8>) {
+    /// Builds a reference database, a WAL image holding its log, and
+    /// the end offset of each frame.
+    fn seeded() -> (CuratedTree, Vec<u8>, Vec<u64>) {
         let mut db = CuratedTree::new("r", StoreMode::Hereditary);
         let root = db.tree.root();
         let mut t = db.begin("ann", 10);
@@ -773,17 +688,19 @@ mod tests {
         t.commit();
 
         let mut log = DurableLog::create(MemIo::new()).unwrap();
+        let mut ends = Vec::new();
         for txn in db.transactions() {
             log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
+            ends.push(log.len().unwrap());
         }
         log.sync().unwrap();
         let image = log.into_io().bytes().to_vec();
-        (db, image)
+        (db, image, ends)
     }
 
     #[test]
     fn full_replay_recovers_the_exact_database() {
-        let (db, image) = seeded();
+        let (db, image, _) = seeded();
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), None).unwrap();
         assert_eq!(rec.db, db);
         assert!(!rec.stats.used_checkpoint);
@@ -791,28 +708,27 @@ mod tests {
         assert_eq!(rec.stats.frames_scanned, 3);
     }
 
+    /// A snapshot of `db` after its first `n` transactions, with the
+    /// watermark `covered`.
+    fn checkpoint_after(db: &CuratedTree, n: usize, covered: u64) -> Checkpoint {
+        let mut prefix = CuratedTree::new("r", StoreMode::Hereditary);
+        for t in db.log.iter().take(n) {
+            apply_committed(&mut prefix, t).unwrap();
+        }
+        Checkpoint::basic(prefix.last_txn_id(), covered, prefix.tree, prefix.prov)
+    }
+
     #[test]
     fn checkpoint_plus_tail_equals_full_replay() {
-        let (db, image) = seeded();
-        // Snapshot as of the second transaction.
-        let prefix = CuratedTree::from_parts(
-            cdb_curation::replay::replay("r", db.log.iter().take(2), None).unwrap(),
-            db.log.iter().take(2).cloned().collect::<Vec<_>>(),
-            {
-                let mut p = CuratedTree::new("r", StoreMode::Hereditary);
-                for t in db.log.iter().take(2) {
-                    apply_committed(&mut p, t).unwrap();
-                }
-                p.prov
-            },
-        );
-        let ck = Checkpoint::basic(Some(db.log[1].id), prefix.tree.clone(), prefix.prov.clone());
+        let (db, image, ends) = seeded();
+        let ck = checkpoint_after(&db, 2, ends[1]);
         let mut store = CheckpointStore::mem();
         store.install(&ck).unwrap();
         let ck = store.load().unwrap();
 
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), ck).unwrap();
         assert_eq!(rec.db, db);
+        assert!(rec.cut.is_none());
         assert!(rec.stats.used_checkpoint);
         assert_eq!(rec.stats.txns_adopted, 2);
         assert_eq!(rec.stats.txns_replayed, 1);
@@ -820,17 +736,10 @@ mod tests {
 
     #[test]
     fn checkpoint_ahead_of_torn_log_is_discarded() {
-        let (db, image) = seeded();
+        let (db, image, ends) = seeded();
         // Checkpoint covers all 3 txns, but the log is torn after 1.
-        let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
-        let first_txn_end = {
-            let mut log = DurableLog::create(MemIo::new()).unwrap();
-            log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
-                .unwrap();
-            log.sync().unwrap();
-            log.len().unwrap()
-        };
-        let torn = image[..first_txn_end as usize + 4].to_vec();
+        let ck = checkpoint_after(&db, 3, ends[2]);
+        let torn = image[..ends[0] as usize + 4].to_vec();
         let (_, rec) = recover(
             "r",
             StoreMode::Hereditary,
@@ -845,9 +754,22 @@ mod tests {
         assert_eq!(rec.stats.frames_dropped, 1);
     }
 
+    /// A full-form checkpoint whose watermark covers a log prefix that
+    /// does not end at its `last_txn` contradicts the log: refused.
+    #[test]
+    fn a_watermark_that_disagrees_with_the_snapshot_is_corrupt() {
+        let (db, image, ends) = seeded();
+        for (n, covered) in [(1, ends[1]), (2, ends[0]), (0, ends[0])] {
+            let ck = checkpoint_after(&db, n, covered);
+            let image = MemIo::from_bytes(image.clone());
+            let err = recover("r", StoreMode::Hereditary, image, Some(ck)).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{n}: {err}");
+        }
+    }
+
     #[test]
     fn crash_image_recovers_committed_prefix_exactly() {
-        let (db, _) = seeded();
+        let (db, ..) = seeded();
         let mut log = DurableLog::create(FaultyIo::new(FaultPlan::default())).unwrap();
         log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
             .unwrap();
@@ -869,7 +791,7 @@ mod tests {
 
     #[test]
     fn out_of_order_transaction_ids_are_rejected() {
-        let (db, _) = seeded();
+        let (db, ..) = seeded();
         let mut log = DurableLog::create(MemIo::new()).unwrap();
         log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
             .unwrap();

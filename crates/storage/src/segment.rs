@@ -22,10 +22,10 @@
 //! torn-tail rule the frame scanner applies within a segment.
 //!
 //! [`Io::reclaim`] retires sealed segments wholly covered by a durable
-//! checkpoint. Under [`Retention::KeepAll`] (the paper's stance: the
-//! curation log is forever) covered segments are *archived* — renamed
-//! out of the live set but kept on disk; under [`Retention::Reclaim`]
-//! they are deleted. Either way recovery scans only live segments.
+//! checkpoint, under [`Retention::Reclaim`] only: they are deleted, and
+//! recovery scans only the live segments. Under [`Retention::KeepAll`]
+//! (the paper's stance: the curation log is forever) every segment
+//! stays live, so the WAL is the one home of the whole log.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -43,9 +43,9 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 /// What happens to a segment once a checkpoint durably covers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Retention {
-    /// Archive covered segments (rename out of the live set, keep the
-    /// bytes). The paper's keep-everything stance: the full curation
-    /// log remains on disk, it just stops costing recovery time.
+    /// Keep every segment live. The paper's keep-everything stance:
+    /// the WAL holds the whole curation log, and checkpoints carry
+    /// only state.
     #[default]
     KeepAll,
     /// Delete covered segments. The checkpoint carries everything
@@ -82,16 +82,18 @@ pub trait SegmentBacking: std::fmt::Debug + Send + Sync {
     /// Removes segment `seq` from the live set, destroying its bytes.
     fn delete(&mut self, seq: u64) -> Result<(), StorageError>;
     /// Removes segment `seq` from the live set, preserving its bytes
-    /// out-of-band (rename on disk, a side map in memory).
+    /// out-of-band. [`SegmentedIo`] never calls it (covered segments
+    /// stay live under [`Retention::KeepAll`]); [`DirBacking`]'s rename
+    /// is kept for backings that wrap it.
     fn archive(&mut self, seq: u64) -> Result<(), StorageError>;
 }
 
 // -------------------------------------------------------- dir backing
 
 /// Segment files in a directory: `<name>.wal.<seq>` live,
-/// `<name>.walarch.<seq>` archived. Every mutation fsyncs the
-/// directory so creations, deletions, and archivals are themselves
-/// durable.
+/// `<name>.walarch.<seq>` archived by [`SegmentBacking::archive`].
+/// Every mutation fsyncs the directory so creations, deletions, and
+/// archivals are themselves durable.
 #[derive(Debug, Clone)]
 pub struct DirBacking {
     dir: std::path::PathBuf,
@@ -186,9 +188,9 @@ pub struct SegFaultPlan {
     /// go oldest-segment-first, the budget cuts the *logical* byte
     /// stream at an arbitrary physical offset.
     pub torn_flush_budget: Option<u64>,
-    /// The first N retire operations (delete or archive) succeed;
-    /// later ones fail — a crash or I/O error inside the segment-retire
-    /// window, leaving retirement half done.
+    /// The first N segment deletions succeed; later ones fail — a
+    /// crash or I/O error inside the segment-retire window, leaving
+    /// retirement half done.
     pub fail_retire_after: Option<u32>,
 }
 
@@ -201,7 +203,6 @@ struct MemSegFile {
 #[derive(Debug, Default)]
 struct MemBackingState {
     files: BTreeMap<u64, MemSegFile>,
-    archived: BTreeMap<u64, Vec<u8>>,
     plan: SegFaultPlan,
     durable_total: u64,
     retires: u32,
@@ -250,7 +251,6 @@ impl MemBacking {
                     },
                 );
             }
-            s.archived = state.archived.clone();
         }
         survivor
     }
@@ -258,11 +258,6 @@ impl MemBacking {
     /// Live segment sequence numbers (durable view).
     pub fn live_seqs(&self) -> Vec<u64> {
         self.lock().files.keys().copied().collect()
-    }
-
-    /// Archived segment sequence numbers.
-    pub fn archived_seqs(&self) -> Vec<u64> {
-        self.lock().archived.keys().copied().collect()
     }
 
     /// Total physical bytes across live segment files (durable +
@@ -273,21 +268,6 @@ impl MemBacking {
             .values()
             .map(|f| (f.durable.len() + f.pending.len()) as u64)
             .sum()
-    }
-
-    /// Replaces the fault plan mid-test.
-    pub fn set_plan(&self, plan: SegFaultPlan) {
-        self.lock().plan = plan;
-    }
-
-    fn retire_check(state: &mut MemBackingState) -> Result<(), StorageError> {
-        state.retires += 1;
-        if let Some(k) = state.plan.fail_retire_after {
-            if state.retires > k {
-                return Err(StorageError::Io("injected retire failure".into()));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -306,18 +286,23 @@ impl SegmentBacking for MemBacking {
 
     fn delete(&mut self, seq: u64) -> Result<(), StorageError> {
         let mut state = self.lock();
-        MemBacking::retire_check(&mut state)?;
+        state.retires += 1;
+        if state
+            .plan
+            .fail_retire_after
+            .is_some_and(|k| state.retires > k)
+        {
+            return Err(StorageError::Io("injected retire failure".into()));
+        }
         state.files.remove(&seq);
         Ok(())
     }
 
+    /// An in-memory backing keeps no archive: refused.
     fn archive(&mut self, seq: u64) -> Result<(), StorageError> {
-        let mut state = self.lock();
-        MemBacking::retire_check(&mut state)?;
-        if let Some(f) = state.files.remove(&seq) {
-            state.archived.insert(seq, f.durable);
-        }
-        Ok(())
+        Err(StorageError::Io(format!(
+            "segment {seq}: an in-memory backing keeps no archive"
+        )))
     }
 }
 
@@ -515,11 +500,6 @@ impl SegmentedIo {
         self.cfg
     }
 
-    /// Live segment sequence numbers, ascending.
-    pub fn segment_seqs(&self) -> Vec<u64> {
-        self.segs.iter().map(|s| s.seq).collect()
-    }
-
     fn create_segment(&mut self, seq: u64, start: u64) -> Result<(), StorageError> {
         let mut io = self.backing.open(seq)?;
         io.truncate(0)?;
@@ -653,17 +633,14 @@ impl Io for SegmentedIo {
 
     fn reclaim(&mut self, covered: u64) -> Result<Option<ReclaimStats>, StorageError> {
         let mut stats = ReclaimStats::default();
-        // The active segment is never retired: recovery always needs a
-        // live tail to scan, and losing the newest header would orphan
-        // the logical offset chain.
-        while self.segs.len() > 1 && self.segs[0].end() <= covered {
+        // Only `Reclaim` retires. The active segment never is: recovery
+        // always needs a live tail to scan, and losing the newest
+        // header would orphan the logical offset chain.
+        let reclaim = self.cfg.retention == Retention::Reclaim;
+        while reclaim && self.segs.len() > 1 && self.segs[0].end() <= covered {
             let seq = self.segs[0].seq;
             let bytes = SEG_HEADER + self.segs[0].payload;
-            let outcome = match self.cfg.retention {
-                Retention::KeepAll => self.backing.archive(seq),
-                Retention::Reclaim => self.backing.delete(seq),
-            };
-            if outcome.is_err() {
+            if self.backing.delete(seq).is_err() {
                 // Half-done retirement is safe: the live set stays
                 // contiguous and the next checkpoint retries.
                 stats.failed = true;
@@ -739,29 +716,40 @@ mod tests {
 
     #[test]
     fn reclaim_retires_covered_segments_and_advances_base() {
-        for retention in [Retention::KeepAll, Retention::Reclaim] {
-            let (mut io, backing) = SegmentedIo::mem(small(8, retention)).unwrap();
-            fill(&mut io, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
-            let stats = io.reclaim(16).unwrap().unwrap();
-            assert_eq!(stats.retired, 2);
-            assert_eq!(stats.live, 1);
-            assert!(!stats.failed);
-            assert_eq!(io.base(), 16);
-            assert_eq!(io.len().unwrap(), 24);
-            let mut tail = [0u8; 8];
-            read_exact_at(&mut io, 16, &mut tail).unwrap();
-            assert_eq!(&tail, b"cccccccc");
-            assert!(io.read_at(0, &mut tail).is_err(), "reads below base fail");
-            match retention {
-                Retention::KeepAll => assert_eq!(backing.archived_seqs(), vec![0, 1]),
-                Retention::Reclaim => assert!(backing.archived_seqs().is_empty()),
-            }
-            // Reopen after retirement: base survives.
-            drop(io);
-            let re = SegmentedIo::open(Box::new(backing.crash()), small(8, retention)).unwrap();
-            assert_eq!(re.base(), 16);
-            assert_eq!(re.len().unwrap(), 24);
-        }
+        let (mut io, backing) = SegmentedIo::mem(small(8, Retention::Reclaim)).unwrap();
+        fill(&mut io, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
+        let stats = io.reclaim(16).unwrap().unwrap();
+        assert_eq!(stats.retired, 2);
+        assert_eq!(stats.live, 1);
+        assert!(!stats.failed);
+        assert_eq!(io.base(), 16);
+        assert_eq!(io.len().unwrap(), 24);
+        assert_eq!(backing.live_seqs(), vec![2]);
+        let mut tail = [0u8; 8];
+        read_exact_at(&mut io, 16, &mut tail).unwrap();
+        assert_eq!(&tail, b"cccccccc");
+        assert!(io.read_at(0, &mut tail).is_err(), "reads below base fail");
+        // Reopen after retirement: base survives.
+        drop(io);
+        let re =
+            SegmentedIo::open(Box::new(backing.crash()), small(8, Retention::Reclaim)).unwrap();
+        assert_eq!(re.base(), 16);
+        assert_eq!(re.len().unwrap(), 24);
+    }
+
+    /// Under `KeepAll` the WAL is the one home of the log: a covering
+    /// checkpoint retires nothing.
+    #[test]
+    fn keep_all_retires_nothing() {
+        let (mut io, backing) = SegmentedIo::mem(small(8, Retention::KeepAll)).unwrap();
+        fill(&mut io, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
+        let stats = io.reclaim(u64::MAX).unwrap().unwrap();
+        assert_eq!((stats.retired, stats.live), (0, 3));
+        assert_eq!(io.base(), 0);
+        assert_eq!(backing.live_seqs(), vec![0, 1, 2]);
+        let mut all = [0u8; 24];
+        read_exact_at(&mut io, 0, &mut all).unwrap();
+        assert_eq!(&all, b"aaaaaaaabbbbbbbbcccccccc");
     }
 
     #[test]
@@ -830,25 +818,30 @@ mod tests {
     }
 
     #[test]
-    fn dir_backing_round_trips_rotation_and_archival() {
+    fn dir_backing_round_trips_rotation_and_retirement() {
         let dir = std::env::temp_dir().join(format!("cdb-seg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut io = SegmentedIo::open_dir(&dir, "db", small(8, Retention::KeepAll)).unwrap();
-            fill(&mut io, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
-            let stats = io.reclaim(16).unwrap().unwrap();
-            assert_eq!(stats.retired, 2);
-        }
-        {
-            let mut io = SegmentedIo::open_dir(&dir, "db", small(8, Retention::KeepAll)).unwrap();
-            assert_eq!(io.base(), 16);
+        for retention in [Retention::KeepAll, Retention::Reclaim] {
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let mut io = SegmentedIo::open_dir(&dir, "db", small(8, retention)).unwrap();
+                fill(&mut io, &[b"aaaaaaaa", b"bbbbbbbb", b"cccccccc"]);
+                io.reclaim(16).unwrap().unwrap();
+            }
+            let mut io = SegmentedIo::open_dir(&dir, "db", small(8, retention)).unwrap();
+            let base = match retention {
+                Retention::KeepAll => 0,
+                Retention::Reclaim => 16,
+            };
+            assert_eq!(io.base(), base);
             assert_eq!(io.len().unwrap(), 24);
             let mut tail = [0u8; 8];
             read_exact_at(&mut io, 16, &mut tail).unwrap();
             assert_eq!(&tail, b"cccccccc");
+            for seq in 0..2 {
+                assert_eq!(dir.join(format!("db.wal.{seq}")).exists(), base == 0);
+                assert!(!dir.join(format!("db.walarch.{seq}")).exists());
+            }
         }
-        assert!(dir.join("db.walarch.0").exists());
-        assert!(dir.join("db.walarch.1").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

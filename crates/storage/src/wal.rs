@@ -111,9 +111,9 @@ impl<I: Io> DurableLog<I> {
 
     /// Retires log history that a durably installed checkpoint covers:
     /// forwards to the device's [`Io::reclaim`]. Segmented devices
-    /// archive or delete fully-covered segments and advance their
-    /// logical base; plain devices return `Ok(None)` (nothing to
-    /// retire).
+    /// under `Retention::Reclaim` delete fully-covered segments and
+    /// advance their logical base; plain devices return `Ok(None)`
+    /// (nothing to retire).
     pub fn reclaim(
         &mut self,
         covered: u64,
@@ -124,6 +124,12 @@ impl<I: Io> DurableLog<I> {
     /// Live segments backing this log (1 for unsegmented devices).
     pub fn live_segments(&self) -> u64 {
         self.io.live_segments()
+    }
+
+    /// The device's logical base ([`Io::base`]): 0 while it holds its
+    /// whole history.
+    pub fn base(&self) -> u64 {
+        self.io.base()
     }
 
     /// Consumes the log, returning the device (for crash simulation).
@@ -191,7 +197,7 @@ mod tests {
         let mut t = db.begin("c", 1);
         t.insert(root, "entry", None).unwrap();
         t.commit();
-        let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
+        let ck = Checkpoint::basic(db.last_txn_id(), 64, db.tree.clone(), db.prov.clone());
         let mut io = MemIo::new();
         write_checkpoint_slot(&mut io, 1, &ck).unwrap();
         let read = |io: &mut MemIo| read_checkpoint_slot(io).unwrap().map(|(_, ck)| ck);

@@ -26,7 +26,7 @@ fn snapshot(label: &str) -> Checkpoint {
     let mut t = db.begin("curator", 1);
     t.insert(root, label, None).unwrap();
     t.commit();
-    Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone())
+    Checkpoint::basic(db.last_txn_id(), 64, db.tree.clone(), db.prov.clone())
 }
 
 /// The byte image a completed slot write leaves behind.
@@ -220,10 +220,11 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
                     let covered = log.len().unwrap();
                     let snap = reference(&db, ckpt_at);
                     let mut c =
-                        Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
-                    c.covered_len = Some(covered);
-                    if retention == Retention::KeepAll {
-                        c.log = db.log.iter().take(ckpt_at).cloned().collect();
+                        Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
+                    if retention == Retention::Reclaim {
+                        // The truncated form: it carries an archive
+                        // (opaque at this layer) in place of the log.
+                        c.archive = b"archive".to_vec();
                     }
                     // The retire may die partway through; that's the
                     // window under test. A partial retirement surfaces

@@ -208,10 +208,13 @@ fn short_reads_during_recovery_change_nothing() {
 #[test]
 fn checkpoint_shortens_replay_without_changing_the_result() {
     let db = session();
-    let (image, _) = wal_image(&db);
+    let (image, ends) = wal_image(&db);
     for ckpt_at in 0..=db.log.len() {
         let snap = reference(&db, ckpt_at);
-        let ck = Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
+        let covered = ckpt_at
+            .checked_sub(1)
+            .map_or(WAL_MAGIC.len() as u64, |i| ends[i]);
+        let ck = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
         let mut store = CheckpointStore::mem();
         store.install(&ck).unwrap();
         let ck = store.load().unwrap();
@@ -329,26 +332,30 @@ fn retired_forms_are_refused_never_adopted() {
     // one must fail, or for a checkpoint read as absent (recovery then
     // replays the log) — never decode into state.
     let db = session();
-    let ck = Checkpoint::basic(db.last_txn_id(), db.tree.clone(), db.prov.clone());
+    let ck = Checkpoint::basic(db.last_txn_id(), 0, db.tree.clone(), db.prov.clone());
     let current = encode_checkpoint(&ck);
     // The untagged v1 payload was the core fields alone: today's
     // payload minus its tag and minus what follows the provenance store
-    // in a basic checkpoint (covered_len 1 + last_time 8 + paged 1 +
-    // three empty chunk lists 12 + an empty archive 4 = 26 bytes).
-    let (core, rest) = current.split_at(current.len() - 26);
+    // in a basic checkpoint at watermark 0 (covered_len 8 + last_time 8
+    // + paged 1 + two empty chunk lists 8 + an empty archive 4 = 29
+    // bytes).
+    let (core, rest) = current.split_at(current.len() - 29);
     assert!(
         rest.iter().all(|&b| b == 0),
-        "a basic checkpoint ends in 26 zero bytes"
+        "a basic checkpoint ends in 29 zero bytes"
     );
     let v1 = core[1..].to_vec();
     let retagged = |tag: u8| [&[tag], &current[1..]].concat();
-    // Tag 4 carried one exported snapshot per release where tag 5
-    // carries the encoded archive.
+    // Tag 4 carried one exported snapshot per release where later tags
+    // carry the encoded archive. Tag 5 carried an optional watermark
+    // and the covered transaction log, here empty.
+    let v5 = [&[5u8][..], &core[1..], &[1], &[0; 8 + 8 + 1 + 4 * 4]].concat();
     let checkpoints = [
         ("v1", v1),
         ("v2 tag", retagged(2)),
         ("v3 tag", retagged(3)),
         ("v4 tag", retagged(4)),
+        ("v5", v5),
     ];
     for (form, payload) in checkpoints {
         assert!(

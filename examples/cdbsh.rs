@@ -914,8 +914,8 @@ commands:
                                        reads need a one-shard database)
   merge <curator> <kept> <absorbed>  fuse entries (retires the absorbed id)
   what <id>                          what happened to an identifier
-  checkpoint                         install a checkpoint atomically and
-                                       retire covered WAL segments
+  checkpoint                         install a checkpoint atomically (it
+                                       carries state; the WAL keeps the log)
   sql <SELECT …>                     query the relational view `entries`
   explain <SELECT …>                 run via the cost-based planner;
                                        print the plan tree (estimated vs

@@ -63,11 +63,18 @@ fn reference(db: &CuratedTree, mode: StoreMode, n: usize) -> CuratedTree {
     r
 }
 
-/// A checkpoint of the state after `k` transactions, round-tripped
-/// through its on-disk encoding.
-fn checkpoint_after(db: &CuratedTree, mode: StoreMode, k: usize) -> Option<Checkpoint> {
+/// A checkpoint of the state after `k` transactions, its watermark the
+/// end of the `k`th frame (`ends` as [`wal_image`] gives them),
+/// round-tripped through its on-disk encoding.
+fn checkpoint_after(
+    db: &CuratedTree,
+    mode: StoreMode,
+    ends: &[u64],
+    k: usize,
+) -> Option<Checkpoint> {
     let snap = reference(db, mode, k);
-    let ck = Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
+    let covered = k.checked_sub(1).map_or(8, |i| ends[i]);
+    let ck = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
     let mut store = CheckpointStore::mem();
     store.install(&ck).unwrap();
     store.load().unwrap()
@@ -103,7 +110,7 @@ proptest! {
         let committed = ends.iter().filter(|&&e| e <= cut as u64).count();
 
         let ckpt_at = ckpt_at.min(db.log.len());
-        let ck = checkpoint_after(&db, mode, ckpt_at);
+        let ck = checkpoint_after(&db, mode, &ends, ckpt_at);
         prop_assert!(ck.is_some());
 
         let (_, rec) = recover(
@@ -231,8 +238,8 @@ proptest! {
     }
 
     /// Segmented logs crossing rotations: a checkpoint with a coverage
-    /// watermark retires the covered segments (archived under KeepAll,
-    /// deleted under Reclaim) and recovery over the surviving device
+    /// watermark retires the covered segments under Reclaim (KeepAll
+    /// keeps every one live) and recovery over the surviving device
     /// still equals the full-replay oracle, tree and provenance alike.
     #[test]
     fn segment_retirement_preserves_the_replay_oracle(
@@ -260,14 +267,11 @@ proptest! {
             if i + 1 == ckpt_at {
                 let covered = log.len().unwrap();
                 let snap = reference(&db, mode, ckpt_at);
-                let mut c =
-                    Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
-                c.covered_len = Some(covered);
-                if !reclaim {
-                    // KeepAll archives the files, so the checkpoint may
-                    // carry the full log and recovery reconstructs
-                    // complete history.
-                    c.log = db.log.iter().take(ckpt_at).cloned().collect();
+                let mut c = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
+                if reclaim {
+                    // The truncated form: it carries an archive (opaque
+                    // at this layer) in place of the log it cuts.
+                    c.archive = b"archive".to_vec();
                 }
                 log.reclaim(covered).unwrap();
                 ck = Some(c);
@@ -276,13 +280,13 @@ proptest! {
         let final_len = log.len().unwrap();
         drop(log);
         if final_len > 2 * cfg.segment_bytes {
-            let rotated = backing.live_seqs().last().copied().unwrap_or(0) > 0
-                || !backing.archived_seqs().is_empty();
+            let rotated = backing.live_seqs().last().copied().unwrap_or(0) > 0;
             prop_assert!(rotated, "a {final_len}-byte log must have rotated");
         }
         if !reclaim {
-            prop_assert!(backing.live_bytes() >= final_len.saturating_sub(cfg.segment_bytes)
-                || !backing.archived_seqs().is_empty());
+            // KeepAll: every segment stays live, the WAL holds it all.
+            prop_assert_eq!(backing.live_seqs().first().copied(), Some(0));
+            prop_assert!(backing.live_bytes() >= final_len);
         }
 
         let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
@@ -291,8 +295,8 @@ proptest! {
         prop_assert_eq!(&rec.db.tree, &expect.tree, "retention {:?}", cfg.retention);
         prop_assert_eq!(&rec.db.prov, &expect.prov, "retention {:?}", cfg.retention);
         if !reclaim {
-            // Full carried log: the recovered curated tree is
-            // indistinguishable from never having truncated.
+            // The whole log read from the WAL: the recovered curated
+            // tree is indistinguishable from never having checkpointed.
             prop_assert_eq!(&rec.db, &expect);
         } else {
             // Truncated form: history before the checkpoint is gone by
@@ -586,8 +590,8 @@ fn long_history_recovery_scans_a_bounded_tail() {
         if (i + 1) % 8 == 0 {
             let covered = log.len().unwrap();
             let snap = reference(&db, mode, i + 1);
-            let mut c = Checkpoint::basic(snap.last_txn_id(), snap.tree.clone(), snap.prov.clone());
-            c.covered_len = Some(covered);
+            let mut c = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
+            c.archive = b"archive".to_vec();
             log.reclaim(covered).unwrap();
             ck = Some(c);
         }
