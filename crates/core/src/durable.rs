@@ -32,9 +32,8 @@
 //! backing. Every public `open*` constructor of the three façades is a
 //! wrapper over `open_all`, the only caller of recovery.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cdb_archive::Archive;
 use cdb_curation::provstore::StoreMode;
@@ -287,10 +286,12 @@ pub fn decode_aux(bytes: &[u8]) -> Result<AuxRecord, WireError> {
 /// a 2PC rollback copies the state and never this.
 #[derive(Debug)]
 pub(crate) struct Durable {
-    /// The write-ahead log, always behind a group-commit handle.
-    /// Single-threaded use is the degenerate group — a zero batch
-    /// window and an inline sync per commit; [`crate::SharedDb`] widens
-    /// the window and waits for the batch outside the database lock.
+    /// The write-ahead log, always behind a group-commit handle. Its
+    /// in-memory batch is also the retry queue: frames a failed write
+    /// left unwritten go out, in order, with the next sync.
+    /// Single-threaded use is the degenerate group — an inline sync
+    /// per commit; [`crate::SharedDb`] waits for the batch outside the
+    /// database lock.
     pub(crate) wal: GroupWal,
     /// The crash-atomic checkpoint store.
     ckpt: CheckpointStore,
@@ -307,12 +308,6 @@ pub(crate) struct Durable {
     persisted_txns: usize,
     /// Lifecycle events already encoded into WAL frames.
     persisted_events: usize,
-    /// Frames encoded but not yet appended to the WAL (a previous
-    /// append failed); drained, in order, before anything new is
-    /// appended. A deque: draining pops the front, so a long backlog
-    /// (a device down for thousands of commits) drains in one pass
-    /// instead of the O(n²) `remove(0)` shuffle a `Vec` would cost.
-    pending_frames: VecDeque<(u8, Vec<u8>)>,
     /// What the recovery that opened this instance saw.
     recovery: RecoveryStats,
     /// The page heap and what it holds, when checkpoints are
@@ -343,7 +338,7 @@ pub(crate) fn open_all(
     key_field: &str,
     devices: Vec<Devices>,
     pool_pages: usize,
-    (window, durability): (Duration, Durability),
+    durability: Durability,
 ) -> Result<(Vec<CuratedDatabase>, u64), DbError> {
     let mut decided = BTreeMap::new();
     let mut rest = Vec::with_capacity(devices.len());
@@ -393,13 +388,12 @@ pub(crate) fn open_all(
             .set(recovery.live_segments);
         dbs.push(CuratedDatabase {
             durable: Some(Durable {
-                wal: GroupWal::with_metrics(log, window, &metrics),
+                wal: GroupWal::with_metrics(log, &metrics),
                 ckpt,
                 retention: Retention::default(),
                 durability,
                 persisted_txns: state.curated.log.len(),
                 persisted_events: state.lifecycle.events().len(),
-                pending_frames: VecDeque::new(),
                 recovery,
                 paged: paged.map(|(heap, base)| PagedBacking::attach(heap, base)),
             }),
@@ -487,36 +481,25 @@ impl DbState {
 }
 
 impl Durable {
-    /// Appends every encoded-but-unwritten frame to the WAL, in order.
-    /// On failure the unwritten frames stay queued, so a transient
-    /// append error delays persistence instead of losing frames (or
-    /// reordering them: nothing new is appended past a queued frame).
-    /// Pops from the front of a deque, so a backlog of any size drains
-    /// in one linear pass.
-    fn drain_pending(&mut self) -> Result<(), DbError> {
-        while let Some((kind, payload)) = self.pending_frames.front() {
-            self.wal.append(*kind, payload)?;
-            self.pending_frames.pop_front();
-        }
-        Ok(())
-    }
-
-    /// Queues `frames` behind whatever is still pending, appends the
-    /// queue, and syncs when `force_sync` or the policy says so.
+    /// Adds `frames` to the group's batch, behind whatever a failed
+    /// write left there, and writes and syncs the batch when
+    /// `force_sync` or the policy says so. A device error surfaces
+    /// here, at the sync; the frames stay batched for the next one.
     fn log(
         &mut self,
         frames: impl IntoIterator<Item = (u8, Vec<u8>)>,
         force_sync: bool,
     ) -> Result<(), DbError> {
-        self.pending_frames.extend(frames);
-        self.drain_pending()?;
+        for (kind, payload) in frames {
+            self.wal.append(kind, payload);
+        }
         if force_sync || self.durability == Durability::Always {
             self.wal.sync_all()?;
         }
         Ok(())
     }
 
-    /// Drains the queue and forces everything appended to the device.
+    /// Writes and syncs everything batched.
     fn sync(&mut self) -> Result<(), DbError> {
         self.log([], true)
     }
@@ -527,7 +510,7 @@ impl Durable {
     /// events share one atomic commit frame — a torn write can drop the
     /// whole operation but never split the transaction from its side
     /// effects. [`CuratedDatabase::persist_commit`] feeds the frames
-    /// straight into the append queue; the sharded 2PC path
+    /// straight into the group's batch; the sharded 2PC path
     /// ([`CuratedDatabase::seal_unpersisted`]) instead seals them
     /// inside a PREPARE frame, so the transaction's whole cross-shard
     /// effect commits or aborts atomically.
@@ -700,8 +683,8 @@ fn encode_publish_point(
     })
 }
 
-/// Single-threaded use: a zero batch window, every commit synced inline.
-const OWNED: (Duration, Durability) = (Duration::ZERO, Durability::Always);
+/// Single-threaded use: every commit synced inline.
+const OWNED: Durability = Durability::Always;
 
 /// The single database as the one-shard case of [`open_all`].
 pub(crate) fn open_one(
@@ -709,9 +692,9 @@ pub(crate) fn open_one(
     key_field: &str,
     devices: Devices,
     pool_pages: usize,
-    sync: (Duration, Durability),
+    durability: Durability,
 ) -> Result<CuratedDatabase, DbError> {
-    let (mut dbs, _) = open_all(name, key_field, vec![devices], pool_pages, sync)?;
+    let (mut dbs, _) = open_all(name, key_field, vec![devices], pool_pages, durability)?;
     Ok(dbs.pop().expect("one device set opens one database"))
 }
 
@@ -875,7 +858,7 @@ impl CuratedDatabase {
 
     /// Appends every not-yet-persisted transaction and its lifecycle
     /// events to the WAL. Persistence is position-based, so a commit
-    /// whose persist step previously errored is encoded or drained now,
+    /// whose persist step previously errored is encoded or written now,
     /// never skipped: the WAL always holds a gap-free prefix of the
     /// in-memory log. In-memory instances skip straight out.
     pub(crate) fn persist_commit(&mut self) -> Result<(), DbError> {
@@ -964,7 +947,7 @@ impl Drop for CuratedDatabase {
     /// Best-effort flush on drop: under [`Durability::Batched`] a
     /// database can die holding committed-but-unsynced frames; dropping
     /// it cleanly (scope exit, shutdown) is not a crash, so those
-    /// frames get one last drain + sync. Failure is swallowed — drop
+    /// frames get one last write + sync. Failure is swallowed — drop
     /// cannot return an error — but counted: the global
     /// `storage.error.dropped_unsynced` counter records every drop that
     /// lost a tail, so silent loss is at least observable. Panics skip
@@ -977,8 +960,7 @@ impl Drop for CuratedDatabase {
         let Some(d) = self.durable.as_mut() else {
             return;
         };
-        let dirty = !d.pending_frames.is_empty() || d.wal.unsynced() > 0;
-        if dirty && d.sync().is_err() {
+        if d.wal.unsynced() > 0 && d.sync().is_err() {
             cdb_obs::global()
                 .counter("storage.error.dropped_unsynced")
                 .inc();

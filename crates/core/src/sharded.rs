@@ -317,19 +317,20 @@ impl ShardedDb {
     /// 2PC-aware: decision records are gathered from every WAL *and*
     /// every checkpoint first, then all shards recover concurrently
     /// under that shared context (in-doubt PREPAREs commit iff a commit
-    /// decision exists anywhere, else abort).
+    /// decision exists anywhere, else abort). `_window` is ignored:
+    /// group commit has no timer (see [`crate::DEFAULT_BATCH_WINDOW`]).
     pub fn open(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         devices: Vec<(Box<dyn Io>, CheckpointStore)>,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = devices
             .into_iter()
             .map(|(wal_io, ckpt)| (wal_io, ckpt, None))
             .collect();
-        Self::open_devices(name.into(), key_field.into(), map, devices, 0, window)
+        Self::open_devices(name.into(), key_field.into(), map, devices, 0)
     }
 
     /// Every shard through the one open routine
@@ -341,31 +342,30 @@ impl ShardedDb {
         map: ShardMap,
         devices: Vec<Devices>,
         pool_pages: usize,
-        window: Duration,
     ) -> Result<Self, DbError> {
         assert_eq!(devices.len(), map.shards(), "one device set per shard");
-        let sync = (window, Durability::Batched);
-        let (dbs, max_gid) = open_all(&name, &key_field, devices, pool_pages, sync)?;
+        let (dbs, max_gid) = open_all(&name, &key_field, devices, pool_pages, Durability::Batched)?;
         let shards = dbs.into_iter().map(SharedDb::serve).collect();
         Ok(Self::assemble(map, shards, max_gid + 1))
     }
 
     /// Opens a durable sharded database in a directory: shard `i` gets
     /// segmented WAL files `<dir>/<name>.s<i>.wal.*` and checkpoint
-    /// `<dir>/<name>.s<i>.ckpt`.
+    /// `<dir>/<name>.s<i>.ckpt`. `_window` is ignored, as in
+    /// [`ShardedDb::open`].
     pub fn open_dir(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         dir: impl AsRef<std::path::Path>,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
         let cfg = cdb_storage::SegmentConfig::default();
         let devices = (0..map.shards())
             .map(|i| dir_devices(dir.as_ref(), &format!("{name}.s{i}"), cfg))
             .collect::<Result<_, _>>()?;
-        Self::open_devices(name, key_field.into(), map, devices, 0, window)
+        Self::open_devices(name, key_field.into(), map, devices, 0)
     }
 
     /// Opens a durable sharded database whose checkpoints are
@@ -373,27 +373,21 @@ impl ShardedDb {
     /// (see [`SharedDb::open_paged`]): each shard gets a `(WAL device,
     /// checkpoint store, page heap)` triple and a buffer pool of
     /// `pool_pages` frames, so the working set of every shard is
-    /// bounded independently. Recovery is that of [`ShardedDb::open`].
+    /// bounded independently. Recovery is that of [`ShardedDb::open`],
+    /// and `_window` is ignored as there.
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         devices: Vec<PagedShardDevices>,
         pool_pages: usize,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = devices
             .into_iter()
             .map(|(wal_io, ckpt, page_io)| (wal_io, ckpt, Some(page_io)))
             .collect();
-        Self::open_devices(
-            name.into(),
-            key_field.into(),
-            map,
-            devices,
-            pool_pages,
-            window,
-        )
+        Self::open_devices(name.into(), key_field.into(), map, devices, pool_pages)
     }
 
     fn assemble(map: ShardMap, shards: Vec<SharedDb>, next_gid: u64) -> Self {
@@ -735,7 +729,7 @@ impl ShardedDb {
             let abort = encode_decide(&DecideRecord { gid, commit: false });
             for (pos, &s) in participants.iter().enumerate() {
                 if let Some(group) = self.inner.shards[s].group() {
-                    let _ = group.append(FRAME_DECIDE, &abort);
+                    group.append(FRAME_DECIDE, abort.clone());
                 }
                 Arc::make_mut(&mut guards[pos].state.decisions).insert(gid, false);
             }
@@ -783,21 +777,21 @@ impl ShardedDb {
             };
             let span = cdb_obs::SpanGuard::with_attr("core.twopc.prepare", s as u64);
             let group = self.inner.shards[s].group().expect("uniformly durable");
-            let seq = group.append(FRAME_PREPARE, &encode_prepare(&rec))?;
+            let seq = group.append(FRAME_PREPARE, encode_prepare(&rec));
             group.commit(seq)?;
             self.inner.instr.twopc_prepare.observe(span.elapsed());
         }
         let decide = encode_decide(&DecideRecord { gid, commit: true });
         let span = cdb_obs::SpanGuard::with_attr("core.twopc.decide", coordinator as u64);
         let coord = self.inner.shards[coordinator].group().expect("durable");
-        let seq = coord.append(FRAME_DECIDE, &decide)?;
+        let seq = coord.append(FRAME_DECIDE, decide.clone());
         coord.commit(seq)?; // the commit point: ack gates on this sync
         self.inner.instr.twopc_decide.observe(span.elapsed());
         drop(span);
         for &s in participants {
             if s != coordinator {
                 let group = self.inner.shards[s].group().expect("durable");
-                let _ = group.append(FRAME_DECIDE, &decide)?;
+                group.append(FRAME_DECIDE, decide.clone());
             }
         }
         Ok(())

@@ -14,37 +14,40 @@
 //!   with **no locks at all**; taking the snapshot itself is one
 //!   mutex-protected `Arc::clone`.
 //! * **Writers** serialize through the database mutex for the
-//!   in-memory commit, then wait for durability through the WAL's
-//!   group commit ([`cdb_storage::GroupWal`]) *outside* the lock, so
-//!   one writer's `fdatasync` never blocks another writer's in-memory
-//!   commit — concurrent commits share a single sync.
+//!   in-memory commit, whose WAL frames only join the group's
+//!   in-memory batch, then wait for durability through the WAL's
+//!   group commit ([`cdb_storage::GroupWal`]) *outside* the lock. The
+//!   batch leader writes and syncs without the append lock, so one
+//!   writer's `fdatasync` never blocks another writer's in-memory
+//!   commit — the commits that arrive during a sync share the next.
 //!
 //! # Protocol
 //!
 //! A write does, in order:
 //!
 //! 1. lock the database, run the curation op (the [`DbState`]
-//!    operation, then its WAL frames appended unsynced — the inner
-//!    database runs at [`Durability::Batched`]);
+//!    operation, then its WAL frames added to the group's batch — the
+//!    inner database runs at [`Durability::Batched`]);
 //! 2. still under the lock, record the WAL sequence number of its
 //!    frames and, if the op changed the state, **publish a fresh
 //!    snapshot** (epoch `e+1`) — a refused op publishes nothing;
 //! 3. unlock, drop the displaced epoch, then [`GroupWal::commit`] the
 //!    recorded sequence number — block until a batch leader's single
-//!    sync covers it.
+//!    write and sync covers it (or lead that batch itself).
 //!
 //! Publishing under the lock means snapshots are created in commit
 //! order: epoch `e`'s transaction log is always a prefix of epoch
 //! `e+1`'s (the `stress` feature compiles an assertion of exactly
-//! this). A snapshot can expose a commit whose sync is still in
-//! flight — readers see their own cluster's writes immediately, and
-//! durability lags by at most the batch window — but never a torn or
-//! reordered one.
+//! this).
 //!
-//! # Ack rule
+//! # Visibility and ack rules
 //!
-//! A write method returning `Ok` means the commit is durable: its
-//! frames were covered by a WAL sync that reported success. Because
+//! A snapshot may show a commit whose sync is still in flight: readers
+//! see a write once it is in memory, never a torn or reordered one, and
+//! a crash can lose a commit a reader saw. What holds is *acked ⊆
+//! recovered*: a write method returning `Ok` means the commit is
+//! durable — its frames were covered by a WAL sync that reported
+//! success — and survives a crash of an honest device. Because
 //! frames are appended in commit order under the database lock, the
 //! durable log is always a gap-free prefix of the acknowledged commit
 //! order — a crash may cut acknowledged commits off the end (a lying
@@ -76,10 +79,10 @@ use cdb_storage::{CheckpointStore, GroupWal, Io};
 use crate::db::{CuratedDatabase, DbError, DbState};
 use crate::durable::{dir_devices, open_one, CheckpointStats, Devices, Durability};
 
-/// Default group-commit batch window for shared databases: long enough
-/// for concurrent writers to pile into one sync, short enough to be
-/// invisible next to the sync itself.
-pub const DEFAULT_BATCH_WINDOW: Duration = Duration::from_micros(200);
+/// The value for the serving constructors' `window` argument, which
+/// group commit no longer reads: it has no timer, and a batch is
+/// whatever was appended while the previous sync ran.
+pub const DEFAULT_BATCH_WINDOW: Duration = Duration::ZERO;
 
 /// Pre-resolved serving-layer instruments (one registry lookup at
 /// construction; the write path touches only atomics).
@@ -157,21 +160,17 @@ impl SharedDb {
         Self::from_db(CuratedDatabase::new(name, key_field))
     }
 
-    /// Wraps an existing database. A durable database's group-commit
-    /// window is widened to [`DEFAULT_BATCH_WINDOW`] and its durability
+    /// Wraps an existing database. A durable database's durability is
     /// set to [`Durability::Batched`] — the write path here
     /// acknowledges durability through the group, per-commit inline
     /// syncs would defeat it.
     pub fn from_db(mut db: CuratedDatabase) -> Self {
-        if let Some(d) = db.durable.as_ref() {
-            d.wal.set_window(DEFAULT_BATCH_WINDOW);
-            db.set_durability(Durability::Batched);
-        }
+        db.set_durability(Durability::Batched);
         Self::serve(db)
     }
 
-    /// The serving assembly around a database whose window and
-    /// durability policy are already the serving ones.
+    /// The serving assembly around a database whose durability policy
+    /// is already the serving one.
     pub(crate) fn serve(db: CuratedDatabase) -> Self {
         let group = db.durable.as_ref().map(|d| d.wal.clone());
         let metrics = db.metrics().clone();
@@ -193,30 +192,30 @@ impl SharedDb {
         key_field: String,
         devices: Devices,
         pool_pages: usize,
-        window: Duration,
     ) -> Result<Self, DbError> {
-        let sync = (window, Durability::Batched);
-        open_one(&name, &key_field, devices, pool_pages, sync).map(Self::serve)
+        open_one(&name, &key_field, devices, pool_pages, Durability::Batched).map(Self::serve)
     }
 
     /// Opens a durable shared database over a WAL device and a
     /// checkpoint device (see [`CuratedDatabase::open`] for recovery
-    /// semantics), with group commit at the given batch window.
+    /// semantics), serving writes through group commit. `_window` is
+    /// ignored (see [`DEFAULT_BATCH_WINDOW`]).
     pub fn open(
         name: impl Into<String>,
         key_field: impl Into<String>,
         wal_io: Box<dyn Io>,
         ckpt: CheckpointStore,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, None);
-        Self::open_devices(name.into(), key_field.into(), devices, 0, window)
+        Self::open_devices(name.into(), key_field.into(), devices, 0)
     }
 
     /// Opens a durable shared database whose checkpoints are
     /// page-granular — [`SharedDb::open`] plus the page heap of
     /// [`CuratedDatabase::open_paged`]: `page_io` holds the heap,
-    /// served through a pool of `pool_pages` frames.
+    /// served through a pool of `pool_pages` frames. `_window` is
+    /// ignored.
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
@@ -224,24 +223,24 @@ impl SharedDb {
         ckpt: CheckpointStore,
         page_io: Box<dyn Io>,
         pool_pages: usize,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, Some(page_io));
-        Self::open_devices(name.into(), key_field.into(), devices, pool_pages, window)
+        Self::open_devices(name.into(), key_field.into(), devices, pool_pages)
     }
 
     /// Opens a durable shared database backed by segmented WAL files
     /// `<dir>/<name>.wal.<seq>` and the atomically-installed checkpoint
-    /// `<dir>/<name>.ckpt` (created if absent).
+    /// `<dir>/<name>.ckpt` (created if absent). `_window` is ignored.
     pub fn open_dir(
         name: impl Into<String>,
         key_field: impl Into<String>,
         dir: impl AsRef<std::path::Path>,
-        window: Duration,
+        _window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
         let devices = dir_devices(dir.as_ref(), &name, cdb_storage::SegmentConfig::default())?;
-        Self::open_devices(name, key_field.into(), devices, 0, window)
+        Self::open_devices(name, key_field.into(), devices, 0)
     }
 
     pub(crate) fn lock_db(&self) -> MutexGuard<'_, CuratedDatabase> {
@@ -278,7 +277,7 @@ impl SharedDb {
     /// the lock, durability wait outside it (see module docs). An op the
     /// state refused changed nothing and publishes nothing: the epoch
     /// stays. An op whose state change landed publishes it even when
-    /// its WAL append then failed — the change is in memory either way.
+    /// its WAL write then fails — the change is in memory either way.
     fn write<R>(
         &self,
         op: impl FnOnce(&mut CuratedDatabase) -> Result<R, DbError>,

@@ -495,9 +495,9 @@ fn checkpoint_racing_a_pending_batch_syncs_it_first() {
     );
 }
 
-/// `fail_append` under group commit: one writer's append fails during
-/// the window another commit's flush covers. The failed op reports the
-/// error, its frames stay queued, and the next commit drains them —
+/// `fail_append` under group commit: one batch's device write fails.
+/// The failed op reports the error, its frames stay in the group's
+/// batch, and the next commit writes them first —
 /// the WAL stays gap-free through the shared group-commit path just as
 /// it does through the owned path.
 #[test]
@@ -538,6 +538,42 @@ fn fail_append_during_group_commit_is_retried_not_skipped() {
         vec!["A".to_string(), "B".to_string(), "C".to_string()],
         "the commit whose append failed was retried, not skipped"
     );
+}
+
+/// A short WAL write: half of B's frame reaches the device, then the
+/// write errors. The torn half is cut back off, so C's commit writes
+/// B's frame again whole and then C, and recovery keeps all three —
+/// not just the prefix in front of a torn frame.
+#[test]
+fn short_wal_write_is_cut_off_and_rewritten() {
+    // Append #1 is the WAL header; #2 is A's frame; #3 (B) is short.
+    let wal = SharedFaulty::new(FaultPlan {
+        short_append: Some(3),
+        ..FaultPlan::default()
+    });
+    {
+        let mut db = CuratedDatabase::open(
+            "iuphar",
+            "name",
+            Box::new(wal.clone()),
+            CheckpointStore::mem(),
+        )
+        .unwrap();
+        db.add_entry("alice", 1, "A", &[]).unwrap();
+        assert!(db.add_entry("bob", 2, "B", &[]).is_err(), "short write");
+        db.add_entry("carol", 3, "C", &[]).unwrap();
+    }
+    let recovered = CuratedDatabase::open(
+        "iuphar",
+        "name",
+        Box::new(MemIo::from_bytes(wal.crash())),
+        CheckpointStore::mem(),
+    )
+    .unwrap();
+    let mut keys = recovered.entry_keys().unwrap();
+    keys.sort();
+    assert_eq!(keys, ["A", "B", "C"]);
+    assert_eq!(recovered.recovery_stats().unwrap().frames_dropped, 0);
 }
 
 /// Dropping a batched database without a final explicit sync flushes
@@ -638,8 +674,9 @@ impl Io for GatedIo {
 }
 
 /// Ten thousand commits' worth of frames queue up behind a dead device
-/// and then drain in one linear pass once it heals — the deque-backed
-/// queue makes the drain O(n), and recovery sees every transaction.
+/// and then drain in one linear pass once it heals — each failed write
+/// stops at the batch's first frame and hands the batch back whole, so
+/// the backlog costs O(n), and recovery sees every transaction.
 #[test]
 fn ten_thousand_frame_backlog_drains_in_one_pass() {
     let dev = GatedIo::new();

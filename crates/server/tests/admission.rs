@@ -15,8 +15,7 @@ use cdb_server::session::Session;
 use cdb_server::transport::{mem_pair, MemTransport};
 use cdb_storage::{CheckpointStore, MemIo};
 
-/// A durable database over in-memory devices, served as one shard,
-/// group-commit window zero (sync immediately — deterministic).
+/// A durable database over in-memory devices, served as one shard.
 fn durable_db() -> ShardedDb {
     ShardedDb::from(
         SharedDb::open(

@@ -301,6 +301,10 @@ pub struct FaultPlan {
     /// The n-th append (1-based) returns an error and buffers nothing
     /// (a transient write failure — later appends succeed).
     pub fail_append: Option<u32>,
+    /// The n-th append (1-based) buffers only the first half of its
+    /// bytes and then returns an error (a short write: the torn half
+    /// stays on the device unless the caller truncates it away).
+    pub short_append: Option<u32>,
     /// XOR masks applied to the durable image at crash time (bit rot):
     /// `(offset, mask)`. Offsets past the image are ignored.
     pub bit_flips: Vec<(u64, u8)>,
@@ -404,6 +408,10 @@ impl Io for FaultyIo {
         self.appends += 1;
         if self.plan.fail_append == Some(self.appends) {
             return Err(StorageError::Io("injected append failure".into()));
+        }
+        if self.plan.short_append == Some(self.appends) {
+            self.pending.extend_from_slice(&bytes[..bytes.len() / 2]);
+            return Err(StorageError::Io("injected short write".into()));
         }
         self.pending.extend_from_slice(bytes);
         Ok(())

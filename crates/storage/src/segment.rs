@@ -619,7 +619,9 @@ impl Io for SegmentedIo {
         }
         let seg = self.segs.last_mut().expect("at least one segment is live");
         let within = len - seg.start;
-        if within < seg.payload {
+        // `<=`: a short write leaves bytes in the file past the payload
+        // it counted, and a truncate to the current length cuts them.
+        if within <= seg.payload {
             seg.io.truncate(SEG_HEADER + within)?;
             seg.payload = within;
             seg.dirty = true;
@@ -815,6 +817,33 @@ mod tests {
                 "budget {budget}: survivors are not a prefix"
             );
         }
+    }
+
+    #[test]
+    fn truncate_to_the_current_length_cuts_a_short_write_off_the_file() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("cdb-seg-short-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut io = SegmentedIo::open_dir(&dir, "db", small(64, Retention::KeepAll)).unwrap();
+        fill(&mut io, &[b"aaaaaaaa"]);
+        let file = dir.join("db.wal.0");
+        let whole = std::fs::metadata(&file).unwrap().len();
+        // What a failed `write_all` leaves behind: bytes in the file
+        // that the segment's payload does not count.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&file)
+            .unwrap();
+        f.write_all(b"torn").unwrap();
+        let len = io.len().unwrap();
+        io.truncate(len).unwrap();
+        assert_eq!(std::fs::metadata(&file).unwrap().len(), whole);
+        fill(&mut io, &[b"bbbbbbbb"]);
+        let mut tail = [0u8; 8];
+        read_exact_at(&mut io, 8, &mut tail).unwrap();
+        assert_eq!(&tail, b"bbbbbbbb");
+        drop(io);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

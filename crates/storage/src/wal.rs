@@ -93,6 +93,13 @@ impl<I: Io> DurableLog<I> {
         Ok(())
     }
 
+    /// Cuts the log back to `len` bytes: how a group-commit leader
+    /// takes back a batch whose write failed part-way, so no torn frame
+    /// sits in front of the frames written after it.
+    pub fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.io.truncate(len)
+    }
+
     /// Frames appended since the last sync (0 = everything durable,
     /// as far as the device is honest).
     pub fn unsynced_frames(&self) -> u64 {

@@ -33,7 +33,7 @@
 //!   lengths are monotone.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -479,6 +479,108 @@ proptest! {
     }
 }
 
+// ------------------------------------------ a held sync blocks no op
+
+/// [`SharedFaulty`] behind a gate: while held, every flush blocks (and
+/// is counted as blocked) until the gate opens.
+#[derive(Debug, Clone)]
+struct HeldSync {
+    dev: SharedFaulty,
+    /// (held, flushes blocked right now)
+    gate: Arc<(Mutex<(bool, usize)>, Condvar)>,
+}
+
+impl HeldSync {
+    fn set_held(&self, held: bool) {
+        self.gate.0.lock().unwrap().0 = held;
+        self.gate.1.notify_all();
+    }
+}
+
+impl Io for HeldSync {
+    fn len(&self) -> Result<u64, StorageError> {
+        self.dev.len()
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        self.dev.read_at(offset, buf)
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.dev.append(bytes)
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        let (lock, cv) = &*self.gate;
+        let mut g = lock.lock().unwrap();
+        g.1 += 1;
+        cv.notify_all();
+        g = cv.wait_while(g, |g| g.0).unwrap();
+        g.1 -= 1;
+        drop(g);
+        self.dev.flush()
+    }
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.dev.truncate(len)
+    }
+}
+
+/// One writer's sync is held open on the device; a second writer's
+/// in-memory commit must still finish — its snapshot epoch is
+/// published, showing both commits while neither is durable (the
+/// visibility rule) — and once the sync is released both commits are
+/// acknowledged and survive a crash-reopen.
+#[test]
+fn a_held_sync_does_not_block_another_writers_commit() {
+    let held = HeldSync {
+        dev: SharedFaulty(Arc::new(Mutex::new(FaultyIo::new(FaultPlan::default())))),
+        gate: Arc::new((Mutex::new((false, 0)), Condvar::new())),
+    };
+    let db = SharedDb::open(
+        "held",
+        "id",
+        Box::new(held.clone()),
+        cdb_storage::CheckpointStore::mem(),
+        Duration::ZERO,
+    )
+    .unwrap();
+    held.set_held(true);
+    let writer = |key: &'static str, time: u64| {
+        let db = db.clone();
+        thread::spawn(move || db.add_entry("c", time, key, &[]))
+    };
+    let w1 = writer("k1", 1);
+    {
+        // Writer 1 leads the group and its flush is now held.
+        let (lock, cv) = &*held.gate;
+        let _g = cv.wait_while(lock.lock().unwrap(), |g| g.1 == 0).unwrap();
+    }
+    let w2 = writer("k2", 2);
+    // Bounded, so a blocked writer fails the test instead of hanging it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while db.epoch() < 2 && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let seen = db.snapshot();
+    held.set_held(false);
+    assert_eq!(
+        seen.epoch(),
+        2,
+        "writer 2's op blocked behind writer 1's sync"
+    );
+    assert_eq!(seen.entry_keys().unwrap().len(), 2);
+    w1.join().unwrap().unwrap();
+    w2.join().unwrap().unwrap();
+    let image = held.dev.0.lock().unwrap().durable_image();
+    let reopened = CuratedDatabase::open(
+        "held",
+        "id",
+        Box::new(MemIo::from_bytes(image)),
+        cdb_storage::CheckpointStore::mem(),
+    )
+    .unwrap();
+    let mut keys = reopened.entry_keys().unwrap();
+    keys.sort();
+    assert_eq!(keys, ["k1", "k2"]);
+}
+
 // --------------------------------------- satellite 1: replay oracle
 
 proptest! {
@@ -732,7 +834,7 @@ impl WireClient {
 
 proptest! {
     /// 256 seeded multi-client histories through the in-memory
-    /// transport against a durable database (group window zero):
+    /// transport against a durable database:
     /// committed-prefix, replay-oracle, and epoch-coherence hold end
     /// to end, one client disconnects in the middle of writing a
     /// frame, and after a crash the recovered log covers every ack
