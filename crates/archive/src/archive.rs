@@ -306,6 +306,38 @@ impl Archive {
         reconstruct(&self.root, v).ok_or(ArchiveError::NoSuchVersion(v))
     }
 
+    /// The subtree at `path` as of version `v`: what
+    /// `spec().resolve(&retrieve(v)?, path)` returns, read without
+    /// rebuilding the rest of the version. The walk goes down one child
+    /// per step, checking at each that the node is present at `v` and
+    /// has the shape the step needs there (`Field` a record, `Entry` a
+    /// set, `Index` a list), and then rebuilds only the subtree it
+    /// reached. So a citation costs the path's depth plus the cited
+    /// entry's size, not the size of the release.
+    ///
+    /// [`ArchiveError::NoSuchVersion`] when `v` was never published,
+    /// [`ArchiveError::NoSuchKeyPath`] when `path` is not present at `v`.
+    pub fn subtree_at(&self, path: &KeyPath, v: VersionId) -> Result<Value, ArchiveError> {
+        if v as usize >= self.versions.len() {
+            return Err(ArchiveError::NoSuchVersion(v));
+        }
+        let missing = || ArchiveError::NoSuchKeyPath(path.to_string());
+        let mut cur = &self.root;
+        for step in path.steps() {
+            let fits = matches!(
+                (step, cur.shape_at(v)),
+                (KeyStep::Field(_), Some(Shape::Record))
+                    | (KeyStep::Entry(_), Some(Shape::Set))
+                    | (KeyStep::Index(_), Some(Shape::List))
+            );
+            if !fits || !cur.present_at(v) {
+                return Err(missing());
+            }
+            cur = cur.children.get(step).ok_or_else(missing)?;
+        }
+        reconstruct(cur, v).ok_or_else(missing)
+    }
+
     /// Looks up the archive node at a key path (any version).
     fn node(&self, path: &KeyPath) -> Option<&ANode> {
         let mut cur = &self.root;
@@ -327,6 +359,17 @@ impl Archive {
         self.node(path)
             .map(|n| n.atoms.clone())
             .ok_or_else(|| ArchiveError::NoSuchKeyPath(path.to_string()))
+    }
+
+    /// The `Entry` children of the node at `path` with their presence
+    /// intervals, in key order; none when there is no node at `path`.
+    pub(crate) fn entry_lifespans(&self, path: &KeyPath) -> Vec<(KeyPath, Vec<Interval>)> {
+        self.node(path)
+            .into_iter()
+            .flat_map(|n| &n.children)
+            .filter(|(step, _)| matches!(step, KeyStep::Entry(_)))
+            .map(|(step, child)| (path.child(step.clone()), child.intervals.clone()))
+            .collect()
     }
 
     /// Whether the node at `path` was present at version `v`.
@@ -542,17 +585,35 @@ fn merge_entry(
     }
 }
 
+/// Nodes rebuilt by reads of the archive: each whole-version or
+/// subtree read adds the number of values it built.
+fn read_nodes() -> &'static cdb_obs::Counter {
+    static READ: OnceLock<cdb_obs::Counter> = OnceLock::new();
+    READ.get_or_init(|| cdb_obs::global().counter("archive.read.nodes"))
+}
+
+/// Rebuilds the value of `node` as of version `v`, `None` when it is
+/// absent then, and counts the values built in `archive.read.nodes`.
 fn reconstruct(node: &ANode, v: VersionId) -> Option<Value> {
+    let mut built = 0;
+    let value = build(node, v, &mut built);
+    read_nodes().add(built);
+    value
+}
+
+fn build(node: &ANode, v: VersionId, built: &mut u64) -> Option<Value> {
     if !node.present_at(v) {
         return None;
     }
-    match node.shape_at(v)? {
+    let shape = node.shape_at(v)?;
+    *built += 1;
+    match shape {
         Shape::Atom => node.atom_at(v).cloned().map(Value::Atom),
         Shape::Record => {
             let mut m = std::collections::BTreeMap::new();
             for (step, child) in &node.children {
                 if let KeyStep::Field(l) = step {
-                    if let Some(cv) = reconstruct(child, v) {
+                    if let Some(cv) = build(child, v, built) {
                         m.insert(l.clone(), cv);
                     }
                 }
@@ -563,7 +624,7 @@ fn reconstruct(node: &ANode, v: VersionId) -> Option<Value> {
             let mut s = std::collections::BTreeSet::new();
             for (step, child) in &node.children {
                 if matches!(step, KeyStep::Entry(_)) {
-                    if let Some(cv) = reconstruct(child, v) {
+                    if let Some(cv) = build(child, v, built) {
                         s.insert(cv);
                     }
                 }
@@ -574,7 +635,7 @@ fn reconstruct(node: &ANode, v: VersionId) -> Option<Value> {
             let mut xs: Vec<(usize, Value)> = Vec::new();
             for (step, child) in &node.children {
                 if let KeyStep::Index(i) = step {
-                    if let Some(cv) = reconstruct(child, v) {
+                    if let Some(cv) = build(child, v, built) {
                         xs.push((*i, cv));
                     }
                 }

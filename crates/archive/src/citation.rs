@@ -39,6 +39,12 @@ impl Citation {
     /// verifying that the entry exists there. The `title` is derived
     /// from the entry's `name`/`id`/`ac` field when present, else from
     /// the key path.
+    ///
+    /// The entry is read with [`Archive::subtree_at`], which walks down
+    /// the key path and rebuilds only the cited subtree: the cost is the
+    /// path's depth plus the entry's size, whatever the size of the
+    /// release. It reads what resolving `path` in
+    /// [`Archive::retrieve`]`(version)` would.
     pub fn cite(
         archive: &Archive,
         version: VersionId,
@@ -50,12 +56,8 @@ impl Citation {
             .get(version as usize)
             .ok_or(ArchiveError::NoSuchVersion(version))?
             .clone();
-        let snapshot = archive.retrieve(version)?;
-        let entry = archive
-            .spec()
-            .resolve(&snapshot, path)
-            .map_err(|_| ArchiveError::NoSuchKeyPath(path.to_string()))?;
-        let title = derive_title(entry, path);
+        let entry = archive.subtree_at(path, version)?;
+        let title = derive_title(&entry, path);
         Ok(Citation {
             database: archive.name().to_owned(),
             version,
@@ -67,7 +69,9 @@ impl Citation {
     }
 
     /// Resolves the citation against the archive, returning the cited
-    /// entry exactly as it was in the cited version.
+    /// entry exactly as it was in the cited version. Like
+    /// [`Citation::cite`], it reads one subtree with
+    /// [`Archive::subtree_at`], not the whole version.
     pub fn resolve(&self, archive: &Archive) -> Result<Value, ArchiveError> {
         if archive.name() != self.database {
             return Err(ArchiveError::NoSuchKeyPath(format!(
@@ -76,12 +80,7 @@ impl Citation {
                 archive.name()
             )));
         }
-        let snapshot = archive.retrieve(self.version)?;
-        archive
-            .spec()
-            .resolve(&snapshot, &self.path)
-            .cloned()
-            .map_err(|_| ArchiveError::NoSuchKeyPath(self.path.to_string()))
+        archive.subtree_at(&self.path, self.version)
     }
 }
 

@@ -11,7 +11,6 @@
 //! archive-direct form (one walk over the fat-node tree) and the
 //! scan-all-versions baseline (retrieve every version, evaluate, merge).
 
-use cdb_model::keys::KeyStep;
 use cdb_model::{Atom, KeyPath, Value};
 
 use crate::archive::{Archive, ArchiveError, Interval, VersionId};
@@ -65,22 +64,13 @@ pub fn versions_where(
 
 /// The lifespans of every child entry of the set at `path` — e.g. each
 /// country's period of existence in the Factbook (fission/fusion shows
-/// up as interval boundaries).
+/// up as interval boundaries). In key order; empty when the archive has
+/// no node at `path`. Reads the children of that one node.
 pub fn entry_lifespans(
     archive: &Archive,
     path: &KeyPath,
 ) -> Result<Vec<(KeyPath, Vec<Interval>)>, ArchiveError> {
-    let mut out = Vec::new();
-    for kp in archive.all_key_paths() {
-        if kp.len() == path.len() + 1
-            && path.is_prefix_of(&kp)
-            && matches!(kp.steps().last(), Some(KeyStep::Entry(_)))
-        {
-            let spans = archive.lifespan(&kp)?;
-            out.push((kp, spans));
-        }
-    }
-    Ok(out)
+    Ok(archive.entry_lifespans(path))
 }
 
 /// Pearson correlation between two atomic series over the versions where
@@ -125,6 +115,7 @@ pub fn correlate(archive: &Archive, a: &KeyPath, b: &KeyPath) -> Result<Option<f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_model::keys::KeyStep;
     use cdb_model::KeySpec;
 
     fn spec() -> KeySpec {

@@ -2,12 +2,13 @@
 //! store equivalence (archive = snapshots = deltas) over random keyed
 //! version sequences; a delta merge encodes as the full merge; the
 //! archive's own encoding round-trips and refuses what it did not
-//! write.
+//! write; a keyed read of one subtree is the whole version's read
+//! resolved at the key path.
 
 use cdb_archive::codec::{decode_value, encode_value, CodecError};
 use std::collections::{BTreeMap, BTreeSet};
 
-use cdb_archive::{Archive, DeltaStore, SnapshotStore};
+use cdb_archive::{temporal, Archive, ArchiveError, DeltaStore, SnapshotStore};
 use cdb_model::keys::KeyStep;
 use cdb_model::{Atom, KeyPath, KeySpec, Value};
 use proptest::prelude::*;
@@ -146,7 +147,7 @@ proptest! {
 }
 
 /// One entry of a random history: a value, a field whose shape flips
-/// between absent, atom and record, and secondary identifiers.
+/// between absent, atom, record and list, and secondary identifiers.
 type EntryDraw = (i64, u8, BTreeSet<String>);
 
 fn history_entry(name: &str, (val, shape, secondary): &EntryDraw) -> Value {
@@ -154,7 +155,11 @@ fn history_entry(name: &str, (val, shape, secondary): &EntryDraw) -> Value {
     match shape {
         0 => {}
         1 => fields.push(("info", Value::int(val % 2))),
-        _ => fields.push(("info", Value::record([("x", Value::int(val % 2))]))),
+        2 => fields.push(("info", Value::record([("x", Value::int(val % 2))]))),
+        _ => {
+            let items = (0..=val.rem_euclid(3)).map(Value::int).collect();
+            fields.push(("info", Value::List(items)));
+        }
     }
     if !secondary.is_empty() {
         let ids = secondary.iter().map(Value::str);
@@ -164,12 +169,13 @@ fn history_entry(name: &str, (val, shape, secondary): &EntryDraw) -> Value {
 }
 
 /// Histories of keyed releases: entries come, go and come back, change
-/// value, flip `info` between atom and record, gain and lose secondary
-/// identifiers; a narrow value range keeps many entries unchanged.
+/// value, flip `info` between atom, record and lists of one to three
+/// items, gain and lose secondary identifiers; a narrow value range
+/// keeps many entries unchanged.
 fn histories() -> impl Strategy<Value = Vec<BTreeMap<String, EntryDraw>>> {
     let draw = (
         -2i64..2,
-        0u8..3,
+        0u8..4,
         proptest::collection::btree_set("[x-z]", 0..3),
     );
     proptest::collection::vec(proptest::collection::btree_map("[a-f]", draw, 0..6), 1..10)
@@ -180,7 +186,9 @@ proptest! {
     /// the last release, plus the steps of the gone ones — encodes byte
     /// for byte as merging every release whole. Unchanged entries named
     /// as changed anyway (value 0) and gone steps for keys never seen
-    /// change nothing.
+    /// change nothing. Keyed reads of the full-merged, the delta-merged
+    /// and the decoded archive agree with their whole-version reads
+    /// (`keyed_reads_agree`).
     #[test]
     fn a_delta_merge_encodes_as_the_full_merge(history in histories()) {
         let spec = KeySpec::new().rule(Vec::<String>::new(), ["name"]);
@@ -208,6 +216,10 @@ proptest! {
         }
         for v in 0..full.version_count() {
             prop_assert_eq!(delta.retrieve(v).unwrap(), full.retrieve(v).unwrap());
+        }
+        let decoded = Archive::decode("p", full.spec().clone(), &full.encode()).unwrap();
+        for archive in [&full, &delta, &decoded] {
+            keyed_reads_agree(archive)?;
         }
     }
 }
@@ -376,5 +388,82 @@ proptest! {
         }
         let back = Archive::decode("p", KeySpec::new(), &archive.encode()).unwrap();
         prop_assert_eq!(back.encode(), archive.encode());
+    }
+}
+
+/// Key paths no version of `archive` holds: a field, an entry and an
+/// index below every node the archive has, the root included.
+fn absent_paths(archive: &Archive) -> Vec<KeyPath> {
+    let never = [
+        KeyStep::Field("never".into()),
+        KeyStep::Entry(vec![Atom::Str("never".into())]),
+        KeyStep::Index(7),
+    ];
+    let mut out = Vec::new();
+    for path in archive.all_key_paths() {
+        out.extend(never.iter().map(|step| path.child(step.clone())));
+    }
+    out
+}
+
+/// `subtree_at(path, v)` reads what resolving `path` in `retrieve(v)`
+/// does, for every path the archive ever held and some it never did,
+/// in every version and one past the last (which must be
+/// `NoSuchVersion`). `entry_lifespans` lists what filtering every key
+/// path of the archive to the entries under `path` lists.
+fn keyed_reads_agree(archive: &Archive) -> Result<(), TestCaseError> {
+    let known = archive.all_key_paths();
+    let paths: Vec<KeyPath> = known.iter().cloned().chain(absent_paths(archive)).collect();
+    let n = archive.version_count();
+    for v in 0..=n {
+        let whole = archive.retrieve(v).ok();
+        for path in &paths {
+            let read = archive.subtree_at(path, v);
+            let resolved = whole
+                .as_ref()
+                .and_then(|whole| archive.spec().resolve(whole, path).ok());
+            prop_assert_eq!(read.as_ref().ok(), resolved, "{} in version {}", path, v);
+            if v == n {
+                prop_assert_eq!(read, Err(ArchiveError::NoSuchVersion(v)));
+            }
+        }
+    }
+    for path in &paths {
+        let by_scan: Vec<_> = known
+            .iter()
+            .filter(|kp| {
+                kp.len() == path.len() + 1
+                    && path.is_prefix_of(kp)
+                    && matches!(kp.steps().last(), Some(KeyStep::Entry(_)))
+            })
+            .map(|kp| (kp.clone(), archive.lifespan(kp).unwrap()))
+            .collect();
+        prop_assert_eq!(
+            temporal::entry_lifespans(archive, path).unwrap(),
+            by_scan,
+            "{}",
+            path
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Keyed reads agree with whole-version reads on unkeyed records
+    /// whose nodes flip between set, list, record and atom from one
+    /// version to the next, merged and decoded.
+    #[test]
+    fn a_keyed_read_follows_shape_changes(
+        versions in proptest::collection::vec(
+            proptest::collection::btree_map("[ab]", shaped(2), 0..3).prop_map(Value::Record),
+            1..6,
+        ),
+    ) {
+        let mut archive = Archive::new("p", KeySpec::new());
+        for (i, v) in versions.iter().enumerate() {
+            archive.add_version(v, format!("{i}")).unwrap();
+        }
+        keyed_reads_agree(&archive)?;
+        keyed_reads_agree(&Archive::decode("p", KeySpec::new(), &archive.encode()).unwrap())?;
     }
 }

@@ -1029,9 +1029,18 @@ impl DbState {
         KeyPath::root().child(entry_step(key))
     }
 
+    /// One entry as of a published version, read off the archive
+    /// without rebuilding the rest of the version
+    /// ([`cdb_archive::Archive::subtree_at`]).
+    pub fn entry_at(&self, v: VersionId, key: &str) -> Result<Value, DbError> {
+        Ok(self.archive.subtree_at(&self.entry_key_path(key), v)?)
+    }
+
     /// Cites an entry as of a published version, crediting the curators
     /// who touched it (§5.2: "It is appropriate to cite the authorship
-    /// of an entry").
+    /// of an entry"). The entry is read with one keyed archive read,
+    /// not a rebuild of the version; the authors come from a scan of
+    /// the transaction log.
     pub fn cite(&self, version: VersionId, key: &str) -> Result<Citation, DbError> {
         let authors = match self.entry_node(key) {
             Ok(node) => queries::curators_of(&self.curated, node)?,
@@ -1507,6 +1516,9 @@ mod tests {
             .unwrap()
             .clone();
         assert_eq!(entry.field("tm"), Some(&Value::int(4)));
+        assert_eq!(db.entry_at(v0, "GABA-A").unwrap(), entry);
+        assert!(db.entry_at(v0, "nope").is_err());
+        assert!(db.entry_at(v1 + 1, "GABA-A").is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::StorageError;
 #[derive(Debug)]
 pub struct DurableLog<I: Io> {
     io: I,
-    appended_since_sync: u64,
 }
 
 impl<I: Io> DurableLog<I> {
@@ -29,10 +28,7 @@ impl<I: Io> DurableLog<I> {
         io.truncate(0)?;
         io.append(WAL_MAGIC)?;
         io.flush()?;
-        Ok(DurableLog {
-            io,
-            appended_since_sync: 0,
-        })
+        Ok(DurableLog { io })
     }
 
     /// Opens an existing log: scans the valid prefix, truncates any
@@ -60,14 +56,7 @@ impl<I: Io> DurableLog<I> {
         if !outcome.header_ok {
             outcome.valid_len = WAL_MAGIC.len() as u64;
         }
-        Ok((
-            DurableLog {
-                io,
-                appended_since_sync: 0,
-            },
-            frames,
-            outcome,
-        ))
+        Ok((DurableLog { io }, frames, outcome))
     }
 
     /// Appends one frame. Not durable until [`DurableLog::sync`].
@@ -78,7 +67,6 @@ impl<I: Io> DurableLog<I> {
                 .inc();
             return Err(e);
         }
-        self.appended_since_sync += 1;
         Ok(())
     }
 
@@ -89,7 +77,6 @@ impl<I: Io> DurableLog<I> {
             cdb_obs::global().counter("storage.error.sync_failed").inc();
             return Err(e);
         }
-        self.appended_since_sync = 0;
         Ok(())
     }
 
@@ -98,12 +85,6 @@ impl<I: Io> DurableLog<I> {
     /// sits in front of the frames written after it.
     pub fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
         self.io.truncate(len)
-    }
-
-    /// Frames appended since the last sync (0 = everything durable,
-    /// as far as the device is honest).
-    pub fn unsynced_frames(&self) -> u64 {
-        self.appended_since_sync
     }
 
     /// Device length in bytes, as seen by this handle.
@@ -160,9 +141,7 @@ mod tests {
         let mut log = DurableLog::create(MemIo::new()).unwrap();
         log.append(FRAME_AUX, b"one").unwrap();
         log.append(FRAME_AUX, b"two").unwrap();
-        assert_eq!(log.unsynced_frames(), 2);
         log.sync().unwrap();
-        assert_eq!(log.unsynced_frames(), 0);
         let io = log.into_io();
         let (_, frames, _) = DurableLog::open(io).unwrap();
         assert_eq!(frames.len(), 2);

@@ -162,7 +162,7 @@ for src in examples/*.rs; do
     if [[ "$name" == "cdbsh" ]]; then
         # The shell reads commands from stdin; drive it with a script
         # touching curation, publishing, citation, SQL, and lifecycle.
-        cargo run -q --example cdbsh <<'CDBSH'
+        sh_out="$(cargo run -q --example cdbsh <<'CDBSH'
 new iuphar name
 add alice GABA-A kind=receptor tm=4
 add bob 5-HT3 kind=receptor tm=4
@@ -186,6 +186,22 @@ what 5-HT3
 parallel 4 2 10
 quit
 CDBSH
+)"
+        echo "$sh_out"
+        # The citation names the cited release, its version and the
+        # entry's title; the series lists each release's value.
+        for want in 'release 2008-06, version 0' '"GABA-A"'; do
+            if ! grep -qF "$want" <<<"$sh_out"; then
+                echo "cdbsh cite output is missing: $want"
+                exit 1
+            fi
+        done
+        for want in 'v0: 4' 'v1: 5'; do
+            if ! grep -qx "$want" <<<"$sh_out"; then
+                echo "cdbsh series output is missing the line: $want"
+                exit 1
+            fi
+        done
         # Durable session: profile a write end-to-end — the span tree
         # must show the WAL sync — and smoke the trace commands.
         obs_dir="$(mktemp -d)"

@@ -1,11 +1,15 @@
-//! Counted, not timed: how much work a publish does, read from the
-//! `archive.merge.entries` counter (entries handed to the archive's
-//! per-entry merge step), so the bound holds on any machine.
+//! Counted, not timed: how much work a publish or a versioned read
+//! does, read from the `archive.merge.entries` counter (entries handed
+//! to the archive's per-entry merge step) and the `archive.read.nodes`
+//! counter (values an archive read rebuilt), so the bounds hold on any
+//! machine.
 //!
 //! - A publish after k edits merges exactly k entries, at 1 000 entries
 //!   and at 8 000.
 //! - `archive_from_log` merges every entry once, at the first publish
 //!   point, and after that only each segment's delta.
+//! - A citation rebuilds the cited entry only: as many nodes at 8 000
+//!   entries as at 1 000. A whole-version read rebuilds about 8× more.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -18,15 +22,17 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn merged() -> u64 {
-    cdb_obs::global().counter("archive.merge.entries").get()
+/// What `op` adds to the `archive.merge.entries` counter.
+fn merges<T>(op: impl FnOnce() -> T) -> (T, u64) {
+    counted("archive.merge.entries", op)
 }
 
-/// What `op` adds to the counter.
-fn merges<T>(op: impl FnOnce() -> T) -> (T, u64) {
-    let before = merged();
+/// What `op` adds to the process-global counter `name`.
+fn counted<T>(name: &str, op: impl FnOnce() -> T) -> (T, u64) {
+    let counter = cdb_obs::global().counter(name);
+    let before = counter.get();
     let out = op();
-    (out, merged() - before)
+    (out, counter.get() - before)
 }
 
 fn key(i: usize) -> String {
@@ -85,4 +91,29 @@ fn archive_from_log_merges_the_first_release_whole_then_deltas() {
     let (rebuilt, merged) = merges(|| db.archive_from_log().unwrap());
     assert_eq!(merged, (n + deltas.iter().sum::<usize>()) as u64);
     assert_eq!(rebuilt.encode(), db.archive().encode());
+}
+
+#[test]
+fn a_citation_rebuilds_one_entry_whatever_the_release_size() {
+    let _g = serial();
+    let mut cited = Vec::new();
+    let mut whole = Vec::new();
+    for n in [1_000, 8_000] {
+        let mut db = loaded(n);
+        let v = db.publish("r0").unwrap();
+        edit(&mut db, 17, n as u64);
+        db.publish("r1").unwrap();
+        let (citation, nodes) = counted("archive.read.nodes", || db.cite(v, &key(7)).unwrap());
+        assert_eq!(citation.title, key(7));
+        cited.push(nodes);
+        let (_, nodes) = counted("archive.read.nodes", || db.version(v).unwrap());
+        whole.push(nodes);
+    }
+    assert!(cited[0] > 0);
+    assert_eq!(
+        cited[0], cited[1],
+        "a citation at 1 000 and at 8 000 entries"
+    );
+    let ratio = whole[1] as f64 / whole[0] as f64;
+    assert!((7.5..=8.5).contains(&ratio), "whole versions {whole:?}");
 }

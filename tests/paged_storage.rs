@@ -945,6 +945,57 @@ fn archive_from_log_on_a_cut_log_names_the_cut() {
     }
 }
 
+/// A citation survives a crash-reopen: every `cite(v, key)` of every
+/// release, for entries still live and entries since deleted or merged
+/// away, is the same before and after. Under `Reclaim` the reopen reads
+/// the archive its checkpoint carried, under `KeepAll` the archive it
+/// rebuilt from the log. Under `Reclaim` the authors are left out: they
+/// come from the log, and the cut log loses them (ROADMAP item 17).
+#[test]
+fn citations_are_equal_across_a_crash_reopen() {
+    let retentions = [Retention::Reclaim, Retention::KeepAll];
+    for (paged, retention) in [false, true]
+        .into_iter()
+        .flat_map(|p| retentions.map(|r| (p, r)))
+    {
+        let lives = Lives::with(paged, retention);
+        let mut db = lives.open();
+        populate(&mut db, 12);
+        db.publish("r0").unwrap();
+        for (t, key) in [(13, "k002"), (14, "k005")] {
+            db.edit_field("bob", t, key, "f", Atom::Int(-1)).unwrap();
+        }
+        db.delete_entry("bob", 15, "k007").unwrap();
+        db.publish("r1").unwrap();
+        db.checkpoint().unwrap();
+        db.edit_field("carol", 16, "k005", "g", Atom::Str("late".into()))
+            .unwrap();
+        db.merge_entries("carol", 17, "k001", "k003").unwrap();
+        db.publish("r2").unwrap();
+        let citations = |db: &CuratedDatabase| {
+            let mut out = Vec::new();
+            for v in 0..db.archive().version_count() {
+                for i in 0..12 {
+                    let cited = db.cite(v, &format!("k{i:03}")).map(|mut c| {
+                        if retention == Retention::Reclaim {
+                            c.authors.clear();
+                        }
+                        c
+                    });
+                    out.push(cited.map_err(|e| e.to_string()));
+                }
+            }
+            out
+        };
+        let live = citations(&db);
+        // 36 citations; k007 is gone from r1 on, k003 from r2.
+        assert_eq!(live.iter().filter(|c| c.is_ok()).count(), 33);
+        drop(db);
+        let db = lives.crash().open();
+        assert_eq!(citations(&db), live, "paged {paged}, {retention:?}");
+    }
+}
+
 /// Switching retention never strands a checkpoint. A `KeepAll`
 /// checkpoint after a reclaiming one still cuts the log, because a
 /// prefix is already gone; a `KeepAll` database over a device set up to
