@@ -1,9 +1,9 @@
 //! Shared fixtures for the benchmark harnesses.
 //!
 //! Six benches reproduce the paper's qualitative claims (E1, E4–E7 and
-//! E9 of `EXPERIMENTS.md`); three engineering sweeps remain until the
-//! end-to-end benchmark measures their claims (E20 admission knee, E21
-//! working-set sweep, E22 shard sweep). The engine's own numbers come
+//! E9 of `EXPERIMENTS.md`); two engineering sweeps remain until the
+//! end-to-end benchmark measures their claims (E20 admission knee, E22
+//! shard sweep). The engine's own numbers come
 //! from `benchmark/` and its per-layer ladder. The fixtures here build
 //! the workloads deterministically so runs are comparable. Size tables
 //! (bytes, record counts, state counts) are printed once per bench run

@@ -337,7 +337,6 @@ pub(crate) fn open_all(
     name: &str,
     key_field: &str,
     devices: Vec<Devices>,
-    pool_pages: usize,
     durability: Durability,
 ) -> Result<(Vec<CuratedDatabase>, u64), DbError> {
     let mut decided = BTreeMap::new();
@@ -357,7 +356,7 @@ pub(crate) fn open_all(
         let metrics = cdb_obs::Metrics::new();
         let mut paged = None;
         if let Some(page_io) = page_io {
-            let (heap, ck_eff, base) = prepare_paged_open(ck, page_io, pool_pages, &metrics)?;
+            let (heap, ck_eff, base) = prepare_paged_open(ck, page_io, &metrics)?;
             ck = ck_eff;
             paged = Some((heap, base));
         }
@@ -691,10 +690,9 @@ pub(crate) fn open_one(
     name: &str,
     key_field: &str,
     devices: Devices,
-    pool_pages: usize,
     durability: Durability,
 ) -> Result<CuratedDatabase, DbError> {
-    let (mut dbs, _) = open_all(name, key_field, vec![devices], pool_pages, durability)?;
+    let (mut dbs, _) = open_all(name, key_field, vec![devices], durability)?;
     Ok(dbs.pop().expect("one device set opens one database"))
 }
 
@@ -722,14 +720,14 @@ impl CuratedDatabase {
         ckpt: CheckpointStore,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, None);
-        open_one(&name.into(), &key_field.into(), devices, 0, OWNED)
+        open_one(&name.into(), &key_field.into(), devices, OWNED)
     }
 
     /// Opens a durable database whose checkpoints are page-granular:
     /// `wal_io` and `ckpt` work exactly as in
     /// [`CuratedDatabase::open`], and `page_io` holds the page heap
-    /// served through a pool of `pool_pages` frames (see
-    /// [`crate::paged`]).
+    /// (see [`crate::paged`]). `_pool_pages` is ignored: checkpoints
+    /// append to the heap and nothing reads a page twice.
     ///
     /// Recovery first tries the newest checkpoint anchor: if it
     /// carries a paged reference whose heap prefix survived, the tree
@@ -744,10 +742,10 @@ impl CuratedDatabase {
         wal_io: Box<dyn Io>,
         ckpt: CheckpointStore,
         page_io: Box<dyn Io>,
-        pool_pages: usize,
+        _pool_pages: usize,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, Some(page_io));
-        open_one(&name.into(), &key_field.into(), devices, pool_pages, OWNED)
+        open_one(&name.into(), &key_field.into(), devices, OWNED)
     }
 
     /// Opens a durable database backed by segmented WAL files
@@ -776,7 +774,7 @@ impl CuratedDatabase {
     ) -> Result<Self, DbError> {
         let name = name.into();
         let devices = dir_devices(dir.as_ref(), &name, cfg)?;
-        let mut db = open_one(&name, &key_field.into(), devices, 0, OWNED)?;
+        let mut db = open_one(&name, &key_field.into(), devices, OWNED)?;
         db.set_retention(cfg.retention);
         Ok(db)
     }

@@ -4,10 +4,10 @@
 //! A database opened with [`CuratedDatabase::open_paged`] keeps a
 //! third device besides the WAL and the checkpoint store: a page heap
 //! (see `cdb_storage::page`) holding the tree arena and per-node
-//! provenance records as chunked objects behind a buffer pool.
-//! Checkpoints then stop serializing the whole state: they write only
-//! the objects that differ from what the heap already holds, flush the
-//! heap, and install a small anchor checkpoint (the one payload
+//! provenance records as chunked objects. Checkpoints then stop
+//! serializing the whole state: they append only the objects that
+//! differ from what the heap already holds, flush the heap, and
+//! install a small anchor checkpoint (the one payload
 //! generation, tag 6) carrying a [`PagedRef`] watermark instead of the
 //! tree body. The archive of published versions is not paged: an
 //! anchor in truncated form carries it encoded, as an unpaged
@@ -17,12 +17,12 @@
 //!
 //! 1. the WAL sync happens first — the watermark the anchor claims is
 //!    durable before anything else moves;
-//! 2. changed objects are appended (never overwritten) and the heap is
-//!    flushed *before* the anchor installs, so a durable anchor always
-//!    references a durable heap prefix; a crash mid-capture leaves the
-//!    previous anchor pointing at its own intact prefix;
+//! 2. changed objects are appended and the heap is flushed *before*
+//!    the anchor installs, so a durable anchor always references a
+//!    durable heap prefix;
 //! 3. the anchor install is the existing two-slot / rename protocol —
-//!    crash-atomic on its own;
+//!    crash-atomic on its own, and an open discards every heap record
+//!    past the installed anchor's watermark;
 //! 4. only after the install does WAL retirement run.
 //!
 //! If an anchor ever references heap bytes that did not survive (a
@@ -55,14 +55,14 @@
 
 use cdb_curation::wire::{self, Checkpoint, PagedRef};
 use cdb_curation::{ProvStore, TreeDb};
-use cdb_storage::{BufferStats, Io, PagedState, StorageError};
+use cdb_storage::{Io, PagedState, StorageError};
 
 use crate::db::{CuratedDatabase, DbError, DbState};
 
 /// The paged backing store and what its heap holds.
 #[derive(Debug)]
 pub(crate) struct PagedBacking {
-    /// The page heap behind its buffer pool.
+    /// The page heap.
     pub(crate) state: PagedState<Box<dyn Io>>,
     /// What the heap holds; `None` until the first capture when it
     /// holds nothing usable.
@@ -160,18 +160,9 @@ fn assert_heap_holds(state: &mut PagedState<Box<dyn Io>>, base: &Base, pref: Pag
 }
 
 impl CuratedDatabase {
-    fn paged(&self) -> Option<&PagedBacking> {
-        self.durable.as_ref()?.paged.as_ref()
-    }
-
     /// Whether this instance checkpoints through a paged backing.
     pub fn is_paged(&self) -> bool {
-        self.paged().is_some()
-    }
-
-    /// Buffer-pool statistics of the paged backing, when present.
-    pub fn paged_stats(&self) -> Option<BufferStats> {
-        self.paged().map(|b| b.state.stats())
+        self.durable.as_ref().is_some_and(|d| d.paged.is_some())
     }
 }
 
@@ -183,11 +174,10 @@ impl CuratedDatabase {
 pub(crate) fn prepare_paged_open(
     anchor: Option<Checkpoint>,
     page_io: Box<dyn Io>,
-    pool_pages: usize,
     metrics: &cdb_obs::Metrics,
 ) -> Result<PreparedOpen, DbError> {
     let pref = anchor.as_ref().and_then(|ck| ck.paged);
-    let mut state = PagedState::open(page_io, pool_pages, pref.map(|p| p.heap_len), metrics)?;
+    let mut state = PagedState::open(page_io, pref.map(|p| p.heap_len))?;
     // No checkpoint, or a non-paged one (migration from a classic
     // database): use it as-is; the heap starts cold and the first
     // capture writes everything.

@@ -330,7 +330,7 @@ impl ShardedDb {
             .into_iter()
             .map(|(wal_io, ckpt)| (wal_io, ckpt, None))
             .collect();
-        Self::open_devices(name.into(), key_field.into(), map, devices, 0)
+        Self::open_devices(name.into(), key_field.into(), map, devices)
     }
 
     /// Every shard through the one open routine
@@ -341,10 +341,9 @@ impl ShardedDb {
         key_field: String,
         map: ShardMap,
         devices: Vec<Devices>,
-        pool_pages: usize,
     ) -> Result<Self, DbError> {
         assert_eq!(devices.len(), map.shards(), "one device set per shard");
-        let (dbs, max_gid) = open_all(&name, &key_field, devices, pool_pages, Durability::Batched)?;
+        let (dbs, max_gid) = open_all(&name, &key_field, devices, Durability::Batched)?;
         let shards = dbs.into_iter().map(SharedDb::serve).collect();
         Ok(Self::assemble(map, shards, max_gid + 1))
     }
@@ -365,29 +364,26 @@ impl ShardedDb {
         let devices = (0..map.shards())
             .map(|i| dir_devices(dir.as_ref(), &format!("{name}.s{i}"), cfg))
             .collect::<Result<_, _>>()?;
-        Self::open_devices(name, key_field.into(), map, devices, 0)
+        Self::open_devices(name, key_field.into(), map, devices)
     }
 
     /// Opens a durable sharded database whose checkpoints are
     /// page-granular — [`ShardedDb::open`] plus a page heap per shard
     /// (see [`SharedDb::open_paged`]): each shard gets a `(WAL device,
-    /// checkpoint store, page heap)` triple and a buffer pool of
-    /// `pool_pages` frames, so the working set of every shard is
-    /// bounded independently. Recovery is that of [`ShardedDb::open`],
-    /// and `_window` is ignored as there.
+    /// checkpoint store, page heap)` triple. Recovery is that of
+    /// [`ShardedDb::open`], and `_window` is ignored as there.
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         devices: Vec<PagedShardDevices>,
-        pool_pages: usize,
         _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = devices
             .into_iter()
             .map(|(wal_io, ckpt, page_io)| (wal_io, ckpt, Some(page_io)))
             .collect();
-        Self::open_devices(name.into(), key_field.into(), map, devices, pool_pages)
+        Self::open_devices(name.into(), key_field.into(), map, devices)
     }
 
     fn assemble(map: ShardMap, shards: Vec<SharedDb>, next_gid: u64) -> Self {
@@ -825,7 +821,7 @@ impl ShardedDb {
     /// Every metric the sharded database can see: its own registry,
     /// every shard's registry (each prefixed `shard.<i>.` so two
     /// shards' identically-named instruments stay distinguishable —
-    /// per-shard WAL sync counts, buffer-pool hit rates), and the
+    /// per-shard WAL sync counts, pages captured), and the
     /// process-global one, merged.
     pub fn metrics_snapshot(&self) -> cdb_obs::MetricsSnapshot {
         let mut snap = self.inner.metrics.snapshot();
@@ -871,17 +867,15 @@ mod tests {
     }
 
     /// Differential smoke: the same curation script against a paged
-    /// open (tiny pool, heavy eviction) and a resident open must agree
-    /// on every observable — keys, fields, lineage — including across
-    /// a mid-script checkpoint (page-granular on one side, full-state
-    /// on the other).
+    /// open and a resident open must agree on every observable — keys,
+    /// fields, lineage — including across a mid-script checkpoint
+    /// (page-granular on one side, full-state on the other).
     #[test]
     fn paged_open_matches_resident_shards_differentially() {
         let window = Duration::from_micros(50);
         let resident = ShardedDb::open("iuphar", "name", ab_map(), mem_devices(2), window).unwrap();
-        let paged =
-            ShardedDb::open_paged("iuphar", "name", ab_map(), paged_mem_devices(2), 2, window)
-                .unwrap();
+        let paged = ShardedDb::open_paged("iuphar", "name", ab_map(), paged_mem_devices(2), window)
+            .unwrap();
         for db in [&resident, &paged] {
             db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
                 .unwrap();
@@ -910,12 +904,12 @@ mod tests {
             p.resolve_id("P2X").unwrap(),
             "lineage diverged"
         );
-        // The paged side's pool counters surface, shard-prefixed, in
-        // the merged snapshot.
+        // The paged side's capture counter surfaces, shard-prefixed,
+        // in the merged snapshot.
         let m = paged.metrics_snapshot();
         assert!(
-            m.counters.keys().any(|k| k.starts_with("shard.0.storage.")),
-            "expected shard-prefixed storage metrics, got: {:?}",
+            m.counters.contains_key("shard.0.storage.page.captured"),
+            "expected shard-prefixed capture counters, got: {:?}",
             m.counters.keys().take(8).collect::<Vec<_>>()
         );
     }

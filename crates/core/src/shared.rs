@@ -187,13 +187,8 @@ impl SharedDb {
         }
     }
 
-    fn open_devices(
-        name: String,
-        key_field: String,
-        devices: Devices,
-        pool_pages: usize,
-    ) -> Result<Self, DbError> {
-        open_one(&name, &key_field, devices, pool_pages, Durability::Batched).map(Self::serve)
+    fn open_devices(name: String, key_field: String, devices: Devices) -> Result<Self, DbError> {
+        open_one(&name, &key_field, devices, Durability::Batched).map(Self::serve)
     }
 
     /// Opens a durable shared database over a WAL device and a
@@ -208,25 +203,24 @@ impl SharedDb {
         _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, None);
-        Self::open_devices(name.into(), key_field.into(), devices, 0)
+        Self::open_devices(name.into(), key_field.into(), devices)
     }
 
     /// Opens a durable shared database whose checkpoints are
     /// page-granular — [`SharedDb::open`] plus the page heap of
-    /// [`CuratedDatabase::open_paged`]: `page_io` holds the heap,
-    /// served through a pool of `pool_pages` frames. `_window` is
-    /// ignored.
+    /// [`CuratedDatabase::open_paged`]: `page_io` holds the heap.
+    /// `_pool_pages` and `_window` are ignored.
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
         wal_io: Box<dyn Io>,
         ckpt: CheckpointStore,
         page_io: Box<dyn Io>,
-        pool_pages: usize,
+        _pool_pages: usize,
         _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = (wal_io, ckpt, Some(page_io));
-        Self::open_devices(name.into(), key_field.into(), devices, pool_pages)
+        Self::open_devices(name.into(), key_field.into(), devices)
     }
 
     /// Opens a durable shared database backed by segmented WAL files
@@ -240,7 +234,7 @@ impl SharedDb {
     ) -> Result<Self, DbError> {
         let name = name.into();
         let devices = dir_devices(dir.as_ref(), &name, cdb_storage::SegmentConfig::default())?;
-        Self::open_devices(name, key_field.into(), devices, 0)
+        Self::open_devices(name, key_field.into(), devices)
     }
 
     pub(crate) fn lock_db(&self) -> MutexGuard<'_, CuratedDatabase> {

@@ -42,7 +42,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod buffer;
 pub mod ckpt;
 pub mod frame;
 pub mod group;
@@ -56,9 +55,6 @@ pub mod wal;
 
 pub use cdb_curation::wire;
 
-pub use crate::buffer::{
-    pool_pages_from_env, BufferPool, BufferStats, DEFAULT_POOL_PAGES, POOL_PAGES_ENV,
-};
 pub use crate::ckpt::CheckpointStore;
 pub use crate::frame::{
     Frame, ScanOutcome, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT, FRAME_DECIDE, FRAME_PAGE,

@@ -4,8 +4,7 @@
 //! incremental**: a paged checkpoint appends only the pages dirtied
 //! since the last one and installs a small anchor naming the heap
 //! watermark, instead of serializing the whole state (see
-//! `crate::paged` for the object encoding on top and `crate::buffer`
-//! for the frame cache in front of it).
+//! `crate::paged` for the object encoding on top).
 //!
 //! The heap is **append-only**: writing a page appends a new record;
 //! the in-memory page table maps each page id to the offset of its

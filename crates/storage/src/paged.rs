@@ -1,8 +1,8 @@
 //! Paged encoding of the curated database state: tree nodes and
 //! per-node provenance records as *objects* chunked across
-//! fixed-capacity pages, served through a [`BufferPool`]. The archive
-//! of published versions is not paged: a checkpoint that needs it
-//! carries it encoded.
+//! fixed-capacity pages of a [`PageStore`]: a write appends, a read
+//! reads the heap. The archive of published versions is not paged: a
+//! checkpoint that needs it carries it encoded.
 //!
 //! Page ids pack an object address into 64 bits:
 //!
@@ -23,9 +23,7 @@
 //! reader follows — no tombstone pages needed).
 
 use cdb_curation::wire::{self, PagedNode};
-use cdb_obs::Metrics;
 
-use crate::buffer::{BufferPool, BufferStats};
 use crate::io::Io;
 use crate::page::{PageStore, PAGE_SIZE};
 use crate::StorageError;
@@ -51,26 +49,19 @@ pub fn split_key(key: u64) -> (u8, u64, u16) {
     ((key >> 56) as u8, (key >> 16) & 0xFF_FFFF_FFFF, key as u16)
 }
 
-/// The paged curated-state store: a [`BufferPool`] plus the object
+/// The paged curated-state store: a [`PageStore`] plus the object
 /// layer.
 #[derive(Debug)]
 pub struct PagedState<I: Io> {
-    pool: BufferPool<I>,
+    store: PageStore<I>,
 }
 
 impl<I: Io> PagedState<I> {
-    /// Opens (creating if empty) a paged state over `io` with a pool
-    /// of `pool_pages` frames. `limit` is the checkpoint-anchor heap
-    /// watermark — see [`PageStore::open`].
-    pub fn open(
-        io: I,
-        pool_pages: usize,
-        limit: Option<u64>,
-        metrics: &Metrics,
-    ) -> Result<Self, StorageError> {
-        let store = PageStore::open(io, limit)?;
+    /// Opens (creating if empty) a paged state over `io`. `limit` is
+    /// the checkpoint-anchor heap watermark — see [`PageStore::open`].
+    pub fn open(io: I, limit: Option<u64>) -> Result<Self, StorageError> {
         Ok(PagedState {
-            pool: BufferPool::new(store, pool_pages, metrics),
+            store: PageStore::open(io, limit)?,
         })
     }
 
@@ -80,13 +71,13 @@ impl<I: Io> PagedState<I> {
         chunk0.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         let head = bytes.len().min(CHUNK0_DATA);
         chunk0.extend_from_slice(&bytes[..head]);
-        self.pool.put(page_key(kind, obj, 0), &chunk0)?;
+        self.store.write_page(page_key(kind, obj, 0), &chunk0)?;
         let mut at = head;
         let mut chunk: u16 = 1;
         while at < bytes.len() {
             let take = (bytes.len() - at).min(PAGE_SIZE);
-            self.pool
-                .put(page_key(kind, obj, chunk), &bytes[at..at + take])?;
+            self.store
+                .write_page(page_key(kind, obj, chunk), &bytes[at..at + take])?;
             at += take;
             chunk = chunk.checked_add(1).ok_or_else(|| {
                 StorageError::Io(format!("object {kind}/{obj} exceeds chunk range"))
@@ -98,7 +89,7 @@ impl<I: Io> PagedState<I> {
     /// Reads object `(kind, obj)` back, following its chunk chain.
     /// `None` when the heap has no chunk 0 for it.
     pub fn get_object(&mut self, kind: u8, obj: u64) -> Result<Option<Vec<u8>>, StorageError> {
-        let Some(first) = self.pool.get(page_key(kind, obj, 0))? else {
+        let Some(first) = self.store.read_page(page_key(kind, obj, 0))? else {
             return Ok(None);
         };
         if first.len() < 4 {
@@ -115,7 +106,7 @@ impl<I: Io> PagedState<I> {
         let mut chunk: u16 = 1;
         while out.len() < total {
             let key = page_key(kind, obj, chunk);
-            let Some(piece) = self.pool.get(key)? else {
+            let Some(piece) = self.store.read_page(key)? else {
                 return Err(StorageError::Corrupt(format!(
                     "object {kind}/{obj} truncated at chunk {chunk}"
                 )));
@@ -144,14 +135,15 @@ impl<I: Io> PagedState<I> {
     }
 
     /// Captures node `index`'s direct provenance records (a no-op
-    /// when the node has none and the heap holds none for it).
+    /// when the node has none and the heap holds none for it; the
+    /// probe reads the page table, not the heap).
     pub fn capture_prov(
         &mut self,
         prov: &cdb_curation::ProvStore,
         index: usize,
     ) -> Result<(), StorageError> {
         let recs = wire::direct_prov_records(prov, index);
-        if recs.is_empty() && self.get_object(KIND_PROV, index as u64)?.is_none() {
+        if recs.is_empty() && !self.store.contains(page_key(KIND_PROV, index as u64, 0)) {
             return Ok(());
         }
         self.put_object(KIND_PROV, index as u64, &wire::encode_prov_records(recs))
@@ -202,8 +194,7 @@ impl<I: Io> PagedState<I> {
         arena_len: u64,
     ) -> Result<cdb_curation::ProvStore, StorageError> {
         let objs: Vec<u64> = self
-            .pool
-            .store()
+            .store
             .page_ids()
             .filter_map(|k| {
                 let (kind, obj, chunk) = split_key(k);
@@ -217,31 +208,20 @@ impl<I: Io> PagedState<I> {
         Ok(wire::prov_from_paged(mode, entries)?)
     }
 
-    /// Flushes every dirty frame and the device — the barrier a
-    /// checkpoint takes before installing its anchor.
+    /// Flushes the heap device — the barrier a checkpoint takes
+    /// before installing its anchor.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        self.pool.flush_all()
+        self.store.flush()
     }
 
-    /// Logical heap length (the anchor watermark; call after
-    /// [`flush`](Self::flush)).
+    /// Logical heap length: the anchor watermark.
     pub fn heap_len(&self) -> u64 {
-        self.pool.heap_len()
-    }
-
-    /// Pool statistics (hit/miss/evict/write-back).
-    pub fn stats(&self) -> BufferStats {
-        self.pool.stats()
-    }
-
-    /// Direct access to the pool (pin/unpin, capacity checks).
-    pub fn pool_mut(&mut self) -> &mut BufferPool<I> {
-        &mut self.pool
+        self.store.len()
     }
 
     /// Consumes the state, returning the underlying page store (crash
-    /// harnesses drop unflushed frames exactly this way).
+    /// harnesses take the device image from it).
     pub fn into_store(self) -> PageStore<I> {
-        self.pool.into_store()
+        self.store
     }
 }

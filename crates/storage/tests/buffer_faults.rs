@@ -1,7 +1,6 @@
-//! Eviction-under-fault tests for the paged storage layer: torn page
-//! writes at *every byte offset* of the heap, partial-flush (lying
-//! disk) faults during eviction write-back and dirty-page checkpoint
-//! capture, and the buffer pool's pin/capacity invariants.
+//! Fault tests for the paged storage layer: torn page writes at
+//! *every byte offset* of the heap, partial-flush (lying disk) faults
+//! during checkpoint capture, and bit rot in the heap.
 //!
 //! The durability claim under test: an acked commit is never lost. The
 //! page heap is a cache of the WAL-authoritative state — when a fault
@@ -16,10 +15,8 @@ use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
 use cdb_curation::wire;
-use cdb_obs::Metrics;
 use cdb_storage::{
-    encode_commit, recover, BufferPool, DurableLog, FaultPlan, FaultyIo, Io, MemIo, PageStore,
-    PagedState, StorageError, FRAME_COMMIT,
+    encode_commit, recover, DurableLog, FaultPlan, FaultyIo, Io, MemIo, PagedState, FRAME_COMMIT,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
@@ -52,13 +49,12 @@ fn wal_image(db: &CuratedTree) -> Vec<u8> {
 }
 
 /// Captures the whole session into a `PagedState` over `io`,
-/// transaction by transaction through a tiny pool, so eviction
-/// write-backs interleave with the captures (the fault plan on `io`
-/// fires *during* that churn, not after it). Returns the state with
-/// everything flushed — the dirty-page checkpoint capture barrier.
-fn capture_session<I: Io>(db: &CuratedTree, io: I, pool: usize) -> PagedState<I> {
-    let metrics = Metrics::new();
-    let mut state = PagedState::open(io, pool, None, &metrics).unwrap();
+/// transaction by transaction, so the heap's appends interleave with
+/// the captures (the fault plan on `io` fires *during* them, not
+/// after). Returns the state with everything flushed — the checkpoint
+/// capture barrier.
+fn capture_session<I: Io>(db: &CuratedTree, io: I) -> PagedState<I> {
+    let mut state = PagedState::open(io, None).unwrap();
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
     for txn in &db.log {
         apply_committed(&mut r, txn).unwrap();
@@ -76,15 +72,9 @@ fn capture_session<I: Io>(db: &CuratedTree, io: I, pool: usize) -> PagedState<I>
 /// otherwise replay the WAL. Asserts the recovered state equals `db`
 /// either way — the no-lost-acked-commit property.
 fn recover_and_check(db: &CuratedTree, crashed_heap: Vec<u8>, watermark: u64, wal: &[u8]) -> bool {
-    let metrics = Metrics::new();
     let arena = wire::arena_len(&db.tree) as u64;
     let root = db.tree.root().index() as u64;
-    let heap_ok = match PagedState::open(
-        MemIo::from_bytes(crashed_heap),
-        8,
-        Some(watermark),
-        &metrics,
-    ) {
+    let heap_ok = match PagedState::open(MemIo::from_bytes(crashed_heap), Some(watermark)) {
         Ok(mut state) if state.heap_len() >= watermark => {
             match (
                 state.materialize_tree(db.tree.name(), root, arena),
@@ -118,7 +108,7 @@ fn recover_and_check(db: &CuratedTree, crashed_heap: Vec<u8>, watermark: u64, wa
 
 /// Torn page writes at every byte offset of the heap: the device
 /// silently drops everything at/past the offset during the capture's
-/// eviction churn and final flush. For offsets at or past the full
+/// appends and final flush. For offsets at or past the full
 /// image the anchor must survive intact; below it, recovery must fall
 /// back to the WAL — and the committed state is identical either way.
 #[test]
@@ -127,7 +117,7 @@ fn torn_heap_at_every_offset_never_loses_an_acked_commit() {
     let wal = wal_image(&db);
 
     // Fault-free capture first, to learn the full image and watermark.
-    let clean = capture_session(&db, MemIo::new(), 2);
+    let clean = capture_session(&db, MemIo::new());
     let watermark = clean.heap_len();
     let full = clean.into_store().into_io().bytes().to_vec();
     assert_eq!(watermark, full.len() as u64);
@@ -141,7 +131,6 @@ fn torn_heap_at_every_offset_never_loses_an_acked_commit() {
                 torn_write_at: Some(cap),
                 ..FaultPlan::default()
             }),
-            2,
         );
         // The device lies: logically everything was written.
         assert_eq!(state.heap_len(), watermark, "offset {cap}");
@@ -159,13 +148,13 @@ fn torn_heap_at_every_offset_never_loses_an_acked_commit() {
 }
 
 /// Partial flushes (a lying disk that persists at most `cap` bytes per
-/// sync) during eviction and capture: same dichotomy, no third
-/// outcome, no lost commit.
+/// sync) during capture: same dichotomy, no third outcome, no lost
+/// commit.
 #[test]
 fn flush_cap_faults_during_eviction_never_lose_an_acked_commit() {
     let db = session(11, 4);
     let wal = wal_image(&db);
-    let clean = capture_session(&db, MemIo::new(), 2);
+    let clean = capture_session(&db, MemIo::new());
     let watermark = clean.heap_len();
 
     for cap in (0..watermark)
@@ -178,7 +167,6 @@ fn flush_cap_faults_during_eviction_never_lose_an_acked_commit() {
                 flush_cap: Some(cap),
                 ..FaultPlan::default()
             }),
-            2,
         );
         assert_eq!(state.heap_len(), watermark, "cap {cap}");
         let crashed = state.into_store().into_io().crash();
@@ -198,7 +186,7 @@ fn flush_cap_faults_during_eviction_never_lose_an_acked_commit() {
 fn heap_bit_rot_falls_back_to_the_wal() {
     let db = session(13, 3);
     let wal = wal_image(&db);
-    let clean = capture_session(&db, MemIo::new(), 2);
+    let clean = capture_session(&db, MemIo::new());
     let watermark = clean.heap_len();
     let full = clean.into_store().into_io().bytes().to_vec();
 
@@ -216,106 +204,4 @@ fn heap_bit_rot_falls_back_to_the_wal() {
         let used_heap = recover_and_check(&db, crashed, watermark, &wal);
         assert!(!used_heap, "bit rot at {offset} went unnoticed");
     }
-}
-
-// ----------------------------------------------------- pool invariants
-
-fn small_store() -> PageStore<MemIo> {
-    PageStore::open(MemIo::new(), None).unwrap()
-}
-
-/// A pinned frame is never evicted, the pool never exceeds its
-/// capacity, and pinning every frame makes the next fetch fail with a
-/// typed error rather than silently growing the pool.
-#[test]
-fn pinned_frames_survive_eviction_pressure() {
-    let metrics = Metrics::new();
-    let mut store = small_store();
-    for p in 0..32u64 {
-        store.write_page(p, &[p as u8; 64]).unwrap();
-    }
-    let mut pool = BufferPool::new(store, 3, &metrics);
-
-    pool.pin(0).unwrap();
-    pool.pin(1).unwrap();
-    assert_eq!(pool.pins(0), 1);
-
-    // Churn far past capacity: the two pinned pages must stay
-    // resident and intact while everything else cycles through the
-    // third frame.
-    for p in 2..32u64 {
-        assert_eq!(pool.get(p).unwrap().unwrap(), &[p as u8; 64]);
-        assert!(pool.resident() <= pool.capacity());
-    }
-    assert_eq!(pool.pins(0), 1, "pinned page 0 was evicted");
-    assert_eq!(pool.pins(1), 1, "pinned page 1 was evicted");
-    assert_eq!(pool.get(0).unwrap().unwrap(), &[0u8; 64]);
-    assert_eq!(pool.get(1).unwrap().unwrap(), &[1u8; 64]);
-    let stats = pool.stats();
-    assert!(stats.evictions >= 29, "churn must evict (got {stats:?})");
-
-    // Pin the third frame too: now any non-resident fetch must fail.
-    pool.pin(0).unwrap(); // second pin on 0 — counts nest
-    assert_eq!(pool.pins(0), 2);
-    pool.get(5).unwrap(); // 5 now occupies the sole unpinned frame
-    pool.pin(5).unwrap();
-
-    let err = pool.get(6).unwrap_err();
-    assert!(
-        matches!(&err, StorageError::Io(m) if m.contains("exhausted")),
-        "expected pool-exhausted error, got {err:?}"
-    );
-    assert_eq!(pool.resident(), 3, "exhaustion must not grow the pool");
-
-    // Releasing one pin unblocks the fetch.
-    pool.unpin(5).unwrap();
-    assert!(pool.get(6).unwrap().is_some());
-    assert_eq!(pool.resident(), 3);
-}
-
-/// Unbalanced unpins are typed errors, and pin counts nest correctly.
-#[test]
-fn unpin_is_strictly_balanced() {
-    let metrics = Metrics::new();
-    let mut store = small_store();
-    store.write_page(1, b"one").unwrap();
-    let mut pool = BufferPool::new(store, 2, &metrics);
-
-    assert!(pool.unpin(1).is_err(), "unpin of a non-resident page");
-    pool.pin(1).unwrap();
-    pool.pin(1).unwrap();
-    assert_eq!(pool.pins(1), 2);
-    pool.unpin(1).unwrap();
-    pool.unpin(1).unwrap();
-    let err = pool.unpin(1).unwrap_err();
-    assert!(
-        matches!(&err, StorageError::Io(m) if m.contains("unbalanced")),
-        "expected unbalanced-unpin error, got {err:?}"
-    );
-    assert!(pool.pin(99).is_err(), "pin of a page the heap never saw");
-}
-
-/// Dirty pages written through the pool survive eviction write-back:
-/// evicting a dirty frame appends to the heap, and a later read (after
-/// the frame cycled out) serves the newest version.
-#[test]
-fn dirty_writeback_on_eviction_preserves_newest_version() {
-    let metrics = Metrics::new();
-    let mut pool = BufferPool::new(small_store(), 2, &metrics);
-    pool.put(1, b"v1 of page one").unwrap();
-    pool.put(2, b"v1 of page two").unwrap();
-    pool.put(1, b"v2 of page one").unwrap();
-    // Force both out through a 2-frame pool.
-    pool.put(3, b"page three").unwrap();
-    pool.put(4, b"page four").unwrap();
-    assert!(pool.resident() <= 2);
-    assert_eq!(pool.get(1).unwrap().unwrap(), b"v2 of page one");
-    assert_eq!(pool.get(2).unwrap().unwrap(), b"v1 of page two");
-    assert!(pool.stats().writebacks >= 2);
-
-    // After the flush barrier the heap itself (no pool) serves v2.
-    pool.flush_all().unwrap();
-    let mut store = pool.into_store();
-    assert_eq!(store.read_page(1).unwrap().unwrap(), b"v2 of page one");
-    assert_eq!(store.read_page(4).unwrap().unwrap(), b"page four");
 }

@@ -106,7 +106,7 @@ fn injected_corrupt_recovery_leaves_a_loadable_flight_dump() {
 fn sample_dump() -> FlightDump {
     let m = Metrics::new();
     m.counter("storage.wal.sync").add(42);
-    m.histogram("storage.buffer.stall_ns").record(1_000);
+    m.histogram("storage.wal.sync_ns").record(1_000);
     cdb_obs::set_tracing(true);
     {
         let _a = cdb_obs::SpanGuard::enter("test.flight.outer");

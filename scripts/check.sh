@@ -82,20 +82,10 @@ echo "== long-log smoke: bounded recovery over a segmented WAL =="
 # a reopen whose recovery must scan fewer bytes than two segments.
 cargo test -q --test storage_recovery long_history_recovery_scans_a_bounded_tail
 
-echo "== paged storage under a tiny buffer pool (heavy eviction churn) =="
-# The differential and recovery suites size their pools from
-# CDB_TEST_POOL_PAGES; a 4-frame pool forces eviction on nearly every
-# touch, so replacement, write-back, and dirty-page checkpointing all
-# run under maximum pressure. paged_storage includes the archive
-# property (reopened_archives_encode_as_the_live_one): the archive a
-# paged reopen rebuilds must not depend on the pool.
-CDB_TEST_POOL_PAGES=4 cargo test -q --test paged_storage
-CDB_TEST_POOL_PAGES=4 cargo test -q --test storage_recovery \
-    reclaim_with_paged_checkpoints_recovers_from_retired_segments
+echo "== paged storage: every capture checked against the heap (stress) =="
 # The `stress` feature materialises the heap after every paged capture
 # and asserts it equals the state just captured, slot by slot: a slot
 # the dirty rule missed fails at the capture that missed it.
-echo "-- stress feature: every capture checked against the heap"
 cargo test --release --features stress --test paged_storage
 
 if [[ "$run_bench" == 1 ]]; then

@@ -234,7 +234,7 @@ impl Home {
         let ckpt = CheckpointStore::dir(&self.dir, "db");
         let mut db = if self.paged {
             let heap = Box::new(FileIo::open(self.dir.join("db.heap")).unwrap());
-            CuratedDatabase::open_paged("db", "ac", wal, ckpt, heap, 16).unwrap()
+            CuratedDatabase::open_paged("db", "ac", wal, ckpt, heap, 0).unwrap()
         } else {
             CuratedDatabase::open("db", "ac", wal, ckpt).unwrap()
         };

@@ -10,11 +10,15 @@
 //!   point, and after that only each segment's delta.
 //! - A citation rebuilds the cited entry only: as many nodes at 8 000
 //!   entries as at 1 000. A whole-version read rebuilds about 8× more.
+//! - A paged checkpoint after k edits reads no heap bytes and captures
+//!   as many slots at 8 000 entries as at 1 000.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cdb_core::CuratedDatabase;
 use cdb_model::Atom;
+use cdb_storage::{CheckpointStore, Io, MemIo, StorageError};
 
 /// The counter is process-global: one test at a time reads it.
 fn serial() -> MutexGuard<'static, ()> {
@@ -116,4 +120,77 @@ fn a_citation_rebuilds_one_entry_whatever_the_release_size() {
     );
     let ratio = whole[1] as f64 / whole[0] as f64;
     assert!((7.5..=8.5).contains(&ratio), "whole versions {whole:?}");
+}
+
+/// A page-heap device that counts the bytes read from it.
+#[derive(Debug)]
+struct ReadCounting {
+    io: MemIo,
+    read: Arc<AtomicU64>,
+}
+
+impl Io for ReadCounting {
+    fn len(&self) -> Result<u64, StorageError> {
+        self.io.len()
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        let n = self.io.read_at(offset, buf)?;
+        self.read.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.io.append(bytes)
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.io.flush()
+    }
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.io.truncate(len)
+    }
+}
+
+/// The second checkpoint appends what 10 edits changed and reads
+/// nothing back from the heap. (The `stress` feature reads every
+/// capture back to check it.)
+#[test]
+#[cfg_attr(feature = "stress", ignore = "stress reads every capture back")]
+fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
+    let mut captured = Vec::new();
+    for n in [1_000, 8_000] {
+        let read = Arc::new(AtomicU64::new(0));
+        let heap = ReadCounting {
+            io: MemIo::new(),
+            read: read.clone(),
+        };
+        let wal = Box::new(MemIo::new());
+        let ckpt = CheckpointStore::mem();
+        let mut db =
+            CuratedDatabase::open_paged("count", "ac", wal, ckpt, Box::new(heap), 0).unwrap();
+        db.set_durability(cdb_core::Durability::Batched);
+        for i in 0..n {
+            let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
+            db.add_entry("c", i as u64, &key(i), &fields).unwrap();
+        }
+        db.checkpoint().unwrap();
+        let page_captured =
+            |db: &CuratedDatabase| db.metrics().counter("storage.page.captured").get();
+        let before = (read.load(Ordering::Relaxed), page_captured(&db));
+        for i in 0..10 {
+            let at = (n + i) as u64;
+            db.edit_field("c", at, &key(i * 7), "gn", Atom::Int(at as i64))
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        let read_bytes = read.load(Ordering::Relaxed) - before.0;
+        assert_eq!(
+            read_bytes, 0,
+            "{n} entries: heap bytes read by the second checkpoint"
+        );
+        captured.push(page_captured(&db) - before.1);
+    }
+    assert!(captured[0] > 0);
+    assert_eq!(
+        captured[0], captured[1],
+        "slots captured at 1 000 and at 8 000 entries"
+    );
 }

@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use cdb_core::{CuratedDatabase, ShardedDb, SharedDb, Snapshot};
+use cdb_core::{CuratedDatabase, ShardedDb, SharedDb, Snapshot, DEFAULT_BATCH_WINDOW};
 use cdb_curation::ops::Transaction;
 use cdb_curation::replay::replay_and_verify;
 use cdb_model::Atom;
@@ -394,7 +394,6 @@ proptest! {
     fn crash_mid_batch_recovers_an_acknowledged_prefix(
         writers in 1usize..5,
         per_writer in 1u64..6,
-        window_us in 0u64..300,
         fault_sel in 0usize..3,
         fault_n in 0u64..24,
     ) {
@@ -410,7 +409,7 @@ proptest! {
             "id",
             Box::new(dev.clone()),
             cdb_storage::CheckpointStore::mem(),
-            Duration::from_micros(window_us),
+            DEFAULT_BATCH_WINDOW,
         )
         .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
 

@@ -497,7 +497,7 @@ fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
         Box::new(io),
         CheckpointStore::slots(Box::new(s1.clone()), Box::new(s2.clone())),
         Box::new(heap.clone()),
-        4,
+        0,
     )
     .unwrap();
     db.set_retention(Retention::Reclaim);
@@ -552,7 +552,7 @@ fn reclaim_with_paged_checkpoints_recovers_from_retired_segments() {
             Box::new(MemIo::from_bytes(s2.durable())),
         ),
         Box::new(MemIo::from_bytes(heap.durable())),
-        4,
+        0,
     )
     .unwrap();
     assert_eq!(re.export().unwrap(), before_export);
