@@ -333,12 +333,19 @@ pub(crate) type Devices = (Box<dyn Io>, CheckpointStore, Option<Box<dyn Io>>);
 /// logs then recover in parallel under that shared context
 /// ([`recover_shards`], which also scans every log for decisions). A
 /// lone log has no other log to consult and is read once.
+///
+/// The open's spans form one tree: `storage.open` over
+/// `storage.ckpt.load`, `storage.page.scan`, `storage.recovery.replay`,
+/// `core.open.derived` and `core.open.archive`. (Logs recovered in
+/// parallel replay on their own threads, outside the root.)
 pub(crate) fn open_all(
     name: &str,
     key_field: &str,
     devices: Vec<Devices>,
     durability: Durability,
 ) -> Result<(Vec<CuratedDatabase>, u64), DbError> {
+    let _trace = cdb_obs::trace_root();
+    let _span = cdb_obs::SpanGuard::enter("storage.open");
     let mut decided = BTreeMap::new();
     let mut rest = Vec::with_capacity(devices.len());
     let mut to_recover = Vec::with_capacity(devices.len());

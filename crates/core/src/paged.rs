@@ -3,47 +3,58 @@
 //!
 //! A database opened with [`CuratedDatabase::open_paged`] keeps a
 //! third device besides the WAL and the checkpoint store: a page heap
-//! (see `cdb_storage::page`) holding the tree arena and per-node
-//! provenance records as chunked objects. Checkpoints then stop
-//! serializing the whole state: they append only the objects that
-//! differ from what the heap already holds, flush the heap, and
-//! install a small anchor checkpoint (the one payload
-//! generation, tag 6) carrying a [`PagedRef`] watermark instead of the
-//! tree body. The archive of published versions is not paged: an
-//! anchor in truncated form carries it encoded, as an unpaged
-//! checkpoint does.
+//! (see `cdb_storage::page`), an append-only log of slot records, one
+//! per tree arena slot or per node's provenance records, of any
+//! length. Checkpoints then stop serializing the whole state: they
+//! append a record for each slot that differs from what the heap
+//! already holds, flush the heap, and install a small anchor
+//! checkpoint (the one payload generation, tag 6) carrying a
+//! [`PagedRef`] watermark instead of the tree body. The archive of
+//! published versions is not paged: an anchor in truncated form
+//! carries it encoded, as an unpaged checkpoint does.
+//!
+//! An open reads the heap once: one scan under the anchor's watermark
+//! validates every record and materialises the anchor's tree and
+//! provenance (`PagedState::open`).
 //!
 //! The crash argument, in order:
 //!
 //! 1. the WAL sync happens first — the watermark the anchor claims is
 //!    durable before anything else moves;
-//! 2. changed objects are appended and the heap is flushed *before*
+//! 2. changed slots are appended and the heap is flushed *before*
 //!    the anchor installs, so a durable anchor always references a
 //!    durable heap prefix;
 //! 3. the anchor install is the existing two-slot / rename protocol —
 //!    crash-atomic on its own, and an open discards every heap record
 //!    past the installed anchor's watermark;
-//! 4. only after the install does WAL retirement run.
+//! 4. only after the install does WAL retirement run;
+//! 5. an open with no usable anchor (none, an unpaged one, or one the
+//!    heap cannot serve) empties the heap to its header: no record in
+//!    it is vouched for, and the first capture then writes every slot
+//!    against an empty heap.
 //!
 //! If an anchor ever references heap bytes that did not survive (a
 //! lying disk), recovery falls back to full WAL replay — the WAL stays
 //! authoritative, which is exactly what
-//! `crates/storage/tests/buffer_faults.rs` drives at every byte
-//! offset.
+//! `crates/storage/tests/heap_faults.rs` drives at every byte
+//! offset. A failed heap read is not an unusable anchor: it fails the
+//! open, and nothing is truncated.
 //!
 //! What to capture is found the way the archiver (§5.1) finds what a
 //! release changed: by comparing with what is already stored. The
 //! backing keeps one value, the **base** — the tree and provenance the
 //! heap holds: a chunk-sharing clone taken at the last successful
-//! capture, or the anchor an open materialised, or nothing (a fresh
-//! heap, a fallback open, a migration), when every slot is captured.
-//! A capture rewrites exactly the arena slots whose node or records
-//! differ from the base, in ascending order
+//! capture, or the anchor an open materialised, or nothing (an empty
+//! heap), when every slot is captured and a missing base reads as
+//! empty provenance. A capture rewrites exactly the arena slots whose
+//! node or records differ from the base, in ascending order
 //! ([`wire::changed_slots`]): a chunk the state still shares with the
 //! base is skipped by one pointer comparison, and no curation op is
-//! interpreted. Success replaces the base. A later flush may make a
-//! failed capture's pages the heap's newest, so the next capture also
-//! rewrites the slots it attempted, even those back at the base value.
+//! interpreted. A slot's provenance record is written when its records
+//! differ from the base's. Success replaces the base. A later flush may
+//! make a failed capture's records the heap's newest, so the next
+//! capture also rewrites the slots it attempted, node and provenance,
+//! even those back at the base value.
 //!
 //! Memory: the base shares chunks with the live state. Under
 //! `SharedDb` every chunk a write touches is already shared with the
@@ -55,7 +66,7 @@
 
 use cdb_curation::wire::{self, Checkpoint, PagedRef};
 use cdb_curation::{ProvStore, TreeDb};
-use cdb_storage::{Io, PagedState, StorageError};
+use cdb_storage::{Io, PagedState};
 
 use crate::db::{CuratedDatabase, DbError, DbState};
 
@@ -64,8 +75,7 @@ use crate::db::{CuratedDatabase, DbError, DbState};
 pub(crate) struct PagedBacking {
     /// The page heap.
     pub(crate) state: PagedState<Box<dyn Io>>,
-    /// What the heap holds; `None` until the first capture when it
-    /// holds nothing usable.
+    /// What the heap holds; `None` while it holds nothing.
     base: Option<Base>,
     /// Slots attempted since the last successful capture.
     retry: Vec<usize>,
@@ -104,17 +114,22 @@ impl PagedBacking {
     ) -> Result<PagedRef, DbError> {
         let (tree, prov) = (&db.curated.tree, &db.curated.prov);
         let arena = wire::arena_len(tree);
+        let retried = std::mem::take(&mut self.retry);
         let mut slots = match &self.base {
             Some(base) => wire::changed_slots(tree, prov, &base.tree, &base.prov),
             None => (0..arena).collect(),
         };
-        slots.append(&mut self.retry);
+        slots.extend_from_slice(&retried);
         slots.sort_unstable();
         slots.dedup();
         self.retry = slots;
+        let base_prov = self.base.as_ref().map(|b| &b.prov);
         for &i in &self.retry {
             self.state.capture_node(tree, i)?;
-            self.state.capture_prov(prov, i)?;
+            let held = base_prov.map_or(&[][..], |p| wire::direct_prov_records(p, i));
+            if wire::direct_prov_records(prov, i) != held || retried.binary_search(&i).is_ok() {
+                self.state.capture_prov(prov, i)?;
+            }
         }
         // The heap must be durable before the anchor that references it.
         self.state.flush()?;
@@ -141,17 +156,16 @@ impl PagedBacking {
     }
 }
 
-/// Stress check after each capture: the heap, materialised at the new
-/// watermark, equals what was captured slot by slot — a slot the dirty
-/// rule missed fails here, at the capture that missed it.
+/// Stress check after each capture: the heap, rescanned at the new
+/// watermark by the open's own pass, equals what was captured slot by
+/// slot — a slot the dirty rule missed fails here, at the capture that
+/// missed it.
 #[cfg(feature = "stress")]
 fn assert_heap_holds(state: &mut PagedState<Box<dyn Io>>, base: &Base, pref: PagedRef) {
-    let tree = state
-        .materialize_tree(base.tree.name(), pref.root, pref.arena_len)
-        .expect("stress: materialising the captured tree");
-    let prov = state
-        .materialize_prov(base.prov.mode(), pref.arena_len)
-        .expect("stress: materialising the captured provenance");
+    let (tree, prov) = state
+        .materialise(base.tree.name(), base.prov.mode(), pref)
+        .expect("stress: rescanning the heap")
+        .expect("stress: the heap serves the anchor it just wrote");
     let missed = wire::changed_slots(&tree, &prov, &base.tree, &base.prov);
     assert!(
         missed.is_empty() && tree == base.tree && prov == base.prov,
@@ -166,9 +180,9 @@ impl CuratedDatabase {
     }
 }
 
-/// Opens the page heap and, when the newest anchor is paged and its
-/// heap prefix survived, rebuilds the full checkpoint it stands for —
-/// the paged step of [`crate::durable::open_all`]. Returns the opened
+/// Opens the page heap and, when the newest anchor is paged and the
+/// heap serves it, rebuilds the full checkpoint it stands for — the
+/// paged step of [`crate::durable::open_all`]. Returns the opened
 /// state, the checkpoint to hand to recovery (`None` forces full WAL
 /// replay), and the materialised anchor as the base.
 pub(crate) fn prepare_paged_open(
@@ -176,43 +190,28 @@ pub(crate) fn prepare_paged_open(
     page_io: Box<dyn Io>,
     metrics: &cdb_obs::Metrics,
 ) -> Result<PreparedOpen, DbError> {
-    let pref = anchor.as_ref().and_then(|ck| ck.paged);
-    let mut state = PagedState::open(page_io, pref.map(|p| p.heap_len))?;
+    let named = anchor
+        .as_ref()
+        .and_then(|ck| Some((ck.tree.name(), ck.prov.mode(), ck.paged?)));
+    let paged = named.is_some();
+    let (state, found) = PagedState::open(page_io, named)?;
     // No checkpoint, or a non-paged one (migration from a classic
-    // database): use it as-is; the heap starts cold and the first
+    // database): use it as-is; the heap was emptied, and the first
     // capture writes everything.
-    let (Some(ck), Some(pref)) = (&anchor, pref) else {
+    if !paged {
         return Ok((state, anchor, None));
-    };
-    // An anchor is usable when the heap still holds every byte it
-    // claims (not torn below the watermark) and they materialize.
-    let full = (state.heap_len() >= pref.heap_len)
-        .then(|| materialize_anchor(&mut state, ck, pref).ok())
-        .flatten();
-    let Some(full) = full else {
+    }
+    let (Some(mut full), Some((tree, prov))) = (anchor, found) else {
         // Unusable: replay the whole WAL.
         metrics.counter("storage.page.anchor_unusable").inc();
         return Ok((state, None, None));
     };
     let base = Base {
-        tree: full.tree.clone(),
-        prov: full.prov.clone(),
+        tree: tree.clone(),
+        prov: prov.clone(),
     };
-    Ok((state, Some(full), Some(base)))
-}
-
-/// Rebuilds the full checkpoint an anchor stands for by materializing
-/// tree and provenance from the page heap.
-fn materialize_anchor(
-    state: &mut PagedState<Box<dyn Io>>,
-    anchor: &Checkpoint,
-    pref: PagedRef,
-) -> Result<Checkpoint, StorageError> {
-    let tree = state.materialize_tree(anchor.tree.name(), pref.root, pref.arena_len)?;
-    let prov = state.materialize_prov(anchor.prov.mode(), pref.arena_len)?;
-    let mut full = anchor.clone();
     full.tree = tree;
     full.prov = prov;
     full.paged = None;
-    Ok(full)
+    Ok((state, Some(full), Some(base)))
 }

@@ -1001,3 +1001,68 @@ fn planned_query_uses_the_durable_index() {
     expect.sort();
     assert_eq!(rows.tuples().to_vec(), expect);
 }
+
+/// A traced paged open is one span tree: `storage.open` over the
+/// checkpoint load, the heap scan, the WAL replay, the derived-state
+/// rebuild and the archive rebuild, each one level below the root and
+/// inside it, their times summing to no more than the root's.
+#[test]
+fn a_traced_paged_open_is_one_span_tree() {
+    let devs: Vec<SharedFaulty> = (0..4)
+        .map(|_| SharedFaulty::new(FaultPlan::default()))
+        .collect();
+    let dev = |d: &SharedFaulty| Box::new(d.clone()) as Box<dyn Io>;
+    let slots = CheckpointStore::slots(dev(&devs[1]), dev(&devs[2]));
+    let mut db =
+        CuratedDatabase::open_paged("traced", "name", dev(&devs[0]), slots, dev(&devs[3]), 0)
+            .unwrap();
+    db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
+        .unwrap();
+    db.publish("r1").unwrap();
+    db.checkpoint().unwrap();
+    db.add_entry("bob", 2, "P2X", &[]).unwrap();
+    drop(db);
+    let image = |d: &SharedFaulty| Box::new(MemIo::from_bytes(d.crash())) as Box<dyn Io>;
+    let (wal, s1, s2, heap) = (
+        image(&devs[0]),
+        image(&devs[1]),
+        image(&devs[2]),
+        image(&devs[3]),
+    );
+
+    cdb_obs::set_tracing(true);
+    let trace = cdb_obs::trace_root();
+    let slots = CheckpointStore::slots(s1, s2);
+    let db = CuratedDatabase::open_paged("traced", "name", wal, slots, heap, 0).unwrap();
+    cdb_obs::set_tracing(false);
+    let events = cdb_obs::events_for_trace(trace.id());
+    drop(trace);
+    assert_eq!(db.entry_keys().unwrap().len(), 2);
+    assert!(db.recovery_stats().unwrap().used_checkpoint);
+
+    let root = events
+        .iter()
+        .find(|e| e.name == "storage.open")
+        .expect("a storage.open root");
+    let mut children = 0;
+    for name in [
+        "storage.ckpt.load",
+        "storage.page.scan",
+        "storage.recovery.replay",
+        "core.open.derived",
+        "core.open.archive",
+    ] {
+        let span = events
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("no {name} span"));
+        assert_eq!(span.depth, root.depth + 1, "{name}");
+        assert!(span.start_ns >= root.start_ns, "{name}");
+        assert!(
+            span.start_ns + span.dur_ns <= root.start_ns + root.dur_ns,
+            "{name}"
+        );
+        children += span.dur_ns;
+    }
+    assert!(children <= root.dur_ns, "{children} > {}", root.dur_ns);
+}

@@ -411,29 +411,10 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     out
 }
 
-// ------------------------------------------------- paged node codec
-
-/// One tree arena slot in its paged encoding — the exact per-node
-/// field set the whole-tree codec writes, as a standalone page payload.
-/// Tombstones are first-class: a checkpoint must round-trip dead
-/// nodes and arena order exactly for tail replay to re-allocate the
-/// original ids (same argument as the whole-tree codec above).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PagedNode {
-    /// The node label.
-    pub label: String,
-    /// The node payload, if a leaf.
-    pub value: Option<Atom>,
-    /// Parent arena index (`None` only for the root slot).
-    pub parent: Option<u64>,
-    /// Child arena indices, in sibling order.
-    pub children: Vec<u64>,
-    /// Whether the node is live (tombstones persist in the arena).
-    pub alive: bool,
-}
+// ------------------------------------------------- paged slot codec
 
 /// The number of arena slots in a tree, tombstones included — the
-/// range of valid node-page object ids.
+/// range of valid slot numbers in the page heap.
 pub fn arena_len(tree: &TreeDb) -> usize {
     tree.raw_slots().len()
 }
@@ -462,8 +443,9 @@ pub fn changed_slots(
     out
 }
 
-/// Encodes one arena slot as a node-page payload. `None` when `index`
-/// is out of range.
+/// Encodes one arena slot, tombstones included, as a heap record's
+/// object: the exact per-node field set the whole-tree codec writes.
+/// `None` when `index` is out of range.
 pub fn encode_tree_node(tree: &TreeDb, index: usize) -> Option<Vec<u8>> {
     let n = tree.raw_slots().get(index)?;
     let mut out = Vec::with_capacity(32);
@@ -471,52 +453,38 @@ pub fn encode_tree_node(tree: &TreeDb, index: usize) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Decodes a node-page payload written by [`encode_tree_node`].
-pub fn decode_tree_node(bytes: &[u8]) -> Result<PagedNode, WireError> {
+/// Decodes one object written by [`encode_tree_node`].
+fn decode_tree_node(bytes: &[u8]) -> Result<RawNode, WireError> {
     let mut r = Reader::new(bytes);
-    let node = r.paged_node()?;
+    let node = r.raw_node()?;
     r.finish()?;
     Ok(node)
 }
 
-/// Assembles a tree from per-slot paged nodes in arena order — the
-/// paged-recovery counterpart of the whole-tree decoder, so a heap
-/// materialization round-trips tombstones and ids exactly.
-pub fn tree_from_paged_nodes(
-    name: impl Into<String>,
+/// Assembles a tree from its arena slots in order — shared by the
+/// whole-tree decoder and the page heap, so both round-trip tombstones
+/// and ids exactly.
+fn tree_from_raw(
+    name: String,
     root: u64,
-    nodes: Vec<PagedNode>,
+    nodes: impl IntoIterator<Item = Result<RawNode, WireError>>,
 ) -> Result<TreeDb, WireError> {
     let root = NodeId(usize::try_from(root).map_err(|_| WireError::Overflow("root id"))?);
-    // The decoded nodes move into the arena's chunks as they convert.
     let raw = nodes
         .into_iter()
-        .map(|n| {
-            let parent = match n.parent {
-                None => None,
-                Some(p) => Some(NodeId(
-                    usize::try_from(p).map_err(|_| WireError::Overflow("parent id"))?,
-                )),
-            };
-            let children = n
-                .children
-                .into_iter()
-                .map(|c| {
-                    usize::try_from(c)
-                        .map(NodeId)
-                        .map_err(|_| WireError::Overflow("child id"))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(RawNode {
-                label: n.label,
-                value: n.value,
-                parent,
-                children,
-                alive: n.alive,
-            })
-        })
-        .collect::<Result<ChunkVec<RawNode>, WireError>>()?;
-    Ok(TreeDb::from_raw(name.into(), root, raw))
+        .collect::<Result<ChunkVec<RawNode>, _>>()?;
+    Ok(TreeDb::from_raw(name, root, raw))
+}
+
+/// Decodes a tree from one [`encode_tree_node`] object per arena slot,
+/// in slot order — the paged-recovery counterpart of the whole-tree
+/// decoder.
+pub fn tree_from_node_objects<'a>(
+    name: impl Into<String>,
+    root: u64,
+    slots: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<TreeDb, WireError> {
+    tree_from_raw(name.into(), root, slots.into_iter().map(decode_tree_node))
 }
 
 /// One node's directly-stored provenance records by arena index —
@@ -526,32 +494,27 @@ pub fn direct_prov_records(prov: &ProvStore, index: usize) -> &[ProvRecord] {
     prov.direct(NodeId(index))
 }
 
-/// Encodes one node's direct provenance records as a prov-page
-/// payload.
+/// Encodes one node's direct provenance records as a heap record's
+/// object.
 pub fn encode_prov_records(recs: &[ProvRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + 16 * recs.len());
     put_prov_records(&mut out, recs);
     out
 }
 
-/// Decodes a prov-page payload written by [`encode_prov_records`].
-pub fn decode_prov_records(bytes: &[u8]) -> Result<Vec<ProvRecord>, WireError> {
-    let mut r = Reader::new(bytes);
-    let recs = r.prov_records()?;
-    r.finish()?;
-    Ok(recs)
-}
-
-/// Assembles a provenance store from per-node paged record lists —
-/// the paged-recovery counterpart of the whole-store decoder.
-pub fn prov_from_paged(
+/// Decodes a provenance store from `(arena index, object)` pairs, each
+/// object written by [`encode_prov_records`] — the paged-recovery
+/// counterpart of the whole-store decoder.
+pub fn prov_from_objects<'a>(
     mode: StoreMode,
-    entries: Vec<(u64, Vec<ProvRecord>)>,
+    slots: impl IntoIterator<Item = (usize, &'a [u8])>,
 ) -> Result<ProvStore, WireError> {
-    let records = entries
+    let records = slots
         .into_iter()
-        .map(|(node, recs)| {
-            let node = usize::try_from(node).map_err(|_| WireError::Overflow("node id"))?;
+        .map(|(node, bytes)| {
+            let mut r = Reader::new(bytes);
+            let recs = r.prov_records()?;
+            r.finish()?;
             Ok((NodeId(node), recs))
         })
         .collect::<Result<Vec<_>, WireError>>()?;
@@ -761,17 +724,22 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn paged_node(&mut self) -> Result<PagedNode, WireError> {
+    fn raw_node(&mut self) -> Result<RawNode, WireError> {
         let label = self.str()?;
         let value = self.opt_atom()?;
-        let parent = self.opt_u64()?;
+        let parent = match self.opt_u64()? {
+            None => None,
+            Some(p) => Some(NodeId(
+                usize::try_from(p).map_err(|_| WireError::Overflow("parent id"))?,
+            )),
+        };
         let nc = self.seq_len(8)?;
         let mut children = Vec::with_capacity(nc);
         for _ in 0..nc {
-            children.push(self.u64()?);
+            children.push(NodeId(self.index("child id")?));
         }
         let alive = self.u8()? != 0;
-        Ok(PagedNode {
+        Ok(RawNode {
             label,
             value,
             parent,
@@ -788,9 +756,9 @@ impl<'a> Reader<'a> {
         let n = self.seq_len(11)?;
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
-            nodes.push(self.paged_node()?);
+            nodes.push(self.raw_node()?);
         }
-        tree_from_paged_nodes(name, root, nodes)
+        tree_from_raw(name, root, nodes.into_iter().map(Ok))
     }
 
     fn prov_records(&mut self) -> Result<Vec<ProvRecord>, WireError> {
@@ -1020,32 +988,39 @@ mod tests {
         let db = busy_tree();
         let n = arena_len(&db.tree);
         assert!(n > 1);
+        let mut objects = Vec::new();
         let mut nodes = Vec::new();
         for i in 0..n {
             let bytes = encode_tree_node(&db.tree, i).unwrap();
             nodes.push(decode_tree_node(&bytes).unwrap());
+            objects.push(bytes);
         }
         assert!(encode_tree_node(&db.tree, n).is_none());
         // Tombstones survive: the busy tree deleted a node.
         assert!(nodes.iter().any(|p| !p.alive));
-        let back =
-            tree_from_paged_nodes(db.tree.name(), db.tree.root().index() as u64, nodes).unwrap();
+        let root = db.tree.root().index() as u64;
+        let back = tree_from_raw(db.tree.name().into(), root, nodes.into_iter().map(Ok)).unwrap();
         assert_eq!(back, db.tree);
+        let slots = objects.iter().map(Vec::as_slice);
+        assert_eq!(
+            tree_from_node_objects(db.tree.name(), root, slots).unwrap(),
+            db.tree
+        );
     }
 
     #[test]
     fn paged_prov_codec_round_trips_per_node_records() {
         let db = busy_tree();
-        let mut entries = Vec::new();
+        let mut objects = Vec::new();
         for i in 0..arena_len(&db.tree) {
             let recs = db.prov.direct(NodeId(i));
             if recs.is_empty() {
                 continue;
             }
-            let bytes = encode_prov_records(recs);
-            entries.push((i as u64, decode_prov_records(&bytes).unwrap()));
+            objects.push((i, encode_prov_records(recs)));
         }
-        let back = prov_from_paged(db.prov.mode(), entries).unwrap();
+        let slots = objects.iter().map(|(i, b)| (*i, b.as_slice()));
+        let back = prov_from_objects(db.prov.mode(), slots).unwrap();
         assert_eq!(back, db.prov);
     }
 

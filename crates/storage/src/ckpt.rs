@@ -75,6 +75,7 @@ impl CheckpointStore {
     /// Loads the newest valid checkpoint, or `None` when no usable
     /// snapshot exists (recovery then replays the whole log).
     pub fn load(&mut self) -> Result<Option<Checkpoint>, StorageError> {
+        let _span = cdb_obs::SpanGuard::enter("storage.ckpt.load");
         match &mut self.kind {
             StoreKind::Slots { slots } => {
                 let mut best: Option<(u64, Checkpoint)> = None;

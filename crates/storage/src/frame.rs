@@ -8,7 +8,7 @@
 //! file   := magic frame*
 //! magic  := b"CDBWAL01"            (log)
 //!         | b"CDBCKP01"            (checkpoint slot: one FRAME_CKPT)
-//!         | b"CDBPGH02"            (page heap: FRAME_PAGE records)
+//!         | b"CDBPGH03"            (page heap: FRAME_PAGE records)
 //! frame  := kind:u8 len:u32le crc:u32le payload:[u8; len]
 //! ```
 //!
@@ -66,8 +66,9 @@ pub const FRAME_PREPARE: u8 = 6;
 /// abort) for a prepared cross-shard transaction (see
 /// [`crate::twopc::DecideRecord`]).
 pub const FRAME_DECIDE: u8 = 7;
-/// Frame kind: one version of a heap page (`page_id:u64le` followed by
-/// the page bytes; page-heap files only, see [`crate::page`]).
+/// Frame kind: one version of a heap slot (`kind:u8 slot:u64le`
+/// followed by the slot's object; page-heap files only, see
+/// [`crate::page`]).
 pub const FRAME_PAGE: u8 = 8;
 
 /// Per-frame overhead: kind byte, length word, checksum word.

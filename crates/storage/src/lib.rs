@@ -62,8 +62,7 @@ pub use crate::frame::{
 };
 pub use crate::group::GroupWal;
 pub use crate::io::{FaultPlan, FaultyIo, FileIo, Io, MemIo, ReclaimStats, ThrottledIo};
-pub use crate::page::{PageStore, PAGE_MAGIC, PAGE_SIZE};
-pub use crate::paged::{page_key, split_key, PagedState, KIND_NODE, KIND_PROV};
+pub use crate::page::{PagedState, KIND_NODE, KIND_PROV, PAGE_MAGIC};
 pub use crate::recovery::{
     decode_commit, encode_commit, recover, recover_shards, recover_with, PublishRecord, Recovered,
     RecoveryStats,

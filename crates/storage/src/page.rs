@@ -1,83 +1,80 @@
-//! A log-structured page heap over the [`Io`] trait.
+//! The page heap's record format: an append-only log of **slot
+//! records** over the [`Io`] trait.
 //!
-//! The heap is what makes checkpoints **page-granular and
-//! incremental**: a paged checkpoint appends only the pages dirtied
-//! since the last one and installs a small anchor naming the heap
-//! watermark, instead of serializing the whole state (see
-//! `crate::paged` for the object encoding on top).
+//! The heap is what makes checkpoints **incremental**: a paged
+//! checkpoint appends a record for each arena slot that changed since
+//! the last one and installs a small anchor naming the heap watermark,
+//! instead of serializing the whole state. This module holds the
+//! record format and the record layer of [`PagedState`], the one type
+//! over the heap device; [`crate::paged`] holds its curated-state layer
+//! (open, materialise, capture).
 //!
-//! The heap is **append-only**: writing a page appends a new record;
-//! the in-memory page table maps each page id to the offset of its
-//! newest record, and older versions simply stay behind it. That shape
-//! is what makes crash safety compositional with the rest of the
-//! storage layer:
+//! ```text
+//! heap   := b"CDBPGH03" record*
+//! record := frame(FRAME_PAGE, kind:u8 slot:u64le object)
+//! ```
 //!
-//! * a record is one [`FRAME_PAGE`] frame, scanned by [`frame::scan`]
-//!   like every other file: the opening scan stops at the first record
-//!   that fails its CRC or length check and truncates the device
-//!   there, falling back to the previous durable version of any page
-//!   whose newest record was torn. A failed device read is not a torn
-//!   record: it propagates and nothing is truncated;
-//! * a checkpoint anchor (see `cdb_curation::wire::PagedRef`) names a
-//!   byte watermark, and because earlier bytes are never rewritten, a
-//!   durable anchor always references a durable heap prefix (the heap
-//!   is flushed *before* the anchor installs);
-//! * [`FaultyIo`](crate::io::FaultyIo) injection — torn writes, flush
-//!   caps, bit rot, short reads — applies to the heap unchanged, which
-//!   is what `crates/storage/tests/buffer_faults.rs` exercises at
-//!   every byte offset.
-//!
-//! Record layout after the 8-byte magic header: a frame whose payload
-//! is `page_id:u64le` followed by the page bytes. Append order is the
-//! version order, so a record needs no version number.
+//! * `kind` is [`KIND_NODE`] (one tree arena slot, tombstones
+//!   included, encoded by `cdb_curation::wire::encode_tree_node`) or
+//!   [`KIND_PROV`] (one node's direct provenance records,
+//!   `cdb_curation::wire::encode_prov_records`); `slot` is the arena
+//!   index. A record carries 18 bytes ahead of its object: the 9-byte
+//!   frame header, the kind and the slot.
+//! * An object may be any length: there is no page size, no chunking
+//!   and no length prefix beyond the frame's own.
+//! * Append order is version order, so a record needs no version
+//!   number: the newest record of a slot is the last one, and older
+//!   ones simply stay behind it.
+//! * A record is one frame, so [`frame::scan`]
+//!   validates the heap like every other file, and
+//!   [`FaultyIo`](crate::io::FaultyIo) injection — torn writes, flush
+//!   caps, bit rot — applies to it unchanged, which is what
+//!   `crates/storage/tests/heap_faults.rs` exercises at every byte
+//!   offset.
 
-use std::collections::BTreeMap;
-
-use crate::frame::{self, decode_frame, encode_parts, FRAME_HEADER, FRAME_PAGE};
-use crate::io::{read_exact_at, Io};
+use crate::frame::{self, encode_parts, FRAME_PAGE};
+use crate::io::Io;
 use crate::StorageError;
 
-/// Maximum payload bytes per page record. Objects larger than a page
-/// are chunked by the layer above (`crate::paged`).
-pub const PAGE_SIZE: usize = 4096;
-
 /// Magic bytes opening a page-heap device.
-pub const PAGE_MAGIC: &[u8; 8] = b"CDBPGH02";
+pub const PAGE_MAGIC: &[u8; 8] = b"CDBPGH03";
 
-/// Bytes of a page record ahead of the page: the frame header plus the
-/// page id.
-const RECORD_HEADER: u64 = FRAME_HEADER + 8;
+/// Record kind: a curated-tree arena slot.
+pub const KIND_NODE: u8 = 1;
+/// Record kind: one node's direct provenance records.
+pub const KIND_PROV: u8 = 2;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Byte offset of the record's frame.
-    at: u64,
-    /// Page bytes in the record.
-    len: u32,
+/// Encodes one slot record.
+pub(crate) fn encode_record(kind: u8, slot: u64, object: &[u8]) -> Vec<u8> {
+    encode_parts(FRAME_PAGE, &[&[kind], &slot.to_le_bytes(), object])
 }
 
-/// A page heap: the latest durable-or-pending version of every page,
-/// served from an append-only record log.
+/// Splits a scanned frame into `(kind, slot, object)`; `None` when the
+/// frame is not a slot record.
+pub(crate) fn decode_record(frame_kind: u8, payload: &[u8]) -> Option<(u8, u64, &[u8])> {
+    let (&kind, rest) = payload.split_first()?;
+    let (slot, object) = rest.split_first_chunk::<8>()?;
+    (frame_kind == FRAME_PAGE && matches!(kind, KIND_NODE | KIND_PROV))
+        .then(|| (kind, u64::from_le_bytes(*slot), object))
+}
+
+/// Each slot's newest object, one vector per kind (node, provenance),
+/// indexed by slot; `None` where the heap holds no record of that kind.
+pub(crate) type Newest = (Vec<Option<Vec<u8>>>, Vec<Option<Vec<u8>>>);
+
+/// The page heap: an append-only log of slot records.
 #[derive(Debug)]
-pub struct PageStore<I: Io> {
+pub struct PagedState<I: Io> {
     io: I,
-    table: BTreeMap<u64, Slot>,
-    /// Logical end of valid records (next append offset).
+    /// Logical end of the heap: the next append offset.
     end: u64,
 }
 
-impl<I: Io> PageStore<I> {
-    /// Opens a heap, creating it when the device is empty. The opening
-    /// scan validates every record and truncates the device at the
-    /// first torn or corrupt one — the page table then maps each page
-    /// to its newest *surviving* record. A device that is not a heap
-    /// of this format is refused as `Corrupt`, never truncated.
-    ///
-    /// `limit`, when given, is a checkpoint-anchor watermark: records
-    /// that end past it are discarded (and truncated away) even if
-    /// they are intact, so the materialized table is exactly the state
-    /// the anchor covered.
-    pub fn open(mut io: I, limit: Option<u64>) -> Result<Self, StorageError> {
+impl<I: Io> PagedState<I> {
+    /// Attaches to a heap device without reading it, writing the
+    /// header on an empty device. The header is checked by every scan
+    /// ([`newest`](Self::newest)).
+    pub(crate) fn attach(mut io: I) -> Result<Self, StorageError> {
         if io.base() != 0 {
             return Err(StorageError::Corrupt(
                 "page heap requires an unsegmented device".into(),
@@ -85,112 +82,87 @@ impl<I: Io> PageStore<I> {
         }
         if io.is_empty()? {
             io.append(PAGE_MAGIC)?;
-            return Ok(PageStore {
-                io,
-                table: BTreeMap::new(),
-                end: PAGE_MAGIC.len() as u64,
-            });
         }
-        let mut table = BTreeMap::new();
-        let out = frame::scan(&mut io, PAGE_MAGIC, limit, |kind, payload, end| {
-            match (kind, payload.split_first_chunk::<8>()) {
-                (FRAME_PAGE, Some((page, bytes))) if bytes.len() <= PAGE_SIZE => {
-                    // Scan order is append order, so a later record for
-                    // the same page is always the newer version.
-                    let len = bytes.len() as u32;
-                    let at = end - RECORD_HEADER - u64::from(len);
-                    table.insert(u64::from_le_bytes(*page), Slot { at, len });
-                    Ok(())
-                }
-                _ => Err(StorageError::Corrupt(format!(
-                    "frame of kind {kind} and {} bytes is not a page record",
-                    payload.len()
-                ))),
-            }
-        })?;
-        if !out.header_ok {
-            return Err(StorageError::Corrupt("bad page heap magic".into()));
-        }
-        if out.bytes_dropped > 0 {
-            io.truncate(out.valid_len)?;
-        }
-        Ok(PageStore {
-            io,
-            table,
-            end: out.valid_len,
-        })
+        let end = io.len()?;
+        Ok(PagedState { io, end })
     }
 
-    /// Appends a new version of `page`. Not durable until
-    /// [`flush`](Self::flush) succeeds.
-    pub fn write_page(&mut self, page: u64, payload: &[u8]) -> Result<(), StorageError> {
-        if payload.len() > PAGE_SIZE {
-            return Err(StorageError::Io(format!(
-                "page payload of {} bytes exceeds PAGE_SIZE ({PAGE_SIZE})",
-                payload.len()
-            )));
-        }
-        let rec = encode_parts(FRAME_PAGE, &[&page.to_le_bytes(), payload]);
+    /// Appends one record. Not durable until [`flush`](Self::flush)
+    /// succeeds.
+    pub(crate) fn append(
+        &mut self,
+        kind: u8,
+        slot: usize,
+        object: &[u8],
+    ) -> Result<(), StorageError> {
+        let rec = encode_record(kind, slot as u64, object);
         self.io.append(&rec)?;
-        let slot = Slot {
-            at: self.end,
-            len: payload.len() as u32,
-        };
-        self.table.insert(page, slot);
         self.end += rec.len() as u64;
         Ok(())
     }
 
-    /// Reads the newest version of `page`, re-verifying its checksum
-    /// (bit rot between open and read is caught here, not served).
-    pub fn read_page(&mut self, page: u64) -> Result<Option<Vec<u8>>, StorageError> {
-        let Some(slot) = self.table.get(&page).copied() else {
-            return Ok(None);
-        };
-        let mut rec = vec![0u8; (RECORD_HEADER + u64::from(slot.len)) as usize];
-        read_exact_at(&mut self.io, slot.at, &mut rec)?;
-        match decode_frame(&rec) {
-            Some((FRAME_PAGE, payload)) if payload[..8] == page.to_le_bytes() => {
-                Ok(Some(payload[8..].to_vec()))
+    /// The one pass over the heap: scans the records below `limit` and
+    /// keeps the newest object of each slot below `arena`. `None` when
+    /// the valid records stop short of `limit` (torn, rotten, or a
+    /// shorter device) or a checksummed frame is not a slot record. A
+    /// device that is not a heap of this format is refused as
+    /// `Corrupt`, and a failed device read propagates.
+    pub(crate) fn newest(
+        &mut self,
+        limit: u64,
+        arena: usize,
+    ) -> Result<Option<Newest>, StorageError> {
+        let (mut nodes, mut prov): Newest = Default::default();
+        let mut malformed = false;
+        let out = frame::scan(&mut self.io, PAGE_MAGIC, Some(limit), |kind, payload, _| {
+            let Some((kind, slot, object)) = decode_record(kind, payload) else {
+                malformed = true;
+                return Ok(());
+            };
+            let objects = if kind == KIND_NODE {
+                &mut nodes
+            } else {
+                &mut prov
+            };
+            // Scan order is append order: a later record of a slot is
+            // always its newer version.
+            if let Some(i) = usize::try_from(slot).ok().filter(|&i| i < arena) {
+                if objects.len() <= i {
+                    objects.resize(i + 1, None);
+                }
+                objects[i] = Some(object.to_vec());
             }
-            _ => Err(StorageError::Corrupt(format!(
-                "page {page} failed its checksum on read"
-            ))),
+            Ok(())
+        })?;
+        if !out.header_ok {
+            return Err(StorageError::Corrupt("bad page heap magic".into()));
         }
+        Ok((!malformed && out.valid_len == limit).then_some((nodes, prov)))
     }
 
-    /// Whether the heap has a record for `page`.
-    pub fn contains(&self, page: u64) -> bool {
-        self.table.contains_key(&page)
+    /// Drops every record at or past byte `len`: later appends go
+    /// there.
+    pub(crate) fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        if self.end > len {
+            self.io.truncate(len)?;
+            self.end = len;
+        }
+        Ok(())
     }
 
-    /// Flushes appended records to durable storage.
+    /// Flushes appended records to durable storage — the barrier a
+    /// checkpoint takes before installing its anchor.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.io.flush()
     }
 
-    /// Logical heap length: the end of the newest valid record, which
-    /// a checkpoint anchor records as its watermark.
-    pub fn len(&self) -> u64 {
+    /// Logical heap length: the end of the newest record, which a
+    /// checkpoint anchor records as its watermark.
+    pub fn heap_len(&self) -> u64 {
         self.end
     }
 
-    /// Whether the heap holds no page records.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Number of distinct pages with a live record.
-    pub fn page_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// All page ids with a live record, in id order.
-    pub fn page_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.table.keys().copied()
-    }
-
-    /// Consumes the store, returning the underlying device (crash
+    /// Consumes the state, returning the underlying device (crash
     /// harnesses take the durable image from it).
     pub fn into_io(self) -> I {
         self.io
@@ -201,10 +173,12 @@ impl<I: Io> PageStore<I> {
 mod tests {
     use super::*;
     use crate::io::{FaultPlan, FaultyIo, MemIo};
+    use cdb_curation::wire::{self, PagedRef};
+    use cdb_curation::{ProvStore, StoreMode, TreeDb};
     use std::sync::{Arc, Mutex};
 
     /// A device whose reads fail once they reach `fail_from`; the
-    /// bytes stay inspectable after the store that owned it is gone.
+    /// bytes stay inspectable after the state that owned it is gone.
     #[derive(Debug)]
     struct ReadFailsPast {
         bytes: Arc<Mutex<MemIo>>,
@@ -232,114 +206,148 @@ mod tests {
         }
     }
 
+    /// The newest node objects of the whole heap, for slots below 16.
+    fn nodes(s: &mut PagedState<MemIo>) -> Option<Vec<Option<Vec<u8>>>> {
+        let len = s.heap_len();
+        s.newest(len, 16).unwrap().map(|(nodes, _)| nodes)
+    }
+
+    /// A one-node tree's root slot as a node object.
+    fn root_object(name: &str) -> Vec<u8> {
+        wire::encode_tree_node(&TreeDb::new(name), 0).unwrap()
+    }
+
+    /// The anchor of a one-node tree named `t` at watermark `heap_len`.
+    fn anchor(heap_len: u64) -> Option<(&'static str, StoreMode, PagedRef)> {
+        let pref = PagedRef {
+            heap_len,
+            arena_len: 1,
+            root: 0,
+        };
+        Some(("t", StoreMode::Hereditary, pref))
+    }
+
     #[test]
     fn create_write_read_round_trip() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        assert!(s.is_empty());
-        s.write_page(7, b"hello").unwrap();
-        s.write_page(9, &[0xAB; PAGE_SIZE]).unwrap();
-        assert_eq!(s.read_page(7).unwrap().unwrap(), b"hello");
-        assert_eq!(s.read_page(9).unwrap().unwrap(), vec![0xAB; PAGE_SIZE]);
-        assert_eq!(s.read_page(8).unwrap(), None);
-        assert_eq!(s.page_count(), 2);
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        assert_eq!(s.heap_len(), PAGE_MAGIC.len() as u64);
+        assert_eq!(nodes(&mut s).unwrap(), Vec::<Option<Vec<u8>>>::new());
+        // An object longer than a 4 KiB page is one record.
+        let big = vec![0xAB; 10_000];
+        s.append(KIND_NODE, 7, b"hello").unwrap();
+        s.append(KIND_NODE, 9, &big).unwrap();
+        let got = nodes(&mut s).unwrap();
+        assert_eq!(got[7].as_deref(), Some(&b"hello"[..]));
+        assert_eq!(got[9].as_deref(), Some(big.as_slice()));
+        assert_eq!(got[8], None);
+        assert_eq!(got.iter().flatten().count(), 2);
     }
 
     #[test]
     fn newest_version_wins_across_reopen() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        s.write_page(1, b"v1").unwrap();
-        s.write_page(1, b"v2").unwrap();
-        s.write_page(1, b"v3").unwrap();
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        s.append(KIND_NODE, 1, b"v1").unwrap();
+        s.append(KIND_NODE, 1, b"v2").unwrap();
+        s.append(KIND_NODE, 1, b"v3").unwrap();
         s.flush().unwrap();
         let io = s.into_io();
-        let mut back = PageStore::open(MemIo::from_bytes(io.bytes().to_vec()), None).unwrap();
-        assert_eq!(back.read_page(1).unwrap().unwrap(), b"v3");
-        assert_eq!(back.page_count(), 1);
-    }
-
-    #[test]
-    fn oversized_payload_is_rejected() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        assert!(s.write_page(0, &vec![0u8; PAGE_SIZE + 1]).is_err());
+        let mut back = PagedState::attach(MemIo::from_bytes(io.bytes().to_vec())).unwrap();
+        let got = nodes(&mut back).unwrap();
+        assert_eq!(got[1].as_deref(), Some(&b"v3"[..]));
+        assert_eq!(got.iter().flatten().count(), 1);
     }
 
     #[test]
     fn torn_tail_falls_back_to_previous_version_at_every_offset() {
-        // Build a heap with two versions of one page plus a second
-        // page, then replay a crash at every byte offset: the reopened
-        // table must always be a valid prefix state — never a torn
-        // payload served as truth.
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        s.write_page(1, b"one-v1").unwrap();
-        let after_v1 = s.len();
-        s.write_page(2, b"two").unwrap();
-        let after_two = s.len();
-        s.write_page(1, b"one-v2").unwrap();
+        // Build a heap with two versions of one slot plus a second
+        // slot, then replay a crash at every byte offset: a watermark
+        // is served only when every record below it survived, and then
+        // as the state it covered — never a torn object served as
+        // truth.
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        s.append(KIND_NODE, 1, b"one-v1").unwrap();
+        let after_v1 = s.heap_len();
+        s.append(KIND_NODE, 2, b"two").unwrap();
+        let after_two = s.heap_len();
+        s.append(KIND_NODE, 1, b"one-v2").unwrap();
         s.flush().unwrap();
+        let full = s.heap_len();
         let image = s.into_io().bytes().to_vec();
+        let two = Some(&b"two"[..]);
+        let marks = [
+            (after_v1, &b"one-v1"[..], None),
+            (after_two, &b"one-v1"[..], two),
+            (full, &b"one-v2"[..], two),
+        ];
         for cut in 0..=image.len() {
             let dev = MemIo::from_bytes(image[..cut].to_vec());
+            let mut back = PagedState::attach(dev).unwrap();
             if (cut as u64) < PAGE_MAGIC.len() as u64 && cut > 0 {
-                assert!(PageStore::open(dev, None).is_err(), "cut {cut}");
+                assert!(back.newest(full, 3).is_err(), "cut {cut}");
                 continue;
             }
-            let mut back = PageStore::open(dev, None).unwrap();
-            let p1 = back.read_page(1).unwrap();
-            if (cut as u64) >= image.len() as u64 {
-                assert_eq!(p1.unwrap(), b"one-v2");
-            } else if (cut as u64) >= after_v1 {
-                // v2's record is torn: v1 must survive.
-                let got = p1.unwrap();
-                assert!(got == b"one-v1" || got == b"one-v2", "cut {cut}");
-            }
-            if (cut as u64) >= after_two {
-                assert_eq!(back.read_page(2).unwrap().unwrap(), b"two");
+            for (mark, one, two) in marks {
+                let got = back.newest(mark, 3).unwrap();
+                if (cut as u64) < mark {
+                    assert!(got.is_none(), "cut {cut} served watermark {mark}");
+                    continue;
+                }
+                let (got, _) = got.unwrap();
+                assert_eq!(got[1].as_deref(), Some(one), "cut {cut}");
+                assert_eq!(got.get(2).cloned().flatten().as_deref(), two, "cut {cut}");
             }
         }
     }
 
     #[test]
     fn anchor_limit_restores_the_watermarked_state() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        s.write_page(1, b"old").unwrap();
-        let watermark = s.len();
-        s.write_page(1, b"new").unwrap();
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        s.append(KIND_NODE, 0, &root_object("t")).unwrap();
+        let watermark = s.heap_len();
+        s.append(KIND_NODE, 0, &root_object("newer")).unwrap();
         s.flush().unwrap();
         let image = s.into_io().bytes().to_vec();
-        let mut back = PageStore::open(MemIo::from_bytes(image.clone()), Some(watermark)).unwrap();
-        assert_eq!(back.read_page(1).unwrap().unwrap(), b"old");
-        assert_eq!(back.len(), watermark);
+        let (mut back, found) =
+            PagedState::open(MemIo::from_bytes(image.clone()), anchor(watermark)).unwrap();
+        let old = (TreeDb::new("t"), ProvStore::new(StoreMode::Hereditary));
+        assert_eq!(found, Some(old));
+        assert_eq!(back.heap_len(), watermark);
         // Appends after a limited open go at the watermark, not the
         // old device end.
-        back.write_page(3, b"x").unwrap();
-        assert_eq!(back.read_page(3).unwrap().unwrap(), b"x");
+        back.append(KIND_NODE, 3, b"x").unwrap();
+        let (got, _) = back.newest(back.heap_len(), 4).unwrap().unwrap();
+        assert_eq!(got[3].as_deref(), Some(&b"x"[..]));
+        let bytes = back.into_io().bytes().to_vec();
+        assert_eq!(bytes[..watermark as usize], image[..watermark as usize]);
     }
 
     #[test]
     fn bit_rot_is_caught_by_the_opening_scan() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        s.write_page(1, b"payload-bytes").unwrap();
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        s.append(KIND_NODE, 1, b"payload-bytes").unwrap();
         s.flush().unwrap();
+        let full = s.heap_len();
         let image = s.into_io().bytes().to_vec();
-        // Flip one payload bit: the record fails its CRC and the scan
-        // drops it (table has no page 1).
+        // Flip one object bit: the record fails its CRC, the scan stops
+        // there, and the watermark past it is not served.
         let plan = FaultPlan {
-            bit_flips: vec![(PAGE_MAGIC.len() as u64 + RECORD_HEADER + 2, 0x04)],
+            bit_flips: vec![(PAGE_MAGIC.len() as u64 + 18 + 2, 0x04)],
             ..FaultPlan::default()
         };
         let mut io = FaultyIo::with_contents(image, plan);
         io.flush().unwrap();
         let rotten = io.crash();
-        let mut back = PageStore::open(MemIo::from_bytes(rotten), None).unwrap();
-        assert_eq!(back.read_page(1).unwrap(), None);
+        let mut back = PagedState::attach(MemIo::from_bytes(rotten)).unwrap();
+        assert_eq!(back.newest(full, 2).unwrap(), None);
     }
 
     #[test]
     fn read_error_in_the_opening_scan_propagates_and_truncates_nothing() {
-        let mut s = PageStore::open(MemIo::new(), None).unwrap();
-        s.write_page(1, b"durable-one").unwrap();
-        s.write_page(2, b"durable-two").unwrap();
+        let mut s = PagedState::attach(MemIo::new()).unwrap();
+        s.append(KIND_NODE, 0, &root_object("t")).unwrap();
+        s.append(KIND_NODE, 0, &root_object("t")).unwrap();
         s.flush().unwrap();
+        let watermark = s.heap_len();
         let image = s.into_io().bytes().to_vec();
         for fail_from in 0..image.len() as u64 {
             let bytes = Arc::new(Mutex::new(MemIo::from_bytes(image.clone())));
@@ -347,7 +355,7 @@ mod tests {
                 bytes: bytes.clone(),
                 fail_from,
             };
-            let res = PageStore::open(dev, None);
+            let res = PagedState::open(dev, anchor(watermark));
             assert!(
                 matches!(res, Err(StorageError::Io(_))),
                 "fail_from {fail_from}"

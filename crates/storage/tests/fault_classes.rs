@@ -14,8 +14,8 @@ use cdb_curation::replay::apply_committed;
 use cdb_curation::wire::{decode_checkpoint, encode_checkpoint, encode_transaction, Checkpoint};
 use cdb_storage::frame::{encode_frame, CKPT_MAGIC, WAL_MAGIC};
 use cdb_storage::{
-    encode_commit, recover, CheckpointStore, DurableLog, FaultPlan, FaultyIo, MemIo, PageStore,
-    StorageError, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT,
+    encode_commit, recover, CheckpointStore, DurableLog, FaultPlan, FaultyIo, MemIo, PagedState,
+    StorageError, FRAME_AUX, FRAME_CKPT, FRAME_COMMIT, FRAME_PAGE,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 
@@ -393,6 +393,14 @@ fn retired_forms_are_refused_never_adopted() {
     heap.extend_from_slice(&4u32.to_le_bytes());
     heap.extend_from_slice(&0u32.to_le_bytes());
     heap.extend_from_slice(b"page");
-    let err = PageStore::open(MemIo::from_bytes(heap), None).expect_err("old heap opened");
-    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    // A heap under the page-table magic, holding one chunked-page
+    // record (page id, then the object's length prefix and bytes).
+    let mut paged = b"CDBPGH02".to_vec();
+    let page = [&7u64.to_le_bytes()[..], &4u32.to_le_bytes(), b"page"].concat();
+    paged.extend_from_slice(&encode_frame(FRAME_PAGE, &page));
+    for heap in [heap, paged] {
+        let bytes = MemIo::from_bytes(heap.clone());
+        let err = PagedState::open(bytes, None).expect_err("old heap opened");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    }
 }

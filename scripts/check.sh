@@ -83,9 +83,10 @@ echo "== long-log smoke: bounded recovery over a segmented WAL =="
 cargo test -q --test storage_recovery long_history_recovery_scans_a_bounded_tail
 
 echo "== paged storage: every capture checked against the heap (stress) =="
-# The `stress` feature materialises the heap after every paged capture
-# and asserts it equals the state just captured, slot by slot: a slot
-# the dirty rule missed fails at the capture that missed it.
+# The `stress` feature rescans the heap after every paged capture with
+# the open's own one-pass routine and asserts it equals the state just
+# captured, slot by slot: a slot the dirty rule missed fails at the
+# capture that missed it.
 cargo test --release --features stress --test paged_storage
 
 if [[ "$run_bench" == 1 ]]; then

@@ -12,6 +12,8 @@
 //!   entries as at 1 000. A whole-version read rebuilds about 8× more.
 //! - A paged checkpoint after k edits reads no heap bytes and captures
 //!   as many slots at 8 000 entries as at 1 000.
+//! - A paged open reads the heap once: at most 1.1× its length, at
+//!   1 000 entries and at 8 000.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -122,30 +124,32 @@ fn a_citation_rebuilds_one_entry_whatever_the_release_size() {
     assert!((7.5..=8.5).contains(&ratio), "whole versions {whole:?}");
 }
 
-/// A page-heap device that counts the bytes read from it.
-#[derive(Debug)]
+/// An in-memory device that counts the bytes read from it. Clones
+/// share the bytes and the count, so a test can reopen what a dropped
+/// database wrote.
+#[derive(Debug, Clone, Default)]
 struct ReadCounting {
-    io: MemIo,
+    io: Arc<Mutex<MemIo>>,
     read: Arc<AtomicU64>,
 }
 
 impl Io for ReadCounting {
     fn len(&self) -> Result<u64, StorageError> {
-        self.io.len()
+        self.io.lock().unwrap().len()
     }
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
-        let n = self.io.read_at(offset, buf)?;
+        let n = self.io.lock().unwrap().read_at(offset, buf)?;
         self.read.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
     fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        self.io.append(bytes)
+        self.io.lock().unwrap().append(bytes)
     }
     fn flush(&mut self) -> Result<(), StorageError> {
-        self.io.flush()
+        self.io.lock().unwrap().flush()
     }
     fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
-        self.io.truncate(len)
+        self.io.lock().unwrap().truncate(len)
     }
 }
 
@@ -157,11 +161,8 @@ impl Io for ReadCounting {
 fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
     let mut captured = Vec::new();
     for n in [1_000, 8_000] {
-        let read = Arc::new(AtomicU64::new(0));
-        let heap = ReadCounting {
-            io: MemIo::new(),
-            read: read.clone(),
-        };
+        let heap = ReadCounting::default();
+        let read = heap.read.clone();
         let wal = Box::new(MemIo::new());
         let ckpt = CheckpointStore::mem();
         let mut db =
@@ -193,4 +194,42 @@ fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
         captured[0], captured[1],
         "slots captured at 1 000 and at 8 000 entries"
     );
+}
+
+/// Reopening a paged database reads the heap once: at most 1.1× its
+/// length, at 1 000 entries and at 8 000, with superseded records from
+/// a second checkpoint in it.
+#[test]
+fn a_paged_open_reads_the_heap_once() {
+    for n in [1_000, 8_000] {
+        let [wal, s1, s2, heap] = std::array::from_fn(|_| ReadCounting::default());
+        let open = || {
+            let dev = |d: &ReadCounting| Box::new(d.clone()) as Box<dyn Io>;
+            let slots = CheckpointStore::slots(dev(&s1), dev(&s2));
+            CuratedDatabase::open_paged("count", "ac", dev(&wal), slots, dev(&heap), 0).unwrap()
+        };
+        let mut db = open();
+        db.set_durability(cdb_core::Durability::Batched);
+        for i in 0..n {
+            let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
+            db.add_entry("c", i as u64, &key(i), &fields).unwrap();
+        }
+        db.checkpoint().unwrap();
+        edit(&mut db, 10, n as u64);
+        db.checkpoint().unwrap();
+        drop(db);
+        let before = heap.read.load(Ordering::Relaxed);
+        let db = open();
+        let read = heap.read.load(Ordering::Relaxed) - before;
+        let len = heap.len().unwrap();
+        assert!(db.recovery_stats().unwrap().used_checkpoint);
+        assert_eq!(
+            db.metrics().counter("storage.page.anchor_unusable").get(),
+            0
+        );
+        assert!(
+            read as f64 <= 1.1 * len as f64,
+            "{n} entries: an open read {read} bytes of a {len}-byte heap"
+        );
+    }
 }

@@ -7,10 +7,10 @@
 //!
 //! * `paged_store_is_byte_equivalent_to_resident` — storage-level:
 //!   random sessions recaptured transaction-by-transaction into a
-//!   `PagedState` (so the heap accumulates superseded page versions
-//!   and stranded chunk tails), then every object read and full
-//!   materialization must equal the resident `TreeDb`/`ProvStore`
-//!   exactly, before and after a reopen.
+//!   `PagedState` (so the heap accumulates superseded records), then
+//!   each slot's newest record and the full materialization must equal
+//!   the resident `TreeDb`/`ProvStore` exactly, before and after a
+//!   reopen.
 //! * `paged_database_matches_classic_and_recovery` — database-level:
 //!   the same scripted session driven through a classic
 //!   `CuratedDatabase` and a paged one (page-granular checkpoints)
@@ -40,17 +40,18 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use cdb_core::CuratedDatabase;
 use cdb_curation::ops::CuratedTree;
 use cdb_curation::provstore::StoreMode;
 use cdb_curation::replay::apply_committed;
-use cdb_curation::wire;
+use cdb_curation::wire::{self, PagedRef};
 use cdb_model::Atom;
 use cdb_storage::{
     CheckpointStore, FaultPlan, FaultyIo, Io, MemBacking, MemIo, PagedState, Retention,
-    SegmentConfig, SegmentedIo, StorageError, KIND_NODE,
+    SegmentConfig, SegmentedIo, StorageError, FRAME_PAGE, KIND_NODE, KIND_PROV, PAGE_MAGIC,
 };
 use cdb_workload::sessions::{CurationSim, SessionConfig};
 use proptest::prelude::*;
@@ -80,8 +81,25 @@ fn mode_of(naive: bool) -> StoreMode {
     }
 }
 
+/// Each slot's newest object in a heap image, by `(kind, slot)`, read
+/// straight from the records.
+fn newest_objects(image: &[u8]) -> BTreeMap<(u8, u64), Vec<u8>> {
+    let mut newest = BTreeMap::new();
+    let mut io = MemIo::from_bytes(image.to_vec());
+    let out = cdb_storage::frame::scan(&mut io, PAGE_MAGIC, None, |kind, payload, _| {
+        assert_eq!(kind, FRAME_PAGE);
+        let (&obj_kind, rest) = payload.split_first().unwrap();
+        let (slot, object) = rest.split_first_chunk::<8>().unwrap();
+        newest.insert((obj_kind, u64::from_le_bytes(*slot)), object.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(out.valid_len, image.len() as u64);
+    newest
+}
+
 proptest! {
-    /// Storage-level byte equivalence: every object read from the
+    /// Storage-level byte equivalence: each slot's newest record in the
     /// paged store equals the resident encoding, and full
     /// materialization reproduces the resident `TreeDb` and
     /// `ProvStore` exactly, before and after a reopen.
@@ -95,11 +113,11 @@ proptest! {
     ) {
         let mode = mode_of(naive);
         let db = session(seed, mode, txns, pastes, edits);
-        let mut state = PagedState::open(MemIo::new(), None).unwrap();
+        let (mut state, _) = PagedState::open(MemIo::new(), None).unwrap();
 
-        // Recapture every node after every transaction: the heap
-        // accumulates superseded page versions and stranded tails,
-        // newest-wins must still hold for each object.
+        // Recapture every slot after every transaction: the heap
+        // accumulates superseded records (empty provenance included),
+        // and newest-wins must still hold for each slot.
         let mut r = CuratedTree::new(db.tree.name(), mode);
         for txn in &db.log {
             apply_committed(&mut r, txn).unwrap();
@@ -111,33 +129,36 @@ proptest! {
         state.flush().unwrap();
 
         let arena = wire::arena_len(&db.tree);
-        let root = db.tree.root().index() as u64;
+        let pref = PagedRef {
+            heap_len: state.heap_len(),
+            arena_len: arena as u64,
+            root: db.tree.root().index() as u64,
+        };
+        let want = Some((db.tree.clone(), db.prov.clone()));
+        prop_assert_eq!(&state.materialise(db.tree.name(), mode, pref).unwrap(), &want);
+
+        let io = state.into_io();
+        let newest = newest_objects(io.bytes());
         for i in 0..arena {
-            // Byte-for-byte object equivalence, tombstones included.
+            // Byte-for-byte slot equivalence, tombstones included.
             prop_assert_eq!(
-                state.get_object(KIND_NODE, i as u64).unwrap(),
+                newest.get(&(KIND_NODE, i as u64)).cloned(),
                 wire::encode_tree_node(&db.tree, i),
-                "node object {} diverged", i
+                "node record {} diverged", i
             );
-            let prov = state.node_prov(i as u64).unwrap();
+            let recs = wire::direct_prov_records(&db.prov, i);
             prop_assert_eq!(
-                prov.as_slice(),
-                wire::direct_prov_records(&db.prov, i),
-                "prov records of node {} diverged", i
+                newest.get(&(KIND_PROV, i as u64)),
+                Some(&wire::encode_prov_records(recs)),
+                "prov record of node {} diverged", i
             );
         }
-        let mt = state.materialize_tree(db.tree.name(), root, arena as u64).unwrap();
-        prop_assert_eq!(&mt, &db.tree);
-        let mp = state.materialize_prov(mode, arena as u64).unwrap();
-        prop_assert_eq!(&mp, &db.prov);
 
-        // Reopen from the durable device at the flushed watermark:
-        // same answers from a rebuilt page table.
-        let heap_len = state.heap_len();
-        let io = state.into_store().into_io();
-        let mut re = PagedState::open(io, Some(heap_len)).unwrap();
-        let mt = re.materialize_tree(db.tree.name(), root, arena as u64).unwrap();
-        prop_assert_eq!(&mt, &db.tree);
+        // Reopen from the durable device at the flushed watermark: the
+        // open's one pass gives the same answer.
+        let anchor = Some((db.tree.name(), mode, pref));
+        let (_, found) = PagedState::open(io, anchor).unwrap();
+        prop_assert_eq!(&found, &want);
     }
 }
 
@@ -494,6 +515,11 @@ impl Lives {
     }
 
     fn try_open(&self) -> Result<CuratedDatabase, cdb_core::DbError> {
+        self.open_over(Box::new(self.heap.clone()))
+    }
+
+    /// Opens the database over `heap` in place of its own heap device.
+    fn open_over(&self, heap: Box<dyn Io>) -> Result<CuratedDatabase, cdb_core::DbError> {
         let cfg = SegmentConfig {
             segment_bytes: 512,
             retention: self.retention,
@@ -502,7 +528,7 @@ impl Lives {
         let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
         let slots = CheckpointStore::slots(dev(&self.s1), dev(&self.s2));
         let mut db = if self.paged {
-            CuratedDatabase::open_paged("lives", "id", wal, slots, dev(&self.heap), 0)?
+            CuratedDatabase::open_paged("lives", "id", wal, slots, heap, 0)?
         } else {
             CuratedDatabase::open("lives", "id", wal, slots)?
         };
@@ -1084,4 +1110,121 @@ fn a_carried_archive_of_the_wrong_length_is_corrupt() {
             other => panic!("opened with a wrong archive: {:?}", other.map(|_| ())),
         }
     }
+}
+
+/// How many times opening this database found its anchor unusable.
+fn unusable(db: &CuratedDatabase) -> u64 {
+    db.metrics().counter("storage.page.anchor_unusable").get()
+}
+
+/// An object larger than the 4 KiB page the heap once had is one
+/// record, and it round-trips through a checkpoint and a reopen.
+#[test]
+fn a_large_object_is_one_record() {
+    let lives = Lives::new();
+    let mut db = lives.open();
+    populate(&mut db, 3);
+    let big = "x".repeat(12_000);
+    db.edit_field("c", 10, "k001", "g", Atom::Str(big.clone()))
+        .unwrap();
+    db.checkpoint().unwrap();
+    let live = db.export().unwrap();
+    drop(db);
+    let image = lives.heap.durable();
+    let records = newest_objects(&image);
+    let large: Vec<_> = records.values().filter(|o| o.len() > 10_000).collect();
+    assert_eq!(large.len(), 1, "one record holds the large field");
+    assert!(large[0].windows(big.len()).any(|w| w == big.as_bytes()));
+    let db = lives.crash().open();
+    assert_eq!(unusable(&db), 0);
+    assert_eq!(db.export().unwrap(), live);
+}
+
+/// A heap device whose reads fail once they reach `fail_from`.
+#[derive(Debug)]
+struct ReadsFailPast(SharedDev, u64);
+
+impl Io for ReadsFailPast {
+    fn len(&self) -> Result<u64, StorageError> {
+        self.0.len()
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+        if offset + buf.len() as u64 > self.1 {
+            return Err(StorageError::Io(format!("read past {}", self.1)));
+        }
+        self.0.read_at(offset, buf)
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.0.append(bytes)
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.0.flush()
+    }
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.0.truncate(len)
+    }
+}
+
+/// A heap read that fails below the anchor's watermark fails the open
+/// with the I/O error. It does not make the anchor unusable (under
+/// `Reclaim`, with a retired prefix, a WAL fallback could not
+/// recover), and it truncates nothing: once reads work again the same
+/// anchor serves the open.
+#[test]
+fn a_heap_read_error_fails_the_open_and_truncates_nothing() {
+    let lives = Lives::new();
+    let mut db = lives.open();
+    populate(&mut db, 20);
+    assert!(db.checkpoint().unwrap().retired_segments > 0);
+    drop(db);
+    let image = lives.heap.durable();
+    let watermark = image.len() as u64;
+    for fail_from in [0, 8, watermark / 2, watermark - 1] {
+        let heap = ReadsFailPast(lives.heap.clone(), fail_from);
+        match lives.open_over(Box::new(heap)) {
+            Err(cdb_core::DbError::Storage(m)) => assert!(m.starts_with("storage i/o"), "{m}"),
+            other => panic!("read error at {fail_from}: {:?}", other.map(|_| ())),
+        }
+        assert_eq!(lives.heap.durable(), image, "read error at {fail_from}");
+    }
+    let db = lives.open();
+    assert_eq!(unusable(&db), 0);
+    assert_eq!(db.entry_keys().unwrap().len(), 20);
+    assert_eq!(lives.heap.durable(), image);
+}
+
+/// A heap torn below the anchor's watermark makes the anchor unusable:
+/// the open replays the WAL and empties the heap. The next checkpoint
+/// captures every slot into the empty heap, and a clean reopen serves
+/// its anchor and equals the live state.
+#[test]
+fn a_fallback_open_empties_the_heap_and_the_next_capture_refills_it() {
+    let lives = Lives::with(true, Retention::KeepAll);
+    let mut db = lives.open();
+    populate(&mut db, 12);
+    db.checkpoint().unwrap();
+    drop(db);
+    let image = lives.heap.durable();
+    let torn = image[..image.len() / 2].to_vec();
+    let torn = SharedDev(Arc::new(Mutex::new(FaultyIo::with_contents(
+        torn,
+        FaultPlan::default(),
+    ))));
+    let lives = Lives {
+        heap: torn,
+        ..lives
+    };
+    let mut db = lives.open();
+    assert_eq!(unusable(&db), 1);
+    assert_eq!(lives.heap.durable(), PAGE_MAGIC.to_vec(), "heap emptied");
+    add(&mut db, 40, "after");
+    db.checkpoint().unwrap();
+    let live = (db.curated.tree.clone(), db.curated.prov.clone());
+    let export = db.export().unwrap();
+    drop(db);
+    let db = lives.open();
+    assert_eq!(unusable(&db), 0);
+    assert!(db.recovery_stats().unwrap().used_checkpoint);
+    assert_eq!((db.curated.tree.clone(), db.curated.prov.clone()), live);
+    assert_eq!(db.export().unwrap(), export);
 }
