@@ -38,8 +38,13 @@ fn table() {
         let mut hered = CurationSim::new(1, StoreMode::Hereditary, cfg(txns));
         naive.run();
         hered.run();
-        let raw: usize = hered.target.log.iter().map(|t| t.ops.len()).sum();
-        let squashed: usize = hered.target.log.iter().map(|t| squash(&t.ops).len()).sum();
+        let raw: usize = hered.target.log().iter().map(|t| t.ops.len()).sum();
+        let squashed: usize = hered
+            .target
+            .log()
+            .iter()
+            .map(|t| squash(&t.ops).len())
+            .sum();
         println!(
             "{:<8} {:>10} {:>14} {:>14} {:>14} {:>14} {:>9.0}%",
             txns,
@@ -92,7 +97,7 @@ fn bench_queries(c: &mut Criterion) {
     });
     g.bench_function("squash_all_txns", |b| {
         b.iter(|| {
-            let total: usize = sim.target.log.iter().map(|t| squash(&t.ops).len()).sum();
+            let total: usize = sim.target.log().iter().map(|t| squash(&t.ops).len()).sum();
             black_box(total)
         })
     });

@@ -203,7 +203,7 @@ fn bench_parallel_recovery(txns_per_shard: usize) {
     for mut io in ios {
         ctx.extend(scan_decisions(&mut io).unwrap());
         let (_, rec) = recover_with("bench", StoreMode::Hereditary, io, None, &ctx).unwrap();
-        seq_txns += rec.db.log.len() as u64;
+        seq_txns += rec.db.log().len() as u64;
     }
     row("e22_recovery/sequential", start.elapsed());
 
@@ -215,7 +215,7 @@ fn bench_parallel_recovery(txns_per_shard: usize) {
     let start = Instant::now();
     let out = recover_shards("bench", StoreMode::Hereditary, shards, &Default::default()).unwrap();
     row("e22_recovery/parallel", start.elapsed());
-    let par_txns: u64 = out.iter().map(|(_, r)| r.db.log.len() as u64).sum();
+    let par_txns: u64 = out.iter().map(|(_, r)| r.db.log().len() as u64).sum();
     assert_eq!(seq_txns, par_txns, "both paths must replay the same log");
     eprintln!("  ({par_txns} transactions replayed per path)");
 }

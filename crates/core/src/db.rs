@@ -692,11 +692,18 @@ impl DbState {
     /// here (its node given) is addressed to its node and re-posted
     /// under its current field values, a vanished one (deleted,
     /// absorbed, split away — or living on another shard) is unlinked.
+    /// Under the `stress` feature, also asserts that the curated tree's
+    /// touch index equals its rebuild from the log.
     fn settle(
         &mut self,
         touched: &[(&str, Option<NodeId>)],
         events: impl IntoIterator<Item = EntryEvent>,
     ) {
+        #[cfg(feature = "stress")]
+        assert!(
+            self.curated.touch_index_is_derived(),
+            "stress: the touch index drifted from the log"
+        );
         for event in events {
             self.lifecycle.record(event);
         }
@@ -936,7 +943,7 @@ impl DbState {
     /// times must stay monotone across the cut.
     pub(crate) fn clock(&self) -> u64 {
         self.curated
-            .log
+            .log()
             .last()
             .map(|t| t.time)
             .unwrap_or(0)
@@ -993,7 +1000,7 @@ impl DbState {
             touched: BTreeMap::new(),
         };
         let carried = rebuilt.version_count() as usize;
-        let mut log = self.curated.log.iter().peekable();
+        let mut log = self.curated.log().iter().peekable();
         let mut last_time = None;
         for (txn, time, label) in self.publish_points.iter().skip(carried) {
             if let Some(upto) = txn {
@@ -1039,8 +1046,10 @@ impl DbState {
     /// Cites an entry as of a published version, crediting the curators
     /// who touched it (§5.2: "It is appropriate to cite the authorship
     /// of an entry"). The entry is read with one keyed archive read,
-    /// not a rebuild of the version; the authors come from a scan of
-    /// the transaction log.
+    /// not a rebuild of the version; the authors are
+    /// [`queries::curators_of`] the entry's live subtree, read off the
+    /// log's touch index (no scan of the log). An entry that lives
+    /// only in older versions is credited to no one.
     pub fn cite(&self, version: VersionId, key: &str) -> Result<Citation, DbError> {
         let authors = match self.entry_node(key) {
             Ok(node) => queries::curators_of(&self.curated, node)?,
@@ -1577,12 +1586,12 @@ mod tests {
     fn retired_identifiers_cannot_be_reused() {
         let mut db = sample();
         db.delete_entry("alice", 3, "5-HT3").unwrap();
-        let log_len = db.curated.log.len();
+        let log_len = db.curated.log().len();
         assert!(matches!(
             db.add_entry("x", 4, "5-HT3", &[]),
             Err(DbError::Lifecycle(LifecycleError::Duplicate(_)))
         ));
-        assert_eq!(db.curated.log.len(), log_len, "no phantom transaction");
+        assert_eq!(db.curated.log().len(), log_len, "no phantom transaction");
         assert!(db.entry_node("5-HT3").is_err(), "no phantom entry");
         // A split onto a retired part name is rejected the same way,
         // leaving the original untouched.
@@ -1590,11 +1599,11 @@ mod tests {
             db.split_entry("y", 5, "GABA-A", &[("5-HT3", vec![])]),
             Err(DbError::Lifecycle(LifecycleError::Duplicate(_)))
         ));
-        assert_eq!(db.curated.log.len(), log_len);
+        assert_eq!(db.curated.log().len(), log_len);
         assert!(db.entry_node("GABA-A").is_ok());
         // The database keeps working after the rejections.
         db.add_entry("x", 6, "5-HT4", &[]).unwrap();
-        assert_eq!(db.curated.log.len(), log_len + 1);
+        assert_eq!(db.curated.log().len(), log_len + 1);
     }
 
     /// Merging an entry into itself once deleted it and retired its id
@@ -1602,14 +1611,14 @@ mod tests {
     #[test]
     fn self_merge_is_rejected_and_loses_nothing() {
         let mut db = sample();
-        let log_len = db.curated.log.len();
+        let log_len = db.curated.log().len();
         assert_eq!(
             db.merge_entries("alice", 3, "GABA-A", "GABA-A"),
             Err(DbError::Lifecycle(LifecycleError::SelfMerge(
                 "GABA-A".into()
             )))
         );
-        assert_eq!(db.curated.log.len(), log_len, "no phantom transaction");
+        assert_eq!(db.curated.log().len(), log_len, "no phantom transaction");
         assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
         assert_eq!(db.resolve_id("GABA-A").unwrap(), ["GABA-A"]);
         assert_eq!(db.field("GABA-A", "tm").unwrap(), Atom::Int(4));
@@ -1620,12 +1629,12 @@ mod tests {
     #[test]
     fn split_with_a_repeated_part_key_is_rejected() {
         let mut db = sample();
-        let log_len = db.curated.log.len();
+        let log_len = db.curated.log().len();
         assert_eq!(
             db.split_entry("alice", 3, "GABA-A", &[("A", vec![]), ("A", vec![])]),
             Err(DbError::Lifecycle(LifecycleError::Duplicate("A".into())))
         );
-        assert_eq!(db.curated.log.len(), log_len);
+        assert_eq!(db.curated.log().len(), log_len);
         assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
         assert!(db.resolve_id("A").is_err(), "no phantom identifier");
     }
@@ -1638,7 +1647,7 @@ mod tests {
     fn writes_naming_the_key_field_are_rejected() {
         let mut db = sample();
         db.create_index("kind").unwrap();
-        let log_len = db.curated.log.len();
+        let log_len = db.curated.log().len();
         let refused = Err(DbError::KeyFieldWrite("name".into()));
         assert_eq!(
             db.edit_field("x", 3, "GABA-A", "name", Atom::Str("Q".into())),
@@ -1661,7 +1670,7 @@ mod tests {
             ),
             refused
         );
-        assert_eq!(db.curated.log.len(), log_len, "no phantom transaction");
+        assert_eq!(db.curated.log().len(), log_len, "no phantom transaction");
         assert_eq!(db.entry_keys().unwrap(), ["GABA-A", "5-HT3"]);
         assert_eq!(db.resolve_id("GABA-A").unwrap(), ["GABA-A"]);
         assert_eq!(

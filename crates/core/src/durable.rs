@@ -398,7 +398,7 @@ pub(crate) fn open_all(
                 ckpt,
                 retention: Retention::default(),
                 durability,
-                persisted_txns: state.curated.log.len(),
+                persisted_txns: state.curated.log().len(),
                 persisted_events: state.lifecycle.events().len(),
                 recovery,
                 paged: paged.map(|(heap, base)| PagedBacking::attach(heap, base)),
@@ -526,7 +526,7 @@ impl Durable {
         metrics: &cdb_obs::Metrics,
     ) -> Vec<(u8, Vec<u8>)> {
         let events = state.lifecycle.events();
-        let log = &state.curated.log;
+        let log = state.curated.log();
         let mut frames = Vec::new();
         let mut fresh: Vec<Vec<u8>> = events
             .iter_from(self.persisted_events)

@@ -489,8 +489,8 @@ impl SharedDb {
 /// extends the previous one — commit order and snapshot order agree.
 #[cfg(feature = "stress")]
 fn assert_snapshot_extends(prev: &DbState, next: &DbState) {
-    let p = &prev.curated.log;
-    let n = &next.curated.log;
+    let p = prev.curated.log();
+    let n = next.curated.log();
     assert!(
         p.len() <= n.len(),
         "snapshot regressed: {} -> {} transactions",

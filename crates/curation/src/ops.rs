@@ -136,6 +136,15 @@ impl ClipNode {
 
 /// A curated database: the tree plus its transaction log and provenance
 /// store.
+///
+/// The log also has an inverted form, the *touch index*: per node id,
+/// the transactions with an operation targeting that node. It is
+/// derived state, appended to at the one place the log grows
+/// ([`CuratedTree::adopt_unapplied`], which [`Txn::commit`] shares) and
+/// rebuilt in one pass by [`CuratedTree::from_parts`] and
+/// [`CuratedTree::from_parts_at`]; it is never persisted. The
+/// provenance queries of [`crate::queries`] read it, so their cost
+/// follows the queried subtree, not the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CuratedTree {
     /// The underlying tree.
@@ -145,14 +154,84 @@ pub struct CuratedTree {
     /// covered log was truncated (`Retention::Reclaim`); `base_txn`
     /// then records where the tail begins. Full chunks are sealed and
     /// shared by every clone; a commit appends to the open last chunk
-    /// and copies only that one while a clone shares it.
-    pub log: ChunkVec<Transaction>,
+    /// and copies only that one while a clone shares it. Private, so
+    /// nothing appends around the touch index: read it through
+    /// [`CuratedTree::log`].
+    log: ChunkVec<Transaction>,
     /// The provenance store.
     pub prov: ProvStore,
     next_txn: u64,
     /// Last transaction id folded into the state before `log` begins
     /// (`None` when `log` is the full history).
     base_txn: Option<TxnId>,
+    /// The touch index: slot `i` lists, ascending and each once, the
+    /// logged transactions with an operation of any kind (a delete
+    /// included) targeting node `i`. At most one id per logged op;
+    /// shares chunks with every clone, as the provenance store does.
+    touched: ChunkVec<Touches>,
+    /// The last logged transaction holding a delete.
+    last_delete: Option<TxnId>,
+}
+
+/// One node's slot of the touch index. Most nodes are touched once,
+/// by the transaction that created them, so a single touch is held
+/// inline: it needs no allocation, and a chunk copied for a write
+/// copies no list for it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Touches {
+    #[default]
+    None,
+    One(TxnId),
+    Many(Vec<TxnId>),
+}
+
+impl Touches {
+    fn as_slice(&self) -> &[TxnId] {
+        match self {
+            Touches::None => &[],
+            Touches::One(id) => std::slice::from_ref(id),
+            Touches::Many(ids) => ids,
+        }
+    }
+
+    /// Appends `id` unless it is already the newest touch.
+    fn add(&mut self, id: TxnId) {
+        match self {
+            Touches::None => *self = Touches::One(id),
+            Touches::One(t) if *t == id => {}
+            Touches::One(t) => *self = Touches::Many(vec![*t, id]),
+            Touches::Many(ids) if ids.last() == Some(&id) => {}
+            Touches::Many(ids) => ids.push(id),
+        }
+    }
+}
+
+/// Indexes one logged transaction: its id joins the touches of every
+/// node it targets, once per node, and it becomes the last delete if it
+/// holds one.
+fn index_txn(touched: &mut ChunkVec<Touches>, last_delete: &mut Option<TxnId>, txn: &Transaction) {
+    for op in &txn.ops {
+        let node = op.node().0;
+        while touched.len() <= node {
+            touched.push(Touches::None);
+        }
+        touched
+            .get_mut(node)
+            .expect("slot just ensured")
+            .add(txn.id);
+        if matches!(op, CurationOp::Delete { .. }) {
+            *last_delete = Some(txn.id);
+        }
+    }
+}
+
+/// The touch index of a whole log, built in one pass.
+fn index_log(log: &ChunkVec<Transaction>) -> (ChunkVec<Touches>, Option<TxnId>) {
+    let (mut touched, mut last_delete) = (ChunkVec::new(), None);
+    for txn in log {
+        index_txn(&mut touched, &mut last_delete, txn);
+    }
+    (touched, last_delete)
 }
 
 impl CuratedTree {
@@ -165,6 +244,8 @@ impl CuratedTree {
             prov: ProvStore::new(mode),
             next_txn: 0,
             base_txn: None,
+            touched: ChunkVec::new(),
+            last_delete: None,
         }
     }
 
@@ -217,15 +298,7 @@ impl CuratedTree {
         log: impl Into<ChunkVec<Transaction>>,
         prov: ProvStore,
     ) -> Self {
-        let log = log.into();
-        let next_txn = log.last().map(|t| t.id.0 + 1).unwrap_or(0);
-        CuratedTree {
-            tree,
-            log,
-            prov,
-            next_txn,
-            base_txn: None,
-        }
+        CuratedTree::from_parts_at(tree, log, prov, None)
     }
 
     /// Reassembles a curated database whose `log` is only the *tail*
@@ -246,21 +319,69 @@ impl CuratedTree {
             .map(|t| t.id.0 + 1)
             .or(base_txn.map(|t| t.0 + 1))
             .unwrap_or(0);
+        let (touched, last_delete) = index_log(&log);
         CuratedTree {
             tree,
             log,
             prov,
             next_txn,
             base_txn,
+            touched,
+            last_delete,
         }
     }
 
     /// Appends an already-committed transaction to the log *without*
     /// applying it — used by recovery for transactions whose effects are
-    /// already covered by a loaded checkpoint.
+    /// already covered by a loaded checkpoint. Every append to the log
+    /// comes through here, and indexes the transaction's targets.
     pub fn adopt_unapplied(&mut self, txn: Transaction) {
         self.next_txn = txn.id.0 + 1;
+        index_txn(&mut self.touched, &mut self.last_delete, &txn);
         self.log.push(txn);
+    }
+
+    /// The committed transaction log, oldest first (a tail of the
+    /// history after a cut: see [`CuratedTree::base_txn_id`]). Full
+    /// chunks are shared by every clone; index it, or walk it in place
+    /// with `iter()` / `iter_from(n)`.
+    pub fn log(&self) -> &ChunkVec<Transaction> {
+        &self.log
+    }
+
+    /// The logged transaction `id`, found by binary search (ids
+    /// increase along the log); `None` when it is not in the log.
+    pub fn txn(&self, id: TxnId) -> Option<&Transaction> {
+        let (mut lo, mut hi) = (0, self.log.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let t = &self.log[mid];
+            match t.id.cmp(&id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(t),
+            }
+        }
+        None
+    }
+
+    /// The touch index of `node`: every logged transaction with an
+    /// operation targeting it (a delete included), ascending, each
+    /// once. A dead node keeps its touches.
+    pub(crate) fn touches(&self, node: NodeId) -> &[TxnId] {
+        self.touched.get(node.0).map_or(&[], Touches::as_slice)
+    }
+
+    /// The last logged transaction that holds a delete.
+    pub(crate) fn last_delete(&self) -> Option<TxnId> {
+        self.last_delete
+    }
+
+    /// Whether the touch index equals its rebuild from the log — the
+    /// invariant stress builds assert after every commit.
+    pub fn touch_index_is_derived(&self) -> bool {
+        let (touched, last_delete) = index_log(&self.log);
+        touched == self.touched && last_delete == self.last_delete
     }
 
     /// The committed transactions as a list of borrows (one pointer
@@ -374,7 +495,7 @@ impl<'a> Txn<'a> {
     /// Commits: appends the record to the database log.
     pub fn commit(self) -> TxnId {
         let id = self.txn.id;
-        self.db.log.push(self.txn);
+        self.db.adopt_unapplied(self.txn);
         id
     }
 }
@@ -397,13 +518,13 @@ mod tests {
         let n = t.insert(e, "name", Some(Atom::Str("x".into()))).unwrap();
         t.modify(n, Some(Atom::Str("y".into()))).unwrap();
         t.commit();
-        assert_eq!(db.log.len(), 1);
-        assert_eq!(db.log[0].ops.len(), 3);
-        assert_eq!(db.log[0].curator, "alice");
+        assert_eq!(db.log().len(), 1);
+        assert_eq!(db.log()[0].ops.len(), 3);
+        assert_eq!(db.log()[0].curator, "alice");
         let mut t2 = db.begin("bob", 200);
         t2.delete(e).unwrap();
         t2.commit();
-        assert_eq!(db.log[1].ops, vec![CurationOp::Delete { node: e }]);
+        assert_eq!(db.log()[1].ops, vec![CurationOp::Delete { node: e }]);
         assert!(!db.tree.is_alive(n));
     }
 
@@ -438,7 +559,7 @@ mod tests {
             Some(&Atom::Str("Q04917".into()))
         );
         // The paste op recorded the origin.
-        match &dst.log[0].ops[0] {
+        match &dst.log()[0].ops[0] {
             CurationOp::Paste {
                 origin, snapshot, ..
             } => {
@@ -473,7 +594,7 @@ mod tests {
         let mut t = db.begin("a", 2);
         t.modify(n, Some(Atom::Int(2))).unwrap();
         t.commit();
-        match &db.log[1].ops[0] {
+        match &db.log()[1].ops[0] {
             CurationOp::Modify { old, new, .. } => {
                 assert_eq!(old, &Some(Atom::Int(1)));
                 assert_eq!(new, &Some(Atom::Int(2)));

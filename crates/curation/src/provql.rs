@@ -207,7 +207,7 @@ pub fn eval(db: &CuratedTree, q: &ProvQuery) -> Result<Answer, EvalError> {
             path,
             at: Some(txn),
         } => {
-            let past = replay::replay(db.tree.name(), &db.log, Some(*txn))
+            let past = replay::replay(db.tree.name(), db.log(), Some(*txn))
                 .map_err(|e| EvalError::Replay(e.to_string()))?;
             let node = past.resolve_path(path)?;
             Ok(Answer::Value(past.value(node)?.map(|a| a.to_string())))
@@ -217,9 +217,7 @@ pub fn eval(db: &CuratedTree, q: &ProvQuery) -> Result<Answer, EvalError> {
             let txn = queries::when_created(db, node)
                 .ok_or_else(|| EvalError::NoProvenance(path.clone()))?;
             let t = db
-                .log
-                .iter()
-                .find(|t| t.id == txn)
+                .txn(txn)
                 .ok_or_else(|| EvalError::NoProvenance(path.clone()))?;
             Ok(Answer::Created {
                 txn,
@@ -251,10 +249,10 @@ pub fn eval(db: &CuratedTree, q: &ProvQuery) -> Result<Answer, EvalError> {
         }
         ProvQuery::ChangedBetween { from, to } => {
             // Replay to `to` so even since-deleted nodes resolve paths.
-            let state = replay::replay(db.tree.name(), &db.log, Some(*to))
+            let state = replay::replay(db.tree.name(), db.log(), Some(*to))
                 .map_err(|e| EvalError::Replay(e.to_string()))?;
             let mut out = Vec::new();
-            for txn in &db.log {
+            for txn in db.log() {
                 if txn.id < *from || txn.id > *to {
                     continue;
                 }

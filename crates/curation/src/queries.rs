@@ -3,6 +3,17 @@
 //! "…it is possible to ask questions such as when some data value was
 //! first created, by what process did that value arrive in a database,
 //! when was a subtree last modified…"
+//!
+//! [`when_created`] and [`how_arrived`] read the provenance store.
+//! [`last_modified`], [`curators_of`] and [`history`] read the log
+//! through its inverted form, the touch index [`CuratedTree`] keeps
+//! (per node, the transactions that targeted it): each walks the
+//! queried subtree, never the whole log. The provenance store cannot
+//! serve those three: it keeps no record for a deleted node, so a
+//! delete's curator would be lost, and in naive mode it records every
+//! pasted node, not only the paste's target.
+
+use std::sync::OnceLock;
 
 use crate::ops::{CuratedTree, CurationOp, Transaction, TxnId};
 use crate::provstore::{Origin, ProvEvent};
@@ -37,11 +48,17 @@ pub fn how_arrived(db: &CuratedTree, node: NodeId) -> Vec<Origin> {
     db.prov.chain(&db.tree, node)
 }
 
-/// `node` and every live node below it, sorted: the operation targets
-/// that touch the subtree rooted at `node`. The ancestors of a live node
-/// are live, so walking up from a live target reaches `node` exactly
-/// when the target is in this set — one walk down instead of a walk up
-/// per logged operation.
+/// Touch-index entries the provenance queries read: each of
+/// [`last_modified`], [`curators_of`] and [`history`] adds, once per
+/// call, the number of transaction ids it read off the index.
+fn touches_read() -> &'static cdb_obs::Counter {
+    static READ: OnceLock<cdb_obs::Counter> = OnceLock::new();
+    READ.get_or_init(|| cdb_obs::global().counter("curation.prov.touches_read"))
+}
+
+/// `node` and every live node below it: the nodes whose touches make
+/// up the history of the subtree rooted at `node`. Only `node` itself
+/// may be dead (a dead node has no children to walk).
 fn subtree_of(db: &CuratedTree, node: NodeId) -> Vec<NodeId> {
     let mut inside = vec![node];
     let mut stack = vec![node];
@@ -51,64 +68,77 @@ fn subtree_of(db: &CuratedTree, node: NodeId) -> Vec<NodeId> {
             stack.extend_from_slice(children);
         }
     }
-    inside.sort_unstable();
     inside
 }
 
 /// The transaction that last modified the subtree rooted at `node`
 /// (any modification, insertion or paste below it counts; deletions
 /// count against the parent subtree that contained them).
+///
+/// Read off the touch index ([`CuratedTree`]): the newest touch of each
+/// node in the subtree — `node` itself only while it is alive — so the
+/// cost follows the subtree, not the log. A deleted node can no longer
+/// be walked to, so every delete is attributed to every subtree: the
+/// answer is at least the last logged delete (a safe
+/// over-approximation, used only here). After a cut of the log
+/// ([`CuratedTree::base_txn_id`]) only the transactions after the cut
+/// count.
 pub fn last_modified(db: &CuratedTree, node: NodeId) -> Result<Option<TxnId>, TreeError> {
-    let inside = subtree_of(db, node);
     let node_alive = db.tree.is_alive(node);
-    let mut last = None;
-    for txn in &db.log {
-        for op in &txn.ops {
-            let target = op.node();
-            // Every member of `inside` but `node` itself is live.
-            let live_inside =
-                inside.binary_search(&target).is_ok() && (target != node || node_alive);
-            // Deleted nodes: we cannot walk ancestors anymore; a delete
-            // op affects the subtree it was in if the deleted node's id
-            // was ever under `node` — approximate by attributing deletes
-            // to every ancestor query (safe over-approximation used only
-            // for last-modified).
-            let affected = live_inside
-                || (matches!(op, CurationOp::Delete { .. }) && !db.tree.is_alive(target));
-            if affected {
-                last = Some(txn.id);
-            }
+    let mut last = db.last_delete();
+    let mut read = 0;
+    for n in subtree_of(db, node) {
+        if n == node && !node_alive {
+            continue;
+        }
+        if let Some(&t) = db.touches(n).last() {
+            read += 1;
+            last = last.max(Some(t));
         }
     }
+    touches_read().add(read);
     Ok(last)
 }
 
 /// The full history of a node: every transaction whose log touches it,
-/// with the touching operations.
+/// with the touching operations — its touch-index entry, each
+/// transaction found by id ([`CuratedTree::txn`]).
 pub fn history(db: &CuratedTree, node: NodeId) -> Vec<(&Transaction, Vec<&CurationOp>)> {
-    let mut out = Vec::new();
-    for txn in &db.log {
-        let ops: Vec<&CurationOp> = txn.ops.iter().filter(|op| op.node() == node).collect();
-        if !ops.is_empty() {
-            out.push((txn, ops));
-        }
-    }
-    out
+    let touches = db.touches(node);
+    touches_read().add(touches.len() as u64);
+    touches
+        .iter()
+        .map(|&id| {
+            let txn = db.txn(id).expect("an indexed transaction is logged");
+            let ops = txn.ops.iter().filter(|op| op.node() == node).collect();
+            (txn, ops)
+        })
+        .collect()
 }
 
 /// All curators who have touched the subtree rooted at `node`, in first-
 /// touch order — the "authorship" a citation of this entry should credit
 /// (§5.2: "It is appropriate to cite the authorship of an entry…").
+///
+/// The transactions are the sorted union of the touches of `node` and
+/// of every live node below it, read off the touch index; ids increase
+/// along the log, so ascending ids are first-touch order.
 pub fn curators_of(db: &CuratedTree, node: NodeId) -> Result<Vec<String>, TreeError> {
+    let mut txns: Vec<TxnId> = Vec::new();
+    for n in subtree_of(db, node) {
+        txns.extend_from_slice(db.touches(n));
+    }
+    touches_read().add(txns.len() as u64);
+    txns.sort_unstable();
+    txns.dedup();
     let mut out: Vec<String> = Vec::new();
-    let inside = subtree_of(db, node);
-    for txn in &db.log {
-        let touches = txn
-            .ops
-            .iter()
-            .any(|op| inside.binary_search(&op.node()).is_ok());
-        if touches && !out.contains(&txn.curator) {
-            out.push(txn.curator.clone());
+    for id in txns {
+        let curator = &db
+            .txn(id)
+            .expect("an indexed transaction is logged")
+            .curator;
+        if !out.contains(curator) {
+            out.push(curator.clone());
         }
     }
     Ok(out)

@@ -110,7 +110,7 @@ pub fn verify_replay(db: &CuratedTree, replayed: &TreeDb) -> Result<(), ReplayEr
 /// matches the live tree (ids, labels, values, structure). Returns the
 /// replayed tree.
 pub fn replay_and_verify(db: &CuratedTree) -> Result<TreeDb, ReplayError> {
-    let replayed = replay(db.tree.name(), &db.log, None)?;
+    let replayed = replay(db.tree.name(), db.log(), None)?;
     verify_replay(db, &replayed)?;
     Ok(replayed)
 }
@@ -248,17 +248,17 @@ mod tests {
     fn partial_replay_reconstructs_past_states() {
         let db = build();
         // After txn 0: root + entry + name(x).
-        let t0 = replay("d", &db.log, Some(TxnId(0))).unwrap();
+        let t0 = replay("d", db.log(), Some(TxnId(0))).unwrap();
         assert_eq!(t0.size(), 3);
         let name = t0.resolve_path("/entry/name").unwrap();
         assert_eq!(t0.value(name).unwrap(), Some(&Atom::Str("x".into())));
         // After txn 1: name modified, entry2 added.
-        let t1 = replay("d", &db.log, Some(TxnId(1))).unwrap();
+        let t1 = replay("d", db.log(), Some(TxnId(1))).unwrap();
         assert_eq!(t1.size(), 4);
         let name = t1.resolve_path("/entry/name").unwrap();
         assert_eq!(t1.value(name).unwrap(), Some(&Atom::Str("y".into())));
         // After txn 2: entry2 gone again.
-        let t2 = replay("d", &db.log, Some(TxnId(2))).unwrap();
+        let t2 = replay("d", db.log(), Some(TxnId(2))).unwrap();
         assert_eq!(t2.size(), 3);
     }
 
@@ -313,7 +313,7 @@ mod tests {
     fn truncated_or_corrupt_logs_are_detected() {
         let db = build();
         // Drop the middle transaction: ids no longer line up.
-        let mut broken: Vec<Transaction> = db.log.iter().cloned().collect();
+        let mut broken: Vec<Transaction> = db.log().iter().cloned().collect();
         broken.remove(1);
         // Either replay errors (id mismatch / missing node)…
         match replay("d", &broken, None) {

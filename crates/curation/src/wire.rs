@@ -921,7 +921,7 @@ mod tests {
         assert_eq!(back, ck);
         // Tail replay onto the decoded tree allocates the original ids:
         // a fresh node gets the next arena index, not a reused one.
-        let mut recovered = CuratedTree::from_parts(back.tree, db.log.clone(), back.prov);
+        let mut recovered = CuratedTree::from_parts(back.tree, db.log().clone(), back.prov);
         let root = recovered.tree.root();
         let mut a = recovered.begin("x", 9);
         let fresh_rec = a.insert(root, "f", None).unwrap();

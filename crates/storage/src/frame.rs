@@ -175,10 +175,11 @@ pub fn scan(
     let mut pos = base;
     // With a retired prefix the magic header is gone with its segment;
     // it was validated when the log was created, and retirement only
-    // covers synced frames.
+    // covers synced frames. The header read, like every other, stops
+    // at the watermark (or at the header's end, if that lies past it).
     if base == 0 {
         let magic_len = magic.len() as u64;
-        if total < magic_len || window.get(io, 0, magic_len, total)? != magic {
+        if total < magic_len || window.get(io, 0, magic_len, stop.max(magic_len))? != magic {
             return Ok(ScanOutcome {
                 header_ok: false,
                 base,
@@ -382,6 +383,50 @@ mod tests {
             assert_eq!(frames.len(), 0);
             assert_eq!(out.frames_dropped, u64::from(!empty));
         }
+    }
+
+    /// A [`MemIo`] that counts the bytes read from it.
+    #[derive(Debug)]
+    struct CountingIo {
+        inner: MemIo,
+        read: u64,
+    }
+
+    impl Io for CountingIo {
+        fn len(&self) -> Result<u64, StorageError> {
+            self.inner.len()
+        }
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<usize, StorageError> {
+            let n = self.inner.read_at(offset, buf)?;
+            self.read += n as u64;
+            Ok(n)
+        }
+        fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.append(bytes)
+        }
+        fn flush(&mut self) -> Result<(), StorageError> {
+            self.inner.flush()
+        }
+        fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+            self.inner.truncate(len)
+        }
+    }
+
+    #[test]
+    fn a_limited_scan_reads_no_byte_past_its_limit() {
+        let payload = vec![7u8; 4096];
+        let frames: Vec<(u8, &[u8])> = vec![(FRAME_COMMIT, &payload[..]); 256];
+        let inner = device(&frames);
+        assert!(inner.len().unwrap() > 1 << 20);
+        let mut io = CountingIo { inner, read: 0 };
+        let out = scan(&mut io, WAL_MAGIC, Some(8), |_, _, _| Ok(())).unwrap();
+        assert!(out.header_ok);
+        assert_eq!(out.valid_len, 8);
+        assert_eq!(io.read, 8, "the header read stops at the limit");
+        // A limit inside the header still reads the whole header.
+        io.read = 0;
+        scan(&mut io, WAL_MAGIC, Some(3), |_, _, _| Ok(())).unwrap();
+        assert_eq!(io.read, 8);
     }
 
     #[test]

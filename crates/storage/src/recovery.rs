@@ -568,7 +568,7 @@ fn recover_with_inner<I: Io>(
     }
     // The recovered tree must equal a replay of its own log: from
     // empty, or onto the checkpoint's tree where the log is cut.
-    let replayed = replay_onto(base_tree.clone(), &db.log, None)
+    let replayed = replay_onto(base_tree.clone(), db.log(), None)
         .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
     verify_replay(&db, &replayed)
         .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
@@ -712,7 +712,7 @@ mod tests {
     /// watermark `covered`.
     fn checkpoint_after(db: &CuratedTree, n: usize, covered: u64) -> Checkpoint {
         let mut prefix = CuratedTree::new("r", StoreMode::Hereditary);
-        for t in db.log.iter().take(n) {
+        for t in db.log().iter().take(n) {
             apply_committed(&mut prefix, t).unwrap();
         }
         Checkpoint::basic(prefix.last_txn_id(), covered, prefix.tree, prefix.prov)
@@ -749,8 +749,8 @@ mod tests {
         .unwrap();
         // The log is authoritative: one committed txn, replayed fresh.
         assert!(!rec.stats.used_checkpoint);
-        assert_eq!(rec.db.log.len(), 1);
-        assert_eq!(rec.db.log[0], db.log[0]);
+        assert_eq!(rec.db.log().len(), 1);
+        assert_eq!(rec.db.log()[0], db.log()[0]);
         assert_eq!(rec.stats.frames_dropped, 1);
     }
 
@@ -771,19 +771,19 @@ mod tests {
     fn crash_image_recovers_committed_prefix_exactly() {
         let (db, ..) = seeded();
         let mut log = DurableLog::create(FaultyIo::new(FaultPlan::default())).unwrap();
-        log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log()[0], &[]))
             .unwrap();
-        log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log()[1], &[]))
             .unwrap();
         log.sync().unwrap();
-        log.append(FRAME_COMMIT, &encode_commit(&db.log[2], &[]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log()[2], &[]))
             .unwrap();
         // Crash before the covering sync: txn 2 is uncommitted.
         let image = log.into_io().crash();
 
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), None).unwrap();
         let mut reference = CuratedTree::new("r", StoreMode::Hereditary);
-        for t in db.log.iter().take(2) {
+        for t in db.log().iter().take(2) {
             apply_committed(&mut reference, t).unwrap();
         }
         assert_eq!(rec.db, reference);
@@ -793,9 +793,9 @@ mod tests {
     fn out_of_order_transaction_ids_are_rejected() {
         let (db, ..) = seeded();
         let mut log = DurableLog::create(MemIo::new()).unwrap();
-        log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log()[1], &[]))
             .unwrap();
-        log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
+        log.append(FRAME_COMMIT, &encode_commit(&db.log()[0], &[]))
             .unwrap();
         log.sync().unwrap();
         let err = recover("r", StoreMode::Hereditary, log.into_io(), None).unwrap_err();

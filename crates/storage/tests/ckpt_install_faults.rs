@@ -185,7 +185,7 @@ fn session() -> CuratedTree {
 /// The reference state after the first `n` transactions.
 fn reference(db: &CuratedTree, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in db.log.iter().take(n) {
+    for txn in db.log().iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r
@@ -211,7 +211,7 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
             });
             let io = SegmentedIo::open(Box::new(backing.clone()), cfg).unwrap();
             let mut log = DurableLog::create(io).unwrap();
-            let ckpt_at = db.log.len() / 2;
+            let ckpt_at = db.log().len() / 2;
             let mut ck = None;
             for (i, txn) in db.transactions().iter().enumerate() {
                 log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
@@ -244,7 +244,7 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
 
             let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
             let (_, rec) = recover("curated", StoreMode::Hereditary, io, ck).unwrap();
-            let expect = reference(&db, db.log.len());
+            let expect = reference(&db, db.log().len());
             assert_eq!(
                 rec.db.tree, expect.tree,
                 "{retention:?}, crash after {survive_retires} retires"
@@ -301,7 +301,7 @@ fn torn_flush_at_every_byte_budget_recovers_a_committed_prefix() {
         let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
         let (_, rec) = recover("curated", StoreMode::Hereditary, io, None)
             .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
-        let committed = rec.db.log.len();
+        let committed = rec.db.log().len();
         assert_eq!(
             rec.db,
             reference(&db, committed),
@@ -309,7 +309,7 @@ fn torn_flush_at_every_byte_budget_recovers_a_committed_prefix() {
         );
         prefixes_seen.insert(committed);
         if budget == total {
-            assert_eq!(committed, db.log.len(), "full budget loses nothing");
+            assert_eq!(committed, db.log().len(), "full budget loses nothing");
         }
     }
     assert!(

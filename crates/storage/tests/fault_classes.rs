@@ -55,7 +55,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
 /// the same committed-apply path recovery uses.
 fn reference(db: &CuratedTree, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in db.log.iter().take(n) {
+    for txn in db.log().iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r
@@ -209,7 +209,7 @@ fn short_reads_during_recovery_change_nothing() {
 fn checkpoint_shortens_replay_without_changing_the_result() {
     let db = session();
     let (image, ends) = wal_image(&db);
-    for ckpt_at in 0..=db.log.len() {
+    for ckpt_at in 0..=db.log().len() {
         let snap = reference(&db, ckpt_at);
         let covered = ckpt_at
             .checked_sub(1)
@@ -228,7 +228,7 @@ fn checkpoint_shortens_replay_without_changing_the_result() {
         assert_eq!(rec.db, db, "checkpoint after txn {ckpt_at}");
         assert!(rec.stats.used_checkpoint);
         assert_eq!(rec.stats.txns_adopted, ckpt_at as u64);
-        assert_eq!(rec.stats.txns_replayed, (db.log.len() - ckpt_at) as u64);
+        assert_eq!(rec.stats.txns_replayed, (db.log().len() - ckpt_at) as u64);
     }
 }
 
@@ -374,7 +374,7 @@ fn retired_forms_are_refused_never_adopted() {
 
     // A WAL holding a kind-1 frame: a bare transaction.
     let mut wal = WAL_MAGIC.to_vec();
-    wal.extend_from_slice(&encode_frame(1, &encode_transaction(&db.log[0])));
+    wal.extend_from_slice(&encode_frame(1, &encode_transaction(&db.log()[0])));
     let err = recover(
         "curated",
         StoreMode::Hereditary,

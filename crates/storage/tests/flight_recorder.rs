@@ -62,11 +62,11 @@ fn out_of_order_wal() -> MemIo {
     );
     sim.run();
     let db = sim.target;
-    assert!(db.log.len() >= 2, "simulator must yield two transactions");
+    assert!(db.log().len() >= 2, "simulator must yield two transactions");
     let mut log = DurableLog::create(MemIo::new()).unwrap();
-    log.append(FRAME_COMMIT, &encode_commit(&db.log[1], &[]))
+    log.append(FRAME_COMMIT, &encode_commit(&db.log()[1], &[]))
         .unwrap();
-    log.append(FRAME_COMMIT, &encode_commit(&db.log[0], &[]))
+    log.append(FRAME_COMMIT, &encode_commit(&db.log()[0], &[]))
         .unwrap();
     log.sync().unwrap();
     log.into_io()

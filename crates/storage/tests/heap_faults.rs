@@ -57,7 +57,7 @@ fn wal_image(db: &CuratedTree) -> Vec<u8> {
 fn capture_session<I: Io>(db: &CuratedTree, io: I) -> PagedState<I> {
     let (mut state, _) = PagedState::open(io, None).unwrap();
     let mut r = CuratedTree::new(db.tree.name(), StoreMode::Hereditary);
-    for txn in &db.log {
+    for txn in db.log() {
         apply_committed(&mut r, txn).unwrap();
         for i in 0..wire::arena_len(&r.tree) {
             state.capture_node(&r.tree, i).unwrap();

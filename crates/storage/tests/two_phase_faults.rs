@@ -69,7 +69,7 @@ fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
     let mut image = WAL_MAGIC.to_vec();
     image.extend_from_slice(&encode_frame(
         FRAME_COMMIT,
-        &encode_commit(&tree.log[0], &[]),
+        &encode_commit(&tree.log()[0], &[]),
     ));
     let p_start = image.len();
     let prepare = PrepareRecord {
@@ -77,7 +77,7 @@ fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
         coordinator: 0,
         participants: vec![0, 1],
         frames: vec![
-            (FRAME_COMMIT, encode_commit(&tree.log[1], &[])),
+            (FRAME_COMMIT, encode_commit(&tree.log()[1], &[])),
             (FRAME_AUX, b"cross-evt".to_vec()),
         ],
     };
@@ -95,13 +95,13 @@ fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
         image,
         p_start,
         p_end,
-        base_id: tree.log[0].id,
-        cross_id: tree.log[1].id,
+        base_id: tree.log()[0].id,
+        cross_id: tree.log()[1].id,
     }
 }
 
 fn ids(rec: &Recovered) -> Vec<TxnId> {
-    rec.db.log.iter().map(|t| t.id).collect()
+    rec.db.log().iter().map(|t| t.id).collect()
 }
 
 /// Recovers the pair of cut images and checks every invariant the
@@ -251,7 +251,7 @@ fn later_abort_decide_overrides_earlier_commit_decide() {
     // The post-abort retry: same base transaction, so the retry txn
     // reuses the rolled-back id with different content.
     let retry = shard_tree("gaba-a", true);
-    assert_eq!(retry.log[1].id, t0.log[1].id);
+    assert_eq!(retry.log()[1].id, t0.log()[1].id);
 
     let s0 = build_side(&t0, true);
     let mut img0 = s0.image.clone();
@@ -264,7 +264,7 @@ fn later_abort_decide_overrides_earlier_commit_decide() {
     ));
     img0.extend_from_slice(&encode_frame(
         FRAME_COMMIT,
-        &encode_commit(&retry.log[1], &[]),
+        &encode_commit(&retry.log()[1], &[]),
     ));
     let s1 = build_side(&t1, false);
 

@@ -222,8 +222,8 @@ mod tests {
             },
         );
         sim.run();
-        let raw: usize = sim.target.log.iter().map(|t| t.ops.len()).sum();
-        let squashed: usize = sim.target.log.iter().map(|t| squash(&t.ops).len()).sum();
+        let raw: usize = sim.target.log().iter().map(|t| t.ops.len()).sum();
+        let squashed: usize = sim.target.log().iter().map(|t| squash(&t.ops).len()).sum();
         assert!(squashed < raw, "{squashed} < {raw}");
     }
 }

@@ -189,7 +189,7 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
             let [name, key, dir] = take::<3>(&rest)?;
             let shared =
                 SharedDb::open_dir(*name, *key, dir, DEFAULT_BATCH_WINDOW).map_err(fmt_err)?;
-            let recovered = shared.snapshot().curated.log.len();
+            let recovered = shared.snapshot().curated.log().len();
             shell.db = Some(ShardedDb::from(shared));
             // Arm the black box: from here on, a Corrupt recovery, a
             // failed 2PC decision sync, or a session panic snapshots
@@ -800,7 +800,7 @@ fn parallel_session(
         .snapshot()
         .shards()
         .iter()
-        .map(|s| s.curated.log.len())
+        .map(|s| s.curated.log().len())
         .sum();
     let done = Arc::new(AtomicBool::new(false));
     let samples = Arc::new(AtomicU64::new(0));
@@ -817,7 +817,7 @@ fn parallel_session(
                     if let Some(prev) = &last {
                         for (prev, snap) in prev.shards().iter().zip(snap.shards()) {
                             assert!(snap.epoch() >= prev.epoch(), "epoch went backwards");
-                            let (p, n) = (&prev.curated.log, &snap.curated.log);
+                            let (p, n) = (prev.curated.log(), snap.curated.log());
                             assert!(
                                 p.len() <= n.len()
                                     && p.iter().zip(n.iter()).all(|(a, b)| a.id == b.id),

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "target database: {} nodes after {} transactions",
         hered.target.tree.size(),
-        hered.target.log.len()
+        hered.target.log().len()
     );
     println!(
         "provenance store: naive = {} records ({} B), hereditary = {} records ({} B)",
@@ -40,8 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hered.target.prov.encoded_size(),
     );
 
-    let raw: usize = hered.target.log.iter().map(|t| t.ops.len()).sum();
-    let squashed: usize = hered.target.log.iter().map(|t| squash(&t.ops).len()).sum();
+    let raw: usize = hered.target.log().iter().map(|t| t.ops.len()).sum();
+    let squashed: usize = hered
+        .target
+        .log()
+        .iter()
+        .map(|t| squash(&t.ops).len())
+        .sum();
     println!("transaction logs: {raw} raw ops → {squashed} after squashing");
 
     // Provenance queries on a pasted entry.

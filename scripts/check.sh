@@ -54,7 +54,10 @@ done
 # The `stress` feature arms the publish-path assertion that every
 # snapshot's transaction log extends its predecessor's
 # (`assert_snapshot_extends` in core::shared) — the epoch-prefix
-# invariant structural sharing must keep.
+# invariant structural sharing must keep — and, in every stress leg
+# below too, the check after each commit that the log's touch index
+# (what `last_modified`, `curators_of` and `history` probe) equals its
+# rebuild from the log (`DbState::settle`).
 echo "-- stress feature: epoch-prefix assertions armed"
 cargo test --release --features stress --test concurrent_serving
 

@@ -14,6 +14,10 @@
 //!   as many slots at 8 000 entries as at 1 000.
 //! - A paged open reads the heap once: at most 1.1× its length, at
 //!   1 000 entries and at 8 000.
+//! - `last_modified` plus `curators_of` of one entry read as many
+//!   touch-index entries (`curation.prov.touches_read`) at 1 000
+//!   entries as at 8 000, after 10× as many edits to other entries as
+//!   after 1×.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -122,6 +126,40 @@ fn a_citation_rebuilds_one_entry_whatever_the_release_size() {
     );
     let ratio = whole[1] as f64 / whole[0] as f64;
     assert!((7.5..=8.5).contains(&ratio), "whole versions {whole:?}");
+}
+
+#[test]
+fn provenance_reads_of_one_entry_are_flat_in_the_log() {
+    use cdb_curation::queries::{curators_of, last_modified};
+    let _g = serial();
+    let mut reads = Vec::new();
+    for n in [1_000, 8_000] {
+        for others in [100, 1_000] {
+            let mut db = loaded(n);
+            let mut t = n as u64;
+            for _ in 0..5 {
+                t += 1;
+                db.edit_field("c", t, &key(3), "gn", Atom::Int(t as i64))
+                    .unwrap();
+            }
+            for i in 0..others {
+                t += 1;
+                db.edit_field("c", t, &key(4 + i % 900), "os", Atom::Int(t as i64))
+                    .unwrap();
+            }
+            let node = db.entry_node(&key(3)).unwrap();
+            let (_, read) = counted("curation.prov.touches_read", || {
+                last_modified(&db.curated, node).unwrap();
+                curators_of(&db.curated, node).unwrap();
+            });
+            reads.push(read);
+        }
+    }
+    assert!(reads[0] > 0);
+    assert!(
+        reads.iter().all(|&r| r == reads[0]),
+        "touches read at 1 000 / 8 000 entries × 1× / 10× other edits: {reads:?}"
+    );
 }
 
 /// An in-memory device that counts the bytes read from it. Clones

@@ -132,7 +132,7 @@ fn ids<'a>(log: impl IntoIterator<Item = &'a Transaction>) -> Vec<(u64, String, 
 /// docs). Returns an error message rather than panicking so proptest
 /// cases report the failing seed.
 fn check_snapshot(s: &Snapshot, final_ids: &[(u64, String, u64)]) -> Result<(), String> {
-    let sids = ids(&s.curated.log);
+    let sids = ids(s.curated.log());
     if sids.len() > final_ids.len() {
         return Err(format!(
             "snapshot log ({} txns) is longer than the final log ({})",
@@ -160,7 +160,7 @@ fn check_snapshot(s: &Snapshot, final_ids: &[(u64, String, u64)]) -> Result<(), 
 fn check_epochs<'a>(snaps: impl Iterator<Item = &'a Snapshot>) -> Result<(), String> {
     let mut by_epoch: BTreeMap<u64, usize> = BTreeMap::new();
     for s in snaps {
-        let len = s.curated.log.len();
+        let len = s.curated.log().len();
         let entry = by_epoch.entry(s.epoch()).or_insert(len);
         if *entry != len {
             return Err(format!(
@@ -220,16 +220,16 @@ proptest! {
                     snap.epoch()
                 );
                 prop_assert!(
-                    snap.curated.log.len() >= prev_len,
+                    snap.curated.log().len() >= prev_len,
                     "reader {r} saw the log shrink"
                 );
-                reader_state[r] = (snap.epoch(), snap.curated.log.len());
+                reader_state[r] = (snap.epoch(), snap.curated.log().len());
                 observed.push(snap);
             }
         }
 
         let fin = db.snapshot();
-        let final_ids = ids(&fin.curated.log);
+        let final_ids = ids(fin.curated.log());
         for snap in observed.iter().chain(std::iter::once(&fin)) {
             if let Err(msg) = check_snapshot(snap, &final_ids) {
                 return Err(TestCaseError::fail(msg));
@@ -270,8 +270,8 @@ fn real_thread_history(writers: usize, readers: usize, rounds: usize) {
                             snap.epoch() >= p.epoch(),
                             "reader {r}: epoch went backwards"
                         );
-                        let pids = ids(&p.curated.log);
-                        let nids = ids(&snap.curated.log);
+                        let pids = ids(p.curated.log());
+                        let nids = ids(snap.curated.log());
                         assert!(
                             pids.len() <= nids.len() && pids[..] == nids[..pids.len()],
                             "reader {r}: earlier snapshot is not a prefix of a later one"
@@ -311,7 +311,7 @@ fn real_thread_history(writers: usize, readers: usize, rounds: usize) {
     done.store(true, std::sync::atomic::Ordering::Release);
 
     let fin = db.snapshot();
-    let final_ids = ids(&fin.curated.log);
+    let final_ids = ids(fin.curated.log());
     // Each script round commits 10 transactions (4 adds, 3 edits,
     // merge, split, delete — annotate and publish are aux-only).
     assert_eq!(
@@ -445,7 +445,7 @@ proptest! {
         // Crash: photograph what actually reached durable storage and
         // recover from it into a fresh database.
         let fin = db.snapshot();
-        let final_ids = ids(&fin.curated.log);
+        let final_ids = ids(fin.curated.log());
         let image = dev.0.lock().unwrap().durable_image();
         let reopened = CuratedDatabase::open(
             "crash",
@@ -455,7 +455,7 @@ proptest! {
         )
         .map_err(|e| TestCaseError::fail(format!("recovery failed outright: {e}")))?;
 
-        let rids = ids(&reopened.curated.log);
+        let rids = ids(reopened.curated.log());
         prop_assert!(
             rids.len() <= final_ids.len(),
             "recovered more transactions than were ever appended"
@@ -467,7 +467,7 @@ proptest! {
         );
         if honest {
             let durable: BTreeSet<u64> =
-                reopened.curated.log.iter().map(|t| t.time).collect();
+                reopened.curated.log().iter().map(|t| t.time).collect();
             for t in acked.lock().unwrap().iter() {
                 prop_assert!(
                     durable.contains(t),
@@ -623,11 +623,11 @@ proptest! {
         }
 
         let fin = db.snapshot();
-        let final_log = &fin.curated.log;
+        let final_log = fin.curated.log();
         for snap in taken.iter().chain(std::iter::once(&fin)) {
             // `upto: None` means "the whole log" to `replay`, so an
             // empty snapshot replays an empty slice instead.
-            let oracle = match snap.curated.log.last().map(|t| t.id) {
+            let oracle = match snap.curated.log().last().map(|t| t.id) {
                 Some(upto) => cdb_curation::replay::replay("diff", final_log, Some(upto)),
                 None => cdb_curation::replay::replay("diff", &[], None),
             }
@@ -930,7 +930,7 @@ proptest! {
         );
 
         // Snapshot checkers over every pinned view any session served.
-        let final_ids = ids(&fin.curated.log);
+        let final_ids = ids(fin.curated.log());
         for snap in observed.iter().chain(std::iter::once(&fin)) {
             if let Err(msg) = check_snapshot(snap, &final_ids) {
                 return Err(TestCaseError::fail(msg));
@@ -950,13 +950,13 @@ proptest! {
             cdb_storage::CheckpointStore::mem(),
         )
         .map_err(|e| TestCaseError::fail(format!("recovery: {e}")))?;
-        let rids = ids(&reopened.curated.log);
+        let rids = ids(reopened.curated.log());
         prop_assert_eq!(
             &rids[..],
             &final_ids[..rids.len()],
             "recovered log is not a prefix of the served history"
         );
-        let durable: BTreeSet<u64> = reopened.curated.log.iter().map(|t| t.time).collect();
+        let durable: BTreeSet<u64> = reopened.curated.log().iter().map(|t| t.time).collect();
         for wc in &clients {
             for t in &wc.acked {
                 prop_assert!(

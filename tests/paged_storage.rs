@@ -37,6 +37,11 @@
 //! provenance answers of every live entry across each crash-reopen.
 //! Directed tests pin that `archive_from_log` on a cut log names the
 //! cut, and that switching retention never strands a checkpoint.
+//!
+//! The touch index the provenance reads probe: a fifth property
+//! (`provenance_reads_answer_as_the_fold_across_reopens`) holds every
+//! live node and every operation target to the folds over the log, at
+//! every step of careers under both retentions, paged or not.
 
 mod common;
 
@@ -119,7 +124,7 @@ proptest! {
         // accumulates superseded records (empty provenance included),
         // and newest-wins must still hold for each slot.
         let mut r = CuratedTree::new(db.tree.name(), mode);
-        for txn in &db.log {
+        for txn in db.log() {
             apply_committed(&mut r, txn).unwrap();
             for i in 0..wire::arena_len(&r.tree) {
                 state.capture_node(&r.tree, i).unwrap();
@@ -912,6 +917,74 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The provenance reads come off the log's touch index, which an
+    /// open rebuilds and every commit extends; they must answer as the
+    /// folds over the log the instance holds. Careers under either
+    /// retention, paged or not, mix adds, imports from upstream, edits,
+    /// deletes, fusions and fissions with publishes, checkpoints and
+    /// crash-reopens; after every step every live node and every
+    /// operation target answers `last_modified`, `curators_of` and
+    /// `history` as the folds do (under `Reclaim`, over the tail a cut
+    /// left).
+    #[test]
+    fn provenance_reads_answer_as_the_fold_across_reopens(
+        seed in 0u64..1_000_000,
+        steps in 4usize..16,
+        paged in any::<bool>(),
+        reclaim in any::<bool>(),
+    ) {
+        let retention = if reclaim { Retention::Reclaim } else { Retention::KeepAll };
+        let mut lives = Lives::with(paged, retention);
+        let mut db = lives.open();
+        let clip = upstream_clip();
+        let (mut r, mut choice) = (seed, seed);
+        let mut keys = Vec::new();
+        let mut career = vec![Step::Write, Step::Write];
+        for _ in 0..steps {
+            career.push(match lcg(&mut choice) % 6 {
+                0 => Step::Publish,
+                1 => Step::Checkpoint,
+                2 => Step::Reopen,
+                _ => Step::Write,
+            });
+        }
+        career.extend([Step::Checkpoint, Step::Write, Step::Reopen]);
+        for (t, step) in (1u64..).zip(career) {
+            match step {
+                Step::Write => match lcg(&mut r) % 5 {
+                    0 => {
+                        let key = format!("i{t:03}");
+                        db.import_entry("carol", t, &key, &clip).unwrap();
+                        keys.push(key);
+                    }
+                    1 if !keys.is_empty() => {
+                        let original = keys.remove(lcg(&mut r) as usize % keys.len());
+                        let (a, b) = (format!("s{t:03}a"), format!("s{t:03}b"));
+                        let parts = [(a.as_str(), vec![("f", Atom::Int(1))]), (b.as_str(), vec![])];
+                        db.split_entry("dave", t, &original, &parts).unwrap();
+                        keys.extend([a, b]);
+                    }
+                    _ => write(&mut db, &mut r, t, &mut keys),
+                },
+                Step::Publish => {
+                    db.publish(format!("v{t}")).unwrap();
+                }
+                Step::Checkpoint => {
+                    db.checkpoint().unwrap();
+                }
+                Step::Reopen => {
+                    drop(db);
+                    lives = lives.crash();
+                    db = lives.open();
+                }
+            }
+            common::check_provenance(&db.curated)
+                .map_err(|m| TestCaseError::fail(format!("step {t} ({step:?}): {m}")))?;
+        }
+    }
+}
+
 /// `archive_from_log` on an instance a reclaiming checkpoint cut says
 /// so, naming the transaction the log is cut after, instead of failing
 /// a replay of the tail; the archive the checkpoint carried is intact.
@@ -1027,7 +1100,7 @@ fn retention_switches_keep_every_checkpoint_recoverable() {
         let stats = db.recovery_stats().unwrap();
         assert_eq!((stats.txns_adopted, stats.txns_replayed), (30, 1));
         assert_eq!(db.curated.base_txn_id(), None, "paged {paged}");
-        assert_eq!(db.curated.log.len(), 31);
+        assert_eq!(db.curated.log().len(), 31);
     }
 }
 

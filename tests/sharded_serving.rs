@@ -195,7 +195,7 @@ fn ids<'a>(log: impl IntoIterator<Item = &'a Transaction>) -> Vec<(u64, String, 
 /// observed sharded snapshot: committed prefix of that shard's final
 /// log, replay oracle, lifecycle retirement.
 fn check_shard_snapshot(s: &Snapshot, final_ids: &[(u64, String, u64)]) -> Result<(), String> {
-    let sids = ids(&s.curated.log);
+    let sids = ids(s.curated.log());
     if sids.len() > final_ids.len() {
         return Err(format!(
             "shard log ({} txns) is longer than its final log ({})",
@@ -272,7 +272,7 @@ fn check_cross_atomicity(
 fn check_shard_epochs<'a>(snaps: impl Iterator<Item = &'a Snapshot>) -> Result<(), String> {
     let mut by_epoch: std::collections::BTreeMap<u64, usize> = Default::default();
     for s in snaps {
-        let len = s.curated.log.len();
+        let len = s.curated.log().len();
         let entry = by_epoch.entry(s.epoch()).or_insert(len);
         if *entry != len {
             return Err(format!(
@@ -295,7 +295,7 @@ fn check_shard_epochs<'a>(snaps: impl Iterator<Item = &'a Snapshot>) -> Result<(
 }
 
 fn total_len(s: &ShardedSnapshot) -> usize {
-    s.shards().iter().map(|x| x.curated.log.len()).sum()
+    s.shards().iter().map(|x| x.curated.log().len()).sum()
 }
 
 // ---------------------------------------- deterministic interleavings
@@ -357,7 +357,7 @@ proptest! {
         }
 
         let fin = db.snapshot();
-        let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(&s.curated.log)).collect();
+        let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(s.curated.log())).collect();
         for snap in observed.iter().chain(std::iter::once(&fin)) {
             for (i, shard) in snap.shards().iter().enumerate() {
                 if let Err(msg) = check_shard_snapshot(shard, &final_ids[i]) {
@@ -436,8 +436,8 @@ fn sharded_real_thread_history(shards: usize, writers: usize, readers: usize, ro
                             "reader {r}: combined epoch went backwards"
                         );
                         for (i, (ps, ns)) in p.shards().iter().zip(snap.shards()).enumerate() {
-                            let pids = ids(&ps.curated.log);
-                            let nids = ids(&ns.curated.log);
+                            let pids = ids(ps.curated.log());
+                            let nids = ids(ns.curated.log());
                             assert!(
                                 pids.len() <= nids.len() && pids[..] == nids[..pids.len()],
                                 "reader {r}: shard {i} log is not a prefix of its successor"
@@ -494,7 +494,7 @@ fn sharded_real_thread_history(shards: usize, writers: usize, readers: usize, ro
     let got: BTreeSet<String> = fin.entry_keys().unwrap().into_iter().collect();
     assert_eq!(got, expect, "final entry set is wrong");
 
-    let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(&s.curated.log)).collect();
+    let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(s.curated.log())).collect();
     let mut all: Vec<ShardedSnapshot> = vec![fin];
     for h in reader_handles {
         all.extend(h.join().unwrap());
@@ -638,7 +638,7 @@ proptest! {
 
         // Crash: photograph the durable images and recover.
         let fin = db.snapshot();
-        let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(&s.curated.log)).collect();
+        let final_ids: Vec<Vec<_>> = fin.shards().iter().map(|s| ids(s.curated.log())).collect();
         let images: Vec<Vec<u8>> = devs.iter().map(|d| d.0.lock().unwrap().durable_image()).collect();
         let reopened = ShardedDb::open(
             "shard-crash",
@@ -655,7 +655,7 @@ proptest! {
 
         // Each shard recovered a gap-free prefix of its append order.
         for (i, shard) in rsnap.shards().iter().enumerate() {
-            let rids = ids(&shard.curated.log);
+            let rids = ids(shard.curated.log());
             prop_assert!(
                 rids.len() <= final_ids[i].len(),
                 "shard {i} recovered more transactions than were appended"
@@ -682,7 +682,7 @@ proptest! {
             // Every ack survives: single-shard adds by (shard, time)…
             for (s, t) in &acked_adds {
                 prop_assert!(
-                    rsnap.shard(*s).curated.log.iter().any(|x| x.time == *t),
+                    rsnap.shard(*s).curated.log().iter().any(|x| x.time == *t),
                     "acked add t={t} lost from shard {s} by an honest device"
                 );
             }

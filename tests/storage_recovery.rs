@@ -57,7 +57,7 @@ fn wal_image(db: &CuratedTree) -> (Vec<u8>, Vec<u64>) {
 /// built through the same committed-apply path recovery uses.
 fn reference(db: &CuratedTree, mode: StoreMode, n: usize) -> CuratedTree {
     let mut r = CuratedTree::new(db.tree.name(), mode);
-    for txn in db.log.iter().take(n) {
+    for txn in db.log().iter().take(n) {
         apply_committed(&mut r, txn).unwrap();
     }
     r
@@ -109,7 +109,7 @@ proptest! {
         let cut = 8 + cut_sel % (image.len() - 7);
         let committed = ends.iter().filter(|&&e| e <= cut as u64).count();
 
-        let ckpt_at = ckpt_at.min(db.log.len());
+        let ckpt_at = ckpt_at.min(db.log().len());
         let ck = checkpoint_after(&db, mode, &ends, ckpt_at);
         prop_assert!(ck.is_some());
 
@@ -204,7 +204,7 @@ proptest! {
                 (io.crash(), ends.iter().filter(|&&e| e <= offset).count())
             }
             // Short reads: recovery must be unaffected entirely.
-            2 => (image.clone(), db.log.len()),
+            2 => (image.clone(), db.log().len()),
             // Partial flush: each sync persists at most `cap` bytes.
             _ => {
                 let cap = (16 + a % 256) as u64;
@@ -259,7 +259,7 @@ proptest! {
         };
         let (io, backing) = SegmentedIo::mem(cfg).unwrap();
         let mut log = DurableLog::create(io).unwrap();
-        let ckpt_at = 1 + ckpt_sel % db.log.len();
+        let ckpt_at = 1 + ckpt_sel % db.log().len();
         let mut ck = None;
         for (i, txn) in db.transactions().iter().enumerate() {
             log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
@@ -291,7 +291,7 @@ proptest! {
 
         let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
         let (_, rec) = recover("curated", mode, io, ck).unwrap();
-        let expect = reference(&db, mode, db.log.len());
+        let expect = reference(&db, mode, db.log().len());
         prop_assert_eq!(&rec.db.tree, &expect.tree, "retention {:?}", cfg.retention);
         prop_assert_eq!(&rec.db.prov, &expect.prov, "retention {:?}", cfg.retention);
         if !reclaim {
@@ -301,7 +301,7 @@ proptest! {
         } else {
             // Truncated form: history before the checkpoint is gone by
             // design, but the tail is intact and anchored.
-            prop_assert_eq!(rec.db.log.len(), db.log.len() - ckpt_at);
+            prop_assert_eq!(rec.db.log().len(), db.log().len() - ckpt_at);
             prop_assert_eq!(rec.db.last_txn_id(), expect.last_txn_id());
         }
     }
@@ -605,7 +605,7 @@ fn long_history_recovery_scans_a_bounded_tail() {
 
     let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
     let (_, rec) = recover("curated", mode, io, ck).unwrap();
-    let expect = reference(&db, mode, db.log.len());
+    let expect = reference(&db, mode, db.log().len());
     assert_eq!(rec.db.tree, expect.tree);
     assert_eq!(rec.db.prov, expect.prov);
     assert!(

@@ -7,7 +7,10 @@
 //!   merges and splits on one shard and across shards, a 2PC abort over
 //!   `FaultyIo`, a checkpoint and a reopen — pin a snapshot every few
 //!   steps and record what it answers. At the end every pinned snapshot
-//!   must still answer exactly that.
+//!   must still answer exactly that. Every state pinned, and every
+//!   state after the 2PC abort, also answers the provenance reads
+//!   (`last_modified`, `curators_of`, `history`) of every live node
+//!   and every operation target as the folds over its log.
 //! * The `core.snapshot.chunks_copied` counter bounds what a write
 //!   copies: the same edit, add, annotate and delete copy the same
 //!   number of chunks at 500 entries as at 5 000.
@@ -98,6 +101,7 @@ fn answers(s: &DbState, ids: &BTreeSet<String>, probes: &[String]) -> Answers {
         }
     }
     common::check_derived(s, ids).unwrap_or_else(|m| panic!("derived state: {m}"));
+    common::check_provenance(&s.curated).unwrap_or_else(|m| panic!("touch index: {m}"));
     let fields = s.index_fields().into_iter();
     let postings = fields
         .map(|f| (f.clone(), common::postings(s, &f)))
