@@ -7,6 +7,8 @@
 //! paths (update-invariant, per \[15\]), so a node that persists across
 //! versions — the common case in curated databases, which "do not grow
 //! or change rapidly" — costs nothing beyond its single stored copy.
+//! The same holds between clones of an archive: nodes are shared behind
+//! `Arc`s, and a merge copies only the nodes it writes.
 //!
 //! The encoding honors the fat-node paper's optimization: a child
 //! whose interval set equals its parent's stores nothing for it (the
@@ -15,7 +17,8 @@
 //! [`Archive::decode`] reads it back.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::OnceLock;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 use cdb_model::keys::{KeySpec, KeyStep};
 use cdb_model::{Atom, KeyPath, ModelError, Path, Value};
@@ -89,17 +92,80 @@ fn shape_of(v: &Value) -> Shape {
     }
 }
 
-/// One node of the archive.
+/// A timeline of an archive node: its records in order, held inline
+/// while there is at most one. Most nodes have one presence interval,
+/// one shape and at most one value, so their timelines take no
+/// allocation of their own: reaching a node costs one pointer hop (its
+/// `Arc`), not one more per timeline, and a node copied on write is one
+/// allocation plus its child map.
+#[derive(Debug, Clone)]
+enum Timeline<T> {
+    Inline(Option<T>),
+    Spilled(Vec<T>),
+}
+
+impl<T> Default for Timeline<T> {
+    fn default() -> Self {
+        Timeline::Inline(None)
+    }
+}
+
+impl<T> Deref for Timeline<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Timeline::Inline(one) => one.as_slice(),
+            Timeline::Spilled(all) => all,
+        }
+    }
+}
+
+impl<T> DerefMut for Timeline<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Timeline::Inline(one) => one.as_mut_slice(),
+            Timeline::Spilled(all) => all,
+        }
+    }
+}
+
+impl<T> Timeline<T> {
+    fn push(&mut self, record: T) {
+        match self {
+            Timeline::Inline(one @ None) => *one = Some(record),
+            Timeline::Inline(one) => {
+                let first = one.take().expect("an inline record");
+                *self = Timeline::Spilled(vec![first, record]);
+            }
+            Timeline::Spilled(all) => all.push(record),
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Timeline<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(records: I) -> Self {
+        let mut timeline = Timeline::default();
+        for record in records {
+            timeline.push(record);
+        }
+        timeline
+    }
+}
+
+/// One node of the archive. Children sit behind an `Arc`, so a clone
+/// of an archive shares every node below the root, and a merge copies
+/// a node (with [`own`]) only where it writes while a clone still
+/// shares it: path copying, one copy per written node.
 #[derive(Debug, Clone, Default)]
 struct ANode {
     /// Presence intervals, in order, non-overlapping.
-    intervals: Vec<Interval>,
+    intervals: Timeline<Interval>,
     /// Shape timeline (only transitions are stored).
-    shapes: Vec<(Interval, Shape)>,
+    shapes: Timeline<(Interval, Shape)>,
     /// Atomic-value timeline (when the shape is `Atom`).
-    atoms: Vec<(Interval, Atom)>,
+    atoms: Timeline<(Interval, Atom)>,
     /// Children, identified by key step.
-    children: BTreeMap<KeyStep, ANode>,
+    children: BTreeMap<KeyStep, Arc<ANode>>,
 }
 
 impl ANode {
@@ -133,8 +199,10 @@ impl ANode {
                 iv.1 = Some(v);
             }
         }
-        for c in self.children.values_mut() {
-            c.close_all(v);
+        // A closed node has nothing open below it, so only the open
+        // children are written (and copied when shared).
+        for c in self.children.values_mut().filter(|c| c.open()) {
+            own(c).close_all(v);
         }
     }
 
@@ -175,11 +243,21 @@ impl ANode {
     }
 
     fn node_count(&self) -> usize {
-        1 + self.children.values().map(ANode::node_count).sum::<usize>()
+        1 + self
+            .children
+            .values()
+            .map(|c| c.node_count())
+            .sum::<usize>()
     }
 }
 
 /// The fat-node archive of a keyed hierarchical database.
+///
+/// A clone copies the root node (one `(step, pointer)` pair per entry)
+/// and the version labels, and shares every node below the root; a
+/// merge into either side then copies only the nodes it writes
+/// (counted in `archive.publish.nodes_copied`), so the other side keeps
+/// answering, and encoding, exactly as before.
 #[derive(Debug, Clone)]
 pub struct Archive {
     name: String,
@@ -350,14 +428,14 @@ impl Archive {
     /// The presence intervals of the node at `path`.
     pub fn lifespan(&self, path: &KeyPath) -> Result<Vec<Interval>, ArchiveError> {
         self.node(path)
-            .map(|n| n.intervals.clone())
+            .map(|n| n.intervals.to_vec())
             .ok_or_else(|| ArchiveError::NoSuchKeyPath(path.to_string()))
     }
 
     /// The atomic-value timeline of the node at `path`.
     pub fn value_history(&self, path: &KeyPath) -> Result<Vec<(Interval, Atom)>, ArchiveError> {
         self.node(path)
-            .map(|n| n.atoms.clone())
+            .map(|n| n.atoms.to_vec())
             .ok_or_else(|| ArchiveError::NoSuchKeyPath(path.to_string()))
     }
 
@@ -368,7 +446,7 @@ impl Archive {
             .into_iter()
             .flat_map(|n| &n.children)
             .filter(|(step, _)| matches!(step, KeyStep::Entry(_)))
-            .map(|(step, child)| (path.child(step.clone()), child.intervals.clone()))
+            .map(|(step, child)| (path.child(step.clone()), child.intervals.to_vec()))
             .collect()
     }
 
@@ -473,6 +551,26 @@ fn merged_entries() -> &'static cdb_obs::Counter {
     MERGED.get_or_init(|| cdb_obs::global().counter("archive.merge.entries"))
 }
 
+/// Archive nodes copied because a clone of the archive (a snapshot's)
+/// still shared them when a merge wrote them.
+fn nodes_copied() -> &'static cdb_obs::Counter {
+    static COPIED: OnceLock<cdb_obs::Counter> = OnceLock::new();
+    COPIED.get_or_init(|| cdb_obs::global().counter("archive.publish.nodes_copied"))
+}
+
+/// The node behind `node`, to write in place: every write below the
+/// root goes through here. It is copied first (`Arc::make_mut`, one
+/// level: its children stay shared) when another archive still shares
+/// it, and each such copy is counted in `archive.publish.nodes_copied`.
+/// No `Weak` is ever made of a node, so a strong count above one is
+/// exactly "shared".
+fn own(node: &mut Arc<ANode>) -> &mut ANode {
+    if Arc::strong_count(node) != 1 {
+        nodes_copied().inc();
+    }
+    Arc::make_mut(node)
+}
+
 /// Opens `node` in version `vid` with shape `shape`; a node that is now
 /// structured closes its atom timeline.
 fn open_as(node: &mut ANode, vid: VersionId, shape: Shape) {
@@ -503,7 +601,7 @@ fn merge(
                 let step = KeyStep::Field(label.clone());
                 context.push(label.clone());
                 merge(
-                    node.children.entry(step).or_default(),
+                    own(node.children.entry(step).or_default()),
                     child,
                     context,
                     vid,
@@ -526,7 +624,7 @@ fn merge(
             for (i, child) in xs.iter().enumerate() {
                 let step = KeyStep::Index(i);
                 merge(
-                    node.children.entry(step).or_default(),
+                    own(node.children.entry(step).or_default()),
                     child,
                     context,
                     vid,
@@ -539,7 +637,7 @@ fn merge(
     // child the merged value does not hold closes.
     for (step, child) in node.children.iter_mut() {
         if child.open() && !holds(value, step, &entries) {
-            child.close_all(vid);
+            own(child).close_all(vid);
         }
     }
     Ok(())
@@ -570,7 +668,7 @@ fn merge_entry(
 ) -> Result<(), ArchiveError> {
     match element {
         Some(value) => merge(
-            set.children.entry(step).or_default(),
+            own(set.children.entry(step).or_default()),
             value,
             context,
             vid,
@@ -578,7 +676,7 @@ fn merge_entry(
         ),
         None => {
             if let Some(node) = set.children.get_mut(&step).filter(|n| n.open()) {
-                node.close_all(vid);
+                own(node).close_all(vid);
             }
             Ok(())
         }
@@ -666,21 +764,21 @@ fn encode_node(
 ) {
     // The interval count is written plus one; 0 marks intervals equal
     // to the parent's.
-    if hereditary && parent_intervals == Some(node.intervals.as_slice()) {
+    if hereditary && parent_intervals == Some(&node.intervals[..]) {
         out.push(0);
     } else {
         codec::put_uvarint(out, node.intervals.len() as u64 + 1);
-        for iv in &node.intervals {
+        for iv in node.intervals.iter() {
             put_interval(out, iv);
         }
     }
     codec::put_uvarint(out, node.shapes.len() as u64);
-    for (iv, shape) in &node.shapes {
+    for (iv, shape) in node.shapes.iter() {
         put_interval(out, iv);
         out.push(*shape as u8);
     }
     codec::put_uvarint(out, node.atoms.len() as u64);
-    for (iv, a) in &node.atoms {
+    for (iv, a) in node.atoms.iter() {
         put_interval(out, iv);
         codec::put_atom(out, a);
     }
@@ -703,7 +801,7 @@ fn encode_node(
                 codec::put_uvarint(out, *i as u64);
             }
         }
-        encode_node(child, Some(&node.intervals), hereditary, out);
+        encode_node(child, Some(&node.intervals[..]), hereditary, out);
     }
 }
 
@@ -741,7 +839,9 @@ fn decode_node(
         0 => {
             node.intervals = parent_intervals
                 .ok_or(CodecError::Malformed("hereditary intervals at the root"))?
-                .to_vec();
+                .iter()
+                .copied()
+                .collect();
         }
         n => {
             for _ in 1..n {
@@ -778,8 +878,8 @@ fn decode_node(
             ),
             t => return Err(CodecError::BadTag(t)),
         };
-        let child = decode_node(input, pos, Some(&node.intervals), depth + 1)?;
-        if node.children.insert(step, child).is_some() {
+        let child = decode_node(input, pos, Some(&node.intervals[..]), depth + 1)?;
+        if node.children.insert(step, Arc::new(child)).is_some() {
             return Err(CodecError::Malformed("a child step repeats"));
         }
     }
@@ -1055,11 +1155,10 @@ mod tests {
         assert_eq!(arch.version_count(), 1);
     }
 
-    /// The delta of each release — changed entries plus the steps of
-    /// the gone ones — merges to the bytes of the full merge.
-    #[test]
-    fn a_delta_merges_as_the_whole_version() {
-        let releases = [
+    /// Releases of the factbook: an entry leaves and comes back, and one
+    /// changes its population.
+    fn releases() -> [Vec<Value>; 4] {
+        [
             vec![country("Iceland", 1), country("USSR", 2)],
             vec![country("Iceland", 2)],
             vec![
@@ -1067,29 +1166,74 @@ mod tests {
                 country("USSR", 3),
                 country("Latvia", 4),
             ],
-        ];
+            vec![country("Latvia", 5)],
+        ]
+    }
+
+    /// What changed from `last` to `release`: the entries that are new
+    /// or differ, and the steps of the entries that are gone.
+    fn delta(last: &[Value], release: &[Value]) -> (Vec<Value>, Vec<KeyStep>) {
+        let changed = release
+            .iter()
+            .filter(|e| !last.contains(e))
+            .cloned()
+            .collect();
+        let name = |e: &Value| e.field("name").cloned();
+        let gone = last
+            .iter()
+            .filter(|e| !release.iter().any(|n| name(n) == name(e)))
+            .map(|e| factbook_spec().entry_step(&[], e, &Path::root()).unwrap())
+            .collect();
+        (changed, gone)
+    }
+
+    /// The delta of each release — changed entries plus the steps of
+    /// the gone ones — merges to the bytes of the full merge.
+    #[test]
+    fn a_delta_merges_as_the_whole_version() {
         let mut full = Archive::new("factbook", factbook_spec());
-        let mut delta = Archive::new("factbook", factbook_spec());
+        let mut delta_merged = Archive::new("factbook", factbook_spec());
         let mut last: Vec<Value> = Vec::new();
-        for (i, release) in releases.iter().enumerate() {
+        for (i, release) in releases().iter().enumerate() {
             full.add_version(&Value::set(release.iter().cloned()), format!("{i}"))
                 .unwrap();
-            let changed: Vec<Value> = release
-                .iter()
-                .filter(|e| !last.contains(e))
-                .cloned()
-                .collect();
-            let name = |e: &Value| e.field("name").cloned();
-            let gone: Vec<KeyStep> = last
-                .iter()
-                .filter(|e| !release.iter().any(|n| name(n) == name(e)))
-                .map(|e| factbook_spec().entry_step(&[], e, &Path::root()).unwrap())
-                .collect();
-            delta
+            let (changed, gone) = delta(&last, release);
+            delta_merged
                 .add_version_delta(&changed, &gone, format!("{i}"))
                 .unwrap();
-            assert_eq!(delta.encode(), full.encode(), "release {i}");
+            assert_eq!(delta_merged.encode(), full.encode(), "release {i}");
             last = release.clone();
+        }
+    }
+
+    /// A clone taken before a merge, full or delta, shares its nodes
+    /// with the merged side: it encodes afterwards as it did when it was
+    /// taken, and the merged side encodes as the same merges into an
+    /// archive that was never cloned.
+    #[test]
+    fn a_clone_taken_before_a_merge_keeps_its_bytes() {
+        let mut alone = Archive::new("factbook", factbook_spec());
+        let mut shared = Archive::new("factbook", factbook_spec());
+        let mut pinned: Vec<(Archive, Vec<u8>)> = Vec::new();
+        let mut last: Vec<Value> = Vec::new();
+        for (i, release) in releases().iter().enumerate() {
+            let whole = Value::set(release.iter().cloned());
+            alone.add_version(&whole, format!("{i}")).unwrap();
+            pinned.push((shared.clone(), shared.encode()));
+            if i % 2 == 0 {
+                shared.add_version(&whole, format!("{i}")).unwrap();
+            } else {
+                let (changed, gone) = delta(&last, release);
+                shared
+                    .add_version_delta(&changed, &gone, format!("{i}"))
+                    .unwrap();
+            }
+            assert_eq!(shared.encode(), alone.encode(), "release {i}");
+            last = release.clone();
+        }
+        for (i, (clone, bytes)) in pinned.iter().enumerate() {
+            assert_eq!(clone.encode(), *bytes, "the clone taken before release {i}");
+            assert_eq!(clone.version_count(), i as u32);
         }
     }
 

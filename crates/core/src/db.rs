@@ -27,7 +27,7 @@ use cdb_curation::provstore::StoreMode;
 use cdb_curation::tree::TreeError;
 use cdb_curation::{queries, replay, NodeId};
 use cdb_model::keys::KeyStep;
-use cdb_model::{Atom, BucketMap, KeyPath, KeySpec, Value};
+use cdb_model::{Atom, BucketMap, ChunkVec, KeyPath, KeySpec, Value};
 
 use crate::lifecycle::{EntryEvent, EntryRegistry, LifecycleError};
 
@@ -175,14 +175,15 @@ pub(crate) type Parts<'a> = [(&'a str, Vec<(&'a str, Atom)>)];
 ///
 /// Every field that grows with the database shares structure, so the
 /// derived `Clone` bumps reference counts and copies no element: the
-/// tree arena, the provenance records, the transaction log and the
-/// lifecycle event log are [`cdb_model::ChunkVec`]s; the lifecycle fates,
-/// the index postings and the primary index are
-/// [`cdb_model::BucketMap`]s; the archive, the notes and the 2PC
-/// decisions sit behind one `Arc` each, copied by the operations that
-/// change them (publish, annotate, a cross-shard decision). An operation
-/// copies only the chunks and buckets it writes while a clone shares
-/// them (`DESIGN.md`, S23).
+/// tree arena, the provenance records, the transaction log, the
+/// lifecycle event log and the publish points are
+/// [`cdb_model::ChunkVec`]s; the lifecycle fates, the index postings and
+/// the primary index are [`cdb_model::BucketMap`]s; the archive shares
+/// its nodes below the root, and a publish copies only the nodes it
+/// merges; the notes and the 2PC decisions sit behind one `Arc` each,
+/// copied by the operations that change them (annotate, a cross-shard
+/// decision). An operation copies only the chunks, buckets and archive
+/// nodes it writes while a clone shares them (`DESIGN.md`, S23).
 #[derive(Debug, Clone)]
 pub struct DbState {
     /// The working tree with its provenance store and transaction log.
@@ -196,7 +197,7 @@ pub struct DbState {
     /// publish time (None = published before any transaction) and the
     /// logical time of that transaction — enough to rebuild the archive
     /// from the log alone (see [`DbState::archive_from_log`]).
-    pub(crate) publish_points: Vec<(Option<cdb_curation::TxnId>, u64, String)>,
+    pub(crate) publish_points: ChunkVec<(Option<cdb_curation::TxnId>, u64, String)>,
     /// Logical clock floor carried over from a checkpoint whose covered
     /// log was truncated: [`DbState::publish`] falls back to it when
     /// the in-memory log is empty, keeping publish times monotone.
@@ -262,7 +263,7 @@ impl DbState {
             lifecycle: EntryRegistry::new(),
             key_field,
             notes: Arc::default(),
-            publish_points: Vec::new(),
+            publish_points: ChunkVec::new(),
             last_time: 0,
             decisions: Arc::default(),
             indexes: crate::indexes::FieldIndexes::default(),
@@ -888,11 +889,17 @@ impl DbState {
     /// Merges the current state into the archive as a new version: only
     /// the entries touched since the last publish point
     /// ([`DbState::unpublished`]), or the full export when that set is
-    /// not known. Under the `stress` feature, asserts that the archive
-    /// encodes as a full merge of the export into a copy would.
+    /// not known. The archive is shared with every snapshot, so
+    /// `Arc::make_mut` copies its root, and the merge copies the nodes it
+    /// writes (the archive shares the rest). Under the `stress` feature,
+    /// asserts that the archive encodes as a full merge of the export
+    /// into a copy would, and that a copy taken before the publish
+    /// encodes as it did: no shared node was written in place.
     pub(crate) fn publish(&mut self, label: String) -> Result<VersionId, DbError> {
         #[cfg(feature = "stress")]
         let mut full = Archive::clone(&self.archive);
+        #[cfg(feature = "stress")]
+        let (before, before_bytes) = (Archive::clone(&self.archive), self.archive.encode());
         let v = match &self.unpublished {
             None => {
                 let snapshot = self.export()?;
@@ -913,6 +920,10 @@ impl DbState {
             assert!(
                 full.encode() == self.archive.encode(),
                 "stress: version {v} merged by delta differs from the full merge"
+            );
+            assert!(
+                before.encode() == before_bytes,
+                "stress: publishing version {v} wrote an archive node a copy still shares"
             );
         }
         self.unpublished = Some(BucketMap::default());
@@ -1002,7 +1013,7 @@ impl DbState {
         let carried = rebuilt.version_count() as usize;
         let mut log = self.curated.log().iter().peekable();
         let mut last_time = None;
-        for (txn, time, label) in self.publish_points.iter().skip(carried) {
+        for (txn, time, label) in self.publish_points.iter_from(carried) {
             if let Some(upto) = txn {
                 while let Some(t) = log.next_if(|t| t.id <= *upto) {
                     for op in &t.ops {

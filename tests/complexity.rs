@@ -6,6 +6,10 @@
 //!
 //! - A publish after k edits merges exactly k entries, at 1 000 entries
 //!   and at 8 000.
+//! - A publish after 10 edits, while a snapshot shares the archive,
+//!   copies the archive nodes of the 10 edited entries
+//!   (`archive.publish.nodes_copied`): as many at 8 000 entries as at
+//!   1 000, where a deep copy would copy every node.
 //! - `archive_from_log` merges every entry once, at the first publish
 //!   point, and after that only each segment's delta.
 //! - A citation rebuilds the cited entry only: as many nodes at 8 000
@@ -22,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cdb_core::CuratedDatabase;
+use cdb_core::{CuratedDatabase, DbState};
 use cdb_model::Atom;
 use cdb_storage::{CheckpointStore, Io, MemIo, StorageError};
 
@@ -85,6 +89,24 @@ fn a_publish_after_k_edits_merges_k_entries() {
             assert_eq!(merged, k as u64, "{n} entries, {k} edited");
         }
     }
+}
+
+#[test]
+fn a_publish_copies_only_the_archive_nodes_it_merges() {
+    let _g = serial();
+    let mut copied = Vec::new();
+    for n in [1_000, 8_000] {
+        let mut db = loaded(n);
+        db.publish("r0").unwrap();
+        edit(&mut db, 10, n as u64);
+        let pinned = DbState::clone(&db);
+        let before = pinned.archive().encode();
+        let (_, nodes) = counted("archive.publish.nodes_copied", || db.publish("r1").unwrap());
+        assert_eq!(pinned.archive().encode(), before, "{n} entries");
+        copied.push(nodes);
+    }
+    // Each edited entry is a record of three fields: four nodes.
+    assert_eq!(copied, [40, 40], "nodes copied at 1 000 and 8 000 entries");
 }
 
 #[test]

@@ -11,9 +11,16 @@
 //!   state after the 2PC abort, also answers the provenance reads
 //!   (`last_modified`, `curators_of`, `history`) of every live node
 //!   and every operation target as the folds over its log.
+//! * A scripted career on a durable 3-shard `ShardedDb` pins a snapshot
+//!   after every publish: deletes, merges and splits on one shard and
+//!   across shards, a field whose archive shape changes, and a reopen
+//!   whose first publish merges the full export. Publishes share the
+//!   archive's nodes with every pinned snapshot, so at the end each must
+//!   still answer every release read (versions, entries, citations,
+//!   field series) and encode its archive exactly as when it was pinned.
 //! * The `core.snapshot.chunks_copied` counter bounds what a write
-//!   copies: the same edit, add, annotate and delete copy the same
-//!   number of chunks at 500 entries as at 5 000.
+//!   copies: the same edit, add, annotate, delete and publish copy the
+//!   same number of chunks at 500 entries as at 5 000.
 //! * A refused write publishes no epoch; a write whose WAL append failed
 //!   after its state change still does.
 
@@ -23,6 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use cdb_archive::Citation;
 use cdb_core::{CuratedDatabase, DbError, DbState, Note, ShardMap, ShardedDb, SharedDb, Snapshot};
 use cdb_curation::{queries, Origin, TxnId};
 use cdb_model::{Atom, Value};
@@ -535,7 +543,222 @@ fn pinned_sharded_snapshots_never_see_later_writes() {
     assert_eq!(aborts, 3, "every career ran its 2PC abort");
 }
 
-/// Chunks copied by each of four writes on a database of `entries`
+/// What one state answers about its releases: every version whole, and
+/// for every key ever issued and every release its entry, its citation
+/// and, per field, its series; plus the archive's encoding.
+#[derive(Debug, PartialEq)]
+struct Releases {
+    versions: Vec<Value>,
+    entries: Vec<(u32, String, Option<Value>, Option<Citation>)>,
+    series: Vec<(String, &'static str, Option<Series>)>,
+    encoded: Vec<u8>,
+}
+
+/// A field's value in each release it was present in.
+type Series = Vec<(u32, Atom)>;
+
+const SERIES_FIELDS: [&str; 3] = ["v", "tag", "secondary_ids"];
+
+fn releases(s: &DbState, keys: &BTreeSet<String>) -> Releases {
+    let count = s.archive().version_count();
+    let versions = (0..count).map(|v| s.version(v).expect("version")).collect();
+    let mut entries = Vec::new();
+    for v in 0..count {
+        for key in keys {
+            let entry = s.entry_at(v, key).ok();
+            entries.push((v, key.clone(), entry, s.cite(v, key).ok()));
+        }
+    }
+    let mut series = Vec::new();
+    for key in keys {
+        for field in SERIES_FIELDS {
+            series.push((key.clone(), field, s.field_series(key, field).ok()));
+        }
+    }
+    Releases {
+        versions,
+        entries,
+        series,
+        encoded: s.archive().encode(),
+    }
+}
+
+/// The shards of a sharded snapshot, pinned with what they answered
+/// about the keys issued by then.
+struct PinnedReleases {
+    label: String,
+    states: Vec<Snapshot>,
+    keys: BTreeSet<String>,
+    answered: Vec<Releases>,
+}
+
+impl PinnedReleases {
+    fn new(label: &str, db: &ShardedDb, keys: &BTreeSet<String>) -> Self {
+        let states = db.snapshot().shards().to_vec();
+        let answered = states.iter().map(|s| releases(s, keys)).collect();
+        PinnedReleases {
+            label: label.to_owned(),
+            states,
+            keys: keys.clone(),
+            answered,
+        }
+    }
+
+    fn still_answers(&self) {
+        for (i, (s, then)) in self.states.iter().zip(&self.answered).enumerate() {
+            assert!(
+                releases(s, &self.keys) == *then,
+                "the snapshot pinned at {} (shard {i}) changed",
+                self.label
+            );
+        }
+    }
+}
+
+/// Publishes a release on every shard and pins the snapshot after it.
+fn publish_and_pin(
+    db: &ShardedDb,
+    keys: &BTreeSet<String>,
+    label: &str,
+    pins: &mut Vec<PinnedReleases>,
+) {
+    db.publish(label).unwrap();
+    pins.push(PinnedReleases::new(label, db, keys));
+}
+
+#[test]
+fn pinned_snapshots_keep_their_releases_across_publishes() {
+    let _g = serial();
+    let map = ShardMap::uniform(3);
+    let dir = scratch_dir("releases");
+    let open = |wals: &[Device]| {
+        let devices = wals
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let ckpt = CheckpointStore::dir(&dir, format!("shard{i}"));
+                (Box::new(w.clone()) as Box<dyn Io>, ckpt)
+            })
+            .collect();
+        ShardedDb::open("releases", KEY, map.clone(), devices, Duration::ZERO).expect("open")
+    };
+    let wals: Vec<Device> = (0..3)
+        .map(|_| Device::new(FaultyIo::new(FaultPlan::default())))
+        .collect();
+    let mut db = open(&wals);
+    let mut keys = BTreeSet::new();
+    let mut pins = Vec::new();
+    let mut t = 0;
+    let mut tick = || {
+        t += 1;
+        t
+    };
+    let fields = |v: i64, tag: &str| vec![("v", Atom::Int(v)), ("tag", Atom::Str(tag.into()))];
+    // Keys starting 0, A and a live on shards 0, 1 and 2.
+    for (i, key) in ["0a", "0b", "0c", "Aa", "Ab", "aa", "ab"]
+        .iter()
+        .enumerate()
+    {
+        keys.insert(key.to_string());
+        db.add_entry("cur", tick(), key, &fields(i as i64, TAGS[i % 3]))
+            .unwrap();
+    }
+    // An atom field named as the export names a survivor's retired
+    // identifiers: once 0s absorbs an entry, its archive node turns
+    // from an atom into a set.
+    keys.insert("0s".into());
+    let secondary = [("secondary_ids", Atom::Str("none".into()))];
+    db.add_entry("cur", tick(), "0s", &secondary).unwrap();
+    publish_and_pin(&db, &keys, "r1", &mut pins);
+
+    db.edit_field("cur", tick(), "0a", "v", Atom::Int(10))
+        .unwrap();
+    db.edit_field("cur", tick(), "Aa", "tag", Atom::Str("beta".into()))
+        .unwrap();
+    keys.insert("ac".into());
+    db.add_entry("cur", tick(), "ac", &fields(7, "gamma"))
+        .unwrap();
+    db.delete_entry("cur", tick(), "ab").unwrap();
+    publish_and_pin(&db, &keys, "r2", &mut pins);
+
+    // Same-shard fusion into 0s (its shape changes) and a cross-shard
+    // fusion of shard 0's 0c into shard 1's Aa.
+    db.merge_entries("cur", tick(), "0s", "0b").unwrap();
+    db.merge_entries("cur", tick(), "Aa", "0c").unwrap();
+    publish_and_pin(&db, &keys, "r3", &mut pins);
+
+    // A cross-shard fission of 0a, a same-shard fission of aa.
+    for key in ["0d", "Ad", "ae", "af"] {
+        keys.insert(key.into());
+    }
+    db.split_entry(
+        "cur",
+        tick(),
+        "0a",
+        &[("0d", fields(1, "alpha")), ("Ad", vec![])],
+    )
+    .unwrap();
+    db.split_entry(
+        "cur",
+        tick(),
+        "aa",
+        &[("ae", vec![]), ("af", fields(2, "beta"))],
+    )
+    .unwrap();
+    db.edit_field("cur", tick(), "Ab", "v", Atom::Int(20))
+        .unwrap();
+    publish_and_pin(&db, &keys, "r4", &mut pins);
+
+    // Reopen: the next publish merges each shard's full export into the
+    // rebuilt archive, which the snapshot pinned at the open shares.
+    db.checkpoint().unwrap();
+    drop(db);
+    let reopened: Vec<Device> = wals
+        .iter()
+        .map(|w| Device::new(FaultyIo::with_contents(w.image(), FaultPlan::default())))
+        .collect();
+    db = open(&reopened);
+    let at_open = PinnedReleases::new("open", &db, &keys);
+    assert!(
+        at_open.answered == pins.last().unwrap().answered,
+        "the reopen changed what the releases answer"
+    );
+    pins.push(at_open);
+    let live = db.snapshot().entry_keys().unwrap().len() as u64;
+    let merges = cdb_obs::global().counter("archive.merge.entries");
+    let before = merges.get();
+    publish_and_pin(&db, &keys, "r5", &mut pins);
+    // Under `stress` every publish also merges the full export into a
+    // copy of the archive.
+    let full_merges = if cfg!(feature = "stress") { 2 } else { 1 };
+    assert_eq!(
+        merges.get() - before,
+        full_merges * live,
+        "the first publish after a reopen merges every live entry"
+    );
+
+    db.edit_field("cur", tick(), "0s", "v", Atom::Int(30))
+        .unwrap();
+    db.delete_entry("cur", tick(), "ae").unwrap();
+    db.merge_entries("cur", tick(), "0d", "Ad").unwrap();
+    publish_and_pin(&db, &keys, "r6", &mut pins);
+
+    let series = pins.last().unwrap().states[0]
+        .field_series("0s", "secondary_ids")
+        .unwrap();
+    let none = Atom::Str("none".into());
+    assert_eq!(
+        series,
+        [(0, none.clone()), (1, none)],
+        "0s's secondary_ids is an atom in r1 and r2, a set from r3 on"
+    );
+    for pin in &pins {
+        pin.still_answers();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Chunks copied by each of five writes on a database of `entries`
 /// entries, every chunk shared with the published snapshot.
 fn copies_per_op(entries: usize) -> Vec<(&'static str, u64)> {
     let mut db = CuratedDatabase::new("count", KEY);
@@ -546,10 +769,15 @@ fn copies_per_op(entries: usize) -> Vec<(&'static str, u64)> {
         db.add_entry("cur", i as u64, &format!("k{i:05}"), &fields)
             .unwrap();
     }
+    // Releases enough to seal a chunk of publish points: the publish
+    // below appends to the open one.
+    for r in 0..70 {
+        db.publish(format!("r{r}")).unwrap();
+    }
     let shared = SharedDb::from_db(db);
     let copied = cdb_obs::global().counter("core.snapshot.chunks_copied");
     let t = entries as u64;
-    let ops: [Write<'_>; 4] = [
+    let ops: [Write<'_>; 5] = [
         ("edit", &|| {
             shared.edit_field("cur", t, "k00042", "tag", Atom::Str("beta".into()))
         }),
@@ -567,6 +795,7 @@ fn copies_per_op(entries: usize) -> Vec<(&'static str, u64)> {
             shared.annotate("k00042", Some("v"), "cur", "checked", t + 2)
         }),
         ("delete", &|| shared.delete_entry("cur", t + 3, "k00007")),
+        ("publish", &|| shared.publish("next").map(drop)),
     ];
     ops.iter()
         .map(|(name, op)| {
