@@ -1057,14 +1057,19 @@ impl DbState {
     /// Cites an entry as of a published version, crediting the curators
     /// who touched it (§5.2: "It is appropriate to cite the authorship
     /// of an entry"). The entry is read with one keyed archive read,
-    /// not a rebuild of the version; the authors are
-    /// [`queries::curators_of`] the entry's live subtree, read off the
-    /// log's touch index (no scan of the log). An entry that lives
-    /// only in older versions is credited to no one.
+    /// not a rebuild of the version; the authors are the curators who
+    /// touched the entry's live subtree by the time `version` was
+    /// published ([`queries::curators_through`] its last transaction),
+    /// read off the log's touch index (no scan of the log). A version
+    /// published before any transaction has no authors, and an entry
+    /// that lives only in older versions is credited to no one.
     pub fn cite(&self, version: VersionId, key: &str) -> Result<Citation, DbError> {
-        let authors = match self.entry_node(key) {
-            Ok(node) => queries::curators_of(&self.curated, node)?,
-            Err(_) => Vec::new(), // entry may exist only in old versions
+        let published = self.publish_points.get(version as usize).and_then(|p| p.0);
+        let authors = match (published, self.entry_node(key)) {
+            (Some(last), Ok(node)) => queries::curators_through(&self.curated, node, last)?,
+            // No transaction before the version, or an entry that may
+            // exist only in old versions.
+            _ => Vec::new(),
         };
         Ok(Citation::cite(
             &self.archive,
@@ -1541,6 +1546,9 @@ mod tests {
         assert!(db.entry_at(v1 + 1, "GABA-A").is_err());
     }
 
+    /// A citation credits the curators who had touched the entry by the
+    /// cited version: carol, whose edit came after v0, is credited for
+    /// v1 only.
     #[test]
     fn citations_credit_curators_and_pin_versions() {
         let mut db = sample();
@@ -1553,12 +1561,29 @@ mod tests {
             Atom::Str("ion channel".into()),
         )
         .unwrap();
-        db.publish("r2").unwrap();
+        let v1 = db.publish("r2").unwrap();
         let c = db.cite(v0, "GABA-A").unwrap();
-        assert!(c.authors.contains(&"alice".to_string()));
-        assert!(c.authors.contains(&"carol".to_string()));
+        assert_eq!(c.authors, ["alice"]);
         let resolved = c.resolve(db.archive()).unwrap();
         assert_eq!(resolved.field("kind"), Some(&Value::str("receptor")));
+        assert_eq!(db.cite(v1, "GABA-A").unwrap().authors, ["alice", "carol"]);
+    }
+
+    /// alice adds `k`, publish r0, bob edits `k`, publish r1: the
+    /// citation of r0 credits alice alone, r1 both.
+    #[test]
+    fn a_citation_credits_no_curator_after_its_version() {
+        let mut db = CuratedDatabase::new("iuphar", "name");
+        let empty = db.publish("r-empty").unwrap();
+        db.add_entry("alice", 1, "k", &[("tm", Atom::Int(4))])
+            .unwrap();
+        let r0 = db.publish("r0").unwrap();
+        db.edit_field("bob", 2, "k", "tm", Atom::Int(5)).unwrap();
+        let r1 = db.publish("r1").unwrap();
+        assert_eq!(db.cite(r0, "k").unwrap().authors, ["alice"]);
+        assert_eq!(db.cite(r1, "k").unwrap().authors, ["alice", "bob"]);
+        // Nothing was in the empty version to cite.
+        assert!(db.cite(empty, "k").is_err());
     }
 
     #[test]

@@ -47,11 +47,14 @@ use crate::db::{CuratedDatabase, DbError, DbState, Note};
 use crate::lifecycle::EntryEvent;
 use crate::paged::{prepare_paged_open, PagedBacking};
 
-/// What one [`CuratedDatabase::checkpoint`] covered and reclaimed.
+/// What one [`CuratedDatabase::checkpoint`] covered and reclaimed. A
+/// checkpoint under [`Retention::KeepAll`] of a whole WAL installs
+/// nothing: every count but `live_segments` is 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Log bytes the installed checkpoint durably covers — the next
-    /// recovery applies no frame at or below this watermark.
+    /// recovery applies no frame at or below this watermark. 0 when
+    /// nothing was installed.
     pub covered_bytes: u64,
     /// Fully-covered segments this checkpoint deleted under
     /// [`Retention::Reclaim`]; 0 under [`Retention::KeepAll`], which
@@ -311,7 +314,7 @@ pub(crate) struct Durable {
     /// What the recovery that opened this instance saw.
     recovery: RecoveryStats,
     /// The page heap and what it holds, when checkpoints are
-    /// page-granular; `None` = full-state checkpoints.
+    /// page-granular; `None` = checkpoints carry the whole state.
     pub(crate) paged: Option<PagedBacking>,
 }
 
@@ -350,7 +353,10 @@ pub(crate) fn open_all(
     let mut rest = Vec::with_capacity(devices.len());
     let mut to_recover = Vec::with_capacity(devices.len());
     for (wal_io, mut store, page_io) in devices {
-        let mut ck = store.load()?;
+        // A checkpoint that does not cut the log (the old full form)
+        // never anchors: read it as absent, so no heap is materialised
+        // for it.
+        let mut ck = store.load()?.filter(Checkpoint::is_truncated);
         for bytes in ck.iter().flat_map(|ck| &ck.aux) {
             if bytes.first() == Some(&AUX_DECIDE) {
                 if let AuxRecord::Decision { gid, commit } =
@@ -568,6 +574,16 @@ impl Durable {
         let _span = cdb_obs::SpanGuard::enter("core.checkpoint");
         metrics.counter("core.checkpoints").inc();
         self.sync()?;
+        // Under `KeepAll` a whole WAL is the log, and every open
+        // replays it from empty (the archive is rebuilt from it
+        // anyway): a checkpoint would save nothing, so it is this sync.
+        // Otherwise it cuts the log, carrying the archive.
+        if self.retention == Retention::KeepAll && self.wal.base() == 0 {
+            return Ok(CheckpointStats {
+                live_segments: self.wal.live_segments(),
+                ..CheckpointStats::default()
+            });
+        }
         // Everything up to here is durable; nothing can be appended
         // between the sync and this read (the caller holds the
         // database exclusively — by `&mut`, or through the serving
@@ -605,17 +621,9 @@ impl Durable {
         };
         ck.paged = paged_ref;
         ck.last_time = state.clock();
-        // The checkpoint carries state, never the log: the next recovery
-        // reads the covered log from the WAL. It can only while the WAL
-        // is whole — no prefix retired, and none about to be under
-        // `Reclaim` — and otherwise the checkpoint cuts the log
-        // (truncated form), carrying the archive the log could rebuild.
-        let cut = self.retention == Retention::Reclaim || self.wal.base() > 0;
-        if cut {
-            ck.archive = state.archive.encode();
-        }
+        ck.archive = state.archive.encode();
         // Recovery reads publishes and aux records below the watermark
-        // from the checkpoint, not from their frames (which a cut
+        // from the checkpoint, not from their frames (which the cut
         // retires), so the checkpoint re-encodes the complete
         // current sets (events first, then notes — recovery only
         // depends on relative order within each kind).
@@ -648,11 +656,7 @@ impl Durable {
         // The checkpoint is durably installed: history it cut can be
         // retired. Best-effort — a failed retire is retried by the next
         // checkpoint, never blocks this one.
-        let reclaimed = if cut {
-            self.wal.reclaim(covered)?
-        } else {
-            None
-        };
+        let reclaimed = self.wal.reclaim(covered)?;
         let mut stats = CheckpointStats {
             covered_bytes: covered,
             live_segments: self.wal.live_segments(),
@@ -841,17 +845,19 @@ impl CuratedDatabase {
         self.durable.as_mut().map_or(Ok(()), Durable::sync)
     }
 
-    /// Writes a checkpoint: the WAL is synced, the current state is
-    /// snapshotted with a coverage watermark (the synced log length),
-    /// and the snapshot is installed **crash-atomically** through the
-    /// [`CheckpointStore`] — a crash mid-install leaves the previous
-    /// checkpoint loadable, never neither. The checkpoint carries
-    /// state, never the transaction log. Under [`Retention::KeepAll`]
-    /// the WAL keeps every segment, and the next recovery reads the
-    /// covered log from it; under [`Retention::Reclaim`] the checkpoint
-    /// cuts the log — it carries the encoded archive of the published
-    /// versions — and, once installed, WAL segments fully below the
-    /// watermark are deleted.
+    /// Writes a checkpoint. The WAL is synced first. Under
+    /// [`Retention::KeepAll`], while the WAL holds the whole log, that
+    /// is all: the log is kept forever, every open replays it from
+    /// empty, and a snapshot would save that open nothing (the returned
+    /// stats cover 0 bytes). Otherwise — under [`Retention::Reclaim`],
+    /// or once a WAL prefix is retired — the current state is
+    /// snapshotted with a coverage watermark (the synced log length)
+    /// and installed **crash-atomically** through the
+    /// [`CheckpointStore`]: a crash mid-install leaves the previous
+    /// checkpoint loadable, never neither. This checkpoint cuts the
+    /// log: it carries the state and the encoded archive of the
+    /// published versions, never the transaction log, and once it is
+    /// installed, WAL segments fully below the watermark are deleted.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, DbError> {
         match self.durable.as_mut() {
             Some(d) => d.checkpoint(&self.state, &self.metrics),

@@ -10,8 +10,11 @@
 //! already holds, flush the heap, and install a small anchor
 //! checkpoint (the one payload generation, tag 6) carrying a
 //! [`PagedRef`] watermark instead of the tree body. The archive of
-//! published versions is not paged: an anchor in truncated form
-//! carries it encoded, as an unpaged checkpoint does.
+//! published versions is not paged: the anchor carries it encoded, as
+//! an unpaged checkpoint does. Only a checkpoint that installs an
+//! anchor (the truncated form) writes the heap; under `KeepAll`, while
+//! the WAL holds the whole log, a checkpoint is a sync, and the heap
+//! keeps only its header.
 //!
 //! An open reads the heap once: one scan under the anchor's watermark
 //! validates every record and materialises the anchor's tree and

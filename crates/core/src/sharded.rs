@@ -350,14 +350,12 @@ impl ShardedDb {
 
     /// Opens a durable sharded database in a directory: shard `i` gets
     /// segmented WAL files `<dir>/<name>.s<i>.wal.*` and checkpoint
-    /// `<dir>/<name>.s<i>.ckpt`. `_window` is ignored, as in
-    /// [`ShardedDb::open`].
+    /// `<dir>/<name>.s<i>.ckpt`.
     pub fn open_dir(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         dir: impl AsRef<std::path::Path>,
-        _window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
         let cfg = cdb_storage::SegmentConfig::default();
@@ -371,13 +369,12 @@ impl ShardedDb {
     /// page-granular — [`ShardedDb::open`] plus a page heap per shard
     /// (see [`SharedDb::open_paged`]): each shard gets a `(WAL device,
     /// checkpoint store, page heap)` triple. Recovery is that of
-    /// [`ShardedDb::open`], and `_window` is ignored as there.
+    /// [`ShardedDb::open`].
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,
         map: ShardMap,
         devices: Vec<PagedShardDevices>,
-        _window: Duration,
     ) -> Result<Self, DbError> {
         let devices = devices
             .into_iter()
@@ -869,14 +866,18 @@ mod tests {
     /// Differential smoke: the same curation script against a paged
     /// open and a resident open must agree on every observable — keys,
     /// fields, lineage — including across a mid-script checkpoint
-    /// (page-granular on one side, full-state on the other).
+    /// under `Reclaim` (page-granular on one side, whole-state on the
+    /// other).
     #[test]
     fn paged_open_matches_resident_shards_differentially() {
         let window = Duration::from_micros(50);
         let resident = ShardedDb::open("iuphar", "name", ab_map(), mem_devices(2), window).unwrap();
-        let paged = ShardedDb::open_paged("iuphar", "name", ab_map(), paged_mem_devices(2), window)
-            .unwrap();
+        let paged =
+            ShardedDb::open_paged("iuphar", "name", ab_map(), paged_mem_devices(2)).unwrap();
         for db in [&resident, &paged] {
+            for shard in &db.inner.shards {
+                shard.set_retention(cdb_storage::Retention::Reclaim);
+            }
             db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
                 .unwrap();
             db.add_entry("bob", 2, "P2X", &[("ligand", Atom::Str("ATP".into()))])
@@ -1154,9 +1155,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cdb-sharded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let window = Duration::from_micros(50);
         {
-            let db = ShardedDb::open_dir("iuphar", "name", ab_map(), &dir, window).unwrap();
+            let db = ShardedDb::open_dir("iuphar", "name", ab_map(), &dir).unwrap();
             db.add_entry("alice", 1, "GABA-A", &[]).unwrap();
             db.add_entry("bob", 2, "P2X", &[("ligand", Atom::Str("ATP".into()))])
                 .unwrap();
@@ -1165,7 +1165,7 @@ mod tests {
                 .unwrap();
             db.sync().unwrap();
         }
-        let db = ShardedDb::open_dir("iuphar", "name", ab_map(), &dir, window).unwrap();
+        let db = ShardedDb::open_dir("iuphar", "name", ab_map(), &dir).unwrap();
         let snap = db.snapshot();
         assert_eq!(snap.entry_keys().unwrap(), vec!["A1", "Z9"]);
         // The merged-then-split lineage resolves through both hops.

@@ -225,12 +225,11 @@ impl SharedDb {
 
     /// Opens a durable shared database backed by segmented WAL files
     /// `<dir>/<name>.wal.<seq>` and the atomically-installed checkpoint
-    /// `<dir>/<name>.ckpt` (created if absent). `_window` is ignored.
+    /// `<dir>/<name>.ckpt` (created if absent).
     pub fn open_dir(
         name: impl Into<String>,
         key_field: impl Into<String>,
         dir: impl AsRef<std::path::Path>,
-        _window: Duration,
     ) -> Result<Self, DbError> {
         let name = name.into();
         let devices = dir_devices(dir.as_ref(), &name, cdb_storage::SegmentConfig::default())?;

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cdb_core::storage::{CheckpointStore, FaultPlan, FaultyIo, Io, MemIo, StorageError};
+use cdb_core::storage::{CheckpointStore, FaultPlan, FaultyIo, Io, MemIo, Retention, StorageError};
 use cdb_core::{CuratedDatabase, Durability, Fate};
 use cdb_model::{Atom, Value};
 
@@ -273,6 +273,7 @@ fn checkpoint_is_used_by_recovery_and_changes_nothing() {
     {
         let mut db =
             CuratedDatabase::open("iuphar", "name", Box::new(wal.clone()), ckpt.store()).unwrap();
+        db.set_retention(Retention::Reclaim);
         db.add_entry(
             "alice",
             1,
@@ -309,11 +310,65 @@ fn checkpoint_is_used_by_recovery_and_changes_nothing() {
         ckpt.store(),
     )
     .unwrap();
-    assert_same(&db, &reference());
+    // The checkpoint cut the log after the first two transactions: the
+    // open holds only the tail, and everything else as if it never
+    // checkpointed.
+    let reference = reference();
+    let (cut, full) = (&db.curated, &reference.curated);
+    assert_eq!((&cut.tree, &cut.prov), (&full.tree, &full.prov));
+    assert_eq!(cut.transactions()[..], full.transactions()[2..]);
+    assert_eq!(cut.base_txn_id(), Some(full.log()[1].id));
+    assert_eq!(db.lifecycle, reference.lifecycle);
+    assert_eq!(
+        db.notes_on("GABA-A", Some("kind")),
+        reference.notes_on("GABA-A", Some("kind"))
+    );
+    assert_eq!(db.archive().encode(), reference.archive().encode());
+    assert_eq!(db.export().unwrap(), reference.export().unwrap());
     let stats = db.recovery_stats().unwrap();
     assert!(stats.used_checkpoint);
-    assert_eq!(stats.txns_adopted, 2);
+    assert_eq!(stats.frames_skipped, 3, "two commits and a publish");
     assert!(stats.txns_replayed >= 4);
+}
+
+/// A checkpoint under `KeepAll` is a sync: it installs nothing, and
+/// the open replays the whole log. One left beside a whole log in full
+/// form (no archive), as older versions wrote it, is ignored.
+#[test]
+fn a_keep_all_checkpoint_installs_nothing_and_a_full_form_one_is_ignored() {
+    let wal = SharedFaulty::new(FaultPlan::default());
+    let ckpt = SharedCkpt::new();
+    {
+        let mut db =
+            CuratedDatabase::open("iuphar", "name", Box::new(wal.clone()), ckpt.store()).unwrap();
+        curate(&mut db);
+        let stats = db.checkpoint().unwrap();
+        assert_eq!((stats.covered_bytes, stats.retired_segments), (0, 0));
+        assert_eq!(ckpt.store().load().unwrap(), None);
+        // What the full form held: the state and a watermark over the
+        // whole log, no archive.
+        let covered = wal.0.lock().unwrap().as_ref().unwrap().len().unwrap();
+        let (tree, prov) = (db.curated.tree.clone(), db.curated.prov.clone());
+        let full = cdb_core::curation::wire::Checkpoint::basic(
+            db.curated.last_txn_id(),
+            covered,
+            tree,
+            prov,
+        );
+        ckpt.store().install(&full).unwrap();
+    }
+    let image = wal.crash();
+    let db = CuratedDatabase::open(
+        "iuphar",
+        "name",
+        Box::new(MemIo::from_bytes(image)),
+        ckpt.store(),
+    )
+    .unwrap();
+    assert_same(&db, &reference());
+    let stats = db.recovery_stats().unwrap();
+    assert!(!stats.used_checkpoint);
+    assert_eq!(stats.txns_replayed, reference().curated.log().len() as u64);
 }
 
 #[test]
@@ -474,6 +529,7 @@ fn checkpoint_racing_a_pending_batch_syncs_it_first() {
         let mut db =
             CuratedDatabase::open("iuphar", "name", Box::new(wal.clone()), ckpt.store()).unwrap();
         db.set_durability(Durability::Batched);
+        db.set_retention(Retention::Reclaim);
         db.add_entry("alice", 1, "A", &[]).unwrap(); // pending, unsynced
         db.checkpoint().unwrap(); // must flush A before snapshotting
         db.add_entry("bob", 2, "B", &[]).unwrap(); // unsynced, lost in crash
@@ -741,7 +797,6 @@ fn recovered_export_matches_value_level_snapshot() {
 #[test]
 fn sharded_database_survives_clean_reopen_on_files() {
     use cdb_core::{ShardMap, ShardedDb};
-    use std::time::Duration;
 
     let dir = std::env::temp_dir().join(format!("cdb-sharded-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -755,7 +810,7 @@ fn sharded_database_survives_clean_reopen_on_files() {
     };
     let (a, z) = (key_on(0), key_on(1));
     {
-        let db = ShardedDb::open_dir("iuphar", "name", map.clone(), &dir, Duration::ZERO).unwrap();
+        let db = ShardedDb::open_dir("iuphar", "name", map.clone(), &dir).unwrap();
         db.add_entry("alice", 1, &a, &[("tm", Atom::Int(4))])
             .unwrap();
         db.add_entry("bob", 2, &z, &[("pore", Atom::Int(3))])
@@ -764,7 +819,7 @@ fn sharded_database_survives_clean_reopen_on_files() {
         db.checkpoint().unwrap();
         db.edit_field("dave", 4, &a, "tm", Atom::Int(5)).unwrap(); // live tail
     }
-    let db = ShardedDb::open_dir("iuphar", "name", map, &dir, Duration::ZERO).unwrap();
+    let db = ShardedDb::open_dir("iuphar", "name", map, &dir).unwrap();
     let snap = db.snapshot();
     assert_eq!(snap.entry_keys().unwrap(), vec![a.clone()]);
     assert_eq!(snap.field(&a, "tm").unwrap(), Atom::Int(5));
@@ -875,6 +930,7 @@ fn checkpoint_carries_index_registrations() {
     {
         let mut db =
             CuratedDatabase::open("iuphar", "name", Box::new(wal.clone()), ckpt.store()).unwrap();
+        db.set_retention(Retention::Reclaim);
         db.create_index("tm").unwrap();
         db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
             .unwrap();
@@ -1016,6 +1072,7 @@ fn a_traced_paged_open_is_one_span_tree() {
     let mut db =
         CuratedDatabase::open_paged("traced", "name", dev(&devs[0]), slots, dev(&devs[3]), 0)
             .unwrap();
+    db.set_retention(Retention::Reclaim);
     db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
         .unwrap();
     db.publish("r1").unwrap();

@@ -141,8 +141,8 @@ impl ClipNode {
 /// the transactions with an operation targeting that node. It is
 /// derived state, appended to at the one place the log grows
 /// ([`CuratedTree::adopt_unapplied`], which [`Txn::commit`] shares) and
-/// rebuilt in one pass by [`CuratedTree::from_parts`] and
-/// [`CuratedTree::from_parts_at`]; it is never persisted. The
+/// rebuilt in one pass by [`CuratedTree::from_parts_at`]; it is never
+/// persisted. The
 /// provenance queries of [`crate::queries`] read it, so their cost
 /// follows the queried subtree, not the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,17 +288,6 @@ impl CuratedTree {
                 .map(|c| self.snapshot(c))
                 .collect::<Result<_, _>>()?,
         })
-    }
-
-    /// Reassembles a curated database from recovered parts (the durable
-    /// WAL's checkpoint + tail-replay path in `cdb-storage`). The next
-    /// transaction id continues after the last logged transaction.
-    pub fn from_parts(
-        tree: TreeDb,
-        log: impl Into<ChunkVec<Transaction>>,
-        prov: ProvStore,
-    ) -> Self {
-        CuratedTree::from_parts_at(tree, log, prov, None)
     }
 
     /// Reassembles a curated database whose `log` is only the *tail*

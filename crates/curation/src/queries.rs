@@ -124,9 +124,21 @@ pub fn history(db: &CuratedTree, node: NodeId) -> Vec<(&Transaction, Vec<&Curati
 /// of every live node below it, read off the touch index; ids increase
 /// along the log, so ascending ids are first-touch order.
 pub fn curators_of(db: &CuratedTree, node: NodeId) -> Result<Vec<String>, TreeError> {
+    curators_through(db, node, TxnId(u64::MAX))
+}
+
+/// [`curators_of`] as of transaction `last`: only the touches at or
+/// before it count, so a curator who first touched the subtree later is
+/// not among them. The subtree is still the live one.
+pub fn curators_through(
+    db: &CuratedTree,
+    node: NodeId,
+    last: TxnId,
+) -> Result<Vec<String>, TreeError> {
     let mut txns: Vec<TxnId> = Vec::new();
     for n in subtree_of(db, node) {
-        txns.extend_from_slice(db.touches(n));
+        let touches = db.touches(n);
+        txns.extend_from_slice(&touches[..touches.partition_point(|&t| t <= last)]);
     }
     touches_read().add(txns.len() as u64);
     txns.sort_unstable();

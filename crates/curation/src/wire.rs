@@ -85,12 +85,14 @@ impl std::error::Error for WireError {}
 /// A checkpoint snapshot: the materialized state as of `last_txn`, so
 /// recovery can skip re-applying the log prefix it covers.
 ///
-/// A checkpoint carries state, never the transaction log: the log
-/// lives only in the WAL. `covered_len` anchors the snapshot to a
-/// logical WAL offset, so recovery adopts the transactions below it
-/// without applying them (or, once the prefix is cut, skips them), and
-/// the publish / aux / archive payloads preserve what frames below the
-/// watermark contributed besides transactions.
+/// A checkpoint carries state, never the transaction log. It cuts the
+/// log: `covered_len` anchors the snapshot to a logical WAL offset,
+/// recovery skips the frames below it, and the publish / aux / archive
+/// payloads preserve what those frames contributed besides
+/// transactions. The engine writes only this form, the *truncated
+/// form*, which carries the archive; recovery reads a checkpoint
+/// without one (the full form older versions wrote beside a whole log)
+/// as absent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The last transaction whose effects the snapshot includes
@@ -115,11 +117,10 @@ pub struct Checkpoint {
     /// prefix, in replay order.
     pub aux: Vec<Vec<u8>>,
     /// The encoded archive of the versions published at the covered
-    /// publish points (`cdb-archive`'s `Archive::encode`), carried when
-    /// the checkpoint cuts the log (its *truncated form*): the covered
-    /// log cannot rebuild those versions once it is gone. Empty in the
-    /// full form, whose covered log stays in the WAL. Opaque bytes at
-    /// this layer.
+    /// publish points (`cdb-archive`'s `Archive::encode`): the covered
+    /// log cannot rebuild those versions once it is gone. Never empty
+    /// in a checkpoint that anchors recovery; empty in the retired full
+    /// form. Opaque bytes at this layer.
     pub archive: Vec<u8>,
     /// Present when the snapshot's tree / provenance bodies live in a
     /// paged heap instead of this payload (an *anchor*): the
@@ -162,6 +163,12 @@ impl Checkpoint {
             archive: Vec::new(),
             paged: None,
         }
+    }
+
+    /// Whether this checkpoint cuts the log (it carries the archive):
+    /// the only form that anchors recovery.
+    pub fn is_truncated(&self) -> bool {
+        !self.archive.is_empty()
     }
 }
 
@@ -921,7 +928,8 @@ mod tests {
         assert_eq!(back, ck);
         // Tail replay onto the decoded tree allocates the original ids:
         // a fresh node gets the next arena index, not a reused one.
-        let mut recovered = CuratedTree::from_parts(back.tree, db.log().clone(), back.prov);
+        let mut recovered =
+            CuratedTree::from_parts_at(back.tree, db.log().clone(), back.prov, None);
         let root = recovered.tree.root();
         let mut a = recovered.begin("x", 9);
         let fresh_rec = a.insert(root, "f", None).unwrap();

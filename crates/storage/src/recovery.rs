@@ -9,21 +9,22 @@
 //! 2. Transaction frames are decoded; publish and aux frames are
 //!    collected for the caller (`cdb-core` rebuilds publish points,
 //!    lifecycle events, and notes from them).
-//! 3. A checkpoint anchors recovery only when its coverage watermark
-//!    lies in the surviving log. Its transactions below the watermark
-//!    are adopted without being applied (or, where the checkpoint cut
-//!    the log, skipped), and only the tail is applied via
-//!    [`apply_committed`]. Otherwise — no checkpoint, corrupt
-//!    checkpoint, or a checkpoint *ahead* of a torn log — the log is
-//!    authoritative and the whole of it is replayed from empty.
+//! 3. A checkpoint anchors recovery only when it cuts the log (it
+//!    carries an archive: the truncated form) and its coverage
+//!    watermark lies in the surviving log. The frames below the
+//!    watermark are skipped, and only the tail is applied onto the
+//!    checkpoint's state via [`apply_committed`]. Otherwise — no
+//!    checkpoint, one that carries no archive, a corrupt one, or one
+//!    *ahead* of a torn log — the log is authoritative and the whole
+//!    of it is replayed from empty.
 //! 4. The result is cross-checked with [`verify_replay`]: the
 //!    recovered tree must equal an independent replay of its own log,
 //!    ids included — from empty, or onto the checkpoint's tree where
 //!    the log is cut.
 //!
 //! The returned [`RecoveryStats`] mirror `cdb-relalg`'s `ExecStats`
-//! in spirit: they make recovery observable (frames scanned/dropped,
-//! txns adopted vs replayed, elapsed time) without changing behavior.
+//! in spirit: they make recovery observable (frames scanned, dropped
+//! and skipped, txns replayed, elapsed time) without changing behavior.
 
 use std::collections::BTreeMap;
 
@@ -125,9 +126,6 @@ pub struct RecoveryStats {
     pub bytes_dropped: u64,
     /// Whether a checkpoint snapshot was used (vs full replay).
     pub used_checkpoint: bool,
-    /// Transactions covered by the checkpoint (adopted into the log
-    /// without re-applying).
-    pub txns_adopted: u64,
     /// Transactions re-applied from the log tail.
     pub txns_replayed: u64,
     /// Valid frames skipped without decoding because a checkpoint in
@@ -154,7 +152,6 @@ impl RecoveryStats {
         add("storage.recovery.frames_scanned", self.frames_scanned);
         add("storage.recovery.frames_dropped", self.frames_dropped);
         add("storage.recovery.bytes_dropped", self.bytes_dropped);
-        add("storage.recovery.txns_adopted", self.txns_adopted);
         add("storage.recovery.txns_replayed", self.txns_replayed);
         add("storage.recovery.frames_skipped", self.frames_skipped);
         add("storage.recovery.bytes_scanned", self.bytes_scanned);
@@ -227,19 +224,14 @@ struct Decoded {
     /// is not in `txns` (a cut log): seeds the ordering check.
     floor: Option<TxnId>,
     txns: Vec<Transaction>,
-    /// How many of `txns` came from frames at or below the anchoring
-    /// checkpoint's watermark (always a prefix).
-    covered: usize,
     publishes: Vec<PublishRecord>,
     aux: Vec<Vec<u8>>,
 }
 
 impl Decoded {
-    /// Decodes one plain (non-2PC) frame. A frame the checkpoint covers
-    /// yields only its transaction: the checkpoint carries the complete
-    /// publish and aux sets. 2PC and unknown kinds are an error —
-    /// callers handle 2PC first.
-    fn plain(&mut self, kind: u8, payload: Vec<u8>, covered: bool) -> Result<(), StorageError> {
+    /// Decodes one plain (non-2PC) frame. 2PC and unknown kinds are an
+    /// error — callers handle 2PC first.
+    fn plain(&mut self, kind: u8, payload: Vec<u8>) -> Result<(), StorageError> {
         match kind {
             FRAME_COMMIT => {
                 let (txn, mut extra) = decode_commit(&payload).map_err(StorageError::Wire)?;
@@ -252,19 +244,12 @@ impl Decoded {
                     }
                 }
                 self.txns.push(txn);
-                if covered {
-                    self.covered += 1;
-                } else {
-                    self.aux.append(&mut extra);
-                }
+                self.aux.append(&mut extra);
             }
             FRAME_PUBLISH => {
                 let p = decode_publish(&payload).map_err(StorageError::Wire)?;
-                if !covered {
-                    self.publishes.push(p);
-                }
+                self.publishes.push(p);
             }
-            FRAME_AUX if covered => {}
             FRAME_AUX => self.aux.push(payload),
             other => {
                 return Err(StorageError::Corrupt(format!(
@@ -282,16 +267,15 @@ struct TwoPcPass<'a> {
     /// checkpoint-carried decision records). Consulted only for a
     /// PREPARE still pending at log end.
     ctx: &'a BTreeMap<u64, bool>,
-    /// A PREPARE whose decision window is still open, whether the
-    /// checkpoint covers its frame, and the latest DECIDE seen for it
-    /// (if any). At most one can be pending: the shard's write lock is
-    /// held from PREPARE through DECIDE, so nothing interleaves. The
-    /// decision is not acted on until the window closes (a frame for
-    /// something else, or log end): a failed commit-point sync leaves
-    /// DECIDE(commit) in the write cache and the abort path appends
-    /// DECIDE(abort) behind it — both become durable together, and the
-    /// last one is the outcome.
-    pending: Option<(PrepareRecord, bool, Option<bool>)>,
+    /// A PREPARE whose decision window is still open, and the latest
+    /// DECIDE seen for it (if any). At most one can be pending: the
+    /// shard's write lock is held from PREPARE through DECIDE, so
+    /// nothing interleaves. The decision is not acted on until the
+    /// window closes (a frame for something else, or log end): a failed
+    /// commit-point sync leaves DECIDE(commit) in the write cache and
+    /// the abort path appends DECIDE(abort) behind it — both become
+    /// durable together, and the last one is the outcome.
+    pending: Option<(PrepareRecord, Option<bool>)>,
     decisions: BTreeMap<u64, bool>,
     resolved: Vec<(u64, bool)>,
     max_gid: u64,
@@ -310,9 +294,9 @@ impl<'a> TwoPcPass<'a> {
 
     /// Adopts a committed PREPARE's inner frames through the ordinary
     /// decode path (ordering checks included).
-    fn adopt(prepare: PrepareRecord, covered: bool, out: &mut Decoded) -> Result<(), StorageError> {
+    fn adopt(prepare: PrepareRecord, out: &mut Decoded) -> Result<(), StorageError> {
         for (kind, payload) in prepare.frames {
-            out.plain(kind, payload, covered)?;
+            out.plain(kind, payload)?;
         }
         Ok(())
     }
@@ -321,41 +305,38 @@ impl<'a> TwoPcPass<'a> {
     /// when the last DECIDE said commit, drops them on abort. A still
     /// undecided PREPARE stays pending (for tail resolution).
     fn settle_decided(&mut self, out: &mut Decoded) -> Result<(), StorageError> {
-        if matches!(self.pending, Some((_, _, Some(_)))) {
-            let (p, covered, decision) = self.pending.take().expect("checked above");
+        if matches!(self.pending, Some((_, Some(_)))) {
+            let (p, decision) = self.pending.take().expect("checked above");
             if decision == Some(true) {
-                TwoPcPass::adopt(p, covered, out)?;
+                TwoPcPass::adopt(p, out)?;
             }
         }
         Ok(())
     }
 }
 
-/// Decodes a run of valid frames into `out`, in log order; frames
-/// ending at or below `watermark` count as covered. PREPARE frames are
-/// held back until their DECIDE; a PREPARE still pending when the run
-/// ends is resolved by `twopc.ctx` (commit decision found elsewhere) or
-/// presumed abort.
+/// Decodes a run of valid frames into `out`, in log order. PREPARE
+/// frames are held back until their DECIDE; a PREPARE still pending
+/// when the run ends is resolved by `twopc.ctx` (commit decision found
+/// elsewhere) or presumed abort.
 fn decode_frames(
     frames: impl Iterator<Item = Frame>,
-    watermark: u64,
     out: &mut Decoded,
     twopc: &mut TwoPcPass<'_>,
 ) -> Result<(), StorageError> {
     for frame in frames {
-        let covered = frame.end <= watermark;
         match frame.kind {
             FRAME_PREPARE => {
                 twopc.settle_decided(out)?;
                 let p = decode_prepare(&frame.payload).map_err(StorageError::Wire)?;
-                if let Some((prev, _, _)) = &twopc.pending {
+                if let Some((prev, _)) = &twopc.pending {
                     return Err(StorageError::Corrupt(format!(
                         "prepare gid {} while gid {} is still undecided",
                         p.gid, prev.gid
                     )));
                 }
                 twopc.max_gid = twopc.max_gid.max(p.gid);
-                twopc.pending = Some((p, covered, None));
+                twopc.pending = Some((p, None));
             }
             FRAME_DECIDE => {
                 let d = decode_decide(&frame.payload).map_err(StorageError::Wire)?;
@@ -366,7 +347,7 @@ fn decode_frames(
                     // gid (commit-point sync failure followed by the
                     // abort path) overrides this one. The window closes
                     // at the next foreign frame or at log end.
-                    twopc.pending.as_mut().expect("checked above").2 = Some(d.commit);
+                    twopc.pending.as_mut().expect("checked above").1 = Some(d.commit);
                 } else {
                     twopc.settle_decided(out)?;
                 }
@@ -376,7 +357,7 @@ fn decode_frames(
             }
             _ => {
                 twopc.settle_decided(out)?;
-                out.plain(frame.kind, frame.payload, covered)?;
+                out.plain(frame.kind, frame.payload)?;
             }
         }
     }
@@ -386,7 +367,7 @@ fn decode_frames(
     // abort — sound because the coordinator's DECIDE(commit) is only
     // ever written after every participant's PREPARE is durable, and
     // acks wait for that DECIDE to be durable.
-    if let Some((p, covered, _)) = twopc.pending.take() {
+    if let Some((p, _)) = twopc.pending.take() {
         let gid = p.gid;
         let commit = twopc
             .decisions
@@ -395,7 +376,7 @@ fn decode_frames(
             .copied()
             .unwrap_or(false);
         if commit {
-            TwoPcPass::adopt(p, covered, out)?;
+            TwoPcPass::adopt(p, out)?;
         }
         twopc.decisions.insert(gid, commit);
         twopc.resolved.push((gid, commit));
@@ -409,28 +390,22 @@ fn decode_frames(
 /// is positioned after the last valid frame, torn tail already
 /// truncated.
 ///
-/// One anchor rule: a checkpoint anchors only when its watermark
-/// ([`Checkpoint::covered_len`]) lies in the surviving log, `base ≤
-/// covered_len ≤ valid_len` (with `base` the device's logical base,
-/// [`Io::base`]). Otherwise a device holding its whole history
-/// (`base == 0`) replays from empty — the log is authoritative, so a
-/// checkpoint ahead of a torn log is discarded — and one with a
-/// retired prefix is corrupt: a retired prefix nothing covers is not
-/// data loss to be papered over.
+/// One anchor rule: a checkpoint anchors only when it is in truncated
+/// form — it carries an archive ([`Checkpoint::is_truncated`]) — and its
+/// watermark ([`Checkpoint::covered_len`]) lies in the surviving log,
+/// `base ≤ covered_len ≤ valid_len` (with `base` the device's logical
+/// base, [`Io::base`]). The log is then cut after the watermark:
+/// frames at or below it are skipped without decoding, the
+/// checkpoint's state is the base the tail replays onto, publish points
+/// and aux records come from the checkpoint's complete sets plus the
+/// frames above the watermark, and [`Recovered::cut`] says so.
 ///
-/// What the anchor supplies depends on its form:
-///
-/// - **Full form** (no carried archive) — the covered log is in the
-///   WAL, so the device must hold its whole history. Every frame is
-///   decoded: transactions at or below the watermark are adopted into
-///   the log without being applied (the last of them must be the
-///   checkpoint's `last_txn`), later ones replay; publish points and
-///   aux records come from the checkpoint's complete sets plus the
-///   frames above the watermark.
-/// - **Truncated form** (an archive carried) — the log is cut after
-///   the watermark: frames at or below it are skipped without
-///   decoding, the checkpoint's state is the base the tail replays
-///   onto, and [`Recovered::cut`] says so.
+/// Otherwise a device holding its whole history (`base == 0`) replays
+/// from empty — the log is authoritative, so a checkpoint ahead of a
+/// torn log is discarded, and one that carries no archive (a full-form
+/// checkpoint, which older versions wrote beside a whole log) reads as
+/// absent. A device with a retired prefix is then corrupt: a retired
+/// prefix nothing covers is not data loss to be papered over.
 pub fn recover<I: Io>(
     name: &str,
     mode: StoreMode,
@@ -498,8 +473,14 @@ fn recover_with_inner<I: Io>(
     };
 
     // The anchor rule; without an anchor, recovery starts from the
-    // empty database, a full-form checkpoint of nothing.
-    let anchor = checkpoint.filter(|ck| (base..=valid_len).contains(&ck.covered_len));
+    // empty database at watermark 0, which skips no frame.
+    let anchor =
+        checkpoint.filter(|ck| ck.is_truncated() && (base..=valid_len).contains(&ck.covered_len));
+    if base > 0 && anchor.is_none() {
+        return Err(StorageError::Corrupt(format!(
+            "bytes below {base} are retired, but no checkpoint in truncated form covers them"
+        )));
+    }
     stats.used_checkpoint = anchor.is_some();
     let Checkpoint {
         last_txn,
@@ -513,21 +494,11 @@ fn recover_with_inner<I: Io>(
         paged: _,
     } = anchor
         .unwrap_or_else(|| Checkpoint::basic(None, 0, TreeDb::new(name), ProvStore::new(mode)));
-    let cut = !archive.is_empty();
-    if base > 0 && !cut {
-        return Err(StorageError::Corrupt(format!(
-            "bytes below {base} are retired, but no checkpoint in truncated form covers them"
-        )));
-    }
 
-    let skip = if cut {
-        frames.iter().take_while(|f| f.end <= covered_len).count()
-    } else {
-        0
-    };
+    let skip = frames.iter().take_while(|f| f.end <= covered_len).count();
     stats.frames_skipped = skip as u64;
     let mut out = Decoded {
-        floor: if cut { last_txn } else { None },
+        floor: last_txn,
         publishes: ck_pubs
             .iter()
             .map(|b| decode_publish(b).map_err(StorageError::Wire))
@@ -536,39 +507,17 @@ fn recover_with_inner<I: Io>(
         ..Decoded::default()
     };
     let carried = out.publishes.len();
-    decode_frames(
-        frames.into_iter().skip(skip),
-        covered_len,
-        &mut out,
-        &mut twopc,
-    )?;
+    decode_frames(frames.into_iter().skip(skip), &mut out, &mut twopc)?;
 
-    let tail = out.txns.split_off(out.covered);
-    let head = out.txns;
-    // A full-form checkpoint holds the state after the last transaction
-    // its watermark covers (a cut log covers none: those were skipped).
-    if !cut && head.last().map(|t| t.id) != last_txn {
-        return Err(StorageError::Corrupt(format!(
-            "the checkpoint holds the state after {last_txn:?}, but the log it covers ends at {:?}",
-            head.last().map(|t| t.id)
-        )));
-    }
-    stats.txns_adopted = head.len() as u64;
-    stats.txns_replayed = tail.len() as u64;
-    let (base_tree, mut db) = if cut {
-        let db = CuratedTree::from_parts_at(tree.clone(), Vec::new(), prov, last_txn);
-        (tree, db)
-    } else {
-        let empty = TreeDb::new(tree.name());
-        (empty, CuratedTree::from_parts(tree, head, prov))
-    };
-    for txn in &tail {
+    stats.txns_replayed = out.txns.len() as u64;
+    let mut db = CuratedTree::from_parts_at(tree.clone(), Vec::new(), prov, last_txn);
+    for txn in &out.txns {
         apply_committed(&mut db, txn)
             .map_err(|e| StorageError::Corrupt(format!("log replay: {e}")))?;
     }
     // The recovered tree must equal a replay of its own log: from
     // empty, or onto the checkpoint's tree where the log is cut.
-    let replayed = replay_onto(base_tree.clone(), db.log(), None)
+    let replayed = replay_onto(tree.clone(), db.log(), None)
         .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
     verify_replay(&db, &replayed)
         .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
@@ -599,8 +548,8 @@ fn recover_with_inner<I: Io>(
             db,
             publishes: out.publishes,
             aux: out.aux,
-            cut: cut.then_some(Cut {
-                tree: base_tree,
+            cut: stats.used_checkpoint.then_some(Cut {
+                tree,
                 archive,
                 publishes: carried,
                 time: last_time,
@@ -709,13 +658,16 @@ mod tests {
     }
 
     /// A snapshot of `db` after its first `n` transactions, with the
-    /// watermark `covered`.
+    /// watermark `covered`, in truncated form: it carries an archive
+    /// (opaque at this layer).
     fn checkpoint_after(db: &CuratedTree, n: usize, covered: u64) -> Checkpoint {
         let mut prefix = CuratedTree::new("r", StoreMode::Hereditary);
         for t in db.log().iter().take(n) {
             apply_committed(&mut prefix, t).unwrap();
         }
-        Checkpoint::basic(prefix.last_txn_id(), covered, prefix.tree, prefix.prov)
+        let mut ck = Checkpoint::basic(prefix.last_txn_id(), covered, prefix.tree, prefix.prov);
+        ck.archive = b"archive".to_vec();
+        ck
     }
 
     #[test]
@@ -727,10 +679,12 @@ mod tests {
         let ck = store.load().unwrap();
 
         let (_, rec) = recover("r", StoreMode::Hereditary, MemIo::from_bytes(image), ck).unwrap();
-        assert_eq!(rec.db, db);
-        assert!(rec.cut.is_none());
+        assert_eq!((&rec.db.tree, &rec.db.prov), (&db.tree, &db.prov));
+        assert_eq!(rec.db.transactions()[..], db.transactions()[2..]);
+        assert_eq!(rec.db.base_txn_id(), Some(db.log()[1].id));
+        assert_eq!(rec.cut.unwrap().archive, b"archive");
         assert!(rec.stats.used_checkpoint);
-        assert_eq!(rec.stats.txns_adopted, 2);
+        assert_eq!(rec.stats.frames_skipped, 2);
         assert_eq!(rec.stats.txns_replayed, 1);
     }
 
@@ -754,12 +708,13 @@ mod tests {
         assert_eq!(rec.stats.frames_dropped, 1);
     }
 
-    /// A full-form checkpoint whose watermark covers a log prefix that
-    /// does not end at its `last_txn` contradicts the log: refused.
+    /// A checkpoint whose watermark lies behind its `last_txn` leaves
+    /// a tail that repeats transactions the snapshot already holds:
+    /// refused.
     #[test]
     fn a_watermark_that_disagrees_with_the_snapshot_is_corrupt() {
         let (db, image, ends) = seeded();
-        for (n, covered) in [(1, ends[1]), (2, ends[0]), (0, ends[0])] {
+        for (n, covered) in [(2, ends[0]), (3, ends[1])] {
             let ck = checkpoint_after(&db, n, covered);
             let image = MemIo::from_bytes(image.clone());
             let err = recover("r", StoreMode::Hereditary, image, Some(ck)).unwrap_err();

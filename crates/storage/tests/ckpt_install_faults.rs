@@ -195,7 +195,9 @@ fn reference(db: &CuratedTree, n: usize) -> CuratedTree {
 /// 1, 2, … successful retire operations — must leave recovery able to
 /// reconstruct the full committed state, under both retention
 /// policies. Retirement only touches segments wholly below the
-/// coverage watermark, so a half-done retirement loses nothing.
+/// coverage watermark, so a half-done retirement loses nothing. Under
+/// `KeepAll` a checkpoint installs nothing, so the retire runs with no
+/// checkpoint and recovery replays the whole log.
 #[test]
 fn crash_inside_the_retire_window_never_loses_committed_state() {
     let db = session();
@@ -221,11 +223,9 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
                     let snap = reference(&db, ckpt_at);
                     let mut c =
                         Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
-                    if retention == Retention::Reclaim {
-                        // The truncated form: it carries an archive
-                        // (opaque at this layer) in place of the log.
-                        c.archive = b"archive".to_vec();
-                    }
+                    // The truncated form: it carries an archive (opaque
+                    // at this layer) in place of the log.
+                    c.archive = b"archive".to_vec();
                     // The retire may die partway through; that's the
                     // window under test. A partial retirement surfaces
                     // via `failed` in the stats, not as an error.
@@ -237,13 +237,14 @@ fn crash_inside_the_retire_window_never_loses_committed_state() {
                             );
                         }
                     }
-                    ck = Some(c);
+                    ck = (retention == Retention::Reclaim).then_some(c);
                 }
             }
             drop(log);
 
             let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
             let (_, rec) = recover("curated", StoreMode::Hereditary, io, ck).unwrap();
+            assert_eq!(rec.stats.used_checkpoint, retention == Retention::Reclaim);
             let expect = reference(&db, db.log().len());
             assert_eq!(
                 rec.db.tree, expect.tree,

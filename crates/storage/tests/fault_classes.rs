@@ -205,6 +205,10 @@ fn short_reads_during_recovery_change_nothing() {
     }
 }
 
+/// A checkpoint in truncated form (it carries an archive, opaque at
+/// this layer) after any transaction skips the frames it covers and
+/// replays only the tail onto its state. The same snapshot without an
+/// archive (the full form) reads as absent: the log replays from empty.
 #[test]
 fn checkpoint_shortens_replay_without_changing_the_result() {
     let db = session();
@@ -214,21 +218,35 @@ fn checkpoint_shortens_replay_without_changing_the_result() {
         let covered = ckpt_at
             .checked_sub(1)
             .map_or(WAL_MAGIC.len() as u64, |i| ends[i]);
-        let ck = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
-        let mut store = CheckpointStore::mem();
-        store.install(&ck).unwrap();
-        let ck = store.load().unwrap();
-        let (_, rec) = recover(
-            "curated",
-            StoreMode::Hereditary,
-            MemIo::from_bytes(image.clone()),
-            ck,
-        )
-        .unwrap();
-        assert_eq!(rec.db, db, "checkpoint after txn {ckpt_at}");
-        assert!(rec.stats.used_checkpoint);
-        assert_eq!(rec.stats.txns_adopted, ckpt_at as u64);
-        assert_eq!(rec.stats.txns_replayed, (db.log().len() - ckpt_at) as u64);
+        for truncated in [true, false] {
+            let (tree, prov) = (snap.tree.clone(), snap.prov.clone());
+            let mut ck = Checkpoint::basic(snap.last_txn_id(), covered, tree, prov);
+            if truncated {
+                ck.archive = b"archive".to_vec();
+            }
+            let mut store = CheckpointStore::mem();
+            store.install(&ck).unwrap();
+            let ck = store.load().unwrap();
+            let (_, rec) = recover(
+                "curated",
+                StoreMode::Hereditary,
+                MemIo::from_bytes(image.clone()),
+                ck,
+            )
+            .unwrap();
+            let at = format!("checkpoint after txn {ckpt_at}, truncated {truncated}");
+            assert_eq!((&rec.db.tree, &rec.db.prov), (&db.tree, &db.prov), "{at}");
+            assert_eq!(rec.stats.used_checkpoint, truncated, "{at}");
+            let replayed = if truncated { ckpt_at } else { 0 };
+            assert_eq!(
+                rec.db.transactions()[..],
+                db.transactions()[replayed..],
+                "{at}"
+            );
+            assert_eq!(rec.stats.frames_skipped, replayed as u64, "{at}");
+            let tail = (db.log().len() - replayed) as u64;
+            assert_eq!(rec.stats.txns_replayed, tail, "{at}");
+        }
     }
 }
 

@@ -39,7 +39,7 @@ use curated_db::model::PathQuery;
 use curated_db::obs;
 use curated_db::relalg::sql;
 use curated_db::server::{Client, Server, ServerConfig, TcpTransport};
-use curated_db::{Atom, DbState, ShardMap, ShardedDb, SharedDb, DEFAULT_BATCH_WINDOW};
+use curated_db::{Atom, DbState, ShardMap, ShardedDb, SharedDb};
 
 fn main() {
     let stdin = io::stdin();
@@ -187,8 +187,7 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
         }
         "open" => {
             let [name, key, dir] = take::<3>(&rest)?;
-            let shared =
-                SharedDb::open_dir(*name, *key, dir, DEFAULT_BATCH_WINDOW).map_err(fmt_err)?;
+            let shared = SharedDb::open_dir(*name, *key, dir).map_err(fmt_err)?;
             let recovered = shared.snapshot().curated.log().len();
             shell.db = Some(ShardedDb::from(shared));
             // Arm the black box: from here on, a Corrupt recovery, a
@@ -407,14 +406,24 @@ fn run_command(shell: &mut Shell, time: u64, line: &str) -> Result<Output, Strin
                     } else {
                         String::new()
                     };
-                    format!(
-                        "{shard}checkpoint installed: {} bytes covered, {} segments live, \
-                         {} retired ({} bytes reclaimed)",
-                        stats.covered_bytes,
-                        stats.live_segments,
-                        stats.retired_segments,
-                        stats.reclaimed_bytes,
-                    )
+                    // A checkpoint that installs one covers at least the
+                    // WAL header; under `KeepAll` of a whole log it syncs.
+                    if stats.covered_bytes == 0 {
+                        format!(
+                            "{shard}checkpoint: nothing installed (KeepAll keeps the whole log), \
+                             {} segments live",
+                            stats.live_segments,
+                        )
+                    } else {
+                        format!(
+                            "{shard}checkpoint installed: {} bytes covered, {} segments live, \
+                             {} retired ({} bytes reclaimed)",
+                            stats.covered_bytes,
+                            stats.live_segments,
+                            stats.retired_segments,
+                            stats.reclaimed_bytes,
+                        )
+                    }
                 })
                 .collect();
             text(lines.join("\n"))
@@ -914,8 +923,9 @@ commands:
                                        reads need a one-shard database)
   merge <curator> <kept> <absorbed>  fuse entries (retires the absorbed id)
   what <id>                          what happened to an identifier
-  checkpoint                         install a checkpoint atomically (it
-                                       carries state; the WAL keeps the log)
+  checkpoint                         sync the WAL (cdbsh opens KeepAll
+                                       databases: the WAL keeps the whole
+                                       log, so nothing is installed)
   sql <SELECT …>                     query the relational view `entries`
   explain <SELECT …>                 run via the cost-based planner;
                                        print the plan tree (estimated vs

@@ -14,8 +14,11 @@
 //!   point, and after that only each segment's delta.
 //! - A citation rebuilds the cited entry only: as many nodes at 8 000
 //!   entries as at 1 000. A whole-version read rebuilds about 8× more.
-//! - A paged checkpoint after k edits reads no heap bytes and captures
-//!   as many slots at 8 000 entries as at 1 000.
+//! - A checkpoint under `KeepAll` writes no checkpoint byte and no heap
+//!   byte, paged or not, at 1 000 entries and at 8 000; under `Reclaim`
+//!   it writes both.
+//! - A paged checkpoint under `Reclaim` after k edits reads no heap
+//!   bytes and captures as many slots at 8 000 entries as at 1 000.
 //! - A paged open reads the heap once: at most 1.1× its length, at
 //!   1 000 entries and at 8 000.
 //! - `last_modified` plus `curators_of` of one entry read as many
@@ -26,9 +29,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cdb_core::{CuratedDatabase, DbState};
+use cdb_core::{CuratedDatabase, DbState, Durability};
 use cdb_model::Atom;
-use cdb_storage::{CheckpointStore, Io, MemIo, StorageError};
+use cdb_storage::{CheckpointStore, Io, MemIo, Retention, StorageError};
 
 /// The counter is process-global: one test at a time reads it.
 fn serial() -> MutexGuard<'static, ()> {
@@ -213,9 +216,54 @@ impl Io for ReadCounting {
     }
 }
 
-/// The second checkpoint appends what 10 edits changed and reads
-/// nothing back from the heap. (The `stress` feature reads every
-/// capture back to check it.)
+/// A checkpoint under `KeepAll` is a sync: the WAL holds the whole log,
+/// so it writes neither the checkpoint store nor the page heap, at
+/// 1 000 entries and at 8 000. Under `Reclaim` it writes the store,
+/// and the heap when paged.
+#[test]
+fn a_keep_all_checkpoint_writes_no_checkpoint_or_heap_byte() {
+    let _g = serial();
+    for n in [1_000, 8_000] {
+        for paged in [false, true] {
+            for retention in [Retention::KeepAll, Retention::Reclaim] {
+                let [s1, s2, heap] = std::array::from_fn(|_| ReadCounting::default());
+                let dev = |d: &ReadCounting| Box::new(d.clone()) as Box<dyn Io>;
+                let wal = Box::new(MemIo::new());
+                let slots = CheckpointStore::slots(dev(&s1), dev(&s2));
+                let mut db = if paged {
+                    CuratedDatabase::open_paged("count", "ac", wal, slots, dev(&heap), 0)
+                } else {
+                    CuratedDatabase::open("count", "ac", wal, slots)
+                }
+                .unwrap();
+                db.set_retention(retention);
+                db.set_durability(Durability::Batched);
+                for i in 0..n {
+                    let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
+                    db.add_entry("c", i as u64, &key(i), &fields).unwrap();
+                }
+                db.publish("r0").unwrap();
+                let lens = || [&s1, &s2, &heap].map(|d| d.len().unwrap());
+                let before = lens();
+                db.checkpoint().unwrap();
+                let after = lens();
+                let ckpt = after[0] + after[1] - before[0] - before[1];
+                let heap = after[2] - before[2];
+                let at = format!("{n} entries, paged {paged}, {retention:?}");
+                if retention == Retention::KeepAll {
+                    assert_eq!((ckpt, heap), (0, 0), "{at}");
+                } else {
+                    assert!(ckpt > 0, "{at}");
+                    assert_eq!(heap > 0, paged, "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// The second checkpoint under `Reclaim` appends what 10 edits changed
+/// and reads nothing back from the heap. (The `stress` feature reads
+/// every capture back to check it.)
 #[test]
 #[cfg_attr(feature = "stress", ignore = "stress reads every capture back")]
 fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
@@ -227,7 +275,8 @@ fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
         let ckpt = CheckpointStore::mem();
         let mut db =
             CuratedDatabase::open_paged("count", "ac", wal, ckpt, Box::new(heap), 0).unwrap();
-        db.set_durability(cdb_core::Durability::Batched);
+        db.set_retention(Retention::Reclaim);
+        db.set_durability(Durability::Batched);
         for i in 0..n {
             let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
             db.add_entry("c", i as u64, &key(i), &fields).unwrap();
@@ -258,7 +307,7 @@ fn a_paged_checkpoint_after_k_edits_reads_no_heap_bytes() {
 
 /// Reopening a paged database reads the heap once: at most 1.1× its
 /// length, at 1 000 entries and at 8 000, with superseded records from
-/// a second checkpoint in it.
+/// a second checkpoint under `Reclaim` in it.
 #[test]
 fn a_paged_open_reads_the_heap_once() {
     for n in [1_000, 8_000] {
@@ -269,7 +318,8 @@ fn a_paged_open_reads_the_heap_once() {
             CuratedDatabase::open_paged("count", "ac", dev(&wal), slots, dev(&heap), 0).unwrap()
         };
         let mut db = open();
-        db.set_durability(cdb_core::Durability::Batched);
+        db.set_retention(Retention::Reclaim);
+        db.set_durability(Durability::Batched);
         for i in 0..n {
             let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
             db.add_entry("c", i as u64, &key(i), &fields).unwrap();

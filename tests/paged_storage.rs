@@ -259,10 +259,11 @@ fn drive(db: &mut CuratedDatabase, seed: u64, ops: usize, ckpt_every: usize) {
 }
 
 proptest! {
-    /// Database-level differential: the same scripted session through
-    /// a classic database and a paged one yields identical WAL bytes,
-    /// identical live state and queries, and identical recovery
-    /// outcomes after a crash cut at an arbitrary WAL byte offset.
+    /// Database-level differential: the same scripted session under
+    /// `Reclaim` through a classic database and a paged one yields
+    /// identical WAL bytes, identical live state and queries, and
+    /// identical recovery outcomes after a crash cut at an arbitrary
+    /// WAL byte offset.
     #[test]
     fn paged_database_matches_classic_and_recovery(
         seed in 0u64..1_000_000,
@@ -271,11 +272,12 @@ proptest! {
         cut_sel in 0usize..100_000,
     ) {
         let wal_a = SharedDev::new();
+        let (c1, c2) = (SharedDev::new(), SharedDev::new());
         let mut classic = CuratedDatabase::open(
             "diff",
             "id",
             Box::new(wal_a.clone()),
-            CheckpointStore::mem(),
+            CheckpointStore::slots(Box::new(c1.clone()), Box::new(c2.clone())),
         )
         .unwrap();
 
@@ -293,6 +295,8 @@ proptest! {
         .unwrap();
         prop_assert!(paged.is_paged());
         prop_assert!(!classic.is_paged());
+        classic.set_retention(Retention::Reclaim);
+        paged.set_retention(Retention::Reclaim);
 
         drive(&mut classic, seed, ops, ckpt_every);
         drive(&mut paged, seed, ops, ckpt_every);
@@ -317,14 +321,17 @@ proptest! {
 
         // Crash at an arbitrary byte offset: both recoveries land on
         // the same state, whether the surviving log still covers the
-        // paged anchor (page-granular load + tail replay) or not
-        // (anchor discarded, full replay).
+        // anchors (whole-state or page-granular load + tail replay) or
+        // not (anchors discarded, full replay).
         let cut = 8 + cut_sel % (img_b.len() - 7);
         let re_classic = CuratedDatabase::open(
             "diff",
             "id",
             Box::new(MemIo::from_bytes(img_a[..cut].to_vec())),
-            CheckpointStore::mem(),
+            CheckpointStore::slots(
+                Box::new(MemIo::from_bytes(c1.durable())),
+                Box::new(MemIo::from_bytes(c2.durable())),
+            ),
         )
         .unwrap();
         let re_paged = CuratedDatabase::open_paged(
@@ -350,8 +357,8 @@ proptest! {
 }
 
 /// The shared serving layer rides the same machinery: a paged
-/// `SharedDb` checkpoints page-granularly and reopens to the same
-/// state.
+/// `SharedDb` under `Reclaim` checkpoints page-granularly and reopens
+/// to the same state.
 #[test]
 fn shared_db_opens_and_recovers_paged() {
     use cdb_core::SharedDb;
@@ -370,6 +377,7 @@ fn shared_db_opens_and_recovers_paged() {
         Duration::from_millis(0),
     )
     .unwrap();
+    db.set_retention(Retention::Reclaim);
     for i in 0..6 {
         db.add_entry(
             "curator",
@@ -399,12 +407,14 @@ fn shared_db_opens_and_recovers_paged() {
     )
     .unwrap();
     assert_eq!(re.snapshot().export().unwrap(), before);
+    let recovery = re.metrics_snapshot().counters["storage.recovery.checkpoint_used"];
+    assert_eq!(recovery, 1);
 }
 
 /// A database of a size people curate: 2 000 entries (some 14 000
 /// arena slots) through checkpoint → reopen → edit → checkpoint →
-/// reopen, equal to the resident database driven alike at both
-/// reopens. Capture reads the arena slot by slot; when each of those
+/// reopen under `Reclaim`, equal to the resident database driven alike
+/// at both reopens. Capture reads the arena slot by slot; when each of those
 /// reads copied the arena this took minutes, not seconds.
 #[test]
 fn large_paged_round_trip_matches_resident() {
@@ -417,11 +427,14 @@ fn large_paged_round_trip_matches_resident() {
     let open = || {
         let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
         let slots = CheckpointStore::slots(dev(&s1), dev(&s2));
-        CuratedDatabase::open_paged("big", "id", dev(&wal), slots, dev(&heap), 0).unwrap()
+        let mut db =
+            CuratedDatabase::open_paged("big", "id", dev(&wal), slots, dev(&heap), 0).unwrap();
+        db.set_retention(Retention::Reclaim);
+        db
     };
     let probes = [key(0), key(7), "never".to_owned()];
     let same = |paged: &CuratedDatabase, resident: &CuratedDatabase| {
-        assert_eq!(paged.curated, resident.curated);
+        assert!(paged.recovery_stats().unwrap().used_checkpoint);
         assert_same(paged, resident, &probes);
     };
 
@@ -910,10 +923,11 @@ proptest! {
             }
         }
         // The last reopen followed a checkpoint with writes on both
-        // sides: it adopted the covered transactions from the WAL.
+        // sides: under `KeepAll` that checkpoint installed nothing, and
+        // the open replayed the whole log from the WAL.
         let stats = db.recovery_stats().unwrap();
-        prop_assert!(stats.used_checkpoint && stats.txns_adopted > 0, "{:?}", stats);
-        prop_assert!(stats.txns_replayed > 0, "{:?}", stats);
+        prop_assert!(!stats.used_checkpoint, "{:?}", stats);
+        prop_assert_eq!(stats.txns_replayed, db.curated.log().len() as u64, "{:?}", stats);
     }
 }
 
@@ -1098,7 +1112,8 @@ fn retention_switches_keep_every_checkpoint_recoverable() {
         drop(db);
         let db = lives.crash().open();
         let stats = db.recovery_stats().unwrap();
-        assert_eq!((stats.txns_adopted, stats.txns_replayed), (30, 1));
+        assert!(!stats.used_checkpoint, "paged {paged}");
+        assert_eq!(stats.txns_replayed, 31, "paged {paged}");
         assert_eq!(db.curated.base_txn_id(), None, "paged {paged}");
         assert_eq!(db.curated.log().len(), 31);
     }
@@ -1175,7 +1190,7 @@ fn a_carried_archive_of_the_wrong_length_is_corrupt() {
         let dev = |d: &SharedDev| Box::new(d.clone()) as Box<dyn Io>;
         let mut store = CheckpointStore::slots(dev(&lives.s1), dev(&lives.s2));
         let mut ck = store.load().unwrap().unwrap();
-        assert!(!ck.archive.is_empty(), "truncated form");
+        assert!(ck.is_truncated());
         ck.archive = archive.encode();
         store.install(&ck).unwrap();
         match lives.try_open() {
@@ -1269,11 +1284,18 @@ fn a_heap_read_error_fails_the_open_and_truncates_nothing() {
 /// A heap torn below the anchor's watermark makes the anchor unusable:
 /// the open replays the WAL and empties the heap. The next checkpoint
 /// captures every slot into the empty heap, and a clean reopen serves
-/// its anchor and equals the live state.
+/// its anchor and equals the live state. The WAL device keeps every
+/// segment, so the open can fall back to it, while the database
+/// checkpoints under `Reclaim`: only that form writes the heap.
 #[test]
 fn a_fallback_open_empties_the_heap_and_the_next_capture_refills_it() {
     let lives = Lives::with(true, Retention::KeepAll);
-    let mut db = lives.open();
+    let open = |lives: &Lives| {
+        let mut db = lives.open();
+        db.set_retention(Retention::Reclaim);
+        db
+    };
+    let mut db = open(&lives);
     populate(&mut db, 12);
     db.checkpoint().unwrap();
     drop(db);
@@ -1287,7 +1309,7 @@ fn a_fallback_open_empties_the_heap_and_the_next_capture_refills_it() {
         heap: torn,
         ..lives
     };
-    let mut db = lives.open();
+    let mut db = open(&lives);
     assert_eq!(unusable(&db), 1);
     assert_eq!(lives.heap.durable(), PAGE_MAGIC.to_vec(), "heap emptied");
     add(&mut db, 40, "after");

@@ -352,6 +352,24 @@ fn e11_block_annotations_equal_ra_over_explicit() {
     for cfg in engine_configs() {
         assert_eq!(eval_hash(&db, &q, &cfg).unwrap().tuple_set(), direct);
     }
+
+    // σ_values(organism = yeast) ≡ σ_{organism = yeast}(E): the same
+    // rows, blocks included, and they round-trip to the same relation.
+    let yeast = Pred::col_eq_const("organism", "yeast");
+    let selected = genes.select_values(&yeast).unwrap();
+    assert_eq!(selected.tuples().len(), 2, "adh1 and adh2");
+    let direct = selected.to_explicit().unwrap().tuple_set();
+    let q = RaExpr::scan("E").select(yeast);
+    let over_explicit = eval(&db, &q).unwrap();
+    assert_eq!(over_explicit.tuple_set(), direct);
+    assert_eq!(over_explicit.len(), 3, "adh1's two blocks and adh2's one");
+    assert_eq!(
+        BlockRelation::from_explicit(&over_explicit, 2).unwrap(),
+        selected
+    );
+    for cfg in engine_configs() {
+        assert_eq!(eval_hash(&db, &q, &cfg).unwrap().tuple_set(), direct);
+    }
 }
 
 /// DEFAULT-ALL makes the equivalent queries Q1/Q2 agree — and custom

@@ -63,7 +63,8 @@ fn reference(db: &CuratedTree, mode: StoreMode, n: usize) -> CuratedTree {
     r
 }
 
-/// A checkpoint of the state after `k` transactions, its watermark the
+/// A checkpoint in truncated form (it carries an archive, opaque at
+/// this layer) of the state after `k` transactions, its watermark the
 /// end of the `k`th frame (`ends` as [`wal_image`] gives them),
 /// round-tripped through its on-disk encoding.
 fn checkpoint_after(
@@ -74,7 +75,8 @@ fn checkpoint_after(
 ) -> Option<Checkpoint> {
     let snap = reference(db, mode, k);
     let covered = k.checked_sub(1).map_or(8, |i| ends[i]);
-    let ck = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
+    let mut ck = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
+    ck.archive = b"archive".to_vec();
     let mut store = CheckpointStore::mem();
     store.install(&ck).unwrap();
     store.load().unwrap()
@@ -92,7 +94,9 @@ proptest! {
     /// Crash at an arbitrary byte offset, with an arbitrary checkpoint
     /// (possibly ahead of the surviving log — recovery must discard
     /// it): the recovered tree and provenance store equal the
-    /// committed-prefix reference, exactly.
+    /// committed-prefix reference, exactly, and the log is its tail
+    /// after the checkpoint, or all of it when the checkpoint was
+    /// discarded.
     #[test]
     fn arbitrary_crash_offsets_recover_the_committed_prefix(
         seed in 0u64..1_000_000,
@@ -123,10 +127,17 @@ proptest! {
         let expect = reference(&db, mode, committed);
         prop_assert_eq!(&rec.db.tree, &expect.tree);
         prop_assert_eq!(&rec.db.prov, &expect.prov);
-        prop_assert_eq!(&rec.db, &expect);
         // The checkpoint is used exactly when the surviving log covers it.
-        prop_assert_eq!(rec.stats.used_checkpoint, ckpt_at <= committed);
+        let used = ckpt_at <= committed;
+        prop_assert_eq!(rec.stats.used_checkpoint, used);
         prop_assert_eq!(rec.stats.frames_scanned, committed as u64);
+        if used {
+            let tail = &expect.transactions()[ckpt_at..];
+            prop_assert_eq!(&rec.db.transactions()[..], tail);
+            prop_assert_eq!(rec.db.last_txn_id(), expect.last_txn_id());
+        } else {
+            prop_assert_eq!(&rec.db, &expect);
+        }
     }
 
     /// Crash exactly at every frame boundary of the session (plus the
@@ -237,10 +248,11 @@ proptest! {
         prop_assert_eq!(&rec.db, &expect, "fault class {}", fault);
     }
 
-    /// Segmented logs crossing rotations: a checkpoint with a coverage
-    /// watermark retires the covered segments under Reclaim (KeepAll
-    /// keeps every one live) and recovery over the surviving device
-    /// still equals the full-replay oracle, tree and provenance alike.
+    /// Segmented logs crossing rotations: under Reclaim a checkpoint
+    /// with a coverage watermark retires the covered segments, and
+    /// under KeepAll, which keeps every one live, there is no
+    /// checkpoint; recovery over the surviving device still equals the
+    /// full-replay oracle, tree and provenance alike.
     #[test]
     fn segment_retirement_preserves_the_replay_oracle(
         seed in 0u64..1_000_000,
@@ -264,15 +276,13 @@ proptest! {
         for (i, txn) in db.transactions().iter().enumerate() {
             log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
             log.sync().unwrap();
-            if i + 1 == ckpt_at {
+            if reclaim && i + 1 == ckpt_at {
                 let covered = log.len().unwrap();
                 let snap = reference(&db, mode, ckpt_at);
                 let mut c = Checkpoint::basic(snap.last_txn_id(), covered, snap.tree, snap.prov);
-                if reclaim {
-                    // The truncated form: it carries an archive (opaque
-                    // at this layer) in place of the log it cuts.
-                    c.archive = b"archive".to_vec();
-                }
+                // The truncated form: it carries an archive (opaque at
+                // this layer) in place of the log it cuts.
+                c.archive = b"archive".to_vec();
                 log.reclaim(covered).unwrap();
                 ck = Some(c);
             }
@@ -291,12 +301,12 @@ proptest! {
 
         let io = SegmentedIo::open(Box::new(backing.crash()), cfg).unwrap();
         let (_, rec) = recover("curated", mode, io, ck).unwrap();
+        prop_assert_eq!(rec.stats.used_checkpoint, reclaim);
         let expect = reference(&db, mode, db.log().len());
         prop_assert_eq!(&rec.db.tree, &expect.tree, "retention {:?}", cfg.retention);
         prop_assert_eq!(&rec.db.prov, &expect.prov, "retention {:?}", cfg.retention);
         if !reclaim {
-            // The whole log read from the WAL: the recovered curated
-            // tree is indistinguishable from never having checkpointed.
+            // The whole log read from the WAL.
             prop_assert_eq!(&rec.db, &expect);
         } else {
             // Truncated form: history before the checkpoint is gone by
