@@ -22,12 +22,12 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use cdb_archive::{Archive, ArchiveError, Citation, VersionId};
-use cdb_curation::ops::{Clipboard, CuratedTree, CurationOp, Txn};
+use cdb_curation::ops::{Clipboard, CuratedTree, Transaction, Txn, TxnId};
 use cdb_curation::provstore::StoreMode;
-use cdb_curation::tree::TreeError;
+use cdb_curation::tree::{TreeDb, TreeError};
 use cdb_curation::{queries, replay, NodeId};
 use cdb_model::keys::KeyStep;
-use cdb_model::{Atom, BucketMap, ChunkVec, KeyPath, KeySpec, Value};
+use cdb_model::{Atom, ChunkVec, KeyPath, KeySpec, Value};
 
 use crate::lifecycle::{EntryEvent, EntryRegistry, LifecycleError};
 
@@ -219,12 +219,6 @@ pub struct DbState {
     /// rebuilt by the same walk on open. A snapshot or a savepoint
     /// shares it (see [`crate::indexes::PrimaryIndex`]).
     pub(crate) primary: crate::indexes::PrimaryIndex,
-    /// The entry keys the settle step touched since the last publish
-    /// point: what the next [`DbState::publish`] merges into the archive
-    /// ([`Archive::add_version_delta`]). `None` on a new or opened state,
-    /// whose next publish merges the full export. A `BucketMap`, so a
-    /// snapshot shares it like the primary index.
-    pub(crate) unpublished: Option<BucketMap<String, ()>>,
 }
 
 /// The lifecycle event of a fresh identifier.
@@ -268,7 +262,6 @@ impl DbState {
             decisions: Arc::default(),
             indexes: crate::indexes::FieldIndexes::default(),
             primary: crate::indexes::PrimaryIndex::default(),
-            unpublished: None,
         }
     }
 
@@ -300,16 +293,7 @@ impl DbState {
     /// walk over the root's children that every whole-database read
     /// shares.
     pub(crate) fn entries(&self) -> Result<Vec<(&str, NodeId)>, DbError> {
-        let tree = &self.curated.tree;
-        let mut out = Vec::new();
-        for &entry in tree.children(tree.root())? {
-            if let Some(kf) = tree.child_by_label(entry, &self.key_field)? {
-                if let Some(Atom::Str(key)) = tree.value(kf)? {
-                    out.push((key.as_str(), entry));
-                }
-            }
-        }
-        Ok(out)
+        tree_entries(&self.curated.tree, &self.key_field)
     }
 
     /// The keys of all current entries, in tree order (the order they
@@ -687,9 +671,8 @@ impl DbState {
 
     /// The last step of every operation above, after its transaction
     /// committed; it cannot fail. Records the operation's lifecycle
-    /// `events`, notes the keys it `touched` for the next publish, then
-    /// brings the primary index and every registered index up to date
-    /// for those entries: an entry live
+    /// `events`, then brings the primary index and every registered
+    /// index up to date for the entries it `touched`: an entry live
     /// here (its node given) is addressed to its node and re-posted
     /// under its current field values, a vanished one (deleted,
     /// absorbed, split away — or living on another shard) is unlinked.
@@ -707,13 +690,6 @@ impl DbState {
         );
         for event in events {
             self.lifecycle.record(event);
-        }
-        if let Some(unpublished) = &mut self.unpublished {
-            for &(key, _) in touched {
-                if !unpublished.contains_key(key) {
-                    unpublished.insert(key.to_owned(), ());
-                }
-            }
         }
         // Out of `self` while the tree is read, so keys stay borrowed.
         let mut indexes = std::mem::take(&mut self.indexes);
@@ -886,66 +862,25 @@ impl DbState {
         )
     }
 
-    /// Merges the current state into the archive as a new version: only
-    /// the entries touched since the last publish point
-    /// ([`DbState::unpublished`]), or the full export when that set is
-    /// not known. The archive is shared with every snapshot, so
-    /// `Arc::make_mut` copies its root, and the merge copies the nodes it
-    /// writes (the archive shares the rest). Under the `stress` feature,
-    /// asserts that the archive encodes as a full merge of the export
-    /// into a copy would, and that a copy taken before the publish
-    /// encodes as it did: no shared node was written in place.
+    /// Merges the current state into the archive as a new version,
+    /// under the publish rule ([`DbState::landed_since`]): by delta when
+    /// the last publish point lies in the log, each entry found through
+    /// the primary index, and the full export otherwise. The archive is
+    /// shared with every snapshot, so `Arc::make_mut` copies its root,
+    /// and the merge copies the nodes it writes (the archive shares the
+    /// rest).
     pub(crate) fn publish(&mut self, label: String) -> Result<VersionId, DbError> {
-        #[cfg(feature = "stress")]
-        let mut full = Archive::clone(&self.archive);
-        #[cfg(feature = "stress")]
-        let (before, before_bytes) = (Archive::clone(&self.archive), self.archive.encode());
-        let v = match &self.unpublished {
-            None => {
-                let snapshot = self.export()?;
-                Arc::make_mut(&mut self.archive).add_version(&snapshot, label.clone())?
-            }
-            Some(keys) => {
-                let (changed, gone) = self.export_keys(keys)?;
-                Arc::make_mut(&mut self.archive).add_version_delta(
-                    &changed,
-                    &gone,
-                    label.clone(),
-                )?
-            }
+        let (tree, upto) = (&self.curated.tree, self.curated.last_txn_id());
+        let version = match self.landed_since(self.publish_points.len(), upto, tree) {
+            None => Version::Full(self.export()?),
+            Some(since) => self.delta(tree, &since, u64::MAX, |key| self.primary.get(key))?,
         };
-        #[cfg(feature = "stress")]
-        {
-            full.add_version(&self.export()?, label.clone())?;
-            assert!(
-                full.encode() == self.archive.encode(),
-                "stress: version {v} merged by delta differs from the full merge"
-            );
-            assert!(
-                before.encode() == before_bytes,
-                "stress: publishing version {v} wrote an archive node a copy still shares"
-            );
-        }
-        self.unpublished = Some(BucketMap::default());
-        let txn = self.curated.last_txn_id();
-        self.publish_points.push((txn, self.clock(), label));
+        let archive = Arc::make_mut(&mut self.archive);
+        let (key_field, lifecycle) = (&self.key_field, &self.lifecycle);
+        let whole = || export_tree(&self.curated.tree, key_field, lifecycle, u64::MAX);
+        let v = version.merge_into(archive, &label, whole)?;
+        self.publish_points.push((upto, self.clock(), label));
         Ok(v)
-    }
-
-    /// The entries under `keys` as an archive delta: each live one
-    /// exported, each vanished one (deleted, absorbed, split away, or
-    /// living on another shard) the step of a gone entry.
-    fn export_keys(
-        &self,
-        keys: &BucketMap<String, ()>,
-    ) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
-        let keys = keys.iter().map(|(key, ())| key.as_str());
-        archive_delta(keys, |key| {
-            let node = self.primary.get(key);
-            let (tree, lifecycle) = (&self.curated.tree, &self.lifecycle);
-            node.map(|node| export_entry(tree, node, &self.key_field, lifecycle, u64::MAX))
-                .transpose()
-        })
     }
 
     /// The logical time of the newest transaction, floored by
@@ -961,14 +896,87 @@ impl DbState {
             .max(self.last_time)
     }
 
+    /// The publish rule, shared by a live publish, an open and
+    /// [`DbState::archive_from_log`]: a publish at point `point`, through
+    /// transaction `upto`, merges the entries the ops logged since the
+    /// point before landed in, plus the survivors of merges between the
+    /// two ([`DbState::delta`]). The entries are read off the raw slots
+    /// of `tree`, the tree at the point: nodes never move, and a
+    /// tombstone keeps its parent and children. `None` — merge the full
+    /// export — at the first point, or when the point before lies
+    /// before the log's cut.
+    fn landed_since(&self, point: usize, upto: Option<TxnId>, tree: &TreeDb) -> Option<Since> {
+        let (after, time, _) = self.publish_points.get(point.checked_sub(1)?)?;
+        if *after < self.curated.base_txn_id() {
+            return None;
+        }
+        let txns: Vec<&Transaction> = self
+            .curated
+            .txns_after(*after)
+            .take_while(|t| Some(t.id) <= upto)
+            .collect();
+        let ops = txns.iter().flat_map(|t| &t.ops);
+        let entries: BTreeSet<NodeId> =
+            ops.filter_map(|op| tree.root_child_of(op.node())).collect();
+        let landed = entries.into_iter().filter_map(|entry| {
+            match tree.slot_child_value(entry, &self.key_field)? {
+                Atom::Str(key) => Some((entry, key.clone())),
+                _ => None,
+            }
+        });
+        Some(Since {
+            time: *time,
+            landed: landed.collect(),
+            txn_times: txns.iter().map(|t| t.time).collect(),
+        })
+    }
+
+    /// The delta a publish merges as of `time`: the entries `since`
+    /// landed in and the survivors of merges either timed between the
+    /// two points (their secondary ids as of `time` moved) or logged
+    /// since the earlier one (a merge has its transaction's time, and
+    /// writers' clocks need not agree, so a live export sees merges
+    /// timed before the earlier point). Each is exported from `tree`
+    /// where `node_of` finds it, the step of a gone entry (deleted,
+    /// absorbed, split away, or living on another shard) otherwise.
+    fn delta(
+        &self,
+        tree: &TreeDb,
+        since: &Since,
+        time: u64,
+        node_of: impl Fn(&str) -> Option<NodeId>,
+    ) -> Result<Version, DbError> {
+        let between = since.time.min(time)..=since.time.max(time);
+        let moved = self
+            .lifecycle
+            .merged_at(|t| between.contains(&t) || since.txn_times.contains(&t));
+        let landed = since.landed.iter().map(|(_, key)| key.as_str());
+        let keys: BTreeSet<&str> = landed.chain(moved).collect();
+        let (mut changed, mut gone) = (Vec::new(), Vec::new());
+        for key in keys {
+            match node_of(key) {
+                Some(node) => changed.push(export_entry(
+                    tree,
+                    node,
+                    &self.key_field,
+                    &self.lifecycle,
+                    time,
+                )?),
+                None => gone.push(entry_step(key)),
+            }
+        }
+        Ok(Version::Delta(changed, gone))
+    }
+
     /// Rebuilds the entire archive **from the transaction log alone** —
     /// the paper's §5.1 open question ("whether one could create an
     /// archive directly from the transaction log"), answered: the log is
-    /// replayed forward once ([`cdb_curation::replay`]), and at each
-    /// publish point the state it reached is merged into a fresh
-    /// archive. The result retrieves the same versions as the
-    /// incrementally-built archive, and encodes the same (asserted in
-    /// tests).
+    /// replayed forward once ([`cdb_curation::replay::apply_committed_at`]),
+    /// keeping the tree at each publish point, and those trees are
+    /// merged into a fresh archive under the rule a live publish
+    /// follows, as an open merges them. The result retrieves the same
+    /// versions as the incrementally-built archive, and encodes the same
+    /// (asserted in tests).
     ///
     /// An instance opened from a checkpoint that cut the log
     /// ([`cdb_storage::Retention::Reclaim`]) holds only the tail of its
@@ -980,61 +988,51 @@ impl DbState {
                  checkpoint, so the archive cannot be rebuilt from the log alone"
             )));
         }
-        self.rebuild_archive(None)
+        let mut replayed = CuratedTree::new(self.name(), StoreMode::Hereditary);
+        let points = self.publish_points.iter().map(|p| p.0);
+        let trees = replay::apply_committed_at(&mut replayed, self.curated.log(), points)
+            .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))?;
+        self.merge_points(empty_archive(self.name(), &self.key_field), &trees)
     }
 
-    /// Rebuilds the archive from the publish points. After a cut of the
-    /// log, `cut` holds the checkpoint's tree and the archive it carried
-    /// (the versions of the first publish points); the later publish
-    /// points are reconstructed by replaying the log onto that tree.
-    /// Without a cut the replay starts from an empty tree.
-    ///
-    /// The log is replayed forward once. The first publish point merges
-    /// the full export; each later one merges only the entries the ops
-    /// since the point before landed in, plus the survivors of merges
-    /// timed between the two points (their secondary identifiers moved).
-    pub(crate) fn rebuild_archive(
+    /// Merges the last `trees.len()` publish points into `archive`, each
+    /// from its tree, under the publish rule — how an open builds its
+    /// archive from the trees recovery kept (onto the archive a
+    /// checkpoint carried, where the log was cut). An entry is found
+    /// through a map of the first point's entries (the first of a
+    /// repeated key wins, as in the primary index), re-addressed at
+    /// each later point from the entries that point's ops landed in.
+    pub(crate) fn merge_points(
         &self,
-        cut: Option<(cdb_curation::tree::TreeDb, Archive)>,
+        mut archive: Archive,
+        trees: &[TreeDb],
     ) -> Result<Archive, DbError> {
-        let (tree, mut rebuilt) = match cut {
-            Some(cut) => cut,
-            None => (
-                cdb_curation::tree::TreeDb::new(self.name()),
-                empty_archive(self.name(), &self.key_field),
-            ),
-        };
-        let mut replay = Replay {
-            tree,
-            key_field: &self.key_field,
-            entries: HashMap::new(),
-            touched: BTreeMap::new(),
-        };
-        let carried = rebuilt.version_count() as usize;
-        let mut log = self.curated.log().iter().peekable();
-        let mut last_time = None;
-        for (txn, time, label) in self.publish_points.iter_from(carried) {
-            if let Some(upto) = txn {
-                while let Some(t) = log.next_if(|t| t.id <= *upto) {
-                    for op in &t.ops {
-                        replay.apply(op)?;
-                    }
-                }
+        let first = self.publish_points.len() - trees.len();
+        let mut entries = HashMap::new();
+        if let Some(tree) = trees.first() {
+            for (key, node) in tree_entries(tree, &self.key_field)? {
+                entries.entry(key.to_owned()).or_insert(node);
             }
-            match last_time {
-                None => {
-                    let snapshot = replay.full(&self.lifecycle, *time)?;
-                    rebuilt.add_version(&snapshot, label.clone())?
-                }
-                Some(last) => {
-                    let moved = self.lifecycle.merged_between(last, *time);
-                    let (changed, gone) = replay.delta(moved, &self.lifecycle, *time)?;
-                    rebuilt.add_version_delta(&changed, &gone, label.clone())?
+        }
+        for (point, tree) in (first..).zip(trees) {
+            let (upto, time, label) = &self.publish_points[point];
+            let version = match self.landed_since(point, *upto, tree) {
+                None => Version::Full(export_tree(tree, &self.key_field, &self.lifecycle, *time)?),
+                Some(since) => {
+                    for (node, key) in &since.landed {
+                        if tree.is_alive(*node) {
+                            entries.insert(key.clone(), *node);
+                        } else if entries.get(key) == Some(node) {
+                            entries.remove(key);
+                        }
+                    }
+                    self.delta(tree, &since, *time, |key| entries.get(key).copied())?
                 }
             };
-            last_time = Some(*time);
+            let whole = || export_tree(tree, &self.key_field, &self.lifecycle, *time);
+            version.merge_into(&mut archive, label, whole)?;
         }
-        Ok(rebuilt)
+        Ok(archive)
     }
 
     /// Retrieves a published version.
@@ -1281,8 +1279,22 @@ impl CuratedDatabase {
     }
 }
 
+/// The live entries of `tree` in tree order, as `(key, node)`: every
+/// child of the root that carries a string under `key_field`.
+fn tree_entries<'t>(tree: &'t TreeDb, key_field: &str) -> Result<Vec<(&'t str, NodeId)>, DbError> {
+    let mut out = Vec::new();
+    for &entry in tree.children(tree.root())? {
+        if let Some(kf) = tree.child_by_label(entry, key_field)? {
+            if let Some(Atom::Str(key)) = tree.value(kf)? {
+                out.push((key.as_str(), entry));
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// An archive with no versions, its entries keyed by `key_field`.
-fn empty_archive(name: &str, key_field: &str) -> Archive {
+pub(crate) fn empty_archive(name: &str, key_field: &str) -> Archive {
     let spec = KeySpec::new().rule(Vec::<String>::new(), [key_field.to_owned()]);
     Archive::new(name, spec)
 }
@@ -1332,130 +1344,60 @@ fn export_entry(
     Ok(v)
 }
 
-/// The forward replay behind [`DbState::rebuild_archive`]: the tree as
-/// of the ops applied so far, where its entries were at the last publish
-/// point, and which entries the ops since then landed in.
-struct Replay<'a> {
-    tree: cdb_curation::tree::TreeDb,
-    key_field: &'a str,
-    /// Entry key → entry node, as of the last publish point.
-    entries: HashMap<String, NodeId>,
-    /// Each entry node an op landed in since the last publish point,
-    /// with its key before the first such op (`None` for an entry the
-    /// ops created).
-    touched: BTreeMap<NodeId, Option<String>>,
+/// What the ops logged since the previous publish point changed
+/// ([`DbState::landed_since`]).
+struct Since {
+    /// The previous point's time.
+    time: u64,
+    /// The entries the ops landed in, as `(node, key)` in node order.
+    landed: Vec<(NodeId, String)>,
+    /// The times of the transactions logged since the previous point.
+    txn_times: BTreeSet<u64>,
 }
 
-impl Replay<'_> {
-    /// Applies one logged op, first noting the entry it lands in: the
-    /// root child at or above its node (an insert or paste under the
-    /// root lands in the entry it creates).
-    fn apply(&mut self, op: &CurationOp) -> Result<(), DbError> {
-        let root = self.tree.root();
-        let entry = match op {
-            CurationOp::Insert { node, parent, .. } | CurationOp::Paste { node, parent, .. }
-                if *parent == root =>
-            {
-                Some(*node)
-            }
-            CurationOp::Insert { parent: at, .. }
-            | CurationOp::Paste { parent: at, .. }
-            | CurationOp::Modify { node: at, .. }
-            | CurationOp::Delete { node: at } => self.entry_of(*at)?,
-        };
-        if let Some(entry) = entry {
-            if !self.touched.contains_key(&entry) {
-                let key = self.key_of(entry)?;
-                self.touched.insert(entry, key);
-            }
-        }
-        replay::apply(&mut self.tree, op)
-            .map_err(|e| DbError::Storage(format!("replay for publish: {e}")))
-    }
-
-    /// The root child at or above `node`; `None` for the root itself.
-    fn entry_of(&self, mut node: NodeId) -> Result<Option<NodeId>, DbError> {
-        let root = self.tree.root();
-        while let Some(parent) = self.tree.parent(node)? {
-            if parent == root {
-                return Ok(Some(node));
-            }
-            node = parent;
-        }
-        Ok(None)
-    }
-
-    /// The key of the live entry at `node`; `None` when there is none.
-    fn key_of(&self, node: NodeId) -> Result<Option<String>, DbError> {
-        let tree = &self.tree;
-        if !tree.is_alive(node) || tree.parent(node)? != Some(tree.root()) {
-            return Ok(None);
-        }
-        let Some(kf) = tree.child_by_label(node, self.key_field)? else {
-            return Ok(None);
-        };
-        Ok(match tree.value(kf)? {
-            Some(Atom::Str(key)) => Some(key.clone()),
-            _ => None,
-        })
-    }
-
-    /// The full export as of `time`; re-addresses every entry.
-    fn full(&mut self, lifecycle: &EntryRegistry, time: u64) -> Result<Value, DbError> {
-        self.touched.clear();
-        self.entries.clear();
-        for &child in self.tree.children(self.tree.root())? {
-            if let Some(key) = self.key_of(child)? {
-                self.entries.entry(key).or_insert(child);
-            }
-        }
-        export_tree(&self.tree, self.key_field, lifecycle, time)
-    }
-
-    /// What changed since the last publish point, as an archive delta as
-    /// of `time`: the entries the ops landed in and the entries keyed in
-    /// `moved`, each exported if live and a gone step if not.
-    fn delta<'k>(
-        &mut self,
-        moved: impl Iterator<Item = &'k str>,
-        lifecycle: &EntryRegistry,
-        time: u64,
-    ) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
-        let mut keys: BTreeSet<String> = moved.map(str::to_owned).collect();
-        for (node, before) in std::mem::take(&mut self.touched) {
-            if let Some(before) = before {
-                if self.entries.get(&before) == Some(&node) {
-                    self.entries.remove(&before);
-                }
-                keys.insert(before);
-            }
-            if let Some(key) = self.key_of(node)? {
-                self.entries.insert(key.clone(), node);
-                keys.insert(key);
-            }
-        }
-        archive_delta(keys.iter().map(String::as_str), |key| {
-            let node = self.entries.get(key);
-            node.map(|&node| export_entry(&self.tree, node, self.key_field, lifecycle, time))
-                .transpose()
-        })
-    }
+/// A version as a publish merges it into the archive.
+enum Version {
+    /// The whole export.
+    Full(Value),
+    /// What changed since the version before: the entries that are new
+    /// or differ, and the steps of those gone
+    /// ([`Archive::add_version_delta`]).
+    Delta(Vec<Value>, Vec<KeyStep>),
 }
 
-/// Splits `keys` into an archive delta ([`Archive::add_version_delta`]):
-/// the entry of each key `export` finds live, the step of each other.
-fn archive_delta<'k>(
-    keys: impl IntoIterator<Item = &'k str>,
-    mut export: impl FnMut(&str) -> Result<Option<Value>, DbError>,
-) -> Result<(Vec<Value>, Vec<KeyStep>), DbError> {
-    let (mut changed, mut gone) = (Vec::new(), Vec::new());
-    for key in keys {
-        match export(key)? {
-            Some(entry) => changed.push(entry),
-            None => gone.push(entry_step(key)),
+impl Version {
+    /// Merges this version into `archive` as `label`. Under the `stress`
+    /// feature, asserts that the archive encodes as a merge of the
+    /// `whole` export into a copy would, and that a copy taken before
+    /// the merge encodes as it did: no shared node was written in place.
+    fn merge_into(
+        self,
+        archive: &mut Archive,
+        label: &str,
+        whole: impl FnOnce() -> Result<Value, DbError>,
+    ) -> Result<VersionId, DbError> {
+        #[cfg(feature = "stress")]
+        let (mut full, before, before_bytes) = (archive.clone(), archive.clone(), archive.encode());
+        let v = match self {
+            Version::Full(value) => archive.add_version(&value, label)?,
+            Version::Delta(changed, gone) => archive.add_version_delta(&changed, &gone, label)?,
+        };
+        #[cfg(feature = "stress")]
+        {
+            full.add_version(&whole()?, label)?;
+            assert!(
+                full.encode() == archive.encode(),
+                "stress: version {v} merged by delta differs from the full merge"
+            );
+            assert!(
+                before.encode() == before_bytes,
+                "stress: publishing version {v} wrote an archive node a copy still shares"
+            );
         }
+        #[cfg(not(feature = "stress"))]
+        drop(whole);
+        Ok(v)
     }
-    Ok((changed, gone))
 }
 
 #[cfg(test)]

@@ -9,11 +9,13 @@
 //! or inside a commit:
 //!
 //! * publish points → `FRAME_PUBLISH`. The archive itself is rebuilt
-//!   on open by [`DbState::archive_from_log`], the paper's §5.1
-//!   answer, which needs only the log and the publish points. A
+//!   on open from the log and the publish points, the paper's §5.1
+//!   answer ([`DbState::archive_from_log`]): recovery keeps the tree at
+//!   each publish point as it applies the log, once, and each point is
+//!   merged from its tree under the rule a live publish follows. A
 //!   checkpoint that cuts the log (under [`Retention::Reclaim`], or
 //!   once a WAL prefix is retired) carries the encoded archive instead,
-//!   and the open replays only the publish points after the cut;
+//!   and the open merges only the publish points after the cut;
 //! * lifecycle events → aux records tagged [`AUX_EVENT`];
 //! * superimposed notes → aux records tagged [`AUX_NOTE`].
 //!
@@ -421,9 +423,9 @@ impl DbState {
     /// Rebuilds the state from a finished recovery: the recovered tree
     /// and log as they are, the lifecycle registry, notes, decisions
     /// and index registrations from the aux records, the primary index
-    /// and the index postings from the tree, the archive from the log
-    /// (or, where the log was cut, from the archive the checkpoint
-    /// carried plus the publish points after the cut).
+    /// and the index postings from the tree, the archive from the trees
+    /// recovery kept at the publish points (onto the archive the
+    /// checkpoint carried, where the log was cut).
     fn from_recovered(
         name: &str,
         key_field: &str,
@@ -467,11 +469,10 @@ impl DbState {
             .collect();
         let _span = cdb_obs::SpanGuard::enter("core.open.archive");
         // Where the log was cut, versions published before the cut
-        // cannot be replayed from it: the checkpoint carried their
-        // archive, and the versions published after the cut replay onto
-        // its tree.
-        let cut = match rec.cut {
-            None => None,
+        // cannot be merged from it: the checkpoint carried their
+        // archive, and recovery kept the trees of the points after it.
+        let archive = match rec.cut {
+            None => crate::db::empty_archive(name, key_field),
             Some(cut) => {
                 state.last_time = cut.time;
                 let corrupt = |m: String| DbError::from(StorageError::Corrupt(m));
@@ -484,10 +485,10 @@ impl DbState {
                         carried.version_count()
                     )));
                 }
-                Some((cut.tree, carried))
+                carried
             }
         };
-        state.archive = Arc::new(state.rebuild_archive(cut)?);
+        state.archive = Arc::new(state.merge_points(archive, &rec.point_trees)?);
         Ok((state, rec.stats))
     }
 }
@@ -742,11 +743,11 @@ impl CuratedDatabase {
     ///
     /// Recovery first tries the newest checkpoint anchor: if it
     /// carries a paged reference whose heap prefix survived, the tree
-    /// and provenance are materialized from pages and handed
-    /// to the ordinary recovery path (the `replay_and_verify` oracle
-    /// runs unchanged against the materialized state). If the heap
-    /// cannot serve the anchor, recovery falls back to full WAL
-    /// replay — the WAL stays authoritative.
+    /// and provenance are materialized from pages and handed to the
+    /// ordinary recovery path, which applies the log's tail onto them
+    /// exactly as onto an unpaged checkpoint's. If the heap cannot
+    /// serve the anchor, recovery falls back to full WAL replay — the
+    /// WAL stays authoritative.
     pub fn open_paged(
         name: impl Into<String>,
         key_field: impl Into<String>,

@@ -316,13 +316,12 @@ impl EntryRegistry {
         out
     }
 
-    /// The survivors whose secondary identifiers differ between times
-    /// `a` and `b`: those with a merge in between.
-    pub(crate) fn merged_between(&self, a: u64, b: u64) -> impl Iterator<Item = &str> {
-        let (lo, hi) = (a.min(b), a.max(b));
+    /// The survivors of a merge whose time satisfies `at`: the entries
+    /// whose secondary identifiers such merges moved.
+    pub(crate) fn merged_at(&self, at: impl Fn(u64) -> bool) -> impl Iterator<Item = &str> {
         self.absorbed
             .iter()
-            .filter(move |(_, merges)| merges.iter().any(|(t, _)| lo < *t && *t <= hi))
+            .filter(move |(_, merges)| merges.iter().any(|(t, _)| at(*t)))
             .map(|(kept, _)| kept.as_str())
     }
 }

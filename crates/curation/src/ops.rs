@@ -341,17 +341,29 @@ impl CuratedTree {
     /// The logged transaction `id`, found by binary search (ids
     /// increase along the log); `None` when it is not in the log.
     pub fn txn(&self, id: TxnId) -> Option<&Transaction> {
+        let t = self.log.get(self.partition(|t| t < id))?;
+        (t.id == id).then_some(t)
+    }
+
+    /// The logged transactions after `after` (all of them for `None`),
+    /// oldest first: a binary search, then a walk in place.
+    pub fn txns_after(&self, after: Option<TxnId>) -> impl Iterator<Item = &Transaction> {
+        self.log.iter_from(self.partition(|t| Some(t) <= after))
+    }
+
+    /// The number of logged transactions whose ids satisfy `before`, a
+    /// predicate that holds for a prefix of the log (ids increase).
+    fn partition(&self, before: impl Fn(TxnId) -> bool) -> usize {
         let (mut lo, mut hi) = (0, self.log.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let t = &self.log[mid];
-            match t.id.cmp(&id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(t),
+            if before(self.log[mid].id) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        None
+        lo
     }
 
     /// The touch index of `node`: every logged transaction with an
@@ -452,7 +464,7 @@ impl<'a> Txn<'a> {
 
     /// Pastes a clipboard under `parent`, recording where it came from.
     pub fn paste(&mut self, parent: NodeId, clip: &Clipboard) -> Result<NodeId, TreeError> {
-        let node = self.paste_snapshot(parent, &clip.snapshot)?;
+        let node = paste_snapshot(&mut self.db.tree, parent, &clip.snapshot)?;
         let origin = Origin::CopiedFrom {
             db: clip.source_db.clone(),
             path: clip.source_path.clone(),
@@ -470,23 +482,27 @@ impl<'a> Txn<'a> {
         Ok(node)
     }
 
-    fn paste_snapshot(&mut self, parent: NodeId, snap: &ClipNode) -> Result<NodeId, TreeError> {
-        let node = self
-            .db
-            .tree
-            .create_node(parent, snap.label.clone(), snap.value.clone())?;
-        for c in &snap.children {
-            self.paste_snapshot(node, c)?;
-        }
-        Ok(node)
-    }
-
     /// Commits: appends the record to the database log.
     pub fn commit(self) -> TxnId {
         let id = self.txn.id;
         self.db.adopt_unapplied(self.txn);
         id
     }
+}
+
+/// Creates the nodes of `snap` under `parent`, depth first — the tree
+/// edit of a paste, shared by [`Txn::paste`] and log replay
+/// ([`crate::replay::apply`]), so both allocate the same node ids.
+pub(crate) fn paste_snapshot(
+    tree: &mut TreeDb,
+    parent: NodeId,
+    snap: &ClipNode,
+) -> Result<NodeId, TreeError> {
+    let node = tree.create_node(parent, snap.label.clone(), snap.value.clone())?;
+    for c in &snap.children {
+        paste_snapshot(tree, node, c)?;
+    }
+    Ok(node)
 }
 
 #[cfg(test)]

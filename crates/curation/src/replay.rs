@@ -6,14 +6,15 @@
 //! [`CurationOp::Insert`] and [`CurationOp::Paste`]), the answer here is
 //! yes: [`replay`] deterministically rebuilds the tree as of any
 //! transaction — reproducing the original node ids exactly, because the
-//! arena allocates in operation order — and `cdb-core` layers archive
-//! construction on top (`CuratedDatabase::archive_from_log`).
+//! arena allocates in operation order — and `cdb-core` merges an archive
+//! from the trees [`apply_committed_at`] keeps at the publish points
+//! (`CuratedDatabase::archive_from_log`, and every open).
 //!
 //! Because ids are reproduced, provenance records and lifecycle data
 //! remain valid against replayed states, which makes the reconstruction
 //! more than a value-level diff.
 
-use crate::ops::{ClipNode, CuratedTree, CurationOp, Transaction, TxnId};
+use crate::ops::{paste_snapshot, CuratedTree, CurationOp, Transaction, TxnId};
 use crate::tree::{NodeId, TreeDb, TreeError};
 
 /// Errors during replay.
@@ -51,116 +52,80 @@ pub fn replay<'a>(
     log: impl IntoIterator<Item = &'a Transaction>,
     upto: Option<TxnId>,
 ) -> Result<TreeDb, ReplayError> {
-    replay_onto(TreeDb::new(name), log, upto)
-}
-
-/// Replays a transaction tail onto an existing base tree (a checkpoint
-/// snapshot), up to and **including** `upto` (or the whole tail when
-/// `None`). This is the truncated-history counterpart of [`replay`]:
-/// when the covered log is gone, reconstruction starts from the
-/// checkpoint tree instead of empty.
-pub fn replay_onto<'a>(
-    base: TreeDb,
-    log: impl IntoIterator<Item = &'a Transaction>,
-    upto: Option<TxnId>,
-) -> Result<TreeDb, ReplayError> {
-    let mut tree = base;
-    for txn in log {
-        if let Some(limit) = upto {
-            if txn.id > limit {
-                break;
-            }
-        }
-        for op in &txn.ops {
-            apply(&mut tree, op)?;
-        }
+    let mut tree = TreeDb::new(name);
+    let upto = |txn: &&Transaction| upto.is_none_or(|limit| txn.id <= limit);
+    for op in log.into_iter().take_while(upto).flat_map(|txn| &txn.ops) {
+        apply(&mut tree, op)?;
     }
     Ok(tree)
 }
 
-/// Verifies a reconstructed tree against the live tree of `db` (ids,
-/// labels, values, structure).
-pub fn verify_replay(db: &CuratedTree, replayed: &TreeDb) -> Result<(), ReplayError> {
-    for id in db.tree.live_nodes() {
-        if !replayed.is_alive(id) {
-            return Err(ReplayError::Inconsistent(format!(
-                "live node {id} missing from replay"
-            )));
-        }
-        if db.tree.label(id)? != replayed.label(id)?
-            || db.tree.value(id)? != replayed.value(id)?
-            || db.tree.children(id)? != replayed.children(id)?
-        {
-            return Err(ReplayError::Inconsistent(format!(
-                "node {id} differs from replay"
-            )));
-        }
-    }
-    if replayed.size() != db.tree.size() {
-        return Err(ReplayError::Inconsistent(format!(
-            "replay has {} live nodes, database has {}",
-            replayed.size(),
-            db.tree.size()
-        )));
-    }
-    Ok(())
-}
-
-/// Replays the log of a curated tree and verifies the reconstruction
-/// matches the live tree (ids, labels, values, structure). Returns the
-/// replayed tree.
+/// Replays the log of a curated tree and checks that the replay is the
+/// live tree, slot for slot: ids, labels, values, structure and
+/// tombstones. Returns the replayed tree.
 pub fn replay_and_verify(db: &CuratedTree) -> Result<TreeDb, ReplayError> {
     let replayed = replay(db.tree.name(), db.log(), None)?;
-    verify_replay(db, &replayed)?;
+    if replayed != db.tree {
+        return Err(ReplayError::Inconsistent(
+            "the replay differs from the live tree".to_owned(),
+        ));
+    }
     Ok(replayed)
 }
 
 /// Applies a committed transaction to a curated database during
-/// recovery: the tree *and* the provenance store are updated exactly as
-/// the original [`crate::ops::Txn`] methods did, allocated node ids are
-/// verified against the log, and the transaction is appended to the
-/// database's log. This is the WAL tail-replay primitive of
-/// `cdb-storage`: `recover = load(checkpoint) + apply_committed(tail)`.
+/// recovery: each operation through [`apply`], the one tree applier,
+/// then the provenance hook the original [`crate::ops::Txn`] method
+/// ran; allocated node ids are verified against the log, and the
+/// transaction is appended to the database's log. This is the WAL
+/// tail-replay primitive of `cdb-storage`:
+/// `recover = load(checkpoint) + apply_committed(tail)`.
 pub fn apply_committed(db: &mut CuratedTree, txn: &Transaction) -> Result<(), ReplayError> {
     for op in &txn.ops {
+        apply(&mut db.tree, op)?;
         match op {
-            CurationOp::Insert {
-                node,
-                parent,
-                label,
-                value,
-            } => {
-                let created = db.tree.create_node(*parent, label.clone(), value.clone())?;
-                check_id(*node, created)?;
-                db.prov.on_insert(created, txn.id);
-            }
-            CurationOp::Modify { node, new, .. } => {
-                db.tree.set_value(*node, new.clone())?;
-                db.prov.on_modify(*node, txn.id);
-            }
-            CurationOp::Delete { node } => {
-                db.tree.delete_subtree(*node)?;
-            }
+            CurationOp::Insert { node, .. } => db.prov.on_insert(*node, txn.id),
+            CurationOp::Modify { node, .. } => db.prov.on_modify(*node, txn.id),
+            CurationOp::Delete { .. } => {}
             CurationOp::Paste {
                 node,
-                parent,
                 origin,
                 snapshot,
-            } => {
-                let created = paste_snapshot(&mut db.tree, *parent, snapshot)?;
-                check_id(*node, created)?;
-                db.prov
-                    .on_paste(created, txn.id, origin.clone(), snapshot.size());
-            }
+                ..
+            } => db
+                .prov
+                .on_paste(*node, txn.id, origin.clone(), snapshot.size()),
         }
     }
     db.adopt_unapplied(txn.clone());
     Ok(())
 }
 
-/// Applies one logged operation to a tree: the step [`replay_onto`]
-/// takes for each operation of each transaction, for callers that
-/// replay op by op.
+/// Applies committed transactions in order ([`apply_committed`]) and
+/// keeps the tree at each of `points`, ascending transaction ids (`None`
+/// for a point before any transaction): a chunk-sharing clone of the
+/// tree after every transaction up to the point, or of the tree `db`
+/// came with when there is none. One pass gives recovery its database
+/// and the publish-point trees the archive is merged from.
+pub fn apply_committed_at<'a>(
+    db: &mut CuratedTree,
+    txns: impl IntoIterator<Item = &'a Transaction>,
+    points: impl IntoIterator<Item = Option<TxnId>>,
+) -> Result<Vec<TreeDb>, ReplayError> {
+    let mut points = points.into_iter().peekable();
+    let mut trees = Vec::new();
+    for txn in txns {
+        while points.next_if(|upto| *upto < Some(txn.id)).is_some() {
+            trees.push(db.tree.clone());
+        }
+        apply_committed(db, txn)?;
+    }
+    trees.extend(points.map(|_| db.tree.clone()));
+    Ok(trees)
+}
+
+/// Applies one logged operation to a tree: the step [`replay`] and
+/// [`apply_committed`] take for each operation of each transaction.
 pub fn apply(tree: &mut TreeDb, op: &CurationOp) -> Result<(), ReplayError> {
     match op {
         CurationOp::Insert {
@@ -200,18 +165,6 @@ fn check_id(expected: NodeId, got: NodeId) -> Result<(), ReplayError> {
             "replay allocated {got}, log says {expected}"
         )))
     }
-}
-
-fn paste_snapshot(
-    tree: &mut TreeDb,
-    parent: NodeId,
-    snap: &ClipNode,
-) -> Result<NodeId, ReplayError> {
-    let node = tree.create_node(parent, snap.label.clone(), snap.value.clone())?;
-    for c in &snap.children {
-        paste_snapshot(tree, node, c)?;
-    }
-    Ok(node)
 }
 
 #[cfg(test)]
@@ -307,6 +260,23 @@ mod tests {
         let id = recovered.begin("x", 9).commit();
         assert_eq!(Some(id), recovered.last_txn_id());
         assert!(id > db.last_txn_id().unwrap());
+    }
+
+    #[test]
+    fn apply_committed_at_keeps_the_tree_at_each_point() {
+        let db = build();
+        let mut recovered = CuratedTree::new("d", StoreMode::Hereditary);
+        let points = [None, Some(TxnId(0)), Some(TxnId(0)), Some(TxnId(2))];
+        let trees = apply_committed_at(&mut recovered, db.log(), points).unwrap();
+        assert_eq!(recovered, db);
+        let expected: Vec<TreeDb> = points
+            .iter()
+            .map(|point| match point {
+                None => TreeDb::new("d"),
+                Some(upto) => replay("d", db.log(), Some(*upto)).unwrap(),
+            })
+            .collect();
+        assert_eq!(trees, expected);
     }
 
     #[test]

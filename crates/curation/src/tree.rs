@@ -202,6 +202,32 @@ impl TreeDb {
         Ok(cur)
     }
 
+    /// The root child at or above `id`, live or deleted: read off the
+    /// arena, which holds because nodes never move and a tombstone
+    /// keeps its parent link. `None` for the root and for an id past
+    /// the arena.
+    pub fn root_child_of(&self, id: NodeId) -> Option<NodeId> {
+        let mut node = id;
+        loop {
+            let parent = self.nodes.get(node.0)?.parent?;
+            if parent == self.root {
+                return Some(node);
+            }
+            node = parent;
+        }
+    }
+
+    /// The payload of the first child of `id` labelled `label`, live or
+    /// deleted: read off the arena, where a deleted node keeps the
+    /// children it had when it was deleted.
+    pub fn slot_child_value(&self, id: NodeId, label: &str) -> Option<&Atom> {
+        let children = self.nodes.get(id.0)?.children.iter();
+        let child = children
+            .map(|c| &self.nodes[c.0])
+            .find(|c| c.label == label)?;
+        child.value.as_ref()
+    }
+
     /// All live node ids, in creation order.
     pub fn live_nodes(&self) -> Vec<NodeId> {
         self.nodes
@@ -377,6 +403,27 @@ mod tests {
             db.resolve_path("/entry"),
             Err(TreeError::NoSuchPath(_))
         ));
+    }
+
+    #[test]
+    fn slot_reads_find_a_deleted_node_s_entry_and_key() {
+        let (mut db, entry, name) = sample();
+        let other = db.create_node(db.root(), "entry", None).unwrap();
+        let reads = |db: &TreeDb| {
+            let key = db.slot_child_value(entry, "name").cloned();
+            (db.root_child_of(name), db.root_child_of(entry), key)
+        };
+        let live = reads(&db);
+        assert_eq!(
+            live,
+            (Some(entry), Some(entry), Some(Atom::Str("ywhah".into())))
+        );
+        db.delete_subtree(entry).unwrap();
+        assert_eq!(reads(&db), live);
+        assert_eq!(db.root_child_of(other), Some(other));
+        assert_eq!(db.slot_child_value(other, "name"), None);
+        assert_eq!(db.root_child_of(db.root()), None);
+        assert_eq!(db.root_child_of(NodeId(99)), None);
     }
 
     #[test]

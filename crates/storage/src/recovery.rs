@@ -12,25 +12,29 @@
 //! 3. A checkpoint anchors recovery only when it cuts the log (it
 //!    carries an archive: the truncated form) and its coverage
 //!    watermark lies in the surviving log. The frames below the
-//!    watermark are skipped, and only the tail is applied onto the
-//!    checkpoint's state via [`apply_committed`]. Otherwise — no
-//!    checkpoint, one that carries no archive, a corrupt one, or one
-//!    *ahead* of a torn log — the log is authoritative and the whole
-//!    of it is replayed from empty.
-//! 4. The result is cross-checked with [`verify_replay`]: the
-//!    recovered tree must equal an independent replay of its own log,
-//!    ids included — from empty, or onto the checkpoint's tree where
-//!    the log is cut.
+//!    watermark are skipped — the last transaction they carry must be
+//!    the checkpoint's last, or the log is corrupt — and only the tail
+//!    is applied onto the checkpoint's state via [`apply_committed`].
+//!    Otherwise — no checkpoint, one that carries no archive, a
+//!    corrupt one, or one *ahead* of a torn log — the log is
+//!    authoritative and the whole of it is replayed from empty.
+//! 4. That one pass ([`apply_committed_at`]) checks every node id the
+//!    log names against the id the replay allocates, and keeps a
+//!    chunk-sharing clone of the tree at each publish point of the
+//!    tail: `cdb-core` merges the archive from those trees and replays
+//!    nothing.
 //!
 //! The returned [`RecoveryStats`] mirror `cdb-relalg`'s `ExecStats`
 //! in spirit: they make recovery observable (frames scanned, dropped
 //! and skipped, txns replayed, elapsed time) without changing behavior.
+//!
+//! [`apply_committed`]: cdb_curation::replay::apply_committed
 
 use std::collections::BTreeMap;
 
 use cdb_curation::ops::{CuratedTree, Transaction, TxnId};
 use cdb_curation::provstore::{ProvStore, StoreMode};
-use cdb_curation::replay::{apply_committed, replay_onto, verify_replay};
+use cdb_curation::replay::apply_committed_at;
 use cdb_curation::tree::TreeDb;
 use cdb_curation::wire::{
     decode_transaction, put_opt_u64, put_str, put_u64, Checkpoint, Reader, WireError,
@@ -137,7 +141,7 @@ pub struct RecoveryStats {
     pub bytes_scanned: u64,
     /// Live log segments at recovery time (1 for unsegmented devices).
     pub live_segments: u64,
-    /// Wall-clock microseconds spent decoding + replaying + verifying.
+    /// Wall-clock microseconds spent decoding + replaying.
     pub replay_micros: u128,
 }
 
@@ -168,11 +172,16 @@ impl RecoveryStats {
 /// Everything recovery reconstructs from one WAL device.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The recovered database: tree, provenance, and transaction log,
-    /// verified against a replay of that log.
+    /// The recovered database: tree, provenance, and transaction log.
     pub db: CuratedTree,
     /// Publish points, in log order.
     pub publishes: Vec<PublishRecord>,
+    /// The tree at each publish point of the tail — the last
+    /// `point_trees.len()` of [`Recovered::publishes`], all of them
+    /// when the log is whole: a chunk-sharing clone of the recovered
+    /// tree after every transaction up to the point's `txn`, or of the
+    /// base tree when there is none.
+    pub point_trees: Vec<TreeDb>,
     /// Auxiliary frame payloads, in log order (opaque here; `cdb-core`
     /// decodes lifecycle events and notes out of them).
     pub aux: Vec<Vec<u8>>,
@@ -203,8 +212,6 @@ pub struct Recovered {
 /// [`CuratedTree::base_txn_id`] marking the cut.
 #[derive(Debug)]
 pub struct Cut {
-    /// The checkpoint's tree: the replay base of the tail.
-    pub tree: TreeDb,
     /// The encoded archive the checkpoint carried: the versions
     /// published at its publish points, whose log prefix is gone.
     /// Opaque here; `cdb-core` decodes it.
@@ -384,6 +391,38 @@ fn decode_frames(
     Ok(())
 }
 
+/// The last transaction `frames` carry: a commit's, or the last commit
+/// sealed in a PREPARE whose last DECIDE among them says commit. `None`
+/// when they carry none. Reads backwards, decoding only the frames it
+/// passes.
+fn last_txn_in(frames: &[Frame]) -> Result<Option<TxnId>, StorageError> {
+    let txn_of = |payload: &[u8]| {
+        let (txn, _) = decode_commit(payload).map_err(StorageError::Wire)?;
+        Ok(Some(txn.id))
+    };
+    let mut decided = BTreeMap::new();
+    for frame in frames.iter().rev() {
+        match frame.kind {
+            FRAME_COMMIT => return txn_of(&frame.payload),
+            FRAME_DECIDE => {
+                let d = decode_decide(&frame.payload).map_err(StorageError::Wire)?;
+                decided.entry(d.gid).or_insert(d.commit);
+            }
+            FRAME_PREPARE => {
+                let p = decode_prepare(&frame.payload).map_err(StorageError::Wire)?;
+                if decided.get(&p.gid) == Some(&true) {
+                    let mut sealed = p.frames.iter().rev();
+                    if let Some((_, payload)) = sealed.find(|(kind, _)| *kind == FRAME_COMMIT) {
+                        return txn_of(payload);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(None)
+}
+
 /// Recovers a curated database from a WAL device, anchored at
 /// `checkpoint` when its watermark allows. `name` and `mode` seed the
 /// empty database when no checkpoint anchors. The returned log handle
@@ -497,6 +536,18 @@ fn recover_with_inner<I: Io>(
 
     let skip = frames.iter().take_while(|f| f.end <= covered_len).count();
     stats.frames_skipped = skip as u64;
+    // The skipped frames must end where the snapshot does: a watermark
+    // ahead of it would drop the transactions between the two, one
+    // behind it would repeat them. (A retired prefix may hold the
+    // snapshot's last transaction when the live frames below the
+    // watermark carry none.)
+    let skipped_last = last_txn_in(&frames[..skip])?;
+    if skipped_last != last_txn && (skipped_last.is_some() || base == 0) {
+        return Err(StorageError::Corrupt(format!(
+            "the checkpoint's snapshot ends at {last_txn:?}, but the log it covers ends at \
+             {skipped_last:?}"
+        )));
+    }
     let mut out = Decoded {
         floor: last_txn,
         publishes: ck_pubs
@@ -510,17 +561,10 @@ fn recover_with_inner<I: Io>(
     decode_frames(frames.into_iter().skip(skip), &mut out, &mut twopc)?;
 
     stats.txns_replayed = out.txns.len() as u64;
-    let mut db = CuratedTree::from_parts_at(tree.clone(), Vec::new(), prov, last_txn);
-    for txn in &out.txns {
-        apply_committed(&mut db, txn)
-            .map_err(|e| StorageError::Corrupt(format!("log replay: {e}")))?;
-    }
-    // The recovered tree must equal a replay of its own log: from
-    // empty, or onto the checkpoint's tree where the log is cut.
-    let replayed = replay_onto(tree.clone(), db.log(), None)
-        .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
-    verify_replay(&db, &replayed)
-        .map_err(|e| StorageError::Corrupt(format!("verification: {e}")))?;
+    let mut db = CuratedTree::from_parts_at(tree, Vec::new(), prov, last_txn);
+    let points = out.publishes[carried..].iter().map(|p| p.txn);
+    let point_trees = apply_committed_at(&mut db, &out.txns, points)
+        .map_err(|e| StorageError::Corrupt(format!("log replay: {e}")))?;
 
     stats.replay_micros = span.elapsed().as_micros();
     if stats.frames_dropped > 0 {
@@ -547,9 +591,9 @@ fn recover_with_inner<I: Io>(
         Recovered {
             db,
             publishes: out.publishes,
+            point_trees,
             aux: out.aux,
             cut: stats.used_checkpoint.then_some(Cut {
-                tree,
                 archive,
                 publishes: carried,
                 time: last_time,
@@ -617,6 +661,7 @@ mod tests {
     use super::*;
     use crate::ckpt::CheckpointStore;
     use crate::io::{FaultPlan, FaultyIo, MemIo};
+    use cdb_curation::replay::apply_committed;
     use cdb_model::Atom;
 
     /// Builds a reference database, a WAL image holding its log, and
@@ -688,6 +733,51 @@ mod tests {
         assert_eq!(rec.stats.txns_replayed, 1);
     }
 
+    /// Recovery keeps the tree at each publish point of the tail: every
+    /// point of a whole log, only those above the watermark of a cut one.
+    #[test]
+    fn recovery_keeps_the_tree_at_each_publish_point_of_the_tail() {
+        let (db, ..) = seeded();
+        let publish = |txn: Option<TxnId>| {
+            let label = String::new();
+            encode_publish(&PublishRecord {
+                txn,
+                time: 0,
+                label,
+            })
+        };
+        let mut log = DurableLog::create(MemIo::new()).unwrap();
+        log.append(FRAME_PUBLISH, &publish(None)).unwrap();
+        let mut ends = Vec::new();
+        for txn in db.log().iter() {
+            log.append(FRAME_COMMIT, &encode_commit(txn, &[])).unwrap();
+            log.append(FRAME_PUBLISH, &publish(Some(txn.id))).unwrap();
+            ends.push(log.len().unwrap());
+        }
+        log.sync().unwrap();
+        let image = log.into_io().bytes().to_vec();
+        let after = |n: usize| checkpoint_after(&db, n, 0).tree;
+
+        let whole = MemIo::from_bytes(image.clone());
+        let (_, rec) = recover("r", StoreMode::Hereditary, whole, None).unwrap();
+        let trees: Vec<TreeDb> = (0..=3).map(after).collect();
+        assert_eq!(rec.point_trees, trees);
+
+        let mut ck = checkpoint_after(&db, 2, ends[1]);
+        ck.publishes = [None, Some(db.log()[0].id), Some(db.log()[1].id)]
+            .map(publish)
+            .to_vec();
+        let (_, rec) = recover(
+            "r",
+            StoreMode::Hereditary,
+            MemIo::from_bytes(image),
+            Some(ck),
+        )
+        .unwrap();
+        assert_eq!(rec.publishes.len(), 4);
+        assert_eq!(rec.point_trees, [after(3)]);
+    }
+
     #[test]
     fn checkpoint_ahead_of_torn_log_is_discarded() {
         let (db, image, ends) = seeded();
@@ -709,16 +799,53 @@ mod tests {
     }
 
     /// A checkpoint whose watermark lies behind its `last_txn` leaves
-    /// a tail that repeats transactions the snapshot already holds:
-    /// refused.
+    /// a tail that repeats transactions the snapshot already holds; one
+    /// whose watermark lies ahead (the snapshot holds ann's insert, the
+    /// watermark covers bob's edit too) would drop the transactions in
+    /// between. Both are refused.
     #[test]
     fn a_watermark_that_disagrees_with_the_snapshot_is_corrupt() {
         let (db, image, ends) = seeded();
-        for (n, covered) in [(2, ends[0]), (3, ends[1])] {
+        for (n, covered) in [(2, ends[0]), (3, ends[1]), (1, ends[1])] {
             let ck = checkpoint_after(&db, n, covered);
             let image = MemIo::from_bytes(image.clone());
             let err = recover("r", StoreMode::Hereditary, image, Some(ck)).unwrap_err();
             assert!(matches!(err, StorageError::Corrupt(_)), "{n}: {err}");
+        }
+    }
+
+    /// The watermark check reads a transaction sealed in a PREPARE as
+    /// the skipped frames' last only when its last DECIDE commits.
+    #[test]
+    fn a_watermark_after_a_prepare_ends_at_its_decided_transaction() {
+        let (db, ..) = seeded();
+        for commit in [true, false] {
+            let mut log = DurableLog::create(MemIo::new()).unwrap();
+            log.append(FRAME_COMMIT, &encode_commit(&db.log()[0], &[]))
+                .unwrap();
+            let prepare = crate::twopc::PrepareRecord {
+                gid: 7,
+                coordinator: 0,
+                participants: vec![0, 1],
+                frames: vec![(FRAME_COMMIT, encode_commit(&db.log()[1], &[]))],
+            };
+            log.append(FRAME_PREPARE, &crate::twopc::encode_prepare(&prepare))
+                .unwrap();
+            log.append(
+                FRAME_DECIDE,
+                &encode_decide(&DecideRecord { gid: 7, commit }),
+            )
+            .unwrap();
+            let covered = log.len().unwrap();
+            log.sync().unwrap();
+            let image = log.into_io().bytes().to_vec();
+            let holds = if commit { 2 } else { 1 };
+            for n in [1, 2] {
+                let ck = checkpoint_after(&db, n, covered);
+                let io = MemIo::from_bytes(image.clone());
+                let res = recover("r", StoreMode::Hereditary, io, Some(ck));
+                assert_eq!(res.is_ok(), n == holds, "commit {commit}, snapshot of {n}");
+            }
         }
     }
 

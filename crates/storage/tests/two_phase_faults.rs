@@ -24,8 +24,9 @@
 
 use std::collections::BTreeMap;
 
-use cdb_curation::ops::{CuratedTree, TxnId};
+use cdb_curation::ops::{CuratedTree, Transaction, TxnId};
 use cdb_curation::provstore::StoreMode;
+use cdb_curation::replay::apply_committed;
 use cdb_model::Atom;
 use cdb_storage::frame::{encode_frame, WAL_MAGIC};
 use cdb_storage::{
@@ -63,6 +64,8 @@ struct Side {
     d_end: usize,
     base_id: TxnId,
     cross_id: TxnId,
+    /// The base transaction, then the cross-shard one.
+    txns: Vec<Transaction>,
 }
 
 fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
@@ -97,6 +100,7 @@ fn build_side(tree: &CuratedTree, decide_commit: bool) -> Side {
         p_end,
         base_id: tree.log()[0].id,
         cross_id: tree.log()[1].id,
+        txns: tree.log().iter().cloned().collect(),
     }
 }
 
@@ -126,15 +130,20 @@ fn check_cut(s0: &Side, s1: &Side, c0: usize, c1: usize) -> Vec<Recovered> {
     for (i, (_, rec)) in out.iter().enumerate() {
         let s = sides[i];
         // All-or-nothing: the cross txn's id appears exactly when the
-        // global outcome is commit — never a partial effect (recover's
-        // internal replay_and_verify already cross-checks the tree
-        // against its own log).
+        // global outcome is commit — never a partial effect.
         let want = if expect_commit {
             vec![s.base_id, s.cross_id]
         } else {
             vec![s.base_id]
         };
         assert_eq!(ids(rec), want, "shard {i} at cut ({c0},{c1})");
+        // And the recovered database is the expected transactions
+        // applied onto an empty tree: tree, provenance and log.
+        let mut reference = CuratedTree::new("s", StoreMode::Hereditary);
+        for txn in &s.txns[..want.len()] {
+            apply_committed(&mut reference, txn).unwrap();
+        }
+        assert_eq!(rec.db, reference, "shard {i} tree at cut ({c0},{c1})");
         // The aux payload sealed inside the PREPARE rides along iff
         // the transaction committed.
         assert_eq!(

@@ -63,12 +63,14 @@ cargo test --release --features stress --test concurrent_serving
 
 echo "== archive: every delta publish against a full merge (stress) =="
 # A publish merges only the entries touched since the last one. The
-# `stress` feature makes every publish also merge the full export into
-# a copy of the archive and assert the two encode byte for byte, and
-# assert that a copy taken before the publish (sharing its nodes, as a
-# snapshot does) still encodes as it did; these suites publish through
-# every façade, across reopens, under both retentions, paged and not,
-# and `structural_sharing` with snapshots pinned across the publishes.
+# `stress` feature makes every publish — and every version an open
+# merges by delta from the publish-point trees recovery kept — also
+# merge the full export into a copy of the archive and assert the two
+# encode byte for byte, and assert that a copy taken before the merge
+# (sharing its nodes, as a snapshot does) still encodes as it did;
+# these suites publish through every façade, across reopens, under
+# both retentions, paged and not, and `structural_sharing` with
+# snapshots pinned across the publishes.
 cargo test --release --features stress --test archive_consistency --test facade_agreement \
     --test structural_sharing
 

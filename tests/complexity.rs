@@ -12,6 +12,9 @@
 //!   1 000, where a deep copy would copy every node.
 //! - `archive_from_log` merges every entry once, at the first publish
 //!   point, and after that only each segment's delta.
+//! - An open under `KeepAll` merges, point by point, what
+//!   `archive_from_log` merges; after it, the first publish following
+//!   k edits merges k entries, at 1 000 entries and at 8 000.
 //! - A citation rebuilds the cited entry only: as many nodes at 8 000
 //!   entries as at 1 000. A whole-version read rebuilds about 8× more.
 //! - A checkpoint under `KeepAll` writes no checkpoint byte and no heap
@@ -213,6 +216,59 @@ impl Io for ReadCounting {
     }
     fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
         self.io.lock().unwrap().truncate(len)
+    }
+}
+
+/// Under `KeepAll` the reopened log holds every publish point: each
+/// open merges the first release whole and then each point's delta —
+/// what `archive_from_log` merges — and the first publish after the
+/// open merges the k entries edited since the last point, at 1 000
+/// entries and at 8 000.
+#[test]
+fn a_keep_all_reopen_merges_what_changed() {
+    let _g = serial();
+    for n in [1_000, 8_000] {
+        let [wal, s1, s2] = std::array::from_fn(|_| ReadCounting::default());
+        let open = || {
+            let dev = |d: &ReadCounting| Box::new(d.clone()) as Box<dyn Io>;
+            let slots = CheckpointStore::slots(dev(&s1), dev(&s2));
+            let mut db = CuratedDatabase::open("count", "ac", dev(&wal), slots).unwrap();
+            db.set_durability(Durability::Batched);
+            db
+        };
+        let mut db = open();
+        for i in 0..n {
+            let fields = [("gn", Atom::Int(i as i64 % 7)), ("os", Atom::Int(1))];
+            db.add_entry("c", i as u64, &key(i), &fields).unwrap();
+        }
+        db.publish("r0").unwrap();
+        let deltas = [3usize, 0, 17];
+        let mut opened = Vec::new();
+        for (round, k) in deltas.into_iter().enumerate() {
+            edit(&mut db, k, (n + 1000 * round) as u64);
+            db.publish(format!("r{}", round + 1)).unwrap();
+            db.sync().unwrap();
+            let live = db.archive().encode();
+            drop(db);
+            let (reopened, at_open) = merges(open);
+            db = reopened;
+            let (rebuilt, from_log) = merges(|| db.archive_from_log().unwrap());
+            assert_eq!(at_open, from_log, "{n} entries, open {round}");
+            assert_eq!(db.archive().encode(), live, "{n} entries, open {round}");
+            assert_eq!(rebuilt.encode(), live, "{n} entries, open {round}");
+            opened.push(at_open);
+        }
+        let whole_then_deltas: Vec<u64> = (1..=deltas.len())
+            .map(|points| (n + deltas[..points].iter().sum::<usize>()) as u64)
+            .collect();
+        assert_eq!(
+            opened, whole_then_deltas,
+            "{n} entries: merged by each open"
+        );
+        let k = 64;
+        edit(&mut db, k, (n + 10_000) as u64);
+        let (_, merged) = merges(|| db.publish("after").unwrap());
+        assert_eq!(merged, k as u64, "{n} entries, {k} edited after a reopen");
     }
 }
 
